@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-json examples demo clean
+.PHONY: install test bench examples demo clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,14 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The repo benchmark (BENCHMARK.json, bench/README.md).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Refresh the committed hot-path report and gate against the previous one.
-# Speedup ratios are machine-portable; absolute rates are informational.
-bench-json:
-	PYTHONPATH=src $(PYTHON) -m repro bench \
-		--baseline BENCH_core.json --portable-only --json BENCH_core.json
+	python3 bench/run.py
 
 examples:
 	@for script in examples/*.py; do \

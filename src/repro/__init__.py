@@ -20,7 +20,7 @@ Quickstart::
 
 The package front door re-exports every stable entry point — the core
 stack eagerly, the tooling subsystems (scenario builder, campaigns,
-systematic checking, observability, benchmarks) lazily via module
+systematic checking, observability) lazily via module
 ``__getattr__`` (PEP 562), so ``import repro`` stays light::
 
     from repro import ScenarioBuilder, CheckSweep, explore, run_campaign
@@ -31,11 +31,11 @@ from repro.core.stack import CanelyNetwork, CanelyNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
-#: must not drag in multiprocessing (campaign), the benchmark corpus
-#: (perf) or the checker; attribute access resolves them on first use.
+#: must not drag in multiprocessing (campaign) or the checker; attribute
+#: access resolves them on first use.
 _LAZY_EXPORTS = {
     # membership backends (repro.core.backend, repro.swim) and the
     # multi-segment gateway (repro.can.gateway)
@@ -121,11 +121,6 @@ _LAZY_EXPORTS = {
     "run_catalog": "repro.scenarios",
     "run_recipe": "repro.scenarios",
     "scenario_names": "repro.scenarios",
-    # benchmarks (repro.perf)
-    "compare_reports": "repro.perf",
-    "load_report": "repro.perf",
-    "run_benchmarks": "repro.perf",
-    "write_report": "repro.perf",
 }
 
 __all__ = [

@@ -26,8 +26,6 @@ Commands:
   that produced new trace fingerprints, ``--replay`` re-executes an
   artifact bit-for-bit and ``--selftest`` plants a protocol bug and
   asserts the checker finds it (see :mod:`repro.check`).
-* ``bench``     — run the core hot-path benchmarks, write ``BENCH_core.json``
-  and optionally gate on a regression threshold (see :mod:`repro.perf`).
 * ``compare``   — run the same seeded crash scenario under rival membership
   backends (CANELy vs SWIM, optionally over gateway-bridged bus segments)
   and print their QoS side by side: detection latency, view stability,
@@ -716,58 +714,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf import (
-        compare_reports,
-        load_report,
-        render_report,
-        run_benchmarks,
-        write_report,
-    )
-
-    # Load the baseline up front: --baseline and --json may name the same
-    # file (the `make bench-json` refresh-and-gate idiom).
-    baseline = load_report(args.baseline) if args.baseline else None
-    report = run_benchmarks(
-        quick=args.quick, repeats=args.repeats, only=args.only or None
-    )
-    print(render_report(report))
-    if args.json:
-        write_report(report, args.json)
-        print(f"report written to {args.json}")
-    if args.require_sublinear:
-        scaling = report["results"].get("stack_scaling")
-        if scaling is None:
-            print("--require-sublinear: stack_scaling did not run")
-            return 1
-        if not scaling.get("sublinear"):
-            print(
-                "--require-sublinear: per-event cost grew linearly "
-                f"(cost ratio {scaling['cost_ratio']:.2f}x >= population "
-                f"ratio {scaling['linear_ratio']:.0f}x)"
-            )
-            return 1
-        print(
-            f"sub-linear scaling: per-event cost ratio "
-            f"{scaling['cost_ratio']:.2f}x over a "
-            f"{scaling['linear_ratio']:.0f}x population"
-        )
-    if baseline is not None:
-        regressions = compare_reports(
-            baseline,
-            report,
-            threshold=args.threshold,
-            portable_only=args.portable_only,
-        )
-        if regressions:
-            print(f"\nREGRESSIONS vs {args.baseline}:")
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(f"\nno regressions vs {args.baseline} (threshold {args.threshold:.0%})")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1177,57 +1123,6 @@ def main(argv=None) -> int:
         "--verbose", action="store_true", help="print one line per schedule"
     )
     check.set_defaults(func=_cmd_check)
-    bench = sub.add_parser(
-        "bench",
-        help="run the core hot-path benchmarks (frame encoding, event "
-        "throughput, campaign wall-clock)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller corpus and fewer repeats (CI-friendly)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="override the best-of repeat count for the timed benchmarks",
-    )
-    bench.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the machine-readable report here (e.g. BENCH_core.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against a previous report; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="regression threshold as a fraction (default 0.25 = 25%%)",
-    )
-    bench.add_argument(
-        "--portable-only",
-        action="store_true",
-        help="compare only machine-independent speedup ratios",
-    )
-    bench.add_argument(
-        "--only",
-        action="append",
-        metavar="NAME",
-        help="run only the named benchmark (repeatable), e.g. "
-        "--only stack_scaling",
-    )
-    bench.add_argument(
-        "--require-sublinear",
-        action="store_true",
-        help="exit 1 unless stack_scaling reports sub-linear per-event "
-        "cost growth",
-    )
-    bench.set_defaults(func=_cmd_bench)
     compare = sub.add_parser(
         "compare",
         help="run the same seeded crash scenario under rival membership "

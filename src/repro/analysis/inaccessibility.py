@@ -197,8 +197,8 @@ def measured_inaccessibility(trace: TraceRecorder) -> List[InaccessibilityWindow
     """Every inaccessibility window a run injected, in trace order.
 
     Reads the ``bus.inaccessible`` records through
-    :meth:`~repro.sim.trace.TraceRecorder.category_columns`, so a columnar
-    trace answers from its packed arrays without materializing records.
+    :meth:`~repro.sim.trace.TraceRecorder.category_columns`, so the trace
+    answers from its packed arrays without materializing records.
     """
     times, _nodes, payloads = trace.category_columns("bus.inaccessible")
     return [

@@ -20,10 +20,9 @@ slot-synchronous membership.
 Alongside the analytic bounds, the ``measured_*`` queries read the same
 latencies out of a finished run's trace. They go through
 :meth:`~repro.sim.trace.TraceRecorder.category_columns`, the bulk column
-accessor, so on a columnar trace (:data:`repro.sim.trace.COLUMNAR`) they
-scan packed arrays without materializing one record object per entry —
-the difference between a post-processing blip and a second full pass on a
-200-node campaign trace.
+accessor, so they scan the recorder's packed arrays without materializing
+one record object per entry — the difference between a post-processing
+blip and a second full pass on a 200-node campaign trace.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ def crash_notification_times(
 
     Maps crashed node -> {observer -> time that observer's view first
     reported the crash}, in one pass over the ``msh.change`` columns
-    (:meth:`~repro.sim.trace.TraceRecorder.category_columns`, so columnar
-    traces answer from their backing arrays). A single change record
+    (:meth:`~repro.sim.trace.TraceRecorder.category_columns`, so the
+    trace answers from its backing arrays). A single change record
     whose ``failed`` set names several crashed nodes feeds every one of
     them — two crashes folded into the same membership cycle are both
     attributed to that one view change.

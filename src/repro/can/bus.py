@@ -43,20 +43,6 @@ from repro.can.phy import BitTiming
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
 
-#: When True (the default), delivery resolves recipients through a cached
-#: per-identifier dispatch plan instead of offering every frame to every
-#: alive controller and re-checking its filter bank inline. The plan holds
-#: one entry per accepting controller (so non-accepting nodes cost nothing
-#: per delivery) and, for controllers driven by the standard layer, bakes
-#: the listener tuples the layer would resolve — delivery then upcalls the
-#: listeners directly instead of walking ``deliver`` -> ``on_rx`` ->
-#: ``_handle_rx`` per recipient. Observable behaviour is identical to the
-#: broadcast path (same deliveries, same REC bookkeeping, same trace
-#: records, in the same order); with no filters installed the accepting
-#: set is simply "every controller" and the two paths are bit-identical.
-#: Read per delivery, so tests can toggle it on a live module.
-FILTERED_DELIVERY = True
-
 #: Delivery plans are dropped wholesale past this many distinct
 #: identifiers (application refs roll, so the identifier space is not
 #: bounded by the node count).
@@ -127,8 +113,8 @@ class CanBus:
         self._controllers: Dict[int, CanController] = {}
         #: identifier -> delivery plan: one ``(controller, baked_on_rx,
         #: first_listeners, second_listeners)`` entry per controller whose
-        #: acceptance filters pass it, in attach order (the delivery order
-        #: of the broadcast path). Data and remote frames plan separately —
+        #: acceptance filters pass it, in attach order (the delivery
+        #: order). Data and remote frames plan separately —
         #: the RTR bit is not part of the identifier, but it selects a
         #: different upcall. Aliveness is *not* baked in — it is re-checked
         #: inline at every delivery, so crashes and bus-off need no
@@ -182,8 +168,7 @@ class CanBus:
         The inverse of :meth:`attach`, used by gateways whose ports come
         and go. The cached delivery plans bake the accepting-controller
         set per identifier, so a detach *must* drop them — otherwise a
-        stale plan keeps delivering to (or skipping) the departed port
-        and FILTERED_DELIVERY diverges from the broadcast reference.
+        stale plan keeps delivering to (or skipping) the departed port.
         """
         attached = self._controllers.get(controller.node_id)
         if attached is not controller:
@@ -440,85 +425,61 @@ class CanBus:
             if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
                 sender.finish_success(request)
         # Hoisted out of the per-recipient loop: delivery is the hottest
-        # trace site (one record per alive controller per frame). The
+        # trace site (one record per accepting controller per frame). The
         # span-disabled loop is kept branch-free per recipient for the
         # same reason.
         record_delivery = self._trace.wants("bus.deliver")
         if tx.span_id is None:
+            # Plan path: the filter match and the upcall resolution were
+            # paid once, when this identifier's plan was built — delivery
+            # resolves recipients through that cached plan instead of
+            # offering the frame to every alive controller, so
+            # non-accepting nodes cost nothing per frame. Entries whose
+            # controller is driven by the standard layer carry its
+            # listener tuples baked in, so the loop below upcalls them
+            # directly — transcribing ``deliver`` (the REC heal) and
+            # ``_handle_rx`` (nty before ind; rtr listeners for remote
+            # frames) without the three call frames per recipient. The
+            # baked handler is re-validated by identity at every
+            # delivery; anything unexpected — a rebound ``on_rx``, a
+            # facade, span tracing switched on mid-flight — falls back to
+            # the generic ``deliver``. Deliveries, REC bookkeeping and
+            # trace records are exactly those of the span-on loop below,
+            # which consults the filter bank per delivery.
             frame = tx.frame
-            ident = frame.identifier
             mid = frame.mid
             remote = frame.remote
             now = self._sim.now
-            trace_record = self._trace.record
-            if FILTERED_DELIVERY:
-                # Plan path: the filter match and the upcall resolution
-                # were paid once, when this identifier's plan was built.
-                # Entries whose controller is driven by the standard layer
-                # carry its listener tuples baked in, so the loop below
-                # upcalls them directly — transcribing ``deliver`` (the
-                # REC heal) and ``_handle_rx`` (nty before ind; rtr
-                # listeners for remote frames) without the three call
-                # frames per recipient. The baked handler is re-validated
-                # by identity at every delivery; anything unexpected —
-                # a rebound ``on_rx``, a facade, span tracing switched on
-                # mid-flight — falls back to the generic ``deliver``.
-                plans = self._plan_rtr if remote else self._plan_data
-                plan = plans.get(ident)
-                if plan is None:
-                    plan = self._build_plan(frame, plans)
-                data = frame.data
-                fused_ok = not self._spans.enabled
-                if record_delivery:
-                    payload = {"mid": mid, "remote": remote}
-                    record_row = self._trace.record_row
-                for controller, baked_rx, first, second in plan:
-                    # .ind includes own transmissions (paper Fig. 4). The
-                    # aliveness re-check guards against a crash triggered
-                    # by an earlier recipient's upcall; inlined like above.
-                    if (
-                        controller.crashed
-                        or controller.tec > BUS_OFF_THRESHOLD
-                    ):
-                        continue
-                    if (
-                        fused_ok
-                        and first is not None
-                        and controller.on_rx is baked_rx
-                    ):
-                        if controller.rec:
-                            controller.rec -= 1
-                        for listener in first:
-                            listener(mid)
-                        for listener in second:
-                            listener(mid, data)
-                    else:
-                        controller.deliver(frame)
-                    if record_delivery:
-                        record_row(
-                            now, "bus.deliver", controller.node_id, payload
-                        )
-                return
-            for controller in alive:
-                # Broadcast path: same semantics, with the filter bank
-                # consulted per delivery instead of per identifier.
+            plans = self._plan_rtr if remote else self._plan_data
+            plan = plans.get(frame.identifier)
+            if plan is None:
+                plan = self._build_plan(frame, plans)
+            data = frame.data
+            fused_ok = not self._spans.enabled
+            if record_delivery:
+                payload = {"mid": mid, "remote": remote}
+                record_row = self._trace.record_row
+            for controller, baked_rx, first, second in plan:
+                # .ind includes own transmissions (paper Fig. 4). The
+                # aliveness re-check guards against a crash triggered
+                # by an earlier recipient's upcall; inlined like above.
+                if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
+                    continue
                 if (
-                    not controller.crashed
-                    and controller.tec <= BUS_OFF_THRESHOLD
-                    and (
-                        (bank := controller._filters) is None
-                        or bank.accepts(ident)
-                    )
+                    fused_ok
+                    and first is not None
+                    and controller.on_rx is baked_rx
                 ):
+                    if controller.rec:
+                        controller.rec -= 1
+                    for listener in first:
+                        listener(mid)
+                    for listener in second:
+                        listener(mid, data)
+                else:
                     controller.deliver(frame)
-                    if record_delivery:
-                        trace_record(
-                            now,
-                            "bus.deliver",
-                            node=controller.node_id,
-                            mid=mid,
-                            remote=remote,
-                        )
+                if record_delivery:
+                    record_row(now, "bus.deliver", controller.node_id, payload)
             return
         spans = self._spans
         ident = tx.frame.identifier

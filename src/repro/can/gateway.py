@@ -16,7 +16,7 @@ The model is deliberately faithful to a real CAN gateway:
 * **identifier filters** — an optional :class:`~repro.can.filters.FilterBank`
   per port limits what crosses the bridge (installed as the port
   controller's acceptance filters, so filtered traffic is not even
-  delivered to the gateway under FILTERED_DELIVERY);
+  delivered to the gateway);
 * **bounded queues** — at most ``queue_limit`` frames may be outstanding
   (relay-scheduled or queued in the port controller) per target port;
   beyond that the gateway drops, counts the drop and traces it
@@ -125,8 +125,8 @@ class CanGateway:
         :class:`~repro.can.filters.FilterBank` as the port's acceptance
         filters: only passing identifiers cross the bridge *from* this
         segment. Attaching invalidates the segment's delivery plans (via
-        :meth:`CanBus.attach`), so FILTERED_DELIVERY immediately routes
-        matching traffic to the new port.
+        :meth:`CanBus.attach`), so matching traffic is routed to the new
+        port immediately.
         """
         for port in self._ports:
             if port.bus is bus:

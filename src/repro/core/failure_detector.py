@@ -26,7 +26,6 @@ from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.fda import FdaProtocol
-from repro.sim import timers as _timers_mod
 from repro.sim.timers import Alarm, TimerService
 
 FailureCallback = Callable[[int], None]
@@ -131,7 +130,7 @@ class FailureDetector:
         # kernel queue's in-place reschedule: this upcall runs once per
         # observed frame per monitored node, and at that rate even
         # ``restart_alarm``'s call frame is measurable. The inline body
-        # transcribes its heap fast path exactly (same guards, same
+        # transcribes its fast path exactly (same guards, same
         # effect); everything else falls back to the method and, failing
         # that, the seed-faithful ``_alarm_start``.
         node = mid.node
@@ -148,7 +147,6 @@ class FailureDetector:
         timers = self._timers
         if (
             timers._rearm_plain
-            and _timers_mod.FAST_REARM
             and alarm._active
             and alarm._span is None
             and not self._spans.enabled

@@ -5,7 +5,7 @@ time* and *membership consistency*; the related work (Duarte's
 unreliable-FD diagnosis model, Sens' partial-connectivity detectors, and
 the Chen/Toueg/Aguilera QoS framework they build on) frames detector
 quality as a small set of measurable figures. This module computes those
-figures from a finished run's trace — heap or columnar, via the bulk
+figures from a finished run's trace — via the bulk
 :meth:`~repro.sim.trace.TraceRecorder.category_columns` accessor — so
 every backend comparison in the repo can quote them:
 
@@ -337,7 +337,7 @@ def compute_qos(
     """Compute the FD QoS figures for one run's observation window.
 
     Args:
-        trace: the run's trace (heap or columnar).
+        trace: the run's trace.
         nodes: the initial full members — the agreed view at ``start``
             (callers pass the bootstrapped membership and a ``start`` at
             or after convergence).

@@ -1,24 +1,8 @@
-"""Performance tooling: benchmark runner and seed-faithful reference core."""
+"""The seed-faithful reference core the golden-trace tests compare against."""
 
-from repro.perf.bench import (
-    DEFAULT_THRESHOLD,
-    SCHEMA,
-    compare_reports,
-    load_report,
-    render_report,
-    run_benchmarks,
-    write_report,
-)
 from repro.perf.legacy import LegacyEvent, LegacyEventQueue, legacy_core
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "SCHEMA",
-    "compare_reports",
-    "load_report",
-    "render_report",
-    "run_benchmarks",
-    "write_report",
     "LegacyEvent",
     "LegacyEventQueue",
     "legacy_core",

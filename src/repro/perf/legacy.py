@@ -16,9 +16,8 @@ retains the original, slower core exactly as the seed shipped it:
   bit-list reference encoder (no wire-length cache) and swaps the bus
   completion path for the pre-overhaul bodies.
 
-Two consumers: the golden-trace equivalence tests run whole scenarios under
-``legacy_core()`` and assert byte-identical traces against the fast core,
-and ``repro bench`` measures both to report honest before/after numbers.
+The golden-trace equivalence tests run whole scenarios under
+``legacy_core()`` and assert byte-identical traces against the fast core.
 """
 
 from __future__ import annotations

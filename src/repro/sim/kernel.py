@@ -12,9 +12,9 @@ instead of re-entering ``heappop`` (and re-sifting freshly pushed events)
 between every two fires. An event scheduled *during* a batch for the same
 instant still fires in exact ``(priority, seq)`` order: new events carry
 later sequence numbers, so only a strictly more urgent priority can preempt
-the remainder of a batch, and the loop checks for exactly that. Batching is
-on by default and can be disabled per simulator (or via
-:data:`BATCH_DISPATCH`) for A/B equivalence runs.
+the remainder of a batch, and the loop checks for exactly that. A run
+with an event budget must be able to stop between any two events, so it
+fires them one at a time instead.
 
 When the queue is quiescent between bursts, :meth:`advance_to_next_event`
 fast-forwards the clock straight to the next deadline — the analytic
@@ -32,11 +32,6 @@ from repro.obs.spans import SpanTracer
 from repro.sim.event import Event, EventQueue
 from repro.sim.trace import TraceRecorder
 
-#: Default for batched same-timestamp dispatch; per-simulator override via
-#: ``Simulator(batch_dispatch=...)``. Read at every drain, so tests can
-#: toggle it on a live simulator module.
-BATCH_DISPATCH = True
-
 
 class SimulationError(Exception):
     """Raised on kernel misuse (e.g. scheduling in the past)."""
@@ -50,7 +45,6 @@ class Simulator:
         trace: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanTracer] = None,
-        batch_dispatch: Optional[bool] = None,
     ) -> None:
         self._now = 0
         self._queue = EventQueue()
@@ -59,12 +53,10 @@ class Simulator:
         self._spans = spans if spans is not None else SpanTracer()
         self._spans.bind_clock(lambda: self._now)
         #: Reentrancy guard: set while a drain loop owns the heap. Calling
-        #: run()/run_until() from inside an event action would alias the
-        #: drain state and silently double-drain, so it raises instead.
+        #: run()/run_until()/step() from inside an event action would alias
+        #: the drain state and silently double-drain, so it raises instead.
         self._running = False
         self._events_processed = 0
-        self._batch_dispatch = batch_dispatch
-        self._timer_wheel = None
 
     @property
     def now(self) -> int:
@@ -95,20 +87,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)
-
-    def timer_wheel(self):
-        """The simulator-wide hierarchical timer wheel, built on demand.
-
-        Shared by every :class:`~repro.sim.timers.TimerService` whose
-        construction saw :data:`repro.sim.timers.TIMER_WHEEL` enabled; the
-        wheel files alarms in O(1) buckets and drives them through a
-        single kernel cursor event (see :mod:`repro.sim.wheel`).
-        """
-        if self._timer_wheel is None:
-            from repro.sim.wheel import TimerWheel
-
-            self._timer_wheel = TimerWheel(self)
-        return self._timer_wheel
 
     @property
     def running(self) -> bool:
@@ -174,13 +152,23 @@ class Simulator:
     def _begin_drain(self) -> None:
         if self._running:
             raise SimulationError(
-                "run()/run_until() re-entered from inside an event action; "
+                "run()/run_until()/step() re-entered from inside an event "
+                "action; "
                 "schedule follow-up work instead of draining recursively"
             )
         self._running = True
 
     def step(self) -> bool:
         """Fire the next event. Returns ``False`` when the queue is empty."""
+        self._begin_drain()
+        try:
+            return self._step()
+        finally:
+            self._running = False
+
+    def _step(self) -> bool:
+        # Unguarded: the caller (step(), or a fallback loop inside
+        # run()/run_until()) owns the reentrancy guard.
         event = self._queue.pop()
         if event is None:
             return False
@@ -199,8 +187,8 @@ class Simulator:
         ``heappop`` plus one call per event, with no method dispatch in
         between — and, when no budget is given, dispatches equal-time runs
         in batches (see the module docstring). Queues without tuple
-        entries (the seed-faithful legacy queue :mod:`repro.perf`
-        benchmarks against) fall back to :meth:`step`.
+        entries (the seed-faithful legacy queue of :mod:`repro.perf`)
+        fall back to firing one :meth:`step` at a time.
         """
         max_events = self._check_budget(max_events)
         if max_events == 0:
@@ -210,17 +198,14 @@ class Simulator:
         try:
             if not getattr(queue, "TUPLE_ENTRIES", False):
                 fired = 0
-                while self.step():
+                while self._step():
                     fired += 1
                     if max_events is not None and fired >= max_events:
                         break
                 return fired
             if max_events is not None:
                 return self._drain_budgeted(None, max_events)
-            batch = self._batch_dispatch
-            if batch if batch is not None else BATCH_DISPATCH:
-                return self._drain_batched(None)
-            return self._drain_budgeted(None, None)
+            return self._drain_batched(None)
         finally:
             self._running = False
 
@@ -250,7 +235,7 @@ class Simulator:
                     next_time = queue.peek_time()
                     if next_time is None or next_time > time:
                         break
-                    self.step()
+                    self._step()
                     fired += 1
                     if max_events is not None and fired >= max_events:
                         return fired
@@ -261,11 +246,7 @@ class Simulator:
                 if fired < max_events:
                     self._now = time
                 return fired
-            batch = self._batch_dispatch
-            if batch if batch is not None else BATCH_DISPATCH:
-                fired = self._drain_batched(time)
-            else:
-                fired = self._drain_budgeted(time, None)
+            fired = self._drain_batched(time)
             self._now = time
             return fired
         finally:
@@ -368,8 +349,8 @@ class Simulator:
                 fired += 1
         return fired
 
-    def _drain_budgeted(self, bound: Optional[int], budget: Optional[int]) -> int:
-        """One-at-a-time dispatch over the tuple heap (budgeted or A/B runs)."""
+    def _drain_budgeted(self, bound: Optional[int], budget: int) -> int:
+        """One-at-a-time dispatch over the tuple heap, at most ``budget`` events."""
         queue = self._queue
         heap = queue._heap
         heappop = heapq.heappop
@@ -397,7 +378,7 @@ class Simulator:
             self._events_processed += 1
             event.action()
             fired += 1
-            if budget is not None and fired >= budget:
+            if fired >= budget:
                 break
         return fired
 

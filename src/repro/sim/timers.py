@@ -10,8 +10,7 @@ timers are cancelled and re-armed on *every* observed frame, and the
 restart defers the alarm's kernel event in place (O(1) field updates, no
 cancel/allocate/heappush churn) whenever the queue supports it — ordering
 stays bit-identical to cancel-and-start because the kernel allocates a
-fresh sequence number either way. Toggle :data:`FAST_REARM` off to force
-the seed-faithful cancel-and-start path for A/B equivalence runs.
+fresh sequence number either way.
 """
 
 from __future__ import annotations
@@ -21,23 +20,6 @@ from typing import Callable, Optional
 
 from repro.sim.event import Event
 from repro.sim.kernel import Simulator
-
-#: Default for the in-place alarm restart fast path; read at every restart
-#: so tests can toggle it on a live module.
-FAST_REARM = True
-
-#: When True, new :class:`TimerService` instances file their alarms on the
-#: simulator's shared hierarchical timer wheel (:mod:`repro.sim.wheel`)
-#: instead of scheduling one kernel event per alarm: start, cancel and
-#: restart become O(1) regardless of how many alarms are live, and the
-#: kernel heap holds a single wheel cursor instead of one entry per alarm.
-#: Off by default — the heap path is the seed-faithful reference, pinned
-#: bit-identical by the golden-trace equivalence tests; the wheel is
-#: outcome-equivalent (same alarms fire at the same simulated instants)
-#: but interleaves kernel bookkeeping differently. Read at service
-#: construction, so toggle it *before* building a network.
-TIMER_WHEEL = False
-
 
 class Alarm:
     """Handle for a pending alarm (the ``tid`` of the pseudocode).
@@ -57,12 +39,6 @@ class Alarm:
         "_service",
         "_active",
         "_span",
-        # Wheel-backed alarms: intrusive bucket links + arm-order seq
-        # (initialized only when the owning service uses the wheel).
-        "_wbucket",
-        "_wprev",
-        "_wnext",
-        "_wseq",
     )
 
     def __init__(
@@ -127,17 +103,11 @@ class TimerService:
         self._can_reschedule = getattr(
             sim._queue, "SUPPORTS_RESCHEDULE", False
         )
-        #: The simulator-wide hierarchical wheel, or ``None`` on the
-        #: seed-faithful per-alarm-event heap path. Resolved once at
-        #: construction (module toggle), like the reschedule capability.
-        self._wheel = sim.timer_wheel() if TIMER_WHEEL else None
-        #: True when :meth:`restart_alarm`'s heap fast path needs no
-        #: duration stretch: reschedulable queue, no wheel, zero drift.
-        #: Hot callers (the failure detector's activity clause) use this
-        #: to inline the rearm down to the queue's in-place reschedule.
-        self._rearm_plain = (
-            self._can_reschedule and self._wheel is None and drift == 0.0
-        )
+        #: True when :meth:`restart_alarm`'s fast path needs no duration
+        #: stretch: reschedulable queue, zero drift. Hot callers (the
+        #: failure detector's activity clause) use this to inline the
+        #: rearm down to the queue's in-place reschedule.
+        self._rearm_plain = self._can_reschedule and drift == 0.0
 
     @property
     def drift(self) -> float:
@@ -168,15 +138,7 @@ class TimerService:
         """
         duration = self._stretch(duration)
         alarm = Alarm(next(self._ids), self._sim.now + duration, on_expire, self)
-        wheel = self._wheel
-        if wheel is None:
-            alarm._event = self._sim.schedule(duration, alarm._fire)
-        else:
-            alarm._wbucket = None
-            alarm._wprev = None
-            alarm._wnext = None
-            alarm._wseq = 0
-            wheel.insert(alarm, alarm.deadline)
+        alarm._event = self._sim.schedule(duration, alarm._fire)
         self._pending += 1
         if self._spans.enabled:
             if tag is None:
@@ -211,30 +173,8 @@ class TimerService:
         equivalent. Either path consumes one event sequence number, so
         simulated outcomes are bit-identical.
         """
-        wheel = self._wheel
-        if wheel is not None:
-            # Wheel-backed restart: unlink + relink, O(1) in the number of
-            # live alarms. Span-traced alarms fall back to cancel-and-start
-            # so every arming keeps its own causal span, as on the heap
-            # path.
-            if (
-                alarm is None
-                or not alarm._active
-                or alarm._span is not None
-                or self._spans.enabled
-            ):
-                return False
-            if duration < 0:
-                raise ValueError(
-                    f"alarm duration must be non-negative: {duration}"
-                )
-            if self._drift and duration:
-                duration = max(1, round(duration * (1.0 + self._drift)))
-            wheel.restart(alarm, self._sim._now + duration)
-            return True
         if (
             not self._can_reschedule
-            or not FAST_REARM
             or alarm is None
             or not alarm._active
             or alarm._span is not None
@@ -269,10 +209,7 @@ class TimerService:
         alarm._active = False
         service = alarm._service
         service._pending -= 1
-        if alarm._event is not None:
-            alarm._event.cancel()
-        else:
-            service._wheel.remove(alarm)
+        alarm._event.cancel()
         if alarm._span is not None:
             service._spans.end(alarm._span, outcome="cancelled")
 

@@ -6,16 +6,18 @@ trace after a run; benchmarks use it to account bandwidth; the online
 invariant monitors of :mod:`repro.obs.monitors` subscribe as streaming
 sinks and check properties *while* the run is in progress.
 
-The recorder keeps per-category and per-node indexes alongside the record
-list, so :meth:`TraceRecorder.select` and :meth:`TraceRecorder.count` cost
-O(matches) and O(1) instead of a scan over the whole trace — the difference
-between interactive and unusable on the 100k-record traces a long
-membership campaign produces (see ``benchmarks/bench_trace_queries.py``).
+The recorder stores columns, not objects: times, interned category ids and
+node ids live in packed ``array`` columns beside a list of payload dicts,
+and a :class:`TraceRecord` only materializes when something looks at it — a
+query, an iteration, a registered sink. Per-category and per-node indexes
+are built lazily on the first query and extended incrementally, so
+:meth:`TraceRecorder.select` costs O(matches) instead of a scan over the
+whole trace, and a run that never queries its trace pays nothing for them.
 
 Long campaigns that only need live monitoring can cap memory with
-``TraceRecorder(capacity=...)``: the recorder becomes a ring buffer that
-evicts the oldest records (indexes included) while sinks still observe
-every record as it happens. Finished traces stream to disk with
+``TraceRecorder(capacity=...)``: the same store becomes a ring buffer that
+evicts the oldest records (index entries included) while sinks still
+observe every record as it happens. Finished traces stream to disk with
 :meth:`TraceRecorder.export_jsonl` or live through a :class:`JsonlSink`.
 """
 
@@ -24,10 +26,10 @@ from __future__ import annotations
 import heapq
 import json
 from array import array
+from bisect import bisect_left
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     IO,
     Iterator,
@@ -36,39 +38,25 @@ from typing import (
     Tuple,
     Union,
 )
-from collections import deque
 
 TraceSink = Callable[["TraceRecord"], None]
 
-#: Compact the backing list once this much dead space accumulates in ring
-#: mode (and the dead space dominates), keeping eviction amortized O(1).
+#: Trim the evicted rows off the front of the columns once this much dead
+#: space accumulates in ring mode (and the dead space dominates), keeping
+#: eviction amortized O(1).
 _COMPACT_THRESHOLD = 1024
 
-#: When True, ``TraceRecorder(...)`` constructs a
-#: :class:`ColumnarTraceRecorder`: times / categories / nodes live in
-#: packed ``array`` columns (category names interned to small ints) and a
-#: :class:`TraceRecord` object only materializes when a record is actually
-#: observed — by a query, an iteration or a sink. Recording skips the
-#: per-record object allocation entirely, which is the dominant cost of a
-#: fully traced large-membership run, and the retained trace is a fraction
-#: of the row-mode footprint. Queries return identical records in
-#: identical order, so fingerprint-style comparisons cannot tell the two
-#: modes apart. Ring-buffer mode (``capacity=...``) keeps the row
-#: recorder: columnar storage is append-only. Read at construction — like
-#: :data:`repro.sim.timers.TIMER_WHEEL`, toggle before building a network.
-COLUMNAR = False
-
-#: Lines buffered per write by the columnar bulk export.
+#: Lines buffered per write by the bulk export.
 _EXPORT_BATCH = 512
 
 
 class TraceRecord:
     """One trace entry. Treat as immutable once recorded.
 
-    A slotted plain class rather than a frozen dataclass: recorders append
-    thousands of these per simulated second, and the frozen-dataclass
-    ``__init__`` (one ``object.__setattr__`` per field) is measurable at
-    that rate.
+    A slotted plain class rather than a frozen dataclass: queries and
+    sinks materialize thousands of these per simulated second, and the
+    frozen-dataclass ``__init__`` (one ``object.__setattr__`` per field) is
+    measurable at that rate.
 
     Attributes:
         time: simulation time of the event, in kernel ticks.
@@ -190,20 +178,53 @@ class JsonlSink:
         self.close()
 
 
-class TraceRecorder:
-    """Append-only sequence of :class:`TraceRecord` with indexed queries."""
+class _LazyIndex:
+    """Column value -> ``array`` of live sequence numbers, built on demand.
 
-    def __new__(
-        cls, enabled: bool = True, capacity: Optional[int] = None
-    ) -> "TraceRecorder":
-        # Storage-mode dispatch: with COLUMNAR set, a plain
-        # ``TraceRecorder(...)`` builds the columnar recorder instead —
-        # call sites (the kernel included) need no knowledge of the mode.
-        # Ring-buffer traces stay on row storage (columns are append-only),
-        # and explicit subclass constructions are honoured as written.
-        if cls is TraceRecorder and COLUMNAR and capacity is None:
-            return object.__new__(ColumnarTraceRecorder)
-        return object.__new__(cls)
+    Complete for sequence numbers ``< indexed_to``. A query brings it up
+    to date with :meth:`refresh`, which also purges what the ring evicted
+    since the last one; an index no query asks for costs nothing.
+    """
+
+    __slots__ = ("column", "buckets", "indexed_to", "floor")
+
+    def __init__(self, column: "array") -> None:
+        self.column = column
+        self.buckets: Dict[int, "array"] = {}
+        self.indexed_to = 0
+        self.floor = 0
+
+    def refresh(self, first: int, offset: int) -> Dict[int, "array"]:
+        """Index the live rows ``column[offset:]``, whose first sequence
+        number is ``first``; returns the buckets."""
+        buckets = self.buckets
+        if self.floor != first:
+            # Dead sequence numbers sit at the front of each sorted bucket.
+            for bucket in buckets.values():
+                del bucket[: bisect_left(bucket, first)]
+            self.floor = first
+        # Records evicted before any query saw them are never indexed.
+        start = max(self.indexed_to, first)
+        fresh = self.column[start - first + offset :]
+        for seq, key in enumerate(fresh, start):
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = array("q")
+            bucket.append(seq)
+        self.indexed_to = start + len(fresh)
+        return buckets
+
+
+class TraceRecorder:
+    """Sequence of :class:`TraceRecord` held as columns, with indexed queries.
+
+    Recording is four C-level appends plus one dict lookup — no
+    :class:`TraceRecord` allocation; records materialize only when
+    observed. Every record carries an absolute, ever-increasing sequence
+    number (never stored: it follows from the row), so the lazily built
+    category/node indexes stay valid across ring-buffer evictions and
+    column compactions.
+    """
 
     def __init__(
         self, enabled: bool = True, capacity: Optional[int] = None
@@ -213,27 +234,51 @@ class TraceRecorder:
         self.enabled = enabled
         self._capacity = capacity
         self._disabled: set = set()
-        # Records live in ``_records[_offset:]``; each carries an absolute,
-        # ever-increasing sequence number so index entries stay valid across
-        # ring-buffer evictions. Record seq -> list slot translation is
-        # ``seq - _first_seq + _offset``.
-        self._records: List[TraceRecord] = []
-        self._offset = 0
-        self._first_seq = 0
-        self._next_seq = 0
-        self._by_category: Dict[str, Deque[int]] = {}
-        self._by_node: Dict[int, Deque[int]] = {}
         self._sinks: List[TraceSink] = []
         self._max_time = 0
+        self._times = array("q")
+        self._cats = array("i")
+        self._nodes = array("i")
+        self._payloads: List[Dict[str, Any]] = []
+        self._columns = (self._times, self._cats, self._nodes, self._payloads)
+        #: Category interning: name -> small int and back.
+        self._cat_of: Dict[str, int] = {}
+        self._cat_names: List[str] = []
+        # Bound appends: record_row() below runs once per trace record,
+        # which at full tracing is once per delivery per node. The columns
+        # are only ever trimmed in place, so the bindings stay valid.
+        self._t_append = self._times.append
+        self._c_append = self._cats.append
+        self._n_append = self._nodes.append
+        self._p_append = self._payloads.append
+        # Live records are the column rows ``[_offset:]``; the ring evicts
+        # by advancing ``_first_seq`` (the oldest live sequence number,
+        # which is also the eviction count) together with ``_offset``.
+        # Sequence number -> row is ``seq - _first_seq + _offset``.
+        self._offset = 0
+        self._first_seq = 0
+        self._by_cat = _LazyIndex(self._cats)
+        self._by_node = _LazyIndex(self._nodes)
 
     # -- container protocol -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records) - self._offset
+        return len(self._times) - self._offset
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for slot in range(self._offset, len(self._records)):
-            yield self._records[slot]
+        for row in range(self._offset, len(self._times)):
+            yield self._materialize(row)
+
+    def _materialize(self, row: int) -> TraceRecord:
+        # Bypasses TraceRecord.__init__: a query over a large trace
+        # allocates one of these per match, and the extra constructor
+        # frame is measurable there.
+        entry = TraceRecord.__new__(TraceRecord)
+        entry.time = self._times[row]
+        entry.category = self._cat_names[self._cats[row]]
+        entry.node = self._nodes[row]
+        entry.data = self._payloads[row]
+        return entry
 
     @property
     def capacity(self) -> Optional[int]:
@@ -294,34 +339,7 @@ class TraceRecorder:
         **data: Any,
     ) -> None:
         """Append a record (no-op while the recorder or category is off)."""
-        if not self.enabled or category in self._disabled:
-            return
-        # Bypasses TraceRecord.__init__: this is the single hottest
-        # allocation site in a traced run (one record per delivery per
-        # node), and the extra constructor frame is measurable there.
-        entry = TraceRecord.__new__(TraceRecord)
-        entry.time = time
-        entry.category = category
-        entry.node = node
-        entry.data = data
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        if time > self._max_time:
-            self._max_time = time
-        self._records.append(entry)
-        by_category = self._by_category.get(category)
-        if by_category is None:
-            by_category = self._by_category[category] = deque()
-        by_category.append(seq)
-        by_node = self._by_node.get(node)
-        if by_node is None:
-            by_node = self._by_node[node] = deque()
-        by_node.append(seq)
-        if self._capacity is not None and len(self) > self._capacity:
-            self._evict_oldest()
-        if self._sinks:
-            for sink in self._sinks:
-                sink(entry)
+        self.record_row(time, category, node, data)
 
     def record_row(
         self, time: int, category: str, node: int, data: Dict[str, Any]
@@ -337,84 +355,73 @@ class TraceRecorder:
         """
         if not self.enabled or category in self._disabled:
             return
-        entry = TraceRecord.__new__(TraceRecord)
-        entry.time = time
-        entry.category = category
-        entry.node = node
-        entry.data = data
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        cat_id = self._cat_of.get(category)
+        if cat_id is None:
+            cat_id = self._cat_of[category] = len(self._cat_names)
+            self._cat_names.append(category)
+        self._t_append(time)
+        self._c_append(cat_id)
+        self._n_append(node)
+        self._p_append(data)
         if time > self._max_time:
             self._max_time = time
-        self._records.append(entry)
-        by_category = self._by_category.get(category)
-        if by_category is None:
-            by_category = self._by_category[category] = deque()
-        by_category.append(seq)
-        by_node = self._by_node.get(node)
-        if by_node is None:
-            by_node = self._by_node[node] = deque()
-        by_node.append(seq)
-        if self._capacity is not None and len(self) > self._capacity:
+        if (
+            self._capacity is not None
+            and len(self._times) - self._offset > self._capacity
+        ):
             self._evict_oldest()
         if self._sinks:
+            # Sinks observe real records: materialize once for all of them.
+            entry = TraceRecord.__new__(TraceRecord)
+            entry.time = time
+            entry.category = category
+            entry.node = node
+            entry.data = data
             for sink in self._sinks:
                 sink(entry)
 
     def _evict_oldest(self) -> None:
-        oldest = self._records[self._offset]
-        seq = self._first_seq
-        for index in (
-            self._by_category[oldest.category],
-            self._by_node[oldest.node],
-        ):
-            if index and index[0] == seq:
-                index.popleft()
         self._offset += 1
         self._first_seq += 1
         if (
             self._offset > _COMPACT_THRESHOLD
-            and self._offset * 2 > len(self._records)
+            and self._offset * 2 > len(self._times)
         ):
-            del self._records[: self._offset]
+            for column in self._columns:
+                del column[: self._offset]
             self._offset = 0
 
     # -- queries -----------------------------------------------------------------
 
-    def _get(self, seq: int) -> TraceRecord:
-        return self._records[seq - self._first_seq + self._offset]
+    def _seqs(self, index: _LazyIndex) -> Dict[int, "array"]:
+        return index.refresh(self._first_seq, self._offset)
 
     def _candidate_seqs(
         self, category: Optional[str], node: Optional[int]
     ) -> Iterator[int]:
         """Sequence numbers to inspect, narrowed by the cheapest index."""
+        if category is None and node is None:
+            return iter(range(self._first_seq, self._first_seq + len(self)))
         if category is not None and not category.endswith("."):
-            exact = self._by_category.get(category)
+            cid = self._cat_of.get(category)
+            exact = self._seqs(self._by_cat).get(cid)
             if exact is None:
                 return iter(())
             if node is not None:
-                by_node = self._by_node.get(node)
-                if by_node is None:
-                    return iter(())
-                return iter(exact if len(exact) <= len(by_node) else by_node)
+                by_node = self._seqs(self._by_node).get(node, ())
+                return iter(min(exact, by_node, key=len))
             return iter(exact)
         if category is not None:
             # Prefix query: merge the per-category runs back into insertion
             # order. Distinct categories are few, so this stays O(matches).
+            by_cat = self._seqs(self._by_cat)
             runs = [
-                index
-                for key, index in self._by_category.items()
-                if key.startswith(category)
+                by_cat[cid]
+                for name, cid in self._cat_of.items()
+                if name.startswith(category) and cid in by_cat
             ]
-            if not runs:
-                return iter(())
-            if len(runs) == 1:
-                return iter(runs[0])
-            return heapq.merge(*runs)
-        if node is not None:
-            index = self._by_node.get(node)
-            return iter(index) if index is not None else iter(())
-        return iter(range(self._first_seq, self._next_seq))
+            return iter(runs[0]) if len(runs) == 1 else heapq.merge(*runs)
+        return iter(self._seqs(self._by_node).get(node, ()))
 
     def select(
         self,
@@ -430,296 +437,24 @@ class TraceRecorder:
         ``"."`` (so ``select(category="bus.")`` returns all bus events).
         ``start``/``end`` bound the record time (inclusive). The category
         and node filters are answered from indexes, so the cost is
-        proportional to the candidate matches, not the trace length.
+        proportional to the candidate matches, not the trace length;
+        filtering runs on the columns and a record materializes only on
+        a match.
         """
-        prefix = category is not None and category.endswith(".")
-        result = []
-        for seq in self._candidate_seqs(category, node):
-            record = self._get(seq)
-            if prefix and not record.category.startswith(category):
-                continue
-            if not prefix and category is not None:
-                if record.category != category:
-                    continue
-            if node is not None and record.node != node:
-                continue
-            if start is not None and record.time < start:
-                continue
-            if end is not None and record.time > end:
-                continue
-            if predicate is not None and not predicate(record):
-                continue
-            result.append(record)
-        return result
-
-    def count(self, category: str) -> int:
-        """Number of records with the given category (index lookup).
-
-        A trailing ``"."`` counts the whole prefix, summing over the
-        distinct matching categories.
-        """
-        if category.endswith("."):
-            return sum(
-                len(index)
-                for key, index in self._by_category.items()
-                if key.startswith(category)
-            )
-        index = self._by_category.get(category)
-        return len(index) if index is not None else 0
-
-    def categories(self) -> Dict[str, int]:
-        """Record count per category, sorted by category name."""
-        return {
-            key: len(index)
-            for key, index in sorted(self._by_category.items())
-            if index
-        }
-
-    def window(self, start: int, end: int) -> List[TraceRecord]:
-        """All records with ``start <= time <= end``, in insertion order.
-
-        The slice the invariant monitors attach to a violation report.
-        """
-        return self.select(start=start, end=end)
-
-    def category_columns(
-        self, category: str
-    ) -> Tuple["array", "array", List[Dict[str, Any]]]:
-        """``(times, nodes, payloads)`` columns for one exact category.
-
-        The storage-agnostic bulk accessor the analysis queries build on:
-        times as an ``array('q')``, nodes as an ``array('i')``, payloads as
-        a list of dicts, all in insertion order. On the row recorder the
-        columns are gathered from the records; the columnar recorder
-        answers straight from its backing arrays without materializing a
-        single :class:`TraceRecord`.
-        """
-        records = self.select(category=category)
-        return (
-            array("q", (record.time for record in records)),
-            array("i", (record.node for record in records)),
-            [record.data for record in records],
-        )
-
-    # -- export ------------------------------------------------------------------
-
-    def export_jsonl(self, target: Union[str, IO[str]]) -> int:
-        """Write the retained records as JSON lines; returns the count."""
-        sink = JsonlSink(target)
-        try:
-            for record in self:
-                sink(record)
-        finally:
-            sink.close()
-        return sink.records_written
-
-    def clear(self) -> None:
-        """Drop all records and indexes (sinks stay registered)."""
-        self._records.clear()
-        self._offset = 0
-        self._first_seq = self._next_seq
-        self._by_category.clear()
-        self._by_node.clear()
-        self._max_time = 0
-
-
-class ColumnarTraceRecorder(TraceRecorder):
-    """Array-backed trace storage: columns instead of record objects.
-
-    Times, interned category ids and node ids live in packed ``array``
-    columns; only the free-form payload dicts stay as Python objects.
-    Recording is four C-level appends plus one dict lookup — no
-    :class:`TraceRecord` allocation — and records materialize lazily,
-    only when something actually looks at them (a query, an iteration,
-    a registered sink). Row indexes for category/node queries are built
-    lazily on the first query and extended incrementally, so a run that
-    never queries its trace pays nothing for them.
-
-    Selected by the module-level :data:`COLUMNAR` toggle (see there for
-    the equivalence contract); behaviour-identical to the row recorder
-    for every query, in record values and order alike.
-    """
-
-    def __init__(
-        self, enabled: bool = True, capacity: Optional[int] = None
-    ) -> None:
-        if capacity is not None:
-            raise ValueError(
-                "columnar storage is append-only: ring-buffer capacity "
-                "requires the row recorder"
-            )
-        super().__init__(enabled=enabled, capacity=None)
-        self._times = array("q")
-        self._cats = array("i")
-        self._nodes = array("i")
-        self._payloads: List[Dict[str, Any]] = []
-        #: Category interning: name -> small int and back.
-        self._cat_of: Dict[str, int] = {}
-        self._cat_names: List[str] = []
-        # Bound appends: the record() below runs once per trace record,
-        # which at full tracing is once per delivery per node.
-        self._t_append = self._times.append
-        self._c_append = self._cats.append
-        self._n_append = self._nodes.append
-        self._p_append = self._payloads.append
-        #: Lazy row indexes (category id / node -> array of row numbers),
-        #: valid for rows ``< _indexed_rows``.
-        self._cat_rows: Dict[int, "array"] = {}
-        self._node_rows: Dict[int, "array"] = {}
-        self._indexed_rows = 0
-
-    # -- container protocol ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for row in range(len(self._times)):
-            yield self._materialize(row)
-
-    def _materialize(self, row: int) -> TraceRecord:
-        entry = TraceRecord.__new__(TraceRecord)
-        entry.time = self._times[row]
-        entry.category = self._cat_names[self._cats[row]]
-        entry.node = self._nodes[row]
-        entry.data = self._payloads[row]
-        return entry
-
-    # -- recording ------------------------------------------------------------
-
-    def record(
-        self,
-        time: int,
-        category: str,
-        node: int = -1,
-        **data: Any,
-    ) -> None:
-        """Append a record (no-op while the recorder or category is off)."""
-        if not self.enabled or category in self._disabled:
-            return
-        cat_id = self._cat_of.get(category)
-        if cat_id is None:
-            cat_id = self._cat_of[category] = len(self._cat_names)
-            self._cat_names.append(category)
-        self._t_append(time)
-        self._c_append(cat_id)
-        self._n_append(node)
-        self._p_append(data)
-        if time > self._max_time:
-            self._max_time = time
-        if self._sinks:
-            # Sinks observe real records: materialize once, share the
-            # payload dict exactly as the row recorder does.
-            entry = TraceRecord.__new__(TraceRecord)
-            entry.time = time
-            entry.category = category
-            entry.node = node
-            entry.data = data
-            for sink in self._sinks:
-                sink(entry)
-
-    def record_row(
-        self, time: int, category: str, node: int, data: Dict[str, Any]
-    ) -> None:
-        """Positional fast lane of :meth:`record` (see the row recorder)."""
-        if not self.enabled or category in self._disabled:
-            return
-        cat_id = self._cat_of.get(category)
-        if cat_id is None:
-            cat_id = self._cat_of[category] = len(self._cat_names)
-            self._cat_names.append(category)
-        self._t_append(time)
-        self._c_append(cat_id)
-        self._n_append(node)
-        self._p_append(data)
-        if time > self._max_time:
-            self._max_time = time
-        if self._sinks:
-            entry = TraceRecord.__new__(TraceRecord)
-            entry.time = time
-            entry.category = category
-            entry.node = node
-            entry.data = data
-            for sink in self._sinks:
-                sink(entry)
-
-    # -- queries --------------------------------------------------------------
-
-    def _ensure_indexes(self) -> None:
-        start = self._indexed_rows
-        total = len(self._times)
-        if start == total:
-            return
-        cats = self._cats
-        nodes = self._nodes
-        cat_rows = self._cat_rows
-        node_rows = self._node_rows
-        for row in range(start, total):
-            cid = cats[row]
-            bucket = cat_rows.get(cid)
-            if bucket is None:
-                bucket = cat_rows[cid] = array("q")
-            bucket.append(row)
-            nid = nodes[row]
-            bucket = node_rows.get(nid)
-            if bucket is None:
-                bucket = node_rows[nid] = array("q")
-            bucket.append(row)
-        self._indexed_rows = total
-
-    def _candidate_rows(
-        self, category: Optional[str], node: Optional[int]
-    ) -> Iterator[int]:
-        """Row numbers to inspect, narrowed by the cheapest index."""
-        self._ensure_indexes()
-        if category is not None and not category.endswith("."):
-            cid = self._cat_of.get(category)
-            exact = self._cat_rows.get(cid) if cid is not None else None
-            if exact is None:
-                return iter(())
-            if node is not None:
-                by_node = self._node_rows.get(node)
-                if by_node is None:
-                    return iter(())
-                return iter(exact if len(exact) <= len(by_node) else by_node)
-            return iter(exact)
-        if category is not None:
-            runs = [
-                self._cat_rows[cid]
-                for name, cid in self._cat_of.items()
-                if name.startswith(category) and cid in self._cat_rows
-            ]
-            if not runs:
-                return iter(())
-            if len(runs) == 1:
-                return iter(runs[0])
-            return heapq.merge(*runs)
-        if node is not None:
-            index = self._node_rows.get(node)
-            return iter(index) if index is not None else iter(())
-        return iter(range(len(self._times)))
-
-    def select(
-        self,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-        start: Optional[int] = None,
-        end: Optional[int] = None,
-    ) -> List[TraceRecord]:
-        """Column-native filtering; records materialize only on a match."""
         prefix = category is not None and category.endswith(".")
         want_cid: Optional[int] = None
         if category is not None and not prefix:
             want_cid = self._cat_of.get(category)
             if want_cid is None:
                 return []
+        shift = self._offset - self._first_seq
         times = self._times
         cats = self._cats
         nodes = self._nodes
         names = self._cat_names
         result = []
-        for row in self._candidate_rows(category, node):
+        for seq in self._candidate_seqs(category, node):
+            row = seq + shift
             if want_cid is not None and cats[row] != want_cid:
                 continue
             if prefix and not names[cats[row]].startswith(category):
@@ -737,49 +472,69 @@ class ColumnarTraceRecorder(TraceRecorder):
             result.append(record)
         return result
 
+    def _count_id(self, cid: int) -> int:
+        # C-speed column scan, no index required; the evicted rows still
+        # awaiting compaction are counted back out.
+        cats = self._cats
+        return cats.count(cid) - cats[: self._offset].count(cid)
+
     def count(self, category: str) -> int:
-        """C-speed column scan — no index required."""
+        """Number of records with the given category.
+
+        A trailing ``"."`` counts the whole prefix, summing over the
+        distinct matching categories.
+        """
         if category.endswith("."):
             return sum(
-                self._cats.count(cid)
+                self._count_id(cid)
                 for name, cid in self._cat_of.items()
                 if name.startswith(category)
             )
         cid = self._cat_of.get(category)
-        return 0 if cid is None else self._cats.count(cid)
+        return 0 if cid is None else self._count_id(cid)
 
     def categories(self) -> Dict[str, int]:
         """Record count per category, sorted by category name."""
-        self._ensure_indexes()
         counts = {
-            name: len(self._cat_rows[cid])
+            name: self._count_id(cid)
             for name, cid in sorted(self._cat_of.items())
-            if cid in self._cat_rows
         }
         return {name: count for name, count in counts.items() if count}
+
+    def window(self, start: int, end: int) -> List[TraceRecord]:
+        """All records with ``start <= time <= end``, in insertion order.
+
+        The slice the invariant monitors attach to a violation report.
+        """
+        return self.select(start=start, end=end)
 
     def category_columns(
         self, category: str
     ) -> Tuple["array", "array", List[Dict[str, Any]]]:
-        """``(times, nodes, payloads)`` straight off the backing arrays."""
-        self._ensure_indexes()
-        cid = self._cat_of.get(category)
-        rows = self._cat_rows.get(cid) if cid is not None else None
-        if not rows:
+        """``(times, nodes, payloads)`` columns for one exact category.
+
+        The bulk accessor the analysis queries build on: times as an
+        ``array('q')``, nodes as an ``array('i')``, payloads as a list of
+        dicts, all in insertion order, gathered straight off the backing
+        columns without materializing a single :class:`TraceRecord`.
+        """
+        seqs = self._seqs(self._by_cat).get(self._cat_of.get(category))
+        if not seqs:
             return array("q"), array("i"), []
+        shift = self._offset - self._first_seq
         times = self._times
         nodes = self._nodes
         payloads = self._payloads
         return (
-            array("q", (times[row] for row in rows)),
-            array("i", (nodes[row] for row in rows)),
-            [payloads[row] for row in rows],
+            array("q", (times[seq + shift] for seq in seqs)),
+            array("i", (nodes[seq + shift] for seq in seqs)),
+            [payloads[seq + shift] for seq in seqs],
         )
 
-    # -- export ---------------------------------------------------------------
+    # -- export ------------------------------------------------------------------
 
     def export_jsonl(self, target: Union[str, IO[str]]) -> int:
-        """Batched bulk export: a few hundred lines per file write."""
+        """Write the retained records as JSON lines; returns the count."""
         sink = JsonlSink(target, batch=_EXPORT_BATCH)
         try:
             for record in self:
@@ -789,12 +544,15 @@ class ColumnarTraceRecorder(TraceRecorder):
         return sink.records_written
 
     def clear(self) -> None:
-        """Drop all records and indexes (sinks and interning stay)."""
-        del self._times[:]
-        del self._cats[:]
-        del self._nodes[:]
-        self._payloads.clear()
-        self._cat_rows.clear()
-        self._node_rows.clear()
-        self._indexed_rows = 0
+        """Drop all records and indexes (sinks and interning stay).
+
+        Clearing is not eviction: :attr:`evicted` is untouched, and the
+        cleared sequence numbers are handed out again.
+        """
+        for column in self._columns:
+            del column[:]
+        self._offset = 0
+        for index in (self._by_cat, self._by_node):
+            index.buckets.clear()
+            index.indexed_to = self._first_seq
         self._max_time = 0

@@ -2,12 +2,8 @@
 
 from repro.workloads.builder import FrameMatch, ScenarioBuilder
 from repro.workloads.scenarios import (
-    bootstrap_network,
     detection_latencies,
     first_change_with_failed,
-    schedule_crash,
-    schedule_join,
-    schedule_leave,
 )
 from repro.workloads.traffic import PeriodicSource, SporadicSource, TrafficSet
 
@@ -17,10 +13,6 @@ __all__ = [
     "ScenarioBuilder",
     "SporadicSource",
     "TrafficSet",
-    "bootstrap_network",
     "detection_latencies",
     "first_change_with_failed",
-    "schedule_crash",
-    "schedule_join",
-    "schedule_leave",
 ]

@@ -1,9 +1,7 @@
 """The fluent scenario-construction API.
 
-:class:`ScenarioBuilder` replaces the scattered free functions that used to
-live in :mod:`repro.workloads.scenarios` (``bootstrap_network``,
-``schedule_crash``, ``schedule_join``, ``schedule_leave``) with one chainable
-surface reachable from any network as ``net.scenario()``::
+:class:`ScenarioBuilder` is the one chainable scenario-scripting surface,
+reachable from any network as ``net.scenario()``::
 
     net = CanelyNetwork(node_count=8)
     (net.scenario(seed=7)
@@ -16,14 +14,10 @@ Builder calls execute *eagerly*, in order: ``bootstrap()`` drives the
 cold-start to convergence right away, ``crash``/``join``/``leave`` schedule
 their action ``at`` ticks after the current simulation instant, ``omit``
 arms the network's :class:`~repro.can.errormodel.FaultInjector`, and the
-``run_*`` methods advance the clock. Because every builder call maps to the
-exact simulator/injector calls the legacy helpers made, scenarios written
-either way produce byte-identical traces (pinned by the golden-equivalence
-tests).
+``run_*`` methods advance the clock.
 
 The builder is the construction surface shared by the systematic checker
-(:mod:`repro.check`), the campaign worker and the examples; the legacy free
-functions survive as thin deprecated wrappers around it.
+(:mod:`repro.check`), the campaign worker and the examples.
 """
 
 from __future__ import annotations
@@ -39,9 +33,7 @@ from repro.errors import ScenarioError
 #: Default number of membership cycles a cold-start settles for.
 DEFAULT_SETTLE_CYCLES = 6.0
 
-#: Default for the analytic idle-skip of :meth:`run_until_settled` —
-#: named so the bench report's ``environment.toggles`` block can record
-#: it alongside the other switchable fast paths.
+#: Default for the analytic idle-skip of :meth:`run_until_settled`.
 DEFAULT_IDLE_SKIP = True
 
 

@@ -1,75 +1,15 @@
-"""Scenario scripting helpers shared by tests, examples and benchmarks.
+"""Trace-query helpers shared by tests, examples and benchmarks.
 
-.. deprecated::
-    The free-function construction surface (:func:`bootstrap_network`,
-    :func:`schedule_crash`, :func:`schedule_join`, :func:`schedule_leave`)
-    is deprecated in favour of the fluent
-    :class:`~repro.workloads.builder.ScenarioBuilder` reachable as
-    ``network.scenario()``; the functions remain as thin wrappers emitting
-    :class:`DeprecationWarning` and will be removed in a future major
-    version. The trace-query helpers (:func:`first_change_with_failed`,
-    :func:`detection_latencies`) are *not* deprecated.
+Scenario *construction* lives on the fluent
+:class:`~repro.workloads.builder.ScenarioBuilder` reachable as
+``network.scenario()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.core.stack import CanelyNetwork
-from repro.workloads.builder import DEFAULT_SETTLE_CYCLES
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def bootstrap_network(
-    network: CanelyNetwork, settle_cycles: float = DEFAULT_SETTLE_CYCLES
-) -> None:
-    """Cold-start: every node joins, then the network settles.
-
-    .. deprecated:: use ``network.scenario().bootstrap()``.
-
-    After this returns, all nodes are full members with an agreed view,
-    ready for scenario injection; :class:`~repro.errors.ScenarioError` is
-    raised on non-convergence so campaign workers can classify bootstrap
-    failures without pattern-matching assertion text.
-    """
-    _deprecated("bootstrap_network()", "network.scenario().bootstrap()")
-    network.scenario().bootstrap(settle_cycles=settle_cycles)
-
-
-def schedule_crash(network: CanelyNetwork, node_id: int, at: int) -> None:
-    """Crash ``node_id`` at absolute simulation time ``at``.
-
-    .. deprecated:: use ``network.scenario().crash(node_id, at=offset)``
-       (builder times are offsets from the current instant).
-    """
-    _deprecated("schedule_crash()", "network.scenario().crash()")
-    network.scenario().crash(node_id, at=at - network.sim.now)
-
-
-def schedule_join(network: CanelyNetwork, node_id: int, at: int) -> None:
-    """Issue a join request for ``node_id`` at time ``at``.
-
-    .. deprecated:: use ``network.scenario().join(node_id, at=offset)``.
-    """
-    _deprecated("schedule_join()", "network.scenario().join()")
-    network.scenario().join(node_id, at=at - network.sim.now)
-
-
-def schedule_leave(network: CanelyNetwork, node_id: int, at: int) -> None:
-    """Issue a leave request for ``node_id`` at time ``at``.
-
-    .. deprecated:: use ``network.scenario().leave(node_id, at=offset)``.
-    """
-    _deprecated("schedule_leave()", "network.scenario().leave()")
-    network.scenario().leave(node_id, at=at - network.sim.now)
 
 
 def first_change_with_failed(

@@ -1,17 +1,18 @@
-"""Property: filtered delivery is observation-identical to broadcast.
+"""Property: plan-based delivery is observation-identical to broadcast.
 
-:data:`repro.can.bus.FILTERED_DELIVERY` swaps the delivery fan-out from
-"offer the frame to every alive controller" to a cached per-identifier
-dispatch plan with baked listener upcalls. The contract is that this is a
-pure mechanism change: whatever the filter masks, the traffic, the churn
-and the injected faults, both paths must produce byte-identical traces,
-identical delivery logs and identical bus accounting. Hypothesis drives
-randomized schedules against both paths and compares the full fingerprint.
+With span tracing off the bus delivers through a cached per-identifier
+dispatch plan with baked listener upcalls; with span tracing on it offers
+the frame to every alive controller and consults its filter bank per
+delivery. The contract is that the plan is a pure mechanism change:
+whatever the filter masks, the traffic, the churn and the injected
+faults, both loops must produce byte-identical traces, identical
+delivery logs and identical bus accounting — which also pins that
+enabling spans changes no trace record. Hypothesis drives randomized
+schedules against both loops and compares the full fingerprint.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.can.bus as bus_mod
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
 from repro.can.driver import CanStandardLayer
@@ -34,16 +35,8 @@ _ID_MASK = (1 << 16) - 1
 
 
 def _run_modes(scenario):
-    """Run ``scenario`` under both delivery paths, restoring the toggle."""
-    saved = bus_mod.FILTERED_DELIVERY
-    try:
-        bus_mod.FILTERED_DELIVERY = True
-        filtered = scenario()
-        bus_mod.FILTERED_DELIVERY = False
-        broadcast = scenario()
-    finally:
-        bus_mod.FILTERED_DELIVERY = saved
-    return filtered, broadcast
+    """Run ``scenario(spans)`` on the plan path and on the span-on oracle."""
+    return scenario(False), scenario(True)
 
 
 # -- raw bus with random acceptance masks -------------------------------------
@@ -102,12 +95,13 @@ def bus_schedules(draw):
     return node_count, banks, submissions, crash, refilter, fault_tx
 
 
-def _run_bus_scenario(schedule):
+def _run_bus_scenario(schedule, spans):
     node_count, banks, submissions, crash, refilter, fault_tx = schedule
     injector = FaultInjector()
     if fault_tx is not None:
         injector.fault_on_transmission(fault_tx, FaultKind.CONSISTENT_OMISSION)
     sim = Simulator()
+    sim.spans.enabled = spans
     bus = CanBus(sim, injector=injector)
     layers = {}
     controllers = {}
@@ -165,7 +159,7 @@ def _run_bus_scenario(schedule):
 @SLOW
 @given(bus_schedules())
 def test_filtered_delivery_matches_broadcast_on_raw_bus(schedule):
-    filtered, broadcast = _run_modes(lambda: _run_bus_scenario(schedule))
+    filtered, broadcast = _run_modes(lambda spans: _run_bus_scenario(schedule, spans))
     assert filtered == broadcast
 
 
@@ -187,7 +181,7 @@ def network_scenarios(draw):
     return node_count, crash_node, crash_at, leave, fault_accepting
 
 
-def _run_network_scenario(scenario):
+def _run_network_scenario(scenario, spans):
     node_count, crash_node, crash_at, leave, fault_accepting = scenario
     injector = FaultInjector()
     if fault_accepting is not None:
@@ -196,7 +190,9 @@ def _run_network_scenario(scenario):
             FaultKind.INCONSISTENT_OMISSION,
             accepting=[fault_accepting],
         )
-    net = CanelyNetwork(node_count=node_count, config=CONFIG, injector=injector)
+    net = CanelyNetwork(
+        node_count=node_count, config=CONFIG, injector=injector, spans=spans
+    )
     net.join_all()
     net.run_for(ms(150))
     if leave and node_count > 2:
@@ -220,7 +216,9 @@ def _run_network_scenario(scenario):
 @SLOW
 @given(network_scenarios())
 def test_filtered_delivery_matches_broadcast_on_protocol_stack(scenario):
-    filtered, broadcast = _run_modes(lambda: _run_network_scenario(scenario))
+    filtered, broadcast = _run_modes(
+        lambda spans: _run_network_scenario(scenario, spans)
+    )
     assert filtered == broadcast
 
 
@@ -245,13 +243,14 @@ def segmented_scenarios(draw):
     return node_count, segments, backend, crash_node, crash_at
 
 
-def _run_segmented_scenario(scenario):
+def _run_segmented_scenario(scenario, spans):
     node_count, segments, backend, crash_node, crash_at = scenario
     net = CanelyNetwork(
         node_count=node_count,
         config=CONFIG,
         backend=backend,
         segments=segments,
+        spans=spans,
     )
     net.join_all()
     net.run_for(ms(150))
@@ -278,5 +277,7 @@ def _run_segmented_scenario(scenario):
 def test_filtered_delivery_matches_broadcast_across_segments(scenario):
     # The gateway's relay traffic and plan invalidation on attach must be
     # mechanism-transparent too, for either membership backend.
-    filtered, broadcast = _run_modes(lambda: _run_segmented_scenario(scenario))
+    filtered, broadcast = _run_modes(
+        lambda spans: _run_segmented_scenario(scenario, spans)
+    )
     assert filtered == broadcast

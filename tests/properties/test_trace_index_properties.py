@@ -2,12 +2,16 @@
 
 The recorder's per-category/per-node indexes are an optimization; the
 observable behavior of ``select``/``count`` must be exactly that of a
-linear scan over the retained records, for every filter combination and
-in ring-buffer mode.
+linear scan over the retained records, for every filter combination —
+and, unbounded or in ring-buffer mode, that of a plain list trimmed to
+the capacity.
 """
+
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
+import repro.sim.trace as trace_mod
 from repro.sim.trace import TraceRecorder
 
 CATEGORIES = ("bus.tx", "bus.deliver", "msh.view", "fda.nty", "node.crash")
@@ -84,20 +88,67 @@ def test_count_matches_select_length(specs, category):
     assert trace.count(category) == len(brute_select(trace, category=category))
 
 
-@given(record_specs, st.integers(min_value=1, max_value=40))
-def test_ring_buffer_queries_match_scan_over_retained(specs, capacity):
-    trace = TraceRecorder(capacity=capacity)
-    fill(trace, specs)
-    assert len(trace) == min(len(specs), capacity)
-    for category in CATEGORIES + ("bus.",):
-        assert trace.select(category=category) == brute_select(
-            trace, category=category
+def model_select(model, category=None, node=None):
+    """The naive list model: ``(time, category, node, payload)`` tuples."""
+    return [
+        row
+        for row in model
+        if (
+            category is None
+            or (
+                row[1].startswith(category)
+                if category.endswith(".")
+                else row[1] == category
+            )
         )
-        assert trace.count(category) == len(
-            brute_select(trace, category=category)
-        )
+        and (node is None or row[2] == node)
+    ]
+
+
+def assert_matches_model(trace, model):
+    as_rows = lambda records: [(r.time, r.category, r.node, r.data) for r in records]
+    assert len(trace) == len(model)
+    assert as_rows(trace) == model
+    for category in CATEGORIES + ("bus.", "missing"):
+        want = model_select(model, category=category)
+        assert as_rows(trace.select(category=category)) == want
+        assert trace.count(category) == len(want)
+        if not category.endswith("."):
+            times, nodes, payloads = trace.category_columns(category)
+            assert list(times) == [row[0] for row in want]
+            assert list(nodes) == [row[2] for row in want]
+            assert payloads == [row[3] for row in want]
     for node in range(-1, 5):
-        assert trace.select(node=node) == brute_select(trace, node=node)
+        assert as_rows(trace.select(node=node)) == model_select(model, node=node)
+        assert as_rows(trace.select(category="bus.", node=node)) == model_select(
+            model, category="bus.", node=node
+        )
+
+
+@given(
+    record_specs,
+    record_specs,
+    st.none() | st.integers(min_value=1, max_value=40),
+)
+def test_ring_buffer_queries_match_scan_over_retained(first, second, capacity):
+    """Record, query, record (and evict) more, query again — the second
+    round extends indexes the first one built, so it exercises the pruning
+    of evicted entries. The compaction threshold is lowered so the column
+    trim runs inside these short sequences too."""
+    with mock.patch.object(trace_mod, "_COMPACT_THRESHOLD", 4):
+        trace = TraceRecorder(capacity=capacity)
+        model = []
+        recorded = 0
+        for specs in (first, second):
+            for time, category, node in specs:
+                payload = {"n": recorded}
+                trace.record_row(time, category, node, payload)
+                model.append((time, category, node, payload))
+                recorded += 1
+            if capacity is not None:
+                del model[:-capacity]
+            assert_matches_model(trace, model)
+            assert trace.evicted == recorded - len(model)
 
 
 @given(record_specs)

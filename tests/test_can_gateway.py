@@ -2,8 +2,8 @@
 
 Covers forwarding and echo suppression, relay latency, per-port
 identifier filters, the bounded queue's traced drops, attach/detach
-(including the delivery-plan invalidation both must trigger under
-FILTERED_DELIVERY) and the ``CanBus.detach`` primitive itself.
+(including the delivery-plan invalidation both must trigger) and the
+``CanBus.detach`` primitive itself.
 """
 
 import pytest

@@ -135,42 +135,7 @@ def test_legacy_core_restores_the_fast_core():
     assert bitstream._fast_encoding
 
 
-# -- feature toggles: batched dispatch / fast rearm / idle skip / delivery ----
-#
-# The kernel and bus restructurings ship switchable fast paths. Each
-# scenario must produce an *identical* fingerprint with every one of them
-# forced off — the features may only change wall-clock, never a simulated
-# outcome. (TIMER_WHEEL and COLUMNAR default off and are covered by the
-# opt-in equivalence tests below.)
-
-
-def _with_features_off(monkeypatch, scenario):
-    import repro.can.bus as bus_mod
-    import repro.sim.kernel as kernel_mod
-    import repro.sim.timers as timers_mod
-
-    monkeypatch.setattr(kernel_mod, "BATCH_DISPATCH", False)
-    monkeypatch.setattr(timers_mod, "FAST_REARM", False)
-    monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", False)
-    return scenario()
-
-
-def test_crash_detection_feature_toggles_change_nothing(monkeypatch):
-    on = scenario_crash_detection()
-    off = _with_features_off(monkeypatch, scenario_crash_detection)
-    assert on == off
-
-
-def test_join_leave_churn_feature_toggles_change_nothing(monkeypatch):
-    on = scenario_join_leave_churn()
-    off = _with_features_off(monkeypatch, scenario_join_leave_churn)
-    assert on == off
-
-
-def test_inconsistent_omissions_feature_toggles_change_nothing(monkeypatch):
-    on = scenario_inconsistent_omissions()
-    off = _with_features_off(monkeypatch, scenario_inconsistent_omissions)
-    assert on == off
+# -- idle skip ---------------------------------------------------------------
 
 
 def scenario_settled_after_mass_crash(idle_skip):
@@ -200,89 +165,3 @@ def test_idle_skip_changes_no_simulated_outcome():
     assert with_skip["busy_bits"] == without["busy_bits"]
     assert with_skip["bits_by_type"] == without["bits_by_type"]
     assert with_skip["trace"] == without["trace"]
-
-
-def test_feature_toggles_off_match_legacy_core(monkeypatch):
-    """Transitivity check: features-off fast core == legacy core, so the
-    three-way equivalence (features-on == features-off == legacy) holds."""
-    off = _with_features_off(monkeypatch, scenario_crash_detection)
-    with legacy_core():
-        legacy = scenario_crash_detection()
-    assert off["events"] == legacy["events"]
-    assert off["trace"] == legacy["trace"]
-    assert off["views"] == legacy["views"]
-
-
-# -- opt-in backends: timer wheel and columnar traces -------------------------
-#
-# TIMER_WHEEL and COLUMNAR default off. Both are *outcome*-equivalent
-# rather than bit-identical at the kernel-bookkeeping level: the wheel
-# replaces per-alarm events with cursor events (so ``events_processed``
-# legitimately differs), and the columnar recorder stores the very same
-# records in arrays. Every protocol observable — the full trace, the wire
-# accounting and the membership views — must still match the default core
-# exactly.
-
-
-def _with_timer_wheel(monkeypatch, scenario):
-    import repro.sim.timers as timers_mod
-
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    return scenario()
-
-
-def _with_columnar_trace(monkeypatch, scenario):
-    import repro.sim.trace as trace_mod
-
-    monkeypatch.setattr(trace_mod, "COLUMNAR", True)
-    return scenario()
-
-
-def _assert_outcome_equal(candidate, reference):
-    assert candidate["views"] == reference["views"]
-    assert candidate["physical_frames"] == reference["physical_frames"]
-    assert candidate["error_frames"] == reference["error_frames"]
-    assert candidate["busy_bits"] == reference["busy_bits"]
-    assert candidate["bits_by_type"] == reference["bits_by_type"]
-    assert candidate["trace"] == reference["trace"]
-
-
-def test_timer_wheel_changes_no_simulated_outcome(monkeypatch):
-    default = scenario_crash_detection()
-    wheel = _with_timer_wheel(monkeypatch, scenario_crash_detection)
-    _assert_outcome_equal(wheel, default)
-
-
-def test_timer_wheel_outcome_equivalent_under_churn(monkeypatch):
-    default = scenario_join_leave_churn()
-    wheel = _with_timer_wheel(monkeypatch, scenario_join_leave_churn)
-    _assert_outcome_equal(wheel, default)
-
-
-def test_timer_wheel_outcome_equivalent_under_faults(monkeypatch):
-    default = scenario_inconsistent_omissions()
-    wheel = _with_timer_wheel(monkeypatch, scenario_inconsistent_omissions)
-    _assert_outcome_equal(wheel, default)
-
-
-def test_columnar_trace_is_bit_identical(monkeypatch):
-    """Columnar storage changes nothing simulated at all — even the event
-    count — so the whole fingerprint must match record for record."""
-    default = scenario_crash_detection()
-    columnar = _with_columnar_trace(monkeypatch, scenario_crash_detection)
-    assert columnar == default
-
-
-def test_all_scaling_features_on_outcome_equivalent(monkeypatch):
-    """The fast_config stack the scaling benchmarks run: wheel + columnar
-    + filtered delivery together, against the stock default core."""
-    import repro.can.bus as bus_mod
-    import repro.sim.timers as timers_mod
-    import repro.sim.trace as trace_mod
-
-    default = scenario_inconsistent_omissions()
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    monkeypatch.setattr(trace_mod, "COLUMNAR", True)
-    monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", True)
-    stacked = scenario_inconsistent_omissions()
-    _assert_outcome_equal(stacked, default)

@@ -235,19 +235,3 @@ def test_backend_built_nodes_do_not_warn():
         CanelyBackend.build_node(
             5, net.sim, net.bus, net.config  # a spare stack on the same bus
         )
-
-
-def test_pr4_scenario_wrapper_warns_at_the_caller():
-    from repro.workloads.scenarios import schedule_crash
-
-    net = CanelyNetwork(node_count=3)
-    net.join_all()
-    net.run_for(ms(300))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        schedule_crash(net, 1, at=net.sim.now + ms(10))
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert deprecations[0].filename == __file__

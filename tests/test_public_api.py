@@ -1,7 +1,7 @@
 """The ``repro`` package facade: eager core names, lazy subsystem names.
 
 ``import repro`` must stay cheap (the core protocol classes only); the
-campaign/check/obs/perf surfaces resolve on first attribute access and are
+campaign/check/obs surfaces resolve on first attribute access and are
 cached. ``__all__``/``dir()`` advertise everything, so tab completion and
 star-imports see one coherent API.
 """
@@ -15,8 +15,9 @@ import repro
 
 
 def test_version_bumped_for_the_new_surface():
-    major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (1, 1)
+    # 2.0.0 removed facade names without replacement (docs/api.md).
+    major, _minor, _patch = repro.__version__.split(".")
+    assert int(major) >= 2
 
 
 def test_core_names_are_eager():
@@ -41,8 +42,6 @@ def test_core_names_are_eager():
         ("minimize_schedule", "repro.check"),
         ("standard_monitors", "repro.obs"),
         ("InvariantViolation", "repro.obs"),
-        ("run_benchmarks", "repro.perf"),
-        ("compare_reports", "repro.perf"),
     ],
 )
 def test_lazy_exports_resolve_to_their_modules(name, module):
@@ -61,7 +60,7 @@ def test_all_names_resolve():
 def test_dir_advertises_lazy_names():
     listing = dir(repro)
     for name in ("run_campaign", "CheckSweep", "standard_monitors",
-                 "run_benchmarks", "ScenarioBuilder"):
+                 "ScenarioBuilder"):
         assert name in listing
 
 

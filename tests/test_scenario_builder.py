@@ -1,166 +1,17 @@
-"""ScenarioBuilder: fluent API semantics and golden-trace equivalence.
+"""ScenarioBuilder: fluent API semantics, FrameMatch and the idle-skip."""
 
-The equivalence tests are the deprecation contract: each of the three
-golden scenarios (crash detection, join/leave churn, inconsistent
-omissions) runs once through the deprecated free functions and once
-through the fluent builder, and the complete observable fingerprint —
-every trace record in order, bus statistics, event count and every node's
-view — must match exactly. Anyone refactoring the wrappers or the builder
-trips these before they ship a behaviour change.
-"""
-
-import contextlib
-import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork, DualChannelNetwork
 from repro.errors import ScenarioError
 from repro.sim.clock import ms
-from repro.sim.trace import record_to_dict
 from repro.workloads import FrameMatch, ScenarioBuilder
-from repro.workloads.scenarios import (
-    bootstrap_network,
-    schedule_crash,
-    schedule_leave,
-)
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
-
-
-def fingerprint(net):
-    """Everything observable about a finished run, in comparable form."""
-    views = {}
-    for node in net.correct_nodes():
-        view = node.view()
-        views[node.node_id] = (sorted(view.members), view.round_index)
-    return {
-        "trace": [record_to_dict(record) for record in net.sim.trace],
-        "events": net.sim.events_processed,
-        "now": net.sim.now,
-        "physical_frames": net.bus.stats.physical_frames,
-        "error_frames": net.bus.stats.error_frames,
-        "busy_bits": net.bus.stats.busy_bits,
-        "bits_by_type": dict(net.bus.stats.bits_by_type),
-        "views": views,
-    }
-
-
-def _assert_identical(legacy, fluent):
-    assert legacy["events"] == fluent["events"]
-    assert legacy["now"] == fluent["now"]
-    assert legacy["physical_frames"] == fluent["physical_frames"]
-    assert legacy["error_frames"] == fluent["error_frames"]
-    assert legacy["busy_bits"] == fluent["busy_bits"]
-    assert legacy["bits_by_type"] == fluent["bits_by_type"]
-    assert legacy["views"] == fluent["views"]
-    assert len(legacy["trace"]) == len(fluent["trace"])
-    for legacy_rec, fluent_rec in zip(legacy["trace"], fluent["trace"]):
-        assert legacy_rec == fluent_rec
-
-
-@contextlib.contextmanager
-def _silence_deprecations():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        yield
-
-
-# -- golden-trace equivalence: legacy helpers vs builder ---------------------------
-
-
-def test_crash_detection_equivalent():
-    """Golden scenario 1: 10 nodes bootstrap, node 7 crashes."""
-
-    def legacy():
-        net = CanelyNetwork(node_count=10, config=CONFIG)
-        with _silence_deprecations():
-            bootstrap_network(net)
-            schedule_crash(net, 7, net.sim.now + ms(20))
-        net.run_for(ms(200))
-        assert net.views_agree()
-        return fingerprint(net)
-
-    def fluent():
-        net = CanelyNetwork(node_count=10, config=CONFIG)
-        net.scenario().bootstrap().crash(7, at=ms(20)).run_for(ms(200))
-        assert net.views_agree()
-        return fingerprint(net)
-
-    _assert_identical(legacy(), fluent())
-
-
-def test_join_leave_churn_equivalent():
-    """Golden scenario 2: staggered leaves exercise RHA and the cycle."""
-
-    def legacy():
-        net = CanelyNetwork(node_count=6, config=CONFIG)
-        with _silence_deprecations():
-            bootstrap_network(net)
-            schedule_leave(net, 2, net.sim.now + ms(10))
-            schedule_leave(net, 5, net.sim.now + ms(60))
-        net.run_for(ms(300))
-        assert net.views_agree()
-        return fingerprint(net)
-
-    def fluent():
-        net = CanelyNetwork(node_count=6, config=CONFIG)
-        (
-            net.scenario()
-            .bootstrap()
-            .leave(2, at=ms(10))
-            .leave(5, at=ms(60))
-            .run_for(ms(300))
-        )
-        assert net.views_agree()
-        return fingerprint(net)
-
-    _assert_identical(legacy(), fluent())
-
-
-def test_inconsistent_omissions_equivalent():
-    """Golden scenario 3: FDA traffic hit by an inconsistent omission."""
-
-    def legacy():
-        net = CanelyNetwork(
-            node_count=8, config=CONFIG, injector=FaultInjector()
-        )
-        with _silence_deprecations():
-            bootstrap_network(net)
-        net.bus.injector.fault_on_frame(
-            lambda f: f.mid.mtype is MessageType.FDA,
-            FaultKind.INCONSISTENT_OMISSION,
-            accepting=[2],
-        )
-        with _silence_deprecations():
-            schedule_crash(net, 6, net.sim.now)
-        net.run_for(ms(300))
-        assert net.views_agree()
-        return fingerprint(net)
-
-    def fluent():
-        net = CanelyNetwork(
-            node_count=8, config=CONFIG, injector=FaultInjector()
-        )
-        (
-            net.scenario()
-            .bootstrap()
-            .omit(
-                frame=FrameMatch(mtype="FDA"),
-                inconsistent=True,
-                accepting=[2],
-            )
-            .crash(6)
-            .run_for(ms(300))
-        )
-        assert net.views_agree()
-        return fingerprint(net)
-
-    _assert_identical(legacy(), fluent())
 
 
 # -- builder semantics -------------------------------------------------------------

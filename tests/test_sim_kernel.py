@@ -258,6 +258,31 @@ def test_nested_run_until_raises(any_sim):
         any_sim.run_until(50)
 
 
+def test_step_holds_the_reentrancy_guard(any_sim):
+    """step() is a drain loop too: an action it fires sees ``running`` and
+    cannot drain (or skip the clock) recursively."""
+    seen = []
+
+    def nested():
+        seen.append(any_sim.running)
+        for drain_again in (
+            any_sim.run,
+            any_sim.step,
+            any_sim.advance_to_next_event,
+        ):
+            with pytest.raises(SimulationError):
+                drain_again()
+
+    any_sim.schedule(10, nested)
+    any_sim.schedule(20, lambda: seen.append("later"))
+    assert any_sim.step() is True
+    assert seen == [True]
+    assert any_sim.now == 10
+    assert not any_sim.running
+    assert any_sim.step() is True
+    assert seen == [True, "later"]
+
+
 def test_running_property_reflects_drain(any_sim):
     states = []
     any_sim.schedule(10, lambda: states.append(any_sim.running))
@@ -328,22 +353,27 @@ def batching_modes():
     return [True, False]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_same_time_priority_order(batch):
-    sim = Simulator(batch_dispatch=batch)
+def drain(sim, batched):
+    """Both drain loops: ``run()`` batches, any event budget fires one at a time."""
+    return sim.run() if batched else sim.run(max_events=10**9)
+
+
+@pytest.mark.parametrize("batched", batching_modes())
+def test_same_time_priority_order(batched):
+    sim = Simulator()
     order = []
     sim.schedule(10, lambda: order.append("low"), priority=5)
     sim.schedule(10, lambda: order.append("high"), priority=0)
     sim.schedule(10, lambda: order.append("low2"), priority=5)
-    sim.run()
+    drain(sim, batched)
     assert order == ["high", "low", "low2"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_urgent_event_scheduled_mid_batch_preempts(batch):
+@pytest.mark.parametrize("batched", batching_modes())
+def test_urgent_event_scheduled_mid_batch_preempts(batched):
     """An action scheduling a *more urgent* same-instant event sees it fire
     before the remaining batch entries."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
 
     def first():
@@ -352,13 +382,13 @@ def test_urgent_event_scheduled_mid_batch_preempts(batch):
 
     sim.schedule(10, first, priority=0)
     sim.schedule(10, lambda: order.append("second"), priority=0)
-    sim.run()
+    drain(sim, batched)
     assert order == ["first", "urgent", "second"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_equal_priority_scheduled_mid_batch_fires_after(batch):
-    sim = Simulator(batch_dispatch=batch)
+@pytest.mark.parametrize("batched", batching_modes())
+def test_equal_priority_scheduled_mid_batch_fires_after(batched):
+    sim = Simulator()
     order = []
 
     def first():
@@ -367,47 +397,35 @@ def test_equal_priority_scheduled_mid_batch_fires_after(batch):
 
     sim.schedule(10, first, priority=0)
     sim.schedule(10, lambda: order.append("second"), priority=0)
-    sim.run()
+    drain(sim, batched)
     assert order == ["first", "second", "late"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_mid_batch_cancel_skips_detached_event(batch):
+@pytest.mark.parametrize("batched", batching_modes())
+def test_mid_batch_cancel_skips_detached_event(batched):
     """An action cancelling a *later* same-instant event must suppress it
     even after the batch loop detached it from the queue."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
     box = {}
     # Scheduled first so it fires first; cancels the later entry.
     sim.schedule(10, lambda: (order.append("killer"), box["victim"].cancel()))
     box["victim"] = sim.schedule(10, lambda: order.append("victim"))
-    sim.run()
+    drain(sim, batched)
     assert order == ["killer"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_rescheduled_event_orders_like_fresh_push(batch):
+@pytest.mark.parametrize("batched", batching_modes())
+def test_rescheduled_event_orders_like_fresh_push(batched):
     """In-place reschedule is order-equivalent to cancel + push."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
     moved = sim.schedule(10, lambda: order.append("moved"))
     sim.schedule(20, lambda: order.append("peer"))
     assert sim.try_reschedule(moved, 20)
-    sim.run()
+    drain(sim, batched)
     # The reschedule consumed a fresh seq, so "moved" now follows "peer".
     assert order == ["peer", "moved"]
-
-
-def test_batch_dispatch_module_flag(monkeypatch):
-    import repro.sim.kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "BATCH_DISPATCH", False)
-    sim = Simulator()  # inherits the module default at drain time
-    order = []
-    sim.schedule(10, lambda: order.append("a"))
-    sim.schedule(10, lambda: order.append("b"))
-    assert sim.run() == 2
-    assert order == ["a", "b"]
 
 
 # -- try_reschedule -----------------------------------------------------------

@@ -212,15 +212,6 @@ def test_restart_alarm_refuses_when_spans_enabled():
         sim.spans.enabled = False
 
 
-def test_restart_alarm_honours_fast_rearm_toggle(monkeypatch):
-    import repro.sim.timers as timers_mod
-
-    monkeypatch.setattr(timers_mod, "FAST_REARM", False)
-    sim, timers = make()
-    alarm = timers.start_alarm(100, lambda: None)
-    assert not timers.restart_alarm(alarm, 200)
-
-
 def test_restart_equivalent_to_cancel_and_start():
     """Bit-identical outcome: restart vs the seed cancel-and-start idiom,
     including the interleaving with an independent same-deadline alarm."""
@@ -240,3 +231,56 @@ def test_restart_equivalent_to_cancel_and_start():
         return fired, sim.events_processed
 
     assert drive(True) == drive(False)
+
+
+# -- same-instant fire batches -------------------------------------------------
+
+
+def test_same_deadline_fires_in_arm_order():
+    sim, timers = make()
+    fired = []
+    for label in "abcde":
+        timers.start_alarm(100, lambda l=label: fired.append(l))
+    sim.run()
+    assert fired == list("abcde")
+
+
+def test_cancel_during_fire_batch():
+    """Two alarms due at the same instant; the first callback cancels the
+    second mid-batch, after the kernel already detached it for firing."""
+    sim, timers = make()
+    fired = []
+    second = [None]
+
+    def first_cb():
+        fired.append("first")
+        timers.cancel_alarm(second[0])
+
+    timers.start_alarm(100, first_cb)
+    second[0] = timers.start_alarm(100, lambda: fired.append("second"))
+    sim.run()
+    assert fired == ["first"]
+    assert timers.pending_count == 0
+
+
+def test_rearm_during_fire_batch():
+    """A same-instant callback pushing a peer's deadline forward must defer
+    that peer's expiry: the in-place restart refuses a detached event, and
+    the cancel-and-start fallback takes over."""
+    sim, timers = make()
+    fired = []
+    peer = [None]
+
+    def peer_cb():
+        fired.append(("peer", sim.now))
+
+    def first_cb():
+        fired.append(("first", sim.now))
+        assert not timers.restart_alarm(peer[0], 50)
+        timers.cancel_alarm(peer[0])
+        peer[0] = timers.start_alarm(50, peer_cb)
+
+    timers.start_alarm(100, first_cb)
+    peer[0] = timers.start_alarm(100, peer_cb)
+    sim.run()
+    assert fired == [("first", 100), ("peer", 150)]

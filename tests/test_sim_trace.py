@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.sim.trace import JsonlSink, TraceRecorder, record_to_dict
+import repro.sim.trace as trace_mod
+from repro.sim.trace import JsonlSink, TraceRecord, TraceRecorder, record_to_dict
 
 
 def test_record_and_len():
@@ -305,40 +306,64 @@ def test_ring_buffer_eviction_with_jsonl_sink_attached():
     assert not buffer.closed  # the sink does not own a caller's handle
 
 
-# -- columnar storage mode ----------------------------------------------------
+# -- the store against a plain-list oracle ------------------------------------
 #
-# ColumnarTraceRecorder must be indistinguishable from the row recorder for
-# every query: same records, same values, same order. The parity harness
-# records one mixed workload into both and compares each public accessor.
+# One mixed workload goes into the recorder and, as plain tuples, into a
+# list; every public accessor must agree with the obvious comprehension
+# over that list: same records, same values, same order.
 
-
-from repro.sim.trace import ColumnarTraceRecorder
-import repro.sim.trace as trace_mod
+_ROWS = [
+    (1, "bus.tx", 0, {"bits": 100, "mid": "m0"}),
+    (2, "bus.deliver", 1, {"mid": "m0"}),
+    (2, "bus.deliver", 2, {"mid": "m0"}),
+    (3, "bus.deliver", 0, {"mid": "m1", "remote": True}),
+    (5, "msh.view", 1, {"members": [0, 1, 2]}),
+    (4, "fd.nty", 2, {}),  # out-of-order append
+    (7, "bus.tx", 2, {"bits": 60, "mid": "m2"}),
+]
 
 
 def _mixed_workload(trace):
-    trace.record(1, "bus.tx", node=0, bits=100, mid="m0")
-    trace.record(2, "bus.deliver", node=1, mid="m0")
-    trace.record(2, "bus.deliver", node=2, mid="m0")
-    trace.record_row(3, "bus.deliver", 0, {"mid": "m1", "remote": True})
-    trace.record(5, "msh.view", node=1, members=[0, 1, 2])
-    trace.record(4, "fd.nty", node=2)  # out-of-order append
-    trace.record(7, "bus.tx", node=2, bits=60, mid="m2")
+    for index, (time, category, node, data) in enumerate(_ROWS):
+        if index % 2:
+            trace.record_row(time, category, node, dict(data))
+        else:
+            trace.record(time, category, node=node, **data)
     return trace
 
 
-def _both():
-    return _mixed_workload(TraceRecorder()), _mixed_workload(ColumnarTraceRecorder())
+def _as_rows(records):
+    return [(r.time, r.category, r.node, r.data) for r in records]
 
 
-def test_columnar_iteration_matches_row_recorder():
-    row, col = _both()
-    assert len(row) == len(col)
-    assert [record_to_dict(r) for r in row] == [record_to_dict(r) for r in col]
+def _oracle(category=None, node=None, start=None, end=None, predicate=None):
+    def matches(row):
+        time, row_category, row_node, _data = row
+        if category is not None and not (
+            row_category.startswith(category)
+            if category.endswith(".")
+            else row_category == category
+        ):
+            return False
+        if node is not None and row_node != node:
+            return False
+        if start is not None and time < start:
+            return False
+        if end is not None and time > end:
+            return False
+        return predicate is None or predicate(TraceRecord(*row))
+
+    return [row for row in _ROWS if matches(row)]
 
 
-def test_columnar_select_matches_row_recorder():
-    row, col = _both()
+def test_iteration_matches_list_oracle():
+    trace = _mixed_workload(TraceRecorder())
+    assert len(trace) == len(_ROWS)
+    assert _as_rows(trace) == _ROWS
+
+
+def test_select_matches_list_oracle():
+    trace = _mixed_workload(TraceRecorder())
     queries = [
         dict(category="bus.deliver"),
         dict(category="bus."),
@@ -350,98 +375,134 @@ def test_columnar_select_matches_row_recorder():
         dict(node=99),
     ]
     for query in queries:
-        got = [record_to_dict(r) for r in col.select(**query)]
-        want = [record_to_dict(r) for r in row.select(**query)]
-        assert got == want, query
+        assert _as_rows(trace.select(**query)) == _oracle(**query), query
 
 
-def test_columnar_count_categories_window_match():
-    row, col = _both()
+def test_count_categories_window_match_list_oracle():
+    trace = _mixed_workload(TraceRecorder())
     for category in ("bus.tx", "bus.", "msh.view", "absent", "absent."):
-        assert col.count(category) == row.count(category)
-    assert col.categories() == row.categories()
-    assert [record_to_dict(r) for r in col.window(2, 5)] == [
-        record_to_dict(r) for r in row.window(2, 5)
+        assert trace.count(category) == len(_oracle(category=category))
+    names = sorted({row[1] for row in _ROWS})
+    assert list(trace.categories().items()) == [
+        (name, len(_oracle(category=name))) for name in names
     ]
-    assert col.last_time == row.last_time == 7
+    assert _as_rows(trace.window(2, 5)) == _oracle(start=2, end=5)
+    assert trace.last_time == 7
 
 
-def test_columnar_category_columns_match():
-    row, col = _both()
+def test_category_columns_match_list_oracle():
+    trace = _mixed_workload(TraceRecorder())
     for category in ("bus.deliver", "bus.tx", "absent"):
-        r_times, r_nodes, r_payloads = row.category_columns(category)
-        c_times, c_nodes, c_payloads = col.category_columns(category)
-        assert list(c_times) == list(r_times)
-        assert list(c_nodes) == list(r_nodes)
-        assert c_payloads == r_payloads
+        times, nodes, payloads = trace.category_columns(category)
+        want = _oracle(category=category)
+        assert list(times) == [row[0] for row in want]
+        assert list(nodes) == [row[2] for row in want]
+        assert payloads == [row[3] for row in want]
 
 
-def test_columnar_export_jsonl_matches_row_recorder():
-    row, col = _both()
-    row_buf, col_buf = io.StringIO(), io.StringIO()
-    assert row.export_jsonl(row_buf) == col.export_jsonl(col_buf)
-    assert row_buf.getvalue() == col_buf.getvalue()
+def test_export_jsonl_writes_one_projected_line_per_record():
+    trace = _mixed_workload(TraceRecorder())
+    buffer = io.StringIO()
+    assert trace.export_jsonl(buffer) == len(_ROWS)
+    assert buffer.getvalue() == "".join(
+        json.dumps(record_to_dict(record)) + "\n" for record in trace
+    )
 
 
-def test_columnar_sinks_observe_real_records():
+def test_sinks_observe_real_records():
     seen = []
-    col = ColumnarTraceRecorder()
-    col.add_sink(lambda record: seen.append(record_to_dict(record)))
-    _mixed_workload(col)
-    assert seen == [record_to_dict(r) for r in col]
+    trace = TraceRecorder()
+    trace.add_sink(lambda record: seen.append(record_to_dict(record)))
+    _mixed_workload(trace)
+    assert seen == [record_to_dict(r) for r in trace]
 
 
-def test_columnar_disabled_categories_and_enabled_flag():
-    col = ColumnarTraceRecorder()
-    col.disable_categories("bus.deliver")
-    col.record(1, "bus.deliver", node=0)
-    col.record_row(1, "bus.deliver", 0, {})
-    col.record(2, "bus.tx", node=0)
-    assert [r.category for r in col] == ["bus.tx"]
-    off = ColumnarTraceRecorder(enabled=False)
+def test_disabled_categories_and_enabled_flag():
+    trace = TraceRecorder()
+    trace.disable_categories("bus.deliver")
+    trace.record(1, "bus.deliver", node=0)
+    trace.record_row(1, "bus.deliver", 0, {})
+    trace.record(2, "bus.tx", node=0)
+    assert [r.category for r in trace] == ["bus.tx"]
+    off = TraceRecorder(enabled=False)
     off.record(1, "bus.tx")
+    off.record_row(1, "bus.tx", 0, {})
     assert len(off) == 0
 
 
-def test_columnar_clear_resets_queries():
-    col = _mixed_workload(ColumnarTraceRecorder())
-    assert col.count("bus.tx") == 2  # force the lazy indexes into being
-    col.clear()
-    assert len(col) == 0
-    assert col.count("bus.tx") == 0
-    assert col.select(category="bus.") == []
-    assert col.last_time == 0
-    col.record(9, "bus.tx", node=1)
-    assert [r.time for r in col] == [9]
+def test_clear_resets_queries():
+    trace = _mixed_workload(TraceRecorder())
+    assert len(trace.select(category="bus.tx")) == 2  # build the lazy indexes
+    trace.clear()
+    assert len(trace) == 0
+    assert trace.count("bus.tx") == 0
+    assert trace.select(category="bus.") == []
+    assert trace.last_time == 0
+    trace.record(9, "bus.tx", node=1)
+    assert [r.time for r in trace] == [9]
+    assert [r.time for r in trace.select(node=1)] == [9]
 
 
-def test_columnar_rejects_ring_buffer_capacity():
-    with pytest.raises(ValueError):
-        ColumnarTraceRecorder(capacity=10)
+def test_evicted_counts_ring_evictions_only():
+    """clear() drops records without evicting them: ``evicted`` keeps
+    counting what the ring buffer pushed out, before and after."""
+    unbounded = TraceRecorder()
+    for t in range(5):
+        unbounded.record(t, "a")
+    unbounded.clear()
+    assert unbounded.evicted == 0
+    ring = TraceRecorder(capacity=2)
+    for t in range(5):
+        ring.record(t, "a", node=t)
+    assert ring.evicted == 3
+    ring.clear()
+    assert ring.evicted == 3
+    for t in range(5, 8):
+        ring.record(t, "a", node=t)
+    assert ring.evicted == 4
+    assert [r.time for r in ring.select(category="a")] == [6, 7]
 
 
-def test_columnar_toggle_routes_plain_constructions(monkeypatch):
-    monkeypatch.setattr(trace_mod, "COLUMNAR", True)
-    assert isinstance(TraceRecorder(), ColumnarTraceRecorder)
-    # Ring-buffer traces stay on row storage: columns are append-only.
-    ring = TraceRecorder(capacity=4)
-    assert not isinstance(ring, ColumnarTraceRecorder)
-    assert ring.capacity == 4
-    # Explicit subclass constructions are honoured as written.
-    monkeypatch.setattr(trace_mod, "COLUMNAR", False)
-    assert isinstance(ColumnarTraceRecorder(), ColumnarTraceRecorder)
-    assert not isinstance(TraceRecorder(), ColumnarTraceRecorder)
-
-
-def test_columnar_index_extends_incrementally():
+def test_index_extends_incrementally():
     """Queries interleaved with recording: the lazy index must pick up
     rows appended after the first query."""
-    col = ColumnarTraceRecorder()
-    col.record(1, "a", node=0)
-    assert col.count("a") == 1
-    col.record(2, "a", node=1)
-    col.record(3, "b", node=0)
-    assert col.count("a") == 2
-    assert [r.time for r in col.select(category="a")] == [1, 2]
-    assert [r.time for r in col.select(node=0)] == [1, 3]
-    assert col.categories() == {"a": 2, "b": 1}
+    trace = TraceRecorder()
+    trace.record(1, "a", node=0)
+    assert [r.time for r in trace.select(category="a")] == [1]
+    trace.record(2, "a", node=1)
+    trace.record(3, "b", node=0)
+    assert trace.count("a") == 2
+    assert [r.time for r in trace.select(category="a")] == [1, 2]
+    assert [r.time for r in trace.select(node=0)] == [1, 3]
+    assert trace.categories() == {"a": 2, "b": 1}
+
+
+def test_ring_prunes_lazy_indexes_between_queries():
+    """A query, more evictions, a second query: the index buckets built by
+    the first must shed the evicted sequence numbers, not grow with the
+    run."""
+    trace = TraceRecorder(capacity=8)
+    for t in range(20):
+        trace.record(t, f"c{t % 2}", node=t % 3)
+    assert [r.time for r in trace.select(category="c0")] == [12, 14, 16, 18]
+    for t in range(20, 5000):
+        trace.record(t, f"c{t % 2}", node=t % 3)
+    assert [r.time for r in trace.select(node=0)] == [4992, 4995, 4998]
+    assert [r.time for r in trace.select(category="c1")] == [4993, 4995, 4997, 4999]
+    for index in (trace._by_cat, trace._by_node):
+        assert sum(map(len, index.buckets.values())) == len(trace) == 8
+
+
+def test_long_ring_keeps_every_column_bounded():
+    capacity = 1000
+    trace = TraceRecorder(capacity=capacity)
+    longest = 0
+    for t in range(200_000):
+        trace.record_row(t, "a", t % 48, {})
+        longest = max(longest, len(trace._times))
+    assert longest <= capacity + trace_mod._COMPACT_THRESHOLD + 2
+    for column in trace._columns:
+        assert len(column) == len(trace._times)
+    assert len(trace) == capacity
+    assert trace.evicted == 200_000 - capacity
+    assert [r.time for r in trace.select(node=47)][-1] == 199_967

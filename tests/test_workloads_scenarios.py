@@ -1,10 +1,6 @@
-"""Unit tests for scenario scripting helpers.
-
-The construction helpers (``bootstrap_network``, ``schedule_*``) are
-deprecated wrappers around :class:`~repro.workloads.builder.ScenarioBuilder`;
-the tests here pin both that they still work and that they warn. The
-trace-query helpers (``first_change_with_failed``, ``detection_latencies``)
-are not deprecated and are exercised through the builder API.
+"""Unit tests for the trace-query helpers (``first_change_with_failed``,
+``detection_latencies``) and the typed bootstrap failure, driven through
+the builder API.
 """
 
 import pytest
@@ -14,57 +10,21 @@ from repro.core.stack import CanelyNetwork
 from repro.errors import ReproError, ScenarioError
 from repro.sim.clock import ms
 from repro.workloads.scenarios import (
-    bootstrap_network,
     detection_latencies,
     first_change_with_failed,
-    schedule_crash,
-    schedule_join,
-    schedule_leave,
 )
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), tjoin_wait=ms(150))
 
 
-# -- deprecated wrappers: still work, and warn -------------------------------------
-
-
-def test_bootstrap_network_converges_and_warns():
-    net = CanelyNetwork(node_count=4, config=CONFIG)
-    with pytest.warns(DeprecationWarning, match="network.scenario"):
-        bootstrap_network(net)
-    assert sorted(net.agreed_view()) == [0, 1, 2, 3]
-
-
-def test_schedule_crash_warns_and_schedules():
-    net = CanelyNetwork(node_count=3, config=CONFIG)
-    net.scenario().bootstrap()
-    at = net.sim.now + ms(20)
-    with pytest.warns(DeprecationWarning, match="scenario\\(\\).crash"):
-        schedule_crash(net, 2, at)
-    net.run_for(ms(200))
-    assert net.node(2).crashed
-    assert sorted(net.agreed_view()) == [0, 1]
-
-
-def test_schedule_join_and_leave_warn_and_schedule():
-    net = CanelyNetwork(node_count=4, config=CONFIG)
-    for node_id in range(3):
-        net.node(node_id).join()
-    net.run_for(ms(400))
-    with pytest.warns(DeprecationWarning, match="scenario\\(\\).join"):
-        schedule_join(net, 3, net.sim.now + ms(10))
-    with pytest.warns(DeprecationWarning, match="scenario\\(\\).leave"):
-        schedule_leave(net, 0, net.sim.now + ms(10))
-    net.run_for(ms(300))
-    assert sorted(net.agreed_view()) == [1, 2, 3]
+# -- bootstrap failure ---------------------------------------------------------
 
 
 def test_bootstrap_failure_raises_typed_error():
     net = CanelyNetwork(node_count=3, config=CONFIG)
     net.node(0).crash()  # one node can never join
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ScenarioError) as excinfo:
-            bootstrap_network(net)
+    with pytest.raises(ScenarioError) as excinfo:
+        net.scenario().bootstrap()
     assert "did not converge" in str(excinfo.value)
     # Campaign workers classify on the type, so it must be a ReproError —
     # not a bare AssertionError matched by message.
@@ -83,7 +43,7 @@ def test_bootstrap_failure_message_is_reproducible():
     assert "seed=1234" in message
 
 
-# -- trace-query helpers (not deprecated) ----------------------------------------
+# -- trace-query helpers ---------------------------------------------------------
 
 
 def test_first_change_with_failed():
