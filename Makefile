@@ -24,5 +24,5 @@ demo:
 	$(PYTHON) -m repro demo --timeline
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

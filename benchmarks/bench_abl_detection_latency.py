@@ -14,7 +14,7 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
 from repro.util.tables import render_table
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 from repro.workloads.traffic import PeriodicSource
 
 NODES = 6
@@ -38,7 +38,7 @@ def run(thb_ms: int, chatty: bool):
     crash_time = net.sim.now
     net.node(VICTIM).crash()
     net.run_for(4 * config.thb + 4 * config.ttd + ms(50))
-    latency = detection_latencies(net, {VICTIM: crash_time})[VICTIM]
+    latency = measured_detection_latencies(net.sim.trace, {VICTIM: crash_time})[VICTIM]
     els_spent = (
         sum(node.detector.els_sent for node in net.nodes.values()) - els_start
     )

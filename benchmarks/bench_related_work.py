@@ -25,7 +25,7 @@ from repro.sim.clock import ms, sec
 from repro.sim.kernel import Simulator
 from repro.sim.timers import TimerService
 from repro.util.tables import render_table
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 
 NODES = 8
 VICTIM = 5
@@ -42,7 +42,7 @@ def run_canely():
     crash_time = net.sim.now
     net.node(VICTIM).crash()
     net.run_for(sec(2))
-    latency = detection_latencies(net, {VICTIM: crash_time})[VICTIM]
+    latency = measured_detection_latencies(net.sim.trace, {VICTIM: crash_time})[VICTIM]
     return latency, steady_bits_per_s
 
 

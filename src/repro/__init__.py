@@ -27,11 +27,11 @@ systematic checking, observability) lazily via module
 """
 
 from repro.core.config import CanelyConfig
-from repro.core.stack import CanelyNetwork, CanelyNode
+from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -128,6 +128,7 @@ __all__ = [
     "CanelyNetwork",
     "CanelyNode",
     "MembershipChange",
+    "MembershipNode",
     "MembershipView",
     "NodeSet",
     "__version__",

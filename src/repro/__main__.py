@@ -50,8 +50,10 @@ from repro.analysis.inaccessibility import (
     scenario_catalogue,
 )
 from repro.analysis.latency import latency_bounds
+from repro.core.backend import backend_names, monitors_supported
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
+from repro.errors import ConfigurationError, ScenarioError
 from repro.sim.clock import format_time, ms
 from repro.util.tables import render_table
 
@@ -173,38 +175,46 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _load_scenario(path):
+    """The :class:`ScenarioSpec` in the JSON file at ``path``; an
+    unreadable file is a :class:`ConfigurationError` like a malformed one."""
+    from repro.workloads.script import ScenarioSpec
+
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as error:
+        raise ConfigurationError(f"cannot read scenario: {error}") from None
+    return ScenarioSpec.from_json(text)
+
+
 def _cmd_run(args) -> int:
     import json
 
-    from repro.workloads.script import ScenarioSpec, run_scenario
+    from repro.workloads.script import run_scenario
 
-    with open(args.scenario) as handle:
-        spec = ScenarioSpec.from_json(handle.read())
-    report = run_scenario(spec, monitors=getattr(args, "monitors", False))
+    report = run_scenario(
+        _load_scenario(args.scenario), monitors=getattr(args, "monitors", False)
+    )
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.views_agree else 1
 
 
 def _observed_network(args):
     """Run the demo scenario (or ``--scenario FILE``) under the standard
-    invariant monitors and return the finished network."""
+    invariant monitors — where the backend has them — and return the
+    finished network."""
     if getattr(args, "scenario", None):
-        from repro.workloads.script import ScenarioSpec, run_scenario_detailed
+        from repro.workloads.script import run_scenario_detailed
 
-        with open(args.scenario) as handle:
-            spec = ScenarioSpec.from_json(handle.read())
-        _report, net = run_scenario_detailed(spec, monitors=True)
+        spec = _load_scenario(args.scenario)
+        _report, net = run_scenario_detailed(
+            spec, monitors=monitors_supported(spec.backend)
+        )
         return net
 
-    from repro.analysis.latency import latency_bounds
-    from repro.obs.monitors import standard_monitors
-
     net = CanelyNetwork(node_count=8)
-    standard_monitors(
-        net.sim.trace,
-        detection_bound=latency_bounds(net.config).notification,
-        metrics=net.sim.metrics,
-    )
+    net.attach_monitors()
     net.join_all()
     net.run_for(ms(400))
     net.node(5).crash()
@@ -404,19 +414,27 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _unknown_backend(names) -> bool:
+    """Print the one "unknown backend" line for the first unregistered
+    name in ``names``; True when there is one."""
+    registered = backend_names()
+    for name in names:
+        if name not in registered:
+            print(
+                f"unknown backend {name!r}; "
+                f"registered: {', '.join(registered)}"
+            )
+            return True
+    return False
+
+
 def _cmd_qos(args) -> int:
-    from repro.core.backend import backend_names
     from repro.scenarios import run_catalog, scenario_names
 
     names = scenario_names()
     backends = args.backend or ["canely"]
-    for backend in backends:
-        if backend not in backend_names():
-            print(
-                f"unknown backend {backend!r}; "
-                f"registered: {', '.join(backend_names())}"
-            )
-            return 2
+    if _unknown_backend(backends):
+        return 2
     scenarios = names if args.catalog or not args.scenario else args.scenario
     unknown = [name for name in scenarios if name not in names]
     if unknown:
@@ -477,9 +495,8 @@ def _cmd_campaign(args) -> int:
         crash_max=args.crash_max,
         backend=args.backend,
         segments=args.segments,
-        # The online monitors encode CANELy's guarantees; rival backends
-        # are judged by the final-state checks alone.
-        monitors=args.backend == "canely",
+        # Rival backends are judged by the final-state check alone.
+        monitors=monitors_supported(args.backend),
     )
 
     executor = None
@@ -679,15 +696,9 @@ def _cmd_compare(args) -> int:
     import json
 
     from repro.analysis.comparison import compare_backends, comparison_rows
-    from repro.core.backend import backend_names
 
-    for name in args.backends:
-        if name not in backend_names():
-            print(
-                f"unknown backend {name!r}; "
-                f"registered: {', '.join(backend_names())}"
-            )
-            return 2
+    if _unknown_backend(args.backends):
+        return 2
     report = compare_backends(
         tuple(args.backends),
         nodes=args.nodes,
@@ -1170,6 +1181,14 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
+    except ConfigurationError as error:
+        # Bad input (arguments, scenario file): one line, not a traceback.
+        print(f"error: {error}")
+        return 2
+    except ScenarioError as error:
+        # Well-formed input whose network never formed or settled.
+        print(f"error: {error}")
+        return 1
 
 
 if __name__ == "__main__":

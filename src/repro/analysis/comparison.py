@@ -14,8 +14,11 @@ backend (:mod:`repro.core.backend`) and distils it into a
 :class:`BackendQoS` record — detection latency, view-stability mistakes
 and flaps, bandwidth per node — and :func:`compare_backends` runs the
 *same* scenario under rival backends so ``repro compare`` can print them
-side by side. Both are fully deterministic: the same seed yields a
-byte-identical report.
+side by side. The probe is a scenario generator over the
+:class:`~repro.workloads.builder.ScenarioBuilder`; its headline figures
+are reads of the builder's one QoS result and one final-state verdict.
+Both are fully deterministic: the same seed yields a byte-identical
+report.
 """
 
 from __future__ import annotations
@@ -107,9 +110,10 @@ class BackendQoS:
     milliseconds: ``detection_first_ms`` at the earliest survivor,
     ``detection_last_ms`` when the *last* survivor learned (``None`` when
     some survivor never did — ``notified`` counts how many were).
-    ``mistakes`` counts removals of nodes that never crashed (false
-    suspicions that went through); ``flaps`` counts re-additions of
-    previously removed nodes. ``bandwidth_bits_per_node_ms`` is total bus
+    ``mistakes`` and ``flaps`` are the QoS engine's (:mod:`repro.obs.qos`,
+    ``docs/qos.md``), over *all* correct observers: wrongful removals of a
+    node the ground truth had up, and re-additions of a previously removed
+    node. ``bandwidth_bits_per_node_ms`` is total bus
     occupancy across all segments divided by population and simulated
     time — the per-node cost of running the protocol suite.
     """
@@ -187,12 +191,19 @@ def probe_backend(
     The scenario — victim and crash offset drawn from ``seed`` — depends
     only on the seed, never on the backend, so rival backends face exactly
     the same fault and the comparison is fair. The whole run is
-    deterministic: same arguments, same :class:`BackendQoS`.
+    deterministic: same arguments, same :class:`BackendQoS`. Every figure
+    is a read of the run's one QoS result and one final-state verdict
+    (:class:`~repro.workloads.builder.ScenarioBuilder`).
     """
     from repro.core.stack import CanelyNetwork
+    from repro.errors import ConfigurationError, ScenarioError
     from repro.sim.clock import ms
     from repro.sim.rng import RngStreams
 
+    if nodes < 2:
+        raise ConfigurationError(
+            f"a crash needs a survivor to detect it: nodes={nodes}"
+        )
     rng = RngStreams(seed).stream("compare")
     victim = rng.randint(0, nodes - 1)
     crash_offset = ms(rng.randint(0, max(0, int(crash_window_ms))))
@@ -200,65 +211,22 @@ def probe_backend(
     net = CanelyNetwork(
         node_count=nodes, config=config, backend=backend, segments=segments
     )
-    net.join_all()
-    net.run_for(net.config.tjoin_wait + round(6 * net.config.tm))
-    converged = (
-        len(net.member_views()) == nodes and net.views_agree()
-    )
-    settled_at = net.sim.now
+    scenario = net.scenario(seed=seed)
+    converged = True
+    try:
+        scenario.bootstrap()
+    except ScenarioError:
+        converged = False
+    scenario.run_for(crash_offset).crash(victim).run_for(ms(run_ms))
 
-    net.run_for(crash_offset)
-    crash_time = net.sim.now
-    net.node(victim).crash()
-    net.run_for(ms(run_ms))
-
-    survivors = sorted(set(range(nodes)) - {victim})
-    # Per-survivor notification latency: first msh.change at that node
-    # whose failed set names the victim, at or after the crash.
-    latencies: Dict[int, Optional[int]] = {n: None for n in survivors}
-    pending = set(survivors)
-    ever_removed: set = set()
-    prev_active: Dict[int, Any] = {}
-    mistakes = 0
-    flaps = 0
-    for record in net.sim.trace.select(category="msh.change"):
-        observer = record.node
-        failed = record.data["failed"]
-        active = record.data["active"]
-        if (
-            observer in pending
-            and record.time >= crash_time
-            and victim in failed
-        ):
-            latencies[observer] = record.time - crash_time
-            pending.discard(observer)
-        # View stability, judged at one observer (the lowest surviving id)
-        # so a single mistake is not multiplied by the population.
-        if observer == survivors[0]:
-            for node_id in failed:
-                if node_id != victim:
-                    mistakes += 1
-            previous = prev_active.get(observer)
-            if previous is not None:
-                for node_id in active:
-                    if node_id not in previous and node_id in ever_removed:
-                        flaps += 1
-            ever_removed.update(failed)
-            prev_active[observer] = set(active)
-
-    notified = [v for v in latencies.values() if v is not None]
-    qos_summary = _qos_summary(net, settled_at)
+    qos = scenario.qos()
+    detection = next(crash for crash in qos.crashes if crash.node == victim)
     elapsed_ms = net.sim.now / ms(1)
     busy_bits = sum(bus.stats.busy_bits for bus in net.buses)
     frames = sum(bus.stats.physical_frames for bus in net.buses)
     utilization = sum(bus.utilization() for bus in net.buses) / len(net.buses)
-    final_views = net.member_views()
-    final_view_ok = (
-        net.views_agree()
-        and bool(final_views)
-        and set(next(iter(final_views.values()))) == set(survivors)
-    )
     gateway = net.gateway
+    observer = 0 if victim else 1  # the lowest surviving id
     return BackendQoS(
         backend=net.backend_name,
         nodes=nodes,
@@ -266,18 +234,18 @@ def probe_backend(
         seed=seed,
         converged=converged,
         victim=victim,
-        crash_at_ms=crash_time / ms(1),
+        crash_at_ms=detection.crash_time / ms(1),
         detection_first_ms=(
-            min(notified) / ms(1) if notified else None
+            None if detection.first is None else detection.first / ms(1)
         ),
         detection_last_ms=(
-            max(notified) / ms(1) if len(notified) == len(survivors) else None
+            None if detection.last is None else detection.last / ms(1)
         ),
-        notified=len(notified),
-        survivors=len(survivors),
-        mistakes=mistakes,
-        flaps=flaps,
-        final_view_ok=final_view_ok,
+        notified=detection.notified,
+        survivors=detection.expected,
+        mistakes=len(qos.mistakes),
+        flaps=qos.flaps,
+        final_view_ok=scenario.final_state().ok,
         bus_utilization=utilization,
         bandwidth_bits_per_node_ms=(
             busy_bits / nodes / elapsed_ms if elapsed_ms else 0.0
@@ -285,20 +253,9 @@ def probe_backend(
         physical_frames=frames,
         gateway_forwarded=gateway.stats.forwarded if gateway else 0,
         gateway_dropped=gateway.stats.dropped if gateway else 0,
-        metrics=dict(net.node(survivors[0]).backend.metrics()),
-        qos=qos_summary,
+        metrics=dict(net.node(observer).backend.metrics()),
+        qos=qos.summary(),
     )
-
-
-def _qos_summary(net, start: int) -> Dict[str, Any]:
-    """The flat FD-QoS summary a :class:`BackendQoS` record carries.
-
-    The :meth:`repro.obs.qos.QoSMetrics.summary` projection of the full
-    readout — the handful of figures ``repro compare`` quotes.
-    """
-    from repro.obs.qos import network_qos
-
-    return network_qos(net, start=start).summary()
 
 
 def compare_backends(

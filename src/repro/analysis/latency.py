@@ -174,28 +174,3 @@ def measured_detection_latencies(
         )
         for node in crash_times
     }
-
-
-def latency_bound_violations(
-    trace: TraceRecorder,
-    config: CanelyConfig,
-    crash_times: Optional[Dict[int, int]] = None,
-    bit_rate: int = 1_000_000,
-) -> Dict[int, int]:
-    """Crashed nodes whose measured view-update latency beats the bound.
-
-    Maps node id -> measured latency for every node notified *later* than
-    :func:`latency_bounds` allows. Empty on a conforming run — the check
-    the Fig. 11 benchmark and the campaign acceptance gate both apply.
-    Nodes never notified are not violations here (a run may simply end
-    before its membership cycle closes); callers that require
-    notification check for ``None`` latencies themselves.
-    """
-    bound = latency_bounds(config, bit_rate).view_update
-    return {
-        node: latency
-        for node, latency in measured_detection_latencies(
-            trace, crash_times
-        ).items()
-        if latency is not None and latency > bound
-    }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.latency import latency_bounds
 from repro.campaign.spec import (
@@ -23,17 +23,13 @@ from repro.campaign.spec import (
     CampaignSpec,
     ScenarioResult,
 )
+from repro.obs.qos import quantile
 from repro.sim.clock import ms
 from repro.util.tables import render_table
 
 
-def percentile(values: Sequence[float], fraction: float):
-    """The ``fraction``-quantile by nearest-rank; ``None`` when empty."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, round(fraction * (len(ordered) - 1)))
-    return ordered[index]
+#: Nearest-rank quantile: the QoS engine's, under the campaign's name.
+percentile = quantile
 
 
 @dataclass

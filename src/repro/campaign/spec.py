@@ -112,7 +112,7 @@ class CampaignSpec:
             raise ConfigurationError("bad fault probability ceilings")
         if self.run_ms <= 0 or self.crash_window_ms < 0:
             raise ConfigurationError("bad scenario durations")
-        from repro.core.backend import resolve_backend
+        from repro.core.backend import require_monitors, resolve_backend
 
         resolve_backend(self.backend)
         if not isinstance(self.segments, int) or not (
@@ -121,11 +121,8 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"segments must be in 1..node_min: {self.segments!r}"
             )
-        if self.monitors and self.backend != "canely":
-            raise ConfigurationError(
-                "the online invariant monitors encode CANELy's guarantees; "
-                f"disable monitors to campaign the {self.backend!r} backend"
-            )
+        if self.monitors:
+            require_monitors(self.backend)
 
     def scenario_seed(self, index: int) -> int:
         """The private seed of scenario ``index``."""

@@ -2,19 +2,24 @@
 
 :func:`run_scenario` is the unit of work the engine fans out: derive the
 scenario's private seed, build the randomized network, attach the online
-invariant monitors, bootstrap, inject crashes under stochastic bus faults,
-and fold everything into a :class:`~repro.campaign.spec.ScenarioResult`.
-It never raises — every failure mode maps to a verdict — so the engine
-only has to handle the process-level failures (hangs, killed workers).
+invariant monitors, and script bootstrap, traffic and crashes under
+stochastic bus faults through the
+:class:`~repro.workloads.builder.ScenarioBuilder`, whose readouts
+(latencies, QoS, final state) fill the
+:class:`~repro.campaign.spec.ScenarioResult`. It never raises — every
+failure mode maps to a verdict through :func:`judge`, the one verdict
+ladder (shared with :func:`repro.check.runner.run_schedule`) — so the
+engine only has to handle the process-level failures (hangs, killed
+workers).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.analysis.latency import latency_bounds
 from repro.campaign.spec import (
     VERDICT_BOOTSTRAP_FAILED,
     VERDICT_ERROR,
@@ -26,15 +31,61 @@ from repro.campaign.spec import (
 from repro.can.errormodel import FaultInjector
 from repro.core.stack import CanelyNetwork
 from repro.errors import ScenarioError
-from repro.obs.monitors import InvariantViolation, standard_monitors
+from repro.obs.monitors import InvariantViolation
 from repro.sim.clock import ms
 from repro.sim.rng import RngStreams
 from repro.sim.trace import record_to_dict
-from repro.workloads.scenarios import detection_latencies
+from repro.workloads.builder import FinalState, ScenarioBuilder
 from repro.workloads.traffic import PeriodicSource
 
 #: Cap on how many trace records a violation slice carries back.
 _SLICE_LIMIT = 120
+
+
+@dataclass(frozen=True)
+class Judgement:
+    """What :func:`judge` made of one scripted run."""
+
+    verdict: str
+    #: The violated invariant (``final-state`` for the whole-run check).
+    monitor: str = ""
+    detail: str = ""
+    violation_slice: List[Dict[str, Any]] = field(default_factory=list)
+    #: The final-state readout, when the run got that far.
+    final: Optional[FinalState] = None
+
+
+def judge(script: Callable[[], ScenarioBuilder]) -> Judgement:
+    """Run ``script`` and classify what happened — the one verdict ladder.
+
+    A :class:`~repro.errors.ScenarioError` (bootstrap non-convergence) is
+    ``bootstrap_failed``; an online :class:`InvariantViolation` is a
+    ``violation`` carrying the monitor's name and at most
+    :data:`_SLICE_LIMIT` offending trace records; a finished run is judged
+    by the builder's :meth:`~ScenarioBuilder.final_state`; anything else
+    is ``error`` with the traceback.
+    """
+    try:
+        final = script().final_state()
+    except ScenarioError as error:
+        return Judgement(VERDICT_BOOTSTRAP_FAILED, detail=str(error))
+    except InvariantViolation as violation:
+        return Judgement(
+            VERDICT_VIOLATION,
+            monitor=violation.monitor,
+            detail=str(violation),
+            violation_slice=[
+                record_to_dict(record)
+                for record in violation.records[:_SLICE_LIMIT]
+            ],
+        )
+    except Exception:
+        return Judgement(VERDICT_ERROR, detail=traceback.format_exc())
+    if final.ok:
+        return Judgement(VERDICT_OK, final=final)
+    return Judgement(
+        VERDICT_VIOLATION, monitor="final-state", detail=final.detail, final=final
+    )
 
 
 def run_scenario(spec: CampaignSpec, index: int) -> ScenarioResult:
@@ -42,27 +93,23 @@ def run_scenario(spec: CampaignSpec, index: int) -> ScenarioResult:
     seed = spec.scenario_seed(index)
     started = time.perf_counter()
     result = ScenarioResult(index=index, seed=seed, verdict=VERDICT_ERROR)
-    try:
-        _simulate(spec, result)
-    except ScenarioError as error:
-        result.verdict = VERDICT_BOOTSTRAP_FAILED
-        result.detail = str(error)
-    except InvariantViolation as violation:
+    outcome = judge(lambda: _simulate(spec, result))
+    result.verdict = outcome.verdict
+    result.detail = (
+        f"[{outcome.monitor}] {outcome.detail}"
+        if outcome.monitor
+        else outcome.detail
+    )
+    result.violation_slice = outcome.violation_slice
+    if result.ok and result.missed:
         result.verdict = VERDICT_VIOLATION
-        result.detail = f"[{violation.monitor}] {violation}"
-        result.violation_slice = [
-            record_to_dict(record)
-            for record in violation.records[:_SLICE_LIMIT]
-        ]
-    except Exception:
-        result.verdict = VERDICT_ERROR
-        result.detail = traceback.format_exc()
+        result.detail = f"{result.missed} crash(es) were never notified"
     result.elapsed_s = time.perf_counter() - started
     return result
 
 
-def _simulate(spec: CampaignSpec, result: ScenarioResult) -> None:
-    """Mutate ``result`` in place with the scenario's outcome."""
+def _simulate(spec: CampaignSpec, result: ScenarioResult) -> ScenarioBuilder:
+    """Script the scenario; fill ``result`` with everything but the verdict."""
     streams = RngStreams(result.seed)
     topology = streams.stream("topology")
     node_count = topology.randint(spec.node_min, spec.node_max)
@@ -80,22 +127,17 @@ def _simulate(spec: CampaignSpec, result: ScenarioResult) -> None:
             0.0, spec.inconsistent_probability
         ),
     )
-    config = spec.config()
     net = CanelyNetwork(
         node_count=node_count,
-        config=config,
+        config=spec.config(),
         injector=injector,
         backend=spec.backend,
         segments=spec.segments,
     )
     if spec.monitors:
-        standard_monitors(
-            net.sim.trace,
-            detection_bound=latency_bounds(config).notification,
-            metrics=net.sim.metrics,
-        )
+        net.attach_monitors()
     try:
-        net.scenario().bootstrap()
+        scenario = net.scenario().bootstrap()
 
         # Background traffic on a random half of the nodes.
         traffic = streams.stream("traffic")
@@ -104,37 +146,19 @@ def _simulate(spec: CampaignSpec, result: ScenarioResult) -> None:
                 net.sim, net.node(node_id), period=ms(traffic.randint(4, 9))
             )
 
-        victims = topology.sample(range(node_count), crash_count)
-        crash_times: Dict[int, int] = {}
-        base = net.sim.now
-        for victim in victims:
-            at = base + ms(topology.randint(0, int(spec.crash_window_ms)))
-            crash_times[victim] = at
-            net.sim.schedule_at(at, net.node(victim).crash)
-        net.run_for(ms(spec.run_ms))
+        for victim in topology.sample(range(node_count), crash_count):
+            scenario.crash(
+                victim,
+                at=ms(topology.randint(0, int(spec.crash_window_ms))),
+            )
+        scenario.run_for(ms(spec.run_ms))
     finally:
         result.injected_omissions = injector.omissions_injected
         result.injected_inconsistent = injector.inconsistent_injected
         result.metrics = net.sim.metrics.snapshot()
 
-    latencies = detection_latencies(net, crash_times)
-    result.latencies = sorted(v for v in latencies.values() if v is not None)
-    result.missed = sum(1 for v in latencies.values() if v is None)
-
-    from repro.obs.qos import network_qos
-
-    result.qos = network_qos(
-        net, start=base, crash_times=dict(crash_times)
-    ).summary()
-
-    survivors = set(range(node_count)) - set(victims)
-    agree = net.views_agree() and set(net.agreed_view()) == survivors
-    if agree and result.missed == 0:
-        result.verdict = VERDICT_OK
-    else:
-        result.verdict = VERDICT_VIOLATION
-        result.detail = (
-            f"final views disagree or miss survivors: "
-            f"views={ {n: sorted(v) for n, v in net.member_views().items()} } "
-            f"survivors={sorted(survivors)} missed={result.missed}"
-        )
+    latencies = scenario.detection_latencies().values()
+    result.latencies = sorted(v for v in latencies if v is not None)
+    result.missed = sum(1 for v in latencies if v is None)
+    result.qos = scenario.qos().summary()
+    return scenario

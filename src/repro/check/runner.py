@@ -4,13 +4,16 @@
 :class:`~repro.check.schedule.FaultSchedule` into a simulator run: build
 the network, attach the online invariant monitors
 (:mod:`repro.obs.monitors`), drive the scenario through the fluent
-:class:`~repro.workloads.builder.ScenarioBuilder`, then apply the final
+:class:`~repro.workloads.builder.ScenarioBuilder`, and let the shared
+verdict ladder (:func:`repro.campaign.worker.judge`) classify it. A run
+that finishes is judged by the builder's final-state readout, the
 whole-run checks the monitors cannot see online:
 
 * **agreement** — every surviving full member holds the same view;
-* **validity** — that view is exactly the schedule's expected survivor
-  set: every crashed/left node removed (no missed detections), every
-  joined node integrated (no lost joins), nobody else touched.
+* **validity** — that view is exactly the expected survivor set
+  (:func:`~repro.workloads.builder.expected_survivors`): every
+  crashed/left node removed (no missed detections), every joined node
+  integrated (no lost joins), nobody else touched.
 
 The simulation is fully deterministic, so the *fingerprint* — a SHA-256
 over every trace record in order — identifies the complete behaviour:
@@ -23,11 +26,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
-from repro.analysis.latency import latency_bounds
+from repro.campaign.spec import (
+    VERDICT_BOOTSTRAP_FAILED,
+    VERDICT_ERROR,
+    VERDICT_OK,
+    VERDICT_VIOLATION,
+)
+from repro.campaign.worker import judge
 from repro.can.errormodel import FaultInjector
 from repro.check.schedule import (
     ACTION_CRASH,
@@ -40,20 +48,20 @@ from repro.check.schedule import (
 )
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
-from repro.errors import CheckError, ScenarioError
-from repro.obs.monitors import InvariantViolation, standard_monitors
+from repro.errors import CheckError, ConfigurationError
 from repro.sim.clock import ms
 from repro.sim.trace import record_to_dict
-from repro.workloads.builder import FrameMatch
+from repro.workloads.builder import (
+    FrameMatch,
+    ScenarioBuilder,
+    expected_survivors,
+)
 
-#: Check verdicts.
-CHECK_OK = "ok"
-CHECK_BOOTSTRAP_FAILED = "bootstrap_failed"
-CHECK_VIOLATION = "violation"
-CHECK_ERROR = "error"
-
-#: Cap on how many trace records a violation slice carries back.
-_SLICE_LIMIT = 120
+#: Check verdicts: the run-level subset of the campaign verdicts.
+CHECK_OK = VERDICT_OK
+CHECK_BOOTSTRAP_FAILED = VERDICT_BOOTSTRAP_FAILED
+CHECK_VIOLATION = VERDICT_VIOLATION
+CHECK_ERROR = VERDICT_ERROR
 
 
 @dataclass
@@ -114,27 +122,26 @@ class CheckResult:
 def expected_members(schedule: FaultSchedule) -> Set[int]:
     """The survivor set the final agreed view must equal.
 
-    Timed actions fold in ``at_ms`` order; ``crash_sender`` omissions count
-    as a crash of the targeted sender (whether the fault fires or not, the
-    subject ends up outside the view: un-fired sender-crash faults target
-    nodes that already crashed or left, so the set is unchanged).
+    :func:`~repro.workloads.builder.expected_survivors` over the schedule
+    alone: timed actions fold in ``at_ms`` order; ``crash_sender``
+    omissions count as a crash of the targeted sender (whether the fault
+    fires or not, the subject ends up outside the view: un-fired
+    sender-crash faults target nodes that already crashed or left, so the
+    set is unchanged).
     """
-    members = set(range(schedule.members))
-    timed = sorted(
-        (f for f in schedule.faults if f.action != ACTION_OMIT),
-        key=lambda f: f.at_ms,
+    return expected_survivors(
+        range(schedule.members),
+        [
+            (fault.at_ms, fault.action, fault.node)
+            for fault in schedule.faults
+            if fault.action != ACTION_OMIT
+        ],
+        doomed=[
+            fault.node
+            for fault in schedule.faults
+            if fault.action == ACTION_OMIT and fault.crash_sender
+        ],
     )
-    for fault in timed:
-        if fault.action == ACTION_CRASH:
-            members.discard(fault.node)
-        elif fault.action == ACTION_LEAVE:
-            members.discard(fault.node)
-        elif fault.action == ACTION_JOIN:
-            members.add(fault.node)
-    for fault in schedule.faults:
-        if fault.action == ACTION_OMIT and fault.crash_sender:
-            members.discard(fault.node)
-    return members
 
 
 def _apply_fault(builder, fault: Fault) -> None:
@@ -197,11 +204,6 @@ def run_schedule(
         thb=ms(schedule.thb_ms),
         tjoin_wait=ms(schedule.tjoin_wait_ms),
     )
-    if monitors and backend != "canely":
-        raise CheckError(
-            "the online invariant monitors encode CANELy's guarantees; "
-            f"pass monitors=False to check the {backend!r} backend"
-        )
     net = CanelyNetwork(
         node_count=schedule.nodes,
         config=config,
@@ -210,61 +212,27 @@ def run_schedule(
         segments=segments,
     )
     if monitors:
-        standard_monitors(
-            net.sim.trace,
-            detection_bound=latency_bounds(config).notification,
-            metrics=net.sim.metrics,
-        )
-    try:
+        try:
+            net.attach_monitors()
+        except ConfigurationError as error:
+            raise CheckError(str(error)) from None
+
+    def script() -> ScenarioBuilder:
         builder = net.scenario(seed=schedule.seed)
         builder.bootstrap(nodes=range(schedule.members))
         for fault in schedule.faults:
             _apply_fault(builder, fault)
-        builder.run_for(ms(schedule.run_ms))
-        _final_checks(net, schedule, result)
-    except ScenarioError as error:
-        result.verdict = CHECK_BOOTSTRAP_FAILED
-        result.detail = str(error)
-    except InvariantViolation as violation:
-        result.verdict = CHECK_VIOLATION
-        result.monitor = violation.monitor
-        result.detail = str(violation)
-        result.violation_slice = [
-            record_to_dict(record)
-            for record in violation.records[:_SLICE_LIMIT]
-        ]
-    except Exception:
-        result.verdict = CHECK_ERROR
-        result.detail = traceback.format_exc()
+        return builder.run_for(ms(schedule.run_ms))
+
+    outcome = judge(script)
+    result.verdict = outcome.verdict
+    result.monitor = outcome.monitor
+    result.detail = outcome.detail
+    result.violation_slice = outcome.violation_slice
+    if outcome.final is not None:
+        result.final_members = outcome.final.members
+        result.expected_members = outcome.final.expected
     result.fingerprint = trace_fingerprint(net)
     result.events = net.sim.events_processed
     result.elapsed_s = time.perf_counter() - started
     return result
-
-
-def _final_checks(
-    net: CanelyNetwork, schedule: FaultSchedule, result: CheckResult
-) -> None:
-    """Whole-run agreement + validity; mutates ``result``."""
-    views = net.member_views()
-    expected = expected_members(schedule)
-    result.expected_members = sorted(expected)
-    if not net.views_agree():
-        result.verdict = CHECK_VIOLATION
-        result.monitor = "final-state"
-        result.detail = (
-            "surviving members disagree on the final view: "
-            f"{ {n: sorted(v) for n, v in views.items()} }"
-        )
-        return
-    final = sorted(next(iter(views.values()))) if views else []
-    result.final_members = final
-    if set(final) != expected:
-        result.verdict = CHECK_VIOLATION
-        result.monitor = "final-state"
-        result.detail = (
-            f"final view {final} != expected survivors {sorted(expected)} "
-            f"(views at { {n: sorted(v) for n, v in views.items()} })"
-        )
-        return
-    result.verdict = CHECK_OK

@@ -251,3 +251,26 @@ def resolve_backend(spec) -> Type[MembershipBackend]:
                 f"registered: {backend_names()}"
             ) from None
     raise ConfigurationError(f"not a membership backend: {spec!r}")
+
+
+def monitors_supported(backend) -> bool:
+    """True when the online invariant monitors can judge ``backend``.
+
+    :mod:`repro.obs.monitors` encodes *CANELy's* guarantees (bounded
+    detection, no duplicate failure-sign, round-synchronous agreement); a
+    rival stack with different semantics would trip them on correct
+    behaviour, so it is judged by the final-state check alone.
+    """
+    return issubclass(resolve_backend(backend), CanelyBackend)
+
+
+def require_monitors(backend) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless
+    :func:`monitors_supported` — the one refusal every layer that can
+    attach monitors goes through."""
+    if not monitors_supported(backend):
+        raise ConfigurationError(
+            "the online invariant monitors encode CANELy's guarantees; "
+            f"they cannot judge the {resolve_backend(backend).name!r} "
+            "backend (run it with monitors off)"
+        )

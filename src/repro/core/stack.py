@@ -1,10 +1,13 @@
 """CANELy stack assembly.
 
-:class:`CanelyNode` wires one node's full protocol stack — CAN controller,
-standard layer, timers, FDA, RHA, failure detection and site membership —
-and exposes the small public API an application uses. :class:`CanelyNetwork`
+:class:`MembershipNode` is the backend-independent shell of one node — CAN
+controller, standard layer, timers, application traffic, crash/recover and
+the ``msh-can`` delegations — written once; :class:`CanelyNode` adds the
+paper's protocol suite (FDA, RHA, failure detection, site membership) to it,
+as :class:`~repro.swim.node.SwimNode` adds SWIM's. :class:`CanelyNetwork`
 builds a whole simulated network and offers the scenario-level helpers that
-examples, tests and benchmarks share.
+examples, tests and benchmarks share; :class:`DualChannelNetwork` is the
+same network over two replicated channels.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.can.driver import CanStandardLayer
 from repro.can.errormodel import FaultInjector
 from repro.can.identifiers import MessageId, MessageType
 from repro.can.phy import BitTiming
-from repro.core.backend import CanelyBackend, resolve_backend
+from repro.core.backend import CanelyBackend, require_monitors, resolve_backend
 from repro.core.config import CanelyConfig
 from repro.core.failure_detector import FailureDetector
 from repro.core.fda import FdaProtocol
@@ -35,31 +38,30 @@ from repro.util.sets import NodeSet
 MessageCallback = Callable[[int, int, bytes], None]
 
 
-class CanelyNode:
-    """One CANELy node: controller + standard layer + protocol suite."""
+class MembershipNode:
+    """The backend-independent shell of one node.
+
+    Controller + standard layer (or a prebuilt layer), a timer service,
+    application traffic, crash/recover scripting and the ``msh-can``
+    delegations through :attr:`backend`. A subclass supplies the protocol
+    suite (:meth:`_build_protocols`) and the :attr:`backend_cls` wrapping it.
+    """
+
+    #: The :class:`~repro.core.backend.MembershipBackend` adapter class.
+    backend_cls = None
 
     def __init__(
         self,
         node_id: int,
         sim: Simulator,
         bus: Optional[CanBus],
-        config: CanelyConfig,
+        config,
         layer=None,
         timer_drift: float = 0.0,
-        _from_backend: bool = False,
     ) -> None:
         if not 0 <= node_id < config.capacity:
             raise ConfigurationError(
                 f"node id {node_id} outside 0..{config.capacity - 1}"
-            )
-        if not _from_backend:
-            warnings.warn(
-                "constructing CanelyNode directly is deprecated; build "
-                "nodes through CanelyBackend.build_node() or "
-                "CanelyNetwork(backend=...) so they carry the "
-                "MembershipBackend contract",
-                DeprecationWarning,
-                stacklevel=2,
             )
         self.node_id = node_id
         self.config = config
@@ -77,23 +79,9 @@ class CanelyNode:
             self.layer = layer
             self.controller = layer.controller
         self.timers = TimerService(sim, drift=timer_drift, node=node_id)
-        self.state = MembershipState(capacity=config.capacity)
-        self.fda = FdaProtocol(self.layer, sim=sim)
-        self.rha = RhaProtocol(self.layer, self.timers, config, self.state)
-        self.detector = FailureDetector(self.layer, self.timers, config, self.fda)
-        self.membership = MembershipProtocol(
-            self.layer,
-            self.timers,
-            sim,
-            config,
-            self.state,
-            self.rha,
-            self.detector,
-            self.fda,
-        )
-        self.groups = ProcessGroupService(
-            self.layer, self.membership, config.inconsistent_degree
-        )
+        # Listeners fire in registration order: the protocols register
+        # theirs before the application's DATA indication.
+        self._build_protocols()
         self._message_listeners: List[MessageCallback] = []
         self._next_ref = 0
         self.layer.add_data_ind(self._on_app_data, mtype=MessageType.DATA)
@@ -101,7 +89,11 @@ class CanelyNode:
         #: contract; the node API below delegates through it, so code
         #: written against :class:`~repro.core.backend.MembershipBackend`
         #: and code written against the node see the same entity.
-        self.backend = CanelyBackend(self)
+        self.backend = self.backend_cls(self)
+
+    def _build_protocols(self) -> None:
+        """Construct the protocol entities over ``layer`` and ``timers``."""
+        raise NotImplementedError
 
     # -- membership API (Fig. 5, via the backend contract) ---------------------------
 
@@ -129,7 +121,8 @@ class CanelyNode:
     # -- application traffic ------------------------------------------------------------
 
     def send(self, data: bytes) -> int:
-        """Broadcast application data; doubles as an implicit life-sign."""
+        """Broadcast application data (in CANELy it doubles as an implicit
+        life-sign; SWIM counts only protocol messages as evidence)."""
         ref = self._next_ref
         self._next_ref = (self._next_ref + 1) % 65536
         mid = MessageId(MessageType.DATA, node=self.node_id, ref=ref)
@@ -164,16 +157,11 @@ class CanelyNode:
         return self.controller.crashed
 
     def stats(self) -> Dict[str, int]:
-        """Protocol counters for diagnostics and benchmarks."""
+        """Protocol counters for diagnostics and benchmarks: the backend's
+        ``metrics()`` plus the controller's TX queue depth."""
         return {
-            "els_sent": self.detector.els_sent,
-            "rha_executions": self.rha.executions,
-            "rha_frames_sent": self.rha.frames_sent,
-            "monitored_nodes": len(self.detector.monitored_nodes),
-            "tx_queue_depth": self.controller.queue_depth
-            if hasattr(self.controller, "queue_depth")
-            else 0,
-            "view_round": self.membership.view().round_index,
+            **self.backend.metrics(),
+            "tx_queue_depth": getattr(self.controller, "queue_depth", 0),
         }
 
     def recover(self) -> None:
@@ -195,102 +183,51 @@ class CanelyNode:
         self._sim.trace.record(self._sim.now, "node.recover", node=self.node_id)
 
 
-class DualChannelNetwork:
-    """A CANELy network over two replicated channels (Fig. 11's optional
-    channel redundancy): two independent buses, two controllers per node,
-    the protocol suite running over a :class:`DualChannelLayer`.
+class CanelyNode(MembershipNode):
+    """One CANELy node: the shell plus the paper's protocol suite."""
 
-    A whole channel can be taken out with :meth:`fail_channel`; the
-    protocols never notice.
-    """
+    backend_cls = CanelyBackend
 
     def __init__(
         self,
-        node_count: int,
-        config: Optional[CanelyConfig] = None,
-        pairing_window: Optional[int] = None,
-        spans: bool = False,
+        node_id: int,
+        sim: Simulator,
+        bus: Optional[CanBus],
+        config: CanelyConfig,
+        layer=None,
+        timer_drift: float = 0.0,
+        _from_backend: bool = False,
     ) -> None:
-        from repro.can.channels import DualChannelLayer
-        from repro.sim.clock import us
-
-        self.config = config if config is not None else CanelyConfig()
-        if node_count > self.config.capacity:
-            raise ConfigurationError(
-                f"{node_count} nodes exceed the configured capacity "
-                f"{self.config.capacity}"
-            )
-        self.sim = Simulator()
-        self.sim.spans.enabled = spans
-        self.buses = (CanBus(self.sim), CanBus(self.sim))
-        window = pairing_window if pairing_window is not None else us(500)
-        self.nodes: Dict[int, CanelyNode] = {}
-        for node_id in range(node_count):
-            layers = []
-            for bus in self.buses:
-                controller = CanController(node_id)
-                bus.attach(controller)
-                layers.append(CanStandardLayer(controller))
-            dual = DualChannelLayer(self.sim, layers[0], layers[1], window)
-            self.nodes[node_id] = CanelyBackend.build_node(
-                node_id, self.sim, None, self.config, layer=dual
+        super().__init__(node_id, sim, bus, config, layer, timer_drift)
+        if not _from_backend:
+            warnings.warn(
+                "constructing CanelyNode directly is deprecated; build "
+                "nodes through CanelyBackend.build_node() or "
+                "CanelyNetwork(backend=...) so they carry the "
+                "MembershipBackend contract",
+                DeprecationWarning,
+                stacklevel=2,
             )
 
-    def fail_channel(self, channel_index: int) -> None:
-        """Permanently silence one whole channel (cable destroyed, channel
-        babbling fenced off, ...). The other channel carries on."""
-        # A channel that never provides service again: an unbounded
-        # inaccessibility window.
-        self.buses[channel_index].inject_inaccessibility(2**40)
-
-    # The query helpers mirror CanelyNetwork's.
-
-    def node(self, node_id: int) -> CanelyNode:
-        """The stack of one node."""
-        return self.nodes[node_id]
-
-    def join_all(self) -> None:
-        """Every node requests to join."""
-        for node in self.nodes.values():
-            node.join()
-
-    def run_for(self, duration: int) -> None:
-        """Advance the simulation by ``duration`` ticks."""
-        self.sim.run_until(self.sim.now + duration)
-
-    def run_cycles(self, cycles: float) -> None:
-        """Advance by a number of membership cycle periods."""
-        self.run_for(round(cycles * self.config.tm))
-
-    def scenario(self, seed: Optional[int] = None):
-        """A fluent :class:`~repro.workloads.builder.ScenarioBuilder` over
-        this network; ``seed`` labels the scenario in error messages."""
-        from repro.workloads.builder import ScenarioBuilder
-
-        return ScenarioBuilder(self, seed=seed)
-
-    def member_views(self) -> Dict[int, NodeSet]:
-        """The membership view at every correct full member."""
-        return {
-            node.node_id: node.view().members
-            for node in self.nodes.values()
-            if not node.crashed and node.is_member
-        }
-
-    def views_agree(self) -> bool:
-        """True when all correct full members hold the same view."""
-        views = list(self.member_views().values())
-        return all(view == views[0] for view in views)
-
-    def agreed_view(self) -> NodeSet:
-        """The common view; raises if members disagree."""
-        views = self.member_views()
-        if not views:
-            return NodeSet.empty(self.config.capacity)
-        first = next(iter(views.values()))
-        if any(view != first for view in views.values()):
-            raise AssertionError(f"views disagree: {views!r}")
-        return first
+    def _build_protocols(self) -> None:
+        config, sim = self.config, self._sim
+        self.state = MembershipState(capacity=config.capacity)
+        self.fda = FdaProtocol(self.layer, sim=sim)
+        self.rha = RhaProtocol(self.layer, self.timers, config, self.state)
+        self.detector = FailureDetector(self.layer, self.timers, config, self.fda)
+        self.membership = MembershipProtocol(
+            self.layer,
+            self.timers,
+            sim,
+            config,
+            self.state,
+            self.rha,
+            self.detector,
+            self.fda,
+        )
+        self.groups = ProcessGroupService(
+            self.layer, self.membership, config.inconsistent_degree
+        )
 
 
 class CanelyNetwork:
@@ -412,6 +349,24 @@ class CanelyNetwork:
 
         return ScenarioBuilder(self, seed=seed)
 
+    def attach_monitors(self):
+        """Attach the standard online invariant monitors to this run.
+
+        The one attachment point: it refuses a backend the monitors cannot
+        judge (:func:`~repro.core.backend.require_monitors`) and bounds
+        detection by :func:`~repro.analysis.latency.latency_bounds`.
+        Returns the monitors, in attachment order.
+        """
+        from repro.analysis.latency import latency_bounds
+        from repro.obs.monitors import standard_monitors
+
+        require_monitors(self.backend_cls)
+        return standard_monitors(
+            self.sim.trace,
+            detection_bound=latency_bounds(self.config).notification,
+            metrics=self.sim.metrics,
+        )
+
     # -- network-wide assertions -----------------------------------------------------------
 
     def correct_nodes(self) -> List[CanelyNode]:
@@ -445,3 +400,60 @@ class CanelyNetwork:
                 f"views disagree: {first!r} at most nodes vs {disagreeing!r}"
             )
         return first
+
+
+class DualChannelNetwork(CanelyNetwork):
+    """A CANELy network over two replicated channels (Fig. 11's optional
+    channel redundancy): two independent buses, two controllers per node,
+    the protocol suite running over a :class:`DualChannelLayer`.
+
+    A whole channel can be taken out with :meth:`fail_channel`; the
+    protocols never notice. The channels are the network's two
+    ``buses``; every query and scripting helper is
+    :class:`CanelyNetwork`'s.
+    """
+
+    def __init__(
+        self,
+        node_count: int,
+        config: Optional[CanelyConfig] = None,
+        pairing_window: Optional[int] = None,
+        spans: bool = False,
+    ) -> None:
+        from repro.can.channels import DualChannelLayer
+        from repro.sim.clock import us
+
+        self.backend_cls = CanelyBackend
+        self.backend_name = CanelyBackend.name
+        self.config = config if config is not None else CanelyConfig()
+        if node_count > self.config.capacity:
+            raise ConfigurationError(
+                f"{node_count} nodes exceed the configured capacity "
+                f"{self.config.capacity}"
+            )
+        self.sim = Simulator()
+        self.sim.spans.enabled = spans
+        self.segments = [CanBus(self.sim), CanBus(self.sim)]
+        self.bus = self.segments[0]
+        self.gateway = None
+        #: Every node sits on both channels; queries file it under the first.
+        self.segment_map: Dict[int, int] = dict.fromkeys(range(node_count), 0)
+        window = pairing_window if pairing_window is not None else us(500)
+        self.nodes: Dict[int, CanelyNode] = {}
+        for node_id in range(node_count):
+            layers = []
+            for bus in self.segments:
+                controller = CanController(node_id)
+                bus.attach(controller)
+                layers.append(CanStandardLayer(controller))
+            dual = DualChannelLayer(self.sim, layers[0], layers[1], window)
+            self.nodes[node_id] = CanelyBackend.build_node(
+                node_id, self.sim, None, self.config, layer=dual
+            )
+
+    def fail_channel(self, channel_index: int) -> None:
+        """Permanently silence one whole channel (cable destroyed, channel
+        babbling fenced off, ...). The other channel carries on."""
+        # A channel that never provides service again: an unbounded
+        # inaccessibility window.
+        self.buses[channel_index].inject_inaccessibility(2**40)

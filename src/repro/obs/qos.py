@@ -55,8 +55,8 @@ QUANTILES = (0.50, 0.90, 0.99)
 def quantile(values: Sequence[float], fraction: float):
     """The ``fraction``-quantile by nearest-rank; ``None`` when empty.
 
-    Same rule as the campaign report's percentile so the two surfaces
-    quote comparable numbers.
+    The one quantile rule: the campaign report's ``percentile`` is this
+    function, so the two surfaces quote comparable numbers.
     """
     if not values:
         return None

@@ -10,31 +10,23 @@ the registry does not execute every recipe module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
 
 
 @dataclass
 class ScenarioRun:
-    """One finished recipe execution, plus its ground truth.
+    """One finished recipe execution.
 
-    The network's trace carries everything observable; what it *cannot*
-    carry is scripted intent — which nodes were initial members, when a
-    node voluntarily left or late-joined. Recipes return that alongside
-    the network so the QoS engine can judge views against the truth.
+    The :class:`~repro.workloads.builder.ScenarioBuilder` that scripted
+    the run carries the finished network and the ground truth it recorded
+    while scripting (initial members, window start, crash/leave/join
+    instants), so the QoS engine can judge views against the truth.
     """
 
-    #: The finished network (its trace is the QoS input).
-    network: object
-    #: Initial full members — the agreed view at ``start``.
-    members: Sequence[int]
-    #: Observation-window start (at/after bootstrap convergence), ticks.
-    start: int
-    #: Scripted voluntary leaves: node -> instant, ticks.
-    leave_times: Mapping[int, int] = field(default_factory=dict)
-    #: Scripted late joins: node -> instant, ticks.
-    join_times: Mapping[int, int] = field(default_factory=dict)
+    #: The builder the recipe scripted through.
+    scenario: object
     #: Recipe-specific facts worth reporting (babble frames, storm
     #: windows, injected-fault counts, ...). Plain data only.
     detail: Dict[str, object] = field(default_factory=dict)

@@ -7,10 +7,11 @@ runs unchanged against the CANELy stack and any rival backend, and the
 QoS engine judges both against the same ground truth.
 
 Every recipe follows the same shape: build a network, bootstrap it,
-mark the observation-window start, script the scenario (crashes, storms,
-churn, load), run a fixed horizon, and return the
-:class:`~repro.scenarios.catalog.ScenarioRun` with the scripted ground
-truth the trace cannot carry. Fixed horizons — not
+script the scenario (crashes, storms, churn, load) through the
+:class:`~repro.workloads.builder.ScenarioBuilder`, run a fixed horizon,
+and return the builder in a :class:`~repro.scenarios.catalog.ScenarioRun`:
+the builder recorded the ground truth the trace cannot carry (initial
+members, window start, leave/join instants) as it scripted. Fixed horizons — not
 ``run_until_settled`` — are deliberate: several recipes *end* in a
 legitimately unsettled state (a babbled-out membership, an unrefuted
 suspicion) and the QoS readout must include that tail.
@@ -23,7 +24,7 @@ tuple fully determines the run — the byte-identical-report contract.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.identifiers import MessageType
@@ -73,14 +74,10 @@ def quiet_baseline(backend: str, seed: int, quick: bool) -> ScenarioRun:
     count = _population(quick)
     net = CanelyNetwork(count, backend=backend)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     _baseline_traffic(net, 2)
     victim = rng.randrange(count)
     scenario.crash(victim, at=ms(30)).run_for(ms(210))
-    return ScenarioRun(
-        network=net, members=range(count), start=start,
-        detail={"victim": victim},
-    )
+    return ScenarioRun(scenario, detail={"victim": victim})
 
 
 @recipe("babbling-idiot",
@@ -89,7 +86,6 @@ def babbling_idiot(backend: str, seed: int, quick: bool) -> ScenarioRun:
     count = _population(quick)
     net = CanelyNetwork(count, backend=backend)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     _baseline_traffic(net, 2)
     # The babbler steals an id outside the member population and wedges
     # the bus for longer than the silence bound (Thb + Ttd), so every
@@ -100,7 +96,7 @@ def babbling_idiot(backend: str, seed: int, quick: bool) -> ScenarioRun:
     scenario.at(babble_stop, babbler.stop)
     scenario.run_for(ms(250))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "babble_window_ms": [
                 babble_start // ms(1), babble_stop // ms(1),
@@ -119,7 +115,6 @@ def bus_off_storm(backend: str, seed: int, quick: bool) -> ScenarioRun:
     injector = FaultInjector(rng=streams.stream("faults"))
     net = CanelyNetwork(count, backend=backend, injector=injector)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     _baseline_traffic(net, count)
     victim = rng.randrange(count)
     storm_start, storm_stop = ms(20), ms(80)
@@ -141,7 +136,7 @@ def bus_off_storm(backend: str, seed: int, quick: bool) -> ScenarioRun:
     )
     scenario.run_for(ms(260))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "victim": victim,
             "storm_window_ms": [storm_start // ms(1), storm_stop // ms(1)],
@@ -159,7 +154,6 @@ def error_passive_flapping(backend: str, seed: int, quick: bool) -> ScenarioRun:
     injector = FaultInjector()
     net = CanelyNetwork(count, backend=backend, injector=injector)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     _baseline_traffic(net, 2)
     victim = rng.randrange(count)
     # Each burst holds the victim's life-signs in error for longer than
@@ -180,7 +174,7 @@ def error_passive_flapping(backend: str, seed: int, quick: bool) -> ScenarioRun:
         )
     scenario.run_for(ms(320))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "victim": victim,
             "burst_length": burst,
@@ -197,7 +191,6 @@ def inaccessibility_burst(backend: str, seed: int, quick: bool) -> ScenarioRun:
     count = _population(quick)
     net = CanelyNetwork(count, backend=backend)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     _baseline_traffic(net, 2)
     victim = rng.randrange(count)
     bursts = [ms(10), ms(45), ms(80)]
@@ -206,7 +199,7 @@ def inaccessibility_burst(backend: str, seed: int, quick: bool) -> ScenarioRun:
         scenario.inaccessibility(bits, at=at)
     scenario.crash(victim, at=ms(50)).run_for(ms(260))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "victim": victim,
             "burst_at_ms": [at // ms(1) for at in bursts],
@@ -223,19 +216,13 @@ def join_leave_churn(backend: str, seed: int, quick: bool) -> ScenarioRun:
     late = [count - 2, count - 1]
     net = CanelyNetwork(count, backend=backend)
     scenario = net.scenario(seed=seed).bootstrap(nodes=initial)
-    start = net.sim.now
     _baseline_traffic(net, 2)
     leaver, victim = 1, 2
-    join_at = {late[0]: ms(30), late[1]: ms(90)}
-    leave_at = {leaver: ms(60)}
-    for node_id, at in join_at.items():
-        scenario.join(node_id, at=at)
-    scenario.leave(leaver, at=leave_at[leaver])
+    scenario.join(late[0], at=ms(30)).join(late[1], at=ms(90))
+    scenario.leave(leaver, at=ms(60))
     scenario.crash(victim, at=ms(120)).run_for(ms(300))
     return ScenarioRun(
-        network=net, members=initial, start=start,
-        leave_times={node: start + at for node, at in leave_at.items()},
-        join_times={node: start + at for node, at in join_at.items()},
+        scenario,
         detail={"victim": victim, "leaver": leaver, "joiners": late},
     )
 
@@ -247,7 +234,6 @@ def bus_load_sweep(backend: str, seed: int, quick: bool) -> ScenarioRun:
     count = _population(quick)
     net = CanelyNetwork(count, backend=backend)
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     # Three superposed waves: every phase adds one source per node at a
     # shorter period, ramping the bus toward saturation.
     phases = [(0, ms(10)), (ms(60), ms(5)), (ms(120), ms(2))]
@@ -260,7 +246,7 @@ def bus_load_sweep(backend: str, seed: int, quick: bool) -> ScenarioRun:
     victim = rng.randrange(count)
     scenario.crash(victim, at=ms(140)).run_for(ms(240))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "victim": victim,
             "phase_period_ms": [period // ms(1) for _, period in phases],
@@ -280,7 +266,6 @@ def gateway_partition_stress(backend: str, seed: int, quick: bool) -> ScenarioRu
         gateway_queue_limit=4,
     )
     scenario = net.scenario(seed=seed).bootstrap()
-    start = net.sim.now
     # Cross-segment load keeps the tiny gateway queue under pressure, so
     # remote detection rides a congested store-and-forward path.
     for node_id in range(count):
@@ -289,7 +274,7 @@ def gateway_partition_stress(backend: str, seed: int, quick: bool) -> ScenarioRu
     victim = count - 1  # last node lives on segment 1
     scenario.crash(victim, at=ms(40)).run_for(ms(260))
     return ScenarioRun(
-        network=net, members=range(count), start=start,
+        scenario,
         detail={
             "victim": victim,
             "victim_segment": net.segment_map[victim],

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.qos import QoSMetrics, compute_qos
+from repro.obs.qos import QoSMetrics
 from repro.scenarios.catalog import resolve_recipe, scenario_names
 from repro.util.tables import render_table
 
@@ -49,22 +49,12 @@ def run_recipe(
     """Execute one catalog recipe and compute its QoS readout."""
     entry = resolve_recipe(name)
     run = entry.build(backend=backend, seed=seed, quick=quick)
-    network = run.network
-    qos = compute_qos(
-        network.sim.trace,
-        nodes=sorted(run.members),
-        start=run.start,
-        end=network.sim.now,
-        leave_times=run.leave_times,
-        join_times=run.join_times,
-        segment_of=getattr(network, "segment_map", None),
-    )
     return ScenarioOutcome(
         scenario=name,
-        backend=network.backend_name,
+        backend=run.scenario.network.backend_name,
         seed=seed,
         quick=quick,
-        qos=qos,
+        qos=run.scenario.qos(),
         detail=dict(run.detail),
     )
 

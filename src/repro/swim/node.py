@@ -1,9 +1,9 @@
 """SWIM stack assembly: one node and the backend factory.
 
-:class:`SwimNode` mirrors :class:`~repro.core.stack.CanelyNode`'s public
-surface — the same CAN controller and standard layer underneath, the same
-application-traffic and fault-scripting API on top — with the CANELy
-protocol suite swapped for :class:`~repro.swim.protocol.SwimProtocol`.
+:class:`SwimNode` is :class:`~repro.core.stack.MembershipNode` — the same
+CAN controller and standard layer underneath, the same application-traffic
+and fault-scripting API on top as :class:`~repro.core.stack.CanelyNode` —
+with :class:`~repro.swim.protocol.SwimProtocol` as its protocol suite.
 :class:`SwimBackend` is the :class:`~repro.core.backend.MembershipBackend`
 implementation that lets :class:`~repro.core.stack.CanelyNetwork` build
 SWIM populations with ``backend="swim"``.
@@ -11,140 +11,14 @@ SWIM populations with ``backend="swim"``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-from repro.can.bus import CanBus
-from repro.can.controller import CanController
-from repro.can.driver import CanStandardLayer
-from repro.can.identifiers import MessageId, MessageType
 from repro.core.backend import MembershipBackend
-from repro.core.views import MembershipChange, MembershipView
-from repro.errors import ConfigurationError, ProtocolError
-from repro.sim.kernel import Simulator
-from repro.sim.timers import TimerService
+from repro.core.stack import MembershipNode
+from repro.core.views import MembershipView
+from repro.errors import ConfigurationError
 from repro.swim.config import SwimConfig
 from repro.swim.protocol import SwimProtocol
-
-MessageCallback = Callable[[int, int, bytes], None]
-
-
-class SwimNode:
-    """One SWIM node: controller + standard layer + SWIM protocol."""
-
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        bus: Optional[CanBus],
-        config: SwimConfig,
-        layer=None,
-        timer_drift: float = 0.0,
-    ) -> None:
-        if not 0 <= node_id < config.capacity:
-            raise ConfigurationError(
-                f"node id {node_id} outside 0..{config.capacity - 1}"
-            )
-        self.node_id = node_id
-        self.config = config
-        self._sim = sim
-        if layer is None:
-            if bus is None:
-                raise ConfigurationError("either a bus or a layer is required")
-            self.controller = CanController(node_id)
-            bus.attach(self.controller)
-            self.layer = CanStandardLayer(self.controller)
-        else:
-            self.layer = layer
-            self.controller = layer.controller
-        self.timers = TimerService(sim, drift=timer_drift, node=node_id)
-        self.protocol = SwimProtocol(self.layer, self.timers, sim, config)
-        self._message_listeners: List[MessageCallback] = []
-        self._next_ref = 0
-        self.layer.add_data_ind(self._on_app_data, mtype=MessageType.DATA)
-        self.backend = SwimBackend(self)
-
-    # -- membership API (via the backend contract) -----------------------------
-
-    def join(self) -> None:
-        """Enter the membership."""
-        self.backend.join()
-
-    def leave(self) -> None:
-        """Withdraw from the membership."""
-        self.backend.leave()
-
-    def view(self) -> MembershipView:
-        """The current membership view at this node."""
-        return self.backend.view()
-
-    def on_membership_change(
-        self, callback: Callable[[MembershipChange], None]
-    ) -> None:
-        """Subscribe to membership change notifications."""
-        self.backend.on_change(callback)
-
-    @property
-    def is_member(self) -> bool:
-        """True while this node is a full member."""
-        return self.backend.is_member
-
-    # -- application traffic ----------------------------------------------------
-
-    def send(self, data: bytes) -> int:
-        """Broadcast application data (SWIM ignores it as evidence —
-        unlike CANELy, only protocol messages count as life-signs)."""
-        ref = self._next_ref
-        self._next_ref = (self._next_ref + 1) % 65536
-        mid = MessageId(MessageType.DATA, node=self.node_id, ref=ref)
-        self.layer.data_req(mid, data)
-        return ref
-
-    def on_message(self, callback: MessageCallback) -> None:
-        """Subscribe to application data ``(sender, ref, data)``."""
-        self._message_listeners.append(callback)
-
-    def _on_app_data(self, mid: MessageId, data: bytes) -> None:
-        for listener in list(self._message_listeners):
-            listener(mid.node, mid.ref, data)
-
-    # -- fault scripting ----------------------------------------------------------
-
-    def crash(self) -> None:
-        """Crash the node (fail-silent), recording the event in the trace."""
-        self.controller.crash()
-        self.backend.halt()
-        if self._sim.spans.enabled:
-            self._sim.spans.instant("node.crash", "node", node=self.node_id)
-        self._sim.trace.record(self._sim.now, "node.crash", node=self.node_id)
-
-    @property
-    def crashed(self) -> bool:
-        """True once the node has crashed."""
-        return self.controller.crashed
-
-    def recover(self) -> None:
-        """Reboot a crashed node with fresh protocol state."""
-        if not self.crashed:
-            raise ProtocolError(f"node {self.node_id} has not crashed")
-        self.controller.crashed = False
-        self.controller.tec = 0
-        self.controller.rec = 0
-        self.backend.reset()
-        if self._sim.spans.enabled:
-            self._sim.spans.instant("node.recover", "node", node=self.node_id)
-        self._sim.trace.record(self._sim.now, "node.recover", node=self.node_id)
-
-    def stats(self) -> Dict[str, int]:
-        """Protocol counters for diagnostics and benchmarks."""
-        protocol = self.protocol
-        return {
-            "heartbeats_sent": protocol.heartbeats_sent,
-            "suspicions": protocol.suspicions,
-            "refutes": protocol.refutes,
-            "removals": protocol.removals,
-            "tx_queue_depth": self.controller.queue_depth,
-            "view_round": protocol.view().round_index,
-        }
 
 
 class SwimBackend(MembershipBackend):
@@ -210,3 +84,14 @@ class SwimBackend(MembershipBackend):
             "refutes": protocol.refutes,
             "removals": protocol.removals,
         }
+
+
+class SwimNode(MembershipNode):
+    """One SWIM node: the shell plus the SWIM protocol."""
+
+    backend_cls = SwimBackend
+
+    def _build_protocols(self) -> None:
+        self.protocol = SwimProtocol(
+            self.layer, self.timers, self._sim, self.config
+        )

@@ -16,19 +16,27 @@ their action ``at`` ticks after the current simulation instant, ``omit``
 arms the network's :class:`~repro.can.errormodel.FaultInjector`, and the
 ``run_*`` methods advance the clock.
 
-The builder is the construction surface shared by the systematic checker
-(:mod:`repro.check`), the campaign worker and the examples.
+The builder is also the run's one *harness*: as it schedules it records the
+scripted intent the trace cannot carry (initial members, window start,
+crash/leave/join instants), and it offers each readout of the finished run
+once, on demand — ``qos()``, ``detection_latencies()``, ``final_state()``.
+The JSON scripts, the campaign worker, the systematic checker, the catalog
+recipes and ``repro compare`` are scenario generators over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
+from repro.analysis.latency import measured_detection_latencies
 from repro.can.errormodel import FaultKind
 from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageType
 from repro.errors import ScenarioError
+from repro.obs.qos import QoSMetrics, compute_qos
 
 #: Default number of membership cycles a cold-start settles for.
 DEFAULT_SETTLE_CYCLES = 6.0
@@ -84,6 +92,62 @@ class FrameMatch:
 
 FrameSelector = Union[FrameMatch, Callable[[CanFrame], bool]]
 
+#: One scripted membership action: ``(instant, "crash"|"leave"|"join", node)``.
+MembershipEvent = Tuple[float, str, int]
+
+
+def expected_survivors(
+    initial: Iterable[int],
+    events: Iterable[MembershipEvent],
+    doomed: Iterable[int] = (),
+) -> Set[int]:
+    """The one definition of the survivor set a final agreed view must equal.
+
+    ``events`` fold over ``initial`` in instant order (ties as given): a
+    join adds its node, a crash or leave removes it. ``doomed`` nodes are
+    out by the end whatever the fold says: the targets of a sender-crash
+    omission (it fires at no scripted instant) and, after a run, every
+    node found down.
+    """
+    members = set(initial)
+    for _instant, action, node in sorted(events, key=lambda event: event[0]):
+        if action == "join":
+            members.add(node)
+        else:
+            members.discard(node)
+    return members - set(doomed)
+
+
+@dataclass(frozen=True)
+class FinalState:
+    """The whole-run verdict the online monitors cannot see: *agreement*
+    (every correct full member holds the same view) and *validity* (that
+    view is exactly the expected survivors — no missed detection, no lost
+    join, nobody else touched)."""
+
+    #: node -> sorted view, at every correct full member.
+    views: Dict[int, List[int]]
+    agree: bool
+    #: The agreed view; empty when the members disagree (or none is left).
+    members: List[int]
+    expected: List[int]
+
+    @property
+    def ok(self) -> bool:
+        return self.agree and self.members == self.expected
+
+    @property
+    def detail(self) -> str:
+        """Why the state is not :attr:`ok`; empty when it is."""
+        if self.ok:
+            return ""
+        problem = (
+            f"final view {self.members} != expected survivors {self.expected}"
+            if self.agree
+            else "surviving members disagree on the final view"
+        )
+        return f"{problem} (views at {self.views})"
+
 
 class ScenarioBuilder:
     """Fluent scenario scripting over one simulated network.
@@ -100,6 +164,14 @@ class ScenarioBuilder:
         #: Latest absolute time at which a scripted action fires; the
         #: settling loop will not declare stability before this instant.
         self._last_action_at = network.sim.now
+        #: Ground truth, recorded as it is scripted: the full members at
+        #: the observation-window ``start`` (both reset by
+        #: :meth:`bootstrap`), every scheduled crash/leave/join in call
+        #: order, and the nodes a sender-crash omission is armed against.
+        self.members: List[int] = sorted(network.member_views())
+        self.start: int = network.sim.now
+        self.intent: List[MembershipEvent] = []
+        self._doomed: Set[int] = set()
 
     @property
     def network(self):
@@ -130,6 +202,8 @@ class ScenarioBuilder:
                 net.node(node_id).join()
         net.run_for(net.config.tjoin_wait)
         net.run_cycles(settle_cycles)
+        self.members = sorted(expected)
+        self.start = self._last_action_at = net.sim.now
         views = net.member_views()
         if set(views) != expected or not net.views_agree():
             raise ScenarioError(
@@ -137,32 +211,37 @@ class ScenarioBuilder:
                 f"expected={sorted(expected)} "
                 f"(settle_cycles={settle_cycles}, seed={self.seed!r})"
             )
-        self._last_action_at = net.sim.now
         return self
 
     # -- timed node actions --------------------------------------------------
 
-    def _schedule(self, at: int, action: Callable[[], None]) -> None:
+    def _schedule(self, at: int, action: Callable[[], None]) -> int:
         when = self._net.sim.now + at
         if at < 0:
             raise ScenarioError(f"cannot schedule {at} ticks in the past")
         self._last_action_at = max(self._last_action_at, when)
         self._net.sim.schedule_at(when, action)
+        return when
+
+    def _membership_action(
+        self, action: str, node_id: int, at: int
+    ) -> "ScenarioBuilder":
+        """Schedule the node method named ``action`` and record the intent."""
+        when = self._schedule(at, getattr(self._net.node(node_id), action))
+        self.intent.append((when, action, node_id))
+        return self
 
     def crash(self, node_id: int, at: int = 0) -> "ScenarioBuilder":
         """Crash ``node_id`` (fail-silent) ``at`` ticks from now."""
-        self._schedule(at, self._net.node(node_id).crash)
-        return self
+        return self._membership_action("crash", node_id, at)
 
     def join(self, node_id: int, at: int = 0) -> "ScenarioBuilder":
         """Issue a join request for ``node_id`` ``at`` ticks from now."""
-        self._schedule(at, self._net.node(node_id).join)
-        return self
+        return self._membership_action("join", node_id, at)
 
     def leave(self, node_id: int, at: int = 0) -> "ScenarioBuilder":
         """Issue a leave request for ``node_id`` ``at`` ticks from now."""
-        self._schedule(at, self._net.node(node_id).leave)
-        return self
+        return self._membership_action("leave", node_id, at)
 
     def recover(self, node_id: int, at: int = 0) -> "ScenarioBuilder":
         """Reboot crashed ``node_id`` ``at`` ticks from now (it stays
@@ -195,9 +274,12 @@ class ScenarioBuilder:
         ``accepting`` subset of nodes accept the frame while everyone else
         (sender included) sees an error — the paper's last-two-bits
         scenario; combined with ``crash_sender=True`` the sender dies
-        before the automatic retransmission. On a multi-segment network,
-        ``segment`` picks the bus whose injector is armed (default: the
-        first — the one a single-bus network's scripted faults drive).
+        before the automatic retransmission (a :class:`FrameMatch` naming
+        a node then enters the expected-survivor fold as a crash of that
+        node; any other victim is found down at the end). ``segment``
+        picks the bus — segment or replicated channel — whose injector is
+        armed (default: the first, the one a single-bus network's scripted
+        faults drive).
         """
         if (frame is None) == (tx_index is None):
             raise ScenarioError("omit() needs exactly one of frame/tx_index")
@@ -212,6 +294,12 @@ class ScenarioBuilder:
                 "omissions"
             )
         injector = self._segment_bus(segment).injector
+        if (
+            crash_sender
+            and isinstance(frame, FrameMatch)
+            and frame.node is not None
+        ):
+            self._doomed.add(frame.node)
         if tx_index is not None:
             injector.fault_on_transmission(
                 tx_index, kind, accepting=accepting, crash_sender=crash_sender
@@ -230,22 +318,21 @@ class ScenarioBuilder:
         return self
 
     def _segment_bus(self, segment: int):
-        """The bus of one segment; index 0 is ``net.bus`` everywhere."""
-        if segment == 0:
-            return self._net.bus
-        segments = getattr(self._net, "segments", None)
-        if segments is None or not 0 <= segment < len(segments):
+        """One of the network's ``buses`` (segments or channels), by index."""
+        buses = self._net.buses
+        if not 0 <= segment < len(buses):
             raise ScenarioError(
                 f"network has no segment {segment} "
                 f"(seed={self.seed!r})"
             )
-        return segments[segment]
+        return buses[segment]
 
     def inaccessibility(
         self, bits: int, at: int = 0, segment: int = 0
     ) -> "ScenarioBuilder":
         """Inject a ``bits``-long bus inaccessibility window ``at`` ticks
-        from now (on ``segment``, for multi-segment networks)."""
+        from now (on ``segment``, for multi-segment and dual-channel
+        networks)."""
         bus = self._segment_bus(segment)
         self._schedule(at, lambda: bus.inject_inaccessibility(bits))
         return self
@@ -352,4 +439,60 @@ class ScenarioBuilder:
         raise ScenarioError(
             f"network did not settle within {max_cycles} membership cycles "
             f"(stable_cycles={stable_cycles}, seed={self.seed!r})"
+        )
+
+    # -- readouts: every figure and verdict of the run, on demand --------------
+
+    def scripted(self, action: str) -> Dict[int, int]:
+        """node -> earliest scripted instant of ``action`` (``"crash"``,
+        ``"leave"`` or ``"join"``), in instant order."""
+        times: Dict[int, int] = {}
+        for when, kind, node in sorted(self.intent, key=lambda e: e[0]):
+            if kind == action:
+                times.setdefault(node, when)
+        return times
+
+    def qos(self) -> QoSMetrics:
+        """The FD-QoS readout of the window from :attr:`start` to now,
+        judged against the recorded truth. Crashes are read from the
+        trace's ``node.crash`` records: every scripted crash that fired
+        is there, and so are the ones nobody scheduled (sender-crash
+        omissions)."""
+        net = self._net
+        return compute_qos(
+            net.sim.trace,
+            nodes=self.members,
+            start=self.start,
+            end=net.sim.now,
+            leave_times=self.scripted("leave"),
+            join_times=self.scripted("join"),
+            segment_of=net.segment_map,
+        )
+
+    def detection_latencies(self) -> Dict[int, Optional[int]]:
+        """Crash-to-first-notification latency of every scripted crash, in
+        ticks; ``None`` for a crash no view change ever reported."""
+        return measured_detection_latencies(
+            self._net.sim.trace, self.scripted("crash")
+        )
+
+    def final_state(self) -> FinalState:
+        """Judge the finished run: agreement among the correct full members
+        and validity against :func:`expected_survivors` over the recorded
+        intent, minus whoever is observed down (a sender-crash omission
+        crashes nodes nobody scripted). Scripted crashes stay in the fold,
+        so one that silently never fired is a violation. Reads node state
+        only — no trace scan."""
+        net = self._net
+        down = {node.node_id for node in net.nodes.values() if node.crashed}
+        agree = net.views_agree()
+        return FinalState(
+            views={n: sorted(v) for n, v in net.member_views().items()},
+            agree=agree,
+            members=sorted(net.agreed_view()) if agree else [],
+            expected=sorted(
+                expected_survivors(
+                    self.members, self.intent, self._doomed | down
+                )
+            ),
         )

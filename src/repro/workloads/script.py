@@ -27,7 +27,8 @@ true`` to reboot a crashed node first), ``inaccessibility`` (with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import CanelyConfig
@@ -35,11 +36,29 @@ from repro.core.stack import CanelyNetwork
 from repro.errors import ConfigurationError
 from repro.sim.clock import ms
 from repro.sim.timeline import summarize
-from repro.workloads.scenarios import detection_latencies
 from repro.workloads.traffic import PeriodicSource
 
 _ACTIONS = ("crash", "leave", "join", "inaccessibility", "fail_channel")
 _NODELESS_ACTIONS = ("inaccessibility", "fail_channel")
+
+
+def _entries(raw: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
+    """``raw[key]`` as a list of JSON objects (empty when absent)."""
+    entries = raw.get(key, [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) for entry in entries
+    ):
+        raise ConfigurationError(
+            f"{key!r} must be a list of objects: {entries!r}"
+        )
+    return entries
+
+
+def _integer(entry: Dict[str, Any], key: str) -> int:
+    value = entry.get(key, 0)
+    if not isinstance(value, int):
+        raise ConfigurationError(f"event needs an integer {key!r}: {entry}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,21 +88,38 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ScenarioSpec":
-        """Validate and normalize a plain-data scenario description."""
+        """Validate and normalize a plain-data scenario description.
+
+        Every shape error — a non-object document or entry, an unknown
+        or non-numeric ``config`` key — is a
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"a scenario is a JSON object, not {type(raw).__name__}"
+            )
         nodes = raw.get("nodes")
         if not isinstance(nodes, int) or nodes < 1:
             raise ConfigurationError(f"invalid node count: {nodes!r}")
-        config_raw = dict(raw.get("config", {}))
+        config_raw = raw.get("config", {})
+        if not isinstance(config_raw, dict):
+            raise ConfigurationError(
+                f"'config' must be an object: {config_raw!r}"
+            )
         overrides = {}
         for key, value in config_raw.items():
-            if key.endswith("_ms"):
-                overrides[key[:-3]] = ms(value)
-            else:
-                overrides[key] = value
+            name = key[:-3] if key.endswith("_ms") else key
+            if name not in CanelyConfig.__dataclass_fields__ or not isinstance(
+                value, (int, float)
+            ):
+                raise ConfigurationError(
+                    f"invalid config entry {key!r}: {value!r}"
+                )
+            overrides[name] = ms(value) if key.endswith("_ms") else value
         config = CanelyConfig.for_population(nodes, **overrides)
 
         traffic = []
-        for entry in raw.get("traffic", []):
+        for entry in _entries(raw, "traffic"):
             node = entry.get("node")
             period = entry.get("period_ms")
             if not isinstance(node, int) or not 0 <= node < nodes:
@@ -97,7 +133,7 @@ class ScenarioSpec:
         if channels not in (1, 2):
             raise ConfigurationError(f"channels must be 1 or 2: {channels!r}")
 
-        for entry in raw.get("events", []):
+        for entry in _entries(raw, "events"):
             action = entry.get("action")
             if action not in _ACTIONS:
                 raise ConfigurationError(
@@ -111,7 +147,7 @@ class ScenarioSpec:
                 not isinstance(node, int) or not 0 <= node < nodes
             ):
                 raise ConfigurationError(f"event names bad node: {entry}")
-            channel = int(entry.get("channel", 0))
+            channel = _integer(entry, "channel")
             if action == "fail_channel":
                 if channels != 2:
                     raise ConfigurationError(
@@ -125,7 +161,7 @@ class ScenarioSpec:
                     action=action,
                     node=node,
                     recover=bool(entry.get("recover", False)),
-                    bits=int(entry.get("bits", 0)),
+                    bits=_integer(entry, "bits"),
                     channel=channel,
                 )
             )
@@ -161,7 +197,13 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Parse a JSON scenario description."""
-        return cls.from_dict(json.loads(text))
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(
+                f"scenario is not valid JSON: {error}"
+            ) from None
+        return cls.from_dict(raw)
 
 
 @dataclass
@@ -208,7 +250,8 @@ def run_scenario_detailed(
 
     The network gives observability consumers (the ``repro trace`` /
     ``repro metrics`` CLI) access to ``net.sim.trace`` and
-    ``net.sim.metrics`` after the run.
+    ``net.sim.metrics`` after the run. A network that never forms raises
+    :class:`~repro.errors.ScenarioError` before any event is scripted.
     """
     if spec.channels == 2:
         from repro.core.stack import DualChannelNetwork
@@ -222,64 +265,46 @@ def run_scenario_detailed(
             segments=spec.segments,
         )
     if monitors:
-        if spec.backend != "canely":
-            raise ConfigurationError(
-                "the online invariant monitors encode CANELy's guarantees; "
-                f"they cannot judge the {spec.backend!r} backend"
-            )
-        from repro.analysis.latency import latency_bounds
-        from repro.obs.monitors import standard_monitors
-
-        standard_monitors(
-            net.sim.trace,
-            detection_bound=latency_bounds(spec.config).notification,
-            metrics=net.sim.metrics,
-        )
-    net.join_all()
-    # Let the network form before the scripted timeline starts.
-    net.run_for(spec.config.tjoin_wait + 4 * spec.config.tm)
-
-    timeline_zero = net.sim.now
+        net.attach_monitors()
+    # Let the network form before the scripted timeline starts: four of
+    # the *scenario's* cycles, whatever the backend calls its own cycle.
+    scenario = net.scenario().bootstrap(
+        settle_cycles=4 * spec.config.tm / net.config.tm
+    )
     for entry in spec.traffic:
         PeriodicSource(net.sim, net.node(entry["node"]), period=entry["period"])
 
-    crash_times: Dict[int, int] = {}
     for event in spec.events:
-        when = timeline_zero + event.at
-
-        def fire(event=event):
-            if event.action == "crash":
-                crash_times[event.node] = net.sim.now
-                net.node(event.node).crash()
-            elif event.action == "leave":
-                net.node(event.node).leave()
-            elif event.action == "join":
+        if event.action == "crash":
+            scenario.crash(event.node, at=event.at)
+        elif event.action == "leave":
+            scenario.leave(event.node, at=event.at)
+        elif event.action == "join":
+            if event.recover:
+                # Reboot first, if the node is down by then.
                 node = net.node(event.node)
-                if event.recover and node.crashed:
-                    node.recover()
-                node.join()
-            elif event.action == "inaccessibility":
-                bus = net.bus if spec.channels == 1 else net.buses[0]
-                bus.inject_inaccessibility(event.bits)
-            elif event.action == "fail_channel":
-                net.fail_channel(event.channel)
+                scenario.at(
+                    event.at, lambda node=node: node.crashed and node.recover()
+                )
+            scenario.join(event.node, at=event.at)
+        elif event.action == "inaccessibility":
+            scenario.inaccessibility(event.bits, at=event.at)
+        elif event.action == "fail_channel":
+            scenario.at(event.at, partial(net.fail_channel, event.channel))
+    scenario.run_for(spec.duration)
 
-        net.sim.schedule_at(when, fire)
-
-    net.run_for(spec.duration)
-
-    latencies = detection_latencies(net, crash_times)
+    final = scenario.final_state()
     summary = summarize(net.sim.trace)
     if spec.channels == 2:
         utilization = sum(bus.utilization() for bus in net.buses) / 2
     else:
         utilization = net.bus.utilization()
     report = ScenarioReport(
-        final_view=sorted(net.agreed_view()) if net.views_agree() else [],
-        views_agree=net.views_agree(),
+        final_view=final.members,
+        views_agree=final.agree,
         crash_latencies_ms={
             node: (None if latency is None else latency / ms(1))
-            for node, latency in latencies.items()
+            for node, latency in scenario.detection_latencies().items()
         },
         bus_utilization=utilization,
         physical_frames=summary.physical_frames,

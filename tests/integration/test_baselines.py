@@ -10,7 +10,7 @@ from repro.sim.timers import TimerService
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
 from repro.can.driver import CanStandardLayer
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 
 NODES = 8
 
@@ -22,7 +22,7 @@ def canely_latency():
     crash_time = net.sim.now
     net.node(5).crash()
     net.run_for(sec(3))
-    return detection_latencies(net, {5: crash_time})[5]
+    return measured_detection_latencies(net.sim.trace, {5: crash_time})[5]
 
 
 def osek_latency(t_typ=ms(100)):

@@ -3,7 +3,7 @@
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 from repro.workloads.traffic import PeriodicSource
 
 CONFIG = CanelyConfig(capacity=64, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
@@ -16,7 +16,7 @@ def test_detection_latency_is_tens_of_ms():
     crash_time = net.sim.now
     net.node(5).crash()
     net.run_for(ms(200))
-    latency = detection_latencies(net, {5: crash_time})[5]
+    latency = measured_detection_latencies(net.sim.trace, {5: crash_time})[5]
     assert latency is not None
     assert latency <= CONFIG.thb + CONFIG.ttd + ms(5)
 
@@ -31,8 +31,8 @@ def test_f_crashes_in_one_cycle():
     net.run_for(ms(250))
     assert net.views_agree()
     assert sorted(net.agreed_view()) == [0, 1, 3, 4, 6, 8, 9, 10]
-    latencies = detection_latencies(
-        net, {n: crash_time for n in (2, 5, 7, 11)}
+    latencies = measured_detection_latencies(
+        net.sim.trace, {n: crash_time for n in (2, 5, 7, 11)}
     )
     assert all(latency is not None for latency in latencies.values())
 
@@ -89,7 +89,7 @@ def test_implicit_lifesigns_carry_detection():
     crash_time = net.sim.now
     net.node(4).crash()
     net.run_for(ms(100))
-    latency = detection_latencies(net, {4: crash_time})[4]
+    latency = measured_detection_latencies(net.sim.trace, {4: crash_time})[4]
     assert latency is not None and latency <= ms(20)
     els_after = sum(node.detector.els_sent for node in net.nodes.values())
     assert els_after == els_before  # implicit life-signs did all the work

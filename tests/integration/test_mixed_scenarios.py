@@ -8,7 +8,7 @@ from repro.core.stack import CanelyNetwork
 from repro.llc.properties import check_all_properties
 from repro.services.clocksync import ClockSyncService, VirtualClock, precision
 from repro.sim.clock import ms, us
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 from repro.workloads.traffic import PeriodicSource, SporadicSource, TrafficSet
 
 CONFIG = CanelyConfig(capacity=32, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
@@ -62,7 +62,7 @@ def test_full_system_day_in_the_life():
     net.run_for(ms(300))
     assert net.views_agree()
     assert 7 not in net.agreed_view()
-    latency = detection_latencies(net, {7: crash_time})[7]
+    latency = measured_detection_latencies(net.sim.trace, {7: crash_time})[7]
     assert latency is not None and latency <= ms(50)
 
     # A leave and a rejoin.

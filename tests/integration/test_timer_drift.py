@@ -11,7 +11,7 @@ import random
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 
@@ -39,7 +39,7 @@ def test_detection_still_within_bound_under_drift():
     crash_time = net.sim.now
     net.node(4).crash()
     net.run_for(ms(200))
-    latency = detection_latencies(net, {4: crash_time})[4]
+    latency = measured_detection_latencies(net.sim.trace, {4: crash_time})[4]
     assert latency is not None
     # The bound gains at most the drift fraction.
     assert latency <= (CONFIG.thb + CONFIG.ttd) * 1.01 + ms(2)

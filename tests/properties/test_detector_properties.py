@@ -64,8 +64,8 @@ def test_crash_always_detected_whatever_the_traffic(plan, victim):
     survivors = set(range(NODE_COUNT)) - {victim}
     assert set(net.agreed_view()) == survivors
     # Notification arrived within the analytic bound.
-    from repro.workloads.scenarios import detection_latencies
+    from repro.analysis.latency import measured_detection_latencies
 
-    latency = detection_latencies(net, {victim: crash_time})[victim]
+    latency = measured_detection_latencies(net.sim.trace, {victim: crash_time})[victim]
     assert latency is not None
     assert latency <= CONFIG.thb + CONFIG.ttd + ms(2)

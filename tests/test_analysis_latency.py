@@ -46,7 +46,7 @@ def test_dissemination_is_sub_millisecond_at_1mbps():
 def test_bounds_cover_measured_latency():
     """The bound must actually bound the simulator's measurement."""
     from repro.core.stack import CanelyNetwork
-    from repro.workloads.scenarios import detection_latencies
+    from repro.analysis.latency import measured_detection_latencies
 
     config = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
     bounds = latency_bounds(config)
@@ -55,7 +55,7 @@ def test_bounds_cover_measured_latency():
     crash_time = net.sim.now
     net.node(5).crash()
     net.run_for(ms(200))
-    measured = detection_latencies(net, {5: crash_time})[5]
+    measured = measured_detection_latencies(net.sim.trace, {5: crash_time})[5]
     assert measured is not None
     assert measured <= bounds.notification
 

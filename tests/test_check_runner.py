@@ -73,6 +73,65 @@ def test_expected_members_counts_crash_sender():
     assert expected_members(schedule) == {0, 2, 3}
 
 
+def _parent_expected_members(schedule):
+    """``expected_members`` as it stood before the fold moved into the
+    builder (PR 16), kept verbatim as the oracle."""
+    members = set(range(schedule.members))
+    timed = sorted(
+        (f for f in schedule.faults if f.action != ACTION_OMIT),
+        key=lambda f: f.at_ms,
+    )
+    for fault in timed:
+        if fault.action == ACTION_CRASH:
+            members.discard(fault.node)
+        elif fault.action == ACTION_LEAVE:
+            members.discard(fault.node)
+        elif fault.action == ACTION_JOIN:
+            members.add(fault.node)
+    for fault in schedule.faults:
+        if fault.action == ACTION_OMIT and fault.crash_sender:
+            members.discard(fault.node)
+    return members
+
+
+def test_the_one_survivor_fold_matches_the_parent_on_whole_populations():
+    import random
+
+    from repro.check import CheckSweep
+
+    depth_two = CheckSweep(depth=2).population()
+    population = CheckSweep(depth=1).population() + random.Random(0).sample(
+        depth_two, 400
+    )
+    assert len(population) == 460
+    for schedule in population:
+        assert expected_members(schedule) == _parent_expected_members(schedule)
+
+
+def test_run_schedule_expectation_is_the_schedule_fold():
+    """The builder folds recorded intent, minus the nodes found down; on a
+    run whose sender-crash fault fires that is ``expected_members(schedule)``."""
+    schedule = FaultSchedule(
+        nodes=5,
+        members=4,
+        faults=(
+            Fault(ACTION_JOIN, node=4, at_ms=25.0),
+            Fault(
+                ACTION_OMIT,
+                node=1,
+                frame_type="ELS",
+                omission=OMISSION_INCONSISTENT,
+                accepting=(2,),
+                crash_sender=True,
+            ),
+        ),
+    )
+    result = run_schedule(schedule)
+    assert result.ok
+    assert result.expected_members == sorted(expected_members(schedule))
+    assert result.final_members == [0, 2, 3, 4]
+
+
 # -- run_schedule -------------------------------------------------------------------
 
 

@@ -383,3 +383,77 @@ def test_qos_unknown_scenario_exits_2(capsys):
 def test_qos_unknown_backend_exits_2(capsys):
     assert main(["qos", "--backend", "nonsense", "--quick"]) == 2
     assert "unknown backend" in capsys.readouterr().out
+
+
+# -- bad input ends in one line and exit 2, never a traceback -----------------------
+
+
+SWIM_SCENARIO = """{"nodes": 5, "backend": "swim",
+ "events": [{"at_ms": 100, "action": "crash", "node": 1}],
+ "duration_ms": 400}"""
+
+
+@pytest.mark.parametrize("command", ["trace", "metrics"])
+def test_observed_commands_run_a_swim_scenario_without_monitors(
+    capsys, tmp_path, command
+):
+    """The monitors attach where the backend has them (the rule ``repro
+    campaign`` applies); a SWIM scenario once died in ConfigurationError."""
+    scenario = tmp_path / "swim.json"
+    scenario.write_text(SWIM_SCENARIO)
+    assert main([command, "--scenario", str(scenario)]) == 0
+    assert "msh.change" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        (None, "cannot read scenario"),
+        ('{"nodes": 3', "not valid JSON"),
+        ("[1, 2]", "a scenario is a JSON object"),
+        ('{"nodes": 3, "traffic": [3]}', "'traffic' must be a list of objects"),
+        ('{"nodes": 3, "config": {"bogus": 1}}', "invalid config entry 'bogus'"),
+    ],
+    ids=["missing", "torn", "non-object", "bad-entry", "unknown-config-key"],
+)
+@pytest.mark.parametrize(
+    "command", [["run"], ["trace", "--scenario"]], ids=["run", "trace"]
+)
+def test_malformed_scenario_exits_2_with_one_line(
+    capsys, tmp_path, command, text, complaint
+):
+    scenario = tmp_path / "scenario.json"
+    if text is not None:
+        scenario.write_text(text)
+    assert main(command + [str(scenario)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and complaint in out
+    assert len(out.splitlines()) == 1
+
+
+def test_scenario_that_never_forms_exits_1_with_one_line(capsys, tmp_path):
+    scenario = tmp_path / "rushed.json"
+    scenario.write_text(
+        '{"nodes": 40, "duration_ms": 50, "config": {"tm_ms": 5, '
+        '"thb_ms": 2, "trha_ms": 1, "tjoin_wait_ms": 6}}'
+    )
+    assert main(["run", str(scenario)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: bootstrap did not converge")
+    assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--nodes", "1"], ["--nodes", "4", "--segments", "9"]],
+    ids=["no-survivor", "more-segments-than-nodes"],
+)
+def test_compare_bad_arguments_exit_2_with_one_line(capsys, args):
+    assert main(["compare"] + args) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and len(out.splitlines()) == 1
+
+
+def test_compare_unknown_backend_exits_2(capsys):
+    assert main(["compare", "--backends", "canely", "nonsense"]) == 2
+    assert "unknown backend 'nonsense'" in capsys.readouterr().out

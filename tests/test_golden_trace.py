@@ -4,9 +4,8 @@ The simulation is fully deterministic; this test pins the protocol-level
 event sequence of one canonical scenario so that *any* behavioural change —
 an extra frame, a shifted notification, a different view order — shows up
 as a diff, not as a silent drift. Update the golden file deliberately when
-a change is intended:
-
-    python -m tests.update_golden   # or just copy the printed actual trace
+a change is intended: delete ``tests/golden/canonical_scenario.txt`` and
+rerun this test, which regenerates it.
 """
 
 import pathlib

@@ -136,6 +136,36 @@ def test_describe_names_the_backend(backend):
     assert description["backend"] == net.backend_name
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_protocol_listeners_register_before_the_application_indication(backend):
+    """Listeners fire in registration order, so a DATA frame reaches every
+    protocol listener before any application listener only if the shared
+    node shell builds wiring -> protocols -> DATA indication, in that
+    order, on every backend."""
+    from repro.can.bus import CanBus
+    from repro.can.controller import CanController
+    from repro.can.driver import CanStandardLayer
+    from repro.can.identifiers import MessageType
+    from repro.sim.kernel import Simulator
+
+    class RecordingLayer(CanStandardLayer):
+        registered = ()
+
+        def add_data_ind(self, listener, mtype=None):
+            self.registered += ((mtype, listener),)
+            super().add_data_ind(listener, mtype)
+
+    sim = Simulator()
+    controller = CanController(0)
+    CanBus(sim).attach(controller)
+    layer = RecordingLayer(controller)
+    cls = resolve_backend(backend)
+    node = cls.build_node(0, sim, None, cls.default_config(), layer=layer)
+    assert len(layer.registered) > 1  # the protocols came first ...
+    assert layer.registered[-1] == (MessageType.DATA, node._on_app_data)
+    assert node.backend is not None
+
+
 # -- registry ------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from repro.obs.critical_path import (
     view_update_path,
 )
 from repro.sim.clock import ms
-from repro.workloads.scenarios import detection_latencies
+from repro.analysis.latency import measured_detection_latencies
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_detection_segments_sum_exactly_to_detection_latency(crashed):
 def test_notification_segments_sum_exactly_to_notification_latency(crashed):
     net, failed, crash_time = crashed
     path = notification_path(net.sim.spans, failed)
-    measured = detection_latencies(net, {failed: crash_time})[failed]
+    measured = measured_detection_latencies(net.sim.trace, {failed: crash_time})[failed]
     assert measured is not None
     assert sum(seg.duration for seg in path.segments) == path.total == measured
 

@@ -15,14 +15,17 @@ import repro
 
 
 def test_version_bumped_for_the_new_surface():
-    # 2.0.0 removed facade names without replacement (docs/api.md).
-    major, _minor, _patch = repro.__version__.split(".")
-    assert int(major) >= 2
+    # 2.0.0 removed facade names without replacement; 2.1.0 moved the
+    # node API onto the exported MembershipNode base and removed
+    # deep-module duplicates (docs/api.md).
+    major, minor, _patch = repro.__version__.split(".")
+    assert (int(major), int(minor)) >= (2, 1)
 
 
 def test_core_names_are_eager():
     for name in ("CanelyNetwork", "CanelyConfig", "CanelyNode",
-                 "MembershipView", "MembershipChange", "NodeSet"):
+                 "MembershipNode", "MembershipView", "MembershipChange",
+                 "NodeSet"):
         assert name in repro.__dict__, f"{name} should not be lazy"
 
 

@@ -9,6 +9,7 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork, DualChannelNetwork
 from repro.errors import ScenarioError
 from repro.sim.clock import ms
+from repro.util.sets import NodeSet
 from repro.workloads import FrameMatch, ScenarioBuilder
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
@@ -80,6 +81,85 @@ def test_builder_works_on_dual_channel_network():
     net = DualChannelNetwork(node_count=4, config=CONFIG)
     net.scenario().bootstrap().crash(2, at=ms(20)).run_for(ms(200))
     assert sorted(net.agreed_view()) == [0, 1, 3]
+
+
+def test_network_faults_reach_either_channel_of_a_dual_network():
+    """``segment`` indexes the network's ``buses``: channels on a
+    dual-channel network, which once had no ``bus`` to fall back on."""
+    net = DualChannelNetwork(node_count=4, config=CONFIG)
+    scenario = net.scenario().bootstrap()
+    scenario.inaccessibility(100).inaccessibility(100, segment=1)
+    scenario.omit(frame=FrameMatch(mtype="ELS"), segment=1)
+    scenario.run_for(ms(100))
+    assert [bus.stats.inaccessibility_bits for bus in net.buses] == [100, 100]
+    assert net.buses[1].injector.omissions_injected == 1
+    assert net.buses[0].injector.omissions_injected == 0
+    assert scenario.final_state().ok  # one channel's faults are masked
+    with pytest.raises(ScenarioError, match="no segment 2"):
+        scenario.inaccessibility(100, segment=2)
+
+
+# -- recorded ground truth and the readouts over it --------------------------------
+
+
+def test_builder_records_the_truth_it_scripts():
+    """Crash + leave + late join + a sender-crash omission: the builder
+    records the intent, folds the expected survivors (scripted intent minus
+    the node nobody scripted but is found down) and judges the final state."""
+    net = CanelyNetwork(node_count=6, config=CONFIG)
+    scenario = net.scenario(seed=5).bootstrap(nodes=range(5))
+    start = net.sim.now
+    assert scenario.members == [0, 1, 2, 3, 4] and scenario.start == start
+    scenario.crash(3, at=ms(40)).leave(1, at=ms(20)).join(5, at=ms(60))
+    # A bare predicate names no node: the victim (0) is known only from
+    # its state (and the trace's node.crash record).
+    scenario.omit(
+        frame=lambda frame: frame.mid.mtype is MessageType.ELS
+        and frame.mid.node == 0,
+        inconsistent=True,
+        accepting=[2],
+        crash_sender=True,
+    )
+    scenario.run_for(ms(400))
+    assert scenario.intent == [
+        (start + ms(40), "crash", 3),
+        (start + ms(20), "leave", 1),
+        (start + ms(60), "join", 5),
+    ]
+    assert scenario.scripted("crash") == {3: start + ms(40)}
+    assert scenario.scripted("leave") == {1: start + ms(20)}
+    assert net.node(0).crashed
+    final = scenario.final_state()
+    assert final.ok and final.detail == ""
+    assert final.members == final.expected == [2, 4, 5]
+    assert list(scenario.detection_latencies()) == [3]
+    qos = scenario.qos()
+    assert (qos.start, qos.end) == (start, net.sim.now)
+    assert sorted(crash.node for crash in qos.crashes) == [0, 3]
+    assert qos.population == (0, 1, 2, 3, 4, 5)
+
+
+def test_a_scripted_crash_that_never_fired_is_a_violation():
+    net = CanelyNetwork(node_count=4, config=CONFIG)
+    scenario = net.scenario().bootstrap()
+    scenario.crash(2, at=ms(500)).omit(
+        frame=FrameMatch(mtype="DATA", node=1), inconsistent=True,
+        accepting=[0], crash_sender=True,
+    )
+    net.run_for(ms(100))  # ends before the crash; no DATA frame ever flows
+    final = scenario.final_state()
+    assert final.agree and final.members == [0, 1, 2, 3]
+    assert final.expected == [0, 3]
+    assert not final.ok and "expected survivors [0, 3]" in final.detail
+
+
+def test_final_state_reports_disagreement():
+    net = CanelyNetwork(node_count=3, config=CONFIG)
+    scenario = net.scenario().bootstrap()
+    net.node(0).state.view = NodeSet([0], capacity=16)
+    final = scenario.final_state()
+    assert not final.agree and not final.ok and final.members == []
+    assert "disagree" in final.detail
 
 
 # -- FrameMatch --------------------------------------------------------------------

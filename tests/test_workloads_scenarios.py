@@ -1,6 +1,5 @@
-"""Unit tests for the trace-query helpers (``first_change_with_failed``,
-``detection_latencies``) and the typed bootstrap failure, driven through
-the builder API.
+"""Unit tests for the trace latency queries of :mod:`repro.analysis.latency`
+on builder-driven networks, and the typed bootstrap failure.
 """
 
 import pytest
@@ -9,9 +8,9 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import ReproError, ScenarioError
 from repro.sim.clock import ms
-from repro.workloads.scenarios import (
-    detection_latencies,
-    first_change_with_failed,
+from repro.analysis.latency import (
+    crash_notification_times,
+    measured_detection_latencies,
 )
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), tjoin_wait=ms(150))
@@ -43,7 +42,7 @@ def test_bootstrap_failure_message_is_reproducible():
     assert "seed=1234" in message
 
 
-# -- trace-query helpers ---------------------------------------------------------
+# -- trace latency queries --------------------------------------------------------
 
 
 def test_first_change_with_failed():
@@ -52,15 +51,15 @@ def test_first_change_with_failed():
     crash_at = net.sim.now
     net.node(1).crash()
     net.run_for(ms(200))
-    notified = first_change_with_failed(net, 1, after=crash_at)
-    assert notified is not None
-    assert notified >= crash_at
+    notified = crash_notification_times(net.sim.trace, {1: crash_at})[1]
+    assert set(notified) == {0, 2}
+    assert min(notified.values()) >= crash_at
 
 
 def test_first_change_with_failed_none_when_absent():
     net = CanelyNetwork(node_count=3, config=CONFIG)
     net.scenario().bootstrap()
-    assert first_change_with_failed(net, 2) is None
+    assert crash_notification_times(net.sim.trace, {2: 0}) == {2: {}}
 
 
 def test_detection_latencies():
@@ -69,7 +68,7 @@ def test_detection_latencies():
     crash_time = net.sim.now
     net.node(3).crash()
     net.run_for(ms(200))
-    latencies = detection_latencies(net, {3: crash_time})
+    latencies = measured_detection_latencies(net.sim.trace, {3: crash_time})
     assert latencies[3] is not None
     assert 0 < latencies[3] <= ms(30)
 
@@ -83,10 +82,14 @@ def test_detection_latencies_multiple_crashes_single_pass():
         net.node(victim).crash()
         net.run_for(ms(60))
     net.run_for(ms(200))
-    latencies = detection_latencies(net, crash_times)
-    # The one-pass computation must agree with the per-node trace scans.
+    latencies = measured_detection_latencies(net.sim.trace, crash_times)
+    # The one-pass computation must agree with a per-node trace scan.
     for victim, crashed_at in crash_times.items():
-        notified_at = first_change_with_failed(net, victim, after=crashed_at)
+        notified_at = next(
+            record.time
+            for record in net.sim.trace.select(category="msh.change")
+            if record.time >= crashed_at and victim in record.data["failed"]
+        )
         assert latencies[victim] == notified_at - crashed_at
 
 
@@ -97,6 +100,8 @@ def test_detection_latencies_ignores_changes_before_crash():
     net.node(2).crash()
     net.run_for(ms(200))
     # A claimed crash far in the future has no matching change record.
-    latencies = detection_latencies(net, {2: crash_time, 3: net.sim.now + ms(500)})
+    latencies = measured_detection_latencies(
+        net.sim.trace, {2: crash_time, 3: net.sim.now + ms(500)}
+    )
     assert latencies[2] is not None
     assert latencies[3] is None

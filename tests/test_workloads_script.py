@@ -54,6 +54,30 @@ def test_validation_errors():
         ScenarioSpec.from_dict({"nodes": 3, "duration_ms": -5})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1, 2],
+        {"nodes": 3, "traffic": [3]},
+        {"nodes": 3, "events": ["crash"]},
+        {"nodes": 3, "events": {"action": "crash"}},
+        {"nodes": 3, "config": [1]},
+        {"nodes": 3, "config": {"bogus": 1}},
+        {"nodes": 3, "config": {"tm_ms": "fast"}},
+        {"nodes": 3, "events": [
+            {"at_ms": 1, "action": "inaccessibility", "bits": "many"}]},
+    ],
+)
+def test_every_shape_error_is_a_configuration_error(raw):
+    with pytest.raises(ConfigurationError):
+        ScenarioSpec.from_dict(raw)
+
+
+def test_torn_json_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        ScenarioSpec.from_json('{"nodes": 3,')
+
+
 def test_run_scenario_crash_report():
     report = run_scenario(ScenarioSpec.from_dict(BASIC))
     assert report.views_agree
