@@ -223,16 +223,25 @@ def _observed_network(args):
 
 
 def _cmd_trace(args) -> int:
-    from repro.sim.trace import JsonlSink, record_to_dict
+    from repro.sim.trace import JsonlSink, deliveries, record_to_dict
 
     net = _observed_network(args)
     trace = net.sim.trace
     # All filters combine in one select() call: category prefix, node and
-    # the [--start-ms, --end-ms] time window.
+    # the [--start-ms, --end-ms] time window. A frame's delivery is one
+    # row for all its receivers, so --node also matches the delivery rows
+    # whose receiver set holds the node.
     start = None if args.start_ms is None else ms(args.start_ms)
     end = None if args.end_ms is None else ms(args.end_ms)
+    node = args.node
     selected = trace.select(
-        category=args.category, node=args.node, start=start, end=end
+        category=args.category,
+        start=start,
+        end=end,
+        predicate=None
+        if node is None
+        else lambda record: record.node == node
+        or any(delivery[1] == node for delivery in deliveries((record,))),
     )
     if args.export:
         with JsonlSink(args.export) as sink:

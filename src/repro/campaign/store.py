@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import threading
 from typing import IO, Any, Dict, List, Optional
 
@@ -178,8 +179,13 @@ class FingerprintStore:
 
     One JSONL line per explored schedule::
 
-        {"schedule": <structural key>, "trace": <trace fingerprint>,
-         "verdict": "ok", "seed": 17}
+        {"format": "repro.check/2", "schedule": <structural key>,
+         "trace": <trace fingerprint>, "verdict": "ok", "seed": 17}
+
+    ``format`` is :data:`repro.check.artifact.FORMAT`, the stamp of the
+    trace shape the fingerprint was hashed over. A line with another stamp
+    or none answers for traces this code can no longer produce, so loading
+    ignores it (``stale`` counts them; one stderr line reports the count).
 
     ``lookup`` answers "has this schedule ever been executed?" before
     dispatch; ``record`` persists a finished run and reports whether its
@@ -188,13 +194,20 @@ class FingerprintStore:
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
+        # Deferred: ``repro.check`` imports this module.
+        from repro.check.artifact import FORMAT
+
         self._path = path
+        self._format = FORMAT
         self._records: Dict[str, Dict[str, Any]] = {}
         self._traces: set = set()
         self._handle: Optional[IO[str]] = None
         self._lock = threading.Lock()
         #: How many lookups found an existing record (dedup hits).
         self.hits = 0
+        #: How many stored lines were ignored for carrying another format
+        #: stamp, or none.
+        self.stale = 0
         if path and os.path.exists(path):
             with open(path) as handle:
                 for line in handle:
@@ -205,12 +218,24 @@ class FingerprintStore:
                         raw = json.loads(line)
                     except ValueError:
                         continue  # truncated final line
+                    if not isinstance(raw, dict):
+                        continue
                     key = raw.get("schedule")
                     trace = raw.get("trace")
                     if not key or not trace:
                         continue
+                    if raw.get("format") != FORMAT:
+                        self.stale += 1
+                        continue
                     self._records[key] = raw
                     self._traces.add(trace)
+            if self.stale:
+                print(
+                    f"fingerprint store {path}: ignored {self.stale} "
+                    f"line(s) not stamped {FORMAT} (recorded over another "
+                    "trace format)",
+                    file=sys.stderr,
+                )
         if path:
             self._handle = open(path, "a")
 
@@ -245,6 +270,7 @@ class FingerprintStore:
             self._traces.add(trace)
             if key not in self._records:
                 raw = {
+                    "format": self._format,
                     "schedule": key,
                     "trace": trace,
                     "verdict": verdict,

@@ -42,11 +42,15 @@ from repro.can.frame import CanFrame
 from repro.can.phy import BitTiming
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
+from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
-#: Delivery plans are dropped wholesale past this many distinct
-#: identifiers (application refs roll, so the identifier space is not
-#: bounded by the node count).
+#: On a bus where some controller filters, delivery plans are kept per
+#: identifier and dropped wholesale past this many (application refs roll,
+#: so the identifier space is not bounded by the node count).
 _ACCEPT_TABLE_LIMIT = 4096
+
+#: Likewise the per-plan views "this plan minus those down controllers".
+_PLAN_VIEW_LIMIT = 64
 
 
 @dataclass
@@ -90,6 +94,54 @@ class _Transmission:
     span_id: Optional[int] = None
 
 
+class _DeliveryPlan:
+    """Who takes one kind of frame, and what each delivery has to call.
+
+    Built once per kind (:meth:`CanBus._build_plan`), valid until the next
+    :meth:`CanBus.invalidate_delivery_tables`. Aliveness is *not* baked in:
+    ``views`` caches, per set of planned controllers found down, what the
+    plan reduces to without them.
+    """
+
+    __slots__ = ("controllers", "slot", "entries", "visited", "members", "views")
+
+    def __init__(self, controllers, entries, members) -> None:
+        #: Every accepting controller, in attach order — the delivery order.
+        self.controllers = controllers
+        #: node id -> position in ``controllers``.
+        self.slot = {c.node_id: i for i, c in enumerate(controllers)}
+        #: ``(controller, first, second)`` for the controllers a delivery
+        #: must visit one by one: ``first``/``second`` are the baked
+        #: listener tuples of a standard layer (nty or rtr-ind, then
+        #: data-ind), ``first is None`` means ``controller.deliver``.
+        self.entries = entries
+        self.visited = frozenset(entry[0].node_id for entry in entries)
+        #: ``(collective, ((node id, listener), ...))`` per collective form
+        #: the planned layers registered, members in delivery order.
+        self.members = members
+        #: down node ids -> :meth:`view`, cached.
+        self.views: Dict[tuple, tuple] = {}
+
+    def view(self, down: tuple) -> tuple:
+        """``(calls, receivers)`` with the controllers in ``down`` left out:
+        the collective calls ``((collective, listeners), ...)`` to make and
+        the set of controllers taking the frame."""
+        found = self.views.get(down)
+        if found is None:
+            calls = tuple(
+                (collective, tuple(l for node_id, l in members if node_id not in down))
+                for collective, members in self.members
+            )
+            receivers = NodeSet(
+                (c.node_id for c in self.controllers if c.node_id not in down),
+                WIDE_MAX_CAPACITY,
+            )
+            if len(self.views) >= _PLAN_VIEW_LIMIT:
+                self.views.clear()
+            found = self.views[down] = (calls, receivers)
+        return found
+
+
 class CanBus:
     """A single-channel CAN broadcast bus."""
 
@@ -111,17 +163,28 @@ class CanBus:
         #: enforces the system model's weak-fail-silent assumption.
         self.bus_off_recovery = bus_off_recovery
         self._controllers: Dict[int, CanController] = {}
-        #: identifier -> delivery plan: one ``(controller, baked_on_rx,
-        #: first_listeners, second_listeners)`` entry per controller whose
-        #: acceptance filters pass it, in attach order (the delivery
-        #: order). Data and remote frames plan separately —
-        #: the RTR bit is not part of the identifier, but it selects a
-        #: different upcall. Aliveness is *not* baked in — it is re-checked
-        #: inline at every delivery, so crashes and bus-off need no
-        #: invalidation; attach, filter changes and listener registration
-        #: do (:meth:`invalidate_delivery_tables`).
-        self._plan_data: Dict[int, tuple] = {}
-        self._plan_rtr: Dict[int, tuple] = {}
+        #: kind of frame -> :class:`_DeliveryPlan`. Data and remote frames
+        #: plan separately — the RTR bit selects a different upcall. While
+        #: no attached controller filters, who accepts a frame and what
+        #: they upcall depends on the message type only, so that is the
+        #: key; a bus with a filter bank anywhere keys by identifier.
+        #: Attach, filter changes, listener registration and a rebound
+        #: ``on_rx`` drop the plans (:meth:`invalidate_delivery_tables`);
+        #: crashes and bus-off do not.
+        self._plan_data: Dict[int, _DeliveryPlan] = {}
+        self._plan_rtr: Dict[int, _DeliveryPlan] = {}
+        #: Does any attached controller filter? ``None``: not looked yet
+        #: since the plans were last dropped.
+        self._filtering: Optional[bool] = None
+        #: node id -> controller, for controllers that *may* be down
+        #: (crashed, bus-off) or hold a non-zero REC — the ones a planned
+        #: delivery cannot take for granted. A conservative superset like
+        #: ``_tx_pending``: controllers enter themselves when they crash,
+        #: go bus-off or count a receive error, and the next delivery
+        #: prunes the ones found fit again. ``_unfit_marks`` counts the
+        #: entries, so a delivery notices one made by its own upcalls.
+        self._unfit: Dict[int, CanController] = {}
+        self._unfit_marks = 0
         #: node id -> controller, for controllers that *may* hold a
         #: pending transmit request. A conservative superset, maintained
         #: at the two points requests enter a queue (submit and the
@@ -160,6 +223,8 @@ class CanBus:
         self._controllers[controller.node_id] = controller
         controller._bus = self
         controller._spans = self._spans
+        if not controller.alive or controller.rec:
+            controller._needs_attention()
         self.invalidate_delivery_tables()
 
     def detach(self, controller: CanController) -> None:
@@ -177,20 +242,22 @@ class CanBus:
             )
         del self._controllers[controller.node_id]
         self._tx_pending.pop(controller.node_id, None)
+        self._unfit.pop(controller.node_id, None)
         controller._bus = None
         self.invalidate_delivery_tables()
 
     def invalidate_delivery_tables(self) -> None:
-        """Drop the cached per-identifier delivery plans.
+        """Drop the cached delivery plans.
 
-        Called whenever the accepting set for any identifier — or the
-        upcall a delivery must make — may have changed: a controller
-        attached, a filter bank was installed, replaced or cleared, or a
-        standard layer gained a listener. Plans rebuild lazily on the
-        next delivery.
+        Called whenever the accepting set for any frame — or the upcall a
+        delivery must make — may have changed: a controller attached or
+        left, a filter bank was installed, replaced or cleared, a standard
+        layer gained a listener, an ``on_rx`` was rebound. Plans (and the
+        choice of their key) rebuild lazily on the next delivery.
         """
         self._plan_data.clear()
         self._plan_rtr.clear()
+        self._filtering = None
 
     def controller(self, node_id: int) -> CanController:
         """The controller attached as ``node_id``."""
@@ -367,16 +434,20 @@ class CanBus:
         self.stats.physical_frames += 1
         self._m_frames_inc()
 
-        alive = self.alive_controllers()
         sender_ids = [c.node_id for c in tx.senders]
+        # The alive list is O(membership) to build; it is built only where
+        # it is read: an armed injector, the span-on loop, fault resolution
+        # (reached only through an armed injector's verdict).
+        alive = None
         if self.injector.armed:
-            receiver_ids = [c.node_id for c in alive]
+            alive = self.alive_controllers()
             verdict = self.injector.verdict(
-                tx.frame, sender_ids, receiver_ids, self._tx_index - 1
+                tx.frame,
+                sender_ids,
+                [c.node_id for c in alive],
+                self._tx_index - 1,
             )
         else:
-            # Fault-free bus: skip the receiver-id assembly and the
-            # verdict scan — per frame, and O(membership) of it.
             verdict = OK_VERDICT
         if tx.span_id is not None:
             self._spans.end(tx.span_id, kind=verdict.kind.value)
@@ -419,71 +490,33 @@ class CanBus:
             self.timing.bits_to_ticks(overhead_bits), self._go_idle
         )
 
-    def _deliver_all(self, tx: _Transmission, alive: List[CanController]) -> None:
+    def _deliver_all(
+        self, tx: _Transmission, alive: Optional[List[CanController]]
+    ) -> None:
         for sender, request in zip(tx.senders, tx.requests):
             # ``alive`` inlined, as everywhere on the completion path.
             if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
                 sender.finish_success(request)
-        # Hoisted out of the per-recipient loop: delivery is the hottest
-        # trace site (one record per accepting controller per frame). The
-        # span-disabled loop is kept branch-free per recipient for the
-        # same reason.
         record_delivery = self._trace.wants("bus.deliver")
+        frame = tx.frame
         if tx.span_id is None:
-            # Plan path: the filter match and the upcall resolution were
-            # paid once, when this identifier's plan was built — delivery
-            # resolves recipients through that cached plan instead of
-            # offering the frame to every alive controller, so
-            # non-accepting nodes cost nothing per frame. Entries whose
-            # controller is driven by the standard layer carry its
-            # listener tuples baked in, so the loop below upcalls them
-            # directly — transcribing ``deliver`` (the REC heal) and
-            # ``_handle_rx`` (nty before ind; rtr listeners for remote
-            # frames) without the three call frames per recipient. The
-            # baked handler is re-validated by identity at every
-            # delivery; anything unexpected — a rebound ``on_rx``, a
-            # facade, span tracing switched on mid-flight — falls back to
-            # the generic ``deliver``. Deliveries, REC bookkeeping and
-            # trace records are exactly those of the span-on loop below,
-            # which consults the filter bank per delivery.
-            frame = tx.frame
-            mid = frame.mid
-            remote = frame.remote
-            now = self._sim.now
-            plans = self._plan_rtr if remote else self._plan_data
-            plan = plans.get(frame.identifier)
-            if plan is None:
-                plan = self._build_plan(frame, plans)
-            data = frame.data
-            fused_ok = not self._spans.enabled
-            if record_delivery:
-                payload = {"mid": mid, "remote": remote}
-                record_row = self._trace.record_row
-            for controller, baked_rx, first, second in plan:
-                # .ind includes own transmissions (paper Fig. 4). The
-                # aliveness re-check guards against a crash triggered
-                # by an earlier recipient's upcall; inlined like above.
-                if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
-                    continue
-                if (
-                    fused_ok
-                    and first is not None
-                    and controller.on_rx is baked_rx
-                ):
-                    if controller.rec:
-                        controller.rec -= 1
-                    for listener in first:
-                        listener(mid)
-                    for listener in second:
-                        listener(mid, data)
-                else:
-                    controller.deliver(frame)
-                if record_delivery:
-                    record_row(now, "bus.deliver", controller.node_id, payload)
+            receivers = self._deliver_planned(frame)
+            if record_delivery and receivers:
+                self._record_delivery(frame, receivers)
             return
+        # Span-on loop: the frame is offered to every alive controller,
+        # the filter bank is consulted per delivery and every receiver is
+        # upcalled for itself under its own ``can.rx`` span — the oracle
+        # the planned path is checked against, record for record.
         spans = self._spans
-        ident = tx.frame.identifier
+        ident = frame.identifier
+        took = []
+        if alive is None:
+            alive = self.alive_controllers()
         for controller in alive:
+            # .ind includes own transmissions (paper Fig. 4). The
+            # aliveness re-check guards against a crash triggered by an
+            # earlier recipient's upcall.
             if controller.alive and controller.accepts(ident):
                 rx_span = spans.begin(
                     "can.rx",
@@ -493,33 +526,143 @@ class CanBus:
                 )
                 spans.push(rx_span)
                 try:
-                    controller.deliver(tx.frame)
+                    controller.deliver(frame)
                 finally:
                     spans.pop()
                     spans.end(rx_span)
-                if record_delivery:
-                    self._trace.record(
-                        self._sim.now,
-                        "bus.deliver",
-                        node=controller.node_id,
-                        mid=tx.frame.mid,
-                        remote=tx.frame.remote,
-                    )
+                took.append(controller.node_id)
+        if record_delivery and took:
+            self._record_delivery(frame, NodeSet(took, WIDE_MAX_CAPACITY))
 
-    def _build_plan(self, frame: CanFrame, plans: Dict[int, tuple]) -> tuple:
-        """Compile the delivery plan for ``frame``'s identifier.
+    def _record_delivery(
+        self, frame: CanFrame, receivers: NodeSet, inconsistent: bool = False
+    ) -> None:
+        """The one ``bus.deliver`` row of a frame: who took it.
 
-        One ``(controller, baked_on_rx, first, second)`` entry per
-        accepting controller, in attach order. When the controller's
-        ``on_rx`` is the standard layer's ``_handle_rx``, the entry bakes
-        the listener tuples that upcall would resolve — ``first`` is the
-        nty tuple (data frames) or the rtr-ind tuple (remote frames),
-        ``second`` the data-ind tuple (empty for remote) — and the
-        delivery loop dispatches straight to them. Any other receiver
-        (no handler, a custom handler, a redundancy facade) keeps
-        ``first is None`` and the generic ``controller.deliver``
-        fallback. Listener registration, filter changes and attach all
-        funnel through :meth:`invalidate_delivery_tables`.
+        ``receivers`` holds the controllers that actually accepted the
+        frame (gateway ports included, hence the wide set);
+        ``inconsistent`` marks the accepting subset of an inconsistent
+        omission. Read it back per receiver with
+        :func:`repro.sim.trace.deliveries`.
+        """
+        payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
+        if inconsistent:
+            payload["inconsistent"] = True
+        self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
+
+    def _deliver_planned(self, frame: CanFrame) -> NodeSet:
+        """Deliver through the frame kind's plan; returns who took it.
+
+        The filter match and the upcall resolution were paid once, when
+        the plan was built. Per frame, the plan's collective forms are
+        called once each — ahead of the per-receiver upcalls, so every
+        node still sees ``.nty`` before ``.ind`` — and only the planned
+        controllers with something else to hear are visited, their baked
+        listener tuples upcalled directly (transcribing ``deliver``'s REC
+        heal and ``_handle_rx``'s nty-before-ind order without the call
+        frames). Controllers that may be down or hold a REC are looked at
+        through the ``_unfit`` register, not by scanning the membership.
+        Deliveries, REC bookkeeping and the trace are exactly those of the
+        span-on loop in :meth:`_deliver_all`.
+        """
+        mid = frame.mid
+        plans = self._plan_rtr if frame.remote else self._plan_data
+        filtering = self._filtering
+        if filtering is None:
+            filtering = self._filtering = any(
+                c._filters is not None for c in self._controllers.values()
+            )
+        key = frame.identifier if filtering else mid.mtype
+        plan = plans.get(key)
+        if plan is None:
+            plan = self._build_plan(frame, plans, key)
+        if self._spans.enabled:
+            # Span tracing was switched on while this frame was on the
+            # wire: everybody takes it through the generic ``deliver``.
+            took = []
+            for controller in plan.controllers:
+                if not controller.crashed and controller.tec <= BUS_OFF_THRESHOLD:
+                    controller.deliver(frame)
+                    took.append(controller.node_id)
+            return NodeSet(took, WIDE_MAX_CAPACITY)
+        calls, receivers = plan.view(
+            self._sift_unfit(plan) if self._unfit else ()
+        )
+        for collective, listeners in calls:
+            collective(mid, listeners)
+        if not plan.entries:
+            return receivers
+        data = frame.data
+        marks = self._unfit_marks
+        missed = []
+        for controller, first, second in plan.entries:
+            # Down since before this frame (then ``receivers`` already
+            # leaves it out) or crashed by an earlier recipient's upcall.
+            if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
+                missed.append(controller.node_id)
+                continue
+            if first is None:
+                controller.deliver(frame)
+            else:
+                if controller.rec:
+                    controller.rec -= 1
+                for listener in first:
+                    listener(mid)
+                for listener in second:
+                    listener(mid, data)
+            if self._unfit_marks != marks:
+                # That upcall took a controller down. One visited later is
+                # caught at its turn above; one the loop never visits
+                # misses the frame when its place in the delivery order
+                # was still to come.
+                marks = self._unfit_marks
+                slot = plan.slot
+                here = slot[controller.node_id]
+                missed.extend(
+                    node_id
+                    for node_id, other in self._unfit.items()
+                    if not other.alive
+                    and node_id not in plan.visited
+                    and slot.get(node_id, -1) > here
+                )
+        for node_id in missed:
+            receivers = receivers.remove(node_id)
+        return receivers
+
+    def _sift_unfit(self, plan: _DeliveryPlan) -> tuple:
+        """Look at the controllers the ``_unfit`` register names.
+
+        Returns the planned ones that are down (node ids, in register
+        order), heals the REC of the planned ones the delivery loop will
+        not visit (``CanController.deliver``'s heal) and drops the ones
+        found fit again.
+        """
+        down = ()
+        unfit = self._unfit
+        slot = plan.slot
+        for node_id, controller in list(unfit.items()):
+            if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
+                if node_id in slot:
+                    down += (node_id,)
+            elif not controller.rec:
+                del unfit[node_id]
+            elif node_id in slot and node_id not in plan.visited:
+                controller.rec -= 1
+        return down
+
+    def _build_plan(
+        self, frame: CanFrame, plans: Dict[int, _DeliveryPlan], key: int
+    ) -> _DeliveryPlan:
+        """Compile the delivery plan for ``frame``'s kind.
+
+        Every accepting controller, in attach order. One driven by the
+        standard layer contributes what that layer resolves for the kind
+        (:meth:`CanStandardLayer._plan_delivery`): listeners that named a
+        collective form are gathered under it, and the controller gets a
+        per-node entry only when something else is left to upcall. Any
+        other receiver (a custom handler, a redundancy facade, a gateway
+        port) gets the generic ``controller.deliver`` entry; one with no
+        handler at all gets none.
         """
         # Deferred import: the driver imports the controller module, and
         # the bus is imported by layers below it — binding at build time
@@ -527,39 +670,38 @@ class CanBus:
         from repro.can.driver import CanStandardLayer
 
         handle_rx = CanStandardLayer._handle_rx
-        resolve = CanStandardLayer._resolve
         mtype = frame.mid.mtype
         remote = frame.remote
         ident = frame.identifier
+        controllers = []
         entries = []
+        members: Dict[object, list] = {}
         for controller in self._controllers.values():
             if not controller.accepts(ident):
                 continue
+            controllers.append(controller)
             handler = controller.on_rx
-            first = second = None
-            if (
-                handler is not None
-                and getattr(handler, "__func__", None) is handle_rx
-            ):
-                layer = handler.__self__
-                if remote:
-                    first = layer._rtr_ind_cache.get(mtype)
-                    if first is None:
-                        first = resolve(
-                            layer._rtr_ind, layer._rtr_ind_cache, mtype
-                        )
-                    second = ()
-                else:
-                    first = layer._data_nty
-                    second = layer._data_ind_cache.get(mtype)
-                    if second is None:
-                        second = resolve(
-                            layer._data_ind, layer._data_ind_cache, mtype
-                        )
-            entries.append((controller, handler, first, second))
+            if handler is None:
+                continue
+            if getattr(handler, "__func__", None) is not handle_rx:
+                entries.append((controller, None, None))
+                continue
+            collected, first, second = handler.__self__._plan_delivery(
+                remote, mtype
+            )
+            for listener, collective in collected:
+                members.setdefault(collective, []).append(
+                    (controller.node_id, listener)
+                )
+            if first or second:
+                entries.append((controller, first, second))
         if len(plans) >= _ACCEPT_TABLE_LIMIT:
             plans.clear()
-        plan = plans[ident] = tuple(entries)
+        plan = plans[key] = _DeliveryPlan(
+            tuple(controllers),
+            tuple(entries),
+            tuple((c, tuple(pairs)) for c, pairs in members.items()),
+        )
         return plan
 
     def _resolve_fault(
@@ -569,9 +711,9 @@ class CanBus:
         verdict: FaultVerdict,
     ) -> None:
         sender_set = {c.node_id for c in tx.senders}
-        record_delivery = self._trace.wants("bus.deliver")
         spans = self._spans if tx.span_id is not None else None
         ident = tx.frame.identifier
+        took = []
         for controller in alive:
             if controller.node_id in sender_set:
                 continue
@@ -597,17 +739,14 @@ class CanBus:
                         spans.end(rx_span)
                 else:
                     controller.deliver(tx.frame)
-                if record_delivery:
-                    self._trace.record(
-                        self._sim.now,
-                        "bus.deliver",
-                        node=controller.node_id,
-                        mid=tx.frame.mid,
-                        remote=tx.frame.remote,
-                        inconsistent=True,
-                    )
+                took.append(controller.node_id)
             else:
                 controller.rx_error()
+        if took and self._trace.wants("bus.deliver"):
+            # The paper's failure mode in one row: the mask minus the victims.
+            self._record_delivery(
+                tx.frame, NodeSet(took, WIDE_MAX_CAPACITY), inconsistent=True
+            )
         # Senders see the error and schedule the automatic retransmission.
         for sender, request in zip(tx.senders, tx.requests):
             sender.finish_error(request)
@@ -675,9 +814,10 @@ class CanBus:
             return False
         if self._sim.now < self._inaccessible_until:
             return False
+        # ``_tx_pending`` is the superset of controllers that can hold one.
         return all(
             controller.head_request() is None
-            for controller in self._controllers.values()
+            for controller in self._tx_pending.values()
         )
 
     def utilization(self, window_ticks: Optional[int] = None) -> float:

@@ -159,7 +159,11 @@ class DualChannelLayer:
     def add_data_ind(self, listener, mtype: Optional[MessageType] = None) -> None:
         self._data_ind.append((mtype, listener))
 
-    def add_rtr_ind(self, listener, mtype: Optional[MessageType] = None) -> None:
+    def add_rtr_ind(
+        self, listener, mtype: Optional[MessageType] = None, collective=None
+    ) -> None:
+        # Twin suppression is per node, so a collective form has nothing
+        # to collect here: every listener is called for itself.
         self._rtr_ind.append((mtype, listener))
 
     def add_data_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
@@ -168,7 +172,7 @@ class DualChannelLayer:
     def add_rtr_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
         self._rtr_cnf.append((mtype, listener))
 
-    def add_data_nty(self, listener) -> None:
+    def add_data_nty(self, listener, collective=None) -> None:
         self._data_nty.append(listener)
 
     # -- twin suppression ------------------------------------------------------------

@@ -88,10 +88,33 @@ class CanController:
         #: :meth:`set_filters` so the bus drops its delivery tables.
         self._filters = None
         # Delivery hooks, wired by the standard-layer driver.
-        self.on_rx: Optional[Callable[[CanFrame], None]] = None
+        self._on_rx: Optional[Callable[[CanFrame], None]] = None
         self.on_tx_success: Optional[Callable[[CanFrame], None]] = None
 
     # -- state ---------------------------------------------------------------
+
+    @property
+    def on_rx(self) -> Optional[Callable[[CanFrame], None]]:
+        """The receive upcall. The bus bakes what it resolves to into its
+        delivery plans, so rebinding it drops them."""
+        return self._on_rx
+
+    @on_rx.setter
+    def on_rx(self, handler: Optional[Callable[[CanFrame], None]]) -> None:
+        self._on_rx = handler
+        if self._bus is not None:
+            self._bus.invalidate_delivery_tables()
+
+    def _needs_attention(self) -> None:
+        # Going down or picking up a receive error: the bus's planned
+        # delivery no longer visits every controller per frame, so it keeps
+        # a register of the ones it has to look at. Coming back up (a
+        # recovery clearing ``crashed``/``tec``/``rec``) needs no call —
+        # the register is a superset, pruned when the bus next looks.
+        bus = self._bus
+        if bus is not None:
+            bus._unfit[self.node_id] = self
+            bus._unfit_marks += 1
 
     @property
     def state(self) -> ControllerState:
@@ -143,6 +166,7 @@ class CanController:
         scenario arises.
         """
         self.crashed = True
+        self._needs_attention()
         if self._spans.enabled:
             for request in self._queue:
                 self._spans.end(request.span_id, outcome="crashed")
@@ -239,6 +263,7 @@ class CanController:
         if request.span_id is not None:
             self._spans.event(request.span_id, "tx-error")
         if not self.alive:
+            self._needs_attention()
             if request.span_id is not None:
                 self._spans.end(
                     request.span_id, outcome="dropped", attempts=request.attempts
@@ -255,9 +280,10 @@ class CanController:
         """A frame was accepted by this controller's receiver."""
         if self.rec:
             self.rec -= 1
-        if self.on_rx is not None:
-            self.on_rx(frame)
+        if self._on_rx is not None:
+            self._on_rx(frame)
 
     def rx_error(self) -> None:
         """This controller detected an error in a received frame."""
         self.rec += RX_ERROR_INCREMENT
+        self._needs_attention()

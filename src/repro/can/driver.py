@@ -19,6 +19,15 @@ primitive           semantics
                     — the hook that lets normal traffic double as life-signs
 ``can-abort.req``   abort pending (not in-flight) transmit requests
 ==================  ==========================================================
+
+A ``can-data.nty`` or ``can-rtr.ind`` listener whose effect is the same at
+every receiver of a frame — the failure detector's "the sender is alive" —
+may register a *collective form* beside it: ``collective(mid, listeners)``
+must equal ``for listener in listeners: listener(mid)``. Layers that name
+the same collective object are then served by one call per frame from the
+bus's delivery plan, with the tuple of their listeners in delivery order,
+and a node with nothing else to hear costs that frame no visit at all.
+Every per-receiver delivery path keeps calling the listener itself.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ DataIndListener = Callable[[MessageId, bytes], None]
 RtrIndListener = Callable[[MessageId], None]
 CnfListener = Callable[[MessageId], None]
 NtyListener = Callable[[MessageId], None]
+#: ``collective(mid, listeners)``: the listeners' effect, all at once.
+CollectiveListener = Callable[[MessageId, tuple], None]
 
 
 class CanStandardLayer:
@@ -49,6 +60,10 @@ class CanStandardLayer:
         self._data_cnf: Tuple[Tuple[Optional[MessageType], CnfListener], ...] = ()
         self._rtr_cnf: Tuple[Tuple[Optional[MessageType], CnfListener], ...] = ()
         self._data_nty: Tuple[NtyListener, ...] = ()
+        #: The collective form each ``_rtr_ind`` / ``_data_nty`` entry
+        #: registered (``None``: none), aligned with those tables.
+        self._rtr_collective: Tuple[Optional[CollectiveListener], ...] = ()
+        self._nty_collective: Tuple[Optional[CollectiveListener], ...] = ()
         # Per-message-type dispatch caches: dispatch runs once per frame
         # per node — the hottest fan-out in the stack — and re-checking
         # every listener's type filter per frame costs more than resolving
@@ -67,6 +82,7 @@ class CanStandardLayer:
         # Layers are built after ``bus.attach`` rebinds the controller's
         # tracer, so the alias is stable.
         self._spans = controller._spans
+        # Rebinding ``on_rx`` drops the bus's delivery plans.
         controller.on_rx = self._handle_rx
         controller.on_tx_success = self._handle_cnf
 
@@ -122,10 +138,15 @@ class CanStandardLayer:
         self._invalidate_delivery_plans()
 
     def add_rtr_ind(
-        self, listener: RtrIndListener, mtype: Optional[MessageType] = None
+        self,
+        listener: RtrIndListener,
+        mtype: Optional[MessageType] = None,
+        collective: Optional[CollectiveListener] = None,
     ) -> None:
-        """Subscribe to ``can-rtr.ind``."""
+        """Subscribe to ``can-rtr.ind``; ``collective`` names the
+        listener's collective form (module docstring)."""
         self._rtr_ind += ((mtype, listener),)
+        self._rtr_collective += (collective,)
         self._rtr_ind_cache.clear()
         self._invalidate_delivery_plans()
 
@@ -143,9 +164,15 @@ class CanStandardLayer:
         self._rtr_cnf += ((mtype, listener),)
         self._rtr_cnf_cache.clear()
 
-    def add_data_nty(self, listener: NtyListener) -> None:
-        """Subscribe to the ``can-data.nty`` extension (all data frames)."""
+    def add_data_nty(
+        self,
+        listener: NtyListener,
+        collective: Optional[CollectiveListener] = None,
+    ) -> None:
+        """Subscribe to the ``can-data.nty`` extension (all data frames);
+        ``collective`` names the listener's collective form."""
         self._data_nty += (listener,)
+        self._nty_collective += (collective,)
         self._invalidate_delivery_plans()
 
     # -- controller upcalls -----------------------------------------------------
@@ -159,6 +186,39 @@ class CanStandardLayer:
             if registered is None or registered is mtype
         )
         return eligible
+
+    def _plan_delivery(
+        self, remote: bool, mtype: MessageType
+    ) -> Tuple[tuple, tuple, tuple]:
+        """What :meth:`_handle_rx` upcalls for one kind of frame, split for
+        the bus's delivery plan: ``(collected, first, second)``.
+
+        ``first`` + ``second`` are the listeners in upcall order (nty or
+        rtr-ind, then data-ind). ``collected`` takes the leading
+        ``(listener, collective)`` pairs off ``first``: from the first
+        listener without a collective form on, per-node order is kept.
+        """
+        if remote:
+            pairs = [
+                (listener, collective)
+                for (registered, listener), collective in zip(
+                    self._rtr_ind, self._rtr_collective
+                )
+                if registered is None or registered is mtype
+            ]
+            second = ()
+        else:
+            pairs = list(zip(self._data_nty, self._nty_collective))
+            second = self._data_ind_cache.get(mtype)
+            if second is None:
+                second = self._resolve(
+                    self._data_ind, self._data_ind_cache, mtype
+                )
+        lead = 0
+        while lead < len(pairs) and pairs[lead][1] is not None:
+            lead += 1
+        first = tuple(listener for listener, _ in pairs[lead:])
+        return tuple(pairs[:lead]), first, second
 
     def _handle_rx(self, frame: CanFrame) -> None:
         mid = frame.mid

@@ -11,7 +11,7 @@ violated monitor, same complete-trace fingerprint.
 The format is line-oriented so artifacts stream into the same tooling as
 trace exports and campaign checkpoints:
 
-* line 1 — header: ``{"format": "repro.check/1", "seed": ..., ...}``
+* line 1 — header: ``{"format": "repro.check/2", "seed": ..., ...}``
 * line 2 — the schedule (``FaultSchedule.to_dict()``)
 * line 3 — the result summary (verdict, monitor, detail, fingerprint)
 * remaining lines — the violation's trace slice, one record per line
@@ -26,7 +26,12 @@ from repro.check.runner import CheckResult, run_schedule
 from repro.check.schedule import FaultSchedule
 from repro.errors import CheckError
 
-FORMAT = "repro.check/1"
+#: Stamped on every artifact header and every
+#: :class:`~repro.campaign.store.FingerprintStore` line. The complete-trace
+#: fingerprint is a hash over trace rows, so the stamp changes whenever
+#: their shape does: ``/2`` is one ``bus.deliver`` row per frame (``/1``
+#: wrote one per receiver).
+FORMAT = "repro.check/2"
 
 
 def write_artifact(

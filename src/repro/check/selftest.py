@@ -98,7 +98,7 @@ def _plant_fd_missed_detection() -> Iterator[None]:
     original = FailureDetector._on_expire
 
     def mutated(self, node_id):
-        if node_id not in self._tid:
+        if not self.monitoring(node_id):
             return
         if node_id == self._layer.node_id:
             original(self, node_id)  # f07-f08 local heartbeat untouched

@@ -16,17 +16,33 @@ period.
 
 Pseudocode correspondence: ``i00`` initialization, ``a00-a06`` the
 ``fd-alarm-start`` auxiliary function, ``f00-f19`` the event clauses.
+
+Where the deadline lives: this class is the per-node entity and keeps the
+``fd-can`` interface, but "observer *i* watches subject *s* until *t*" is a
+row of the simulation's one :class:`~repro.sim.timers.SurveillanceTable`,
+reached through the node's :class:`~repro.sim.timers.Watcher`. All correct
+receivers of a CAN frame see the same traffic (the paper's premise), so the
+table keeps one deadline per *group* of observers that heard the same frame
+from *s* — normally two groups, *s* itself at ``Thb`` and everybody else at
+``Thb + Ttd`` — and splits a group only where the paper says receivers
+diverge (an inconsistent omission, a later START, a different drift). The
+activity clause has two entry widths onto that one mechanism: the bus's
+delivery plan tells the table once per frame for all receivers
+(:meth:`SurveillanceTable.heard`, registered below as the collective form of
+:meth:`FailureDetector._on_activity`), and every per-receiver delivery path
+calls ``_on_activity`` itself; "all at once" equals "each in delivery
+order". See :mod:`repro.sim.timers` for the rule on same-instant ties.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.fda import FdaProtocol
-from repro.sim.timers import Alarm, TimerService
+from repro.sim.timers import TimerService
 
 FailureCallback = Callable[[int], None]
 
@@ -42,17 +58,17 @@ class FailureDetector:
         fda: FdaProtocol,
     ) -> None:
         self._layer = layer
-        self._timers = timers
         self._sim = timers.sim
         self._config = config
         self._fda = fda
-        # Surveillance durations resolved once (the config is frozen): the
-        # rearm below runs per observed frame per monitored node.
         self._local_id = layer.node_id
         self._duration_local = config.thb  # a02
         self._duration_remote = config.thb + config.ttd  # a04
-        # i00: surveillance timer identifiers, kept per monitored node.
-        self._tid: Dict[int, Optional[Alarm]] = {}
+        # i00: the surveillance timers, kept per monitored node — in the
+        # shared table. Expiry is looked up on the instance when it fires.
+        self._watcher = timers.watcher(
+            lambda node_id: self._on_expire(node_id), name="fd.surveillance"
+        )
         self._listeners: List[FailureCallback] = []
         self.els_sent = 0
         # Bound metric methods resolved once — expiries run per heartbeat.
@@ -60,11 +76,15 @@ class FailureDetector:
         self._inc_els_sent = metrics.counter("fd.els_sent").inc
         self._inc_detections = metrics.counter("fd.detections").inc
         self._spans = self._sim.spans
-        layer.add_data_nty(self._on_activity)  # f03: implicit life-signs
+        heard = self._watcher.table.heard
+        # f03: implicit life-signs
+        layer.add_data_nty(self._on_activity, collective=heard)
         # f03: explicit life-signs share the activity clause (own
         # transmissions included, which is how the local heartbeat timer
         # re-arms after an ELS broadcast).
-        layer.add_rtr_ind(self._on_activity, mtype=MessageType.ELS)
+        layer.add_rtr_ind(
+            self._on_activity, mtype=MessageType.ELS, collective=heard
+        )
         fda.on_failure_sign(self._on_failure_sign)  # f13
 
     # -- upper-layer interface ----------------------------------------------------
@@ -75,97 +95,43 @@ class FailureDetector:
 
     def start(self, node_id: int) -> None:
         """``fd-can.req(START, r)``: begin surveillance of ``node_id``."""
-        self._alarm_start(node_id)  # f00-f01
+        # f00-f01 -> a00-a06: the local timer runs Thb, a remote one Thb + Ttd.
+        self._watcher.watch(
+            node_id,
+            self._duration_local
+            if node_id == self._local_id
+            else self._duration_remote,
+        )
 
     def stop(self, node_id: int) -> None:
         """``fd-can.req(STOP, r)``: end surveillance of ``node_id``."""
-        alarm = self._tid.pop(node_id, None)  # f17-f18
-        self._timers.cancel_alarm(alarm)
+        self._watcher.unwatch(node_id)  # f17-f18
 
     def reset(self) -> None:
         """Stop every surveillance timer (node reboot)."""
-        for node_id in list(self._tid):
-            self.stop(node_id)
+        self._watcher.clear()
 
     def monitoring(self, node_id: int) -> bool:
         """True while the service is active for ``node_id``."""
-        return node_id in self._tid
+        return self._watcher.watching(node_id)
 
     @property
     def monitored_nodes(self) -> List[int]:
         """Nodes currently under surveillance."""
-        return sorted(self._tid)
-
-    # -- fd-alarm-start (a00-a06) ---------------------------------------------------
-
-    def _alarm_start(self, node_id: int) -> None:
-        if node_id == self._local_id:  # a01
-            duration = self._duration_local  # a02: local timer
-        else:
-            duration = self._duration_remote  # a04: remote
-        # This runs once per observed frame per monitored node — the
-        # hottest path of the whole protocol suite. The in-place restart
-        # reuses the alarm handle and its expiry closure; the
-        # cancel-and-start fallback below is the seed-faithful idiom the
-        # restart is provably equivalent to.
-        timers = self._timers
-        alarm = self._tid.get(node_id)
-        if alarm is not None and timers.restart_alarm(alarm, duration):
-            return
-        timers.cancel_alarm(alarm)
-        self._tid[node_id] = timers.start_alarm(
-            duration,
-            lambda: self._on_expire(node_id),
-            name="fd.surveillance",
-            tag=node_id,
-        )
+        return sorted(self._watcher.subjects)
 
     # -- event clauses ------------------------------------------------------------------
 
     def _on_activity(self, mid: MessageId) -> None:
         # f03-f05: any frame from a monitored node — a data frame (implicit
         # activity) or an explicit life-sign — restarts its surveillance
-        # timer. One dict probe resolves both "monitored?" and the alarm
-        # handle, and the common rearm is inlined all the way down to the
-        # kernel queue's in-place reschedule: this upcall runs once per
-        # observed frame per monitored node, and at that rate even
-        # ``restart_alarm``'s call frame is measurable. The inline body
-        # transcribes its fast path exactly (same guards, same
-        # effect); everything else falls back to the method and, failing
-        # that, the seed-faithful ``_alarm_start``.
-        node = mid.node
-        alarm = self._tid.get(node)
-        if alarm is None:
-            if node in self._tid:
-                self._alarm_start(node)
-            return
-        duration = (
-            self._duration_local
-            if node == self._local_id
-            else self._duration_remote
-        )
-        timers = self._timers
-        if (
-            timers._rearm_plain
-            and alarm._active
-            and alarm._span is None
-            and not self._spans.enabled
-        ):
-            sim = self._sim
-            event = alarm._event
-            queue = sim._queue
-            if event._queue is queue and not event.cancelled:
-                deadline = sim._now + duration
-                if deadline >= event.time:
-                    queue.reschedule(event, deadline)
-                    alarm.deadline = deadline
-                    return
-        if timers.restart_alarm(alarm, duration):
-            return
-        self._alarm_start(node)
+        # timer. This is the one-receiver entry; the table's collective
+        # form stands in for it on the bus's plan path, so it must stay
+        # nothing but this call.
+        self._watcher.heard(mid.node)
 
     def _on_expire(self, node_id: int) -> None:
-        if node_id not in self._tid:
+        if not self._watcher.watching(node_id):
             return
         if node_id == self._layer.node_id:  # f07
             # f08: the local node stayed silent for Thb — broadcast an
@@ -211,7 +177,6 @@ class FailureDetector:
     def _on_failure_sign(self, node_id: int) -> None:
         # f13-f16: a consistent failure-sign arrived: stop surveillance and
         # notify the companion site membership protocol.
-        alarm = self._tid.pop(node_id, None)  # f14
-        self._timers.cancel_alarm(alarm)
+        self._watcher.unwatch(node_id)  # f14
         for listener in list(self._listeners):  # f15
             listener(node_id)

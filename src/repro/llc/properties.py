@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.sim.trace import TraceRecord, TraceRecorder, deliveries
 
 
 @dataclass
@@ -55,23 +55,29 @@ def _crashed_nodes(trace: TraceRecorder) -> Set[int]:
     return {record.node for record in trace.select(category="node.crash")}
 
 
+def _deliveries(trace: TraceRecorder):
+    """Every delivery in ``trace``, one ``(time, node, mid, remote,
+    inconsistent)`` per receiver."""
+    return deliveries(trace.select(category="bus.deliver"))
+
+
 def check_mcan1_broadcast(trace: TraceRecorder) -> PropertyReport:
     """All deliveries at one completion instant carry the transmitted frame."""
     report = PropertyReport()
     tx_by_time: Dict[int, TraceRecord] = {
         record.time: record for record in trace.select(category="bus.tx")
     }
-    for delivery in trace.select(category="bus.deliver"):
-        tx = tx_by_time.get(delivery.time)
+    for time, node, mid, _remote, _inconsistent in _deliveries(trace):
+        tx = tx_by_time.get(time)
         if tx is None:
             report.violations.append(
-                f"MCAN1: delivery at t={delivery.time} without a transmission"
+                f"MCAN1: delivery at t={time} without a transmission"
             )
             continue
-        if delivery.data["mid"] != tx.data["mid"]:
+        if mid != tx.data["mid"]:
             report.violations.append(
-                f"MCAN1: node {delivery.node} received {delivery.data['mid']!r} "
-                f"but the bus carried {tx.data['mid']!r} at t={delivery.time}"
+                f"MCAN1: node {node} received {mid!r} "
+                f"but the bus carried {tx.data['mid']!r} at t={time}"
             )
     return report
 
@@ -84,11 +90,11 @@ def check_mcan2_error_detection(trace: TraceRecorder) -> PropertyReport:
         for record in trace.select(category="bus.tx")
         if record.data["kind"] == "consistent"
     }
-    for delivery in trace.select(category="bus.deliver"):
-        if delivery.time in corrupted_times:
+    for time, node, _mid, _remote, _inconsistent in _deliveries(trace):
+        if time in corrupted_times:
             report.violations.append(
-                f"MCAN2: node {delivery.node} delivered a frame from a "
-                f"corrupted transmission at t={delivery.time}"
+                f"MCAN2: node {node} delivered a frame from a "
+                f"corrupted transmission at t={time}"
             )
     return report
 
@@ -146,9 +152,9 @@ def _deliveries_by_mid(
 ) -> Dict[object, Dict[int, int]]:
     """mid -> node -> delivery count."""
     result: Dict[object, Dict[int, int]] = {}
-    for delivery in trace.select(category="bus.deliver"):
-        per_node = result.setdefault(delivery.data["mid"], {})
-        per_node[delivery.node] = per_node.get(delivery.node, 0) + 1
+    for _time, node, mid, _remote, _inconsistent in _deliveries(trace):
+        per_node = result.setdefault(mid, {})
+        per_node[node] = per_node.get(node, 0) + 1
     return result
 
 

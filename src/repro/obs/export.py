@@ -23,7 +23,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import SpanTracer
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceRecorder, deliveries
 
 __all__ = [
     "CHROME_CATEGORIES",
@@ -295,7 +295,7 @@ def render_msc(
                           "node.recover", "msh.view")
     ] if len(trace) else []
     if nodes is None:
-        seen = set()
+        seen = {delivery[1] for delivery in deliveries(records)}
         for record in records:
             if record.category == "bus.tx":
                 seen.update(record.data.get("senders", ()))
@@ -312,11 +312,9 @@ def render_msc(
     lines = [header]
 
     # Deliveries are folded into their transmission's row.
-    deliveries: Dict[Tuple[int, str], List[int]] = {}
-    for record in records:
-        if record.category == "bus.deliver":
-            key = (record.time, str(record.data.get("mid")))
-            deliveries.setdefault(key, []).append(record.node)
+    delivered: Dict[Tuple[int, str], List[int]] = {}
+    for time, node, mid, _remote, _inconsistent in deliveries(records):
+        delivered.setdefault((time, str(mid)), []).append(node)
 
     def row(time: int, cells: Dict[int, str], label: str) -> str:
         body = "".join(
@@ -332,7 +330,7 @@ def render_msc(
         category = record.category
         if category == "bus.tx":
             senders = set(record.data.get("senders", ()))
-            received = deliveries.get(
+            received = delivered.get(
                 (record.time, str(record.data.get("mid"))), []
             )
             cells = {n: ">" for n in received if n in index}

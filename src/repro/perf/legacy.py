@@ -38,6 +38,7 @@ from repro.can.bitstream import (
 from repro.can.controller import ControllerState
 from repro.can.errormodel import FaultKind
 from repro.sim import kernel as _kernel
+from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
 #: Compact the heap only past this size (mirrors the seed constant).
 _PURGE_MIN_HEAP = 64
@@ -258,16 +259,19 @@ def _legacy_deliver_all(self, tx, alive) -> None:
     for sender, request in zip(tx.senders, tx.requests):
         if sender.alive:
             sender.finish_success(request)
+    took = []
     for controller in alive:
         if controller.alive:
             controller.deliver(tx.frame)
-            self._sim.trace.record(
-                self._sim.now,
-                "bus.deliver",
-                node=controller.node_id,
-                mid=tx.frame.mid,
-                remote=tx.frame.remote,
-            )
+            took.append(controller.node_id)
+    if took:
+        self._sim.trace.record(
+            self._sim.now,
+            "bus.deliver",
+            mid=tx.frame.mid,
+            remote=tx.frame.remote,
+            receivers=NodeSet(took, WIDE_MAX_CAPACITY),
+        )
 
 
 @contextmanager

@@ -3,32 +3,59 @@
 The CANELy pseudocode (Figs. 7-9 of the paper) manipulates timers through
 ``tid := start_alarm(duration)`` and ``cancel_alarm(tid)``; expiry fires a
 ``when alarm(tid) expires`` clause. :class:`TimerService` reproduces exactly
-that interface on top of the simulator.
+that interface on top of the simulator, and :meth:`TimerService.restart_alarm`
+re-arms a pending alarm by deferring its kernel event in place.
 
-:meth:`TimerService.restart_alarm` is the hot-path companion: surveillance
-timers are cancelled and re-armed on *every* observed frame, and the
-restart defers the alarm's kernel event in place (O(1) field updates, no
-cancel/allocate/heappush churn) whenever the queue supports it — ordering
-stays bit-identical to cancel-and-start because the kernel allocates a
-fresh sequence number either way.
+Surveillance — "observer *i* watches subject *s* and wants to know when *s*
+stayed silent for *d*" — is not kept as one alarm per pair. Every observer of
+a broadcast medium that heard the same frame from *s* restarts the same
+deadline, so the simulation's :class:`SurveillanceTable` stores that fact
+once: per subject, *groups* of watches that share a deadline and one kernel
+event. A node reaches the table through its :class:`Watcher`
+(:meth:`TimerService.watcher`), and the table has two entry widths onto one
+mechanism:
+
+* :meth:`Watcher.heard` — one observer heard the subject: its watch moves
+  into the group whose deadline is ``now + d`` (``d`` is the watch's own,
+  drift-stretched duration), created on demand; a group that empties
+  cancels its event.
+* :meth:`SurveillanceTable.heard` — the collective form: every listener of
+  a tuple heard the same frame. It *is* "each listener in turn"; when the
+  same tuple last formed this subject's groups and nothing touched them
+  since, each such group is re-used and its one event deferred in place —
+  every frame of a fault-free run.
+
+Groups split exactly when observers diverge (an inconsistent omission, a
+watch that started later, a different drift) and re-merge on the next frame
+everybody hears. A due group fires its members' expiries in the order they
+last joined — the order per-watch alarms would have fired in. A watch whose
+deadline fired stays watched but un-armed, so a late life-sign re-arms it.
+
+Tie rule: a group is sequenced once, when it forms or is deferred, so an
+event some *other* component scheduled during the same delivery for exactly
+the group's deadline fires before or after the whole group (after, when the
+collective form deferred the group ahead of the per-receiver upcalls), never
+between two of its members as it could between per-watch alarms. No timer in
+the tree can coincide with a surveillance deadline (``Thb + Ttd`` equals no
+other configured duration), and the span-on/span-off whole-trace property in
+``tests/properties/test_filtered_delivery.py`` pins it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.event import Event
 from repro.sim.kernel import Simulator
+
 
 class Alarm:
     """Handle for a pending alarm (the ``tid`` of the pseudocode).
 
     The handle itself carries the armed/fired state and the expiry
     callback: arming an alarm costs one object and one scheduled event,
-    with no per-alarm closure and no registry bookkeeping. Surveillance
-    timers restart on every observed frame, so this path is one of the
-    hottest in the whole simulation.
+    with no per-alarm closure and no registry bookkeeping.
     """
 
     __slots__ = (
@@ -98,16 +125,11 @@ class TimerService:
         self._node = node
         self._spans = sim.spans
         # The queue's reschedule capability is fixed for the simulator's
-        # lifetime; resolving it here keeps the per-frame restart below
-        # free of getattr probes.
+        # lifetime; resolving it here keeps the restart below free of
+        # getattr probes.
         self._can_reschedule = getattr(
             sim._queue, "SUPPORTS_RESCHEDULE", False
         )
-        #: True when :meth:`restart_alarm`'s fast path needs no duration
-        #: stretch: reschedulable queue, zero drift. Hot callers (the
-        #: failure detector's activity clause) use this to inline the
-        #: rearm down to the queue's in-place reschedule.
-        self._rearm_plain = self._can_reschedule and drift == 0.0
 
     @property
     def drift(self) -> float:
@@ -181,9 +203,9 @@ class TimerService:
             or self._spans.enabled
         ):
             return False
-        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: this runs
-        # once per observed frame per monitored node, and the call layers
-        # are measurable at that rate. Semantics match the kernel method
+        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: SWIM re-arms
+        # one of these per heartbeat per member, and the call layers are
+        # measurable at that rate. Semantics match the kernel method
         # exactly (``duration >= 0`` already implies the new deadline is
         # not in the past).
         if duration < 0:
@@ -219,5 +241,313 @@ class TimerService:
 
     @property
     def pending_count(self) -> int:
-        """Number of currently armed alarms."""
+        """Number of currently armed alarms (watches are not alarms)."""
         return self._pending
+
+    def watcher(
+        self, on_expire: Callable[[int], None], name: str = "timer"
+    ) -> "Watcher":
+        """This node's handle on the simulation's :class:`SurveillanceTable`.
+
+        ``on_expire(subject)`` is called when a watched subject stayed
+        silent for its whole duration; ``name`` labels the per-watch causal
+        spans (as :meth:`start_alarm`'s does), tagged with the subject.
+        """
+        return Watcher(SurveillanceTable.of(self._sim), self, on_expire, name)
+
+
+class _Subject:
+    """What the table knows about one watched node."""
+
+    __slots__ = ("node", "watchers", "groups", "settled")
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+        #: How many watches name this subject, armed or spent.
+        self.watchers = 0
+        #: deadline -> the group of watches expiring then.
+        self.groups: Dict[int, "_Group"] = {}
+        #: ``(listeners, groups)`` while the groups a collective pass over
+        #: ``listeners`` formed still hold exactly the watches it put
+        #: there (deferred or fired, but none moved, added or removed);
+        #: any other touch of this subject resets it to ``None``.
+        self.settled: Optional[Tuple[tuple, List["_Group"]]] = None
+
+
+class _Watch:
+    """Observer *i* watches subject *s*: one surveillance timer of Fig. 8."""
+
+    __slots__ = ("watcher", "subject", "duration", "group", "span")
+
+    def __init__(self, watcher: "Watcher", subject: _Subject) -> None:
+        self.watcher = watcher
+        self.subject = subject
+        #: Drift-stretched ticks of silence this observer tolerates.
+        self.duration = 0
+        #: The group this watch last joined; the watch is armed while
+        #: that group's deadline is pending.
+        self.group: Optional["_Group"] = None
+        self.span: Optional[int] = None
+
+
+class _Group:
+    """Watches of one subject sharing a deadline, and their one kernel event.
+
+    Once the deadline fired the group is *spent* (``event is None``): its
+    members stay together, un-armed, until a life-sign revives the group as
+    a whole or moves them out one by one.
+    """
+
+    __slots__ = ("table", "subject", "deadline", "duration", "members", "event")
+
+    def __init__(
+        self, table: "SurveillanceTable", subject: _Subject, deadline: int
+    ) -> None:
+        self.table = table
+        self.subject = subject
+        self.deadline = deadline
+        #: What every member waits for, once a collective pass found that
+        #: it had put them all here (``SurveillanceTable.heard``) — hence
+        #: what deferring the whole group adds to the clock.
+        self.duration = 0
+        #: Insertion-ordered: the order the members last (re)joined, which
+        #: is the order their own alarms would have fired in.
+        self.members: Dict[_Watch, None] = {}
+        self.event = table._sim.schedule_at(deadline, self.fire)
+
+    def fire(self) -> None:
+        subject = self.subject
+        del subject.groups[self.deadline]
+        self.event = None
+        table = self.table
+        spans = table._spans
+        # A snapshot: one member's expiry may unwatch or re-arm a later one,
+        # which then no longer belongs to this group and must not fire.
+        for watch in list(self.members):
+            if watch.group is not self:
+                continue
+            watcher = watch.watcher
+            span = watch.span
+            if span is None:
+                watcher._on_expire(subject.node)
+                continue
+            # As Alarm._fire: the span ends at expiry and stays pushed as
+            # the causal context of everything the expiry triggers.
+            watch.span = None
+            table._spanned -= 1
+            spans.end(span, outcome="fired")
+            spans.push(span)
+            try:
+                watcher._on_expire(subject.node)
+            finally:
+                spans.pop()
+
+
+class SurveillanceTable:
+    """Who watches whom, and until when — once per simulation.
+
+    See the module docstring for the model. The table itself only offers
+    the collective entry (:meth:`heard`); everything per observer goes
+    through that observer's :class:`Watcher`.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._spans = sim.spans
+        self._subjects: Dict[int, _Subject] = {}
+        #: Watches holding an open span; while any does (or span tracing
+        #: is on) re-arming has per-watch work to do.
+        self._spanned = 0
+        #: During a collective pass: group -> watches the pass put there.
+        self._joined: Optional[Dict[_Group, int]] = None
+
+    @classmethod
+    def of(cls, sim: Simulator) -> "SurveillanceTable":
+        """The table of ``sim``, created on first use."""
+        table = sim._surveillance
+        if table is None:
+            table = sim._surveillance = cls(sim)
+        return table
+
+    def heard(self, mid, listeners: tuple) -> None:
+        """Every listener in ``listeners`` heard the frame ``mid``.
+
+        The collective form of the per-receiver upcalls: equivalent, by
+        contract, to ``for listener in listeners: listener(mid)`` where each
+        listener does nothing but :meth:`Watcher.heard` of ``mid.node`` —
+        which is also how the general case is carried out. The common case
+        is answered from the memo of the last such pass instead: the same
+        tuple, this subject's groups untouched since, no spans to open or
+        close — then re-arming every listener's watch *is* deferring each
+        of those groups by its duration (reviving it, if it had fired).
+        """
+        subject = self._subjects.get(mid.node)
+        if subject is None:
+            return  # nobody watches the sender
+        settled = subject.settled
+        if (
+            settled is not None
+            and (settled[0] is listeners or settled[0] == listeners)
+            and not self._spanned
+            and not self._spans.enabled
+        ):
+            sim = self._sim
+            now = sim._now
+            groups = subject.groups
+            for group in settled[1]:
+                deadline = now + group.duration
+                event = group.event
+                if event is not None and deadline == group.deadline:
+                    continue
+                if deadline in groups:
+                    # Occupied, if only by a group this loop has yet to
+                    # move: let the pass below sort it out.
+                    break
+                if event is not None:
+                    del groups[group.deadline]
+                    if not sim.try_reschedule(event, deadline):
+                        event.cancel()
+                        event = None
+                if event is None:
+                    group.event = sim.schedule_at(deadline, group.fire)
+                groups[deadline] = group
+                group.deadline = deadline
+            else:
+                return
+        self._joined = joined = {}
+        try:
+            for listener in listeners:
+                listener(mid)
+        finally:
+            self._joined = None
+        # The memo holds when the groups this pass put watches in hold
+        # nothing else: then they contain exactly the watches the same
+        # tuple reaches, each waiting for the same duration.
+        if all(len(group.members) == count for group, count in joined.items()):
+            now = self._sim._now
+            for group in joined:
+                group.duration = group.deadline - now
+            subject.settled = (listeners, list(joined))
+
+
+class Watcher:
+    """One observer's view of the :class:`SurveillanceTable`.
+
+    The ``fd-can`` service of one node is a thin shell over this: ``watch``
+    is START, ``unwatch`` STOP, ``heard`` the activity clause, and the
+    ``on_expire`` callback the expiry clause.
+    """
+
+    def __init__(
+        self,
+        table: SurveillanceTable,
+        timers: TimerService,
+        on_expire: Callable[[int], None],
+        name: str,
+    ) -> None:
+        self._table = table
+        self._timers = timers
+        self._on_expire = on_expire
+        self._name = name
+        self._watches: Dict[int, _Watch] = {}
+
+    @property
+    def table(self) -> SurveillanceTable:
+        """The shared table (its ``heard`` is this watcher's collective form)."""
+        return self._table
+
+    def watch(self, subject: int, duration: int) -> None:
+        """Start (or restart) watching ``subject``: expiry after
+        ``duration`` ticks of silence, stretched by this node's drift."""
+        watch = self._watches.get(subject)
+        if watch is None:
+            subjects = self._table._subjects
+            record = subjects.get(subject)
+            if record is None:
+                record = subjects[subject] = _Subject(subject)
+            record.watchers += 1
+            watch = self._watches[subject] = _Watch(self, record)
+        watch.duration = self._timers._stretch(duration)
+        self._arm(watch)
+
+    def heard(self, subject: int) -> None:
+        """``subject`` showed activity: re-arm its watch, if there is one."""
+        watch = self._watches.get(subject)
+        if watch is not None:
+            self._arm(watch)
+
+    def unwatch(self, subject: int) -> None:
+        """Stop watching ``subject`` (a no-op when it is not watched)."""
+        watch = self._watches.pop(subject, None)
+        if watch is None:
+            return
+        table = self._table
+        record = watch.subject
+        record.settled = None
+        self._leave(watch)
+        watch.group = None
+        record.watchers -= 1
+        if not record.watchers:
+            del table._subjects[record.node]
+
+    def clear(self) -> None:
+        """Stop every watch (node halt or reboot)."""
+        for subject in list(self._watches):
+            self.unwatch(subject)
+
+    def watching(self, subject: int) -> bool:
+        """True from ``watch`` to ``unwatch``, armed or spent."""
+        return subject in self._watches
+
+    @property
+    def subjects(self) -> List[int]:
+        """The watched subjects, in the order their watches started."""
+        return list(self._watches)
+
+    def deadline(self, subject: int) -> Optional[int]:
+        """When the watch on ``subject`` expires; ``None`` when there is no
+        watch or its deadline already fired."""
+        watch = self._watches.get(subject)
+        if watch is None or watch.group.event is None:
+            return None
+        return watch.group.deadline
+
+    def _leave(self, watch: _Watch, target: Optional[_Group] = None) -> None:
+        """Take ``watch`` out of its group (cancel-alarm, for one watch);
+        ``target`` is the group it is about to join, which may be the same."""
+        group = watch.group
+        if group is None:
+            return
+        del group.members[watch]
+        if not group.members and group.event is not None and group is not target:
+            group.event.cancel()
+            group.event = None
+            del watch.subject.groups[group.deadline]
+        if watch.span is not None:
+            # Still open, so the deadline had not fired for this watch.
+            table = self._table
+            table._spans.end(watch.span, outcome="cancelled")
+            watch.span = None
+            table._spanned -= 1
+
+    def _arm(self, watch: _Watch) -> None:
+        """Move ``watch`` into the group expiring ``duration`` from now."""
+        table = self._table
+        record = watch.subject
+        record.settled = None
+        deadline = table._sim._now + watch.duration
+        group = record.groups.get(deadline)
+        if group is None:
+            group = record.groups[deadline] = _Group(table, record, deadline)
+        self._leave(watch, group)
+        group.members[watch] = None
+        watch.group = group
+        joined = table._joined
+        if joined is not None:
+            joined[group] = joined.get(group, 0) + 1
+        spans = table._spans
+        if spans.enabled:
+            watch.span = spans.begin(
+                self._name, "timers", node=self._timers._node, tag=record.node
+            )
+            table._spanned += 1

@@ -32,6 +32,7 @@ from typing import (
     Callable,
     Dict,
     IO,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -94,6 +95,29 @@ class TraceRecord:
             f"TraceRecord(time={self.time}, category={self.category!r}, "
             f"node={self.node}, data={self.data!r})"
         )
+
+
+def deliveries(
+    records: Iterable[TraceRecord],
+) -> Iterator[Tuple[int, int, Any, bool, bool]]:
+    """Per-receiver view of the ``bus.deliver`` rows among ``records``.
+
+    The bus writes one ``bus.deliver`` row per delivered frame (``node=-1``;
+    payload ``mid``, ``remote``, ``receivers`` = the set of controllers that
+    took the frame, and ``inconsistent=True`` on the accepting subset of an
+    inconsistent omission). This is the one place that fans a row out:
+    it yields ``(time, receiver, mid, remote, inconsistent)`` per receiver,
+    receivers in ascending id order, and skips records of other categories.
+    """
+    for record in records:
+        if record.category != "bus.deliver":
+            continue
+        data = record.data
+        mid = data["mid"]
+        remote = data.get("remote", False)
+        inconsistent = data.get("inconsistent", False)
+        for receiver in data["receivers"]:
+            yield record.time, receiver, mid, remote, inconsistent
 
 
 def _jsonable(value: Any) -> Any:
@@ -244,9 +268,9 @@ class TraceRecorder:
         #: Category interning: name -> small int and back.
         self._cat_of: Dict[str, int] = {}
         self._cat_names: List[str] = []
-        # Bound appends: record_row() below runs once per trace record,
-        # which at full tracing is once per delivery per node. The columns
-        # are only ever trimmed in place, so the bindings stay valid.
+        # Bound appends: record_row() below runs once per trace record.
+        # The columns are only ever trimmed in place, so the bindings stay
+        # valid.
         self._t_append = self._times.append
         self._c_append = self._cats.append
         self._n_append = self._nodes.append
@@ -348,9 +372,7 @@ class TraceRecorder:
 
         Semantics are identical to ``record(time, category, node,
         **data)`` except the payload dict is stored as given — no kwargs
-        repack. The hottest sites (bus delivery fan-out) build one
-        payload per frame and share it across that frame's records;
-        recorded payloads are therefore treated as immutable, exactly as
+        repack. Recorded payloads are treated as immutable, exactly as
         :meth:`record`'s kwargs dicts already are.
         """
         if not self.enabled or category in self._disabled:

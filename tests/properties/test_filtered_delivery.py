@@ -1,13 +1,16 @@
 """Property: plan-based delivery is observation-identical to broadcast.
 
-With span tracing off the bus delivers through a cached per-identifier
-dispatch plan with baked listener upcalls; with span tracing on it offers
-the frame to every alive controller and consults its filter bank per
-delivery. The contract is that the plan is a pure mechanism change:
-whatever the filter masks, the traffic, the churn and the injected
-faults, both loops must produce byte-identical traces, identical
-delivery logs and identical bus accounting — which also pins that
-enabling spans changes no trace record. Hypothesis drives randomized
+With span tracing off the bus delivers through a cached plan per kind of
+frame: baked listener upcalls, the failure detectors' surveillance told
+once per frame through its collective form. With span tracing on it
+offers the frame to every alive controller, consults its filter bank per
+delivery and upcalls every receiver for itself. The contract is that the
+plan is a pure mechanism change: whatever the filter masks, the traffic,
+the churn and the injected faults, both loops must produce byte-identical
+traces, identical delivery logs, identical bus accounting and the same
+number of kernel events — which also pins that enabling spans changes no
+trace record, and that "all receivers at once" is "each receiver in
+order" for the surveillance table. Hypothesis drives randomized
 schedules against both loops and compares the full fingerprint.
 """
 

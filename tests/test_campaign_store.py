@@ -12,7 +12,7 @@ from repro.campaign import (
     load_checkpoint,
     schedule_key,
 )
-from repro.check import ACTION_CRASH, Fault, FaultSchedule
+from repro.check import ACTION_CRASH, FORMAT, Fault, FaultSchedule
 
 SPEC = CampaignSpec(scenarios=6, seed=3)
 
@@ -135,6 +135,7 @@ def test_fingerprint_store_roundtrips(tmp_path):
     with FingerprintStore(path) as store:  # persisted across opens
         record = store.lookup(key)
         assert record == {
+            "format": FORMAT,
             "schedule": key,
             "trace": "trace-a",
             "verdict": VERDICT_OK,
@@ -173,7 +174,8 @@ def test_fingerprint_store_skips_corrupt_lines(tmp_path):
     key = schedule_key(_schedule())
     path.write_text(
         json.dumps(
-            {"schedule": key, "trace": "t", "verdict": VERDICT_OK, "seed": 0}
+            {"format": FORMAT, "schedule": key, "trace": "t",
+             "verdict": VERDICT_OK, "seed": 0}
         )
         + "\n"
         + '{"schedule": "torn'  # cut off mid-write
@@ -181,3 +183,42 @@ def test_fingerprint_store_skips_corrupt_lines(tmp_path):
     with FingerprintStore(str(path)) as store:
         assert len(store) == 1
         assert store.lookup(key) is not None
+
+
+def test_fingerprint_store_ignores_lines_of_another_format(tmp_path, capsys):
+    """A store outlives the trace shape its fingerprints were hashed over:
+    lines stamped with another format, or with none, must not dedup a
+    schedule, vouch for a verdict or count as a known trace."""
+    crash = Fault(action=ACTION_CRASH, node=2, at_ms=1.0)
+    current, previous, unstamped = (
+        schedule_key(_schedule()),
+        schedule_key(_schedule(faults=[crash])),
+        schedule_key(
+            _schedule(faults=[Fault(action=ACTION_CRASH, node=1, at_ms=2.0)])
+        ),
+    )
+    path = tmp_path / "fp.jsonl"
+    lines = [
+        {"format": FORMAT, "schedule": current, "trace": "trace-now",
+         "verdict": VERDICT_OK, "seed": 0},
+        {"format": "repro.check/1", "schedule": previous, "trace": "trace-v1",
+         "verdict": VERDICT_OK, "seed": 0},
+        {"schedule": unstamped, "trace": "trace-bare",
+         "verdict": VERDICT_OK, "seed": 0},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with FingerprintStore(str(path)) as store:
+        assert len(store) == 1 and store.stale == 2
+        assert store.lookup(current)["trace"] == "trace-now"
+        assert store.lookup(previous) is None
+        assert store.lookup(unstamped) is None
+        assert store.hits == 1
+        assert store.trace_count == 1
+        assert store.is_new_trace("trace-v1") and store.is_new_trace("trace-bare")
+        # The schedule behind a stale line is explored again and re-recorded.
+        assert store.record(previous, "trace-v2", VERDICT_OK) is True
+    err = capsys.readouterr().err
+    assert err.count("ignored 2 line(s)") == 1 and FORMAT in err
+    with FingerprintStore(str(path)) as store:
+        assert len(store) == 2 and store.stale == 2
+        assert store.lookup(previous)["trace"] == "trace-v2"

@@ -9,6 +9,8 @@ from repro.can.frame import data_frame, remote_frame
 from repro.can.identifiers import MessageId, MessageType
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
+from repro.sim.trace import deliveries
+from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
 
 def make_bus(node_count=4, injector=None, clustering=True):
@@ -201,7 +203,14 @@ def test_trace_records_transmissions_and_deliveries():
     ctl[0].submit(data_frame(MessageId(MessageType.DATA, node=0), b""))
     sim.run()
     assert sim.trace.count("bus.tx") == 1
-    assert sim.trace.count("bus.deliver") == 2  # both nodes, sender included
+    # One row per frame; its receiver set holds both nodes, sender included.
+    (row,) = sim.trace.select(category="bus.deliver")
+    assert row.node == -1
+    assert row.data["mid"] == MessageId(MessageType.DATA, node=0)
+    assert row.data["remote"] is False
+    assert row.data["receivers"] == NodeSet([0, 1], WIDE_MAX_CAPACITY)
+    assert "inconsistent" not in row.data
+    assert [d[:2] for d in deliveries(sim.trace)] == [(row.time, 0), (row.time, 1)]
 
 
 def test_submissions_while_busy_queue_up():

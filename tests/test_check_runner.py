@@ -275,13 +275,26 @@ def test_artifact_accepts_io_handles():
 
 def test_truncated_artifact_rejected():
     with pytest.raises(CheckError, match="truncated"):
-        read_artifact(io.StringIO('{"format": "repro.check/1"}\n'))
+        read_artifact(io.StringIO(json.dumps({"format": FORMAT}) + "\n"))
 
 
 def test_wrong_format_rejected():
     lines = [json.dumps({"format": "other/9"})] * 3
-    with pytest.raises(CheckError, match="not a repro.check/1"):
+    with pytest.raises(CheckError, match=f"not a {FORMAT} artifact"):
         read_artifact(io.StringIO("\n".join(lines)))
+
+
+def test_previous_format_artifact_rejected():
+    """A ``repro.check/1`` artifact fingerprints per-receiver delivery rows
+    this code no longer writes: it must fail as another format, not replay
+    to a misleading "did not reproduce the recorded run"."""
+    assert FORMAT == "repro.check/2"
+    result = run_schedule(CRASH)
+    buffer = io.StringIO()
+    write_artifact(buffer, result)
+    old = buffer.getvalue().replace(FORMAT, "repro.check/1", 1)
+    with pytest.raises(CheckError, match="not a repro.check/2 artifact"):
+        replay_artifact(io.StringIO(old))
 
 
 def test_malformed_json_rejected():

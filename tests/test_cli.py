@@ -233,7 +233,10 @@ def test_trace_combined_category_node_and_window_filters(capsys, scenario_file, 
     assert lines, "the post-bootstrap window carries traffic to node 0"
     for entry in lines:
         assert entry["category"] == "bus.deliver"
-        assert entry["node"] == 0
+        # A delivery is one row per frame: --node selects the rows whose
+        # receiver set holds the node.
+        assert entry["node"] == -1
+        assert 0 in entry["data"]["receivers"]
         assert 150_000_000 <= entry["time"] <= 250_000_000
     # The same filters without the window match strictly more records.
     unwindowed = tmp_path / "all.jsonl"
@@ -242,6 +245,15 @@ def test_trace_combined_category_node_and_window_filters(capsys, scenario_file, 
          "--node", "0", "--export", str(unwindowed)]
     ) == 0
     assert len(unwindowed.read_text().splitlines()) > len(lines)
+    # Node 2 crashes mid-run: fewer deliveries reach it than reach node 0.
+    crashed = tmp_path / "crashed.jsonl"
+    assert main(
+        ["trace", "--scenario", scenario_file, "--category", "bus.deliver",
+         "--node", "2", "--export", str(crashed)]
+    ) == 0
+    to_crashed = crashed.read_text().splitlines()
+    assert 0 < len(to_crashed) < len(unwindowed.read_text().splitlines())
+    assert all(2 in json.loads(line)["data"]["receivers"] for line in to_crashed)
 
 
 def test_trace_window_alone_prints_matches(capsys, scenario_file):

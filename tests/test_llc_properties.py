@@ -14,6 +14,18 @@ from repro.llc.properties import (
 )
 from repro.sim.clock import sec
 from repro.sim.trace import TraceRecorder
+from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
+
+
+def deliver(trace, time, mid, *receivers):
+    """One ``bus.deliver`` row as the bus writes it: per frame, not per node."""
+    trace.record(
+        time,
+        "bus.deliver",
+        mid=mid,
+        remote=False,
+        receivers=NodeSet(receivers, WIDE_MAX_CAPACITY),
+    )
 
 
 def run_fault_free(raw_bus):
@@ -40,14 +52,14 @@ def test_mcan1_flags_mismatched_delivery():
     mid_a = MessageId(MessageType.DATA, node=0)
     mid_b = MessageId(MessageType.DATA, node=1)
     trace.record(10, "bus.tx", node=0, mid=mid_a, senders=(0,), kind="none", attempt=0)
-    trace.record(10, "bus.deliver", node=1, mid=mid_b)
+    deliver(trace, 10, mid_b, 1)
     report = check_mcan1_broadcast(trace)
     assert not report.ok
 
 
 def test_mcan1_flags_delivery_without_transmission():
     trace = TraceRecorder()
-    trace.record(10, "bus.deliver", node=1, mid=MessageId(MessageType.DATA, node=0))
+    deliver(trace, 10, MessageId(MessageType.DATA, node=0), 1)
     assert not check_mcan1_broadcast(trace).ok
 
 
@@ -57,7 +69,7 @@ def test_mcan2_flags_delivery_of_corrupted_frame():
     trace.record(
         10, "bus.tx", node=0, mid=mid, senders=(0,), kind="consistent", attempt=0
     )
-    trace.record(10, "bus.deliver", node=1, mid=mid)
+    deliver(trace, 10, mid, 1)
     assert not check_mcan2_error_detection(trace).ok
 
 
@@ -105,7 +117,7 @@ def test_lcan2_flags_partial_delivery_with_correct_sender():
     trace = TraceRecorder()
     mid = MessageId(MessageType.DATA, node=0)
     trace.record(0, "bus.tx", node=0, mid=mid, senders=(0,), kind="none", attempt=0)
-    trace.record(0, "bus.deliver", node=1, mid=mid)
+    deliver(trace, 0, mid, 1)
     # Node 2 (correct) never received it and the sender never crashed.
     assert not check_lcan2_agreement(trace, [0, 1, 2]).ok
 
@@ -114,7 +126,7 @@ def test_lcan2_tolerates_partial_delivery_when_sender_crashed():
     trace = TraceRecorder()
     mid = MessageId(MessageType.DATA, node=0)
     trace.record(0, "bus.tx", node=0, mid=mid, senders=(0,), kind="inconsistent", attempt=0)
-    trace.record(0, "bus.deliver", node=1, mid=mid)
+    deliver(trace, 0, mid, 1)
     trace.record(1, "node.crash", node=0)
     assert check_lcan2_agreement(trace, [1, 2]).ok
 
@@ -123,8 +135,8 @@ def test_lcan3_flags_unexplained_duplicate():
     trace = TraceRecorder()
     mid = MessageId(MessageType.DATA, node=0)
     trace.record(0, "bus.tx", node=0, mid=mid, senders=(0,), kind="none", attempt=0)
-    trace.record(0, "bus.deliver", node=1, mid=mid)
-    trace.record(5, "bus.deliver", node=1, mid=mid)
+    deliver(trace, 0, mid, 1)
+    deliver(trace, 5, mid, 1)
     assert not check_lcan3_duplicates(trace).ok
 
 

@@ -17,9 +17,10 @@ import repro
 def test_version_bumped_for_the_new_surface():
     # 2.0.0 removed facade names without replacement; 2.1.0 moved the
     # node API onto the exported MembershipNode base and removed
-    # deep-module duplicates (docs/api.md).
+    # deep-module duplicates; 2.2.0 changed the bus.deliver trace row and
+    # with it the artifact/fingerprint format (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (2, 1)
+    assert (int(major), int(minor)) >= (2, 2)
 
 
 def test_core_names_are_eager():
