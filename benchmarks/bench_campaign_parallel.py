@@ -6,7 +6,7 @@ worker pool. Determinism is asserted — identical verdicts and latencies
 regardless of worker count — and the wall-clock speedup is reported.
 
 The >2x speedup assertion only applies when the machine actually has >= 4
-CPUs; on smaller containers the table still records the measurement, but a
+CPUs; on smaller containers the measurement is still printed, but a
 CPU-bound pool cannot beat one core with arithmetic.
 """
 
@@ -44,6 +44,26 @@ def bench_campaign_parallel(benchmark):
 
     speedup = sequential_s / parallel_s
     cpus = os.cpu_count() or 1
+    title = (
+        "EXT-2 — campaign engine: sequential vs parallel "
+        f"({SCENARIOS} scenarios, {WORKERS} workers)"
+    )
+    # Wall-clock belongs to the host and the run, so it is printed (``-s``)
+    # and not persisted: rerunning the bench must leave the tracked table
+    # as committed.
+    print()
+    print(
+        render_table(
+            ["metric", "value"],
+            [
+                ["cpus available", str(cpus)],
+                ["sequential wall-clock", f"{sequential_s:.2f} s"],
+                ["parallel wall-clock", f"{parallel_s:.2f} s"],
+                ["speedup", f"{speedup:.2f}x"],
+            ],
+            title=f"{title}, on this host",
+        )
+    )
     emit(
         "campaign_parallel",
         render_table(
@@ -51,19 +71,12 @@ def bench_campaign_parallel(benchmark):
             [
                 ["scenarios", str(SCENARIOS)],
                 ["workers", str(WORKERS)],
-                ["cpus available", str(cpus)],
-                ["sequential wall-clock", f"{sequential_s:.2f} s"],
-                ["parallel wall-clock", f"{parallel_s:.2f} s"],
-                ["speedup", f"{speedup:.2f}x"],
                 [
                     "deterministic across worker counts",
                     str(_fingerprint(sequential) == _fingerprint(results)),
                 ],
             ],
-            title=(
-                "EXT-2 — campaign engine: sequential vs parallel "
-                f"({SCENARIOS} scenarios, {WORKERS} workers)"
-            ),
+            title=title,
         ),
     )
 

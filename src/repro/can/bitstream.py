@@ -19,15 +19,14 @@ Two implementations coexist:
   no list allocation. Results are memoized in a bounded FIFO cache keyed by
   ``(identifier, data, remote, extended)``, so the steady-state cost of the
   dominant simulator operation (exact wire length of a repeated frame) is
-  one dict hit. :func:`reference_encoding` forces the reference path, which
-  is how the golden-trace equivalence tests prove both agree.
+  one dict hit. :func:`exact_frame_bits_reference` is the same quantity
+  by the reference path, which is how the property tests prove both agree.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass as _dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import FrameError
 
@@ -315,7 +314,6 @@ WIRE_CACHE_MAX = 4096
 _wire_cache: Dict[Tuple[int, bytes, bool, bool], int] = {}
 _wire_cache_hits = 0
 _wire_cache_misses = 0
-_fast_encoding = True
 
 
 def exact_frame_bits_reference(
@@ -348,10 +346,6 @@ def exact_frame_bits(
     by ``(identifier, data, remote, extended)``.
     """
     global _wire_cache_hits, _wire_cache_misses
-    if not _fast_encoding:
-        return exact_frame_bits_reference(
-            identifier, data, remote, extended, with_interframe
-        )
     key = (identifier, data, remote, extended)
     cache = _wire_cache
     total = cache.get(key)
@@ -383,22 +377,6 @@ def encoding_cache_info() -> Dict[str, int]:
         "hits": _wire_cache_hits,
         "misses": _wire_cache_misses,
     }
-
-
-@contextmanager
-def reference_encoding() -> Iterator[None]:
-    """Force the bit-list reference path (and bypass the cache) within.
-
-    The golden-trace equivalence tests run whole scenarios under this to
-    prove the fast path changes no simulated outcome.
-    """
-    global _fast_encoding
-    previous = _fast_encoding
-    _fast_encoding = False
-    try:
-        yield
-    finally:
-        _fast_encoding = previous
 
 
 @_dataclass(frozen=True)

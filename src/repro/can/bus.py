@@ -325,11 +325,9 @@ class CanBus:
 
     def _start_next(self) -> None:
         # Offers carry their owning controller so the take step below needs
-        # no ownership scan (the seed's ``_owner_of`` walked every
-        # controller per taken request). Only the pending-transmitter set
-        # is polled — the arbitration outcome cannot depend on the scan
-        # order because contended offers are totally ordered by
-        # ``priority_key`` below.
+        # no ownership scan. Only the pending-transmitter set is polled —
+        # the arbitration outcome cannot depend on the scan order because
+        # contended offers are totally ordered by ``priority_key`` below.
         pending = self._tx_pending
         offers = []
         stale = None
@@ -417,12 +415,6 @@ class CanBus:
             self._m_clustered_inc(len(requests) - 1)
         duration = self.timing.bits_to_ticks(frame_bits)
         self._sim.schedule(duration, self._complete)
-
-    def _owner_of(self, request: TxRequest) -> CanController:
-        for controller in self._controllers.values():
-            if controller.head_request() is request:
-                return controller
-        raise BusError(f"no controller owns request {request.frame!r}")
 
     # -- completion --------------------------------------------------------------
 
@@ -798,27 +790,6 @@ class CanBus:
     def busy(self) -> bool:
         """True while a frame (or its interframe space) occupies the bus."""
         return self._busy
-
-    @property
-    def quiescent(self) -> bool:
-        """True when the bus has no traffic it could start at this instant.
-
-        Idle wire, no pending arbitration event, no open inaccessibility
-        window, and no controller holding a transmit request: any future
-        bus activity can only originate from an event already in the
-        simulator's queue (a timer expiry, a scheduled workload send).
-        This is the guard the analytic idle-skip uses before leaping the
-        clock to the next scheduled event.
-        """
-        if self._busy or self._arbitration_pending:
-            return False
-        if self._sim.now < self._inaccessible_until:
-            return False
-        # ``_tx_pending`` is the superset of controllers that can hold one.
-        return all(
-            controller.head_request() is None
-            for controller in self._tx_pending.values()
-        )
 
     def utilization(self, window_ticks: Optional[int] = None) -> float:
         """Fraction of bus capacity consumed so far (or over ``window_ticks``)."""

@@ -80,11 +80,11 @@ class MembershipNode:
             self.controller = layer.controller
         self.timers = TimerService(sim, drift=timer_drift, node=node_id)
         # Listeners fire in registration order: the protocols register
-        # theirs before the application's DATA indication.
+        # theirs here, the application's DATA indication follows with its
+        # first subscriber (on_message).
         self._build_protocols()
         self._message_listeners: List[MessageCallback] = []
         self._next_ref = 0
-        self.layer.add_data_ind(self._on_app_data, mtype=MessageType.DATA)
         #: The node's membership service behind the backend-neutral
         #: contract; the node API below delegates through it, so code
         #: written against :class:`~repro.core.backend.MembershipBackend`
@@ -131,6 +131,8 @@ class MembershipNode:
 
     def on_message(self, callback: MessageCallback) -> None:
         """Subscribe to application data ``(sender, ref, data)``."""
+        if not self._message_listeners:
+            self.layer.add_data_ind(self._on_app_data, mtype=MessageType.DATA)
         self._message_listeners.append(callback)
 
     def _on_app_data(self, mid: MessageId, data: bytes) -> None:
@@ -318,7 +320,7 @@ class CanelyNetwork:
 
     @property
     def buses(self):
-        """All bus segments, as a tuple (the idle-skip probe reads this)."""
+        """All bus segments, as a tuple."""
         return tuple(self.segments)
 
     def segment_of(self, node_id: int) -> int:

@@ -85,16 +85,9 @@ class Event:
 class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects."""
 
-    #: Heap entries are ``(time, priority, seq, event)`` tuples; the kernel
-    #: run loop relies on this layout to pop/fire without indirection.
-    TUPLE_ENTRIES = True
-
-    #: This queue supports in-place deferral via :meth:`reschedule`. The
-    #: seed-faithful legacy queue does not, which keeps the reference core
-    #: on the original cancel-and-push path.
-    SUPPORTS_RESCHEDULE = True
-
     def __init__(self) -> None:
+        #: ``(time, priority, seq, event)`` tuples; the kernel's batched run
+        #: loop relies on this layout to pop/fire without indirection.
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0

@@ -14,12 +14,7 @@ instant still fires in exact ``(priority, seq)`` order: new events carry
 later sequence numbers, so only a strictly more urgent priority can preempt
 the remainder of a batch, and the loop checks for exactly that. A run
 with an event budget must be able to stop between any two events, so it
-fires them one at a time instead.
-
-When the queue is quiescent between bursts, :meth:`advance_to_next_event`
-fast-forwards the clock straight to the next deadline — the analytic
-idle-skip primitive that :meth:`run_until`/:meth:`run_for` build on and
-that scenario drivers use to leap over silent bus periods.
+fires them one at a time instead, as :meth:`step` does.
 """
 
 from __future__ import annotations
@@ -126,8 +121,7 @@ class Simulator:
 
         Returns True on success. Falls back to False — caller cancels and
         schedules anew — whenever the in-place deferral cannot preserve
-        exact semantics: the queue does not support it (the seed-faithful
-        legacy queue), the event is no longer owned by the queue (already
+        exact semantics: the event is no longer owned by the queue (already
         popped for firing, or batched for dispatch), or ``time`` would
         move the deadline *earlier* (a stale heap entry can only be
         re-filed later). On success the event orders among same-time peers
@@ -135,8 +129,7 @@ class Simulator:
         """
         queue = self._queue
         if (
-            not getattr(queue, "SUPPORTS_RESCHEDULE", False)
-            or event._queue is not queue
+            event._queue is not queue
             or event.cancelled
             or time < event.time
             or time < self._now
@@ -166,49 +159,25 @@ class Simulator:
         """Fire the next event. Returns ``False`` when the queue is empty."""
         self._begin_drain()
         try:
-            return self._step()
+            return self._drain_stepwise(None, 1) == 1
         finally:
             self._running = False
-
-    def _step(self) -> bool:
-        # Unguarded: the caller (step(), or a fallback loop inside
-        # run()/run_until()) owns the reentrancy guard.
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_processed += 1
-        event.action()
-        return True
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
 
         Returns the number of events fired. A budget of 0 fires nothing;
-        a negative budget raises :class:`SimulationError`.
-
-        The pop/fire loop is inlined over the queue's tuple heap — one
-        ``heappop`` plus one call per event, with no method dispatch in
-        between — and, when no budget is given, dispatches equal-time runs
-        in batches (see the module docstring). Queues without tuple
-        entries (the seed-faithful legacy queue of :mod:`repro.perf`)
-        fall back to firing one :meth:`step` at a time.
+        a negative budget raises :class:`SimulationError`. Without a budget
+        equal-time runs are dispatched in batches (see the module
+        docstring).
         """
         max_events = self._check_budget(max_events)
         if max_events == 0:
             return 0
-        queue = self._queue
         self._begin_drain()
         try:
-            if not getattr(queue, "TUPLE_ENTRIES", False):
-                fired = 0
-                while self._step():
-                    fired += 1
-                    if max_events is not None and fired >= max_events:
-                        break
-                return fired
             if max_events is not None:
-                return self._drain_budgeted(None, max_events)
+                return self._drain_stepwise(None, max_events)
             return self._drain_batched(None)
         finally:
             self._running = False
@@ -230,23 +199,10 @@ class Simulator:
         max_events = self._check_budget(max_events)
         if max_events == 0:
             return 0
-        queue = self._queue
         self._begin_drain()
         try:
-            if not getattr(queue, "TUPLE_ENTRIES", False):
-                fired = 0
-                while True:
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > time:
-                        break
-                    self._step()
-                    fired += 1
-                    if max_events is not None and fired >= max_events:
-                        return fired
-                self._now = time
-                return fired
             if max_events is not None:
-                fired = self._drain_budgeted(time, max_events)
+                fired = self._drain_stepwise(time, max_events)
                 if fired < max_events:
                     self._now = time
                 return fired
@@ -353,64 +309,25 @@ class Simulator:
                 fired += 1
         return fired
 
-    def _drain_budgeted(self, bound: Optional[int], budget: int) -> int:
-        """One-at-a-time dispatch over the tuple heap, at most ``budget`` events."""
+    def _drain_stepwise(self, bound: Optional[int], budget: int) -> int:
+        """One-at-a-time dispatch through the queue's own ``peek_time`` /
+        ``pop``: at most ``budget`` events (with time <= ``bound``, when
+        given). The caller owns the reentrancy guard."""
         queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
         fired = 0
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(heap)
-                queue._cancelled -= 1
-                continue
-            if event.seq != entry[2]:
-                heappop(heap)
-                heappush(
-                    heap, (event.time, event.priority, event.seq, event)
-                )
-                continue
-            event_time = entry[0]
-            if bound is not None and event_time > bound:
+        while fired < budget:
+            if bound is not None:
+                next_time = queue.peek_time()
+                if next_time is None or next_time > bound:
+                    break
+            event = queue.pop()
+            if event is None:
                 break
-            heappop(heap)
-            event._queue = None
-            self._now = event_time
+            self._now = event.time
             self._events_processed += 1
             event.action()
             fired += 1
-            if fired >= budget:
-                break
         return fired
-
-    # -- analytic idle-skip ------------------------------------------------------
-
-    def next_event_time(self) -> Optional[int]:
-        """Deadline of the earliest live event, or ``None`` on an empty queue."""
-        return self._queue.peek_time()
-
-    def advance_to_next_event(self) -> Optional[int]:
-        """Fast-forward the clock to the next event's deadline without firing.
-
-        The analytic idle-skip primitive: when the simulated system is
-        quiescent (nothing in flight — e.g. an idle bus with empty TX
-        queues), every tick up to the next deadline is provably silent, so
-        the clock jumps there directly instead of "simulating" the
-        silence. Returns the new ``now`` (the next event's time), or
-        ``None`` (clock untouched) on an empty queue. The event itself
-        does not fire; a following :meth:`run_until`/:meth:`step` does.
-        """
-        if self._running:
-            raise SimulationError(
-                "advance_to_next_event() called from inside an event action"
-            )
-        next_time = self._queue.peek_time()
-        if next_time is not None and next_time > self._now:
-            self._now = next_time
-        return next_time
 
     def run_for(self, duration: int) -> int:
         """Run the simulation for ``duration`` ticks from the current time."""

@@ -124,12 +124,6 @@ class TimerService:
         self._pending = 0
         self._node = node
         self._spans = sim.spans
-        # The queue's reschedule capability is fixed for the simulator's
-        # lifetime; resolving it here keeps the restart below free of
-        # getattr probes.
-        self._can_reschedule = getattr(
-            sim._queue, "SUPPORTS_RESCHEDULE", False
-        )
 
     @property
     def drift(self) -> float:
@@ -188,16 +182,14 @@ class TimerService:
         alarm keeps its handle, callback and span-free identity, and its
         kernel event is deferred without leaving a dead heap entry behind.
         Returns False — and touches nothing — when the fast path cannot
-        apply (alarm inactive or ``None``, span tracing active, the
-        seed-faithful legacy queue, or a deadline that would move
-        *earlier*); the caller then falls back to
+        apply (alarm inactive or ``None``, span tracing active, or a
+        deadline that would move *earlier*); the caller then falls back to
         :meth:`cancel_alarm` + :meth:`start_alarm`, which is exactly
         equivalent. Either path consumes one event sequence number, so
         simulated outcomes are bit-identical.
         """
         if (
-            not self._can_reschedule
-            or alarm is None
+            alarm is None
             or not alarm._active
             or alarm._span is not None
             or self._spans.enabled

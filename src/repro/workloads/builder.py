@@ -26,6 +26,7 @@ recipes and ``repro compare`` are scenario generators over it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -40,9 +41,6 @@ from repro.obs.qos import QoSMetrics, compute_qos
 
 #: Default number of membership cycles a cold-start settles for.
 DEFAULT_SETTLE_CYCLES = 6.0
-
-#: Default for the analytic idle-skip of :meth:`run_until_settled`.
-DEFAULT_IDLE_SKIP = True
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,29 @@ def expected_survivors(
         else:
             members.discard(node)
     return members - set(doomed)
+
+
+def _unconverged(views: Dict[int, Iterable[int]], expected: Set[int]) -> str:
+    """Which of bootstrap's two conditions failed, and at which nodes:
+    the membership is not the expected one, or it is and views differ."""
+    members = set(views)
+    if members != expected:
+        return (
+            f"not members: {sorted(expected - members)}, unexpected "
+            f"members: {sorted(members - expected)}"
+        )
+    sets = {node: frozenset(view) for node, view in views.items()}
+    common = Counter(sets.values()).most_common(1)[0][0]
+    differ = [
+        f"node {node} lacks {sorted(common - view)} adds {sorted(view - common)}"
+        for node, view in sets.items()
+        if view != common
+    ]
+    return (
+        f"members are as expected but {len(differ)} of {len(sets)} views "
+        f"differ from the most common one {sorted(common)}: "
+        f"{'; '.join(differ)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +228,8 @@ class ScenarioBuilder:
         views = net.member_views()
         if set(views) != expected or not net.views_agree():
             raise ScenarioError(
-                f"bootstrap did not converge: members={sorted(views)} "
-                f"expected={sorted(expected)} "
+                f"bootstrap did not converge: "
+                f"{_unconverged(views, expected)} "
                 f"(settle_cycles={settle_cycles}, seed={self.seed!r})"
             )
         return self
@@ -349,49 +370,14 @@ class ScenarioBuilder:
         self._net.run_cycles(cycles)
         return self
 
-    def _silent_cycles_ahead(self, cycle_ticks: int, limit: int) -> int:
-        """Whole membership cycles that are provably event-free from now.
-
-        The analytic idle-skip guard: when every bus is quiescent (idle
-        wire, no pending arbitration, empty TX queues), nothing can happen
-        before the kernel's next scheduled event, so every whole cycle
-        that ends strictly before it is silent. Returns 0 whenever any bus
-        could still act — and, in a live network, almost always: heartbeat
-        and membership-cycle timers keep the next deadline within ``Thb``.
-        The skip pays off in degenerate tails (every node crashed or
-        departed) where the queue runs dry.
-        """
-        if limit <= 0 or cycle_ticks <= 0:
-            return 0
-        net = self._net
-        buses = getattr(net, "buses", None)
-        if buses is None:
-            buses = (net.bus,)
-        if not all(bus.quiescent for bus in buses):
-            return 0
-        sim = net.sim
-        next_time = sim.next_event_time()
-        if next_time is None:
-            return limit
-        ahead = (next_time - sim.now - 1) // cycle_ticks
-        return int(min(limit, max(0, ahead)))
-
     def run_until_settled(
         self,
         max_cycles: int = 60,
         stable_cycles: int = 2,
-        idle_skip: bool = DEFAULT_IDLE_SKIP,
     ) -> "ScenarioBuilder":
         """Run until every scripted action has fired and the surviving full
         members agree on an unchanged view for ``stable_cycles`` consecutive
         membership cycles.
-
-        With ``idle_skip`` (the default) provably silent cycles — every bus
-        quiescent and the next scheduled event beyond the cycle boundary —
-        are leapt analytically instead of being simulated: the clock jumps
-        whole cycles at once and each leapt cycle counts as an unchanged
-        snapshot (nothing fired, so no view can have moved). Simulated
-        outcomes are identical with the skip off; only wall-clock differs.
 
         Raises :class:`~repro.errors.ScenarioError` (carrying the seed)
         when the network has not settled within ``max_cycles`` cycles.
@@ -399,27 +385,10 @@ class ScenarioBuilder:
         net = self._net
         if net.sim.now < self._last_action_at:
             net.sim.run_until(self._last_action_at)
-        cycle_ticks = round(net.config.tm)
         stable = 0
         previous = None
-        cycles_run = 0
-        while cycles_run < max_cycles:
-            if idle_skip and previous is not None:
-                # Leave at least one real cycle so the post-leap snapshot
-                # below is always taken by simulation, not assumption.
-                leap = self._silent_cycles_ahead(
-                    cycle_ticks, max_cycles - cycles_run - 1
-                )
-                if leap > 0:
-                    net.sim.run_until(net.sim.now + leap * cycle_ticks)
-                    cycles_run += leap
-                    if previous[0] is not None:
-                        # Last snapshot was agreed; silence preserves it.
-                        stable += leap
-                        if stable >= stable_cycles:
-                            return self
+        for _cycle in range(max_cycles):
             net.run_cycles(1)
-            cycles_run += 1
             views = net.member_views()
             members = set(views)
             agreed = views and all(

@@ -1,21 +1,36 @@
-"""Golden-trace equivalence: the fast core must change *nothing* observable.
+"""Golden whole-run digests: the core must change *nothing* observable.
 
-Each scenario runs twice — once on the default fast core (table-driven
-encoding, tuple-based event queue, single encode per transmission) and once
-under ``legacy_core()`` (the seed-faithful bit-list encoder, dataclass heap
-and double-encode bus path) — and the complete observable fingerprint must
-match exactly: every trace record in order (event order and timing), the
-per-type bus bit accounting (wire lengths), the event count and every
-node's membership view.
+Three scenarios and the 60 schedules of the depth-1 check sweep are pinned
+by digests of everything a run lets an observer see: every trace record in
+order (event order and timing), the per-type bus bit accounting (wire
+lengths), the event count and every node's membership view. The committed
+values were taken from the seed-faithful legacy core (bit-list encoder,
+dataclass heap, double-encode bus path) in the commit that deleted it,
+where the fast core produced the same ones.
+
+Update a golden file deliberately when a change is intended: delete it and
+rerun this module, which regenerates it (``docs/checking.md`` says when).
 """
 
+import hashlib
+import json
+import pathlib
+
+from repro.campaign import FingerprintStore, schedule_key
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.identifiers import MessageType
+from repro.check import FORMAT, CheckSweep, explore
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
-from repro.perf.legacy import legacy_core
 from repro.sim.clock import ms
 from repro.sim.trace import record_to_dict
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+DIGESTS_PATH = GOLDEN_DIR / "core_digests.json"
+SWEEP_PATH = GOLDEN_DIR / "check_depth1_seed0.jsonl"
+
+#: Trace records per block digest: a mismatch is narrowed to this many rows.
+BLOCK = 64
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 
@@ -88,80 +103,100 @@ SCENARIOS = [
 ]
 
 
-def _assert_equivalent(scenario):
-    fast = scenario()
-    with legacy_core():
-        legacy = scenario()
-    assert fast["events"] == legacy["events"]
-    assert fast["now"] == legacy["now"]
-    assert fast["physical_frames"] == legacy["physical_frames"]
-    assert fast["error_frames"] == legacy["error_frames"]
-    # Wire lengths: identical per-type bit accounting implies every frame
-    # was measured at the same stuffed length by both encoders.
-    assert fast["busy_bits"] == legacy["busy_bits"]
-    assert fast["bits_by_type"] == legacy["bits_by_type"]
-    assert fast["views"] == legacy["views"]
-    # Full event order and payloads, record by record.
-    assert len(fast["trace"]) == len(legacy["trace"])
-    for fast_rec, legacy_rec in zip(fast["trace"], legacy["trace"]):
-        assert fast_rec == legacy_rec
+def _sha(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def digest(run):
+    """The committed form of one ``fingerprint()``: its hash, plus enough
+    structure to say *where* a later run first differs."""
+    trace = run["trace"]
+    return {
+        "digest": _sha(run),
+        "records": len(trace),
+        "blocks": [
+            _sha(trace[start : start + BLOCK])
+            for start in range(0, len(trace), BLOCK)
+        ],
+    }
+
+
+def _assert_matches_golden(scenario):
+    if not DIGESTS_PATH.exists():
+        golden = {s.__name__: digest(s()) for s in SCENARIOS}
+        DIGESTS_PATH.write_text(
+            json.dumps(golden, indent=1, sort_keys=True) + "\n"
+        )
+    golden = json.loads(DIGESTS_PATH.read_text())[scenario.__name__]
+    run = scenario()
+    actual = digest(run)
+    if actual == golden:
+        return
+    hint = f"; if intended, delete {DIGESTS_PATH} and rerun to regenerate"
+    blocks = golden["blocks"]
+    for index, block in enumerate(actual["blocks"]):
+        if index >= len(blocks) or block != blocks[index]:
+            start = index * BLOCK
+            rows = "\n".join(
+                json.dumps(row, sort_keys=True)
+                for row in run["trace"][start : start + BLOCK]
+            )
+            raise AssertionError(
+                f"{scenario.__name__}: trace first differs in block {index} "
+                f"(records {start}-{start + BLOCK - 1} of {actual['records']}; "
+                f"golden run has {golden['records']}){hint}. "
+                f"This run's block:\n{rows}"
+            )
+    if actual["records"] != golden["records"]:
+        raise AssertionError(
+            f"{scenario.__name__}: trace stops after {actual['records']} "
+            f"records, golden run has {golden['records']}{hint}"
+        )
+    totals = {key: value for key, value in run.items() if key != "trace"}
+    raise AssertionError(
+        f"{scenario.__name__}: every trace record matches but a run total "
+        f"moved{hint}. This run's totals: {totals}"
+    )
 
 
 def test_crash_detection_equivalent():
-    _assert_equivalent(scenario_crash_detection)
+    _assert_matches_golden(scenario_crash_detection)
 
 
 def test_join_leave_churn_equivalent():
-    _assert_equivalent(scenario_join_leave_churn)
+    _assert_matches_golden(scenario_join_leave_churn)
 
 
 def test_inconsistent_omissions_equivalent():
-    _assert_equivalent(scenario_inconsistent_omissions)
+    _assert_matches_golden(scenario_inconsistent_omissions)
 
 
-def test_legacy_core_restores_the_fast_core():
-    """The context manager must leave no patch behind."""
-    from repro.can import bitstream, bus
-    from repro.sim import kernel
-    from repro.sim.event import EventQueue
-
-    before_complete = bus.CanBus._complete
-    with legacy_core():
-        assert kernel.EventQueue is not EventQueue
-        assert bus.CanBus._complete is not before_complete
-        assert not bitstream._fast_encoding
-    assert kernel.EventQueue is EventQueue
-    assert bus.CanBus._complete is before_complete
-    assert bitstream._fast_encoding
-
-
-# -- idle skip ---------------------------------------------------------------
-
-
-def scenario_settled_after_mass_crash(idle_skip):
-    """Every node but one crashes. The survivor's heartbeat keeps kernel
-    deadlines within ``Thb``, so the settling loop's quiescence probe runs
-    every cycle but never actually leaps — this pins the probe itself as
-    outcome-neutral (the leap path is unit-tested on a stub network in
-    ``test_scenario_builder.py``)."""
-    net = CanelyNetwork(node_count=5, config=CONFIG)
-    builder = net.scenario(seed=11).bootstrap()
-    for node_id in range(1, 5):
-        builder.crash(node_id, at=ms(5 * node_id))
-    builder.run_until_settled(idle_skip=idle_skip)
-    return fingerprint(net)
-
-
-def test_idle_skip_changes_no_simulated_outcome():
-    with_skip = scenario_settled_after_mass_crash(idle_skip=True)
-    without = scenario_settled_after_mass_crash(idle_skip=False)
-    # The skip leaps provably silent cycles, so fewer kernel events fire
-    # and the runs may end at different instants — but every observable
-    # protocol outcome (trace, wire accounting, views) is identical up to
-    # the shorter run's horizon. Compare everything except the run length.
-    assert with_skip["views"] == without["views"]
-    assert with_skip["physical_frames"] == without["physical_frames"]
-    assert with_skip["error_frames"] == without["error_frames"]
-    assert with_skip["busy_bits"] == without["busy_bits"]
-    assert with_skip["bits_by_type"] == without["bits_by_type"]
-    assert with_skip["trace"] == without["trace"]
+def test_depth1_sweep_matches_committed_fingerprints():
+    """``repro check --depth 1 --seed 0`` explores the same 60 traces."""
+    sweep = CheckSweep(depth=1, seed=0)
+    if not SWEEP_PATH.exists():
+        with FingerprintStore(str(SWEEP_PATH)) as store:
+            explore(sweep, workers=0, fingerprint_store=store)
+    golden = {}
+    for line in SWEEP_PATH.read_text().splitlines():
+        raw = json.loads(line)
+        assert raw["format"] == FORMAT, (
+            f"{SWEEP_PATH} was recorded over trace format {raw['format']}, "
+            f"this code writes {FORMAT}: delete it and rerun to regenerate"
+        )
+        golden[raw["schedule"]] = (raw["trace"], raw["verdict"])
+    report = explore(sweep, workers=0)
+    actual = {}
+    moved = []
+    for result in report.results:
+        schedule = sweep.schedule(result.index)
+        key = schedule_key(schedule)
+        actual[key] = (result.metrics["check"]["fingerprint"], result.verdict)
+        if actual[key] != golden.get(key):
+            moved.append(f"#{result.index} {schedule.describe()}")
+    assert not moved and actual.keys() == golden.keys(), (
+        f"{len(moved)} of {len(actual)} depth-1 schedules no longer produce "
+        f"their committed trace (store holds {len(golden)}); if intended, "
+        f"delete {SWEEP_PATH} and rerun to regenerate:\n" + "\n".join(moved)
+    )

@@ -139,9 +139,10 @@ def test_describe_names_the_backend(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_protocol_listeners_register_before_the_application_indication(backend):
     """Listeners fire in registration order, so a DATA frame reaches every
-    protocol listener before any application listener only if the shared
-    node shell builds wiring -> protocols -> DATA indication, in that
-    order, on every backend."""
+    protocol listener before any application listener only if the node
+    shell registers the application's DATA indication after the
+    protocols' — with its first subscriber; a node nobody subscribed to
+    carries none (and costs no upcall per data frame)."""
     from repro.can.bus import CanBus
     from repro.can.controller import CanController
     from repro.can.driver import CanStandardLayer
@@ -161,9 +162,28 @@ def test_protocol_listeners_register_before_the_application_indication(backend):
     layer = RecordingLayer(controller)
     cls = resolve_backend(backend)
     node = cls.build_node(0, sim, None, cls.default_config(), layer=layer)
-    assert len(layer.registered) > 1  # the protocols came first ...
-    assert layer.registered[-1] == (MessageType.DATA, node._on_app_data)
     assert node.backend is not None
+    protocols = layer.registered
+    assert protocols  # the protocols came first ...
+    assert node._on_app_data not in [listener for _, listener in protocols]
+    node.on_message(lambda sender, ref, data: None)
+    node.on_message(lambda sender, ref, data: None)
+    # ... and both subscribers share one indication, registered last.
+    assert layer.registered == protocols + (
+        (MessageType.DATA, node._on_app_data),
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_message_subscriber_added_mid_run_receives_the_next_frame(backend):
+    net = _settled(backend, nodes=3)
+    net.node(0).send(b"unheard")  # delivered while nobody listens
+    net.run_for(ms(5))
+    heard = []
+    net.node(1).on_message(lambda *message: heard.append(message))
+    ref = net.node(0).send(b"heard")
+    net.run_for(ms(5))
+    assert heard == [(0, ref, b"heard")]
 
 
 # -- registry ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""ScenarioBuilder: fluent API semantics, FrameMatch and the idle-skip."""
+"""ScenarioBuilder: fluent API semantics and FrameMatch."""
 
 from types import SimpleNamespace
 
@@ -10,7 +10,7 @@ from repro.core.stack import CanelyNetwork, DualChannelNetwork
 from repro.errors import ScenarioError
 from repro.sim.clock import ms
 from repro.util.sets import NodeSet
-from repro.workloads import FrameMatch, ScenarioBuilder
+from repro.workloads import FrameMatch
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 
@@ -34,6 +34,34 @@ def test_bootstrap_subset_leaves_late_joiners():
     assert sorted(net.agreed_view()) == [0, 1, 2]
     net.scenario().join(3).run_for(ms(300))
     assert sorted(net.agreed_view()) == [0, 1, 2, 3]
+
+
+def test_bootstrap_error_names_the_nodes_that_never_joined():
+    net = CanelyNetwork(node_count=4, config=CONFIG)
+    net.node(2).crash()
+    with pytest.raises(ScenarioError) as excinfo:
+        net.scenario(seed=3).bootstrap()
+    message = str(excinfo.value)
+    assert "not members: [2], unexpected members: []" in message
+    assert "seed=3" in message and "\n" not in message
+
+
+def test_bootstrap_error_names_the_views_that_disagree():
+    """Membership as expected but views differ: the message must say so,
+    per node, against the most common view — not print two equal lists."""
+    net = CanelyNetwork(node_count=4, config=CONFIG)
+    settled = CONFIG.tjoin_wait + round(6 * CONFIG.tm)
+
+    def corrupt():
+        net.node(1).state.view = NodeSet([0, 1, 7], capacity=16)
+
+    net.sim.schedule_at(settled, corrupt)
+    with pytest.raises(ScenarioError) as excinfo:
+        net.scenario().bootstrap()
+    message = str(excinfo.value)
+    assert "members are as expected" in message
+    assert "1 of 4 views differ from the most common one [0, 1, 2, 3]" in message
+    assert "node 1 lacks [2, 3] adds [7]" in message
 
 
 def test_run_until_settled_converges_after_crash():
@@ -190,65 +218,3 @@ def test_frame_match_is_plain_data():
 
     match = FrameMatch(mtype="FDA", node=3, nth=2)
     assert pickle.loads(pickle.dumps(match)) == match
-
-
-# -- analytic idle-skip in the settling loop ----------------------------------
-
-
-class _StubNet:
-    """Minimal network: a quiescent bus over a bare kernel, instrumented to
-    count how many cycles are actually *simulated* (vs leapt)."""
-
-    def __init__(self, quiescent=True):
-        from repro.sim.kernel import Simulator
-
-        self.sim = Simulator()
-        self.bus = SimpleNamespace(quiescent=quiescent)
-        self.config = SimpleNamespace(tm=ms(50))
-        self.simulated_cycles = 0
-
-    def run_cycles(self, cycles):
-        self.simulated_cycles += cycles
-        self.sim.run_until(self.sim.now + round(cycles * self.config.tm))
-
-    def member_views(self):
-        return {0: (0,)}
-
-
-def test_run_until_settled_leaps_silent_cycles():
-    net = _StubNet()
-    ScenarioBuilder(net).run_until_settled(max_cycles=60, stable_cycles=5)
-    # One probe cycle simulated for the first snapshot; once the queue is
-    # provably silent the remaining stability window is leapt analytically.
-    assert net.simulated_cycles < 5
-    assert net.sim.now >= round(5 * net.config.tm)
-
-
-def test_run_until_settled_leap_respects_pending_deadline():
-    """The leap may only cover cycles that end strictly before the next
-    kernel event: a deadline 3.5 cycles out caps the jump at 3 cycles."""
-    net = _StubNet()
-    cycle = round(net.config.tm)
-    deadline = round(3.5 * cycle)
-    fired = []
-    net.sim.schedule(deadline, lambda: fired.append(net.sim.now))
-    builder = ScenarioBuilder(net)
-    probe = builder._silent_cycles_ahead(cycle, 60)
-    assert probe == 3
-    builder.run_until_settled(max_cycles=60, stable_cycles=10)
-    assert fired == [deadline]  # the event still fired, at its exact deadline
-
-
-def test_run_until_settled_never_leaps_busy_bus():
-    net = _StubNet(quiescent=False)
-    ScenarioBuilder(net).run_until_settled(max_cycles=60, stable_cycles=3)
-    # Every cycle of the stability window was simulated for real.
-    assert net.simulated_cycles == 4
-
-
-def test_run_until_settled_idle_skip_off_simulates_everything():
-    net = _StubNet()
-    ScenarioBuilder(net).run_until_settled(
-        max_cycles=60, stable_cycles=5, idle_skip=False
-    )
-    assert net.simulated_cycles == 6

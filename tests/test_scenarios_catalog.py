@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioError
 from repro.scenarios import (
     QoSReport,
     ScenarioRecipe,
@@ -85,6 +85,26 @@ def test_every_recipe_runs_quick_on_canely(name):
     assert readout["window_ms"]["duration"] > 0
     # The readout always serializes, whatever the scenario did.
     json.loads(outcome.qos.to_json())
+
+
+@pytest.mark.parametrize(
+    "backend, complaint",
+    [
+        ("canely", "not members: [4, 9]"),
+        ("swim", "views differ from the most common one"),
+    ],
+    ids=["canely", "swim"],
+)
+def test_full_size_gateway_stress_says_which_bootstrap_condition_failed(
+    backend, complaint
+):
+    """The full-size recipe cannot bootstrap yet (ROADMAP 1(a); this test
+    goes when that is fixed). Until then the error names what failed: on
+    CANELy the lowest-priority node of each segment never joins, on SWIM
+    everybody is a member and the two segments hold different views."""
+    with pytest.raises(ScenarioError) as excinfo:
+        run_recipe("gateway-partition-stress", backend=backend, seed=0)
+    assert complaint in str(excinfo.value)
 
 
 def test_unknown_backend_raises():

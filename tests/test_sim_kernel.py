@@ -155,19 +155,10 @@ def test_same_time_events_fire_in_schedule_order():
 # -- event budgets (run/run_until return counts; a 0 budget fires nothing) ----
 
 
-def make_sims():
-    """One simulator per queue implementation the kernel supports."""
-    from repro.perf.legacy import LegacyEventQueue
-
-    fast = Simulator()
-    legacy = Simulator()
-    legacy._queue = LegacyEventQueue()
-    return {"fast": fast, "legacy": legacy}
-
-
-@pytest.fixture(params=["fast", "legacy"])
-def any_sim(request):
-    return make_sims()[request.param]
+# The one value keeps the ``[fast]`` ids these tests had beside ``[legacy]``.
+@pytest.fixture(params=["fast"])
+def any_sim():
+    return Simulator()
 
 
 def test_run_returns_fired_count(any_sim):
@@ -260,16 +251,12 @@ def test_nested_run_until_raises(any_sim):
 
 def test_step_holds_the_reentrancy_guard(any_sim):
     """step() is a drain loop too: an action it fires sees ``running`` and
-    cannot drain (or skip the clock) recursively."""
+    cannot drain recursively."""
     seen = []
 
     def nested():
         seen.append(any_sim.running)
-        for drain_again in (
-            any_sim.run,
-            any_sim.step,
-            any_sim.advance_to_next_event,
-        ):
+        for drain_again in (any_sim.run, any_sim.step):
             with pytest.raises(SimulationError):
                 drain_again()
 
@@ -290,53 +277,6 @@ def test_running_property_reflects_drain(any_sim):
     any_sim.run()
     assert states == [True]
     assert not any_sim.running
-
-
-# -- analytic idle-skip -------------------------------------------------------
-
-
-def test_next_event_time(any_sim):
-    assert any_sim.next_event_time() is None
-    any_sim.schedule(30, lambda: None)
-    assert any_sim.next_event_time() == 30
-
-
-def test_advance_to_next_event_jumps_without_firing(any_sim):
-    seen = []
-    any_sim.schedule(500, lambda: seen.append(any_sim.now))
-    assert any_sim.advance_to_next_event() == 500
-    assert any_sim.now == 500
-    assert seen == []
-    any_sim.run()
-    assert seen == [500]
-
-
-def test_advance_to_next_event_empty_queue(any_sim):
-    assert any_sim.advance_to_next_event() is None
-    assert any_sim.now == 0
-
-
-def test_advance_to_next_event_never_rewinds(any_sim):
-    any_sim.schedule(10, lambda: None)
-    any_sim.run_until(50)
-    any_sim.schedule(5, lambda: None)  # deadline 55 > now
-    any_sim.schedule_at(55, lambda: None)
-    assert any_sim.advance_to_next_event() == 55
-    assert any_sim.now == 55
-
-
-def test_advance_to_next_event_inside_drain_raises(any_sim):
-    errors = []
-
-    def inside():
-        try:
-            any_sim.advance_to_next_event()
-        except SimulationError:
-            errors.append(1)
-
-    any_sim.schedule(10, inside)
-    any_sim.run()
-    assert errors == [1]
 
 
 def test_run_for_returns_fired_count(any_sim):
@@ -451,15 +391,6 @@ def test_try_reschedule_refuses_cancelled_event():
     sim = Simulator()
     event = sim.schedule(10, lambda: None)
     event.cancel()
-    assert not sim.try_reschedule(event, 20)
-
-
-def test_try_reschedule_refuses_legacy_queue():
-    from repro.perf.legacy import LegacyEventQueue
-
-    sim = Simulator()
-    sim._queue = LegacyEventQueue()
-    event = sim.schedule(10, lambda: None)
     assert not sim.try_reschedule(event, 20)
 
 

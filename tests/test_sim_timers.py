@@ -192,16 +192,6 @@ def test_restart_alarm_refuses_earlier_deadline():
     assert alarm.deadline == 100
 
 
-def test_restart_alarm_refuses_legacy_queue():
-    from repro.perf.legacy import LegacyEventQueue
-
-    sim = Simulator()
-    sim._queue = LegacyEventQueue()
-    timers = TimerService(sim)
-    alarm = timers.start_alarm(100, lambda: None)
-    assert not timers.restart_alarm(alarm, 200)
-
-
 def test_restart_alarm_refuses_when_spans_enabled():
     sim, timers = make()
     alarm = timers.start_alarm(100, lambda: None)
