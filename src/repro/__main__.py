@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from repro.analysis.bandwidth import BandwidthModel
 from repro.analysis.comparison import fig1_rows, fig11_rows
@@ -379,9 +380,10 @@ def _cmd_spans(args) -> int:
             ),
         )
     )
-    open_count = len(spans.open_spans())
-    if open_count:
-        print(f"{open_count} span(s) never closed (crashed-node queues)")
+    still_open = Counter(f"{s.category}/{s.name}" for s in spans.open_spans())
+    if still_open:
+        kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(still_open.items()))
+        print(f"{sum(still_open.values())} span(s) open when the run stopped: {kinds}")
     return 0
 
 

@@ -428,8 +428,8 @@ class CanBus:
 
         sender_ids = [c.node_id for c in tx.senders]
         # The alive list is O(membership) to build; it is built only where
-        # it is read: an armed injector, the span-on loop, fault resolution
-        # (reached only through an armed injector's verdict).
+        # it is read: an armed injector and fault resolution (reached only
+        # through an armed injector's verdict).
         alive = None
         if self.injector.armed:
             alive = self.alive_controllers()
@@ -449,7 +449,7 @@ class CanBus:
         type_name = tx.frame.mid.mtype.name
 
         if verdict.kind is FaultKind.NONE:
-            self._deliver_all(tx, alive)
+            self._deliver_all(tx)
         else:
             self.stats.error_frames += 1
             self._m_errors_inc()
@@ -482,49 +482,15 @@ class CanBus:
             self.timing.bits_to_ticks(overhead_bits), self._go_idle
         )
 
-    def _deliver_all(
-        self, tx: _Transmission, alive: Optional[List[CanController]]
-    ) -> None:
+    def _deliver_all(self, tx: _Transmission) -> None:
         for sender, request in zip(tx.senders, tx.requests):
             # ``alive`` inlined, as everywhere on the completion path.
             if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
                 sender.finish_success(request)
         record_delivery = self._trace.wants("bus.deliver")
-        frame = tx.frame
-        if tx.span_id is None:
-            receivers = self._deliver_planned(frame)
-            if record_delivery and receivers:
-                self._record_delivery(frame, receivers)
-            return
-        # Span-on loop: the frame is offered to every alive controller,
-        # the filter bank is consulted per delivery and every receiver is
-        # upcalled for itself under its own ``can.rx`` span — the oracle
-        # the planned path is checked against, record for record.
-        spans = self._spans
-        ident = frame.identifier
-        took = []
-        if alive is None:
-            alive = self.alive_controllers()
-        for controller in alive:
-            # .ind includes own transmissions (paper Fig. 4). The
-            # aliveness re-check guards against a crash triggered by an
-            # earlier recipient's upcall.
-            if controller.alive and controller.accepts(ident):
-                rx_span = spans.begin(
-                    "can.rx",
-                    "bus",
-                    node=controller.node_id,
-                    parent=tx.span_id,
-                )
-                spans.push(rx_span)
-                try:
-                    controller.deliver(frame)
-                finally:
-                    spans.pop()
-                    spans.end(rx_span)
-                took.append(controller.node_id)
-        if record_delivery and took:
-            self._record_delivery(frame, NodeSet(took, WIDE_MAX_CAPACITY))
+        receivers = self._deliver_planned(tx)
+        if record_delivery and receivers:
+            self._record_delivery(tx.frame, receivers)
 
     def _record_delivery(
         self, frame: CanFrame, receivers: NodeSet, inconsistent: bool = False
@@ -542,7 +508,7 @@ class CanBus:
             payload["inconsistent"] = True
         self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
 
-    def _deliver_planned(self, frame: CanFrame) -> NodeSet:
+    def _deliver_planned(self, tx: _Transmission) -> NodeSet:
         """Deliver through the frame kind's plan; returns who took it.
 
         The filter match and the upcall resolution were paid once, when
@@ -554,9 +520,12 @@ class CanBus:
         heal and ``_handle_rx``'s nty-before-ind order without the call
         frames). Controllers that may be down or hold a REC are looked at
         through the ``_unfit`` register, not by scanning the membership.
-        Deliveries, REC bookkeeping and the trace are exactly those of the
-        span-on loop in :meth:`_deliver_all`.
+        With span tracing on, the frame's one ``can.rx`` span is the context
+        of all of it and ends carrying who took the frame. Deliveries, REC
+        bookkeeping and the trace are exactly those of the broadcast
+        reference the tests keep (``tests/broadcast_reference.py``).
         """
+        frame = tx.frame
         mid = frame.mid
         plans = self._plan_rtr if frame.remote else self._plan_data
         filtering = self._filtering
@@ -568,57 +537,58 @@ class CanBus:
         plan = plans.get(key)
         if plan is None:
             plan = self._build_plan(frame, plans, key)
-        if self._spans.enabled:
-            # Span tracing was switched on while this frame was on the
-            # wire: everybody takes it through the generic ``deliver``.
-            took = []
-            for controller in plan.controllers:
-                if not controller.crashed and controller.tec <= BUS_OFF_THRESHOLD:
-                    controller.deliver(frame)
-                    took.append(controller.node_id)
-            return NodeSet(took, WIDE_MAX_CAPACITY)
-        calls, receivers = plan.view(
-            self._sift_unfit(plan) if self._unfit else ()
-        )
-        for collective, listeners in calls:
-            collective(mid, listeners)
-        if not plan.entries:
-            return receivers
-        data = frame.data
-        marks = self._unfit_marks
-        missed = []
-        for controller, first, second in plan.entries:
-            # Down since before this frame (then ``receivers`` already
-            # leaves it out) or crashed by an earlier recipient's upcall.
-            if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
-                missed.append(controller.node_id)
-                continue
-            if first is None:
-                controller.deliver(frame)
-            else:
-                if controller.rec:
-                    controller.rec -= 1
-                for listener in first:
-                    listener(mid)
-                for listener in second:
-                    listener(mid, data)
-            if self._unfit_marks != marks:
-                # That upcall took a controller down. One visited later is
-                # caught at its turn above; one the loop never visits
-                # misses the frame when its place in the delivery order
-                # was still to come.
+        spans = self._spans
+        rx_span = None
+        if spans.enabled:
+            rx_span = spans.begin("can.rx", "bus", parent=tx.span_id)
+            spans.push(rx_span)
+        receivers = None
+        try:
+            calls, receivers = plan.view(
+                self._sift_unfit(plan) if self._unfit else ()
+            )
+            for collective, listeners in calls:
+                collective(mid, listeners)
+            if plan.entries:
+                data = frame.data
                 marks = self._unfit_marks
-                slot = plan.slot
-                here = slot[controller.node_id]
-                missed.extend(
-                    node_id
-                    for node_id, other in self._unfit.items()
-                    if not other.alive
-                    and node_id not in plan.visited
-                    and slot.get(node_id, -1) > here
-                )
-        for node_id in missed:
-            receivers = receivers.remove(node_id)
+                for controller, first, second in plan.entries:
+                    # Down since before this frame (then ``receivers``
+                    # already leaves it out) or crashed by an earlier
+                    # recipient's upcall.
+                    if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
+                        receivers = receivers.remove(controller.node_id)
+                        continue
+                    if first is None:
+                        controller.deliver(frame)
+                    else:
+                        if controller.rec:
+                            controller.rec -= 1
+                        for listener in first:
+                            listener(mid)
+                        for listener in second:
+                            listener(mid, data)
+                    if self._unfit_marks != marks:
+                        # That upcall took a controller down. One visited
+                        # later is caught at its turn above; one the loop
+                        # never visits misses the frame when its place in
+                        # the delivery order was still to come.
+                        marks = self._unfit_marks
+                        slot = plan.slot
+                        here = slot[controller.node_id]
+                        for node_id, other in self._unfit.items():
+                            if (
+                                not other.alive
+                                and node_id not in plan.visited
+                                and slot.get(node_id, -1) > here
+                            ):
+                                receivers = receivers.remove(node_id)
+        finally:
+            if rx_span is not None:
+                spans.pop()
+                # Set at the end: a receiver taken down mid-delivery is out
+                # of the span as it is out of the ``bus.deliver`` row.
+                spans.end(rx_span, receivers=receivers)
         return receivers
 
     def _sift_unfit(self, plan: _DeliveryPlan) -> tuple:
@@ -703,37 +673,35 @@ class CanBus:
         verdict: FaultVerdict,
     ) -> None:
         sender_set = {c.node_id for c in tx.senders}
-        spans = self._spans if tx.span_id is not None else None
+        spans = self._spans if self._spans.enabled else None
         ident = tx.frame.identifier
         took = []
-        for controller in alive:
-            if controller.node_id in sender_set:
-                continue
-            if controller.node_id in verdict.accepting:
-                if not controller.accepts(ident):
-                    # Error signalling happens at the bit level, *before*
-                    # acceptance filtering: this node saw a valid frame
-                    # (no REC bump), its filter just dropped it.
+        # Fault resolution goes controller by controller (it is no second
+        # plan), under one ``can.rx`` opened at the first that accepts.
+        rx_span = None
+        try:
+            for controller in alive:
+                if controller.node_id in sender_set:
                     continue
-                if spans is not None:
-                    rx_span = spans.begin(
-                        "can.rx",
-                        "bus",
-                        node=controller.node_id,
-                        parent=tx.span_id,
-                        inconsistent=True,
-                    )
-                    spans.push(rx_span)
-                    try:
-                        controller.deliver(tx.frame)
-                    finally:
-                        spans.pop()
-                        spans.end(rx_span)
-                else:
+                if controller.node_id in verdict.accepting:
+                    if not controller.accepts(ident):
+                        # Error signalling happens at the bit level, *before*
+                        # acceptance filtering: this node saw a valid frame
+                        # (no REC bump), its filter just dropped it.
+                        continue
+                    if spans is not None and rx_span is None:
+                        rx_span = spans.begin(
+                            "can.rx", "bus", parent=tx.span_id, inconsistent=True
+                        )
+                        spans.push(rx_span)
                     controller.deliver(tx.frame)
-                took.append(controller.node_id)
-            else:
-                controller.rx_error()
+                    took.append(controller.node_id)
+                else:
+                    controller.rx_error()
+        finally:
+            if rx_span is not None:
+                spans.pop()
+                spans.end(rx_span, receivers=NodeSet(took, WIDE_MAX_CAPACITY))
         if took and self._trace.wants("bus.deliver"):
             # The paper's failure mode in one row: the mask minus the victims.
             self._record_delivery(

@@ -79,9 +79,6 @@ class CanStandardLayer:
         # skips a frame construction (and its encode) per request.
         # Bounded: application refs roll, so the mid space is unbounded.
         self._rtr_frames: dict = {}
-        # Layers are built after ``bus.attach`` rebinds the controller's
-        # tracer, so the alias is stable.
-        self._spans = controller._spans
         # Rebinding ``on_rx`` drops the bus's delivery plans.
         controller.on_rx = self._handle_rx
         controller.on_tx_success = self._handle_cnf
@@ -233,23 +230,8 @@ class CanStandardLayer:
             return
         # The .nty extension fires before .ind: it carries no data and is
         # what the failure-detection protocol taps for implicit life-signs.
-        if self._spans.enabled and self._data_nty:
-            spans = self._spans
-            # Surveillance-timer restarts triggered by this notification
-            # parent to the frame that acted as the life-sign — the root a
-            # later detection tree hangs from.
-            nty_span = spans.instant(
-                "can.nty", "can", node=self._controller.node_id, mid=str(mid)
-            )
-            spans.push(nty_span)
-            try:
-                for listener in self._data_nty:
-                    listener(mid)
-            finally:
-                spans.pop()
-        else:
-            for listener in self._data_nty:
-                listener(mid)
+        for listener in self._data_nty:
+            listener(mid)
         listeners = self._data_ind_cache.get(mid.mtype)
         if listeners is None:
             listeners = self._resolve(

@@ -10,7 +10,10 @@ event per span. Parent links can additionally be emitted as flow events
 Output is fully deterministic for a seeded run: spans are visited in id
 order, events are sorted on a total key, and the JSON is serialized with
 sorted keys — two runs with the same seed produce byte-identical files,
-which is what lets campaign artifacts be diffed and golden-pinned.
+which is what lets campaign artifacts be diffed and golden-pinned. The
+payload names the span taxonomy it holds (:data:`SPAN_FORMAT`, under
+``otherData.format``); node-set attributes (a ``can.rx``'s ``receivers``)
+are written as ascending id lists.
 
 ``render_msc`` renders a text message sequence chart from the flat trace —
 one lifeline column per node, one row per bus transmission, crash or view
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import SpanTracer, plain_attrs
 from repro.sim.trace import TraceRecorder, deliveries
 
 __all__ = [
@@ -47,6 +50,11 @@ CHROME_CATEGORIES: Tuple[str, ...] = (
 )
 
 
+#: The span taxonomy a Chrome payload says it holds: one ``can.rx`` per frame,
+#: one ``fd.surveillance`` per group (unmarked files: one per receiver, <= 3.0).
+SPAN_FORMAT = "repro.spans/2"
+
+
 def _ts(ticks: int) -> float:
     """Kernel ticks (ns) to trace-event microseconds."""
     return ticks / 1000.0
@@ -57,8 +65,8 @@ def chrome_trace_events(
 ) -> List[Dict[str, Any]]:
     """The span trace as a list of Chrome trace-event dicts.
 
-    Spans still open (e.g. the queue span of a crashed node) are closed at
-    the trace's maximum timestamp and tagged ``"open": true``. With
+    Spans still open (e.g. a deadline armed when the run stopped) are closed
+    at the trace's maximum timestamp and tagged ``"open": true``. With
     ``flows=True``, every cross-track parent link becomes an ``s``/``f``
     flow pair so the viewer draws causal arrows.
     """
@@ -66,6 +74,7 @@ def chrome_trace_events(
     thread_ids = {category: tid for tid, category in enumerate(CHROME_CATEGORIES)}
     tracks: Dict[Tuple[int, int], str] = {}
     events: List[Dict[str, Any]] = []
+    keys: List[tuple] = []  # each event's sort key, worked out as it is built
     for span in tracer:
         pid = span.node + 1
         tid = thread_ids.get(span.category, len(CHROME_CATEGORIES))
@@ -77,18 +86,19 @@ def chrome_trace_events(
         }
         if span.parent is not None:
             args["parent"] = span.parent
-        for key in sorted(span.attrs):
-            args[key] = span.attrs[key]
+        args.update(plain_attrs(span))
         if span.events:
             args["events"] = [[time, label] for time, label in span.events]
         if span.end is None:
             args["open"] = True
+        start = _ts(span.start)
+        keys.append((pid, tid, start, span.span_id, "X"))
         events.append(
             {
                 "name": span.name,
                 "cat": span.category,
                 "ph": "X",
-                "ts": _ts(span.start),
+                "ts": start,
                 "dur": _ts(end - span.start),
                 "pid": pid,
                 "tid": tid,
@@ -111,27 +121,12 @@ def chrome_trace_events(
                     "tid": parent_tid,
                     "ts": _ts(min(parent_end, span.start)),
                 }
+                keys.append((parent_pid, parent_tid, flow["ts"], span.span_id, "s"))
                 events.append(dict(flow, ph="s"))
-                events.append(
-                    dict(
-                        flow,
-                        ph="f",
-                        bp="e",
-                        pid=pid,
-                        tid=tid,
-                        ts=_ts(span.start),
-                    )
-                )
+                keys.append((pid, tid, start, span.span_id, "f"))
+                events.append(dict(flow, ph="f", bp="e", pid=pid, tid=tid, ts=start))
     # Deterministic total order: track, then time, then span id.
-    events.sort(
-        key=lambda e: (
-            e["pid"],
-            e["tid"],
-            e["ts"],
-            e.get("args", {}).get("span_id", e.get("id", -1)),
-            e["ph"],
-        )
-    )
+    order = sorted(range(len(events)), key=keys.__getitem__)
     metadata: List[Dict[str, Any]] = []
     for pid in sorted({pid for pid, _tid in tracks}):
         metadata.append(
@@ -153,7 +148,7 @@ def chrome_trace_events(
                 "args": {"name": category},
             }
         )
-    return metadata + events
+    return metadata + [events[index] for index in order]
 
 
 def export_chrome_trace(
@@ -167,6 +162,7 @@ def export_chrome_trace(
     """
     payload = {
         "displayTimeUnit": "ms",
+        "otherData": {"format": SPAN_FORMAT},
         "traceEvents": chrome_trace_events(tracer, flows=flows),
     }
     text = json.dumps(

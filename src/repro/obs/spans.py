@@ -8,14 +8,19 @@ service, CAN bus/controller/driver, EDCAN, FDA, RHA, failure detection and
 membership — opens spans along every causal chain, so a node-failure
 detection becomes a *tree* rooted at the missed life-sign: the surveillance
 timer span whose expiry spawned the ``fd.detect`` span, whose FDA
-failure-sign frame span spawned a bus transmission span, whose per-node
-receive spans spawned the ``fda.nty`` deliveries and membership change
-notifications.
+failure-sign frame span spawned a bus transmission span, whose receive span
+spawned the ``fda.nty`` deliveries and membership change notifications.
 
-Tracing is **off by default** and zero-overhead when off: every
-instrumentation site guards on :attr:`SpanTracer.enabled` (one attribute
-load and branch, the same discipline as ``trace.wants(...)``), so the
-PR-3 perf gate is unaffected. Enable it per run::
+What all receivers of a frame learn alike is recorded once (``node=-1``):
+one ``can.rx`` span per delivered frame, ``receivers`` = the node set that
+took it, and one ``fd.surveillance`` span per *group* of observers sharing
+a deadline, ``watchers`` = who it was armed for. Per-node spans are the
+rare ones, so a frame costs a handful of spans whatever the population.
+
+Tracing is **off by default** and costs one attribute load and branch per
+site when off (every site guards on :attr:`SpanTracer.enabled`, as with
+``trace.wants(...)``); ``docs/observability.md`` states the cost when on.
+Enable it per run::
 
     net = CanelyNetwork(node_count=8, spans=True)   # or:
     net.sim.spans.enabled = True
@@ -26,9 +31,9 @@ Causality crosses simulated time through two mechanisms:
   pending alarm the id of its timer span, so the completion path ends the
   span the submission path opened;
 * **context** — the tracer keeps an explicit stack of "current" span ids;
-  dispatch sites (timer expiry, per-node frame delivery, ``.nty`` fan-out)
-  push the causing span around the callbacks they invoke, and every span
-  opened without an explicit parent adopts the top of the stack.
+  dispatch sites (timer expiry, frame delivery) push the causing span
+  around the callbacks they invoke, and every span opened without an
+  explicit parent adopts the top of the stack.
 
 Downstream consumers: :mod:`repro.obs.critical_path` decomposes detection
 and membership latency into segments that sum exactly to the observed
@@ -40,6 +45,8 @@ sequence charts.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.util.sets import NodeSet
 
 __all__ = [
     "NULL_TRACER",
@@ -113,6 +120,15 @@ class Span:
         )
 
 
+def plain_attrs(span: Span) -> Dict[str, Any]:
+    """``span.attrs`` in key order with node sets as ascending id lists
+    (and tuples as lists) — the form every exporter writes."""
+    return {
+        key: list(value) if isinstance(value, (NodeSet, tuple)) else value
+        for key, value in sorted(span.attrs.items())
+    }
+
+
 def span_to_dict(span: Span) -> Dict[str, Any]:
     """A JSON-serializable projection of ``span``."""
     return {
@@ -123,7 +139,7 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
         "start": span.start,
         "end": span.end,
         "parent": span.parent,
-        "attrs": dict(span.attrs),
+        "attrs": plain_attrs(span),
         "events": list(span.events),
     }
 
@@ -138,13 +154,17 @@ class SpanTracer:
     clock call.
     """
 
-    __slots__ = ("enabled", "_clock", "_spans", "_stack")
+    __slots__ = ("enabled", "_clock", "_spans", "_stack", "_children", "_indexed")
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self.enabled = False
         self._clock: Callable[[], int] = clock if clock is not None else lambda: 0
         self._spans: List[Span] = []
         self._stack: List[int] = []
+        #: parent id -> children over the first ``_indexed`` spans; spans
+        #: only append, so :meth:`children` indexes what came since.
+        self._children: Dict[int, List[Span]] = {}
+        self._indexed = 0
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Set the time source used when ``at`` is not given."""
@@ -272,7 +292,12 @@ class SpanTracer:
 
     def children(self, span_id: int) -> List[Span]:
         """Direct children of ``span_id``, in creation order."""
-        return [span for span in self._spans if span.parent == span_id]
+        index = self._children
+        for span in self._spans[self._indexed :]:
+            if span.parent is not None:
+                index.setdefault(span.parent, []).append(span)
+        self._indexed = len(self._spans)
+        return list(index.get(span_id, ()))
 
     def ancestors(self, span_id: int) -> List[Span]:
         """The parent chain of ``span_id``, nearest first (excludes self)."""
@@ -290,7 +315,7 @@ class SpanTracer:
         return chain[-1] if chain else self._spans[span_id]
 
     def open_spans(self) -> List[Span]:
-        """Spans never closed (e.g. the frame queue of a crashed node)."""
+        """Spans not closed so far (at the end of a run: timers still armed)."""
         return [span for span in self._spans if span.end is None]
 
     def max_time(self) -> int:
@@ -312,6 +337,8 @@ class SpanTracer:
         """Drop every span and the context stack (keeps ``enabled``)."""
         self._spans.clear()
         self._stack.clear()
+        self._children.clear()
+        self._indexed = 0
 
 
 #: Shared disabled tracer: the default for components constructed without a
@@ -340,7 +367,7 @@ def render_span_tree(
             return
         duration = "open" if span.end is None else fmt(span.duration)
         label = ", ".join(
-            f"{key}={value}" for key, value in sorted(span.attrs.items())
+            f"{key}={value}" for key, value in plain_attrs(span).items()
         )
         lines.append(
             f"{'  ' * depth}{fmt(span.start):>12}  {span.name} "

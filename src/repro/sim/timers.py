@@ -37,8 +37,13 @@ the group's deadline fires before or after the whole group (after, when the
 collective form deferred the group ahead of the per-receiver upcalls), never
 between two of its members as it could between per-watch alarms. No timer in
 the tree can coincide with a surveillance deadline (``Thb + Ttd`` equals no
-other configured duration), and the span-on/span-off whole-trace property in
-``tests/properties/test_filtered_delivery.py`` pins it.
+other configured duration), and the plan-versus-broadcast whole-trace property
+in ``tests/properties/test_filtered_delivery.py`` pins it.
+
+With span tracing on, a deadline is described the way it is kept: one span per
+group per deadline (``node=-1``, ``tag`` the subject, ``watchers`` the observers
+it was armed for, in joining order), ended when the group fires, is deferred or
+loses its last member — even if tracing has been switched off meanwhile.
 """
 
 from __future__ import annotations
@@ -149,8 +154,8 @@ class TimerService:
         nothing to stretch. Negative durations are a caller bug.
 
         ``name``/``tag`` label the alarm's causal span (e.g. the
-        ``"fd.surveillance"`` span of the timer watching node ``tag``);
-        they are ignored while span tracing is disabled.
+        ``"swim.fail"`` span of the timer on member ``tag``); they are
+        ignored while span tracing is disabled.
         """
         duration = self._stretch(duration)
         alarm = Alarm(next(self._ids), self._sim.now + duration, on_expire, self)
@@ -242,8 +247,9 @@ class TimerService:
         """This node's handle on the simulation's :class:`SurveillanceTable`.
 
         ``on_expire(subject)`` is called when a watched subject stayed
-        silent for its whole duration; ``name`` labels the per-watch causal
-        spans (as :meth:`start_alarm`'s does), tagged with the subject.
+        silent for its whole duration; ``name`` labels the causal spans of
+        a subject's deadlines (as :meth:`start_alarm`'s does, after the
+        subject's first watcher), tagged with the subject.
         """
         return Watcher(SurveillanceTable.of(self._sim), self, on_expire, name)
 
@@ -251,10 +257,12 @@ class TimerService:
 class _Subject:
     """What the table knows about one watched node."""
 
-    __slots__ = ("node", "watchers", "groups", "settled")
+    __slots__ = ("node", "name", "watchers", "groups", "settled")
 
-    def __init__(self, node: int) -> None:
+    def __init__(self, node: int, name: str) -> None:
         self.node = node
+        #: Names the causal span of each of its deadlines.
+        self.name = name
         #: How many watches name this subject, armed or spent.
         self.watchers = 0
         #: deadline -> the group of watches expiring then.
@@ -269,7 +277,7 @@ class _Subject:
 class _Watch:
     """Observer *i* watches subject *s*: one surveillance timer of Fig. 8."""
 
-    __slots__ = ("watcher", "subject", "duration", "group", "span")
+    __slots__ = ("watcher", "subject", "duration", "group")
 
     def __init__(self, watcher: "Watcher", subject: _Subject) -> None:
         self.watcher = watcher
@@ -279,7 +287,6 @@ class _Watch:
         #: The group this watch last joined; the watch is armed while
         #: that group's deadline is pending.
         self.group: Optional["_Group"] = None
-        self.span: Optional[int] = None
 
 
 class _Group:
@@ -290,7 +297,16 @@ class _Group:
     a whole or moves them out one by one.
     """
 
-    __slots__ = ("table", "subject", "deadline", "duration", "members", "event")
+    __slots__ = (
+        "table",
+        "subject",
+        "deadline",
+        "duration",
+        "members",
+        "event",
+        "span",
+        "member_ids",
+    )
 
     def __init__(
         self, table: "SurveillanceTable", subject: _Subject, deadline: int
@@ -306,32 +322,35 @@ class _Group:
         #: is the order their own alarms would have fired in.
         self.members: Dict[_Watch, None] = {}
         self.event = table._sim.schedule_at(deadline, self.fire)
+        #: The span of the pending deadline, if tracing was on when it was armed.
+        self.span: Optional[int] = None
+        #: The members' node ids, worked out when a settled group is first
+        #: deferred under tracing; good until the group next settles.
+        self.member_ids: Optional[tuple] = None
+        if table._spans.enabled:
+            self.span = table._spans.begin(
+                subject.name, "timers", tag=subject.node, watchers=[]
+            )
 
     def fire(self) -> None:
         subject = self.subject
         del subject.groups[self.deadline]
         self.event = None
-        table = self.table
-        spans = table._spans
-        # A snapshot: one member's expiry may unwatch or re-arm a later one,
-        # which then no longer belongs to this group and must not fire.
-        for watch in list(self.members):
-            if watch.group is not self:
-                continue
-            watcher = watch.watcher
-            span = watch.span
-            if span is None:
-                watcher._on_expire(subject.node)
-                continue
+        span, self.span = self.span, None
+        spans = self.table._spans
+        if span is not None:
             # As Alarm._fire: the span ends at expiry and stays pushed as
-            # the causal context of everything the expiry triggers.
-            watch.span = None
-            table._spanned -= 1
+            # the causal context of everything the expiries trigger.
             spans.end(span, outcome="fired")
             spans.push(span)
-            try:
-                watcher._on_expire(subject.node)
-            finally:
+        # A snapshot: one member's expiry may unwatch or re-arm a later one,
+        # which then no longer belongs to this group and must not fire.
+        try:
+            for watch in list(self.members):
+                if watch.group is self:
+                    watch.watcher._on_expire(subject.node)
+        finally:
+            if span is not None:
                 spans.pop()
 
 
@@ -347,9 +366,6 @@ class SurveillanceTable:
         self._sim = sim
         self._spans = sim.spans
         self._subjects: Dict[int, _Subject] = {}
-        #: Watches holding an open span; while any does (or span tracing
-        #: is on) re-arming has per-watch work to do.
-        self._spanned = 0
         #: During a collective pass: group -> watches the pass put there.
         self._joined: Optional[Dict[_Group, int]] = None
 
@@ -369,21 +385,19 @@ class SurveillanceTable:
         listener does nothing but :meth:`Watcher.heard` of ``mid.node`` —
         which is also how the general case is carried out. The common case
         is answered from the memo of the last such pass instead: the same
-        tuple, this subject's groups untouched since, no spans to open or
-        close — then re-arming every listener's watch *is* deferring each
-        of those groups by its duration (reviving it, if it had fired).
+        tuple, this subject's groups untouched since — then re-arming every
+        listener's watch *is* deferring each of those groups by its
+        duration (reviving it, if it had fired), span and all.
         """
         subject = self._subjects.get(mid.node)
         if subject is None:
             return  # nobody watches the sender
         settled = subject.settled
-        if (
-            settled is not None
-            and (settled[0] is listeners or settled[0] == listeners)
-            and not self._spanned
-            and not self._spans.enabled
+        if settled is not None and (
+            settled[0] is listeners or settled[0] == listeners
         ):
             sim = self._sim
+            spans = self._spans
             now = sim._now
             groups = subject.groups
             for group in settled[1]:
@@ -404,6 +418,18 @@ class SurveillanceTable:
                     group.event = sim.schedule_at(deadline, group.fire)
                 groups[deadline] = group
                 group.deadline = deadline
+                if group.span is not None:
+                    spans.end(group.span, outcome="cancelled")
+                    group.span = None
+                if spans.enabled:
+                    watchers = group.member_ids
+                    if watchers is None:
+                        watchers = group.member_ids = tuple(
+                            [watch.watcher._timers._node for watch in group.members]
+                        )
+                    group.span = spans.begin(
+                        subject.name, "timers", tag=subject.node, watchers=watchers
+                    )
             else:
                 return
         self._joined = joined = {}
@@ -419,6 +445,7 @@ class SurveillanceTable:
             now = self._sim._now
             for group in joined:
                 group.duration = group.deadline - now
+                group.member_ids = None
             subject.settled = (listeners, list(joined))
 
 
@@ -456,7 +483,7 @@ class Watcher:
             subjects = self._table._subjects
             record = subjects.get(subject)
             if record is None:
-                record = subjects[subject] = _Subject(subject)
+                record = subjects[subject] = _Subject(subject, self._name)
             record.watchers += 1
             watch = self._watches[subject] = _Watch(self, record)
         watch.duration = self._timers._stretch(duration)
@@ -504,23 +531,19 @@ class Watcher:
             return None
         return watch.group.deadline
 
-    def _leave(self, watch: _Watch, target: Optional[_Group] = None) -> None:
-        """Take ``watch`` out of its group (cancel-alarm, for one watch);
-        ``target`` is the group it is about to join, which may be the same."""
+    def _leave(self, watch: _Watch) -> None:
+        """Take ``watch`` out of its group (cancel-alarm, for one watch)."""
         group = watch.group
         if group is None:
             return
         del group.members[watch]
-        if not group.members and group.event is not None and group is not target:
+        if not group.members and group.event is not None:
             group.event.cancel()
             group.event = None
             del watch.subject.groups[group.deadline]
-        if watch.span is not None:
-            # Still open, so the deadline had not fired for this watch.
-            table = self._table
-            table._spans.end(watch.span, outcome="cancelled")
-            watch.span = None
-            table._spanned -= 1
+            if group.span is not None:
+                self._table._spans.end(group.span, outcome="cancelled")
+                group.span = None
 
     def _arm(self, watch: _Watch) -> None:
         """Move ``watch`` into the group expiring ``duration`` from now."""
@@ -531,15 +554,17 @@ class Watcher:
         group = record.groups.get(deadline)
         if group is None:
             group = record.groups[deadline] = _Group(table, record, deadline)
-        self._leave(watch, group)
+        if watch.group is group:
+            del group.members[watch]  # re-joins at the end, the deadline stands
+        else:
+            self._leave(watch)
+            if group.span is not None:
+                # In place on the list a forming group's span started with;
+                # a tuple the spans of a deferred group share is replaced.
+                attrs = table._spans.get(group.span).attrs
+                attrs["watchers"] += (self._timers._node,)
         group.members[watch] = None
         watch.group = group
         joined = table._joined
         if joined is not None:
             joined[group] = joined.get(group, 0) + 1
-        spans = table._spans
-        if spans.enabled:
-            watch.span = spans.begin(
-                self._name, "timers", node=self._timers._node, tag=record.node
-            )
-            table._spanned += 1

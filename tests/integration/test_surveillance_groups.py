@@ -10,6 +10,7 @@ behaviour in ticks.
 """
 
 import pytest
+from broadcast_reference import broadcast_delivery
 
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.identifiers import MessageId, MessageType
@@ -154,7 +155,7 @@ def test_different_drifts_never_share_a_deadline():
 # -- a crash in the middle of a delivery ----------------------------------------------
 
 
-def crash_mid_delivery(spans, crasher, victim, on_els):
+def crash_mid_delivery(crasher, victim, on_els, spans=False):
     """Node 1 talks; ``crasher``'s upcall for one of the frames takes
     ``victim`` down while that frame is still being delivered."""
     net = CanelyNetwork(node_count=4, config=CONFIG, spans=spans)
@@ -185,7 +186,7 @@ def crash_mid_delivery(spans, crasher, victim, on_els):
     "crasher, victim", [(0, 2), (3, 1)], ids=["later", "earlier"]
 )
 def test_crash_by_another_recipients_upcall(crasher, victim, on_els):
-    net, struck = crash_mid_delivery(False, crasher, victim, on_els)
+    net, struck = crash_mid_delivery(crasher, victim, on_els)
     (instant,) = struck
     took = {d[1] for d in deliveries(net.sim.trace) if d[0] == instant}
     # The row holds who took the frame: a victim whose turn was still to
@@ -208,12 +209,23 @@ def test_crash_by_another_recipients_upcall(crasher, victim, on_els):
     assert {record.data["failed"] for record in detections} == {victim}
     assert {record.time for record in detections} == {last_heard + REMOTE}
     assert sorted(net.agreed_view()) == sorted({0, 1, 2, 3} - {victim})
-    # And the per-receiver oracle (the span-on loop) saw the very same run.
-    oracle, _ = crash_mid_delivery(True, crasher, victim, on_els)
-    assert [record_to_dict(r) for r in net.sim.trace] == [
-        record_to_dict(r) for r in oracle.sim.trace
+    # The per-receiver oracle (the broadcast reference) saw the very same
+    # run, and so did the plan with spans on — whose ``can.rx`` of that
+    # frame names who took it, like the row.
+    with broadcast_delivery():
+        oracle, _ = crash_mid_delivery(crasher, victim, on_els)
+    observed, _ = crash_mid_delivery(crasher, victim, on_els, spans=True)
+    for other in (oracle, observed):
+        assert [record_to_dict(r) for r in net.sim.trace] == [
+            record_to_dict(r) for r in other.sim.trace
+        ]
+        assert net.sim.events_processed == other.sim.events_processed
+    (rx,) = [
+        span
+        for span in observed.sim.spans.select(name="can.rx")
+        if span.start == instant
     ]
-    assert net.sim.events_processed == oracle.sim.events_processed
+    assert set(rx.attrs["receivers"]) == took
 
 
 # -- span tracing switched on and off mid-run -------------------------------------------

@@ -1,19 +1,22 @@
 """Property: plan-based delivery is observation-identical to broadcast.
 
-With span tracing off the bus delivers through a cached plan per kind of
-frame: baked listener upcalls, the failure detectors' surveillance told
-once per frame through its collective form. With span tracing on it
-offers the frame to every alive controller, consults its filter bank per
-delivery and upcalls every receiver for itself. The contract is that the
-plan is a pure mechanism change: whatever the filter masks, the traffic,
-the churn and the injected faults, both loops must produce byte-identical
+The bus delivers through a cached plan per kind of frame: baked listener
+upcalls, the failure detectors' surveillance told once per frame through
+its collective form — with span tracing off and on alike. The oracle is
+the broadcast reference (``tests/broadcast_reference.py``): offer the frame
+to every alive controller, consult its filter bank per delivery and upcall
+every receiver for itself. The contract is that the plan is a pure
+mechanism change and that watching it changes nothing: whatever the filter
+masks, the traffic, the churn and the injected faults, the plan with spans
+off, the plan with spans on and the reference must produce byte-identical
 traces, identical delivery logs, identical bus accounting and the same
-number of kernel events — which also pins that enabling spans changes no
-trace record, and that "all receivers at once" is "each receiver in
-order" for the surveillance table. Hypothesis drives randomized
-schedules against both loops and compares the full fingerprint.
+number of kernel events — which pins that enabling spans changes no trace
+record, and that "all receivers at once" is "each receiver in order" for
+the surveillance table. Hypothesis drives randomized schedules through all
+three and compares the full fingerprint.
 """
 
+from broadcast_reference import broadcast_delivery
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.can.bus import CanBus
@@ -37,9 +40,15 @@ SLOW = settings(
 _ID_MASK = (1 << 16) - 1
 
 
-def _run_modes(scenario):
-    """Run ``scenario(spans)`` on the plan path and on the span-on oracle."""
-    return scenario(False), scenario(True)
+def _assert_modes_agree(scenario):
+    """``scenario(spans)`` three ways — the plan, the plan with spans on,
+    the broadcast reference — must leave the same fingerprint."""
+    planned = scenario(False)
+    observed = scenario(True)
+    with broadcast_delivery():
+        broadcast = scenario(False)
+    assert planned == broadcast
+    assert observed == broadcast
 
 
 # -- raw bus with random acceptance masks -------------------------------------
@@ -162,8 +171,7 @@ def _run_bus_scenario(schedule, spans):
 @SLOW
 @given(bus_schedules())
 def test_filtered_delivery_matches_broadcast_on_raw_bus(schedule):
-    filtered, broadcast = _run_modes(lambda spans: _run_bus_scenario(schedule, spans))
-    assert filtered == broadcast
+    _assert_modes_agree(lambda spans: _run_bus_scenario(schedule, spans))
 
 
 # -- full protocol stack under churn and inconsistent omissions ---------------
@@ -219,15 +227,12 @@ def _run_network_scenario(scenario, spans):
 @SLOW
 @given(network_scenarios())
 def test_filtered_delivery_matches_broadcast_on_protocol_stack(scenario):
-    filtered, broadcast = _run_modes(
-        lambda spans: _run_network_scenario(scenario, spans)
-    )
-    assert filtered == broadcast
+    _assert_modes_agree(lambda spans: _run_network_scenario(scenario, spans))
 
 
 # -- bridged multi-segment networks, both backends ----------------------------
 
-# Each example runs a full bridged network four times (two backends would
+# Each example runs a full bridged network three times (two backends would
 # double it again), so the segmented property uses a smaller budget.
 SLOW_SEGMENTED = settings(
     max_examples=10,
@@ -280,7 +285,4 @@ def _run_segmented_scenario(scenario, spans):
 def test_filtered_delivery_matches_broadcast_across_segments(scenario):
     # The gateway's relay traffic and plan invalidation on attach must be
     # mechanism-transparent too, for either membership backend.
-    filtered, broadcast = _run_modes(
-        lambda spans: _run_segmented_scenario(scenario, spans)
-    )
-    assert filtered == broadcast
+    _assert_modes_agree(lambda spans: _run_segmented_scenario(scenario, spans))

@@ -281,6 +281,20 @@ def test_spans_summary_table(capsys):
     assert "p99<=" in out
 
 
+def test_spans_summary_lists_what_it_left_open_by_kind(capsys):
+    assert main(SPANS_ARGS) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    # The deadlines and cycle timers still armed when the run stopped —
+    # counted per kind, no cause guessed.
+    assert "span(s) open when the run stopped" in last
+    assert "timers/fd.surveillance" in last and "timers/msh.cycle" in last
+    assert "crashed-node" not in last
+    total = int(last.split()[0])
+    assert total == sum(
+        int(part.split()[0]) for part in last.split(": ", 1)[1].split(", ")
+    )
+
+
 def test_spans_critical_path(capsys):
     assert main(SPANS_ARGS + ["--critical-path"]) == 0
     out = capsys.readouterr().out

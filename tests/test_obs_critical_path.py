@@ -111,6 +111,35 @@ def test_observer_argument_selects_the_node(crashed):
     assert sum(seg.duration for seg in path.segments) == path.total
 
 
+def test_every_survivor_keeps_its_whole_causal_chain(crashed):
+    """One ``can.rx`` per frame and one ``fd.surveillance`` per group still
+    give every observer its own complete tree, back to the delivery of the
+    crashed node's last life-sign."""
+    net, failed, _ = crashed
+    spans = net.sim.spans
+    survivors = [n for n in range(5) if n != failed]
+    for observer in survivors:
+        for builder in (detection_path, notification_path, view_update_path):
+            path = builder(spans, failed, observer=observer)
+            assert path.observer == observer
+            assert sum(seg.duration for seg in path.segments) == path.total
+        (nty,) = [
+            span
+            for span in spans.select(name="fda.nty", node=observer)
+            if span.attrs.get("failed") == failed
+        ]
+        chain = spans.ancestors(nty.span_id)
+        assert [span.name for span in chain[:6]] == [
+            "can.rx", "can.tx", "can.frame", "fd.detect", "fd.surveillance", "can.rx",
+        ]
+        assert observer in chain[0].attrs["receivers"]
+        surveillance, life_sign = chain[4], chain[5]
+        assert surveillance.attrs["tag"] == failed
+        assert surveillance.attrs["outcome"] == "fired"
+        assert sorted(surveillance.attrs["watchers"]) == survivors
+        assert spans.get(life_sign.parent).node == failed  # its ``can.tx``
+
+
 def test_render_reports_total_and_percentages(crashed):
     net, failed, _ = crashed
     lines = detection_path(net.sim.spans, failed).render()

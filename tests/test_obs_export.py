@@ -44,6 +44,8 @@ def test_export_validates_and_is_well_formed_json(net):
     text = export_chrome_trace(net.sim.spans)
     payload = json.loads(text)
     assert payload["displayTimeUnit"] == "ms"
+    # The file says which span taxonomy it holds.
+    assert payload["otherData"] == {"format": "repro.spans/2"}
     assert validate_chrome_trace(text) == []
     assert validate_chrome_trace(payload) == []
     assert validate_chrome_trace(payload["traceEvents"]) == []
@@ -57,9 +59,15 @@ def test_events_map_nodes_to_processes_and_layers_to_threads(net):
         for e in metadata
         if e["name"] == "process_name"
     }
-    # Node n is pid n + 1 (pid 0 is reserved for bus-global spans).
+    # Node n is pid n + 1; pid 0 is the bus: the per-frame ``can.rx`` and
+    # the per-group ``fd.surveillance`` spans belong to no single node.
     assert process_names[3] == "node 2"
-    assert set(process_names.values()) == {f"node {n}" for n in range(4)}
+    assert process_names[0] == "bus"
+    assert set(process_names.values()) == {"bus"} | {f"node {n}" for n in range(4)}
+    assert {e["name"] for e in events if e["ph"] == "X" and e["pid"] == 0} == {
+        "can.rx",
+        "fd.surveillance",
+    }
     thread_names = {
         (e["pid"], e["tid"]): e["args"]["name"]
         for e in metadata
@@ -74,6 +82,39 @@ def test_events_map_nodes_to_processes_and_layers_to_threads(net):
         category = CHROME_CATEGORIES[event["tid"]]
         assert event["cat"] == category
         assert thread_names[(event["pid"], event["tid"])] == category
+
+
+def test_node_sets_are_written_as_ascending_id_lists(net):
+    text = export_chrome_trace(net.sim.spans)
+    assert "NodeSet(" not in text
+    events = json.loads(text)["traceEvents"]
+    received = [e["args"]["receivers"] for e in events if e.get("name") == "can.rx"]
+    watched = [
+        e["args"]["watchers"] for e in events if e.get("name") == "fd.surveillance"
+    ]
+    assert received and watched
+    for ids in received:
+        assert ids == sorted(ids) and set(ids) <= {0, 1, 2, 3}
+    for ids in watched:
+        assert ids and set(ids) <= {0, 1, 2, 3}
+
+
+def test_events_come_in_the_documented_total_order(net):
+    """Track, then time, then span id, then phase — the key each event is
+    built with must order the list exactly as reading it back would."""
+    events = [
+        e for e in chrome_trace_events(net.sim.spans, flows=True) if e["ph"] != "M"
+    ]
+    assert events == sorted(
+        events,
+        key=lambda e: (
+            e["pid"],
+            e["tid"],
+            e["ts"],
+            e.get("args", {}).get("span_id", e.get("id", -1)),
+            e["ph"],
+        ),
+    )
 
 
 def test_timestamps_are_microseconds(net):

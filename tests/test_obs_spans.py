@@ -89,6 +89,23 @@ def test_queries_select_children_ancestors_root():
     assert tracer.root(a).span_id == a
 
 
+def test_children_index_follows_spans_added_between_queries():
+    tracer = SpanTracer(clock=lambda: 0)
+    a = tracer.begin("a", "x", at=0)
+    b = tracer.begin("b", "x", parent=a, at=1)
+    assert [s.span_id for s in tracer.children(a)] == [b]
+    tracer.children(a).clear()  # the answer is the caller's own list
+    c = tracer.begin("c", "x", parent=a, at=2)
+    assert [s.span_id for s in tracer.children(a)] == [b, c]
+    assert tracer.children(c) == []
+    tracer.clear()
+    tracer.begin("a", "x", at=0)
+    tracer.begin("d", "x", at=1)
+    tracer.begin("e", "x", parent=1, at=2)
+    assert tracer.children(0) == []
+    assert [s.name for s in tracer.children(1)] == ["e"]
+
+
 def test_open_spans_summary_and_clear():
     tracer = SpanTracer(clock=lambda: 0)
     a = tracer.begin("a", "bus", at=0)
@@ -121,6 +138,17 @@ def test_span_to_dict_is_jsonable():
         "attrs": {"mid": "M"},
         "events": [[1, "e"]],
     }
+
+
+def test_node_set_attrs_project_to_ascending_id_lists():
+    from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
+
+    tracer = SpanTracer(clock=lambda: 0)
+    span_id = tracer.begin("can.rx", "bus", at=0)
+    tracer.end(span_id, at=0, receivers=NodeSet([7, 0, 130], WIDE_MAX_CAPACITY))
+    assert 130 in tracer.get(span_id).attrs["receivers"]
+    assert span_to_dict(tracer.get(span_id))["attrs"] == {"receivers": [0, 7, 130]}
+    assert "receivers=[0, 7, 130]" in render_span_tree(tracer, span_id)[0]
 
 
 def test_render_span_tree_indents_by_causal_depth():
@@ -192,14 +220,21 @@ def test_detection_tree_roots_at_the_surveillance_timer(crashed_net):
         name="fd.detect", predicate=lambda s: s.attrs.get("failed") == 2
     )
     assert detects, "the crash of node 2 must be detected"
+    # Every survivor's detection is caused by the one surveillance deadline
+    # their group shared for node 2.
+    assert {detect.node for detect in detects} == {0, 1, 3}
+    assert len({detect.parent for detect in detects}) == 1
     detect = detects[0]
     parent = spans.get(detect.parent)
-    # The detection is caused by the surveillance timer monitoring node 2.
-    assert parent.name == "fd.surveillance"
+    assert parent.name == "fd.surveillance" and parent.node == -1
     assert parent.attrs["tag"] == 2
     assert parent.attrs["outcome"] == "fired"
-    # ... and that timer was armed by node 2's own last life-sign: walking
-    # further up the chain always reaches node 2 traffic.
+    assert sorted(parent.attrs["watchers"]) == [0, 1, 3]
+    # ... and that deadline was armed by the delivery of node 2's own last
+    # life-sign: walking further up the chain always reaches node 2 traffic.
+    armed_by = spans.get(parent.parent)
+    assert armed_by.name == "can.rx"
+    assert all(node in armed_by.attrs["receivers"] for node in (0, 1, 3))
     assert any(
         span.node == 2 and span.name == "fd.els"
         for span in spans.ancestors(detect.span_id)
@@ -217,11 +252,37 @@ def test_failure_sign_fans_out_to_every_survivor(crashed_net):
     for span in spans.select(name="fda.nty"):
         if span.attrs.get("failed") != 2:
             continue
-        ancestor_names = [a.name for a in spans.ancestors(span.span_id)]
-        # Delivered over a per-node rx span of a physical transmission.
+        ancestors = spans.ancestors(span.span_id)
+        ancestor_names = [a.name for a in ancestors]
+        # Delivered over the rx span of a physical transmission — one per
+        # frame, naming this survivor among who took it.
         assert ancestor_names[0] == "can.rx"
+        assert ancestors[0].node == -1
+        assert span.node in ancestors[0].attrs["receivers"]
         assert "can.tx" in ancestor_names
         assert "fd.detect" in ancestor_names
+
+
+def test_routine_spans_are_per_frame_not_per_receiver(crashed_net):
+    spans = crashed_net.sim.spans
+    frames = crashed_net.bus.stats.physical_frames
+    assert len(spans.select(name="can.rx")) == frames
+    assert len(spans.select(name="can.tx")) == frames
+    assert not spans.select(name="can.nty")
+    # The span and the row of a frame carry the same set.
+    rows = crashed_net.sim.trace.select(category="bus.deliver")
+    assert [
+        (span.start, span.attrs["receivers"])
+        for span in spans.select(name="can.rx")
+    ] == [(record.time, record.data["receivers"]) for record in rows]
+
+
+def test_children_index_equals_the_linear_scan(crashed_net):
+    spans = crashed_net.sim.spans
+    for span in spans:
+        assert spans.children(span.span_id) == [
+            other for other in spans if other.parent == span.span_id
+        ]
 
 
 def test_surveillance_timers_record_their_outcome(crashed_net):

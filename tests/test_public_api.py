@@ -19,9 +19,11 @@ def test_version_bumped_for_the_new_surface():
     # node API onto the exported MembershipNode base and removed
     # deep-module duplicates; 2.2.0 changed the bus.deliver trace row and
     # with it the artifact/fingerprint format; 3.0.0 took a keyword off a
-    # facade signature (run_until_settled's idle_skip) (docs/api.md).
+    # facade signature (run_until_settled's idle_skip); 3.1.0 changed the
+    # span taxonomy (one can.rx per frame, one fd.surveillance per group)
+    # and marked the Chrome export with it (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (3, 0)
+    assert (int(major), int(minor)) >= (3, 1)
 
 
 def test_core_names_are_eager():

@@ -217,7 +217,16 @@ def test_expiry_that_unwatches_a_later_member_silences_it():
     assert fired == [(0, 4), (1, 4)]
 
 
-def test_spans_open_and_close_once_per_watch():
+def surveillance_spans(rig):
+    """Every surveillance span as ``(tag, start, end, outcome, watchers)``."""
+    return [
+        (s.attrs["tag"], s.start, s.end, s.attrs.get("outcome"),
+         tuple(s.attrs["watchers"]))
+        for s in rig.sim.spans.select(name="fd.surveillance")
+    ]
+
+
+def test_spans_open_and_close_once_per_group():
     rig = Rig(2)
     spans = rig.sim.spans
     spans.enabled = True
@@ -227,16 +236,35 @@ def test_spans_open_and_close_once_per_watch():
     rig.heard_by(9, (0, 1))
     rig.watchers[1].unwatch(9)
     rig.sim.run_until(1000)
-    surveillance = spans.select(name="fd.surveillance")
-    assert [(s.node, s.attrs["tag"], s.start, s.end, s.attrs["outcome"])
-            for s in surveillance] == [
-        (0, 9, 0, 10, "cancelled"),
-        (1, 9, 0, 10, "cancelled"),
-        (0, 9, 10, 110, "fired"),
-        (1, 9, 10, 10, "cancelled"),
+    # One span per deadline, not per watch; ``watchers`` is who the deadline
+    # was armed for, node 1 included although it left before the expiry.
+    assert surveillance_spans(rig) == [
+        (9, 0, 10, "cancelled", (0, 1)),
+        (9, 10, 110, "fired", (0, 1)),
     ]
+    assert {s.node for s in spans.select(name="fd.surveillance")} == {-1}
     assert not spans.open_spans()
-    assert rig.table._spanned == 0
+
+
+def test_deferring_a_settled_group_costs_one_span_whatever_its_size():
+    rig = Rig(4)
+    rig.sim.spans.enabled = True
+    for watcher in rig.watchers:
+        watcher.watch(9, 100)
+    rig.sim.run_until(10)
+    rig.heard_by(9, EVERYBODY)  # forms the group the next frames defer
+    for at in (20, 30, 40):
+        rig.sim.run_until(at)
+        rig.heard_by(9, EVERYBODY)
+    rig.sim.run_until(1000)
+    assert surveillance_spans(rig) == [
+        (9, 0, 10, "cancelled", EVERYBODY),
+        (9, 10, 20, "cancelled", EVERYBODY),
+        (9, 20, 30, "cancelled", EVERYBODY),
+        (9, 30, 40, "cancelled", EVERYBODY),
+        (9, 40, 140, "fired", EVERYBODY),
+    ]
+    assert rig.fired == [(140, node, 9) for node in EVERYBODY]
 
 
 # -- property: the table against a plain dict model --------------------------------
@@ -378,10 +406,13 @@ def test_table_matches_the_per_pair_model(ops):
         assert deadlines == expected_deadlines
         assert per_subject(rig.fired) == per_subject(expected_fired)
         assert [f[0] for f in rig.fired] == [f[0] for f in expected_fired]
-        # Nothing armed is left behind, no span is left open or miscounted.
+        # Nothing armed is left behind, no span is left open.
         assert rig.sim.pending_events == 0
-        assert rig.table._spanned == 0 and not rig.sim.spans.open_spans()
-        logs.append((rig.fired, rig.sim.events_processed))
+        assert not rig.sim.spans.open_spans()
+        logs.append(
+            (rig.fired, rig.sim.events_processed, surveillance_spans(rig))
+        )
     # "R at once" is "each r in R in order": same expiries in the same
-    # order, from the same number of kernel events.
+    # order, from the same number of kernel events — and, whenever span
+    # tracing was flipped on, described by the same spans in the same order.
     assert logs[0] == logs[1]
