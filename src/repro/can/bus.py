@@ -103,9 +103,11 @@ class _DeliveryPlan:
     plan reduces to without them.
     """
 
-    __slots__ = ("controllers", "slot", "entries", "visited", "members", "views")
+    __slots__ = (
+        "controllers", "slot", "entries", "visited", "members", "ind_members", "views"
+    )
 
-    def __init__(self, controllers, entries, members) -> None:
+    def __init__(self, controllers, entries, members, ind_members) -> None:
         #: Every accepting controller, in attach order — the delivery order.
         self.controllers = controllers
         #: node id -> position in ``controllers``.
@@ -114,31 +116,44 @@ class _DeliveryPlan:
         #: must visit one by one: ``first``/``second`` are the baked
         #: listener tuples of a standard layer (nty or rtr-ind, then
         #: data-ind), ``first is None`` means ``controller.deliver``.
+        #: ``(None, collective, None)`` stands where the first member of a
+        #: data-ind collective form would have been visited.
         self.entries = entries
-        self.visited = frozenset(entry[0].node_id for entry in entries)
+        self.visited = frozenset(
+            entry[0].node_id for entry in entries if entry[0] is not None
+        )
         #: ``(collective, ((node id, listener), ...))`` per collective form
-        #: the planned layers registered, members in delivery order.
+        #: the planned layers registered for nty/rtr-ind, members in
+        #: delivery order; ``ind_members`` likewise for data-ind.
         self.members = members
+        self.ind_members = ind_members
         #: down node ids -> :meth:`view`, cached.
         self.views: Dict[tuple, tuple] = {}
 
     def view(self, down: tuple) -> tuple:
-        """``(calls, receivers)`` with the controllers in ``down`` left out:
-        the collective calls ``((collective, listeners), ...)`` to make and
-        the set of controllers taking the frame."""
+        """``(calls, ind_listeners, receivers)`` with the controllers in
+        ``down`` left out: the nty/rtr-ind collective calls ``((collective,
+        listeners), ...)`` to make, ``{collective: listeners}`` for the
+        data-ind collectives among ``entries`` and the set of controllers
+        taking the frame."""
         found = self.views.get(down)
         if found is None:
             calls = tuple(
                 (collective, tuple(l for node_id, l in members if node_id not in down))
                 for collective, members in self.members
             )
+            ind_listeners = {}
+            for collective, members in self.ind_members:
+                ind_listeners[collective] = tuple(
+                    l for node_id, l in members if node_id not in down
+                )
             receivers = NodeSet(
                 (c.node_id for c in self.controllers if c.node_id not in down),
                 WIDE_MAX_CAPACITY,
             )
             if len(self.views) >= _PLAN_VIEW_LIMIT:
                 self.views.clear()
-            found = self.views[down] = (calls, receivers)
+            found = self.views[down] = (calls, ind_listeners, receivers)
         return found
 
 
@@ -513,8 +528,9 @@ class CanBus:
 
         The filter match and the upcall resolution were paid once, when
         the plan was built. Per frame, the plan's collective forms are
-        called once each — ahead of the per-receiver upcalls, so every
-        node still sees ``.nty`` before ``.ind`` — and only the planned
+        called once each — nty/rtr-ind ones ahead of the per-receiver
+        upcalls, so every node still sees ``.nty`` before ``.ind``, a
+        data-ind one at its first member's turn — and only the planned
         controllers with something else to hear are visited, their baked
         listener tuples upcalled directly (transcribing ``deliver``'s REC
         heal and ``_handle_rx``'s nty-before-ind order without the call
@@ -544,7 +560,7 @@ class CanBus:
             spans.push(rx_span)
         receivers = None
         try:
-            calls, receivers = plan.view(
+            calls, ind_listeners, receivers = plan.view(
                 self._sift_unfit(plan) if self._unfit else ()
             )
             for collective, listeners in calls:
@@ -553,6 +569,9 @@ class CanBus:
                 data = frame.data
                 marks = self._unfit_marks
                 for controller, first, second in plan.entries:
+                    if controller is None:
+                        first(mid, data, ind_listeners[first])
+                        continue
                     # Down since before this frame (then ``receivers``
                     # already leaves it out) or crashed by an earlier
                     # recipient's upcall.
@@ -620,8 +639,9 @@ class CanBus:
         Every accepting controller, in attach order. One driven by the
         standard layer contributes what that layer resolves for the kind
         (:meth:`CanStandardLayer._plan_delivery`): listeners that named a
-        collective form are gathered under it, and the controller gets a
-        per-node entry only when something else is left to upcall. Any
+        collective form are gathered under it — a data-ind form takes its
+        first member's place among the entries — and the controller gets
+        a per-node entry only when something else is left to upcall. Any
         other receiver (a custom handler, a redundancy facade, a gateway
         port) gets the generic ``controller.deliver`` entry; one with no
         handler at all gets none.
@@ -638,6 +658,7 @@ class CanBus:
         controllers = []
         entries = []
         members: Dict[object, list] = {}
+        ind_members: Dict[object, list] = {}
         for controller in self._controllers.values():
             if not controller.accepts(ident):
                 continue
@@ -648,13 +669,18 @@ class CanBus:
             if getattr(handler, "__func__", None) is not handle_rx:
                 entries.append((controller, None, None))
                 continue
-            collected, first, second = handler.__self__._plan_delivery(
-                remote, mtype
+            collected, collected_ind, first, second = (
+                handler.__self__._plan_delivery(remote, mtype)
             )
             for listener, collective in collected:
                 members.setdefault(collective, []).append(
                     (controller.node_id, listener)
                 )
+            for listener, collective in collected_ind:
+                if collective not in ind_members:
+                    ind_members[collective] = []
+                    entries.append((None, collective, None))
+                ind_members[collective].append((controller.node_id, listener))
             if first or second:
                 entries.append((controller, first, second))
         if len(plans) >= _ACCEPT_TABLE_LIMIT:
@@ -663,6 +689,7 @@ class CanBus:
             tuple(controllers),
             tuple(entries),
             tuple((c, tuple(pairs)) for c, pairs in members.items()),
+            tuple(ind_members.items()),
         )
         return plan
 

@@ -156,14 +156,16 @@ class DualChannelLayer:
 
     # -- listener registration -----------------------------------------------------
 
-    def add_data_ind(self, listener, mtype: Optional[MessageType] = None) -> None:
+    def add_data_ind(
+        self, listener, mtype: Optional[MessageType] = None, collective=None
+    ) -> None:
+        # Twin suppression is per node, so a collective form has nothing
+        # to collect here: every listener is called for itself.
         self._data_ind.append((mtype, listener))
 
     def add_rtr_ind(
         self, listener, mtype: Optional[MessageType] = None, collective=None
     ) -> None:
-        # Twin suppression is per node, so a collective form has nothing
-        # to collect here: every listener is called for itself.
         self._rtr_ind.append((mtype, listener))
 
     def add_data_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:

@@ -20,14 +20,23 @@ primitive           semantics
 ``can-abort.req``   abort pending (not in-flight) transmit requests
 ==================  ==========================================================
 
-A ``can-data.nty`` or ``can-rtr.ind`` listener whose effect is the same at
-every receiver of a frame — the failure detector's "the sender is alive" —
-may register a *collective form* beside it: ``collective(mid, listeners)``
-must equal ``for listener in listeners: listener(mid)``. Layers that name
-the same collective object are then served by one call per frame from the
-bus's delivery plan, with the tuple of their listeners in delivery order,
-and a node with nothing else to hear costs that frame no visit at all.
-Every per-receiver delivery path keeps calling the listener itself.
+An indication listener whose effect is normally the same at every receiver
+of a frame — the failure detector's "the sender is alive", SWIM's heartbeat
+from a member everybody holds alive — may register a *collective form*
+beside it, equal by contract to the per-receiver upcalls:
+``collective(mid, listeners)`` to ``for listener in listeners: listener(mid)``
+(``can-data.nty``, ``can-rtr.ind``), ``collective(mid, data, listeners)`` to
+``for listener in listeners: listener(mid, data)`` (``can-data.ind``). Layers
+that name the same collective object are then served by one call per frame
+from the bus's delivery plan, with the tuple of their listeners in delivery
+order, and a node with nothing else to hear costs that frame no visit at
+all. Every per-receiver delivery path keeps calling the listener itself.
+
+Per node the upcall order stands: a listener is collected only when all its
+node upcalls before it was collected too (``.nty`` before ``.ind``,
+registration order). Across nodes the plan calls the nty/rtr-ind forms first
+and a data-ind form at its first member's turn — ahead of its later members',
+which a form must not be able to tell: it may take no controller down.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ DataIndListener = Callable[[MessageId, bytes], None]
 RtrIndListener = Callable[[MessageId], None]
 CnfListener = Callable[[MessageId], None]
 NtyListener = Callable[[MessageId], None]
-#: ``collective(mid, listeners)``: the listeners' effect, all at once.
-CollectiveListener = Callable[[MessageId, tuple], None]
+#: ``collective(mid, listeners)`` — ``collective(mid, data, listeners)`` for
+#: ``can-data.ind`` — the listeners' effect, all at once.
+CollectiveListener = Callable[..., None]
 
 
 class CanStandardLayer:
@@ -52,25 +62,18 @@ class CanStandardLayer:
     def __init__(self, controller: CanController) -> None:
         self._controller = controller
         # Listener tables are immutable tuples rebuilt on subscription:
-        # dispatch runs once per frame per node, and iterating a tuple
-        # needs no defensive copy (a listener registered mid-dispatch
-        # takes effect from the next frame, as before).
-        self._data_ind: Tuple[Tuple[Optional[MessageType], DataIndListener], ...] = ()
-        self._rtr_ind: Tuple[Tuple[Optional[MessageType], RtrIndListener], ...] = ()
+        # iterating a tuple needs no defensive copy (a listener registered
+        # mid-dispatch takes effect from the next frame). The indication
+        # tables hold ``(mtype, listener, collective form)``, ``None`` for
+        # any type (``.nty`` taps every data frame) and for no form.
+        self._data_ind: Tuple[tuple, ...] = ()
+        self._rtr_ind: Tuple[tuple, ...] = ()
+        self._data_nty: Tuple[tuple, ...] = ()
         self._data_cnf: Tuple[Tuple[Optional[MessageType], CnfListener], ...] = ()
         self._rtr_cnf: Tuple[Tuple[Optional[MessageType], CnfListener], ...] = ()
-        self._data_nty: Tuple[NtyListener, ...] = ()
-        #: The collective form each ``_rtr_ind`` / ``_data_nty`` entry
-        #: registered (``None``: none), aligned with those tables.
-        self._rtr_collective: Tuple[Optional[CollectiveListener], ...] = ()
-        self._nty_collective: Tuple[Optional[CollectiveListener], ...] = ()
-        # Per-message-type dispatch caches: dispatch runs once per frame
-        # per node — the hottest fan-out in the stack — and re-checking
-        # every listener's type filter per frame costs more than resolving
-        # the eligible listeners once per (table, type). Registration
-        # invalidates; the filtered tuples preserve registration order.
-        self._data_ind_cache: dict = {}
-        self._rtr_ind_cache: dict = {}
+        # Confirmation dispatch runs once per frame: the eligible listeners
+        # are resolved once per (table, type). Registration invalidates; the
+        # filtered tuples preserve registration order.
         self._data_cnf_cache: dict = {}
         self._rtr_cnf_cache: dict = {}
         # Remote frames are immutable value objects fully determined by
@@ -127,11 +130,15 @@ class CanStandardLayer:
             bus.invalidate_delivery_tables()
 
     def add_data_ind(
-        self, listener: DataIndListener, mtype: Optional[MessageType] = None
+        self,
+        listener: DataIndListener,
+        mtype: Optional[MessageType] = None,
+        collective: Optional[CollectiveListener] = None,
     ) -> None:
-        """Subscribe to ``can-data.ind`` (optionally one message type only)."""
-        self._data_ind += ((mtype, listener),)
-        self._data_ind_cache.clear()
+        """Subscribe to ``can-data.ind`` (optionally one message type only);
+        ``collective`` names the listener's collective form (module
+        docstring)."""
+        self._data_ind += ((mtype, listener, collective),)
         self._invalidate_delivery_plans()
 
     def add_rtr_ind(
@@ -142,9 +149,7 @@ class CanStandardLayer:
     ) -> None:
         """Subscribe to ``can-rtr.ind``; ``collective`` names the
         listener's collective form (module docstring)."""
-        self._rtr_ind += ((mtype, listener),)
-        self._rtr_collective += (collective,)
-        self._rtr_ind_cache.clear()
+        self._rtr_ind += ((mtype, listener, collective),)
         self._invalidate_delivery_plans()
 
     def add_data_cnf(
@@ -168,8 +173,7 @@ class CanStandardLayer:
     ) -> None:
         """Subscribe to the ``can-data.nty`` extension (all data frames);
         ``collective`` names the listener's collective form."""
-        self._data_nty += (listener,)
-        self._nty_collective += (collective,)
+        self._data_nty += ((None, listener, collective),)
         self._invalidate_delivery_plans()
 
     # -- controller upcalls -----------------------------------------------------
@@ -186,59 +190,51 @@ class CanStandardLayer:
 
     def _plan_delivery(
         self, remote: bool, mtype: MessageType
-    ) -> Tuple[tuple, tuple, tuple]:
+    ) -> Tuple[tuple, tuple, tuple, tuple]:
         """What :meth:`_handle_rx` upcalls for one kind of frame, split for
-        the bus's delivery plan: ``(collected, first, second)``.
+        the bus's delivery plan: ``(collected, collected_ind, first, second)``.
 
-        ``first`` + ``second`` are the listeners in upcall order (nty or
-        rtr-ind, then data-ind). ``collected`` takes the leading
-        ``(listener, collective)`` pairs off ``first``: from the first
-        listener without a collective form on, per-node order is kept.
+        The upcalls in order are nty or rtr-ind, then data-ind. The leading
+        ones that name a collective form are collected, as ``(listener,
+        collective)`` pairs — data-ind ones apart, they take the data; from
+        the first listener without one on, per-node order is kept: ``first``
+        then ``second`` (data-ind) are left to upcall per node.
         """
         if remote:
-            pairs = [
-                (listener, collective)
-                for (registered, listener), collective in zip(
-                    self._rtr_ind, self._rtr_collective
-                )
-                if registered is None or registered is mtype
-            ]
-            second = ()
+            tables = ((self._rtr_ind, False),)
         else:
-            pairs = list(zip(self._data_nty, self._nty_collective))
-            second = self._data_ind_cache.get(mtype)
-            if second is None:
-                second = self._resolve(
-                    self._data_ind, self._data_ind_cache, mtype
-                )
-        lead = 0
-        while lead < len(pairs) and pairs[lead][1] is not None:
-            lead += 1
-        first = tuple(listener for listener, _ in pairs[lead:])
-        return tuple(pairs[:lead]), first, second
+            tables = ((self._data_nty, False), (self._data_ind, True))
+        collected, collected_ind, first, second = [], [], [], []
+        leading = True
+        for table, takes_data in tables:
+            for registered, listener, collective in table:
+                if registered is not None and registered is not mtype:
+                    continue
+                leading = leading and collective is not None
+                if leading:
+                    pair = (listener, collective)
+                    (collected_ind if takes_data else collected).append(pair)
+                else:
+                    (second if takes_data else first).append(listener)
+        return tuple(collected), tuple(collected_ind), tuple(first), tuple(second)
 
     def _handle_rx(self, frame: CanFrame) -> None:
+        # The per-receiver path (fault resolution, facades, the broadcast
+        # reference): the bus's delivery plans bake these upcalls instead.
         mid = frame.mid
+        mtype = mid.mtype
         if frame.remote:
-            listeners = self._rtr_ind_cache.get(mid.mtype)
-            if listeners is None:
-                listeners = self._resolve(
-                    self._rtr_ind, self._rtr_ind_cache, mid.mtype
-                )
-            for listener in listeners:
-                listener(mid)
+            for registered, listener, _ in self._rtr_ind:
+                if registered is None or registered is mtype:
+                    listener(mid)
             return
         # The .nty extension fires before .ind: it carries no data and is
         # what the failure-detection protocol taps for implicit life-signs.
-        for listener in self._data_nty:
+        for _, listener, _ in self._data_nty:
             listener(mid)
-        listeners = self._data_ind_cache.get(mid.mtype)
-        if listeners is None:
-            listeners = self._resolve(
-                self._data_ind, self._data_ind_cache, mid.mtype
-            )
-        for listener in listeners:
-            listener(mid, frame.data)
+        for registered, listener, _ in self._data_ind:
+            if registered is None or registered is mtype:
+                listener(mid, frame.data)
 
     def _handle_cnf(self, frame: CanFrame) -> None:
         mid = frame.mid

@@ -52,10 +52,11 @@ class Simulator:
         #: the drain state and silently double-drain, so it raises instead.
         self._running = False
         self._events_processed = 0
-        #: The simulation's one surveillance table, created on first use by
-        #: :meth:`repro.sim.timers.SurveillanceTable.of` — state every node
-        #: of a run shares lives with the run, not in a module global.
-        self._surveillance = None
+        #: class -> the simulation's one instance of it, created on first use
+        #: (:meth:`repro.sim.timers.SurveillanceTable.of`, SWIM's hearing):
+        #: state every node of a run shares lives with the run, not in a
+        #: module global.
+        self.shared: dict = {}
 
     @property
     def now(self) -> int:

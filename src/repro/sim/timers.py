@@ -7,11 +7,12 @@ that interface on top of the simulator, and :meth:`TimerService.restart_alarm`
 re-arms a pending alarm by deferring its kernel event in place.
 
 Surveillance — "observer *i* watches subject *s* and wants to know when *s*
-stayed silent for *d*" — is not kept as one alarm per pair. Every observer of
-a broadcast medium that heard the same frame from *s* restarts the same
-deadline, so the simulation's :class:`SurveillanceTable` stores that fact
-once: per subject, *groups* of watches that share a deadline and one kernel
-event. A node reaches the table through its :class:`Watcher`
+stayed silent for *d*", CANELy's ``fd.surveillance`` timers and SWIM's
+``swim.fail`` clocks alike — is not kept as one alarm per pair. Every
+observer of a broadcast medium that heard the same frame from *s* restarts
+the same deadline, so the simulation's :class:`SurveillanceTable` stores that
+fact once: per subject, *groups* of watches that share a deadline and one
+kernel event. A node reaches the table through its :class:`Watcher`
 (:meth:`TimerService.watcher`), and the table has two entry widths onto one
 mechanism:
 
@@ -32,13 +33,21 @@ last joined — the order per-watch alarms would have fired in. A watch whose
 deadline fired stays watched but un-armed, so a late life-sign re-arms it.
 
 Tie rule: a group is sequenced once, when it forms or is deferred, so an
-event some *other* component scheduled during the same delivery for exactly
-the group's deadline fires before or after the whole group (after, when the
-collective form deferred the group ahead of the per-receiver upcalls), never
-between two of its members as it could between per-watch alarms. No timer in
-the tree can coincide with a surveillance deadline (``Thb + Ttd`` equals no
-other configured duration), and the plan-versus-broadcast whole-trace property
-in ``tests/properties/test_filtered_delivery.py`` pins it.
+event some *other* component scheduled for exactly the group's deadline fires
+before or after the whole group; sequenced between two of the group's joins,
+it would have fired between two per-watch alarms. The table stays exact for
+both its clients. CANELy's detector cannot meet the case: ``Thb + Ttd`` equals
+no other configured duration, and the bus tells the table ahead of the
+per-receiver upcalls. SWIM does: ``SwimConfig.from_canely`` sets
+``suspicion_timeout == fail_after``, and a SUSPECT frame makes each receiver
+restart the sender's ``swim.fail`` clock and then start a private
+``swim.suspicion`` alarm due at the same tick — ``fail_0, susp_0, fail_1,
+susp_1, ...``. So the client that starts such an alarm says so
+(:meth:`Watcher.fence`): the groups due then are closed, and the next watch to
+arrive opens a group — a kernel event — of its own, sequenced after the alarm
+as its per-watch alarm would have been. ``tests/properties/`` pins both
+(``test_filtered_delivery.py``: plan against broadcast;
+``test_swim_surveillance.py``: table against per-pair alarms, the tie built).
 
 With span tracing on, a deadline is described the way it is kept: one span per
 group per deadline (``node=-1``, ``tag`` the subject, ``watchers`` the observers
@@ -200,11 +209,10 @@ class TimerService:
             or self._spans.enabled
         ):
             return False
-        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: SWIM re-arms
-        # one of these per heartbeat per member, and the call layers are
-        # measurable at that rate. Semantics match the kernel method
-        # exactly (``duration >= 0`` already implies the new deadline is
-        # not in the past).
+        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: a watchdog
+        # re-armed per frame pays for the call layers. Semantics match the
+        # kernel method exactly (``duration >= 0`` already implies the new
+        # deadline is not in the past).
         if duration < 0:
             raise ValueError(f"alarm duration must be non-negative: {duration}")
         if self._drift and duration:
@@ -334,7 +342,8 @@ class _Group:
 
     def fire(self) -> None:
         subject = self.subject
-        del subject.groups[self.deadline]
+        if subject.groups.get(self.deadline) is self:  # else fenced off
+            del subject.groups[self.deadline]
         self.event = None
         span, self.span = self.span, None
         spans = self.table._spans
@@ -372,9 +381,9 @@ class SurveillanceTable:
     @classmethod
     def of(cls, sim: Simulator) -> "SurveillanceTable":
         """The table of ``sim``, created on first use."""
-        table = sim._surveillance
+        table = sim.shared.get(cls)
         if table is None:
-            table = sim._surveillance = cls(sim)
+            table = sim.shared[cls] = cls(sim)
         return table
 
     def heard(self, mid, listeners: tuple) -> None:
@@ -531,6 +540,13 @@ class Watcher:
             return None
         return watch.group.deadline
 
+    def fence(self, deadline: int) -> None:
+        """This observer just started an alarm of its own for ``deadline``:
+        the groups due then are closed to newcomers (module docstring)."""
+        for record in self._table._subjects.values():
+            if record.groups.pop(deadline, None) is not None:
+                record.settled = None
+
     def _leave(self, watch: _Watch) -> None:
         """Take ``watch`` out of its group (cancel-alarm, for one watch)."""
         group = watch.group
@@ -540,7 +556,9 @@ class Watcher:
         if not group.members and group.event is not None:
             group.event.cancel()
             group.event = None
-            del watch.subject.groups[group.deadline]
+            groups = watch.subject.groups
+            if groups.get(group.deadline) is group:  # else fenced off
+                del groups[group.deadline]
             if group.span is not None:
                 self._table._spans.end(group.span, outcome="cancelled")
                 group.span = None

@@ -31,6 +31,16 @@ All state transitions are driven by received frames and deterministic
 timers; like the CANELy stack, the protocol draws no randomness, so
 same-seed runs are bit-identical.
 
+Where the silence clock lives: on a broadcast bus "*k* has not heard *s* for
+``fail_after``" is the per-sender deadline the simulation's one
+:class:`~repro.sim.timers.SurveillanceTable` keeps for CANELy's failure
+detector, so it is a row of that table too — one deadline per group of
+members that heard the same frame from *s*. The receive path has the
+detector's two entry widths: :meth:`SwimProtocol._on_swim` is the
+one-receiver entry and the only statement of the protocol;
+:class:`SwimHearing`, its collective form, answers a frame for all receivers
+at once when it can show that they would all do the same.
+
 Trace/metric surface shared with CANELy: ``msh.view`` / ``msh.change``
 records and the ``msh.change_notifications`` counter (analysis reads
 these backend-neutrally), plus ``swim.*`` records and counters for the
@@ -39,13 +49,13 @@ protocol's own events.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.views import MembershipChange, MembershipView
 from repro.sim.kernel import Simulator
-from repro.sim.timers import Alarm, TimerService
+from repro.sim.timers import Alarm, SurveillanceTable, TimerService
 from repro.swim.config import SwimConfig
 from repro.util.sets import NodeSet
 
@@ -53,7 +63,7 @@ ChangeCallback = Callable[[MembershipChange], None]
 
 # Message kinds, packed into bits 8-15 of the MID ref (bits 0-7 carry the
 # subject node id). Payload: 2 bytes little-endian incarnation; heartbeats
-# append 2 bytes of counter.
+# append 2 bytes of counter, which no receiver reads.
 HEARTBEAT = 0
 JOIN = 1
 LEAVE = 2
@@ -65,19 +75,96 @@ ALIVE = "alive"
 SUSPECTED = "suspect"
 
 
-class _Member:
-    """Surveillance state for one remote member."""
+def _decode(mid: MessageId, data: bytes):
+    """``(kind, subject, incarnation)`` of a SWIM frame."""
+    ref = mid.ref
+    return (ref >> 8) & 0xFF, ref & 0xFF, int.from_bytes(data[:2], "little")
 
-    __slots__ = ("incarnation", "counter", "status", "suspected_inc",
-                 "fail_alarm", "susp_alarm")
+
+class _Member:
+    """Surveillance state for one remote member (its silence clock is the
+    node's watch on it in the shared surveillance table)."""
+
+    __slots__ = ("incarnation", "status", "suspected_inc", "susp_alarm")
 
     def __init__(self, incarnation: int = 0) -> None:
         self.incarnation = incarnation
-        self.counter = -1
         self.status = ALIVE
         self.suspected_inc = -1
-        self.fail_alarm: Optional[Alarm] = None
         self.susp_alarm: Optional[Alarm] = None
+
+
+class SwimHearing:
+    """Every SWIM receiver of one simulation hearing a frame, at once.
+
+    The collective form of :meth:`SwimProtocol._on_swim` (:mod:`repro.can.driver`):
+    called once per SWIM frame with the ``_on_swim`` of every receiver.
+    Calling each in turn is always right, and is what a *miss* does. But a
+    heartbeat from a member every receiver holds ALIVE at the incarnation on
+    the wire only restarts the sender's silence clock at each, and that is
+    one :meth:`SurveillanceTable.heard`. A memo says when this is so: per
+    sender and per tuple of listeners (a bridged frame reaches another tuple
+    on each segment), ``(listeners, incarnation, clocks)`` asserts that every
+    listener either hears the sender to no effect (not joined, or the sender
+    itself) or holds it ALIVE at ``incarnation`` under a watch — ``clocks``
+    are those listeners' :meth:`SwimProtocol._heard`.
+
+    This object decides only *whether* everyone may be answered at once;
+    what the answer is stays with ``_on_swim``. A memo is formed by looking,
+    after a miss, and dropped (:meth:`forget`) by whatever takes a listener
+    *out of* the state it asserts: a member suspected, removed or at a new
+    incarnation drops its sender's memos, a node joining or halting all.
+    """
+
+    #: Memos kept per sender: one per segment, and per recent set of the down.
+    _MEMOS_PER_SENDER = 4
+
+    def __init__(self, sim: Simulator) -> None:
+        self._table = SurveillanceTable.of(sim)
+        #: sender -> [(listeners, incarnation, clocks), ...]
+        self._memos: Dict[int, list] = {}
+
+    def __call__(self, mid: MessageId, data: bytes, listeners: tuple) -> None:
+        sender = mid.node
+        for memo in self._memos.get(sender, ()):
+            if memo[0] is listeners:
+                kind, _, incarnation = _decode(mid, data)
+                if kind == HEARTBEAT and incarnation == memo[1]:
+                    self._table.heard(mid, memo[2])
+                    return
+                break
+        for listener in listeners:
+            listener(mid, data)
+        self._settle(sender, listeners)
+
+    def forget(self, sender: Optional[int] = None) -> None:
+        """Drop the memos about ``sender`` (default: about everybody)."""
+        if sender is None:
+            self._memos.clear()
+        else:
+            self._memos.pop(sender, None)
+
+    def _settle(self, sender: int, listeners: tuple) -> None:
+        """Memoize that ``listeners`` agree on ``sender``, if they do."""
+        clocks = []
+        incarnation = None
+        for listener in listeners:
+            protocol = listener.__self__
+            if not protocol._joined or protocol._local == sender:
+                continue
+            member = protocol._members.get(sender)
+            if member is None or member.status is not ALIVE:
+                return
+            if incarnation is None:
+                incarnation = member.incarnation
+            elif member.incarnation != incarnation:
+                return
+            clocks.append(protocol._heard)
+        memos = [
+            memo for memo in self._memos.get(sender, ()) if memo[0] is not listeners
+        ]
+        memos.append((listeners, incarnation, tuple(clocks)))
+        self._memos[sender] = memos[-self._MEMOS_PER_SENDER:]
 
 
 class SwimProtocol:
@@ -105,7 +192,17 @@ class SwimProtocol:
         #: strictly higher incarnation readmits it.
         self._dead: Dict[int, int] = {}
         self._hb_alarm: Optional[Alarm] = None
-        self._listeners: List[ChangeCallback] = []
+        #: The ``fail_after`` silence clocks, one watch per member.
+        self._watcher = timers.watcher(self._on_fail_expire, name="swim.fail")
+        self._hearing = sim.shared.get(SwimHearing)
+        if self._hearing is None:
+            self._hearing = sim.shared[SwimHearing] = SwimHearing(sim)
+        # Rebuilt on subscription, as the standard layer keeps its tables: a
+        # listener registered mid-notification takes effect from the next one.
+        self._listeners: Tuple[ChangeCallback, ...] = ()
+        self._no_failure = NodeSet.empty(config.capacity)
+        self._trace_record = sim.trace.record
+        self._trace_wants = sim.trace.wants
         self._spans = sim.spans
         metrics = sim.metrics
         self._inc_heartbeats = metrics.counter("swim.heartbeats").inc
@@ -119,13 +216,15 @@ class SwimProtocol:
         self.suspicions = 0
         self.refutes = 0
         self.removals = 0
-        layer.add_data_ind(self._on_swim, mtype=MessageType.SWIM)
+        layer.add_data_ind(
+            self._on_swim, mtype=MessageType.SWIM, collective=self._hearing
+        )
 
     # -- msh-can.req / .nty service surface ------------------------------------
 
     def on_change(self, callback: ChangeCallback) -> None:
         """Register a ``msh-can.nty`` membership change listener."""
-        self._listeners.append(callback)
+        self._listeners += (callback,)
 
     def view(self) -> MembershipView:
         """The current membership view at this node."""
@@ -147,11 +246,11 @@ class SwimProtocol:
         if self._joined and self._local in self._view:
             return
         self._joined = True
+        self._hearing.forget()
         self._incarnation += 1
         if self._local not in self._view:
             self._view = self._view.add(self._local)
-            self._install_view()
-            self._notify(self._view, NodeSet.empty(self._config.capacity))
+            self._install(self._no_failure)
         self._broadcast(JOIN, self._local, self._incarnation)
         self._arm_heartbeat()
 
@@ -166,10 +265,10 @@ class SwimProtocol:
         timers = self._timers
         timers.cancel_alarm(self._hb_alarm)
         self._hb_alarm = None
+        self._watcher.clear()
+        self._hearing.forget()
         for member in self._members.values():
-            timers.cancel_alarm(member.fail_alarm)
             timers.cancel_alarm(member.susp_alarm)
-            member.fail_alarm = None
             member.susp_alarm = None
 
     def reset(self) -> None:
@@ -218,45 +317,32 @@ class SwimProtocol:
             self._config.probe_period, self._on_heartbeat, name="swim.probe"
         )
 
-    def _arm_fail(self, node_id: int, member: _Member) -> None:
-        timers = self._timers
-        alarm = member.fail_alarm
-        if alarm is not None and timers.restart_alarm(
-            alarm, self._config.fail_after
-        ):
-            return
-        timers.cancel_alarm(alarm)
-        member.fail_alarm = timers.start_alarm(
-            self._config.fail_after,
-            lambda: self._on_fail_expire(node_id),
-            name="swim.fail",
-            tag=node_id,
-        )
-
     def _on_fail_expire(self, node_id: int) -> None:
         member = self._members.get(node_id)
         if member is None or member.status is not ALIVE:
             return
-        member.status = SUSPECTED
-        member.suspected_inc = member.incarnation
-        member.fail_alarm = None
         self.suspicions += 1
         self._inc_suspects()
-        if self._sim.trace.wants("swim.suspect"):
-            self._sim.trace.record(
-                self._sim.now, "swim.suspect", node=self._local, suspect=node_id
-            )
-        if self._spans.enabled:
-            self._spans.instant(
-                "swim.suspect", "swim", node=self._local, suspect=node_id
-            )
+        self._note("swim.suspect", suspect=node_id)
         self._broadcast(SUSPECT, node_id, member.incarnation)
-        member.susp_alarm = self._timers.start_alarm(
+        self._suspect(node_id, member, member.incarnation)
+
+    def _suspect(self, node_id: int, member: _Member, incarnation: int) -> None:
+        """ALIVE -> SUSPECTED at ``incarnation``: confirmed unless refuted
+        (or cleared by direct activity) within ``suspicion_timeout``."""
+        member.status = SUSPECTED
+        member.suspected_inc = incarnation
+        self._hearing.forget(node_id)
+        member.susp_alarm = alarm = self._timers.start_alarm(
             self._config.suspicion_timeout,
             lambda: self._on_suspicion_expire(node_id),
             name="swim.suspicion",
             tag=node_id,
         )
+        # ``from_canely`` makes suspicion_timeout == fail_after: on a SUSPECT
+        # frame this alarm is due at the very tick of the sender's silence
+        # clock, which the next receivers are about to restart.
+        self._watcher.fence(alarm.deadline)
 
     def _on_suspicion_expire(self, node_id: int) -> None:
         member = self._members.get(node_id)
@@ -268,13 +354,16 @@ class SwimProtocol:
 
     # -- receive path -------------------------------------------------------------
 
+    def _heard(self, mid: MessageId) -> None:
+        # All a heartbeat from a member held ALIVE at its incarnation does
+        # here; `SwimHearing` has the table do it for everybody at once.
+        self._watcher.heard(mid.node)
+
     def _on_swim(self, mid: MessageId, data: bytes) -> None:
         if not self._joined:
             return
         sender = mid.node
-        kind = (mid.ref >> 8) & 0xFF
-        subject = mid.ref & 0xFF
-        incarnation = int.from_bytes(data[:2], "little")
+        kind, subject, incarnation = _decode(mid, data)
         # Any SWIM frame from a live member is direct evidence of life:
         # restart its silence clock and clear a pending suspicion.
         if sender != self._local:
@@ -282,14 +371,15 @@ class SwimProtocol:
             if member is not None:
                 if incarnation > member.incarnation:
                     member.incarnation = incarnation
-                self._revive(sender, member)
+                    self._hearing.forget(sender)
+                if member.status is SUSPECTED:
+                    member.status = ALIVE
+                    member.suspected_inc = -1
+                    self._timers.cancel_alarm(member.susp_alarm)
+                    member.susp_alarm = None
+                self._watcher.watch(sender, self._config.fail_after)
 
         if kind == HEARTBEAT or kind == JOIN or kind == REFUTE:
-            if kind == HEARTBEAT and len(data) >= 4:
-                counter = int.from_bytes(data[2:4], "little")
-                member = self._members.get(sender)
-                if member is not None and counter > member.counter:
-                    member.counter = counter
             self._consider_admission(sender, incarnation)
         elif kind == LEAVE:
             self._on_leave(subject)
@@ -310,29 +400,14 @@ class SwimProtocol:
         member = _Member(incarnation)
         self._members[node_id] = member
         self._view = self._view.add(node_id)
-        self._arm_fail(node_id, member)
-        self._install_view()
-        self._notify(self._view, NodeSet.empty(self._config.capacity))
-
-    def _revive(self, node_id: int, member: _Member) -> None:
-        if member.status is SUSPECTED:
-            member.status = ALIVE
-            member.suspected_inc = -1
-            self._timers.cancel_alarm(member.susp_alarm)
-            member.susp_alarm = None
-        self._arm_fail(node_id, member)
+        self._watcher.watch(node_id, self._config.fail_after)
+        self._install(self._no_failure)
 
     def _on_leave(self, subject: int) -> None:
         if subject == self._local:
             # Own departure (or the echo of it) completes the leave: the
             # node stops participating entirely.
-            if self._local in self._view:
-                view = self._view.remove(self._local)
-                self._view = view
-                self._install_view()
-                self._notify(
-                    view, NodeSet.single(self._local, self._config.capacity)
-                )
+            self._remove_self()
             self.halt()
             self._joined = False
             return
@@ -346,8 +421,8 @@ class SwimProtocol:
             self._incarnation = max(self._incarnation, incarnation) + 1
             self.refutes += 1
             self._inc_refutes()
-            if self._sim.trace.wants("swim.refute"):
-                self._sim.trace.record(
+            if self._trace_wants("swim.refute"):
+                self._trace_record(
                     self._sim.now, "swim.refute", node=self._local,
                     incarnation=self._incarnation,
                 )
@@ -359,34 +434,17 @@ class SwimProtocol:
             and member.status is ALIVE
             and incarnation >= member.incarnation
         ):
-            member.status = SUSPECTED
-            member.suspected_inc = incarnation
-            self._timers.cancel_alarm(member.fail_alarm)
-            member.fail_alarm = None
-            member.susp_alarm = self._timers.start_alarm(
-                self._config.suspicion_timeout,
-                lambda: self._on_suspicion_expire(subject),
-                name="swim.suspicion",
-                tag=subject,
-            )
+            self._watcher.unwatch(subject)
+            self._suspect(subject, member, incarnation)
 
     def _on_confirm(self, subject: int, incarnation: int) -> None:
         if subject == self._local:
             # Confirmed failed while alive — the classic SWIM mistake.
             self._incarnation = max(self._incarnation, incarnation) + 1
-            if self._local in self._view:
-                view = self._view.remove(self._local)
-                self._view = view
-                self._install_view()
-                self._notify(
-                    view, NodeSet.single(self._local, self._config.capacity)
-                )
+            self._remove_self()
             if self._config.auto_rejoin:
                 self._view = self._view.add(self._local)
-                self._install_view()
-                self._notify(
-                    self._view, NodeSet.empty(self._config.capacity)
-                )
+                self._install(self._no_failure)
                 self._broadcast(JOIN, self._local, self._incarnation)
             else:
                 self.halt()
@@ -401,7 +459,8 @@ class SwimProtocol:
     def _remove(self, node_id: int, incarnation: int, failed: bool) -> None:
         member = self._members.pop(node_id, None)
         if member is not None:
-            self._timers.cancel_alarm(member.fail_alarm)
+            self._watcher.unwatch(node_id)
+            self._hearing.forget(node_id)
             self._timers.cancel_alarm(member.susp_alarm)
         if failed:
             prior = self._dead.get(node_id)
@@ -409,64 +468,54 @@ class SwimProtocol:
                 self._dead[node_id] = incarnation
             self.removals += 1
             self._inc_removals()
-            if self._sim.trace.wants("swim.confirm"):
-                self._sim.trace.record(
-                    self._sim.now, "swim.confirm", node=self._local,
-                    failed=node_id,
-                )
-            if self._spans.enabled:
-                self._spans.instant(
-                    "swim.confirm", "swim", node=self._local, failed=node_id
-                )
-        if node_id not in self._view:
-            return
-        self._view = self._view.remove(node_id)
-        self._install_view()
-        if failed:
-            failed_set = NodeSet.single(node_id, self._config.capacity)
-        else:
-            failed_set = NodeSet.empty(self._config.capacity)
-        self._notify(self._view, failed_set)
-
-    def _install_view(self) -> None:
-        self._round_index += 1
-        if self._sim.trace.wants("msh.view"):
-            self._sim.trace.record(
-                self._sim.now,
-                "msh.view",
-                node=self._local,
-                members=self._view,
-                round_index=self._round_index,
+            self._note("swim.confirm", failed=node_id)
+        if node_id in self._view:
+            self._view = self._view.remove(node_id)
+            self._install(
+                NodeSet.single(node_id, self._config.capacity)
+                if failed
+                else self._no_failure
             )
+
+    def _note(self, name: str, **attrs: int) -> None:
+        """A protocol step of this node, as a trace row and a span instant."""
+        if self._trace_wants(name):
+            self._trace_record(self._sim.now, name, node=self._local, **attrs)
         if self._spans.enabled:
-            self._spans.instant(
-                "msh.view",
-                "msh",
-                node=self._local,
-                members=len(self._view),
+            self._spans.instant(name, "swim", node=self._local, **attrs)
+
+    def _remove_self(self) -> None:
+        if self._local in self._view:
+            self._view = self._view.remove(self._local)
+            self._install(NodeSet.single(self._local, self._config.capacity))
+
+    def _install(self, failed: NodeSet) -> None:
+        """Install ``self._view`` as the next view; notify the change."""
+        self._round_index += 1
+        now = self._sim.now
+        view = self._view
+        spans = self._spans
+        if self._trace_wants("msh.view"):
+            self._trace_record(
+                now, "msh.view", node=self._local, members=view,
                 round_index=self._round_index,
             )
-
-    def _notify(self, active: NodeSet, failed: NodeSet) -> None:
+        if spans.enabled:
+            spans.instant(
+                "msh.view", "msh", node=self._local, members=len(view),
+                round_index=self._round_index,
+            )
         change = MembershipChange(
-            active=active, failed=failed, time=self._sim.now,
-            local_node=self._local,
+            active=view, failed=failed, time=now, local_node=self._local
         )
         self._inc_change_notifications()
-        self._sim.trace.record(
-            change.time,
-            "msh.change",
-            node=self._local,
-            active=active,
-            failed=failed,
+        self._trace_record(
+            now, "msh.change", node=self._local, active=view, failed=failed
         )
-        if self._spans.enabled:
-            self._spans.instant(
-                "msh.change",
-                "msh",
-                node=self._local,
-                active=len(active),
+        if spans.enabled:
+            spans.instant(
+                "msh.change", "msh", node=self._local, active=len(view),
                 failed=sorted(failed),
             )
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(change)

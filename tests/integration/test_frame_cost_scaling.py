@@ -10,6 +10,12 @@ Counts are exact and host-independent, which no timing can be. Nor may
 watching change that: with span tracing on, the spans recorded per frame
 stay a handful at either size (one ``can.rx`` per frame, one
 ``fd.surveillance`` per group of observers), and the run is the same run.
+
+The SWIM twin: one heartbeat-dominated run at 16 and at 64 nodes. A heartbeat
+from a member everybody holds alive is heard once (``SwimHearing``) and
+restarts one silence clock per group of receivers, so SWIM calls, kernel
+events and — with span tracing on — spans per frame must not grow with the
+population either.
 """
 
 import inspect
@@ -21,14 +27,21 @@ from repro.core.failure_detector import FailureDetector
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
 from repro.sim.trace import record_to_dict
+from repro.swim import protocol as swim_protocol
+from repro.swim.config import SwimConfig
 from repro.workloads.traffic import PeriodicSource
 
 CONFIG = CanelyConfig(capacity=64, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 
 
-@pytest.fixture
-def detector_calls(monkeypatch):
-    """Counts every call of a method ``FailureDetector`` defines."""
+SWIM_CONFIG = SwimConfig(
+    capacity=64, probe_period=ms(20), fail_after=ms(60),
+    suspicion_timeout=ms(40), join_wait=ms(300),
+)
+
+
+def _count_calls(monkeypatch, *owners):
+    """Counts every call of a function the ``owners`` define."""
     calls = [0]
 
     def counted(function):
@@ -38,10 +51,26 @@ def detector_calls(monkeypatch):
 
         return wrapper
 
-    for name, member in list(vars(FailureDetector).items()):
-        if inspect.isfunction(member):
-            monkeypatch.setattr(FailureDetector, name, counted(member))
+    for owner in owners:
+        for name, member in list(vars(owner).items()):
+            if inspect.isfunction(member):
+                monkeypatch.setattr(owner, name, counted(member))
     return calls
+
+
+@pytest.fixture
+def detector_calls(monkeypatch):
+    """Counts every call of a method ``FailureDetector`` defines."""
+    return _count_calls(monkeypatch, FailureDetector)
+
+
+@pytest.fixture
+def swim_calls(monkeypatch):
+    """Counts every call of a function ``SwimProtocol`` and the hearing
+    object define."""
+    return _count_calls(
+        monkeypatch, swim_protocol.SwimProtocol, swim_protocol.SwimHearing
+    )
 
 
 def per_frame_costs(node_count, detector_calls, spans=False):
@@ -89,3 +118,46 @@ def test_watching_a_frame_does_not_grow_with_the_population_either(detector_call
     # Same kernel events, same trace rows as with nobody watching.
     assert small_run == per_frame_costs(8, detector_calls)[1]
     assert large_run == per_frame_costs(32, detector_calls)[1]
+
+
+# -- the SWIM twin -------------------------------------------------------------------
+
+
+def swim_per_frame_costs(node_count, swim_calls, spans=False):
+    net = CanelyNetwork(node_count, config=SWIM_CONFIG, backend="swim", spans=spans)
+    scenario = net.scenario().bootstrap()
+    frames = net.bus.stats.physical_frames
+    events = net.sim.events_processed
+    calls = swim_calls[0]
+    recorded = len(net.sim.spans)
+    scenario.run_for(ms(300))
+    assert net.views_agree() and len(net.agreed_view()) == node_count
+    steady = net.bus.stats.physical_frames - frames
+    assert steady >= 14 * node_count  # nothing but heartbeats, 15 per node
+    costs = {
+        "events": (net.sim.events_processed - events) / steady,
+        "swim_calls": (swim_calls[0] - calls) / steady,
+        "spans": (len(net.sim.spans) - recorded) / steady,
+    }
+    run = (
+        net.sim.events_processed,
+        [record_to_dict(record) for record in net.sim.trace],
+    )
+    return costs, run
+
+
+def test_a_swim_frame_does_not_cost_more_in_a_larger_population(swim_calls):
+    small, _ = swim_per_frame_costs(16, swim_calls)
+    large, _ = swim_per_frame_costs(64, swim_calls)
+    assert large["swim_calls"] <= 2 * small["swim_calls"], (small, large)
+    assert large["events"] <= 1.25 * small["events"], (small, large)
+
+
+def test_watching_a_swim_frame_does_not_either(swim_calls):
+    small, small_run = swim_per_frame_costs(16, swim_calls, spans=True)
+    large, large_run = swim_per_frame_costs(64, swim_calls, spans=True)
+    assert 0 < small["spans"] <= 8 and large["spans"] <= 8, (small, large)
+    assert large["swim_calls"] <= 2 * small["swim_calls"], (small, large)
+    # Same kernel events, same trace rows as with nobody watching.
+    assert small_run == swim_per_frame_costs(16, swim_calls)[1]
+    assert large_run == swim_per_frame_costs(64, swim_calls)[1]

@@ -102,3 +102,76 @@ def test_abort_req_does_not_touch_in_flight(raw_bus):
 def test_node_id_property(raw_bus):
     net = raw_bus(2)
     assert net.layers[1].node_id == 1
+
+
+# -- collective forms --------------------------------------------------------------
+
+
+def test_data_ind_collective_is_called_once_with_data_and_listeners(raw_bus):
+    net = raw_bus(3)
+    calls = []
+    listeners = [lambda mid, data, node=node: None for node in range(3)]
+
+    def collective(mid, data, heard_by):
+        calls.append((mid.node, data, heard_by))
+
+    for node, listener in enumerate(listeners):
+        net.layers[node].add_data_ind(
+            listener, mtype=MessageType.SWIM, collective=collective
+        )
+    net.layers[1].data_req(MessageId(MessageType.SWIM, node=1), b"\x05")
+    net.layers[1].data_req(MessageId(MessageType.DATA, node=1), b"\x06")
+    net.sim.run()
+    # Own transmissions included, delivery order, and only the message type
+    # the listeners subscribed to.
+    assert calls == [(1, b"\x05", tuple(listeners))]
+    net.controllers[0].crash()
+    net.layers[1].data_req(MessageId(MessageType.SWIM, node=1), b"\x07")
+    net.sim.run()
+    assert calls[1] == (1, b"\x07", tuple(listeners[1:]))
+
+
+def test_data_ind_is_collected_only_behind_collected_listeners(raw_bus):
+    """Per node the upcall order stands: a node whose ``.nty`` listener has no
+    collective form, or whose earlier ``.ind`` listener has none, keeps its
+    later listeners per node, in order."""
+    net = raw_bus(3)
+    events = []
+
+    def collective(mid, data, heard_by):
+        for listener in heard_by:
+            listener(mid, data)
+
+    def ind(node, name="ind"):
+        return lambda mid, data: events.append((node, name))
+
+    net.layers[0].add_data_ind(ind(0), collective=collective)
+    net.layers[1].add_data_nty(lambda mid: events.append((1, "nty")))
+    net.layers[1].add_data_ind(ind(1), collective=collective)
+    net.layers[2].add_data_ind(ind(2, "first"))
+    net.layers[2].add_data_ind(ind(2), collective=collective)
+    net.layers[0].data_req(MessageId(MessageType.DATA, node=0), b"")
+    net.sim.run()
+    assert events == [
+        (0, "ind"), (1, "nty"), (1, "ind"), (2, "first"), (2, "ind")
+    ]
+    plan = next(iter(net.bus._plan_data.values()))
+    assert [entry[0] for entry in plan.entries] == [
+        None, net.controllers[1], net.controllers[2]
+    ]
+
+
+def test_data_ind_collective_takes_its_first_members_turn(raw_bus):
+    net = raw_bus(3)
+    events = []
+
+    def collective(mid, data, heard_by):
+        events.append(("collective", len(heard_by)))
+
+    net.layers[0].add_data_ind(lambda mid, data: events.append((0, "ind")))
+    for node in (1, 2):
+        net.layers[node].add_data_ind(lambda mid, data: None, collective=collective)
+    net.layers[2].add_data_ind(lambda mid, data: events.append((2, "ind")))
+    net.layers[1].data_req(MessageId(MessageType.DATA, node=1), b"")
+    net.sim.run()
+    assert events == [(0, "ind"), ("collective", 2), (2, "ind")]

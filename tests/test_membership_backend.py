@@ -152,9 +152,9 @@ def test_protocol_listeners_register_before_the_application_indication(backend):
     class RecordingLayer(CanStandardLayer):
         registered = ()
 
-        def add_data_ind(self, listener, mtype=None):
+        def add_data_ind(self, listener, mtype=None, collective=None):
             self.registered += ((mtype, listener),)
-            super().add_data_ind(listener, mtype)
+            super().add_data_ind(listener, mtype, collective)
 
     sim = Simulator()
     controller = CanController(0)

@@ -181,6 +181,44 @@ def test_deferred_deadline_landing_on_a_sibling_group_merges_in_order():
     assert rig.fired == [(13, 0, 9), (17, 1, 9)]
 
 
+def test_a_fenced_deadline_takes_no_newcomers_and_fires_in_arming_order():
+    """The tie rule, at table level: observers restart a watch and each then
+    starts a private alarm due at the very same tick, as SWIM's receivers of
+    a SUSPECT frame do when ``suspicion_timeout == fail_after``. Fenced, the
+    table fires what per-watch alarms would: watch, alarm, watch, alarm."""
+    rig = Rig(3)
+    timers = [TimerService(rig.sim, node=node) for node in range(3)]
+    for node, watcher in enumerate(rig.watchers):
+        watcher.watch(9, 100)
+        alarm = timers[node].start_alarm(
+            100, lambda node=node: rig.fired.append((rig.sim.now, node, "alarm"))
+        )
+        watcher.fence(alarm.deadline)
+    assert {watcher.deadline(9) for watcher in rig.watchers} == {100}
+    assert rig.sim.pending_events == 6  # a group each, not one for the three
+    rig.sim.run_until(150)
+    assert rig.fired == [
+        (100, 0, 9), (100, 0, "alarm"),
+        (100, 1, 9), (100, 1, "alarm"),
+        (100, 2, 9), (100, 2, "alarm"),
+    ]
+    # The next frame everybody hears re-merges them, memo and all.
+    for _ in range(2):
+        rig.heard_by(9, (0, 1, 2))
+    assert rig.sim.pending_events == 1
+    rig.sim.run_until(1_000)
+    assert rig.fired[6:] == [(250, 0, 9), (250, 1, 9), (250, 2, 9)]
+
+
+def test_a_fence_at_another_deadline_closes_nothing():
+    rig = Rig(3)
+    rig.watchers[0].watch(9, 100)
+    rig.watchers[0].fence(99)
+    rig.watchers[1].watch(9, 100)
+    rig.watchers[2].watch(9, 100)
+    assert rig.sim.pending_events == 1
+
+
 def test_different_drifts_never_share_a_group():
     rig = Rig(2, drifts=(0.0, 0.01))
     for watcher in rig.watchers:
