@@ -47,7 +47,6 @@ from repro.can.bitstream import (
     SUSPEND_TRANSMISSION_BITS,
     worst_case_frame_bits,
 )
-from repro.sim.trace import TraceRecorder
 
 #: Superposed error flags: the first flag may trigger echo flags from other
 #: nodes, stretching the flag sequence to at most twice its length.
@@ -179,65 +178,3 @@ def canely_inaccessibility_range(extended: bool = False) -> Tuple[int, int]:
             CANELY_BURST_LENGTH, extended, error_passive=False, superposed=False
         ),
     )
-
-
-# -- measured inaccessibility (trace queries) ---------------------------------
-
-
-@dataclass(frozen=True)
-class InaccessibilityWindow:
-    """One injected inaccessibility period observed in a run's trace."""
-
-    start: int
-    until: int
-    bits: int
-
-
-def measured_inaccessibility(trace: TraceRecorder) -> List[InaccessibilityWindow]:
-    """Every inaccessibility window a run injected, in trace order.
-
-    Reads the ``bus.inaccessible`` records through
-    :meth:`~repro.sim.trace.TraceRecorder.category_columns`, so the trace
-    answers from its packed arrays without materializing records.
-    """
-    times, _nodes, payloads = trace.category_columns("bus.inaccessible")
-    return [
-        InaccessibilityWindow(
-            start=times[index],
-            until=payloads[index]["until"],
-            bits=payloads[index]["bits"],
-        )
-        for index in range(len(times))
-    ]
-
-
-def measured_inaccessibility_bits(trace: TraceRecorder) -> int:
-    """Total injected inaccessibility over a run, in bit-times.
-
-    Matches ``bus.stats.inaccessibility_bits`` when the whole run is
-    retained — and still works from an exported/ring-buffered trace where
-    the live ``BusStats`` object is long gone.
-    """
-    _times, _nodes, payloads = trace.category_columns("bus.inaccessible")
-    return sum(payload["bits"] for payload in payloads)
-
-
-def measured_windows_within_bounds(
-    trace: TraceRecorder, extended: bool = False, canely: bool = True
-) -> List[InaccessibilityWindow]:
-    """Windows exceeding the per-event worst case of the derivation above.
-
-    Empty on a conforming run: every injected window must fit inside the
-    (best, worst) range of :func:`canely_inaccessibility_range` (or the
-    standard-CAN range with ``canely=False``).
-    """
-    _best, worst = (
-        canely_inaccessibility_range(extended)
-        if canely
-        else can_inaccessibility_range(extended)
-    )
-    return [
-        window
-        for window in measured_inaccessibility(trace)
-        if window.bits > worst
-    ]

@@ -19,7 +19,7 @@ the frame; everyone else sees the error and the senders retransmit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional
 
 from repro.can.bitstream import (
     ERROR_FRAME_BITS,
@@ -99,15 +99,14 @@ class _DeliveryPlan:
 
     Built once per kind (:meth:`CanBus._build_plan`), valid until the next
     :meth:`CanBus.invalidate_delivery_tables`. Aliveness is *not* baked in:
-    ``views`` caches, per set of planned controllers found down, what the
-    plan reduces to without them.
+    ``views`` caches, per set of planned controllers left out (down, or
+    skipped by an inconsistent omission), what the plan reduces to without
+    them.
     """
 
-    __slots__ = (
-        "controllers", "slot", "entries", "visited", "members", "ind_members", "views"
-    )
+    __slots__ = ("controllers", "slot", "entries", "visited", "collectives", "views")
 
-    def __init__(self, controllers, entries, members, ind_members) -> None:
+    def __init__(self, controllers, entries, collectives) -> None:
         #: Every accepting controller, in attach order — the delivery order.
         self.controllers = controllers
         #: node id -> position in ``controllers``.
@@ -116,44 +115,38 @@ class _DeliveryPlan:
         #: must visit one by one: ``first``/``second`` are the baked
         #: listener tuples of a standard layer (nty or rtr-ind, then
         #: data-ind), ``first is None`` means ``controller.deliver``.
-        #: ``(None, collective, None)`` stands where the first member of a
-        #: data-ind collective form would have been visited.
+        #: ``(None, None, None)`` stands at the turn of the first controller
+        #: with a collected listener: the collective forms are called there.
         self.entries = entries
         self.visited = frozenset(
             entry[0].node_id for entry in entries if entry[0] is not None
         )
-        #: ``(collective, ((node id, listener), ...))`` per collective form
-        #: the planned layers registered for nty/rtr-ind, members in
-        #: delivery order; ``ind_members`` likewise for data-ind.
-        self.members = members
-        self.ind_members = ind_members
-        #: down node ids -> :meth:`view`, cached.
+        #: ``(collective, takes_data, ((node id, listener), ...))`` per
+        #: collective form the planned layers registered, nty/rtr-ind ones
+        #: first, members in delivery order.
+        self.collectives = collectives
+        #: left-out node ids -> :meth:`view`, cached.
         self.views: Dict[tuple, tuple] = {}
 
-    def view(self, down: tuple) -> tuple:
-        """``(calls, ind_listeners, receivers)`` with the controllers in
-        ``down`` left out: the nty/rtr-ind collective calls ``((collective,
-        listeners), ...)`` to make, ``{collective: listeners}`` for the
-        data-ind collectives among ``entries`` and the set of controllers
-        taking the frame."""
-        found = self.views.get(down)
+    def view(self, out: tuple) -> tuple:
+        """``(calls, receivers)`` with the controllers in ``out`` left out:
+        the collective calls ``((collective, takes_data, listeners), ...)``
+        to make, forms with no listener left dropped, and the set of
+        controllers taking the frame."""
+        found = self.views.get(out)
         if found is None:
-            calls = tuple(
-                (collective, tuple(l for node_id, l in members if node_id not in down))
-                for collective, members in self.members
-            )
-            ind_listeners = {}
-            for collective, members in self.ind_members:
-                ind_listeners[collective] = tuple(
-                    l for node_id, l in members if node_id not in down
-                )
+            calls = []
+            for collective, takes_data, members in self.collectives:
+                listeners = tuple(l for node_id, l in members if node_id not in out)
+                if listeners:
+                    calls.append((collective, takes_data, listeners))
             receivers = NodeSet(
-                (c.node_id for c in self.controllers if c.node_id not in down),
+                (c.node_id for c in self.controllers if c.node_id not in out),
                 WIDE_MAX_CAPACITY,
             )
             if len(self.views) >= _PLAN_VIEW_LIMIT:
                 self.views.clear()
-            found = self.views[down] = (calls, ind_listeners, receivers)
+            found = self.views[out] = (tuple(calls), receivers)
         return found
 
 
@@ -464,7 +457,11 @@ class CanBus:
         type_name = tx.frame.mid.mtype.name
 
         if verdict.kind is FaultKind.NONE:
-            self._deliver_all(tx)
+            for sender, request in zip(tx.senders, tx.requests):
+                # ``alive`` inlined, as everywhere on the completion path.
+                if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
+                    sender.finish_success(request)
+            self._deliver(tx)
         else:
             self.stats.error_frames += 1
             self._m_errors_inc()
@@ -497,49 +494,57 @@ class CanBus:
             self.timing.bits_to_ticks(overhead_bits), self._go_idle
         )
 
-    def _deliver_all(self, tx: _Transmission) -> None:
-        for sender, request in zip(tx.senders, tx.requests):
-            # ``alive`` inlined, as everywhere on the completion path.
-            if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
-                sender.finish_success(request)
-        record_delivery = self._trace.wants("bus.deliver")
-        receivers = self._deliver_planned(tx)
-        if record_delivery and receivers:
-            self._record_delivery(tx.frame, receivers)
+    def _deliver(self, tx: _Transmission, skip: Collection[int] = ()) -> None:
+        """Hand ``tx``'s frame to every controller that takes it but the
+        node ids in ``skip`` — the one delivery of an error-free frame and
+        of an inconsistent omission's accepting subset alike.
 
-    def _record_delivery(
-        self, frame: CanFrame, receivers: NodeSet, inconsistent: bool = False
-    ) -> None:
-        """The one ``bus.deliver`` row of a frame: who took it.
-
-        ``receivers`` holds the controllers that actually accepted the
-        frame (gateway ports included, hence the wide set);
-        ``inconsistent`` marks the accepting subset of an inconsistent
-        omission. Read it back per receiver with
-        :func:`repro.sim.trace.deliveries`.
+        With span tracing on, the frame's one ``can.rx`` span is the context
+        of all of it and ends carrying who took the frame. The frame's one
+        ``bus.deliver`` row follows: ``receivers`` holds the controllers
+        that actually accepted it (gateway ports included, hence the wide
+        set) and ``inconsistent`` marks an omission's accepting subset (the
+        paper's failure mode in one row: the mask minus the victims). Read
+        it back per receiver with :func:`repro.sim.trace.deliveries`.
         """
-        payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
-        if inconsistent:
-            payload["inconsistent"] = True
-        self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
+        frame = tx.frame
+        inconsistent = {"inconsistent": True} if skip else {}
+        spans = self._spans
+        rx_span = None
+        if spans.enabled:
+            rx_span = spans.begin("can.rx", "bus", parent=tx.span_id, **inconsistent)
+            spans.push(rx_span)
+        receivers = None
+        try:
+            receivers = self._deliver_planned(tx, skip)
+        finally:
+            if rx_span is not None:
+                spans.pop()
+                # Set at the end: a receiver taken down mid-delivery is out
+                # of the span as it is out of the ``bus.deliver`` row.
+                spans.end(rx_span, receivers=receivers)
+        if receivers and self._trace.wants("bus.deliver"):
+            payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
+            payload.update(inconsistent)
+            self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
 
-    def _deliver_planned(self, tx: _Transmission) -> NodeSet:
-        """Deliver through the frame kind's plan; returns who took it.
+    def _deliver_planned(
+        self, tx: _Transmission, skip: Collection[int] = ()
+    ) -> NodeSet:
+        """Deliver through the frame kind's plan, leaving out the node ids
+        in ``skip``; returns who took it.
 
         The filter match and the upcall resolution were paid once, when
         the plan was built. Per frame, the plan's collective forms are
-        called once each — nty/rtr-ind ones ahead of the per-receiver
-        upcalls, so every node still sees ``.nty`` before ``.ind``, a
-        data-ind one at its first member's turn — and only the planned
+        called once each, at the turn of the first controller with a
+        collected listener (:mod:`repro.can.driver`), and only the planned
         controllers with something else to hear are visited, their baked
         listener tuples upcalled directly (transcribing ``deliver``'s REC
         heal and ``_handle_rx``'s nty-before-ind order without the call
         frames). Controllers that may be down or hold a REC are looked at
         through the ``_unfit`` register, not by scanning the membership.
-        With span tracing on, the frame's one ``can.rx`` span is the context
-        of all of it and ends carrying who took the frame. Deliveries, REC
-        bookkeeping and the trace are exactly those of the broadcast
-        reference the tests keep (``tests/broadcast_reference.py``).
+        Deliveries, REC bookkeeping and the trace are exactly those of the
+        broadcast reference the tests keep (``tests/broadcast_reference.py``).
         """
         frame = tx.frame
         mid = frame.mid
@@ -553,70 +558,60 @@ class CanBus:
         plan = plans.get(key)
         if plan is None:
             plan = self._build_plan(frame, plans, key)
-        spans = self._spans
-        rx_span = None
-        if spans.enabled:
-            rx_span = spans.begin("can.rx", "bus", parent=tx.span_id)
-            spans.push(rx_span)
-        receivers = None
-        try:
-            calls, ind_listeners, receivers = plan.view(
-                self._sift_unfit(plan) if self._unfit else ()
-            )
-            for collective, listeners in calls:
-                collective(mid, listeners)
-            if plan.entries:
-                data = frame.data
-                marks = self._unfit_marks
-                for controller, first, second in plan.entries:
-                    if controller is None:
-                        first(mid, data, ind_listeners[first])
-                        continue
-                    # Down since before this frame (then ``receivers``
-                    # already leaves it out) or crashed by an earlier
-                    # recipient's upcall.
-                    if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
-                        receivers = receivers.remove(controller.node_id)
-                        continue
-                    if first is None:
-                        controller.deliver(frame)
+        out = self._sift_unfit(plan, skip) if self._unfit else ()
+        if skip:
+            out += tuple(sorted(skip))
+        calls, receivers = plan.view(out)
+        data = frame.data
+        marks = self._unfit_marks
+        for controller, first, second in plan.entries:
+            if controller is None:
+                for collective, takes_data, listeners in calls:
+                    if takes_data:
+                        collective(mid, data, listeners)
                     else:
-                        if controller.rec:
-                            controller.rec -= 1
-                        for listener in first:
-                            listener(mid)
-                        for listener in second:
-                            listener(mid, data)
-                    if self._unfit_marks != marks:
-                        # That upcall took a controller down. One visited
-                        # later is caught at its turn above; one the loop
-                        # never visits misses the frame when its place in
-                        # the delivery order was still to come.
-                        marks = self._unfit_marks
-                        slot = plan.slot
-                        here = slot[controller.node_id]
-                        for node_id, other in self._unfit.items():
-                            if (
-                                not other.alive
-                                and node_id not in plan.visited
-                                and slot.get(node_id, -1) > here
-                            ):
-                                receivers = receivers.remove(node_id)
-        finally:
-            if rx_span is not None:
-                spans.pop()
-                # Set at the end: a receiver taken down mid-delivery is out
-                # of the span as it is out of the ``bus.deliver`` row.
-                spans.end(rx_span, receivers=receivers)
+                        collective(mid, listeners)
+                continue
+            if skip and controller.node_id in skip:
+                continue
+            # Down since before this frame (then ``receivers`` already
+            # leaves it out) or crashed by an earlier recipient's upcall.
+            if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
+                receivers = receivers.remove(controller.node_id)
+                continue
+            if first is None:
+                controller.deliver(frame)
+            else:
+                if controller.rec:
+                    controller.rec -= 1
+                for listener in first:
+                    listener(mid)
+                for listener in second:
+                    listener(mid, data)
+            if self._unfit_marks != marks:
+                # That upcall took a controller down. One visited later is
+                # caught at its turn above; one the loop never visits misses
+                # the frame when its place in the delivery order was still
+                # to come.
+                marks = self._unfit_marks
+                slot = plan.slot
+                here = slot[controller.node_id]
+                for node_id, other in self._unfit.items():
+                    if (
+                        not other.alive
+                        and node_id not in plan.visited
+                        and slot.get(node_id, -1) > here
+                    ):
+                        receivers = receivers.remove(node_id)
         return receivers
 
-    def _sift_unfit(self, plan: _DeliveryPlan) -> tuple:
+    def _sift_unfit(self, plan: _DeliveryPlan, skip: Collection[int]) -> tuple:
         """Look at the controllers the ``_unfit`` register names.
 
         Returns the planned ones that are down (node ids, in register
         order), heals the REC of the planned ones the delivery loop will
-        not visit (``CanController.deliver``'s heal) and drops the ones
-        found fit again.
+        neither visit nor skip (``CanController.deliver``'s heal) and drops
+        the ones found fit again.
         """
         down = ()
         unfit = self._unfit
@@ -627,7 +622,11 @@ class CanBus:
                     down += (node_id,)
             elif not controller.rec:
                 del unfit[node_id]
-            elif node_id in slot and node_id not in plan.visited:
+            elif (
+                node_id in slot
+                and node_id not in plan.visited
+                and node_id not in skip
+            ):
                 controller.rec -= 1
         return down
 
@@ -639,12 +638,12 @@ class CanBus:
         Every accepting controller, in attach order. One driven by the
         standard layer contributes what that layer resolves for the kind
         (:meth:`CanStandardLayer._plan_delivery`): listeners that named a
-        collective form are gathered under it — a data-ind form takes its
-        first member's place among the entries — and the controller gets
-        a per-node entry only when something else is left to upcall. Any
-        other receiver (a custom handler, a redundancy facade, a gateway
-        port) gets the generic ``controller.deliver`` entry; one with no
-        handler at all gets none.
+        collective form are gathered under it — the forms are called where
+        the first such controller stands among the entries — and the
+        controller gets a per-node entry only when something else is left
+        to upcall. Any other receiver (a custom handler, a redundancy
+        facade, a gateway port) gets the generic ``controller.deliver``
+        entry; one with no handler at all gets none.
         """
         # Deferred import: the driver imports the controller module, and
         # the bus is imported by layers below it — binding at build time
@@ -657,8 +656,8 @@ class CanBus:
         ident = frame.identifier
         controllers = []
         entries = []
-        members: Dict[object, list] = {}
-        ind_members: Dict[object, list] = {}
+        #: ``(collective, takes_data)`` -> ``[(node id, listener), ...]``
+        members: Dict[tuple, list] = {}
         for controller in self._controllers.values():
             if not controller.accepts(ident):
                 continue
@@ -669,27 +668,26 @@ class CanBus:
             if getattr(handler, "__func__", None) is not handle_rx:
                 entries.append((controller, None, None))
                 continue
-            collected, collected_ind, first, second = (
-                handler.__self__._plan_delivery(remote, mtype)
+            collected, first, second = handler.__self__._plan_delivery(
+                remote, mtype
             )
-            for listener, collective in collected:
-                members.setdefault(collective, []).append(
+            if collected and not members:
+                entries.append((None, None, None))
+            for listener, collective, takes_data in collected:
+                members.setdefault((collective, takes_data), []).append(
                     (controller.node_id, listener)
                 )
-            for listener, collective in collected_ind:
-                if collective not in ind_members:
-                    ind_members[collective] = []
-                    entries.append((None, collective, None))
-                ind_members[collective].append((controller.node_id, listener))
             if first or second:
                 entries.append((controller, first, second))
         if len(plans) >= _ACCEPT_TABLE_LIMIT:
             plans.clear()
+        # nty/rtr-ind forms first (a stable sort on ``takes_data``).
+        collectives = sorted(
+            (form + (tuple(pairs),) for form, pairs in members.items()),
+            key=lambda collective: collective[1],
+        )
         plan = plans[key] = _DeliveryPlan(
-            tuple(controllers),
-            tuple(entries),
-            tuple((c, tuple(pairs)) for c, pairs in members.items()),
-            tuple(ind_members.items()),
+            tuple(controllers), tuple(entries), tuple(collectives)
         )
         return plan
 
@@ -699,41 +697,29 @@ class CanBus:
         alive: List[CanController],
         verdict: FaultVerdict,
     ) -> None:
-        sender_set = {c.node_id for c in tx.senders}
-        spans = self._spans if self._spans.enabled else None
+        """An error frame: error signalling at every alive receiver outside
+        the verdict's accepting set, the accepting subset's delivery (by
+        :meth:`_deliver`, like any frame), retransmission, bus-off recovery
+        and the sender's crash when the verdict asks for it."""
+        sender_ids = {c.node_id for c in tx.senders}
+        accepting = verdict.accepting
         ident = tx.frame.identifier
-        took = []
-        # Fault resolution goes controller by controller (it is no second
-        # plan), under one ``can.rx`` opened at the first that accepts.
-        rx_span = None
-        try:
-            for controller in alive:
-                if controller.node_id in sender_set:
-                    continue
-                if controller.node_id in verdict.accepting:
-                    if not controller.accepts(ident):
-                        # Error signalling happens at the bit level, *before*
-                        # acceptance filtering: this node saw a valid frame
-                        # (no REC bump), its filter just dropped it.
-                        continue
-                    if spans is not None and rx_span is None:
-                        rx_span = spans.begin(
-                            "can.rx", "bus", parent=tx.span_id, inconsistent=True
-                        )
-                        spans.push(rx_span)
-                    controller.deliver(tx.frame)
-                    took.append(controller.node_id)
-                else:
-                    controller.rx_error()
-        finally:
-            if rx_span is not None:
-                spans.pop()
-                spans.end(rx_span, receivers=NodeSet(took, WIDE_MAX_CAPACITY))
-        if took and self._trace.wants("bus.deliver"):
-            # The paper's failure mode in one row: the mask minus the victims.
-            self._record_delivery(
-                tx.frame, NodeSet(took, WIDE_MAX_CAPACITY), inconsistent=True
-            )
+        skip = set(sender_ids)
+        taken = False
+        for controller in alive:
+            node_id = controller.node_id
+            if node_id in sender_ids:
+                continue
+            if node_id in accepting:
+                # Error signalling happens at the bit level, *before*
+                # acceptance filtering: this node saw a valid frame (no REC
+                # bump) even if its filter then drops it.
+                taken = taken or controller.accepts(ident)
+            else:
+                controller.rx_error()
+                skip.add(node_id)
+        if taken:
+            self._deliver(tx, skip)
         # Senders see the error and schedule the automatic retransmission.
         for sender, request in zip(tx.senders, tx.requests):
             sender.finish_error(request)
@@ -748,8 +734,8 @@ class CanBus:
             # before the retransmission goes out.
             for sender in tx.senders:
                 sender.crash()
-                if spans is not None:
-                    spans.instant(
+                if self._spans.enabled:
+                    self._spans.instant(
                         "node.crash",
                         "node",
                         node=sender.node_id,

@@ -34,8 +34,9 @@ all. Every per-receiver delivery path keeps calling the listener itself.
 
 Per node the upcall order stands: a listener is collected only when all its
 node upcalls before it was collected too (``.nty`` before ``.ind``,
-registration order). Across nodes the plan calls the nty/rtr-ind forms first
-and a data-ind form at its first member's turn — ahead of its later members',
+registration order). Across nodes there is one placement rule: every form of
+a frame is called at the turn of the first node with a collected listener,
+nty/rtr-ind forms before data-ind ones — ahead of its later members' turns,
 which a form must not be able to tell: it may take no controller down.
 """
 
@@ -190,13 +191,13 @@ class CanStandardLayer:
 
     def _plan_delivery(
         self, remote: bool, mtype: MessageType
-    ) -> Tuple[tuple, tuple, tuple, tuple]:
+    ) -> Tuple[tuple, tuple, tuple]:
         """What :meth:`_handle_rx` upcalls for one kind of frame, split for
-        the bus's delivery plan: ``(collected, collected_ind, first, second)``.
+        the bus's delivery plan: ``(collected, first, second)``.
 
         The upcalls in order are nty or rtr-ind, then data-ind. The leading
         ones that name a collective form are collected, as ``(listener,
-        collective)`` pairs — data-ind ones apart, they take the data; from
+        collective, takes_data)`` triples (data-ind ones take the data); from
         the first listener without one on, per-node order is kept: ``first``
         then ``second`` (data-ind) are left to upcall per node.
         """
@@ -204,7 +205,7 @@ class CanStandardLayer:
             tables = ((self._rtr_ind, False),)
         else:
             tables = ((self._data_nty, False), (self._data_ind, True))
-        collected, collected_ind, first, second = [], [], [], []
+        collected, first, second = [], [], []
         leading = True
         for table, takes_data in tables:
             for registered, listener, collective in table:
@@ -212,15 +213,14 @@ class CanStandardLayer:
                     continue
                 leading = leading and collective is not None
                 if leading:
-                    pair = (listener, collective)
-                    (collected_ind if takes_data else collected).append(pair)
+                    collected.append((listener, collective, takes_data))
                 else:
                     (second if takes_data else first).append(listener)
-        return tuple(collected), tuple(collected_ind), tuple(first), tuple(second)
+        return tuple(collected), tuple(first), tuple(second)
 
     def _handle_rx(self, frame: CanFrame) -> None:
-        # The per-receiver path (fault resolution, facades, the broadcast
-        # reference): the bus's delivery plans bake these upcalls instead.
+        # The per-receiver path (facades, the broadcast reference): the
+        # bus's delivery plans bake these upcalls instead.
         mid = frame.mid
         mtype = mid.mtype
         if frame.remote:

@@ -86,8 +86,8 @@ class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        #: ``(time, priority, seq, event)`` tuples; the kernel's batched run
-        #: loop relies on this layout to pop/fire without indirection.
+        #: ``(time, priority, seq, event)`` tuples; the kernel's run loop
+        #: relies on this layout to pop/fire without indirection.
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0

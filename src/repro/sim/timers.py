@@ -37,12 +37,12 @@ event some *other* component scheduled for exactly the group's deadline fires
 before or after the whole group; sequenced between two of the group's joins,
 it would have fired between two per-watch alarms. The table stays exact for
 both its clients. CANELy's detector cannot meet the case: ``Thb + Ttd`` equals
-no other configured duration, and the bus tells the table ahead of the
-per-receiver upcalls. SWIM does: ``SwimConfig.from_canely`` sets
-``suspicion_timeout == fail_after``, and a SUSPECT frame makes each receiver
-restart the sender's ``swim.fail`` clock and then start a private
-``swim.suspicion`` alarm due at the same tick — ``fail_0, susp_0, fail_1,
-susp_1, ...``. So the client that starts such an alarm says so
+no other configured duration, and the bus tells the table at the first
+observer's turn, ahead of every observer's own per-node upcalls. SWIM does:
+``SwimConfig.from_canely`` sets ``suspicion_timeout == fail_after``, and a
+SUSPECT frame makes each receiver restart the sender's ``swim.fail`` clock and
+then start a private ``swim.suspicion`` alarm due at the same tick — ``fail_0,
+susp_0, fail_1, susp_1, ...``. So the client that starts such an alarm says so
 (:meth:`Watcher.fence`): the groups due then are closed, and the next watch to
 arrive opens a group — a kernel event — of its own, sequenced after the alarm
 as its per-watch alarm would have been. ``tests/properties/`` pins both
@@ -192,10 +192,9 @@ class TimerService:
     def restart_alarm(self, alarm: Optional[Alarm], duration: int) -> bool:
         """Re-arm ``alarm`` to expire ``duration`` ticks from now, in place.
 
-        The cancel-and-start idiom collapsed into O(1) field updates: the
-        alarm keeps its handle, callback and span-free identity, and its
-        kernel event is deferred without leaving a dead heap entry behind.
-        Returns False — and touches nothing — when the fast path cannot
+        The cancel-and-start idiom as one deferral of the alarm's kernel
+        event (:meth:`Simulator.try_reschedule`); the alarm keeps its
+        handle. Returns False — and touches nothing — when that cannot
         apply (alarm inactive or ``None``, span tracing active, or a
         deadline that would move *earlier*); the caller then falls back to
         :meth:`cancel_alarm` + :meth:`start_alarm`, which is exactly
@@ -209,23 +208,9 @@ class TimerService:
             or self._spans.enabled
         ):
             return False
-        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: a watchdog
-        # re-armed per frame pays for the call layers. Semantics match the
-        # kernel method exactly (``duration >= 0`` already implies the new
-        # deadline is not in the past).
-        if duration < 0:
-            raise ValueError(f"alarm duration must be non-negative: {duration}")
-        if self._drift and duration:
-            duration = max(1, round(duration * (1.0 + self._drift)))
-        sim = self._sim
-        event = alarm._event
-        queue = sim._queue
-        if event._queue is not queue or event.cancelled:
+        deadline = self._sim.now + self._stretch(duration)
+        if not self._sim.try_reschedule(alarm._event, deadline):
             return False
-        deadline = sim._now + duration
-        if deadline < event.time:
-            return False
-        queue.reschedule(event, deadline)
         alarm.deadline = deadline
         return True
 

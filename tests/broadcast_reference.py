@@ -3,8 +3,9 @@
 ``CanBus`` delivers every frame through a cached plan per kind of frame.
 The oracle the plan is checked against is delivery the way the paper
 describes it: offer the frame to every alive controller in attach order,
-ask its filter bank, hand it over, one receiver at a time. It lives here,
-not in the bus — one implementation runs, the other judges it.
+ask its filter bank, hand it over, one receiver at a time — an error
+frame's accepting subset too, the nodes the bus skips left out. It lives
+here, not in the bus — one implementation runs, the other judges it.
 """
 
 from contextlib import contextmanager
@@ -13,14 +14,17 @@ from repro.can.bus import CanBus
 from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
 
-def deliver_broadcast(bus, tx):
+def deliver_broadcast(bus, tx, skip=()):
     """``CanBus._deliver_planned`` without a plan; returns who took it."""
     frame = tx.frame
     took = []
     for controller in bus.alive_controllers():
-        # .ind includes own transmissions (paper Fig. 4). The aliveness
-        # re-check guards against a crash triggered by an earlier
-        # recipient's upcall.
+        # .ind includes own transmissions (paper Fig. 4); an error frame's
+        # senders and the receivers that signalled the error are in
+        # ``skip``. The aliveness re-check guards against a crash triggered
+        # by an earlier recipient's upcall.
+        if controller.node_id in skip:
+            continue
         if controller.alive and controller.accepts(frame.identifier):
             controller.deliver(frame)
             took.append(controller.node_id)

@@ -5,9 +5,12 @@ upcalls, the failure detectors' surveillance told once per frame through
 its collective form — with span tracing off and on alike. The oracle is
 the broadcast reference (``tests/broadcast_reference.py``): offer the frame
 to every alive controller, consult its filter bank per delivery and upcall
-every receiver for itself. The contract is that the plan is a pure
-mechanism change and that watching it changes nothing: whatever the filter
-masks, the traffic, the churn and the injected faults, the plan with spans
+every receiver for itself. An error frame's accepting subset is delivered
+the same way, so it is judged too: under the reference the skipped senders
+and error signallers are left out of the reference loop. The contract is
+that the plan is a pure mechanism change and that watching it changes
+nothing: whatever the filter masks, the traffic, the churn and the injected
+faults (consistent and inconsistent omissions alike), the plan with spans
 off, the plan with spans on and the reference must produce byte-identical
 traces, identical delivery logs, identical bus accounting and the same
 number of kernel events — which pins that enabling spans changes no trace
@@ -30,6 +33,7 @@ from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
 from repro.sim.kernel import Simulator
 from repro.sim.trace import record_to_dict
+from repro.workloads import PeriodicSource
 
 SLOW = settings(
     max_examples=20,
@@ -103,15 +107,44 @@ def bus_schedules(draw):
             st.integers(min_value=0, max_value=_ID_MASK),
         )
     )
-    fault_tx = draw(st.none() | st.integers(min_value=0, max_value=6))
-    return node_count, banks, submissions, crash, refilter, fault_tx
+    # Error frames, consistent or inconsistent: an inconsistent omission's
+    # accepting subset is any set of node ids — senders, nodes whose filter
+    # drops the frame and crashed nodes included.
+    faults = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # transmission index
+                st.none()
+                | st.frozensets(st.integers(min_value=0, max_value=node_count - 1)),
+                st.booleans(),  # crash the sender(s)?
+            ),
+            max_size=2,
+        )
+    )
+    return node_count, banks, submissions, crash, refilter, faults
+
+
+def _collective_nty(mid, listeners):
+    # A collective form by contract: the listeners' effect, all at once.
+    for listener in listeners:
+        listener(mid)
 
 
 def _run_bus_scenario(schedule, spans):
-    node_count, banks, submissions, crash, refilter, fault_tx = schedule
+    node_count, banks, submissions, crash, refilter, faults = schedule
     injector = FaultInjector()
-    if fault_tx is not None:
-        injector.fault_on_transmission(fault_tx, FaultKind.CONSISTENT_OMISSION)
+    for tx_index, accepting, crash_sender in faults:
+        if accepting is None:
+            injector.fault_on_transmission(
+                tx_index, FaultKind.CONSISTENT_OMISSION, crash_sender=crash_sender
+            )
+        else:
+            injector.fault_on_transmission(
+                tx_index,
+                FaultKind.INCONSISTENT_OMISSION,
+                accepting=accepting,
+                crash_sender=crash_sender,
+            )
     sim = Simulator()
     sim.spans.enabled = spans
     bus = CanBus(sim, injector=injector)
@@ -129,6 +162,10 @@ def _run_bus_scenario(schedule, spans):
         )
         layers[node_id].add_rtr_ind(
             lambda mid, log=log: log.append(("rtr", mid.node, mid.ref))
+        )
+        layers[node_id].add_data_nty(
+            lambda mid, log=log: log.append(("nty", mid.node, mid.ref)),
+            collective=_collective_nty,
         )
         spec = banks[node_id]
         if spec is not None:
@@ -165,6 +202,7 @@ def _run_bus_scenario(schedule, spans):
         "bits_by_type": dict(bus.stats.bits_by_type),
         "rec": {n: c.rec for n, c in controllers.items()},
         "tec": {n: c.tec for n, c in controllers.items()},
+        "crashed": sorted(n for n, c in controllers.items() if c.crashed),
     }
 
 
@@ -189,21 +227,33 @@ def network_scenarios(draw):
     fault_accepting = draw(
         st.none() | st.integers(min_value=0, max_value=node_count - 1)
     )
-    return node_count, crash_node, crash_at, leave, fault_accepting
+    # ELS and application DATA reach receivers whose only listener is the
+    # failure detector's collective form: there the form takes the whole
+    # accepting subset.
+    fault_mtype = draw(
+        st.sampled_from([MessageType.FDA, MessageType.ELS, MessageType.DATA])
+    )
+    talker = draw(st.integers(min_value=0, max_value=node_count - 1))
+    return (
+        node_count, crash_node, crash_at, leave, fault_accepting, fault_mtype, talker
+    )
 
 
 def _run_network_scenario(scenario, spans):
-    node_count, crash_node, crash_at, leave, fault_accepting = scenario
+    (
+        node_count, crash_node, crash_at, leave, fault_accepting, fault_mtype, talker
+    ) = scenario
     injector = FaultInjector()
     if fault_accepting is not None:
         injector.fault_on_frame(
-            lambda f: f.mid.mtype is MessageType.FDA,
+            lambda f: f.mid.mtype is fault_mtype,
             FaultKind.INCONSISTENT_OMISSION,
             accepting=[fault_accepting],
         )
     net = CanelyNetwork(
         node_count=node_count, config=CONFIG, injector=injector, spans=spans
     )
+    PeriodicSource(net.sim, net.node(talker), period=ms(20), offset=ms(1))
     net.join_all()
     net.run_for(ms(150))
     if leave and node_count > 2:

@@ -286,33 +286,34 @@ def test_run_for_returns_fired_count(any_sim):
     assert any_sim.now == 15
 
 
-# -- batched same-timestamp dispatch ------------------------------------------
+# -- same-timestamp order, through both entry points --------------------------
 
 
-def batching_modes():
+def entry_points():
+    # Booleans, not names, keep the tests' ids stable.
     return [True, False]
 
 
-def drain(sim, batched):
-    """Both drain loops: ``run()`` batches, any event budget fires one at a time."""
-    return sim.run() if batched else sim.run(max_events=10**9)
+def drain(sim, unbudgeted):
+    """``run()`` and ``run(max_events=...)``: two entry points, one loop."""
+    return sim.run() if unbudgeted else sim.run(max_events=10**9)
 
 
-@pytest.mark.parametrize("batched", batching_modes())
-def test_same_time_priority_order(batched):
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_same_time_priority_order(unbudgeted):
     sim = Simulator()
     order = []
     sim.schedule(10, lambda: order.append("low"), priority=5)
     sim.schedule(10, lambda: order.append("high"), priority=0)
     sim.schedule(10, lambda: order.append("low2"), priority=5)
-    drain(sim, batched)
+    drain(sim, unbudgeted)
     assert order == ["high", "low", "low2"]
 
 
-@pytest.mark.parametrize("batched", batching_modes())
-def test_urgent_event_scheduled_mid_batch_preempts(batched):
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_urgent_event_scheduled_mid_batch_preempts(unbudgeted):
     """An action scheduling a *more urgent* same-instant event sees it fire
-    before the remaining batch entries."""
+    before the remaining same-instant events."""
     sim = Simulator()
     order = []
 
@@ -322,12 +323,12 @@ def test_urgent_event_scheduled_mid_batch_preempts(batched):
 
     sim.schedule(10, first, priority=0)
     sim.schedule(10, lambda: order.append("second"), priority=0)
-    drain(sim, batched)
+    drain(sim, unbudgeted)
     assert order == ["first", "urgent", "second"]
 
 
-@pytest.mark.parametrize("batched", batching_modes())
-def test_equal_priority_scheduled_mid_batch_fires_after(batched):
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_equal_priority_scheduled_mid_batch_fires_after(unbudgeted):
     sim = Simulator()
     order = []
 
@@ -337,35 +338,67 @@ def test_equal_priority_scheduled_mid_batch_fires_after(batched):
 
     sim.schedule(10, first, priority=0)
     sim.schedule(10, lambda: order.append("second"), priority=0)
-    drain(sim, batched)
+    drain(sim, unbudgeted)
     assert order == ["first", "second", "late"]
 
 
-@pytest.mark.parametrize("batched", batching_modes())
-def test_mid_batch_cancel_skips_detached_event(batched):
-    """An action cancelling a *later* same-instant event must suppress it
-    even after the batch loop detached it from the queue."""
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_mid_batch_cancel_skips_detached_event(unbudgeted):
+    """An action cancelling a *later* same-instant event must suppress it."""
     sim = Simulator()
     order = []
     box = {}
     # Scheduled first so it fires first; cancels the later entry.
     sim.schedule(10, lambda: (order.append("killer"), box["victim"].cancel()))
     box["victim"] = sim.schedule(10, lambda: order.append("victim"))
-    drain(sim, batched)
+    drain(sim, unbudgeted)
     assert order == ["killer"]
 
 
-@pytest.mark.parametrize("batched", batching_modes())
-def test_rescheduled_event_orders_like_fresh_push(batched):
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_rescheduled_event_orders_like_fresh_push(unbudgeted):
     """In-place reschedule is order-equivalent to cancel + push."""
     sim = Simulator()
     order = []
     moved = sim.schedule(10, lambda: order.append("moved"))
     sim.schedule(20, lambda: order.append("peer"))
     assert sim.try_reschedule(moved, 20)
-    drain(sim, batched)
+    drain(sim, unbudgeted)
     # The reschedule consumed a fresh seq, so "moved" now follows "peer".
     assert order == ["peer", "moved"]
+
+
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_same_instant_deferral_in_place_fires_at_new_deadline(unbudgeted):
+    """An event a same-instant peer's action defers in place fires at its
+    new deadline, after the same number of kernel events as the
+    cancel-and-push idiom."""
+
+    def scenario(in_place):
+        sim = Simulator()
+        fired = []
+        box = {}
+
+        def peer():
+            fired.append(("peer", sim.now))
+            if in_place:
+                assert sim.try_reschedule(box["deferred"], sim.now + 50)
+            else:
+                box["deferred"].cancel()
+                sim.schedule(50, deferred)
+
+        def deferred():
+            fired.append(("deferred", sim.now))
+
+        sim.schedule(10, peer)
+        box["deferred"] = sim.schedule(10, deferred)
+        sim.schedule(60, lambda: fired.append(("later", sim.now)))
+        drain(sim, unbudgeted)
+        return fired, sim.events_processed
+
+    in_place = scenario(True)
+    assert in_place[0] == [("peer", 10), ("later", 60), ("deferred", 60)]
+    assert in_place == scenario(False)
 
 
 # -- try_reschedule -----------------------------------------------------------
