@@ -3,7 +3,9 @@
 The bus is a single broadcast channel. Whenever it goes idle, every attached
 controller offers its highest-priority pending request; the frame with the
 lowest identifier wins (carrier sense multi-access with deterministic
-collision resolution). Requests for *bit-identical* frames — in particular
+collision resolution). The offers wait in a ready heap the controllers keep
+up to date, so an arbitration pops its winner instead of polling every
+queue. Requests for *bit-identical* frames — in particular
 identical remote frames, the CANELy control-message encapsulation — are
 transmitted as **one** physical frame thanks to the wired-AND nature of the
 medium; every co-sender sees its own request confirmed. This clustering is
@@ -19,6 +21,7 @@ the frame; everyone else sees the error and the senders retransmit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Collection, Dict, List, Optional
 
 from repro.can.bitstream import (
@@ -186,20 +189,25 @@ class CanBus:
         self._filtering: Optional[bool] = None
         #: node id -> controller, for controllers that *may* be down
         #: (crashed, bus-off) or hold a non-zero REC — the ones a planned
-        #: delivery cannot take for granted. A conservative superset like
-        #: ``_tx_pending``: controllers enter themselves when they crash,
-        #: go bus-off or count a receive error, and the next delivery
-        #: prunes the ones found fit again. ``_unfit_marks`` counts the
-        #: entries, so a delivery notices one made by its own upcalls.
+        #: delivery cannot take for granted. A conservative superset:
+        #: controllers enter themselves when they crash, go bus-off or
+        #: count a receive error, and the next delivery prunes the ones
+        #: found fit again, so nothing has to report coming back up.
+        #: ``_unfit_marks`` counts the entries, so a delivery notices one
+        #: made by its own upcalls.
         self._unfit: Dict[int, CanController] = {}
         self._unfit_marks = 0
-        #: node id -> controller, for controllers that *may* hold a
-        #: pending transmit request. A conservative superset, maintained
-        #: at the two points requests enter a queue (submit and the
-        #: error-retransmission requeue) and pruned lazily when
-        #: arbitration finds an empty queue — so arbitration scans the
-        #: handful of nodes with traffic instead of the whole membership.
-        self._tx_pending: Dict[int, CanController] = {}
+        #: The ready heap: ``(priority_key, node_id, request, controller)``
+        #: per queue head, pushed by the controller whenever its head
+        #: changes (``CanController._offer_head``). An entry that is no
+        #: longer its controller's ``_offer`` is stale and dropped when
+        #: popped. ``priority_key`` then node id is a total order, so the
+        #: heap never compares requests.
+        self._ready: List[tuple] = []
+        #: node id -> controller, for controllers whose offer was popped
+        #: while they were down with requests still queued. Every
+        #: arbitration looks at them again: one back up offers again.
+        self._dormant: Dict[int, CanController] = {}
         self._busy = False
         self._arbitration_pending = False
         self._inaccessible_until = 0
@@ -233,6 +241,7 @@ class CanBus:
         controller._spans = self._spans
         if not controller.alive or controller.rec:
             controller._needs_attention()
+        controller._offer_head()
         self.invalidate_delivery_tables()
 
     def detach(self, controller: CanController) -> None:
@@ -249,9 +258,14 @@ class CanBus:
                 f"node id {controller.node_id} is not attached to this bus"
             )
         del self._controllers[controller.node_id]
-        self._tx_pending.pop(controller.node_id, None)
         self._unfit.pop(controller.node_id, None)
+        self._dormant.pop(controller.node_id, None)
+        # Its entries go now: a later controller under the same node id
+        # must not tie with them on ``(priority_key, node_id)``.
+        self._ready = [entry for entry in self._ready if entry[3] is not controller]
+        heapify(self._ready)
         controller._bus = None
+        controller._offer = None
         self.invalidate_delivery_tables()
 
     def invalidate_delivery_tables(self) -> None:
@@ -311,7 +325,40 @@ class CanBus:
             self._arbitration_pending = True
             self._sim.schedule_at(self._inaccessible_until, self._arbitrate)
             return
-        self._start_next()
+        taken = self._contend()
+        if not taken:
+            return
+        winner = taken[0][2]
+        requests = []
+        senders = []
+        for _key, _node_id, request, owner in taken:
+            owner.take(request)
+            requests.append(request)
+            senders.append(owner)
+        frame_bits = winner.frame.wire_bits(with_interframe=False)
+        self._busy = True
+        self._current = _Transmission(
+            frame=winner.frame,
+            senders=senders,
+            requests=requests,
+            started_at=self._sim.now,
+            wire_bits=frame_bits,
+        )
+        if self._spans.enabled:
+            self._current.span_id = self._spans.begin(
+                "can.tx",
+                "bus",
+                node=senders[0].node_id,
+                parent=winner.span_id,
+                mid=str(winner.frame.mid),
+                remote=winner.frame.remote,
+                cluster=len(requests),
+            )
+        self.stats.clustered_requests += len(requests) - 1
+        if len(requests) > 1:
+            self._m_clustered_inc(len(requests) - 1)
+        duration = self.timing.bits_to_ticks(frame_bits)
+        self._sim.schedule(duration, self._complete)
 
     def inject_inaccessibility(self, bits: int) -> None:
         """Open an inaccessibility window of ``bits`` bit-times from now.
@@ -331,98 +378,79 @@ class CanBus:
         )
         self.kick()
 
-    def _start_next(self) -> None:
-        # Offers carry their owning controller so the take step below needs
-        # no ownership scan. Only the pending-transmitter set is polled —
-        # the arbitration outcome cannot depend on the scan order because
-        # contended offers are totally ordered by ``priority_key`` below.
-        pending = self._tx_pending
-        offers = []
-        stale = None
-        for controller in pending.values():
-            request = controller.head_request()
-            if request is not None:
-                offers.append((request, controller))
-            elif not controller._queue:
-                # Empty queue: nothing to offer until the next submit
-                # re-registers the node. (A bus-off or crashed node with
-                # queued requests stays registered — it may recover.)
-                if stale is None:
-                    stale = [controller.node_id]
-                else:
-                    stale.append(controller.node_id)
-        if stale is not None:
-            for node_id in stale:
-                del pending[node_id]
-        if not offers:
-            return
-        if len(offers) == 1:
-            # Uncontended arbitration — the common case on a lightly
-            # loaded bus: no sort, no clustering scan.
-            winner = offers[0][0]
-            taken = offers
+    def _contend(self) -> List[tuple]:
+        """One arbitration: pop the winner and the requests that go out with
+        it; returns their ready-heap entries, the winner first, or nothing
+        when no controller that is up has a request queued.
+
+        The entries of one identifier come off the heap as a run, in
+        ``(priority_key, node_id)`` order. Bit-identical frames cluster
+        (with ``clustering`` off they go back on the heap), a remote frame
+        loses to the data frame with its identifier and goes back, and two
+        different data frames with one identifier raise :class:`BusError`.
+        With span tracing on, every request still offering afterwards lost
+        this round and gets one ``arb-loss`` point event. The scan over all
+        controllers this must equal is ``tests/arbitration_reference.py``.
+        """
+        ready = self._ready
+        dormant = self._dormant
+        if dormant:
+            for node_id, controller in list(dormant.items()):
+                if not controller._queue:
+                    del dormant[node_id]
+                elif not controller.crashed and controller.tec <= BUS_OFF_THRESHOLD:
+                    del dormant[node_id]
+                    controller._offer = None
+                    controller._offer_head()
+        while ready:
+            entry = heappop(ready)
+            owner = entry[3]
+            if entry is not owner._offer:
+                continue
+            if owner.crashed or owner.tec > BUS_OFF_THRESHOLD:
+                dormant[entry[1]] = owner
+                continue
+            break
         else:
-            offers.sort(key=lambda pair: pair[0].priority_key)
-            winner = offers[0][0]
-
-            # Wired-AND clustering: bit-identical frames transmit as one.
-            taken = [offers[0]]
-            for pair in offers[1:]:
-                other = pair[0]
-                same_id = other.frame.identifier == winner.frame.identifier
-                if not same_id:
-                    continue
-                if other.frame == winner.frame:
-                    if self.clustering:
-                        taken.append(pair)
-                    continue
-                if not other.frame.remote and not winner.frame.remote:
-                    raise BusError(
-                        f"two different data frames contend with identifier "
-                        f"{winner.frame.identifier:#x}: {winner.frame!r} vs "
-                        f"{other.frame!r}"
-                    )
-                # Same identifier, one data / one remote: the data frame's
-                # dominant RTR bit wins; the remote frame just loses
-                # arbitration.
-
-        requests = []
-        senders = []
-        for request, owner in taken:
-            owner.take(request)
-            requests.append(request)
-            senders.append(owner)
-
-        frame_bits = winner.frame.wire_bits(with_interframe=False)
-        self._busy = True
-        self._current = _Transmission(
-            frame=winner.frame,
-            senders=senders,
-            requests=requests,
-            started_at=self._sim.now,
-            wire_bits=frame_bits,
-        )
+            return []
+        ident, remote = entry[0][0], entry[0][1]
+        data = entry[2].frame.data
+        taken = [entry]
+        back = []
+        while ready and ready[0][0][0] == ident:
+            other = heappop(ready)
+            owner = other[3]
+            if other is not owner._offer:
+                continue
+            if owner.crashed or owner.tec > BUS_OFF_THRESHOLD:
+                dormant[other[1]] = owner
+                continue
+            if other[0][1] == remote and other[2].frame.data == data:
+                # Wired-AND clustering: bit-identical frames transmit as one.
+                (taken if self.clustering else back).append(other)
+            elif other[0][1]:
+                # The data frame's dominant RTR bit wins; the remote frame
+                # just loses arbitration.
+                back.append(other)
+            else:
+                for lost in taken + back + [other]:
+                    heappush(ready, lost)
+                raise BusError(
+                    f"two different data frames contend with identifier "
+                    f"{ident:#x}: {entry[2].frame!r} vs {other[2].frame!r}"
+                )
+        for lost in back:
+            heappush(ready, lost)
         if self._spans.enabled:
-            # Frames that offered but were not taken lost this arbitration
-            # round; their queue spans get one "arb-loss" point event each.
-            taken_ids = {id(request) for request in requests}
-            for offer, _ in offers:
-                if id(offer) not in taken_ids:
-                    self._spans.event(offer.span_id, "arb-loss")
-            self._current.span_id = self._spans.begin(
-                "can.tx",
-                "bus",
-                node=senders[0].node_id,
-                parent=winner.span_id,
-                mid=str(winner.frame.mid),
-                remote=winner.frame.remote,
-                cluster=len(requests),
-            )
-        self.stats.clustered_requests += len(requests) - 1
-        if len(requests) > 1:
-            self._m_clustered_inc(len(requests) - 1)
-        duration = self.timing.bits_to_ticks(frame_bits)
-        self._sim.schedule(duration, self._complete)
+            for lost in ready:
+                owner = lost[3]
+                if (
+                    lost is owner._offer
+                    and not owner.crashed
+                    and owner.tec <= BUS_OFF_THRESHOLD
+                ):
+                    self._spans.event(lost[2].span_id, "arb-loss")
+        return taken
 
     # -- completion --------------------------------------------------------------
 

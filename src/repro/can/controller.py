@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, List, Optional
 
 from repro.can.frame import CanFrame
@@ -81,6 +82,11 @@ class CanController:
         self._queue: List[TxRequest] = []
         self._seq = itertools.count()
         self._bus = None  # set by CanBus.attach
+        #: The bus's ready-heap entry standing for the queue head,
+        #: ``(priority_key, node_id, request, self)``; ``None`` while the
+        #: queue is empty or the controller is detached. Any other entry of
+        #: this controller still in the heap is stale.
+        self._offer: Optional[tuple] = None
         self._spans = NULL_TRACER  # rebound to the sim's tracer by attach
         #: Hardware acceptance filters; ``None`` means accept-all (the
         #: seed behaviour, and the only correct configuration for a full
@@ -171,6 +177,7 @@ class CanController:
             for request in self._queue:
                 self._spans.end(request.span_id, outcome="crashed")
         self._queue.clear()
+        self._offer = None
 
     # -- transmit queue --------------------------------------------------------
 
@@ -196,7 +203,7 @@ class CanController:
             self._queue.sort(key=lambda r: r.priority_key)
         bus = self._bus
         if bus is not None:
-            bus._tx_pending[self.node_id] = self
+            self._offer_head()
             bus.kick()
         return request
 
@@ -213,7 +220,10 @@ class CanController:
                 if request.frame.mid == mid:
                     self._spans.end(request.span_id, outcome="aborted")
         self._queue = [r for r in self._queue if r.frame.mid != mid]
-        return len(self._queue) != before
+        if len(self._queue) == before:
+            return False
+        self._offer_head()
+        return True
 
     def has_pending(self, mid: MessageId) -> bool:
         """True while a request for ``mid`` is queued."""
@@ -227,15 +237,27 @@ class CanController:
     # -- bus-facing interface ----------------------------------------------------
 
     def head_request(self) -> Optional[TxRequest]:
-        """The highest-priority pending request, or None."""
-        # ``alive`` inlined: arbitration polls every controller per frame.
-        if (
-            not self._queue
-            or self.crashed
-            or self.tec > BUS_OFF_THRESHOLD
-        ):
+        """The request this controller offers to arbitration: the
+        highest-priority pending one, or None when the queue is empty or
+        the controller is down."""
+        if not self._queue or not self.alive:
             return None
         return self._queue[0]
+
+    def _offer_head(self) -> None:
+        # The queue changed. If its head did too, the new head gets a fresh
+        # entry in the bus's ready heap; the entry it replaces stays behind,
+        # stale, and the bus drops it when it pops it.
+        queue = self._queue
+        bus = self._bus
+        if not queue or bus is None:
+            self._offer = None
+            return
+        head = queue[0]
+        offer = self._offer
+        if offer is None or offer[2] is not head:
+            self._offer = offer = (head.priority_key, self.node_id, head, self)
+            heappush(bus._ready, offer)
 
     def take(self, request: TxRequest) -> None:
         """Remove ``request`` from the queue: it is now in flight."""
@@ -245,6 +267,7 @@ class CanController:
             raise BusError(
                 f"node {self.node_id}: request not pending: {request.frame!r}"
             ) from None
+        self._offer_head()
 
     def finish_success(self, request: TxRequest) -> None:
         """Successful transmission: TEC decrement and ``.cnf`` upcall."""
@@ -273,8 +296,7 @@ class CanController:
         self._queue.append(request)
         if len(self._queue) > 1:
             self._queue.sort(key=lambda r: r.priority_key)
-        if self._bus is not None:
-            self._bus._tx_pending[self.node_id] = self
+        self._offer_head()
 
     def deliver(self, frame: CanFrame) -> None:
         """A frame was accepted by this controller's receiver."""

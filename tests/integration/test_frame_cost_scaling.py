@@ -16,16 +16,28 @@ from a member everybody holds alive is heard once (``SwimHearing``) and
 restarts one silence clock per group of receivers, so SWIM calls, kernel
 events and — with span tracing on — spans per frame must not grow with the
 population either.
+
+Arbitration under saturating load: every controller keeps frames queued, so
+polling each queue per frame would cost n looks. Popping the ready heap
+looks at the winner and the run of its identifier, whatever n is.
 """
 
+import heapq
 import inspect
+import itertools
 
 import pytest
 
+from repro.can import bus as bus_module
+from repro.can.bus import CanBus
+from repro.can.controller import CanController
+from repro.can.frame import data_frame, remote_frame
+from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.failure_detector import FailureDetector
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
+from repro.sim.kernel import Simulator
 from repro.sim.trace import record_to_dict
 from repro.swim import protocol as swim_protocol
 from repro.swim.config import SwimConfig
@@ -161,3 +173,74 @@ def test_watching_a_swim_frame_does_not_either(swim_calls):
     # Same kernel events, same trace rows as with nobody watching.
     assert small_run == swim_per_frame_costs(16, swim_calls)[1]
     assert large_run == swim_per_frame_costs(64, swim_calls)[1]
+
+
+# -- arbitration ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def arbitration_rounds(monkeypatch):
+    """``(looks, cluster size)`` per arbitration that starts a frame, where a
+    look is a ``head_request`` call or a ready-heap pop."""
+    looks = [0]
+    rounds = []
+
+    def counted(function):
+        def wrapper(*args):
+            looks[0] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bus_module, "heappop", counted(heapq.heappop))
+    monkeypatch.setattr(
+        CanController, "head_request", counted(CanController.head_request)
+    )
+    contend = CanBus._contend
+
+    def watched(bus):
+        before = looks[0]
+        taken = contend(bus)
+        if taken:
+            rounds.append((looks[0] - before, len(taken)))
+        return taken
+
+    monkeypatch.setattr(CanBus, "_contend", watched)
+    return rounds
+
+
+def saturate(node_count):
+    """Every controller queues a shared beacon (one remote frame, so the
+    first arbitration is an n-way cluster) and two data frames, then
+    submits the next one on every confirmation until it has queued ten:
+    each queue stays non-empty until it runs dry."""
+    sim = Simulator()
+    bus = CanBus(sim)
+    beacon = remote_frame(MessageId(MessageType.ELS, node=0))
+    for node_id in range(node_count):
+        controller = CanController(node_id)
+        bus.attach(controller)
+
+        def refill(_frame, c=controller, refs=itertools.count(3)):
+            ref = next(refs)
+            if ref <= 10:
+                c.submit(data_frame(MessageId(MessageType.DATA, node=c.node_id, ref=ref)))
+
+        controller.on_tx_success = refill
+        controller.submit(beacon)
+        for ref in (1, 2):
+            controller.submit(data_frame(MessageId(MessageType.DATA, node=node_id, ref=ref)))
+    sim.run()
+    return bus
+
+
+@pytest.mark.parametrize("node_count", [16, 64])
+def test_arbitration_looks_at_the_winner_not_at_every_queue(
+    arbitration_rounds, node_count
+):
+    bus = saturate(node_count)
+    assert bus.stats.physical_frames == 1 + 10 * node_count
+    assert len(arbitration_rounds) == bus.stats.physical_frames
+    assert arbitration_rounds[0][1] == node_count  # the beacon's cluster
+    extra = max(looks - cluster for looks, cluster in arbitration_rounds)
+    assert extra <= 2, arbitration_rounds

@@ -1,11 +1,16 @@
 """Integration: the paper's core failure mode — inconsistent omissions
 hitting protocol traffic — must never break view agreement."""
 
+import heapq
+
+from repro.can import controller as controller_module
+from repro.can.controller import CanController
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.identifiers import MessageType
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
+from repro.workloads import PeriodicSource
 
 CONFIG = CanelyConfig(capacity=64, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 
@@ -121,3 +126,49 @@ def test_omission_burst_within_bound_no_false_suspicion():
     net.run_for(ms(600))
     assert net.views_agree()
     assert sorted(net.agreed_view()) == [0, 1, 2, 3]
+
+
+def test_crash_sender_leaves_a_controller_that_never_offers_again(monkeypatch):
+    """A ``crash_sender`` verdict crashes the sender's controller only. The
+    node's protocol timers keep running and keep submitting, but a crashed
+    controller discards every submission: none reaches the bus's ready heap
+    and no frame from the victim reaches the wire — the weak fail-silence
+    the paper's fault model assumes. The survivors evict it and agree."""
+    victim = 3
+    injector = FaultInjector()
+    net = make_net(5, injector)
+    bootstrap(net)
+    offers = []  # (time, node id) of every ready-heap push
+    submits = []  # (time, node id) of every submission
+
+    def push(heap, entry):
+        offers.append((net.sim.now, entry[1]))
+        heapq.heappush(heap, entry)
+
+    submit = CanController.submit
+
+    def watched_submit(controller, frame):
+        submits.append((net.sim.now, controller.node_id))
+        return submit(controller, frame)
+
+    monkeypatch.setattr(controller_module, "heappush", push)
+    monkeypatch.setattr(CanController, "submit", watched_submit)
+    injector.fault_on_frame(
+        lambda f: f.mid.mtype is MessageType.DATA,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[0],
+        crash_sender=True,
+    )
+    PeriodicSource(net.sim, net.node(victim), period=ms(10), offset=ms(1))
+    net.run_for(ms(400))
+    (crash,) = net.sim.trace.select(category="node.crash", node=victim)
+    assert net.node(victim).crashed
+    # The zombie's timers still reach its controller ...
+    assert any(t > crash.time and n == victim for t, n in submits)
+    # ... which offers nothing and sends nothing from then on.
+    assert not [t for t, n in offers if t > crash.time and n == victim]
+    for row in net.sim.trace.select(category="bus.tx"):
+        if row.time > crash.time:
+            assert victim not in row.data["senders"]
+    assert net.views_agree()
+    assert victim not in net.agreed_view()

@@ -226,3 +226,39 @@ def test_submissions_while_busy_queue_up():
     # The in-flight frame completes first; the ELS follows (and is also
     # delivered back to its own sender, node 1).
     assert received == [1, 2]
+
+
+def test_cluster_co_senders_are_listed_in_ascending_node_id():
+    """The tie rule: co-senders of one physical frame are ordered by
+    ``(priority_key, node_id)``. Bit-identical remote frames with equal
+    per-controller ``seq`` tie on the key, so the node id decides — not
+    submission order, nor the history of an earlier drain."""
+    sim, bus, ctl = make_bus(4)
+    frame = remote_frame(MessageId(MessageType.ELS, node=2))
+    confirmations = []
+    for node_id, controller in ctl.items():
+        controller.on_tx_success = lambda f, n=node_id: confirmations.append(n)
+    for round_order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        requests = [ctl[node_id].submit(frame) for node_id in round_order]
+        assert len({request.seq for request in requests}) == 1
+        sim.run()  # drain: every queue empty before the resubmission
+    rows = sim.trace.select(category="bus.tx")
+    assert [row.data["senders"] for row in rows] == [(0, 1, 2, 3)] * 2
+    assert [row.node for row in rows] == [0, 0]
+    assert confirmations == [0, 1, 2, 3] * 2
+
+
+def test_a_lower_seq_leads_the_cluster_whatever_the_node_id():
+    # Equal frames, unequal seq: the key decides before the node id does.
+    sim, bus, ctl = make_bus(3)
+    frame = remote_frame(MessageId(MessageType.ELS, node=1))
+    later = remote_frame(MessageId(MessageType.ELS, node=0, ref=3))
+    ctl[2].submit(remote_frame(MessageId(MessageType.ELS, node=2, ref=3)))
+    sim.run()  # node 2's next request has seq 1
+    ctl[2].submit(frame)
+    ctl[0].submit(later)
+    ctl[0].submit(frame)  # seq 1, and ahead of ``later`` in node 0's queue
+    ctl[1].submit(frame)  # seq 0
+    sim.run()
+    rows = sim.trace.select(category="bus.tx")[1:]
+    assert [row.data["senders"] for row in rows] == [(1, 0, 2), (0,)]
