@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "3.2.0"
+__version__ = "4.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -39,12 +39,9 @@ __version__ = "3.2.0"
 _LAZY_EXPORTS = {
     # membership backends (repro.core.backend, repro.swim) and the
     # multi-segment gateway (repro.can.gateway)
-    "MembershipBackend": "repro.core.backend",
-    "CanelyBackend": "repro.core.backend",
     "backend_names": "repro.core.backend",
     "register_backend": "repro.core.backend",
     "resolve_backend": "repro.core.backend",
-    "SwimBackend": "repro.swim",
     "SwimConfig": "repro.swim",
     "SwimNode": "repro.swim",
     "CanGateway": "repro.can.gateway",

@@ -253,7 +253,7 @@ def probe_backend(
         physical_frames=frames,
         gateway_forwarded=gateway.stats.forwarded if gateway else 0,
         gateway_dropped=gateway.stats.dropped if gateway else 0,
-        metrics=dict(net.node(observer).backend.metrics()),
+        metrics=dict(net.node(observer).metrics()),
         qos=qos.summary(),
     )
 

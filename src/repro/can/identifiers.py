@@ -68,9 +68,9 @@ class MessageType(enum.IntEnum):
 
 @dataclass(frozen=True)
 class MessageId:
-    """The CANELy message control field, totally ordered by bus priority.
+    """The CANELy message control field, ordered by bus priority.
 
-    Comparison uses the numeric order of the encoded identifier, which is
+    ``<`` (what ``sorted`` uses) compares the encoded identifiers, which is
     CAN arbitration priority: lower sorts first and wins the bus.
     """
 
@@ -90,21 +90,6 @@ class MessageId:
         if not isinstance(other, MessageId):
             return NotImplemented
         return self.encode() < other.encode()
-
-    def __le__(self, other: "MessageId") -> bool:
-        if not isinstance(other, MessageId):
-            return NotImplemented
-        return self.encode() <= other.encode()
-
-    def __gt__(self, other: "MessageId") -> bool:
-        if not isinstance(other, MessageId):
-            return NotImplemented
-        return self.encode() > other.encode()
-
-    def __ge__(self, other: "MessageId") -> bool:
-        if not isinstance(other, MessageId):
-            return NotImplemented
-        return self.encode() >= other.encode()
 
     def encode(self) -> int:
         """Pack into the 29-bit extended CAN identifier."""

@@ -1,19 +1,19 @@
 """CANELy stack assembly.
 
-:class:`MembershipNode` is the backend-independent shell of one node — CAN
-controller, standard layer, timers, application traffic, crash/recover and
-the ``msh-can`` delegations — written once; :class:`CanelyNode` adds the
-paper's protocol suite (FDA, RHA, failure detection, site membership) to it,
-as :class:`~repro.swim.node.SwimNode` adds SWIM's. :class:`CanelyNetwork`
-builds a whole simulated network and offers the scenario-level helpers that
-examples, tests and benchmarks share; :class:`DualChannelNetwork` is the
-same network over two replicated channels.
+:class:`MembershipNode` is the backend-neutral ``msh-can`` contract and the
+shell of one node — CAN controller, standard layer, timers, application
+traffic, crash/recover — written once; :class:`CanelyNode` implements the
+contract with the paper's protocol suite (FDA, RHA, failure detection, site
+membership), as :class:`~repro.swim.node.SwimNode` does with SWIM's.
+:class:`CanelyNetwork` builds a whole simulated network and offers the
+scenario-level helpers that examples, tests and benchmarks share;
+:class:`DualChannelNetwork` is the same network over two replicated channels.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, List, Optional
+import abc
+from typing import Callable, ClassVar, Dict, List, Optional
 
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
@@ -21,7 +21,7 @@ from repro.can.driver import CanStandardLayer
 from repro.can.errormodel import FaultInjector
 from repro.can.identifiers import MessageId, MessageType
 from repro.can.phy import BitTiming
-from repro.core.backend import CanelyBackend, require_monitors, resolve_backend
+from repro.core.backend import require_monitors, resolve_backend
 from repro.core.config import CanelyConfig
 from repro.core.failure_detector import FailureDetector
 from repro.core.fda import FdaProtocol
@@ -38,17 +38,21 @@ from repro.util.sets import NodeSet
 MessageCallback = Callable[[int, int, bytes], None]
 
 
-class MembershipNode:
-    """The backend-independent shell of one node.
+class MembershipNode(abc.ABC):
+    """One node behind the backend-neutral ``msh-can`` contract.
 
-    Controller + standard layer (or a prebuilt layer), a timer service,
-    application traffic, crash/recover scripting and the ``msh-can``
-    delegations through :attr:`backend`. A subclass supplies the protocol
-    suite (:meth:`_build_protocols`) and the :attr:`backend_cls` wrapping it.
+    The shell is written once: controller + standard layer (or a prebuilt
+    layer), a timer service, application traffic and crash/recover
+    scripting. A backend is a subclass: it names itself (:attr:`name`, the
+    registry key and report label), supplies its configuration
+    (:meth:`default_config`/:meth:`coerce_config`) and its protocol suite
+    (:meth:`_build_protocols`), and serves the ``msh-can`` request/notify
+    primitives plus the lifecycle (:meth:`halt`/:meth:`reset`) and
+    observability (:meth:`metrics`) hooks. The constructor is the factory.
     """
 
-    #: The :class:`~repro.core.backend.MembershipBackend` adapter class.
-    backend_cls = None
+    #: Registry key and report label ("canely", "swim", ...).
+    name: ClassVar[str] = ""
 
     def __init__(
         self,
@@ -85,38 +89,62 @@ class MembershipNode:
         self._build_protocols()
         self._message_listeners: List[MessageCallback] = []
         self._next_ref = 0
-        #: The node's membership service behind the backend-neutral
-        #: contract; the node API below delegates through it, so code
-        #: written against :class:`~repro.core.backend.MembershipBackend`
-        #: and code written against the node see the same entity.
-        self.backend = self.backend_cls(self)
 
+    # -- configuration ------------------------------------------------------------------
+
+    @classmethod
+    @abc.abstractmethod
+    def default_config(cls):
+        """The configuration used when the caller passes ``None``."""
+
+    @classmethod
+    def coerce_config(cls, config):
+        """Adapt ``config`` (possibly ``None`` or a rival backend's
+        configuration) into this backend's native configuration type."""
+        return cls.default_config() if config is None else config
+
+    @abc.abstractmethod
     def _build_protocols(self) -> None:
         """Construct the protocol entities over ``layer`` and ``timers``."""
-        raise NotImplementedError
 
-    # -- membership API (Fig. 5, via the backend contract) ---------------------------
+    # -- membership API (Fig. 5: msh-can.req / msh-can.nty) --------------------------
 
+    @abc.abstractmethod
     def join(self) -> None:
-        """Request integration in the set of active sites."""
-        self.backend.join()
+        """``msh-can.req(JOIN)``: request integration in the set of active
+        sites."""
 
+    @abc.abstractmethod
     def leave(self) -> None:
-        """Request withdrawal from the site membership view."""
-        self.backend.leave()
+        """``msh-can.req(LEAVE)``: request withdrawal from the view."""
 
+    @abc.abstractmethod
     def view(self) -> MembershipView:
-        """The current site membership view at this node."""
-        return self.backend.view()
+        """``msh-can.req(Get Membership View)``: the current view."""
 
+    @abc.abstractmethod
     def on_membership_change(self, callback: Callable[[MembershipChange], None]) -> None:
-        """Subscribe to membership change notifications."""
-        self.backend.on_change(callback)
+        """Register a ``msh-can.nty`` change listener (delivery order =
+        registration order)."""
 
     @property
+    @abc.abstractmethod
     def is_member(self) -> bool:
         """True while this node is a full member."""
-        return self.backend.is_member
+
+    # -- lifecycle and observability hooks ---------------------------------------------
+
+    @abc.abstractmethod
+    def halt(self) -> None:
+        """Stop all protocol activity without touching state (crash)."""
+
+    @abc.abstractmethod
+    def reset(self) -> None:
+        """Forget all protocol state (reboot); idempotent."""
+
+    @abc.abstractmethod
+    def metrics(self) -> Dict[str, int]:
+        """Per-node protocol counters for diagnostics and comparison."""
 
     # -- application traffic ------------------------------------------------------------
 
@@ -148,7 +176,7 @@ class MembershipNode:
         further events (its controller already discards any I/O).
         """
         self.controller.crash()
-        self.backend.halt()
+        self.halt()
         if self._sim.spans.enabled:
             self._sim.spans.instant("node.crash", "node", node=self.node_id)
         self._sim.trace.record(self._sim.now, "node.crash", node=self.node_id)
@@ -159,10 +187,10 @@ class MembershipNode:
         return self.controller.crashed
 
     def stats(self) -> Dict[str, int]:
-        """Protocol counters for diagnostics and benchmarks: the backend's
+        """Protocol counters for diagnostics and benchmarks: the node's
         ``metrics()`` plus the controller's TX queue depth."""
         return {
-            **self.backend.metrics(),
+            **self.metrics(),
             "tx_queue_depth": getattr(self.controller, "queue_depth", 0),
         }
 
@@ -179,7 +207,7 @@ class MembershipNode:
         self.controller.crashed = False
         self.controller.tec = 0
         self.controller.rec = 0
-        self.backend.reset()
+        self.reset()
         if self._sim.spans.enabled:
             self._sim.spans.instant("node.recover", "node", node=self.node_id)
         self._sim.trace.record(self._sim.now, "node.recover", node=self.node_id)
@@ -188,28 +216,11 @@ class MembershipNode:
 class CanelyNode(MembershipNode):
     """One CANELy node: the shell plus the paper's protocol suite."""
 
-    backend_cls = CanelyBackend
+    name = "canely"
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        bus: Optional[CanBus],
-        config: CanelyConfig,
-        layer=None,
-        timer_drift: float = 0.0,
-        _from_backend: bool = False,
-    ) -> None:
-        super().__init__(node_id, sim, bus, config, layer, timer_drift)
-        if not _from_backend:
-            warnings.warn(
-                "constructing CanelyNode directly is deprecated; build "
-                "nodes through CanelyBackend.build_node() or "
-                "CanelyNetwork(backend=...) so they carry the "
-                "MembershipBackend contract",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    @classmethod
+    def default_config(cls) -> CanelyConfig:
+        return CanelyConfig()
 
     def _build_protocols(self) -> None:
         config, sim = self.config, self._sim
@@ -230,6 +241,41 @@ class CanelyNode(MembershipNode):
         self.groups = ProcessGroupService(
             self.layer, self.membership, config.inconsistent_degree
         )
+
+    def join(self) -> None:
+        self.membership.join()
+
+    def leave(self) -> None:
+        self.membership.leave()
+
+    def view(self) -> MembershipView:
+        return self.membership.view()
+
+    def on_membership_change(self, callback: Callable[[MembershipChange], None]) -> None:
+        self.membership.on_change(callback)
+
+    @property
+    def is_member(self) -> bool:
+        return self.membership.is_member
+
+    def halt(self) -> None:
+        self.detector.reset()
+        self.membership.halt()
+
+    def reset(self) -> None:
+        self.fda.reset_all()
+        self.rha.reset()
+        self.detector.reset()
+        self.membership.reset()
+
+    def metrics(self) -> Dict[str, int]:
+        return {
+            "view_round": self.membership.view().round_index,
+            "els_sent": self.detector.els_sent,
+            "rha_executions": self.rha.executions,
+            "rha_frames_sent": self.rha.frames_sent,
+            "monitored_nodes": len(self.detector.monitored_nodes),
+        }
 
 
 class CanelyNetwork:
@@ -260,10 +306,10 @@ class CanelyNetwork:
         gateway_latency: int = 0,
         gateway_queue_limit: int = 64,
     ) -> None:
-        backend_cls = resolve_backend(backend)
-        self.backend_cls = backend_cls
-        self.backend_name = backend_cls.name
-        self.config = backend_cls.coerce_config(config)
+        node_cls = resolve_backend(backend)
+        self.node_cls = node_cls
+        self.backend_name = node_cls.name
+        self.config = node_cls.coerce_config(config)
         if node_count > self.config.capacity:
             raise ConfigurationError(
                 f"{node_count} nodes exceed the configured capacity "
@@ -308,7 +354,7 @@ class CanelyNetwork:
         }
         drifts = timer_drifts or {}
         self.nodes: Dict[int, CanelyNode] = {
-            node_id: backend_cls.build_node(
+            node_id: node_cls(
                 node_id,
                 self.sim,
                 self.segments[self.segment_map[node_id]],
@@ -362,7 +408,7 @@ class CanelyNetwork:
         from repro.analysis.latency import latency_bounds
         from repro.obs.monitors import standard_monitors
 
-        require_monitors(self.backend_cls)
+        require_monitors(self.node_cls)
         return standard_monitors(
             self.sim.trace,
             detection_bound=latency_bounds(self.config).notification,
@@ -425,8 +471,8 @@ class DualChannelNetwork(CanelyNetwork):
         from repro.can.channels import DualChannelLayer
         from repro.sim.clock import us
 
-        self.backend_cls = CanelyBackend
-        self.backend_name = CanelyBackend.name
+        self.node_cls = CanelyNode
+        self.backend_name = CanelyNode.name
         self.config = config if config is not None else CanelyConfig()
         if node_count > self.config.capacity:
             raise ConfigurationError(
@@ -449,7 +495,7 @@ class DualChannelNetwork(CanelyNetwork):
                 bus.attach(controller)
                 layers.append(CanStandardLayer(controller))
             dual = DualChannelLayer(self.sim, layers[0], layers[1], window)
-            self.nodes[node_id] = CanelyBackend.build_node(
+            self.nodes[node_id] = CanelyNode(
                 node_id, self.sim, None, self.config, layer=dual
             )
 

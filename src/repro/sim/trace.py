@@ -346,15 +346,6 @@ class TraceRecorder:
         """Drop future records of the given exact categories."""
         self._disabled.update(categories)
 
-    def enable_categories(self, *categories: str) -> None:
-        """Re-enable categories previously disabled (missing ones ignored)."""
-        self._disabled.difference_update(categories)
-
-    @property
-    def disabled_categories(self) -> frozenset:
-        """The categories currently filtered out."""
-        return frozenset(self._disabled)
-
     def record(
         self,
         time: int,

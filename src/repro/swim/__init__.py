@@ -1,7 +1,7 @@
 """The SWIM membership backend.
 
 A rival failure-detection/membership stack behind the
-:class:`~repro.core.backend.MembershipBackend` contract: SWIM-style
+:class:`~repro.core.stack.MembershipNode` contract: SWIM-style
 heartbeat counters, incarnation numbers and a suspicion sub-protocol over
 the same CAN controller and standard layer the CANELy suite uses. Built
 for head-to-head comparison (``repro compare``); see
@@ -10,7 +10,7 @@ from the paper's bounded-delay detector.
 """
 
 from repro.swim.config import SwimConfig
-from repro.swim.node import SwimBackend, SwimNode
+from repro.swim.node import SwimNode
 from repro.swim.protocol import SwimProtocol
 
-__all__ = ["SwimBackend", "SwimConfig", "SwimNode", "SwimProtocol"]
+__all__ = ["SwimConfig", "SwimNode", "SwimProtocol"]

@@ -1,19 +1,17 @@
-"""SWIM stack assembly: one node and the backend factory.
+"""SWIM stack assembly: one node.
 
-:class:`SwimNode` is :class:`~repro.core.stack.MembershipNode` — the same
+:class:`SwimNode` is a :class:`~repro.core.stack.MembershipNode` — the same
 CAN controller and standard layer underneath, the same application-traffic
 and fault-scripting API on top as :class:`~repro.core.stack.CanelyNode` —
 with :class:`~repro.swim.protocol.SwimProtocol` as its protocol suite.
-:class:`SwimBackend` is the :class:`~repro.core.backend.MembershipBackend`
-implementation that lets :class:`~repro.core.stack.CanelyNetwork` build
-SWIM populations with ``backend="swim"``.
+Registered as ``"swim"``, it is what
+:class:`~repro.core.stack.CanelyNetwork` builds with ``backend="swim"``.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.backend import MembershipBackend
 from repro.core.stack import MembershipNode
 from repro.core.views import MembershipView
 from repro.errors import ConfigurationError
@@ -21,14 +19,10 @@ from repro.swim.config import SwimConfig
 from repro.swim.protocol import SwimProtocol
 
 
-class SwimBackend(MembershipBackend):
-    """The SWIM stack behind the backend contract."""
+class SwimNode(MembershipNode):
+    """One SWIM node: the shell plus the SWIM protocol."""
 
     name = "swim"
-    critical_path = False
-
-    def __init__(self, node: SwimNode) -> None:
-        self._node = node
 
     @classmethod
     def default_config(cls) -> SwimConfig:
@@ -46,37 +40,35 @@ class SwimBackend(MembershipBackend):
             f"cannot derive a SwimConfig from {type(config).__name__}"
         )
 
-    @classmethod
-    def build_node(cls, node_id, sim, bus, config, *, layer=None,
-                   timer_drift=0.0) -> SwimNode:
-        return SwimNode(
-            node_id, sim, bus, config, layer=layer, timer_drift=timer_drift
+    def _build_protocols(self) -> None:
+        self.protocol = SwimProtocol(
+            self.layer, self.timers, self._sim, self.config
         )
 
     def join(self) -> None:
-        self._node.protocol.join()
+        self.protocol.join()
 
     def leave(self) -> None:
-        self._node.protocol.leave()
+        self.protocol.leave()
 
     def view(self) -> MembershipView:
-        return self._node.protocol.view()
+        return self.protocol.view()
+
+    def on_membership_change(self, callback) -> None:
+        self.protocol.on_change(callback)
 
     @property
     def is_member(self) -> bool:
-        return self._node.protocol.is_member
-
-    def on_change(self, callback) -> None:
-        self._node.protocol.on_change(callback)
+        return self.protocol.is_member
 
     def halt(self) -> None:
-        self._node.protocol.halt()
+        self.protocol.halt()
 
     def reset(self) -> None:
-        self._node.protocol.reset()
+        self.protocol.reset()
 
     def metrics(self) -> Dict[str, int]:
-        protocol = self._node.protocol
+        protocol = self.protocol
         return {
             "view_round": protocol.view().round_index,
             "heartbeats_sent": protocol.heartbeats_sent,
@@ -84,14 +76,3 @@ class SwimBackend(MembershipBackend):
             "refutes": protocol.refutes,
             "removals": protocol.removals,
         }
-
-
-class SwimNode(MembershipNode):
-    """One SWIM node: the shell plus the SWIM protocol."""
-
-    backend_cls = SwimBackend
-
-    def _build_protocols(self) -> None:
-        self.protocol = SwimProtocol(
-            self.layer, self.timers, self._sim, self.config
-        )

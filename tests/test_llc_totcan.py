@@ -63,6 +63,37 @@ def test_atomicity_sender_crash_before_accept(raw_bus):
         assert log == []
 
 
+def test_atomicity_buffered_copies_are_discarded_when_no_accept_follows(raw_bus):
+    """Receivers that buffered a message whose sender died before the
+    accept drop it at the discard timeout, and deliver nothing."""
+    injector = FaultInjector()
+    # Only nodes 1 and 2 take the data frame; the sender then crashes, so
+    # no accept is ever issued for their buffered copies.
+    injector.fault_on_frame(
+        lambda f: f.mid.mtype is MessageType.DATA and not f.remote,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[1, 2],
+        crash_sender=True,
+    )
+    net = raw_bus(4, injector=injector)
+    protocols, delivered = wire(net, stability=ms(2), discard=ms(10))
+
+    def buffered():
+        return {
+            node_id: len(protocol._buffered)
+            for node_id, protocol in protocols.items()
+            if protocol._buffered
+        }
+
+    protocols[0].broadcast(b"orphan")
+    net.sim.run_until(ms(5))
+    assert buffered() == {1: 1, 2: 1}
+    net.sim.run_until(ms(50))
+    assert buffered() == {}
+    for log in delivered.values():
+        assert log == []
+
+
 def test_order_preserved_under_inconsistent_accept(raw_bus):
     injector = FaultInjector()
     # The first BCTRL (accept) transmission suffers an inconsistent omission.

@@ -1,32 +1,25 @@
-"""Backend contract: registry, conformance of rival backends, shims.
+"""Backend contract: registry, conformance of rival backends.
 
 The conformance block is the executable form of the
-:class:`repro.core.backend.MembershipBackend` contract: every registered
+:class:`repro.core.stack.MembershipNode` contract: every registered
 backend — the paper's CANELy suite and the rival SWIM stack — must pass
 the same membership-semantics tests (join/leave, view monotonicity,
 change-callback ordering, halt/reset idempotence, metrics and span
-emission). The remaining blocks pin the registry behaviour, the
-golden-trace identity of ``backend="canely"`` with the pre-backend
-default, and the deprecation shim on direct node construction.
+emission). The remaining blocks pin the abstract contract, the registry
+behaviour and the golden-trace identity of ``backend="canely"`` with the
+default network.
 """
-
-import warnings
 
 import pytest
 
-from repro.core.backend import (
-    CanelyBackend,
-    MembershipBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.core import backend as registry
+from repro.core.backend import backend_names, register_backend, resolve_backend
 from repro.core.config import CanelyConfig
-from repro.core.stack import CanelyNetwork, CanelyNode
+from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.errors import ConfigurationError
 from repro.sim.clock import ms
 from repro.sim.trace import record_to_dict
-from repro.swim.node import SwimBackend
+from repro.swim.node import SwimNode
 
 BACKENDS = ["canely", "swim"]
 
@@ -55,7 +48,6 @@ def test_join_converges_to_full_agreed_view(backend):
     assert sorted(net.agreed_view()) == [0, 1, 2, 3, 4]
     for node in net.nodes.values():
         assert node.is_member
-        assert node.backend.is_member
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -83,15 +75,15 @@ def test_change_callbacks_arrive_in_time_order_with_the_failure(backend):
     net = _settled(backend)
     changes = []
     net.node(0).on_membership_change(changes.append)
-    net.node(0).backend.on_change(lambda change: changes.append(change))
+    net.node(0).on_membership_change(lambda change: changes.append(change))
     net.node(4).crash()
     _run_detection(net)
     assert changes, "the survivor was never notified"
     times = [change.time for change in changes]
     assert times == sorted(times)
     assert any(4 in change.failed for change in changes)
-    # node-API and backend-API listeners observe the same notifications.
-    assert len(changes) % 2 == 0
+    # both listeners observe the same notifications, in registration order.
+    assert changes[0::2] == changes[1::2]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -99,11 +91,11 @@ def test_halt_and_reset_are_idempotent_and_rejoinable(backend):
     net = _settled(backend)
     victim = net.node(1)
     victim.crash()
-    victim.backend.halt()  # second halt must be a no-op, not an error
+    victim.halt()  # second halt must be a no-op, not an error
     _run_detection(net)
     assert sorted(net.agreed_view()) == [0, 2, 3, 4]
     victim.recover()
-    victim.backend.reset()  # second reset must also be safe
+    victim.reset()  # second reset must also be safe
     victim.join()
     _run_detection(net)
     assert sorted(net.agreed_view()) == [0, 1, 2, 3, 4]
@@ -114,7 +106,7 @@ def test_metrics_hook_reports_integer_counters(backend):
     net = _settled(backend)
     net.node(3).crash()
     _run_detection(net)
-    metrics = net.node(0).backend.metrics()
+    metrics = net.node(0).metrics()
     assert metrics["view_round"] >= 1
     assert all(isinstance(value, int) for value in metrics.values())
     assert net.sim.metrics.counter("msh.change_notifications").value > 0
@@ -127,13 +119,6 @@ def test_span_emission_on_membership_change(backend):
     _run_detection(net)
     assert net.sim.spans.select(name="msh.change")
     assert net.sim.spans.select(name="node.crash", node=2)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_describe_names_the_backend(backend):
-    net = _settled(backend, nodes=3)
-    description = net.node(0).backend.describe()
-    assert description["backend"] == net.backend_name
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -161,8 +146,7 @@ def test_protocol_listeners_register_before_the_application_indication(backend):
     CanBus(sim).attach(controller)
     layer = RecordingLayer(controller)
     cls = resolve_backend(backend)
-    node = cls.build_node(0, sim, None, cls.default_config(), layer=layer)
-    assert node.backend is not None
+    node = cls(0, sim, None, cls.default_config(), layer=layer)
     protocols = layer.registered
     assert protocols  # the protocols came first ...
     assert node._on_app_data not in [listener for _, listener in protocols]
@@ -195,10 +179,10 @@ def test_registry_lists_both_builtin_backends():
 
 
 def test_resolve_backend_default_and_by_name():
-    assert resolve_backend(None) is CanelyBackend
-    assert resolve_backend("canely") is CanelyBackend
-    assert resolve_backend("swim") is SwimBackend
-    assert resolve_backend(SwimBackend) is SwimBackend
+    assert resolve_backend(None) is CanelyNode
+    assert resolve_backend("canely") is CanelyNode
+    assert resolve_backend("swim") is SwimNode
+    assert resolve_backend(SwimNode) is SwimNode
 
 
 def test_resolve_backend_rejects_unknown_names():
@@ -207,22 +191,56 @@ def test_resolve_backend_rejects_unknown_names():
 
 
 def test_register_backend_rejects_name_collisions():
-    register_backend(CanelyBackend)  # same class again: a no-op
+    register_backend(CanelyNode)  # same class again: a no-op
 
-    class Impostor(CanelyBackend):
+    class Impostor(CanelyNode):
         name = "canely"
 
     with pytest.raises(ConfigurationError):
         register_backend(Impostor)
 
 
+def test_builtin_names_are_taken_before_first_use(monkeypatch):
+    # A fresh registry: nothing has resolved "canely" yet, and still an
+    # impostor cannot claim the built-in's name.
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+
+    class Impostor(CanelyNode):
+        name = "canely"
+
+    with pytest.raises(ConfigurationError):
+        register_backend(Impostor)
+    assert resolve_backend("canely") is CanelyNode
+
+
 def test_backend_classes_satisfy_the_contract():
     for name in backend_names():
         cls = resolve_backend(name)
-        assert issubclass(cls, MembershipBackend)
+        assert issubclass(cls, MembershipNode)
         assert cls.name == name
-        assert isinstance(cls.critical_path, bool)
         assert cls.default_config() is not None
+
+
+@pytest.mark.parametrize(
+    "missing",
+    ["join", "leave", "view", "on_membership_change", "is_member", "halt",
+     "reset", "metrics", "_build_protocols", "default_config"],
+)
+def test_a_node_missing_part_of_the_contract_cannot_be_built(missing):
+    from repro.can.bus import CanBus
+    from repro.sim.kernel import Simulator
+
+    # SwimNode less one member: the contract's declaration is all that
+    # is left of it.
+    members = {
+        key: value
+        for key, value in vars(SwimNode).items()
+        if key != missing and not key.startswith(("__", "_abc"))
+    }
+    Partial = type("Partial", (MembershipNode,), members)
+    sim = Simulator()
+    with pytest.raises(TypeError, match=missing):
+        Partial(0, sim, CanBus(sim), SwimNode.default_config())
 
 
 # -- golden identity: backend="canely" is the pre-backend network -------------
@@ -253,35 +271,3 @@ def test_single_segment_network_has_no_gateway():
     assert net.gateway is None
     assert net.buses == (net.bus,)
     assert net.segment_of(0) == 0
-
-
-# -- deprecation shims ---------------------------------------------------------
-
-
-def test_direct_canely_node_construction_warns_at_the_caller():
-    from repro.sim.kernel import Simulator
-    from repro.can.bus import CanBus
-
-    sim = Simulator()
-    bus = CanBus(sim)
-    config = CanelyConfig(capacity=8, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        CanelyNode(0, sim, bus, config)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "CanelyBackend.build_node" in str(deprecations[0].message)
-    # stacklevel=2 must attribute the warning to this file, not to
-    # repro/core/stack.py.
-    assert deprecations[0].filename == __file__
-
-
-def test_backend_built_nodes_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        net = CanelyNetwork(node_count=3)
-        CanelyBackend.build_node(
-            5, net.sim, net.bus, net.config  # a spare stack on the same bus
-        )

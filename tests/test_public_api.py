@@ -22,10 +22,11 @@ def test_version_bumped_for_the_new_surface():
     # facade signature (run_until_settled's idle_skip); 3.1.0 changed the
     # span taxonomy (one can.rx per frame, one fd.surveillance per group)
     # and marked the Chrome export with it; 3.2.0 gave add_data_ind its
-    # collective form and put SWIM's silence clocks on the shared table
-    # (docs/api.md).
+    # collective form and put SWIM's silence clocks on the shared table;
+    # 4.0.0 removed the backend adapter classes, the node being the
+    # contract (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (3, 2)
+    assert (int(major), int(minor)) >= (4, 0)
 
 
 def test_core_names_are_eager():

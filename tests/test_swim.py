@@ -19,7 +19,7 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import ConfigurationError
 from repro.sim.clock import ms
-from repro.swim import SwimBackend, SwimConfig
+from repro.swim import SwimConfig, SwimNode
 from repro.swim import protocol as swim_protocol
 
 
@@ -76,15 +76,15 @@ def test_scenario_compatibility_properties():
 
 
 def test_coerce_config_accepts_none_native_and_canely():
-    assert SwimBackend.coerce_config(None) == SwimConfig()
+    assert SwimNode.coerce_config(None) == SwimConfig()
     native = SwimConfig(capacity=8)
-    assert SwimBackend.coerce_config(native) is native
+    assert SwimNode.coerce_config(native) is native
     canely = CanelyConfig(capacity=8, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
-    derived = SwimBackend.coerce_config(canely)
+    derived = SwimNode.coerce_config(canely)
     assert derived.capacity == 8
     assert derived.probe_period == canely.thb
     with pytest.raises(ConfigurationError):
-        SwimBackend.coerce_config(object())
+        SwimNode.coerce_config(object())
 
 
 # -- suspicion sub-protocol ----------------------------------------------------
@@ -103,7 +103,7 @@ def test_mute_but_listening_member_refutes_and_stays_in_the_view():
     mute = net.node(3)
     # Stop the heartbeat/probe timers without crashing the controller:
     # the node falls silent but still hears (and refutes) suspicions.
-    mute.backend.halt()
+    mute.halt()
     net.run_for(ms(300))
     assert net.views_agree()
     assert sorted(net.agreed_view()) == [0, 1, 2, 3]
@@ -119,7 +119,7 @@ def test_application_traffic_is_not_evidence_of_life():
     # member that chats but never heartbeats is suspected regardless.
     net = _swim_net()
     chatty = net.node(2)
-    chatty.backend.halt()
+    chatty.halt()
     for _ in range(30):
         chatty.send(b"alive")
         net.run_for(ms(10))
@@ -187,6 +187,6 @@ def test_protocol_metrics_flow_into_the_shared_registry():
     assert net.sim.metrics.counter("swim.heartbeats").value > 0
     assert net.sim.metrics.counter("swim.suspects").value > 0
     assert net.sim.metrics.counter("swim.removals").value > 0
-    metrics = net.node(0).backend.metrics()
+    metrics = net.node(0).metrics()
     assert metrics["removals"] >= 1
     assert metrics["heartbeats_sent"] > 0

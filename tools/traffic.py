@@ -13,10 +13,12 @@ Runs, in this one process and under :mod:`cProfile`:
 
 then the tier-1 suite (``pytest tests``), and prints every function defined
 under ``src/repro`` that none of the shipped runs reaches, marked
-``[tier-1]`` when the test suite reaches it. Code that only runs in
-remote-executor threads or subprocess workers is out of an in-process
-profile's sight: it is listed apart, as not profiled, not as unreached.
-The report gates nothing; it is evidence for deleting code::
+``[tier-1]`` when the test suite reaches it. Abstract declarations
+(``abc.abstractmethod``) are not counted: their bodies never run. Code that
+only runs in remote-executor threads or subprocess workers is out of an
+in-process profile's sight: it is listed apart, as not profiled, not as
+unreached. The report is evidence for deleting code; CI also fails when the
+count reached by nothing at all (not even tier-1) rises::
 
     python tools/traffic.py > traffic-report.txt
 
@@ -26,6 +28,7 @@ minutes.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import cProfile
 import io
@@ -84,11 +87,29 @@ SWIM_SCENARIO = (
 Key = Tuple[str, int, str]
 
 
+def abstract_declarations(source: str) -> Set[Tuple[int, str]]:
+    """``(first line, name)`` of each function decorated with
+    ``abc.abstractmethod``: a declaration, whose body nothing can reach."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = node.decorator_list
+        if any(
+            getattr(d, "attr", getattr(d, "id", None)) == "abstractmethod"
+            for d in decorators
+        ):
+            # A decorated function's code starts at its first decorator.
+            found.add((min(d.lineno for d in decorators), node.name))
+    return found
+
+
 def defined_functions() -> Dict[Key, str]:
     """Every named function under ``src/repro`` -> its qualified name.
 
     Read from the compiled sources, nested functions and methods included;
-    lambdas and comprehensions are not functions anybody could delete.
+    lambdas and comprehensions are not functions anybody could delete, and
+    abstract declarations are not code anybody could run.
     """
     found = {}
     for directory, _dirs, files in os.walk(REPRO_DIR):
@@ -98,15 +119,20 @@ def defined_functions() -> Dict[Key, str]:
             path = os.path.join(directory, name)
             module = os.path.relpath(path, REPRO_DIR).replace(os.sep, "/")
             with open(path, encoding="utf-8") as handle:
-                pending = [compile(handle.read(), path, "exec")]
+                source = handle.read()
+            abstract = abstract_declarations(source)
+            pending = [compile(source, path, "exec")]
             while pending:
                 code = pending.pop()
                 for const in code.co_consts:
                     if hasattr(const, "co_code"):
                         pending.append(const)
-                if not code.co_name.startswith("<"):
-                    qualname = getattr(code, "co_qualname", code.co_name)
-                    found[(module, code.co_firstlineno, code.co_name)] = qualname
+                if code.co_name.startswith("<"):
+                    continue
+                if (code.co_firstlineno, code.co_name) in abstract:
+                    continue
+                qualname = getattr(code, "co_qualname", code.co_name)
+                found[(module, code.co_firstlineno, code.co_name)] = qualname
     return found
 
 
