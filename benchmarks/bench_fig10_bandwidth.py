@@ -14,42 +14,22 @@ This benchmark regenerates the figure twice:
 
 Shape checks assert the paper's qualitative claims: hyperbolic decline in
 ``Tm``, the curve ordering, and the ~0.4% marginal cost per join/leave
-request (Section 6.5 footnote).
+request (Section 6.5 footnote). ``repro fig10`` prints the analytic table
+(:func:`repro.analysis.figures.fig10_table`).
 """
 
 from conftest import emit
 
 from repro.analysis.bandwidth import BandwidthModel
+from repro.analysis.figures import FIG10_TM_MS, PAPER_FIG10, fig10_table
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
 from repro.util.tables import render_table
 from repro.workloads.traffic import PeriodicSource
 
-TM_VALUES_MS = [30, 40, 50, 60, 70, 80, 90]
-
-#: Approximate values read off the published Fig. 10 plot (1 Mbps,
-#: standard-format frames), for the paper-vs-measured table.
-PAPER_FIG10 = {
-    "no msh. changes": {30: 0.017, 50: 0.010, 70: 0.007, 90: 0.006},
-    "f crash failures": {30: 0.046, 50: 0.028, 70: 0.020, 90: 0.015},
-    "join/leave event": {30: 0.060, 50: 0.036, 70: 0.026, 90: 0.020},
-    "multiple join/leave": {30: 0.135, 50: 0.081, 70: 0.058, 90: 0.045},
-}
-
 #: The membership suite's message types (what Fig. 10 accounts).
 SUITE_TYPES = ("ELS", "FDA", "RHA", "JOIN", "LEAVE")
-
-
-def _analytic_model() -> BandwidthModel:
-    # The paper's operating point: n=32, b=8, f=4, standard-format frames.
-    return BandwidthModel(
-        population=32,
-        lifesign_nodes=8,
-        crash_failures=4,
-        inconsistent_degree=2,
-        extended=False,
-    )
 
 
 def _simulate_suite_bits(tm_ms: int, crashes: int, join_leaves: int) -> float:
@@ -103,43 +83,20 @@ def _simulate_suite_bits(tm_ms: int, crashes: int, join_leaves: int) -> float:
 
 
 def bench_fig10_analytic_curves(benchmark):
-    model = _analytic_model()
-    curves = benchmark(model.figure10, TM_VALUES_MS)
+    emit("fig10_bandwidth_analytic", benchmark(fig10_table))
 
-    rows = []
-    for label, curve in curves.items():
-        for tm, value in zip(TM_VALUES_MS, curve):
-            paper = PAPER_FIG10[label].get(tm)
-            rows.append(
-                [
-                    label,
-                    tm,
-                    f"{value * 100:.2f}%",
-                    f"{paper * 100:.1f}%" if paper is not None else "-",
-                ]
-            )
-    table = render_table(
-        ["scenario", "Tm (ms)", "model", "paper (read off plot)"],
-        rows,
-        title="Figure 10 — CAN bandwidth utilization by the membership suite",
-    )
-    marginal = model.marginal_join_leave_utilization(25)
-    table += (
-        f"\nmarginal cost per join/leave request at Tm=25ms: "
-        f"{marginal * 100:.2f}% (paper: ~0.4%)"
-    )
-    emit("fig10_bandwidth_analytic", table)
-
+    # The paper's operating point: n=32, b=8, f=4, standard-format frames.
+    curves = BandwidthModel().figure10(FIG10_TM_MS)
     # Shape assertions: hyperbolic decline and curve ordering.
     for label, curve in curves.items():
         assert curve == sorted(curve, reverse=True), label
-    for index in range(len(TM_VALUES_MS)):
+    for index in range(len(FIG10_TM_MS)):
         column = [curves[label][index] for label in PAPER_FIG10]
         assert column == sorted(column)
     # Magnitude: within the paper's band (same order, factor < 2 off).
     for label, paper_points in PAPER_FIG10.items():
         for tm, paper_value in paper_points.items():
-            model_value = curves[label][TM_VALUES_MS.index(tm)]
+            model_value = curves[label][FIG10_TM_MS.index(tm)]
             assert 0.4 < model_value / paper_value < 2.2, (
                 label,
                 tm,
@@ -164,7 +121,7 @@ def bench_fig10_simulation_crosscheck(benchmark):
 
     measured = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    model = _analytic_model()
+    model = BandwidthModel()
     rows = []
     for label, by_tm in measured.items():
         crashes, join_leaves = scenarios[label]

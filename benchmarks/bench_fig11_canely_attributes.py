@@ -10,97 +10,34 @@ The quantitative CANELy cells are regenerated by this reproduction:
   milliseconds);
 * **clock synchronization precision** — measured across a simulated
   network running the resynchronization service (paper: tens of µs).
-"""
 
-import random
+The measurements and the table live in :mod:`repro.analysis.figures`;
+``repro fig11`` prints the same table.
+"""
 
 from conftest import emit
 
-from repro.analysis.comparison import fig11_rows
+from repro.analysis.figures import (
+    fig11_table,
+    measure_clock_precision_us,
+    measure_membership_latency_ms,
+)
 from repro.analysis.inaccessibility import (
     can_inaccessibility_range,
     canely_inaccessibility_range,
-    scenario_catalogue,
 )
-from repro.core.config import CanelyConfig
-from repro.core.stack import CanelyNetwork
-from repro.services.clocksync import ClockSyncService, VirtualClock, precision
-from repro.sim.clock import ms, us
-from repro.util.tables import render_table
-from repro.analysis.latency import measured_detection_latencies
-
-CONFIG = CanelyConfig(capacity=32, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
-
-
-def measure_membership_latency_ms() -> float:
-    """Worst observed crash-to-notification latency over several crashes."""
-    worst = 0.0
-    for victim in (3, 9, 14):
-        net = CanelyNetwork(node_count=16, config=CONFIG)
-        net.scenario().bootstrap()
-        crash_time = net.sim.now
-        net.node(victim).crash()
-        net.run_for(ms(200))
-        latency = measured_detection_latencies(net.sim.trace, {victim: crash_time})[victim]
-        assert latency is not None
-        worst = max(worst, latency / ms(1))
-    return worst
-
-
-def measure_clock_precision_us() -> float:
-    """Worst pairwise deviation after 1 s of synchronized operation."""
-    net = CanelyNetwork(node_count=8, config=CONFIG)
-    net.scenario().bootstrap()
-    clocks = {}
-    for node_id, node in net.nodes.items():
-        clock = VirtualClock(
-            drift=random.Random(100 + node_id).uniform(-1e-4, 1e-4)
-        )
-        clocks[node_id] = clock
-        ClockSyncService(
-            node.layer,
-            node.timers,
-            net.sim,
-            clock,
-            resync_period=ms(100),
-            reception_jitter_rng=random.Random(200 + node_id),
-        ).start()
-    net.run_for(ms(1000))
-    return precision(clocks, net.sim.now) / us(1)
 
 
 def bench_fig11_attribute_table(benchmark):
-    def build():
-        latency = measure_membership_latency_ms()
-        clock = measure_clock_precision_us()
-        ely_lo, ely_hi = canely_inaccessibility_range()
-        return latency, clock, ely_lo, ely_hi
+    def measure():
+        return measure_membership_latency_ms(), measure_clock_precision_us()
 
-    latency, clock, ely_lo, ely_hi = benchmark.pedantic(
-        build, rounds=1, iterations=1
-    )
-
-    rows = fig11_rows(
-        measured={
-            "inaccessibility": f"{ely_lo} - {ely_hi} bit-times (derived)",
-            "membership": f"{latency:.1f} ms latency (measured)",
-            "clock": f"{clock:.1f} us precision (measured)",
-        }
-    )
-    table = render_table(
-        ["Parameter", "TTP", "CAN", "CANELy (this reproduction)"],
-        rows,
-        title="Figure 11 — comparison of TTP, CAN and CANELy",
-    )
-    catalogue = render_table(
-        ["scenario", "bit-times", "description"],
-        [[s.name, s.duration_bits, s.description] for s in scenario_catalogue()],
-        title="Inaccessibility scenario catalogue (standard format)",
-    )
-    emit("fig11_canely_attributes", table + "\n\n" + catalogue)
+    latency, clock = benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit("fig11_canely_attributes", fig11_table(latency, clock))
 
     # Paper claims, asserted.
     can_lo, can_hi = can_inaccessibility_range()
+    ely_lo, ely_hi = canely_inaccessibility_range()
     assert (can_lo, can_hi) == (14, 2880)
     assert ely_lo == 14
     assert abs(ely_hi - 2160) / 2160 < 0.02

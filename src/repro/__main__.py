@@ -4,11 +4,12 @@ Commands:
 
 * ``demo``      — run the quickstart scenario and print the timeline.
 * ``fig1``      — print the reproduced Fig. 1 comparison table.
-* ``fig10``     — print the Fig. 10 bandwidth curves (analytical model).
-* ``fig11``     — print the Fig. 11 attribute table (analytic cells only;
-  run the benchmark suite for the measured cells).
-* ``inaccessibility`` — print the scenario catalogue and bounds.
+* ``fig10``     — print the Fig. 10 bandwidth table (analytical model), or
+  its curves as an ASCII chart (``--plot``).
+* ``fig11``     — measure and print the Fig. 11 attribute table and the
+  inaccessibility scenario catalogue.
 * ``bounds``    — print the latency bounds for a configuration.
+* ``run``       — execute a JSON scenario script and print its report.
 * ``trace``     — run a scenario and query/export its trace (JSONL).
 * ``metrics``   — run a scenario and print the metrics registry.
 * ``spans``     — run a seeded crash scenario with causal span tracing on
@@ -35,42 +36,109 @@ Commands:
   failure-detector QoS comparison — detection quantiles, mistake rate
   λ_M, mistake duration T_M, query accuracy P_A (see
   :mod:`repro.scenarios` and :mod:`repro.obs.qos`).
+
+The figure commands print exactly the tables ``benchmarks/results/``
+commits (:mod:`repro.analysis.figures`). Every report leaves through
+:func:`_emit`, every bad argument through :func:`main`'s ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 
-from repro.analysis.bandwidth import BandwidthModel
-from repro.analysis.comparison import fig1_rows, fig11_rows
-from repro.analysis.inaccessibility import (
-    can_inaccessibility_range,
-    canely_inaccessibility_range,
-    scenario_catalogue,
-)
 from repro.analysis.latency import latency_bounds
-from repro.core.backend import backend_names, monitors_supported
+from repro.core.backend import monitors_supported
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import ConfigurationError, ScenarioError
 from repro.sim.clock import format_time, ms
-from repro.util.tables import render_table
+from repro.util.tables import render_table, to_json
+
+
+def _emit(args, document, **renderers) -> None:
+    """Print a command's ``document`` in its ``--format``; with ``--report
+    PATH``, also write the document there as JSON.
+
+    ``renderers`` maps every other format the command offers to a
+    zero-argument function returning the rendering. A command without a
+    ``--format`` option prints JSON.
+    """
+    fmt = getattr(args, "format", "json")
+    print(to_json(document) if fmt == "json" else renderers[fmt]())
+    path = getattr(args, "report", None)
+    if path:
+        with open(path, "w") as handle:
+            handle.write(to_json(document) + "\n")
+        print(f"report written to {path}")
+
+
+def _format_option(parser, *formats) -> None:
+    """Give ``parser`` a ``--format`` choice among ``formats`` (the first
+    is the default)."""
+    parser.add_argument(
+        "--format",
+        choices=list(formats),
+        default=formats[0],
+        help="output format (json/csv keys are deterministically ordered)",
+    )
+
+
+def _run_options(parser, unit: str) -> None:
+    """The execution options ``campaign`` and ``check`` share; ``unit``
+    names what one of their runs executes."""
+    parser.add_argument("--seed", type=int, default=0, help="root seed")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (0 = in-process; default: CPU count, max 8)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=120.0,
+        help=f"per-{unit} wall-clock budget, seconds",
+    )
+    parser.add_argument(
+        "--checkpoint",
+        metavar="PATH",
+        help="append completed results to this JSONL file",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help=f"skip {unit}s already in the checkpoint file",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true", help=f"print one line per {unit}"
+    )
+
+
+def _demo_network(narrate: bool = False):
+    """The quickstart scenario under the standard invariant monitors: 8
+    nodes join, node 5 crashes after 400 ms, the run stops 150 ms later.
+    Returns ``(network, crash time)``; ``narrate`` prints the crash."""
+    net = CanelyNetwork(node_count=8)
+    net.attach_monitors()
+    net.join_all()
+    net.run_for(ms(400))
+    crash_time = net.sim.now
+    if narrate:
+        print(f"[{format_time(crash_time)}] view: {sorted(net.agreed_view())}")
+        print(f"[{format_time(crash_time)}] node 5 crashed")
+    net.node(5).crash()
+    net.run_for(ms(150))
+    return net, crash_time
 
 
 def _cmd_demo(args) -> int:
-    net = CanelyNetwork(node_count=8)
-    net.join_all()
-    net.run_for(ms(400))
-    print(f"[{format_time(net.sim.now)}] view: {sorted(net.agreed_view())}")
-    crash_time = net.sim.now
-    net.node(5).crash()
-    print(f"[{format_time(crash_time)}] node 5 crashed")
-    net.run_for(ms(150))
+    net, crash_time = _demo_network(narrate=True)
     print(f"[{format_time(net.sim.now)}] view: {sorted(net.agreed_view())}")
     print("agreement:", "ok" if net.views_agree() else "VIOLATED")
-    if getattr(args, "timeline", False):
+    if args.timeline:
         from repro.sim.timeline import summarize, timeline
 
         print("\ntimeline around the crash:")
@@ -88,72 +156,27 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fig1(_args) -> int:
-    print(
-        render_table(
-            ["Parameter", "TTP", "Standard CAN"],
-            fig1_rows(),
-            title="Figure 1 — comparison of TTP and CAN",
-        )
-    )
+    from repro.analysis.figures import fig1_table
+
+    print(fig1_table())
     return 0
 
 
 def _cmd_fig10(args) -> int:
-    model = BandwidthModel(
-        population=args.nodes,
-        lifesign_nodes=args.lifesigns,
-        crash_failures=args.crashes,
-    )
-    if args.plot:
-        from repro.analysis.figures import fig10_chart
+    from repro.analysis.figures import fig10_chart, fig10_table
 
-        print(fig10_chart(model))
-        return 0
-    tm_values = list(range(30, 95, 10))
-    curves = model.figure10(tm_values)
-    rows = [
-        [label] + [f"{value * 100:.2f}%" for value in curve]
-        for label, curve in curves.items()
-    ]
-    print(
-        render_table(
-            ["scenario"] + [f"Tm={tm}ms" for tm in tm_values],
-            rows,
-            title=(
-                f"Figure 10 — membership suite bandwidth "
-                f"(n={args.nodes}, b={args.lifesigns}, f={args.crashes})"
-            ),
-        )
-    )
+    print(fig10_chart() if args.plot else fig10_table())
     return 0
 
 
 def _cmd_fig11(_args) -> int:
-    print(
-        render_table(
-            ["Parameter", "TTP", "CAN", "CANELy"],
-            fig11_rows(),
-            title="Figure 11 — comparison of TTP, CAN and CANELy",
-        )
+    from repro.analysis.figures import (
+        fig11_table,
+        measure_clock_precision_us,
+        measure_membership_latency_ms,
     )
-    return 0
 
-
-def _cmd_inaccessibility(_args) -> int:
-    print(
-        render_table(
-            ["scenario", "bit-times", "description"],
-            [
-                [s.name, s.duration_bits, s.description]
-                for s in scenario_catalogue()
-            ],
-            title="Inaccessibility scenarios (standard format)",
-        )
-    )
-    can_lo, can_hi = can_inaccessibility_range()
-    ely_lo, ely_hi = canely_inaccessibility_range()
-    print(f"\nstandard CAN : {can_lo} - {can_hi} bit-times (paper: 14 - 2880)")
-    print(f"CANELy       : {ely_lo} - {ely_hi} bit-times (paper: 14 - 2160)")
+    print(fig11_table(measure_membership_latency_ms(), measure_clock_precision_us()))
     return 0
 
 
@@ -190,36 +213,25 @@ def _load_scenario(path):
 
 
 def _cmd_run(args) -> int:
-    import json
-
     from repro.workloads.script import run_scenario
 
-    report = run_scenario(
-        _load_scenario(args.scenario), monitors=getattr(args, "monitors", False)
-    )
-    print(json.dumps(report.to_dict(), indent=2))
+    report = run_scenario(_load_scenario(args.scenario), monitors=args.monitors)
+    _emit(args, report.to_dict())
     return 0 if report.views_agree else 1
 
 
 def _observed_network(args):
-    """Run the demo scenario (or ``--scenario FILE``) under the standard
-    invariant monitors — where the backend has them — and return the
+    """Run ``--scenario FILE`` under the standard invariant monitors —
+    where the backend has them — or else the demo scenario, and return the
     finished network."""
-    if getattr(args, "scenario", None):
-        from repro.workloads.script import run_scenario_detailed
+    if not args.scenario:
+        return _demo_network()[0]
+    from repro.workloads.script import run_scenario_detailed
 
-        spec = _load_scenario(args.scenario)
-        _report, net = run_scenario_detailed(
-            spec, monitors=monitors_supported(spec.backend)
-        )
-        return net
-
-    net = CanelyNetwork(node_count=8)
-    net.attach_monitors()
-    net.join_all()
-    net.run_for(ms(400))
-    net.node(5).crash()
-    net.run_for(ms(150))
+    spec = _load_scenario(args.scenario)
+    _report, net = run_scenario_detailed(
+        spec, monitors=monitors_supported(spec.backend)
+    )
     return net
 
 
@@ -287,8 +299,9 @@ def _cmd_spans(args) -> int:
     from repro.obs.spans import render_span_tree
 
     if not 0 <= args.crash < args.nodes:
-        print(f"--crash {args.crash} outside 0..{args.nodes - 1}")
-        return 2
+        raise ConfigurationError(
+            f"--crash {args.crash} outside 0..{args.nodes - 1}"
+        )
     net = CanelyNetwork(node_count=args.nodes, spans=True)
     (
         net.scenario(seed=args.seed)
@@ -412,69 +425,35 @@ def _metrics_csv(snapshot) -> str:
 
 
 def _cmd_metrics(args) -> int:
-    import json
-
-    net = _observed_network(args)
-    registry = net.sim.metrics
-    if args.format == "json":
-        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(_metrics_csv(registry.snapshot()))
-    else:
-        print(registry.render())
+    registry = _observed_network(args).sim.metrics
+    snapshot = registry.snapshot()
+    _emit(
+        args,
+        snapshot,
+        table=registry.render,
+        csv=lambda: _metrics_csv(snapshot),
+    )
     return 0
 
 
-def _unknown_backend(names) -> bool:
-    """Print the one "unknown backend" line for the first unregistered
-    name in ``names``; True when there is one."""
-    registered = backend_names()
-    for name in names:
-        if name not in registered:
-            print(
-                f"unknown backend {name!r}; "
-                f"registered: {', '.join(registered)}"
-            )
-            return True
-    return False
-
-
 def _cmd_qos(args) -> int:
-    from repro.scenarios import run_catalog, scenario_names
+    from repro.scenarios import run_catalog
 
-    names = scenario_names()
-    backends = args.backend or ["canely"]
-    if _unknown_backend(backends):
-        return 2
-    scenarios = names if args.catalog or not args.scenario else args.scenario
-    unknown = [name for name in scenarios if name not in names]
-    if unknown:
-        print(
-            f"unknown scenario(s) {', '.join(unknown)}; "
-            f"catalog: {', '.join(names)}"
-        )
-        return 2
     report = run_catalog(
-        scenarios=scenarios,
-        backends=backends,
+        scenarios=None if args.catalog else args.scenario,
+        backends=args.backend or ["canely"],
         seed=args.seed,
         quick=args.quick,
     )
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv())
-    else:
-        print(report.render())
-        if args.chart:
-            from repro.analysis.figures import qos_chart
 
-            print()
-            print(qos_chart(report))
-    if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(report.to_json() + "\n")
-        print(f"report written to {args.report}")
+    def table() -> str:
+        if not args.chart:
+            return report.render()
+        from repro.analysis.figures import qos_chart
+
+        return report.render() + "\n\n" + qos_chart(report)
+
+    _emit(args, report.to_dict(), table=table, csv=report.to_csv)
     if args.figure:
         from repro.analysis.figures import save_qos_figure
 
@@ -483,8 +462,14 @@ def _cmd_qos(args) -> int:
 
 
 def _parse_address(value: str, *, default_host: str = "127.0.0.1"):
-    """``HOST:PORT`` (or bare ``PORT``) -> ``(host, port)``."""
+    """``HOST:PORT`` (or bare ``PORT``) -> ``(host, port)``; anything else
+    is a :class:`ConfigurationError` naming the value."""
     host, _, port = value.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise ConfigurationError(
+            f"invalid address {value!r}: expected HOST:PORT with a port "
+            f"in 0..65535"
+        )
     return (host or default_host, int(port))
 
 
@@ -548,14 +533,7 @@ def _cmd_campaign(args) -> int:
         executor=executor,
     )
     report = CampaignReport(spec, results)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-    if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(report.to_json() + "\n")
-        print(f"report written to {args.report}")
+    _emit(args, report.to_dict(), table=report.render)
     return 0 if report.success else 1
 
 
@@ -598,8 +576,6 @@ def _cmd_check(args) -> int:
     from repro.errors import CheckError
 
     if args.replay:
-        import contextlib
-
         from repro.check import read_artifact
 
         try:
@@ -639,8 +615,6 @@ def _cmd_check(args) -> int:
             if not report.passed:
                 failed += 1
         return 1 if failed else 0
-
-    import contextlib
 
     from repro.campaign import FingerprintStore, default_workers
     from repro.check import explore_coverage
@@ -704,12 +678,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    import json
-
     from repro.analysis.comparison import compare_backends, comparison_rows
 
-    if _unknown_backend(args.backends):
-        return 2
     report = compare_backends(
         tuple(args.backends),
         nodes=args.nodes,
@@ -718,20 +688,15 @@ def _cmd_compare(args) -> int:
         crash_window_ms=args.crash_window,
         run_ms=args.run_ms,
     )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
     scenario = report["scenario"]
-    header, rows = comparison_rows(report)
-    print(
-        render_table(
-            header,
-            rows,
-            title=(
-                f"Backend QoS — {scenario['nodes']} nodes, "
-                f"{scenario['segments']} segment(s), seed {scenario['seed']}"
-            ),
-        )
+    title = (
+        f"Backend QoS — {scenario['nodes']} nodes, "
+        f"{scenario['segments']} segment(s), seed {scenario['seed']}"
+    )
+    _emit(
+        args,
+        report,
+        table=lambda: render_table(*comparison_rows(report), title=title),
     )
     return 0
 
@@ -752,20 +717,14 @@ def main(argv=None) -> int:
     sub.add_parser("fig1", help="print the Fig. 1 table").set_defaults(
         func=_cmd_fig1
     )
-    fig10 = sub.add_parser("fig10", help="print the Fig. 10 curves")
-    fig10.add_argument("--nodes", type=int, default=32)
-    fig10.add_argument("--lifesigns", type=int, default=8)
-    fig10.add_argument("--crashes", type=int, default=4)
+    fig10 = sub.add_parser("fig10", help="print the Fig. 10 table")
     fig10.add_argument(
         "--plot", action="store_true", help="render an ASCII chart instead"
     )
     fig10.set_defaults(func=_cmd_fig10)
-    sub.add_parser("fig11", help="print the Fig. 11 table").set_defaults(
-        func=_cmd_fig11
-    )
     sub.add_parser(
-        "inaccessibility", help="print the inaccessibility catalogue"
-    ).set_defaults(func=_cmd_inaccessibility)
+        "fig11", help="measure and print the Fig. 11 table and catalogue"
+    ).set_defaults(func=_cmd_fig11)
     bounds = sub.add_parser("bounds", help="print latency bounds")
     bounds.add_argument("--thb", type=int, default=10, help="heartbeat period, ms")
     bounds.add_argument("--tm", type=int, default=50, help="membership cycle, ms")
@@ -860,12 +819,7 @@ def main(argv=None) -> int:
     metrics.add_argument(
         "--scenario", help="scenario JSON (default: the demo scenario)"
     )
-    metrics.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (json/csv keys are deterministically ordered)",
-    )
+    _format_option(metrics, "table", "json", "csv")
     metrics.set_defaults(func=_cmd_metrics)
     qos = sub.add_parser(
         "qos",
@@ -895,12 +849,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="smaller populations and shorter runs (CI smoke budget)",
     )
-    qos.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (json/csv keys are deterministically ordered)",
-    )
+    _format_option(qos, "table", "json", "csv")
     qos.add_argument(
         "--chart",
         action="store_true",
@@ -925,13 +874,6 @@ def main(argv=None) -> int:
         "--scenarios", type=int, default=30, help="scenario count"
     )
     campaign.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (0 = in-process; default: CPU count, max 8)",
-    )
-    campaign.add_argument("--seed", type=int, default=0, help="root seed")
-    campaign.add_argument(
         "--node-min", type=int, default=6, help="smallest population"
     )
     campaign.add_argument(
@@ -955,36 +897,15 @@ def main(argv=None) -> int:
         help="bus segments per scenario, gateway-bridged when > 1",
     )
     campaign.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-scenario wall-clock budget, seconds",
-    )
-    campaign.add_argument(
         "--retries",
         type=int,
         default=1,
         help="retries after a worker timeout/crash",
     )
     campaign.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="append completed results to this JSONL file",
-    )
-    campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip scenarios already in the checkpoint file",
-    )
-    campaign.add_argument(
         "--report", metavar="PATH", help="also write the JSON report here"
     )
-    campaign.add_argument(
-        "--json", action="store_true", help="print the JSON report"
-    )
-    campaign.add_argument(
-        "--verbose", action="store_true", help="print one line per scenario"
-    )
+    _format_option(campaign, "table", "json")
     campaign.add_argument(
         "--executor",
         choices=["local", "remote"],
@@ -1010,6 +931,7 @@ def main(argv=None) -> int:
         default=60.0,
         help="with --executor remote: seconds to wait for the first worker",
     )
+    _run_options(campaign, "scenario")
     campaign.set_defaults(func=_cmd_campaign)
     worker = sub.add_parser(
         "campaign-worker",
@@ -1055,7 +977,6 @@ def main(argv=None) -> int:
         default=0,
         help="seeded guided-random schedules beyond the exhaustive bound",
     )
-    check.add_argument("--seed", type=int, default=0, help="root seed")
     check.add_argument(
         "--nodes", type=int, default=5, help="network population"
     )
@@ -1064,28 +985,6 @@ def main(argv=None) -> int:
         type=int,
         default=4,
         help="initial full members (< nodes leaves late joiners)",
-    )
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (0 = in-process; default: CPU count, max 8)",
-    )
-    check.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-schedule wall-clock budget, seconds",
-    )
-    check.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="append completed results to this JSONL file",
-    )
-    check.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip schedules already in the checkpoint file",
     )
     check.add_argument(
         "--artifact-dir",
@@ -1141,9 +1040,7 @@ def main(argv=None) -> int:
         default=16,
         help="with --coverage: schedules per campaign batch",
     )
-    check.add_argument(
-        "--verbose", action="store_true", help="print one line per schedule"
-    )
+    _run_options(check, "schedule")
     check.set_defaults(func=_cmd_check)
     compare = sub.add_parser(
         "compare",
@@ -1179,11 +1076,7 @@ def main(argv=None) -> int:
         default=500.0,
         help="how long the scenario runs after the crash, ms",
     )
-    compare.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report (byte-identical per seed)",
-    )
+    _format_option(compare, "table", "json")
     compare.set_defaults(func=_cmd_compare)
 
     args = parser.parse_args(argv)
@@ -1193,7 +1086,8 @@ def main(argv=None) -> int:
         # Output piped into a pager/head that closed early: not an error.
         return 0
     except ConfigurationError as error:
-        # Bad input (arguments, scenario file): one line, not a traceback.
+        # Bad input (arguments, names, scenario file): one line, not a
+        # traceback.
         print(f"error: {error}")
         return 2
     except ScenarioError as error:

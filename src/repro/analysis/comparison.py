@@ -272,8 +272,13 @@ def compare_backends(
     ``backends`` and fold the :class:`BackendQoS` records into one report.
 
     Deterministic by construction: the report for a given argument tuple
-    is byte-identical run to run (``repro compare``'s contract).
+    is byte-identical run to run (``repro compare``'s contract). Every
+    backend name resolves before the first probe runs.
     """
+    from repro.core.backend import resolve_backend
+
+    for name in backends:
+        resolve_backend(name)
     probes = [
         probe_backend(
             name,

@@ -1,19 +1,166 @@
-"""Plain-text chart rendering for the analytical figures.
+"""The paper's figures as text: its tables, and charts of its curves.
 
-The CLI and the benchmark reports occasionally want to *see* the Fig. 10
-curves, not just read the numbers. :func:`ascii_chart` renders one or more
-``(x, y)`` series into a fixed-size character grid with axes and a legend —
-no plotting dependency required.
+:func:`fig1_table`, :func:`fig10_table` and :func:`fig11_table` build the
+tables of Figs. 1, 10 and 11 exactly as ``benchmarks/results/`` commits
+them; ``repro fig1|fig10|fig11`` and ``benchmarks/bench_fig*`` both call
+them. :func:`ascii_chart` renders one or more ``(x, y)`` series into a
+fixed-size character grid with axes and a legend — no plotting dependency
+required.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioError
+from repro.util.tables import render_table
 
 #: Plot glyphs assigned to series in order.
 GLYPHS = "*o+x#@"
+
+#: The ``Tm`` values (ms) of the Fig. 10 table.
+FIG10_TM_MS = (30, 40, 50, 60, 70, 80, 90)
+
+#: Approximate values read off the published Fig. 10 plot (1 Mbps,
+#: standard-format frames), for the paper-vs-model table.
+PAPER_FIG10 = {
+    "no msh. changes": {30: 0.017, 50: 0.010, 70: 0.007, 90: 0.006},
+    "f crash failures": {30: 0.046, 50: 0.028, 70: 0.020, 90: 0.015},
+    "join/leave event": {30: 0.060, 50: 0.036, 70: 0.026, 90: 0.020},
+    "multiple join/leave": {30: 0.135, 50: 0.081, 70: 0.058, 90: 0.045},
+}
+
+
+def fig1_table() -> str:
+    """Fig. 1 — the TTP vs standard CAN comparison table."""
+    from repro.analysis.comparison import fig1_rows
+
+    return render_table(
+        ["Parameter", "TTP", "Standard CAN"],
+        fig1_rows(),
+        title="Figure 1 — comparison of TTP and CAN (reproduced)",
+    )
+
+
+def fig10_table() -> str:
+    """Fig. 10 — the membership suite's bandwidth at the paper's operating
+    point (n=32, b=8, f=4, standard frames) next to the values read off the
+    published plot, then the marginal cost of one join/leave request."""
+    from repro.analysis.bandwidth import BandwidthModel
+
+    model = BandwidthModel()
+    rows = []
+    for label, curve in model.figure10(FIG10_TM_MS).items():
+        for tm, value in zip(FIG10_TM_MS, curve):
+            paper = PAPER_FIG10[label].get(tm)
+            rows.append(
+                [
+                    label,
+                    tm,
+                    f"{value * 100:.2f}%",
+                    f"{paper * 100:.1f}%" if paper is not None else "-",
+                ]
+            )
+    table = render_table(
+        ["scenario", "Tm (ms)", "model", "paper (read off plot)"],
+        rows,
+        title="Figure 10 — CAN bandwidth utilization by the membership suite",
+    )
+    marginal = model.marginal_join_leave_utilization(25)
+    return table + (
+        f"\nmarginal cost per join/leave request at Tm=25ms: "
+        f"{marginal * 100:.2f}% (paper: ~0.4%)"
+    )
+
+
+def _fig11_network(node_count: int):
+    """A bootstrapped network on Fig. 11's measurement configuration."""
+    from repro.core.config import CanelyConfig
+    from repro.core.stack import CanelyNetwork
+    from repro.sim.clock import ms
+
+    config = CanelyConfig(capacity=32, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
+    net = CanelyNetwork(node_count=node_count, config=config)
+    net.scenario().bootstrap()
+    return net
+
+
+def measure_membership_latency_ms() -> float:
+    """Worst observed crash-to-notification latency over three crashes in
+    a 16-node network (Fig. 11's membership cell)."""
+    from repro.analysis.latency import measured_detection_latencies
+    from repro.sim.clock import ms
+
+    worst = 0.0
+    for victim in (3, 9, 14):
+        net = _fig11_network(16)
+        crash_time = net.sim.now
+        net.node(victim).crash()
+        net.run_for(ms(200))
+        latency = measured_detection_latencies(
+            net.sim.trace, {victim: crash_time}
+        )[victim]
+        if latency is None:
+            raise ScenarioError(f"the crash of node {victim} was never notified")
+        worst = max(worst, latency / ms(1))
+    return worst
+
+
+def measure_clock_precision_us() -> float:
+    """Worst pairwise clock deviation after 1 s of synchronized operation
+    in an 8-node network (Fig. 11's clock-synchronization cell)."""
+    from repro.services.clocksync import ClockSyncService, VirtualClock, precision
+    from repro.sim.clock import ms, us
+
+    net = _fig11_network(8)
+    clocks = {}
+    for node_id, node in net.nodes.items():
+        clock = VirtualClock(
+            drift=random.Random(100 + node_id).uniform(-1e-4, 1e-4)
+        )
+        clocks[node_id] = clock
+        ClockSyncService(
+            node.layer,
+            node.timers,
+            net.sim,
+            clock,
+            resync_period=ms(100),
+            reception_jitter_rng=random.Random(200 + node_id),
+        ).start()
+    net.run_for(ms(1000))
+    return precision(clocks, net.sim.now) / us(1)
+
+
+def fig11_table(latency_ms: float, clock_us: float) -> str:
+    """Fig. 11 — the TTP vs CAN vs CANELy table with the measured
+    membership latency and clock precision (see
+    :func:`measure_membership_latency_ms`, :func:`measure_clock_precision_us`),
+    followed by the inaccessibility scenario catalogue behind its ranges."""
+    from repro.analysis.comparison import fig11_rows
+    from repro.analysis.inaccessibility import (
+        canely_inaccessibility_range,
+        scenario_catalogue,
+    )
+
+    ely_lo, ely_hi = canely_inaccessibility_range()
+    table = render_table(
+        ["Parameter", "TTP", "CAN", "CANELy (this reproduction)"],
+        fig11_rows(
+            measured={
+                "inaccessibility": f"{ely_lo} - {ely_hi} bit-times (derived)",
+                "membership": f"{latency_ms:.1f} ms latency (measured)",
+                "clock": f"{clock_us:.1f} us precision (measured)",
+            }
+        ),
+        title="Figure 11 — comparison of TTP, CAN and CANELy",
+    )
+    catalogue = render_table(
+        ["scenario", "bit-times", "description"],
+        [[s.name, s.duration_bits, s.description] for s in scenario_catalogue()],
+        title="Inaccessibility scenario catalogue (standard format)",
+    )
+    return table + "\n\n" + catalogue
 
 
 def ascii_chart(
@@ -74,12 +221,13 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def fig10_chart(model=None, tm_values=None) -> str:
-    """The Fig. 10 curves as an ASCII chart."""
+def fig10_chart() -> str:
+    """The Fig. 10 curves, at the paper's operating point, as an ASCII
+    chart."""
     from repro.analysis.bandwidth import BandwidthModel
 
-    model = model if model is not None else BandwidthModel()
-    tm_values = list(tm_values or range(30, 95, 5))
+    model = BandwidthModel()
+    tm_values = list(range(30, 95, 5))
     curves = model.figure10(tm_values)
     series = {
         label: list(zip(tm_values, values)) for label, values in curves.items()

@@ -8,7 +8,6 @@ analytic bound — and renders them as the standard report table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -25,7 +24,7 @@ from repro.campaign.spec import (
 )
 from repro.obs.qos import quantile
 from repro.sim.clock import ms
-from repro.util.tables import render_table
+from repro.util.tables import render_table, to_json
 
 
 #: Nearest-rank quantile: the QoS engine's, under the campaign's name.
@@ -149,8 +148,8 @@ class CampaignReport:
         }
 
     def to_json(self) -> str:
-        """The report as a JSON document."""
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as a JSON document (sorted keys)."""
+        return to_json(self.to_dict())
 
     def render(self, title: Optional[str] = None) -> str:
         """The standard human-readable summary table."""

@@ -281,15 +281,6 @@ class CanBus:
         self._plan_rtr.clear()
         self._filtering = None
 
-    def controller(self, node_id: int) -> CanController:
-        """The controller attached as ``node_id``."""
-        return self._controllers[node_id]
-
-    @property
-    def node_ids(self) -> List[int]:
-        """All attached node ids, sorted."""
-        return sorted(self._controllers)
-
     def alive_controllers(self) -> List[CanController]:
         """Controllers currently participating in bus traffic."""
         # ``alive`` inlined (one property call per controller per frame
@@ -794,11 +785,6 @@ class CanBus:
         self._sim.schedule(recovery_ticks, recover)
 
     # -- introspection --------------------------------------------------------------
-
-    @property
-    def busy(self) -> bool:
-        """True while a frame (or its interframe space) occupies the bus."""
-        return self._busy
 
     def utilization(self, window_ticks: Optional[int] = None) -> float:
         """Fraction of bus capacity consumed so far (or over ``window_ticks``)."""

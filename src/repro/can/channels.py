@@ -113,23 +113,16 @@ class DualChannelLayer:
         self._data_ind: List[Tuple[Optional[MessageType], DataIndListener]] = []
         self._rtr_ind: List[Tuple[Optional[MessageType], RtrIndListener]] = []
         self._data_cnf: List[Tuple[Optional[MessageType], CnfListener]] = []
-        self._rtr_cnf: List[Tuple[Optional[MessageType], CnfListener]] = []
         self._data_nty: List[NtyListener] = []
         for channel in self._channels:
             channel.add_data_ind(self._make_data_ind(channel))
             channel.add_rtr_ind(self._make_rtr_ind(channel))
-            channel.add_data_cnf(self._make_cnf(channel, remote=False))
-            channel.add_rtr_cnf(self._make_cnf(channel, remote=True))
+            channel.add_data_cnf(self._make_data_cnf(channel))
 
     @property
     def node_id(self) -> int:
         """Identifier of the node this layer serves."""
         return self._channels[0].node_id
-
-    @property
-    def channels(self) -> Tuple[CanStandardLayer, CanStandardLayer]:
-        """The underlying per-channel standard layers."""
-        return self._channels
 
     # -- request primitives -------------------------------------------------------
 
@@ -170,9 +163,6 @@ class DualChannelLayer:
 
     def add_data_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
         self._data_cnf.append((mtype, listener))
-
-    def add_rtr_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
-        self._rtr_cnf.append((mtype, listener))
 
     def add_data_nty(self, listener, collective=None) -> None:
         self._data_nty.append(listener)
@@ -216,12 +206,11 @@ class DualChannelLayer:
 
         return handler
 
-    def _make_cnf(self, channel: CanStandardLayer, remote: bool):
+    def _make_data_cnf(self, channel: CanStandardLayer):
         def handler(mid: MessageId) -> None:
-            if self._suppressed("cnf-rtr" if remote else "cnf-data", mid):
+            if self._suppressed("cnf-data", mid):
                 return
-            listeners = self._rtr_cnf if remote else self._data_cnf
-            for mtype, listener in list(listeners):
+            for mtype, listener in list(self._data_cnf):
                 if mtype is None or mid.mtype is mtype:
                     listener(mid)
 

@@ -143,11 +143,6 @@ class CanController:
 
     # -- acceptance filtering ---------------------------------------------------
 
-    @property
-    def filters(self):
-        """The installed :class:`~repro.can.filters.FilterBank`, or ``None``."""
-        return self._filters
-
     def set_filters(self, bank) -> None:
         """Install (or clear, with ``None``/empty) acceptance filters.
 

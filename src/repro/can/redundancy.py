@@ -46,11 +46,6 @@ class MediaSet:
         self._media: List[Medium] = [Medium(i) for i in range(media_count)]
 
     @property
-    def media(self) -> List[Medium]:
-        """All media, failed ones included."""
-        return list(self._media)
-
-    @property
     def media_count(self) -> int:
         return len(self._media)
 

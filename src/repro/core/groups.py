@@ -55,12 +55,6 @@ class GroupView:
     processes: FrozenSet[ProcessId]
     version: int
 
-    def __contains__(self, process: ProcessId) -> bool:
-        return process in self.processes
-
-    def __len__(self) -> int:
-        return len(self.processes)
-
 
 GroupChangeCallback = Callable[[GroupView], None]
 

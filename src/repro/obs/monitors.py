@@ -20,6 +20,7 @@ protocol layers):
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -58,7 +59,7 @@ class InvariantViolation(AssertionError):
         super().__init__("\n".join(lines))
 
 
-class InvariantMonitor:
+class InvariantMonitor(abc.ABC):
     """Base class: a named trace sink that can fail fast."""
 
     name = "invariant"
@@ -79,10 +80,10 @@ class InvariantMonitor:
             self._trace.remove_sink(self.observe)
             self._trace = None
 
+    @abc.abstractmethod
     def observe(self, record: TraceRecord) -> None:
         """Inspect one record; must raise :class:`InvariantViolation` on
         a property violation."""
-        raise NotImplementedError
 
     def fail(self, message: str, start: int, end: int) -> None:
         """Raise a violation carrying the trace slice ``[start, end]``."""

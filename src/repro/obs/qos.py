@@ -41,12 +41,12 @@ contract the CI smoke job enforces).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.clock import ms
 from repro.sim.trace import TraceRecorder
+from repro.util.tables import to_json
 
 #: The detection-time quantiles every report quotes.
 QUANTILES = (0.50, 0.90, 0.99)
@@ -294,7 +294,7 @@ class QoSMetrics:
     def to_json(self) -> str:
         """Byte-identical across same-seed runs: sorted keys, no floats
         beyond the fixed rounding in :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self.to_dict())
 
     def summary(self) -> Dict[str, object]:
         """Flat one-level projection of the headline figures.

@@ -112,13 +112,6 @@ class Span:
         """``end - start``, or ``None`` while the span is open."""
         return None if self.end is None else self.end - self.start
 
-    def __repr__(self) -> str:
-        end = "open" if self.end is None else self.end
-        return (
-            f"Span(#{self.span_id} {self.name} node={self.node} "
-            f"[{self.start}..{end}] parent={self.parent})"
-        )
-
 
 def plain_attrs(span: Span) -> Dict[str, Any]:
     """``span.attrs`` in key order with node sets as ascending id lists

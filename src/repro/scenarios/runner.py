@@ -9,13 +9,13 @@ qos`` CLI renders and the CI smoke job byte-compares across double runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.backend import resolve_backend
 from repro.obs.qos import QoSMetrics
 from repro.scenarios.catalog import resolve_recipe, scenario_names
-from repro.util.tables import render_table
+from repro.util.tables import render_table, to_json
 
 
 @dataclass
@@ -88,7 +88,7 @@ class QoSReport:
     def to_json(self) -> str:
         """Deterministic document: sorted keys over already-ordered data,
         byte-identical across same-seed runs."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self.to_dict())
 
     def rows(self) -> List[List[str]]:
         """Comparison rows, one per (scenario, backend) cell."""
@@ -181,8 +181,15 @@ def run_catalog(
 
     Cells run scenario-major in catalog order, backends in the order
     given — the deterministic layout the report's JSON contract needs.
+    Every scenario and backend name resolves before the first cell runs,
+    so a misspelt one fails at once with a
+    :class:`~repro.errors.ConfigurationError`.
     """
     names = list(scenarios) if scenarios else scenario_names()
+    for name in names:
+        resolve_recipe(name)
+    for backend in backends:
+        resolve_backend(backend)
     outcomes = [
         run_recipe(name, backend=backend, seed=seed, quick=quick)
         for name in names

@@ -105,15 +105,9 @@ class CalNodeGuarding:
                 self._last_seen[slave] = now
             self._timers.start_alarm(self.guard_time, self._poll_next)
 
-    def stop(self) -> None:
-        """Stop the service."""
-        self._running = False
-
     # -- master side ---------------------------------------------------------------
 
     def _poll_next(self) -> None:
-        if not self._running:
-            return
         slave = self.slave_ids[self._poll_index % len(self.slave_ids)]
         self._poll_index += 1
         self.polls_sent += 1
@@ -193,14 +187,9 @@ class CalHeartbeat:
         self._watched = list(watched or [])
         self._consumer_alarms: Dict[int, object] = {}
         self.detected: Dict[int, int] = {}
-        self._listeners: List[FailureCallback] = []
         self.heartbeats_sent = 0
         self._running = False
         layer.add_data_ind(self._on_heartbeat, mtype=MessageType.NM)
-
-    def on_failure(self, callback: FailureCallback) -> None:
-        """Register a producer-failure listener (fires only locally)."""
-        self._listeners.append(callback)
 
     def start(self) -> None:
         """Start producing heartbeats and consuming the watched set."""
@@ -211,13 +200,7 @@ class CalHeartbeat:
         for producer in self._watched:
             self._arm(producer)
 
-    def stop(self) -> None:
-        """Stop the service."""
-        self._running = False
-
     def _produce(self) -> None:
-        if not self._running:
-            return
         self.heartbeats_sent += 1
         self._layer.data_req(
             MessageId(
@@ -241,8 +224,5 @@ class CalHeartbeat:
             self._arm(mid.node)
 
     def _on_timeout(self, producer: int) -> None:
-        if not self._running or producer in self.detected:
-            return
-        self.detected[producer] = self._sim.now
-        for listener in list(self._listeners):
-            listener(producer)
+        if producer not in self.detected:
+            self.detected[producer] = self._sim.now

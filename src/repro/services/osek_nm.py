@@ -19,7 +19,7 @@ continuously regardless of membership activity.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
@@ -31,8 +31,6 @@ from repro.sim.timers import Alarm, TimerService
 _RING_REF_BASE = 0x300
 #: ``ref`` subtype: alive message (startup / rejoin announcement).
 _ALIVE_REF = 0x400
-
-FailureCallback = Callable[[int], None]
 
 
 class OsekNetworkManagement:
@@ -82,14 +80,9 @@ class OsekNetworkManagement:
         self._last_ring_sender: Optional[int] = None
         self._last_ring_dest: Optional[int] = None
         self.detected: Dict[int, int] = {}
-        self._listeners: List[FailureCallback] = []
         self.ring_messages_sent = 0
         self._running = False
         layer.add_data_ind(self._on_nm_frame, mtype=MessageType.NM)
-
-    def on_failure(self, callback: FailureCallback) -> None:
-        """Register an absent-node listener (fires at every correct node)."""
-        self._listeners.append(callback)
 
     @property
     def present_nodes(self) -> List[int]:
@@ -111,12 +104,6 @@ class OsekNetworkManagement:
         # Fallback for a dead bootstrapper: if no ring message ever shows
         # up, the lowest surviving identifier claims the token.
         self._timers.start_alarm(self.t_bootstrap, self._on_bootstrap_timeout)
-
-    def stop(self) -> None:
-        """Leave ring operation."""
-        self._running = False
-        self._timers.cancel_alarm(self._progress_alarm)
-        self._progress_alarm = None
 
     # -- ring operation -----------------------------------------------------------
 
@@ -215,5 +202,3 @@ class OsekNetworkManagement:
     def _detect(self, node: int) -> None:
         self._present.discard(node)
         self.detected[node] = self._sim.now
-        for listener in list(self._listeners):
-            listener(node)

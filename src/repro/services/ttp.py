@@ -121,11 +121,6 @@ class TtpNetwork:
         """Duration of one full TDMA round."""
         return self.slot_time * len(self.node_ids)
 
-    @property
-    def round_index(self) -> int:
-        """The TDMA round currently in progress."""
-        return self._slot_index // len(self.node_ids)
-
     def start(self) -> None:
         """Begin TDMA operation at the next slot boundary."""
         if self._started:

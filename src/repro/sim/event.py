@@ -75,12 +75,6 @@ class Event:
             self._queue._note_cancelled()
             self._queue = None
 
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time}, priority={self.priority}, "
-            f"seq={self.seq}, cancelled={self.cancelled})"
-        )
-
 
 class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects."""

@@ -115,9 +115,6 @@ class Alarm:
         finally:
             spans.pop()
 
-    def __repr__(self) -> str:
-        return f"Alarm(id={self.alarm_id}, deadline={self.deadline})"
-
 
 class TimerService:
     """Per-node alarm manager backed by a :class:`Simulator`.
@@ -138,11 +135,6 @@ class TimerService:
         self._pending = 0
         self._node = node
         self._spans = sim.spans
-
-    @property
-    def drift(self) -> float:
-        """The oscillator deviation applied to every duration."""
-        return self._drift
 
     @property
     def sim(self) -> Simulator:

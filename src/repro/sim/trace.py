@@ -90,12 +90,6 @@ class TraceRecord:
             and self.data == other.data
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"TraceRecord(time={self.time}, category={self.category!r}, "
-            f"node={self.node}, data={self.data!r})"
-        )
-
 
 def deliveries(
     records: Iterable[TraceRecord],
@@ -303,11 +297,6 @@ class TraceRecorder:
         entry.node = self._nodes[row]
         entry.data = self._payloads[row]
         return entry
-
-    @property
-    def capacity(self) -> Optional[int]:
-        """Ring-buffer size, or ``None`` for an unbounded trace."""
-        return self._capacity
 
     @property
     def evicted(self) -> int:

@@ -1,8 +1,16 @@
-"""Plain-text table rendering for benchmark reports."""
+"""Report renderings: plain-text tables and the one JSON form."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import json
+from typing import Any, Iterable, List, Sequence
+
+
+def to_json(document: Any) -> str:
+    """``document`` as JSON, indented by 2 with sorted keys: the one form
+    every report is printed and written in, byte-identical for equal
+    documents."""
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def render_table(

@@ -264,12 +264,6 @@ class ScenarioBuilder:
         """Issue a leave request for ``node_id`` ``at`` ticks from now."""
         return self._membership_action("leave", node_id, at)
 
-    def recover(self, node_id: int, at: int = 0) -> "ScenarioBuilder":
-        """Reboot crashed ``node_id`` ``at`` ticks from now (it stays
-        silent until a later :meth:`join`)."""
-        self._schedule(at, self._net.node(node_id).recover)
-        return self
-
     def at(self, at: int, action: Callable[[], None]) -> "ScenarioBuilder":
         """Escape hatch: run ``action()`` ``at`` ticks from now."""
         self._schedule(at, action)
@@ -363,11 +357,6 @@ class ScenarioBuilder:
     def run_for(self, duration: int) -> "ScenarioBuilder":
         """Advance the simulation by ``duration`` ticks."""
         self._net.run_for(duration)
-        return self
-
-    def run_cycles(self, cycles: float) -> "ScenarioBuilder":
-        """Advance by a number of membership cycle periods."""
-        self._net.run_cycles(cycles)
         return self
 
     def run_until_settled(

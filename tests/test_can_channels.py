@@ -167,6 +167,28 @@ def test_detection_still_works_on_surviving_channel():
     assert sorted(net.agreed_view()) == [0, 1, 2, 4]
 
 
+def test_crashed_node_recovers_and_rejoins_over_dual_channels():
+    """``recover()`` writes through the dual-controller facade: both
+    controllers come back up with cleared error counters."""
+    net = DualChannelNetwork(node_count=4, config=CONFIG)
+    net.join_all()
+    net.run_for(ms(400))
+    node = net.node(2)
+    node.controller.tec = 100
+    node.controller.rec = 50
+    assert (node.controller.tec, node.controller.rec) == (100, 50)
+    node.crash()
+    net.run_for(ms(200))
+    assert sorted(net.agreed_view()) == [0, 1, 3]
+    node.recover()
+    assert not node.crashed
+    assert (node.controller.tec, node.controller.rec) == (0, 0)
+    node.join()
+    net.run_for(ms(600))
+    assert net.views_agree()
+    assert sorted(net.agreed_view()) == [0, 1, 2, 3]
+
+
 def test_asymmetric_channel_fault_still_single_delivery():
     """An inconsistent omission on channel A only: channel B's copy covers
     it, and twin suppression still yields exactly one delivery."""

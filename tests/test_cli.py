@@ -1,10 +1,13 @@
 """Smoke tests for the ``python -m repro`` command-line front end."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 def test_demo(capsys):
@@ -14,35 +17,33 @@ def test_demo(capsys):
     assert "agreement: ok" in out
 
 
+# -- the paper's figures: exactly the tables benchmarks/results/ commits --------
+
+
 def test_fig1(capsys):
     assert main(["fig1"]) == 0
-    out = capsys.readouterr().out
-    assert "Membership service" in out
+    assert capsys.readouterr().out == (RESULTS / "fig01_ttp_vs_can.txt").read_text()
 
 
 def test_fig10_defaults(capsys):
     assert main(["fig10"]) == 0
     out = capsys.readouterr().out
-    assert "multiple join/leave" in out
-    assert "Tm=30ms" in out
-
-
-def test_fig10_custom_population(capsys):
-    assert main(["fig10", "--nodes", "16", "--lifesigns", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "n=16" in out
+    assert out == (RESULTS / "fig10_bandwidth_analytic.txt").read_text()
 
 
 def test_fig11(capsys):
     assert main(["fig11"]) == 0
     out = capsys.readouterr().out
-    assert "2880" in out
+    assert out == (RESULTS / "fig11_canely_attributes.txt").read_text()
 
 
 def test_inaccessibility(capsys):
-    assert main(["inaccessibility"]) == 0
+    """``fig11`` carries the inaccessibility catalogue with both ranges
+    (standard CAN 14 - 2880, CANELy 14 - 2190 bit-times)."""
+    assert main(["fig11"]) == 0
     out = capsys.readouterr().out
     assert "14 - 2880" in out
+    assert "error burst, CANELy" in out
 
 
 def test_bounds(capsys):
@@ -142,13 +143,18 @@ def test_campaign_verbose_json_and_report(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     assert main(
         CAMPAIGN_ARGS
-        + ["--workers", "0", "--verbose", "--json", "--report", str(report_path)]
+        + ["--workers", "0", "--verbose", "--format", "json",
+           "--report", str(report_path)]
     ) == 0
     out = capsys.readouterr().out
     assert "scenario   0" in out and "scenario   1" in out
     report = json.loads(report_path.read_text())
     assert report["success"] is True
     assert report["verdicts"]["ok"] == 2
+    # The printed document is the written one: one serializer, sorted keys.
+    printed = out.split("report written to")[0]
+    assert printed[printed.index("{"):].strip() == report_path.read_text().strip()
+    assert list(report) == sorted(report)
 
 
 def test_campaign_checkpoint_resume(capsys, tmp_path):
@@ -336,6 +342,7 @@ def test_spans_msc(capsys):
 
 def test_spans_rejects_bad_crash_node(capsys):
     assert main(["spans", "--nodes", "4", "--crash", "9"]) == 2
+    assert capsys.readouterr().out == "error: --crash 9 outside 0..3\n"
 
 
 def test_metrics_format_json(capsys, scenario_file):
@@ -401,14 +408,31 @@ def test_qos_csv(capsys):
     assert lines[1].startswith("quiet-baseline,canely,")
 
 
-def test_qos_unknown_scenario_exits_2(capsys):
-    assert main(["qos", "--scenario", "nonsense", "--quick"]) == 2
-    assert "unknown scenario" in capsys.readouterr().out
+def _no_cell_runs(monkeypatch):
+    """Fail the test if any catalog cell starts running."""
+
+    def run_recipe(*args, **kwargs):
+        raise AssertionError("a cell ran before every name resolved")
+
+    monkeypatch.setattr("repro.scenarios.runner.run_recipe", run_recipe)
 
 
-def test_qos_unknown_backend_exits_2(capsys):
-    assert main(["qos", "--backend", "nonsense", "--quick"]) == 2
-    assert "unknown backend" in capsys.readouterr().out
+def test_qos_unknown_scenario_exits_2(capsys, monkeypatch):
+    _no_cell_runs(monkeypatch)
+    assert main(["qos", "--scenario", "quiet-baseline", "--scenario",
+                 "nonsense", "--quick"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: unknown scenario 'nonsense'")
+    assert len(out.splitlines()) == 1
+
+
+def test_qos_unknown_backend_exits_2(capsys, monkeypatch):
+    _no_cell_runs(monkeypatch)
+    assert main(["qos", "--backend", "canely", "--backend", "nonsense",
+                 "--quick"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: unknown membership backend 'nonsense'")
+    assert len(out.splitlines()) == 1
 
 
 # -- bad input ends in one line and exit 2, never a traceback -----------------------
@@ -480,6 +504,40 @@ def test_compare_bad_arguments_exit_2_with_one_line(capsys, args):
     assert out.startswith("error: ") and len(out.splitlines()) == 1
 
 
-def test_compare_unknown_backend_exits_2(capsys):
+def test_compare_unknown_backend_exits_2(capsys, monkeypatch):
+    def probe_backend(*args, **kwargs):
+        raise AssertionError("a probe ran before every name resolved")
+
+    monkeypatch.setattr("repro.analysis.comparison.probe_backend", probe_backend)
     assert main(["compare", "--backends", "canely", "nonsense"]) == 2
-    assert "unknown backend 'nonsense'" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("error: unknown membership backend 'nonsense'")
+    assert len(out.splitlines()) == 1
+
+
+def test_compare_format_json_is_the_report(capsys):
+    from repro.analysis.comparison import compare_backends
+
+    assert main(["compare", "--nodes", "4", "--format", "json"]) == 0
+    report = compare_backends(nodes=4)
+    assert capsys.readouterr().out == (
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (["campaign", "--executor", "remote", "--listen", "host:abc"], "host:abc"),
+        (["campaign", "--executor", "remote", "--listen", ":65536"], ":65536"),
+        (["campaign-worker", "--connect", "nohost"], "nohost"),
+        (["campaign-worker", "--connect", "host:-1"], "host:-1"),
+    ],
+    ids=["listen-port-not-a-number", "listen-port-too-big", "connect-no-port",
+         "connect-negative-port"],
+)
+def test_malformed_address_exits_2_with_one_line(capsys, args, value):
+    assert main(args) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: invalid address {value!r}")
+    assert len(out.splitlines()) == 1

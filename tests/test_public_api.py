@@ -24,9 +24,10 @@ def test_version_bumped_for_the_new_surface():
     # and marked the Chrome export with it; 3.2.0 gave add_data_ind its
     # collective form and put SWIM's silence clocks on the shared table;
     # 4.0.0 removed the backend adapter classes, the node being the
-    # contract (docs/api.md).
+    # contract; 5.0.0 removed a CLI command and flags and two
+    # ScenarioBuilder methods (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (4, 0)
+    assert (int(major), int(minor)) >= (5, 0)
 
 
 def test_core_names_are_eager():

@@ -57,14 +57,21 @@ NOT_PROFILED = (
 #: The CLI commands of the CI workflow (``{tmp}`` is a temporary directory),
 #: each distinct command once, ``--workers`` set to 0.
 CLI_COMMANDS = (
+    "fig1",
+    "fig10",
+    "fig11",
+    "demo --timeline",
+    "bounds",
+    "metrics --format csv",
     "campaign --scenarios 3 --workers 0 --seed 1 --checkpoint {tmp}/campaign.jsonl",
     "campaign --scenarios 6 --workers 0 --seed 1 --checkpoint {tmp}/campaign.jsonl"
     " --resume --verbose",
     "check --depth 1 --seed 0 --workers 0 --fingerprints {tmp}/check-fp.jsonl",
     "check --depth 1 --seed 0 --workers 0 --fingerprints {tmp}/check-fp.jsonl",
-    "check --coverage --budget 12 --batch 6 --workers 0 --nodes 4 --members 3",
+    "check --coverage --budget 12 --batch 6 --workers 0 --nodes 4 --members 3"
+    " --verbose",
     "check --selftest",
-    "compare --nodes 12 --segments 2 --seed 0 --json",
+    "compare --nodes 12 --segments 2 --seed 0 --format json",
     "compare --nodes 12 --segments 2 --seed 0",
     "run examples/scenarios/crash_and_rejoin.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
