@@ -24,7 +24,6 @@ to prove bit-for-bit reproduction.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set
@@ -50,7 +49,6 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import CheckError, ConfigurationError
 from repro.sim.clock import ms
-from repro.sim.trace import record_to_dict
 from repro.workloads.builder import (
     FrameMatch,
     ScenarioBuilder,
@@ -168,12 +166,10 @@ def _apply_fault(builder, fault: Fault) -> None:
 
 
 def trace_fingerprint(net: CanelyNetwork) -> str:
-    """SHA-256 over every trace record, in order — the replay identity."""
+    """SHA-256 over every row's sorted-key JSON text, in order: the replay identity."""
     digest = hashlib.sha256()
-    for record in net.sim.trace:
-        digest.update(
-            json.dumps(record_to_dict(record), sort_keys=True).encode()
-        )
+    for rows in net.sim.trace.encode_rows(sort_keys=True):
+        digest.update("".join(rows).encode())
     return digest.hexdigest()
 
 

@@ -191,7 +191,10 @@ def validate_chrome_trace(
     if isinstance(events, (str, bytes)):
         events = json.loads(events)
     if isinstance(events, dict):
-        events = events.get("traceEvents", [])
+        events = events.get("traceEvents")
+    if not isinstance(events, list):
+        return ["missing or non-list 'traceEvents'"]
+    number = (int, float)  # by exact type: a JSON true is no timestamp
     problems: List[str] = []
     last_ts: Dict[Tuple[int, int], float] = {}
     open_begins: Dict[Tuple[int, int], int] = {}
@@ -199,12 +202,15 @@ def validate_chrome_trace(
     # list is track-major, so a finish may legitimately precede its start.
     flow_starts: Dict[Any, float] = {}
     for event in events:
-        if event.get("ph") == "s":
+        if isinstance(event, dict) and event.get("ph") == "s":
             fid = event.get("id")
             ts = event.get("ts", 0)
-            if fid not in flow_starts or ts < flow_starts[fid]:
+            if type(ts) in number and (fid not in flow_starts or ts < flow_starts[fid]):
                 flow_starts[fid] = ts
     for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            problems.append(f"event #{index}: not an object")
+            continue
         ph = event.get("ph")
         if ph is None:
             problems.append(f"event #{index}: missing 'ph'")
@@ -221,6 +227,9 @@ def validate_chrome_trace(
             continue
         track = (event.get("pid"), event.get("tid"))
         ts = event["ts"]
+        if type(ts) not in number:
+            problems.append(f"event #{index} ({ph}): non-numeric 'ts' {ts!r}")
+            continue
         previous = last_ts.get(track)
         if previous is not None:
             if ts < previous or (strict_ts and ts == previous):
@@ -231,10 +240,11 @@ def validate_chrome_trace(
                 )
         last_ts[track] = ts
         if ph == "X":
-            if event.get("dur", 0) < 0:
-                problems.append(
-                    f"event #{index} ({event.get('name')!r}): negative dur"
-                )
+            dur, name = event.get("dur"), event.get("name")
+            if type(dur) not in number:
+                problems.append(f"event #{index} ({name!r}): dur {dur!r} not a number")
+            elif dur < 0:
+                problems.append(f"event #{index} ({name!r}): negative dur")
         elif ph == "B":
             open_begins[track] = open_begins.get(track, 0) + 1
         elif ph == "E":

@@ -27,6 +27,7 @@ import heapq
 import json
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -40,6 +41,8 @@ from typing import (
     Union,
 )
 
+from repro.util.sets import NodeSet
+
 TraceSink = Callable[["TraceRecord"], None]
 
 #: Trim the evicted rows off the front of the columns once this much dead
@@ -47,8 +50,9 @@ TraceSink = Callable[["TraceRecord"], None]
 #: eviction amortized O(1).
 _COMPACT_THRESHOLD = 1024
 
-#: Lines buffered per write by the bulk export.
-_EXPORT_BATCH = 512
+#: A row's text around its values, per key order (``%%d``: node, time).
+_ROW = '{"time": %%d, "category": %s, "node": %%d, "data": {%s}}'
+_SORTED_ROW = '{"category": %s, "data": {%s}, "node": %%d, "time": %%d}'
 
 
 class TraceRecord:
@@ -139,52 +143,93 @@ def record_to_dict(record: TraceRecord) -> Dict[str, Any]:
     }
 
 
+class RowEncoder:
+    """One trace row's JSON text, straight from the row's fields.
+
+    ``encode(time, category, node, data)`` is byte for byte
+    ``json.dumps(record_to_dict(record), sort_keys=sort_keys)``. Cached: the
+    text around the values per ``(category, payload keys)``, and that of each
+    ``bool``, ``None``, ``str``, ``MessageId`` and ``NodeSet`` (by its bits,
+    never by ``id()``). Ints and flat int tuples are formatted inline; other
+    values go through ``_jsonable`` and ``json.dumps`` alone, and a row with a
+    payload key that is no ``str`` through :func:`record_to_dict` whole.
+    """
+
+    def __init__(self, sort_keys: bool = False) -> None:
+        from repro.can.identifiers import MessageId
+        self._sort = sort_keys
+        self._cached = frozenset((bool, type(None), str, MessageId, NodeSet))
+        self._heads: Dict[Tuple[str, Tuple[Any, ...]], Any] = {}
+        self._texts: Dict[Tuple[type, Any], str] = {}
+
+    def _head(self, category: str, keys: Tuple[Any, ...]) -> Any:
+        if not all(isinstance(key, str) for key in keys):
+            return None
+        keys = tuple(sorted(keys)) if self._sort else keys
+        fields = ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+        template = _SORTED_ROW if self._sort else _ROW
+        return template % (json.dumps(category).replace("%", "%%"), fields), keys
+
+    def encode(self, time: int, category: str, node: int, data: Dict[str, Any]) -> str:
+        """The JSON text of one row."""
+        shape = (category, tuple(data))
+        head = self._heads.get(shape, False)
+        if head is False:
+            head = self._heads[shape] = self._head(*shape)
+        if head is None or type(time) is not int or type(node) is not int:
+            record = TraceRecord(time, category, node, data)
+            return json.dumps(record_to_dict(record), sort_keys=self._sort)
+        template, keys = head
+        texts = self._texts
+        cached = self._cached
+        parts: List[Any] = []
+        for key in keys:
+            value = data[key]
+            kind = type(value)
+            if kind is int:
+                parts.append(value)
+            elif kind in cached:
+                token = (kind, value._bits if kind is NodeSet else value)
+                text = texts.get(token)
+                if text is None:
+                    if len(texts) >= 1024:  # a long-lived sink stays bounded
+                        texts.clear()
+                    text = texts[token] = json.dumps(_jsonable(value))
+                parts.append(text)
+            elif kind is tuple and set(map(type, value)) <= {int}:
+                parts.append(repr(list(value)))
+            else:
+                parts.append(json.dumps(_jsonable(value), sort_keys=self._sort))
+        if self._sort:
+            return template % (*parts, node, time)
+        return template % (time, node, *parts)
+
+
 class JsonlSink:
     """A streaming sink writing each record as one JSON line.
 
     Register with :meth:`TraceRecorder.add_sink`; pairs with ring-buffer
     mode for long campaigns: the in-memory trace stays bounded while the
-    full history lands on disk.
-
-    ``batch`` buffers that many encoded lines per file write: the default
-    of 1 preserves the seed's record-at-a-time behaviour (each record is
-    durable as soon as the sink returns), while bulk exports batch a few
-    hundred lines per ``write`` and cut the syscall count by that factor.
-    Buffered lines are flushed by :meth:`close` (and counted in
-    ``records_written`` as soon as they are encoded).
+    full history lands on disk. Each line is written as its record arrives
+    (:class:`RowEncoder`, record key order); a path is opened as UTF-8 with
+    ``\\n`` line ends, whatever the platform.
     """
 
-    def __init__(self, target: Union[str, IO[str]], batch: int = 1) -> None:
-        if batch <= 0:
-            raise ValueError(f"batch must be positive: {batch}")
-        if isinstance(target, str):
-            self._handle: IO[str] = open(target, "w")
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._owns_handle = False
-        self._batch = batch
-        self._buffer: List[str] = []
+    def __init__(self, target: Union[str, IO[str]]) -> None:
+        self._owns_handle = isinstance(target, str)
+        if self._owns_handle:
+            target = open(target, "w", encoding="utf-8", newline="\n")
+        self._handle: IO[str] = target
+        self._encode = RowEncoder().encode
         self.records_written = 0
 
     def __call__(self, record: TraceRecord) -> None:
-        if self._batch == 1:
-            self._handle.write(json.dumps(record_to_dict(record)) + "\n")
-            self.records_written += 1
-            return
-        self._buffer.append(json.dumps(record_to_dict(record)))
+        line = self._encode(record.time, record.category, record.node, record.data)
+        self._handle.write(line + "\n")
         self.records_written += 1
-        if len(self._buffer) >= self._batch:
-            self._drain_buffer()
-
-    def _drain_buffer(self) -> None:
-        if self._buffer:
-            self._handle.write("\n".join(self._buffer) + "\n")
-            self._buffer.clear()
 
     def close(self) -> None:
         """Flush and close the underlying file (if this sink opened it)."""
-        self._drain_buffer()
         self._handle.flush()
         if self._owns_handle:
             self._handle.close()
@@ -535,15 +580,24 @@ class TraceRecorder:
 
     # -- export ------------------------------------------------------------------
 
+    def encode_rows(self, sort_keys: bool = False) -> Iterator[List[str]]:
+        """The retained records' JSON texts (:class:`RowEncoder`), read off
+        the columns in lists of at most 64 rows."""
+        encode = RowEncoder(sort_keys).encode
+        names = self._cat_names
+        rows = zip(*(islice(column, self._offset, None) for column in self._columns))
+        while True:
+            chunk = [encode(t, names[c], n, d) for t, c, n, d in islice(rows, 64)]
+            if not chunk:
+                return
+            yield chunk
+
     def export_jsonl(self, target: Union[str, IO[str]]) -> int:
         """Write the retained records as JSON lines; returns the count."""
-        sink = JsonlSink(target, batch=_EXPORT_BATCH)
-        try:
-            for record in self:
-                sink(record)
-        finally:
-            sink.close()
-        return sink.records_written
+        with JsonlSink(target) as sink:
+            for rows in self.encode_rows():
+                sink._handle.write("\n".join(rows) + "\n")
+        return len(self)
 
     def clear(self) -> None:
         """Drop all records and indexes (sinks and interning stay).

@@ -61,7 +61,7 @@ def scenario_crash_detection():
     net.node(7).crash()
     net.run_for(ms(200))
     assert net.views_agree()
-    return fingerprint(net)
+    return net
 
 
 def scenario_join_leave_churn():
@@ -76,7 +76,7 @@ def scenario_join_leave_churn():
     net.node(2).leave()
     net.run_for(ms(300))
     assert net.views_agree()
-    return fingerprint(net)
+    return net
 
 
 def scenario_inconsistent_omissions():
@@ -93,7 +93,7 @@ def scenario_inconsistent_omissions():
     net.node(6).crash()
     net.run_for(ms(300))
     assert net.views_agree()
-    return fingerprint(net)
+    return net
 
 
 SCENARIOS = [
@@ -124,12 +124,12 @@ def digest(run):
 
 def _assert_matches_golden(scenario):
     if not DIGESTS_PATH.exists():
-        golden = {s.__name__: digest(s()) for s in SCENARIOS}
+        golden = {s.__name__: digest(fingerprint(s())) for s in SCENARIOS}
         DIGESTS_PATH.write_text(
             json.dumps(golden, indent=1, sort_keys=True) + "\n"
         )
     golden = json.loads(DIGESTS_PATH.read_text())[scenario.__name__]
-    run = scenario()
+    run = fingerprint(scenario())
     actual = digest(run)
     if actual == golden:
         return

@@ -201,6 +201,41 @@ def test_validator_strict_ts_rejects_ties():
     assert validate_chrome_trace(events, strict_ts=True)
 
 
+def test_validator_flags_a_payload_without_trace_events():
+    assert validate_chrome_trace('{"displayTimeUnit": "ms"}') == [
+        "missing or non-list 'traceEvents'"
+    ]
+    assert validate_chrome_trace({"traceEvents": 3}) == [
+        "missing or non-list 'traceEvents'"
+    ]
+
+
+def test_validator_flags_an_x_event_without_a_numeric_dur():
+    events = [
+        {"name": "a", "ph": "X", "pid": 0, "tid": 0, "ts": 1.0},
+        {"name": "b", "ph": "X", "pid": 0, "tid": 0, "ts": 2.0, "dur": "x"},
+    ]
+    assert validate_chrome_trace(events) == [
+        "event #0 ('a'): dur None not a number",
+        "event #1 ('b'): dur 'x' not a number",
+    ]
+
+
+def test_validator_flags_a_non_numeric_ts():
+    events = [
+        {"name": "a", "ph": "X", "pid": 0, "tid": 0, "ts": "a", "dur": 1},
+        {"name": "f", "ph": "s", "pid": 0, "tid": 0, "ts": True, "id": 1},
+    ]
+    assert validate_chrome_trace(events) == [
+        "event #0 (X): non-numeric 'ts' 'a'",
+        "event #1 (s): non-numeric 'ts' True",
+    ]
+
+
+def test_validator_flags_an_event_that_is_not_an_object():
+    assert validate_chrome_trace("[3]") == ["event #0: not an object"]
+
+
 def test_empty_tracer_exports_empty_but_valid():
     tracer = SpanTracer(clock=lambda: 0)
     text = export_chrome_trace(tracer)
