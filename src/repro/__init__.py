@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -56,16 +56,11 @@ _LAZY_EXPORTS = {
     "CampaignReport": "repro.campaign",
     "CampaignSpec": "repro.campaign",
     "CheckpointStore": "repro.campaign",
-    "Executor": "repro.campaign",
     "FingerprintStore": "repro.campaign",
-    "LocalPoolExecutor": "repro.campaign",
-    "RemoteQueueExecutor": "repro.campaign",
     "ScenarioResult": "repro.campaign",
-    "SerialExecutor": "repro.campaign",
     "default_workers": "repro.campaign",
     "load_checkpoint": "repro.campaign",
     "run_campaign": "repro.campaign",
-    "run_worker_agent": "repro.campaign",
     "schedule_key": "repro.campaign",
     # systematic checking (repro.check)
     "CheckResult": "repro.check",

@@ -17,10 +17,7 @@ Commands:
   decomposition, render the detection's span tree or a message sequence
   chart, or export Chrome trace-event JSON (``--chrome``/``--validate``).
 * ``campaign``  — run a parallel randomized fault-scenario campaign with
-  checkpoint/resume; ``--executor remote`` starts a TCP coordinator that
-  feeds ``campaign-worker`` agents (see :mod:`repro.campaign`).
-* ``campaign-worker`` — join a remote campaign coordinator and execute
-  scenarios until it shuts the queue down.
+  checkpoint/resume (see :mod:`repro.campaign`).
 * ``check``     — systematically explore bounded fault schedules, minimize
   and persist any counterexample; ``--fingerprints`` deduplicates against
   a persistent explored-schedule store, ``--coverage`` mutates schedules
@@ -53,7 +50,7 @@ from repro.analysis.latency import latency_bounds
 from repro.core.backend import monitors_supported
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
-from repro.errors import ConfigurationError, ScenarioError
+from repro.errors import CheckError, ConfigurationError, ScenarioError
 from repro.sim.clock import format_time, ms
 from repro.util.tables import render_table, to_json
 
@@ -461,23 +458,10 @@ def _cmd_qos(args) -> int:
     return 0
 
 
-def _parse_address(value: str, *, default_host: str = "127.0.0.1"):
-    """``HOST:PORT`` (or bare ``PORT``) -> ``(host, port)``; anything else
-    is a :class:`ConfigurationError` naming the value."""
-    host, _, port = value.rpartition(":")
-    if not port.isdecimal() or int(port) > 65535:
-        raise ConfigurationError(
-            f"invalid address {value!r}: expected HOST:PORT with a port "
-            f"in 0..65535"
-        )
-    return (host or default_host, int(port))
-
-
 def _cmd_campaign(args) -> int:
     from repro.campaign import (
         CampaignReport,
         CampaignSpec,
-        RemoteQueueExecutor,
         default_workers,
         run_campaign,
     )
@@ -494,24 +478,6 @@ def _cmd_campaign(args) -> int:
         # Rival backends are judged by the final-state check alone.
         monitors=monitors_supported(args.backend),
     )
-
-    executor = None
-    if args.executor == "remote":
-        host, port = _parse_address(args.listen, default_host="0.0.0.0")
-        executor = RemoteQueueExecutor(
-            host=host,
-            port=port,
-            authkey=args.authkey.encode(),
-            startup_timeout=args.startup_timeout,
-        )
-        # Bind before blocking so an auto-assigned port (``--listen :0``)
-        # is printed while workers can still be pointed at it.
-        bound_host, bound_port = executor.listen()
-        print(
-            f"coordinator listening on {bound_host}:{bound_port} — start "
-            f"workers with: python -m repro campaign-worker "
-            f"--connect HOST:{bound_port}"
-        )
 
     def progress(result):
         latencies = ", ".join(format_time(v) for v in result.latencies)
@@ -530,38 +496,10 @@ def _cmd_campaign(args) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
         progress=progress if args.verbose else None,
-        executor=executor,
     )
     report = CampaignReport(spec, results)
     _emit(args, report.to_dict(), table=report.render)
     return 0 if report.success else 1
-
-
-def _cmd_campaign_worker(args) -> int:
-    from repro.campaign import run_worker_agent
-    from repro.errors import CampaignError
-
-    host, port = _parse_address(args.connect)
-
-    def progress(result):
-        print(
-            f"scenario {result.index:>3} seed={result.seed} "
-            f"verdict={result.verdict} ({result.elapsed_s:.2f}s)"
-        )
-
-    try:
-        completed = run_worker_agent(
-            host,
-            port,
-            authkey=args.authkey.encode(),
-            max_items=args.max_items,
-            progress=progress if args.verbose else None,
-        )
-    except CampaignError as error:
-        print(f"worker failed: {error}")
-        return 1
-    print(f"worker done: {completed} scenario(s) completed")
-    return 0
 
 
 def _cmd_check(args) -> int:
@@ -573,7 +511,6 @@ def _cmd_check(args) -> int:
         run_selftest,
     )
     from repro.check.selftest import MUTATIONS
-    from repro.errors import CheckError
 
     if args.replay:
         from repro.check import read_artifact
@@ -906,59 +843,8 @@ def main(argv=None) -> int:
         "--report", metavar="PATH", help="also write the JSON report here"
     )
     _format_option(campaign, "table", "json")
-    campaign.add_argument(
-        "--executor",
-        choices=["local", "remote"],
-        default="local",
-        help="execution fabric: the local process pool, or a TCP "
-        "coordinator feeding `repro campaign-worker` agents",
-    )
-    campaign.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default="0.0.0.0:0",
-        help="with --executor remote: coordinator bind address "
-        "(port 0 auto-assigns; the bound address is printed)",
-    )
-    campaign.add_argument(
-        "--authkey",
-        default="repro-campaign",
-        help="shared secret authenticating workers to the coordinator",
-    )
-    campaign.add_argument(
-        "--startup-timeout",
-        type=float,
-        default=60.0,
-        help="with --executor remote: seconds to wait for the first worker",
-    )
     _run_options(campaign, "scenario")
     campaign.set_defaults(func=_cmd_campaign)
-    worker = sub.add_parser(
-        "campaign-worker",
-        help="join a remote campaign coordinator and execute scenarios",
-    )
-    worker.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        required=True,
-        help="coordinator address printed by `repro campaign "
-        "--executor remote`",
-    )
-    worker.add_argument(
-        "--authkey",
-        default="repro-campaign",
-        help="shared secret (must match the coordinator's)",
-    )
-    worker.add_argument(
-        "--max-items",
-        type=int,
-        default=None,
-        help="exit after this many scenarios (default: until shutdown)",
-    )
-    worker.add_argument(
-        "--verbose", action="store_true", help="print one line per scenario"
-    )
-    worker.set_defaults(func=_cmd_campaign_worker)
     check = sub.add_parser(
         "check",
         help="systematically explore bounded fault schedules and check "
@@ -1085,9 +971,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
-    except ConfigurationError as error:
-        # Bad input (arguments, names, scenario file): one line, not a
-        # traceback.
+    except (ConfigurationError, CheckError) as error:
+        # Bad input (arguments, names, scenario file, a checker bound):
+        # one line, not a traceback.
         print(f"error: {error}")
         return 2
     except ScenarioError as error:

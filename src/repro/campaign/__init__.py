@@ -1,4 +1,4 @@
-"""Parallel, crash-tolerant scenario campaigns on a pluggable fabric.
+"""Parallel, crash-tolerant scenario campaigns on one host.
 
 The paper's claims are statistical: the membership protocol is only
 trusted after *populations* of fault scenarios behave (Rapid's argument,
@@ -9,36 +9,21 @@ scaffold those campaigns run on:
 * :func:`run_scenario` — one scenario, one worker, one structured
   :class:`ScenarioResult`;
 * :func:`run_campaign` — the driver: JSONL checkpointing/resume, retry
-  bookkeeping and a completeness guarantee, over a pluggable
-  :class:`Executor`;
-* :class:`SerialExecutor` / :class:`LocalPoolExecutor` /
-  :class:`RemoteQueueExecutor` — in-process, single-host process pool,
-  or a TCP work queue feeding ``repro campaign-worker`` agents (work
-  stealing, heartbeat dead-worker requeue, sharded checkpoints);
-* :class:`CheckpointStore` / :class:`FingerprintStore` — sharded JSONL
-  result persistence and the model checker's explored-schedule memory;
+  bookkeeping and a completeness guarantee, in-process (``workers=0``)
+  or in a process pool with per-scenario timeouts and crash retry
+  (``workers >= 1``);
+* :class:`CheckpointStore` / :class:`FingerprintStore` — JSONL result
+  persistence and the model checker's explored-schedule memory;
 * :class:`CampaignReport` — verdict counts and the latency distribution
   against the analytic bound.
 
-CLI: ``python -m repro campaign --scenarios 30 --workers 4``; distributed:
-``python -m repro campaign --executor remote --listen 0.0.0.0:7761`` plus
-``python -m repro campaign-worker --connect HOST:7761`` on each host.
+CLI: ``python -m repro campaign --scenarios 30 --workers 4``.
 """
 
 from repro.campaign.engine import (
     default_workers,
     load_checkpoint,
     run_campaign,
-)
-from repro.campaign.executors import (
-    Executor,
-    LocalPoolExecutor,
-    SerialExecutor,
-)
-from repro.campaign.remote import (
-    DEFAULT_AUTHKEY,
-    RemoteQueueExecutor,
-    run_worker_agent,
 )
 from repro.campaign.report import CampaignReport, percentile
 from repro.campaign.spec import (
@@ -55,7 +40,6 @@ from repro.campaign.spec import (
 from repro.campaign.store import (
     CheckpointStore,
     FingerprintStore,
-    checkpoint_shard_paths,
     schedule_key,
 )
 from repro.campaign.worker import run_scenario
@@ -65,16 +49,9 @@ __all__ = [
     "ScenarioResult",
     "CampaignReport",
     "CheckpointStore",
-    "DEFAULT_AUTHKEY",
-    "Executor",
     "FingerprintStore",
-    "LocalPoolExecutor",
-    "RemoteQueueExecutor",
-    "SerialExecutor",
-    "checkpoint_shard_paths",
     "run_campaign",
     "run_scenario",
-    "run_worker_agent",
     "load_checkpoint",
     "default_workers",
     "percentile",

@@ -2,29 +2,24 @@
 
 :func:`run_campaign` fans a :class:`~repro.campaign.spec.CampaignSpec`
 (or anything satisfying the spec protocol — ``scenarios`` plus
-``scenario_seed(index)``) out over a pluggable
-:class:`~repro.campaign.executors.Executor`:
+``scenario_seed(index)``) out through
+:func:`~repro.campaign.executors.execute`, where ``workers`` picks the
+mode:
 
-* ``workers=0`` — :class:`~repro.campaign.executors.SerialExecutor`,
-  in-process and sequential: the baseline for benchmarks and the mode
-  coverage tools can see into;
-* ``workers>=1`` — :class:`~repro.campaign.executors.LocalPoolExecutor`,
-  one process per scenario with per-scenario timeouts, worker-crash
-  detection and bounded retry;
-* ``executor=RemoteQueueExecutor(...)`` — a TCP coordinator driving
-  ``repro campaign-worker`` agents across hosts, with work stealing,
-  heartbeat-based dead-worker requeue and sharded checkpoints.
+* ``workers=0`` — in-process and sequential: the baseline for benchmarks
+  and the mode coverage tools can see into;
+* ``workers>=1`` — one process per scenario with per-scenario timeouts,
+  worker-crash detection and bounded retry.
 
-Whatever the executor, the engine owns the invariants: completed results
-are appended (and flushed) to the JSONL checkpoint as they arrive
-(:class:`~repro.campaign.store.CheckpointStore` — sharded when a
-distributed executor routes per-worker writes); ``resume=True`` merges
-every checkpoint shard and skips finished seeds, ignoring truncated or
-stale lines; ``resume=False`` truncates the checkpoint so reruns never
+Either way the engine owns the invariants: completed results are appended
+(and flushed) to the JSONL checkpoint as they arrive
+(:class:`~repro.campaign.store.CheckpointStore`); ``resume=True`` skips
+the seeds the checkpoint already holds, ignoring torn, malformed or stale
+lines; ``resume=False`` truncates the checkpoint so reruns never
 accumulate stale lines a later resume would trust; and the returned list
 is asserted to cover exactly ``range(spec.scenarios)`` — a campaign can
 fail loudly, but it cannot silently lose scenarios. Results depend only
-on each scenario's derived seed — never on the executor, worker count or
+on each scenario's derived seed — never on the worker count or
 completion order.
 """
 
@@ -33,15 +28,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.campaign.executors import (
-    Executor,
-    default_workers,
-    resolve_executor,
-)
+from repro.campaign.executors import default_workers, execute
 from repro.campaign.spec import ScenarioResult
 from repro.campaign.store import CheckpointStore, load_checkpoint
 from repro.campaign.worker import run_scenario
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigurationError
 
 __all__ = [
     "default_workers",
@@ -59,35 +50,34 @@ def run_campaign(
     resume: bool = False,
     scenario_fn=run_scenario,
     progress=None,
-    executor: Optional[Executor] = None,
     prior_results: Optional[Dict[int, ScenarioResult]] = None,
 ) -> List[ScenarioResult]:
     """Run every scenario of ``spec``; return results ordered by index.
 
-    ``executor`` selects the execution fabric explicitly; otherwise
-    ``workers`` picks the classic local modes (``0`` in-process,
-    ``>= 1`` a process pool). ``resume=True`` (requires ``checkpoint``)
-    first loads completed results from the checkpoint file and its
-    shards and only runs what is missing; ``resume=False`` truncates any
-    existing checkpoint instead of appending to it. ``prior_results``
-    injects already-known results (e.g. fingerprint-store dedup hits)
-    that are trusted like resumed checkpoint entries — checkpoint lines
-    win on conflict. ``progress``, when given, is called with each
-    :class:`ScenarioResult` as it completes; distributed executors may
-    call it from service threads. Raises :class:`CampaignError` if any
-    scenario index ends the run without a result.
+    ``workers`` picks the mode: ``0`` in-process, ``>= 1`` a process
+    pool. ``resume=True`` (requires ``checkpoint``) first loads completed
+    results from the checkpoint file and only runs what is missing;
+    ``resume=False`` truncates any existing checkpoint instead of
+    appending to it. ``prior_results`` injects already-known results
+    (e.g. fingerprint-store dedup hits) that are trusted like resumed
+    checkpoint entries — checkpoint lines win on conflict. ``progress``,
+    when given, is called with each :class:`ScenarioResult` as it
+    completes. Bad arguments, and a
+    checkpoint path that cannot be opened, raise
+    :class:`~repro.errors.ConfigurationError`; a scenario index that ends
+    the run without a result raises :class:`CampaignError`.
     """
     if workers < 0:
-        raise CampaignError(f"workers must be >= 0: {workers}")
+        raise ConfigurationError(f"workers must be >= 0: {workers}")
     if timeout <= 0:
-        raise CampaignError(f"timeout must be positive: {timeout}")
+        raise ConfigurationError(f"timeout must be positive: {timeout}")
     if retries < 0:
-        raise CampaignError(f"retries must be >= 0: {retries}")
+        raise ConfigurationError(f"retries must be >= 0: {retries}")
     if resume and not checkpoint:
-        raise CampaignError("resume requires a checkpoint path")
+        raise ConfigurationError("resume requires a checkpoint path")
 
     completed: Dict[int, ScenarioResult] = {}
-    if resume and checkpoint:
+    if resume:
         completed = load_checkpoint(checkpoint, spec)
     checkpointed = frozenset(completed)
     if prior_results:
@@ -97,7 +87,6 @@ def run_campaign(
         index for index in range(spec.scenarios) if index not in completed
     )
 
-    chosen = resolve_executor(executor, workers)
     sink = CheckpointStore(checkpoint, resume=resume)
     try:
         # Persist injected prior results the checkpoint does not already
@@ -106,15 +95,16 @@ def run_campaign(
             if index not in checkpointed:
                 sink.write(completed[index])
 
-        def finish(result: ScenarioResult, shard: Optional[int] = None) -> None:
+        def finish(result: ScenarioResult) -> None:
             completed[result.index] = result
-            sink.write(result, shard)
+            sink.write(result)
             if progress is not None:
                 progress(result)
 
-        chosen.execute(
+        execute(
             spec,
             pending,
+            workers=workers,
             timeout=timeout,
             retries=retries,
             scenario_fn=scenario_fn,
@@ -131,7 +121,7 @@ def run_campaign(
         if len(missing) > 20:
             shown += f", ... ({len(missing)} total)"
         raise CampaignError(
-            f"campaign incomplete: {chosen.describe()} returned no result "
-            f"for scenario index(es) {shown}"
+            f"campaign incomplete (workers={workers}): no result for "
+            f"scenario index(es) {shown}"
         )
     return [completed[index] for index in range(spec.scenarios)]

@@ -1,26 +1,18 @@
-"""Pluggable campaign executors.
+"""How a campaign's pending scenarios run: in-process or in a process pool.
 
 :func:`~repro.campaign.engine.run_campaign` owns *what* runs (the spec,
-the pending indexes, checkpoint bookkeeping); an :class:`Executor` owns
-*how*: where worker capacity comes from and how process-level failures
-(hangs, crashes) map back to verdicts. Three strategies ship:
+the pending indexes, checkpoint bookkeeping); :func:`execute` owns *how*,
+and ``workers`` alone picks it:
 
-* :class:`SerialExecutor` — in-process, sequential, no isolation and no
-  timeouts; the deterministic baseline benchmarks and coverage tools see
-  into (the old ``workers=0`` mode).
-* :class:`LocalPoolExecutor` — the single-host multiprocessing pool:
-  one process per scenario, at most ``workers`` alive at once, with
-  per-scenario wall-clock timeouts, worker-crash detection and bounded
-  retry (the old ``workers >= 1`` mode, semantics preserved).
-* :class:`~repro.campaign.remote.RemoteQueueExecutor` — a TCP
-  coordinator handing work items to ``repro campaign-worker`` agents on
-  any number of hosts, with work stealing, heartbeat-based dead-worker
-  requeue and sharded checkpoints.
+* ``workers=0`` — in-process and sequential, with no isolation and no
+  timeouts: the deterministic baseline benchmarks and coverage tools see
+  into, and the only mode that sees monkeypatched code under test.
+* ``workers >= 1`` — the single-host multiprocessing pool: one process
+  per scenario, at most ``workers`` alive at once, with per-scenario
+  wall-clock timeouts, worker-crash detection and bounded retry.
 
-Whatever the executor, results remain a function of (scenario, seed)
-only — never of worker count, placement or completion order. That is the
-contract that lets a million-scenario sweep move between a laptop and a
-cluster without changing its statistics.
+Either way, results remain a function of (scenario, seed) only — never of
+worker count or completion order.
 """
 
 from __future__ import annotations
@@ -29,8 +21,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
@@ -40,12 +30,9 @@ from repro.campaign.spec import (
     VERDICT_WORKER_CRASH,
     ScenarioResult,
 )
-from repro.errors import CampaignError
 
-#: ``finish(result, shard=None)`` — the engine's completion callback; the
-#: optional shard routes the checkpoint write (distributed executors give
-#: every worker its own shard file).
-FinishFn = Callable[..., None]
+#: ``finish(result)`` — the engine's completion callback.
+FinishFn = Callable[[ScenarioResult], None]
 
 #: How long a reaper keeps polling a dead or terminated worker's queue
 #: before deciding no result was posted (SimpleQueue writes straight to
@@ -110,53 +97,37 @@ class _Job:
     attempt: int
 
 
-class Executor(ABC):
-    """Strategy that executes a campaign's pending scenario indexes.
-
-    ``execute`` must call ``finish`` exactly once per index in ``pending``
-    (with whatever verdict the execution earned) before returning — the
-    engine asserts completeness afterwards. ``scenario_fn`` and ``spec``
-    must be treated as opaque: distributed executors ship them to workers
-    by pickle, so both must be picklable (module-level functions, plain
-    dataclasses).
-    """
-
-    @abstractmethod
-    def execute(
-        self,
-        spec,
-        pending: Deque[int],
-        *,
-        timeout: float,
-        retries: int,
-        scenario_fn,
-        finish: FinishFn,
-    ) -> None:
-        """Run every index in ``pending``, reporting through ``finish``."""
-
-    def describe(self) -> str:
-        """One-line form for logs and reports."""
-        return type(self).__name__
-
-
-class SerialExecutor(Executor):
-    """In-process, sequential execution: no isolation, no timeouts.
-
-    The baseline everything else is measured against — and the only mode
-    that sees monkeypatched code under test, since nothing crosses a
-    process boundary.
-    """
-
-    def execute(
-        self, spec, pending, *, timeout, retries, scenario_fn, finish
-    ) -> None:
+def execute(
+    spec,
+    pending: Deque[int],
+    *,
+    workers: int,
+    timeout: float,
+    retries: int,
+    scenario_fn,
+    finish: FinishFn,
+) -> None:
+    """Run every index in ``pending``, calling ``finish`` once per index
+    with whatever verdict its execution earned: in-process when
+    ``workers`` is 0, otherwise in a pool of ``workers`` processes
+    (``timeout`` and ``retries`` apply to the pool only)."""
+    if workers == 0:
         while pending:
-            index = pending.popleft()
-            finish(_attempt(spec, index, scenario_fn))
+            finish(_attempt(spec, pending.popleft(), scenario_fn))
+        return
+    _run_pool(spec, pending, workers, timeout, retries, scenario_fn, finish)
 
 
-class LocalPoolExecutor(Executor):
-    """Single-host multiprocessing pool: launch, reap, retry, report.
+def _run_pool(
+    spec,
+    pending: Deque[int],
+    workers: int,
+    timeout: float,
+    retries: int,
+    scenario_fn,
+    finish: FinishFn,
+) -> None:
+    """The process pool: launch, reap, retry, report.
 
     Each worker process runs exactly one scenario and exits, so scenario
     state cannot leak between runs. A worker over its wall-clock budget is
@@ -166,151 +137,127 @@ class LocalPoolExecutor(Executor):
     posting a result is retried up to ``retries`` times, then reported as
     ``worker_crash``.
     """
+    ctx = _context()
+    attempts: Dict[int, int] = {}
+    running: Dict[int, _Job] = {}
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise CampaignError(f"LocalPoolExecutor needs workers >= 1: {workers}")
-        self.workers = workers
-
-    def describe(self) -> str:
-        return f"LocalPoolExecutor(workers={self.workers})"
-
-    def execute(
-        self, spec, pending, *, timeout, retries, scenario_fn, finish
-    ) -> None:
-        ctx = _context()
-        attempts: Dict[int, int] = {}
-        running: Dict[int, _Job] = {}
-
-        def give_up(job: _Job, verdict: str, detail: str) -> None:
-            if job.attempt <= retries:
-                pending.append(job.index)  # bounded retry
-                return
-            finish(
-                ScenarioResult(
-                    index=job.index,
-                    seed=spec.scenario_seed(job.index),
-                    verdict=verdict,
-                    detail=detail,
-                    attempts=job.attempt,
-                )
-            )
-
-        def collect(job: _Job, raw: Dict[str, Any]) -> None:
-            result = ScenarioResult.from_dict(raw)
-            result.attempts = job.attempt
-            finish(result)
-
-        try:
-            while pending or running:
-                while pending and len(running) < self.workers:
-                    index = pending.popleft()
-                    attempts[index] = attempts.get(index, 0) + 1
-                    queue = ctx.SimpleQueue()
-                    process = ctx.Process(
-                        target=_child_main,
-                        args=(spec, index, scenario_fn, queue),
-                    )
-                    process.start()
-                    running[index] = _Job(
-                        index=index,
-                        process=process,
-                        queue=queue,
-                        started=time.monotonic(),
-                        attempt=attempts[index],
-                    )
-
-                # Block until a worker exits (its sentinel fires) or the
-                # poll interval elapses — workers post their result just
-                # before exiting, so this reaps with near-zero latency
-                # without a busy-wait.
-                multiprocessing.connection.wait(
-                    [job.process.sentinel for job in running.values()],
-                    timeout=_POLL_S,
-                )
-                now = time.monotonic()
-                for index, job in list(running.items()):
-                    if not job.queue.empty():
-                        raw = job.queue.get()
-                        del running[index]
-                        collect(job, raw)
-                        # A well-behaved worker exits right after its
-                        # put(); one kept alive by stray non-daemon
-                        # threads must not stall the whole campaign.
-                        job.process.join(1.0)
-                        if job.process.is_alive():
-                            job.process.terminate()
-                            job.process.join()
-                    elif job.process.exitcode is not None:
-                        # The worker died without (apparently) posting a
-                        # result; give the pipe a grace period before
-                        # calling it a crash.
-                        raw = _drain_queue(job.queue, _DRAIN_GRACE_S)
-                        job.process.join()
-                        del running[index]
-                        if raw is not None:
-                            collect(job, raw)
-                        else:
-                            give_up(
-                                job,
-                                VERDICT_WORKER_CRASH,
-                                f"worker exited with code {job.process.exitcode} "
-                                f"before reporting a result "
-                                f"(attempt {job.attempt}/{retries + 1})",
-                            )
-                    elif now - job.started > timeout:
-                        del running[index]
-                        self._reap_timed_out(
-                            job, timeout, retries, collect, give_up
-                        )
-        finally:
-            for job in running.values():
-                if job.process.is_alive():
-                    job.process.terminate()
-                    job.process.join(1.0)
-
-    @staticmethod
-    def _reap_timed_out(
-        job: _Job,
-        timeout: float,
-        retries: int,
-        collect: Callable[[_Job, Dict[str, Any]], None],
-        give_up: Callable[[_Job, str, str], None],
-    ) -> None:
-        """Terminate a worker over budget — draining its queue first.
-
-        A result posted just before the deadline (or between the deadline
-        check and the SIGTERM) must be kept: the scenario *did* complete,
-        so discarding it would waste a retry or misreport a finished run
-        as ``timeout``. This mirrors the worker-crash branch, which has
-        always drained before giving up.
-        """
-        raw = _drain_queue(job.queue, 0.0)
-        job.process.terminate()
-        job.process.join(1.0)
-        if job.process.is_alive():  # pragma: no cover
-            job.process.kill()
-            job.process.join()
-        if raw is None:
-            # The put() may have landed between the empty() check and the
-            # terminate(); look once more, with the usual pipe grace.
-            raw = _drain_queue(job.queue, _DRAIN_GRACE_S)
-        if raw is not None:
-            collect(job, raw)
+    def give_up(job: _Job, verdict: str, detail: str) -> None:
+        if job.attempt <= retries:
+            pending.append(job.index)  # bounded retry
             return
-        give_up(
-            job,
-            VERDICT_TIMEOUT,
-            f"scenario exceeded the {timeout:.1f}s budget "
-            f"(attempt {job.attempt}/{retries + 1})",
+        finish(
+            ScenarioResult(
+                index=job.index,
+                seed=spec.scenario_seed(job.index),
+                verdict=verdict,
+                detail=detail,
+                attempts=job.attempt,
+            )
         )
 
+    def collect(job: _Job, raw: Dict[str, Any]) -> None:
+        result = ScenarioResult.from_dict(raw)
+        result.attempts = job.attempt
+        finish(result)
 
-def resolve_executor(executor: Optional[Executor], workers: int) -> Executor:
-    """The executor ``run_campaign`` should drive: an explicit one wins,
-    otherwise ``workers`` selects the classic local modes."""
-    if executor is not None:
-        return executor
-    if workers == 0:
-        return SerialExecutor()
-    return LocalPoolExecutor(workers)
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                index = pending.popleft()
+                attempts[index] = attempts.get(index, 0) + 1
+                queue = ctx.SimpleQueue()
+                process = ctx.Process(
+                    target=_child_main,
+                    args=(spec, index, scenario_fn, queue),
+                )
+                process.start()
+                running[index] = _Job(
+                    index=index,
+                    process=process,
+                    queue=queue,
+                    started=time.monotonic(),
+                    attempt=attempts[index],
+                )
+
+            # Block until a worker exits (its sentinel fires) or the poll
+            # interval elapses — workers post their result just before
+            # exiting, so this reaps with near-zero latency without a
+            # busy-wait.
+            multiprocessing.connection.wait(
+                [job.process.sentinel for job in running.values()],
+                timeout=_POLL_S,
+            )
+            now = time.monotonic()
+            for index, job in list(running.items()):
+                if not job.queue.empty():
+                    raw = job.queue.get()
+                    del running[index]
+                    collect(job, raw)
+                    # A well-behaved worker exits right after its put();
+                    # one kept alive by stray non-daemon threads must not
+                    # stall the whole campaign.
+                    job.process.join(1.0)
+                    if job.process.is_alive():
+                        job.process.terminate()
+                        job.process.join()
+                elif job.process.exitcode is not None:
+                    # The worker died without (apparently) posting a
+                    # result; give the pipe a grace period before calling
+                    # it a crash.
+                    raw = _drain_queue(job.queue, _DRAIN_GRACE_S)
+                    job.process.join()
+                    del running[index]
+                    if raw is not None:
+                        collect(job, raw)
+                    else:
+                        give_up(
+                            job,
+                            VERDICT_WORKER_CRASH,
+                            f"worker exited with code {job.process.exitcode} "
+                            f"before reporting a result "
+                            f"(attempt {job.attempt}/{retries + 1})",
+                        )
+                elif now - job.started > timeout:
+                    del running[index]
+                    _reap_timed_out(job, timeout, retries, collect, give_up)
+    finally:
+        for job in running.values():
+            if job.process.is_alive():
+                job.process.terminate()
+                job.process.join(1.0)
+
+
+def _reap_timed_out(
+    job: _Job,
+    timeout: float,
+    retries: int,
+    collect: Callable[[_Job, Dict[str, Any]], None],
+    give_up: Callable[[_Job, str, str], None],
+) -> None:
+    """Terminate a worker over budget — draining its queue first.
+
+    A result posted just before the deadline (or between the deadline
+    check and the SIGTERM) must be kept: the scenario *did* complete, so
+    discarding it would waste a retry or misreport a finished run as
+    ``timeout``. This mirrors the worker-crash branch, which has always
+    drained before giving up.
+    """
+    raw = _drain_queue(job.queue, 0.0)
+    job.process.terminate()
+    job.process.join(1.0)
+    if job.process.is_alive():  # pragma: no cover
+        job.process.kill()
+        job.process.join()
+    if raw is None:
+        # The put() may have landed between the empty() check and the
+        # terminate(); look once more, with the usual pipe grace.
+        raw = _drain_queue(job.queue, _DRAIN_GRACE_S)
+    if raw is not None:
+        collect(job, raw)
+        return
+    give_up(
+        job,
+        VERDICT_TIMEOUT,
+        f"scenario exceeded the {timeout:.1f}s budget "
+        f"(attempt {job.attempt}/{retries + 1})",
+    )

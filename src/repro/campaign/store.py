@@ -1,18 +1,13 @@
-"""Campaign persistence: sharded JSONL checkpoints and fingerprint dedup.
+"""Campaign persistence: JSONL checkpoints and fingerprint dedup.
 
 Two stores live here, both append-only JSONL so a kill mid-write costs at
 most the final line:
 
-* :class:`CheckpointStore` — the campaign's completed-result sink. The
-  base path holds shardless writes (the local executors); a distributed
-  executor routes each worker's results to its own numbered shard file
-  (``campaign.0000.jsonl``, ``campaign.0001.jsonl``, ...) so concurrent
-  writers never interleave inside one file. :func:`load_checkpoint` merges
-  the base file and every shard on resume, skipping truncated or stale
-  lines exactly like the single-file loader always did. Opening a store
-  with ``resume=False`` *truncates* the base file and deletes stale
-  shards — a rerun must not leave old lines behind for a later
-  ``resume=True`` to trust.
+* :class:`CheckpointStore` — the campaign's completed-result sink, one
+  file. :func:`load_checkpoint` reads it back on resume, skipping torn,
+  malformed or stale lines. Opening a store with ``resume=False``
+  *truncates* the file — a rerun must not leave old lines behind for a
+  later ``resume=True`` to trust.
 
 * :class:`FingerprintStore` — the model checker's memory of explored
   schedules. Each record maps a *structural* schedule key (SHA-256 over
@@ -22,6 +17,9 @@ most the final line:
   schedule is never executed twice across campaigns, and coverage-guided
   exploration uses the set of known trace fingerprints to decide which
   runs discovered *new* behaviour.
+
+A path either store cannot open is a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -29,93 +27,66 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 import threading
-from typing import IO, Any, Dict, List, Optional
+from typing import IO, Any, Dict, Optional, get_origin, get_type_hints
 
 from repro.campaign.spec import ScenarioResult
+from repro.errors import ConfigurationError
 
 __all__ = [
     "CheckpointStore",
     "FingerprintStore",
-    "checkpoint_shard_paths",
     "load_checkpoint",
     "schedule_key",
 ]
 
 
-def _shard_path(path: str, shard: int) -> str:
-    """``campaign.jsonl`` + shard 2 -> ``campaign.0002.jsonl``."""
-    root, ext = os.path.splitext(path)
-    return f"{root}.{shard:04d}{ext}"
+def _open(path: str, mode: str, what: str) -> IO:
+    """``open(path, mode)``, with an :class:`OSError` turned into a
+    :class:`ConfigurationError` naming ``what`` the file is."""
+    try:
+        return open(path, mode)
+    except OSError as error:
+        raise ConfigurationError(f"cannot open {what}: {error}") from None
 
 
-def checkpoint_shard_paths(path: str) -> List[str]:
-    """Every existing checkpoint file for ``path``: the base, then the
-    numbered shards in order."""
-    paths = [path] if os.path.exists(path) else []
-    root, ext = os.path.splitext(path)
-    directory = os.path.dirname(path) or "."
-    pattern = re.compile(
-        re.escape(os.path.basename(root)) + r"\.(\d{4})" + re.escape(ext) + r"$"
-    )
-    shards = []
-    if os.path.isdir(directory):
-        for name in os.listdir(directory):
-            match = pattern.match(name)
-            if match:
-                shards.append((int(match.group(1)), os.path.join(directory, name)))
-    paths.extend(p for _, p in sorted(shards))
-    return paths
+def _ends_mid_line(path: str) -> bool:
+    """True when the file at ``path`` is non-empty and its last line has
+    no newline."""
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return False
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) != b"\n"
 
 
 class CheckpointStore:
-    """Append-only JSONL sink of completed scenario results, shardable.
+    """Append-only JSONL sink of completed scenario results.
 
-    ``write(result)`` appends to the base path; ``write(result, shard=k)``
-    appends to the numbered shard file, opened lazily so a local campaign
-    never creates empty shards. All writes are flushed immediately and
-    serialized under a lock, so concurrent executor threads can share one
-    store. ``path=None`` disables persistence entirely.
+    Every write is flushed immediately. ``resume=True`` appends to the
+    file, ``resume=False`` truncates it first; ``path=None`` disables
+    persistence entirely.
     """
 
     def __init__(self, path: Optional[str], resume: bool = False) -> None:
-        self._path = path
-        self._handles: Dict[Optional[int], IO[str]] = {}
-        self._lock = threading.Lock()
-        if path and not resume:
-            # A fresh (non-resumed) campaign must not accumulate stale
-            # lines a later resume would trust: truncate the base file and
-            # drop every shard left over from prior runs.
-            open(path, "w").close()
-            for stale in checkpoint_shard_paths(path):
-                if stale != path:
-                    os.remove(stale)
+        self._handle: Optional[IO[str]] = None
+        if path:
+            self._handle = _open(path, "a" if resume else "w", "checkpoint")
+            if resume and _ends_mid_line(path):
+                # A kill cut the last write short: start on a fresh line,
+                # so the first resumed result is not glued to the stump.
+                self._handle.write("\n")
 
-    def _handle(self, shard: Optional[int]) -> IO[str]:
-        handle = self._handles.get(shard)
-        if handle is None:
-            assert self._path is not None
-            target = self._path if shard is None else _shard_path(self._path, shard)
-            handle = open(target, "a")
-            self._handles[shard] = handle
-        return handle
-
-    def write(self, result: ScenarioResult, shard: Optional[int] = None) -> None:
-        if self._path is None:
-            return
-        line = json.dumps(result.to_dict()) + "\n"
-        with self._lock:
-            handle = self._handle(shard)
-            handle.write(line)
-            handle.flush()
+    def write(self, result: ScenarioResult) -> None:
+        if self._handle is not None:
+            self._handle.write(json.dumps(result.to_dict()) + "\n")
+            self._handle.flush()
 
     def close(self) -> None:
-        with self._lock:
-            for handle in self._handles.values():
-                handle.close()
-            self._handles.clear()
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __enter__(self) -> "CheckpointStore":
         return self
@@ -124,34 +95,64 @@ class CheckpointStore:
         self.close()
 
 
-def load_checkpoint(path: str, spec) -> Dict[int, ScenarioResult]:
-    """Completed results from a (possibly truncated, possibly sharded)
-    checkpoint.
+#: The JSON type each :class:`ScenarioResult` field must hold, from its
+#: annotation (``List[int]`` -> ``list``).
+_FIELD_TYPES = {
+    name: get_origin(hint) or hint
+    for name, hint in get_type_hints(ScenarioResult).items()
+}
 
-    Merges the base file with every ``path``-derived shard file
-    (``campaign.0000.jsonl``, ...). Lines that do not parse, name an index
-    outside the campaign, or carry a seed that no longer matches
-    ``spec.scenario_seed(index)`` (the spec changed under the checkpoint)
-    are skipped, not trusted. Duplicate indexes across files resolve to the
-    last one seen — results are a function of (scenario, seed) only, so
-    any copy is the same result.
+
+def _well_typed(name: str, value: Any) -> bool:
+    """True when ``value`` may stand in ``ScenarioResult.<name>``: an int
+    may stand for a float, a bool for nothing but a bool."""
+    expected = _FIELD_TYPES[name]
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _checkpointed(line: bytes, spec) -> Optional[ScenarioResult]:
+    """The result one checkpoint line records, or ``None`` for a line
+    resume must not trust: torn, not a JSON object, missing a required
+    field or holding one of the wrong type, naming an index outside the
+    campaign, or carrying a seed ``spec`` no longer derives."""
+    try:
+        raw = json.loads(line)
+    except ValueError:  # UnicodeDecodeError included: lines are read as bytes
+        return None
+    if not isinstance(raw, dict) or not all(
+        _well_typed(name, raw[name]) for name in _FIELD_TYPES.keys() & raw.keys()
+    ):
+        return None
+    try:
+        result = ScenarioResult.from_dict(raw)
+    except TypeError:
+        return None
+    if not 0 <= result.index < spec.scenarios:
+        return None
+    if result.seed != spec.scenario_seed(result.index):
+        return None
+    return result
+
+
+def load_checkpoint(path: str, spec) -> Dict[int, ScenarioResult]:
+    """Completed results from a (possibly truncated) checkpoint file.
+
+    Torn, non-object, wrongly typed, out-of-range and stale lines are
+    skipped, not trusted; a missing file holds nothing. Duplicate indexes
+    resolve to the last line — results are a function of (scenario, seed)
+    only, so any copy is the same result.
     """
     completed: Dict[int, ScenarioResult] = {}
-    for file_path in checkpoint_shard_paths(path):
-        with open(file_path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                    result = ScenarioResult.from_dict(raw)
-                except (ValueError, TypeError):
-                    continue  # truncated or foreign line
-                if not 0 <= result.index < spec.scenarios:
-                    continue
-                if result.seed != spec.scenario_seed(result.index):
-                    continue
+    if not os.path.exists(path):
+        return completed
+    with _open(path, "rb", "checkpoint") as handle:
+        for line in handle:
+            result = _checkpointed(line, spec)
+            if result is not None:
                 completed[result.index] = result
     return completed
 
@@ -209,7 +210,7 @@ class FingerprintStore:
         #: stamp, or none.
         self.stale = 0
         if path and os.path.exists(path):
-            with open(path) as handle:
+            with _open(path, "r", "fingerprint store") as handle:
                 for line in handle:
                     line = line.strip()
                     if not line:
@@ -237,7 +238,7 @@ class FingerprintStore:
                     file=sys.stderr,
                 )
         if path:
-            self._handle = open(path, "a")
+            self._handle = _open(path, "a", "fingerprint store")
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,16 +1,15 @@
-"""Parallel exploration: the checker riding the campaign fabric.
+"""Parallel exploration: the checker riding the campaign engine.
 
 A :class:`CheckSweep` adapts a schedule population (exhaustive BFS plus
 guided samples, :func:`repro.check.explorer.schedule_population`) to the
 interface :func:`repro.campaign.engine.run_campaign` drives — ``scenarios``
 and ``scenario_seed(index)`` — so schedule execution inherits the engine's
-process isolation, per-schedule timeouts, crash retries, JSONL
-checkpoint/resume and pluggable executors (local pool or the remote work
-queue) for free. Workers regenerate schedule *i* from the sweep parameters
-(the population is a deterministic function of them), so nothing but the
-sweep itself crosses the process boundary; dynamically generated
-populations (coverage-guided mutation batches) travel as an explicit
-:class:`ScheduleBatch` instead.
+process isolation, per-schedule timeouts, crash retries and JSONL
+checkpoint/resume for free. Workers regenerate schedule *i* from the
+sweep parameters (the population is a deterministic function of them), so
+nothing but the sweep itself crosses the process boundary; dynamically
+generated populations (coverage-guided mutation batches) travel as an
+explicit :class:`ScheduleBatch` instead.
 
 Two exploration strategies sit on top:
 
@@ -38,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.executors import Executor
 from repro.campaign.spec import ScenarioResult
 from repro.campaign.store import FingerprintStore, schedule_key
 from repro.check.artifact import write_artifact
@@ -130,7 +128,7 @@ class ScheduleBatch:
     from sweep parameters, a batch carries its schedules outright — the
     shape coverage-guided exploration needs, since a mutated population
     is not a function of a few scalars. Plain frozen data, so it pickles
-    across process boundaries and over the remote fabric unchanged.
+    across process boundaries unchanged.
     """
 
     schedules: Tuple[FaultSchedule, ...]
@@ -333,14 +331,13 @@ def explore(
     minimize: bool = True,
     max_minimize_runs: int = 200,
     artifact_dir: Optional[str] = None,
-    executor: Optional[Executor] = None,
     fingerprint_store: Optional[FingerprintStore] = None,
     scenario_fn=run_check_scenario,
 ) -> ExplorationReport:
     """Run the sweep's whole population and minimize every violation.
 
-    ``workers``/``timeout``/``retries``/``checkpoint``/``resume``/
-    ``executor`` forward to :func:`~repro.campaign.engine.run_campaign`
+    ``workers``/``timeout``/``retries``/``checkpoint``/``resume`` forward
+    to :func:`~repro.campaign.engine.run_campaign`
     (``workers=0`` runs in-process — required when the code under test is
     monkeypatched, as in the planted-bug selftest, since a patch does not
     necessarily survive into spawned worker processes). With a
@@ -368,7 +365,6 @@ def explore(
         resume=resume,
         scenario_fn=scenario_fn,
         progress=progress,
-        executor=executor,
         prior_results=prior,
     )
     if fingerprint_store is not None:
@@ -493,7 +489,6 @@ def explore_coverage(
     minimize: bool = True,
     max_minimize_runs: int = 200,
     artifact_dir: Optional[str] = None,
-    executor: Optional[Executor] = None,
     scenario_fn=run_batch_scenario,
     max_stale_proposals: int = 400,
 ) -> CoverageReport:
@@ -501,12 +496,12 @@ def explore_coverage(
 
     The loop seeds its candidate stream with the exhaustive frontier up
     to ``init_depth``, executes candidates in batches of ``batch_size``
-    through :func:`~repro.campaign.engine.run_campaign` (so isolation,
-    retries and any executor — local pool or remote queue — carry over),
-    and records every run in the fingerprint ``store``. A schedule whose
-    run produced a trace fingerprint the store had *never seen* joins the
-    corpus; further candidates are mutations of corpus schedules,
-    weighted toward recent discoveries. Candidates whose structural key
+    through :func:`~repro.campaign.engine.run_campaign` (so process
+    isolation and retries carry over), and records every run in the
+    fingerprint ``store``. A schedule whose run produced a trace
+    fingerprint the store had *never seen* joins the corpus; further
+    candidates are mutations of corpus schedules, weighted toward recent
+    discoveries. Candidates whose structural key
     the store already holds are skipped before dispatch — across calls
     too, since the store persists: rerunning a sweep against the same
     store executes nothing.
@@ -589,7 +584,6 @@ def explore_coverage(
             retries=retries,
             scenario_fn=scenario_fn,
             progress=progress,
-            executor=executor,
         )
         for schedule, result in zip(batch, batch_results):
             check = result.metrics.get("check") or {}

@@ -37,7 +37,8 @@ class ScenarioError(ReproError):
 
 
 class CampaignError(ReproError):
-    """The campaign engine was driven with an invalid configuration."""
+    """A campaign ended without a result for every scenario. Bad campaign
+    arguments are a :class:`ConfigurationError`."""
 
 
 class CheckError(ReproError):

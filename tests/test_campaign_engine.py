@@ -24,7 +24,7 @@ from repro.campaign import (
     run_campaign,
     run_scenario,
 )
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigurationError
 
 #: A real but tiny campaign: 4-5 node populations, one crash each.
 TINY = CampaignSpec(
@@ -164,14 +164,20 @@ def test_checkpoint_tolerates_truncated_and_stale_lines(tmp_path):
     stale = ScenarioResult(index=2, seed=999, verdict=VERDICT_OK)
     out_of_range = ScenarioResult(index=9, seed=spec.scenario_seed(3), verdict=VERDICT_OK)
     path = tmp_path / "campaign.jsonl"
-    path.write_text(
-        json.dumps(good.to_dict())
-        + "\n"
-        + json.dumps(stale.to_dict())
-        + "\n"
-        + json.dumps(out_of_range.to_dict())
-        + "\n"
-        + '{"index": 3, "seed'  # a write cut off mid-line by a kill
+    path.write_bytes(
+        (
+            json.dumps(good.to_dict())
+            + "\n"
+            + json.dumps(stale.to_dict())
+            + "\n"
+            + json.dumps(out_of_range.to_dict())
+            + "\n"
+            + "[1, 2]\n"  # JSON, but not an object
+            + json.dumps(dict(good.to_dict(), index="0"))  # index of wrong type
+            + "\n"
+        ).encode()
+        + b"\xff\xfe not UTF-8\n"
+        + b'{"index": 3, "seed'  # a write cut off mid-line by a kill
     )
     completed = load_checkpoint(str(path), spec)
     assert list(completed) == [1]
@@ -249,7 +255,7 @@ def test_progress_called_once_per_scenario():
     ],
 )
 def test_run_campaign_validates_arguments(kwargs):
-    with pytest.raises(CampaignError):
+    with pytest.raises(ConfigurationError):
         run_campaign(TINY, scenario_fn=quick, **kwargs)
 
 
@@ -273,7 +279,7 @@ def test_result_posted_then_timeout_is_kept():
     exit is observed. The reaper must drain the queue before (and after)
     terminating, exactly like the crash branch always has.
     """
-    from repro.campaign.executors import LocalPoolExecutor, _Job, _context
+    from repro.campaign.executors import _context, _Job, _reap_timed_out
 
     ctx = _context()
     queue = ctx.SimpleQueue()
@@ -288,7 +294,7 @@ def test_result_posted_then_timeout_is_kept():
         attempt=1,
     )
     collected, gave_up = [], []
-    LocalPoolExecutor._reap_timed_out(
+    _reap_timed_out(
         job,
         timeout=1.0,
         retries=1,
@@ -302,7 +308,7 @@ def test_result_posted_then_timeout_is_kept():
 
 
 def test_timed_out_worker_without_result_still_times_out():
-    from repro.campaign.executors import LocalPoolExecutor, _Job, _context
+    from repro.campaign.executors import _context, _Job, _reap_timed_out
 
     ctx = _context()
     queue = ctx.SimpleQueue()
@@ -316,7 +322,7 @@ def test_timed_out_worker_without_result_still_times_out():
         attempt=2,
     )
     collected, gave_up = [], []
-    LocalPoolExecutor._reap_timed_out(
+    _reap_timed_out(
         job,
         timeout=1.0,
         retries=1,
@@ -351,9 +357,6 @@ def test_non_resume_rerun_truncates_stale_checkpoint(tmp_path):
     checkpoint = str(tmp_path / "campaign.jsonl")
     spec = CampaignSpec(scenarios=3, seed=6)
     run_campaign(spec, workers=0, checkpoint=checkpoint, scenario_fn=quick)
-    # A stale shard from an earlier distributed run must also go.
-    stale_shard = tmp_path / "campaign.0007.jsonl"
-    stale_shard.write_text('{"index": 0, "seed": 0, "verdict": "ok"}\n')
 
     results = run_campaign(
         spec, workers=0, checkpoint=checkpoint, scenario_fn=quick
@@ -365,29 +368,24 @@ def test_non_resume_rerun_truncates_stale_checkpoint(tmp_path):
     ]
     assert len(lines) == spec.scenarios  # no duplicates from run one
     assert sorted(line["index"] for line in lines) == [0, 1, 2]
-    assert not stale_shard.exists()
     assert _fingerprint(results) == _fingerprint(
         run_campaign(spec, workers=0, scenario_fn=quick)
     )
 
 
-def test_incomplete_executor_raises_with_missing_indexes():
-    """An executor that loses scenarios cannot return a silently short
-    result list — the engine names every missing index."""
-    from repro.campaign import Executor
+def test_incomplete_executor_raises_with_missing_indexes(monkeypatch):
+    """An execution path that loses scenarios cannot return a silently
+    short result list — the engine names every missing index."""
+    from repro.campaign import engine
 
-    class DropsEverything(Executor):
-        def execute(
-            self, spec, pending, *, timeout, retries, scenario_fn, finish
-        ):
-            index = pending.popleft()  # finish only the first
-            finish(scenario_fn(spec, index))
+    def finishes_only_the_first(spec, pending, *, scenario_fn, finish, **_):
+        finish(scenario_fn(spec, pending.popleft()))
 
+    monkeypatch.setattr(engine, "execute", finishes_only_the_first)
     with pytest.raises(CampaignError) as excinfo:
-        run_campaign(TINY, scenario_fn=quick, executor=DropsEverything())
+        run_campaign(TINY, workers=0, scenario_fn=quick)
     message = str(excinfo.value)
     assert "campaign incomplete" in message
-    assert "DropsEverything" in message
     assert "1, 2" in message
 
 

@@ -1,6 +1,8 @@
-"""Tests for sharded checkpoints and the fingerprint store."""
+"""Tests for the checkpoint and fingerprint stores."""
 
 import json
+
+import pytest
 
 from repro.campaign import (
     VERDICT_OK,
@@ -8,11 +10,11 @@ from repro.campaign import (
     CheckpointStore,
     FingerprintStore,
     ScenarioResult,
-    checkpoint_shard_paths,
     load_checkpoint,
     schedule_key,
 )
 from repro.check import ACTION_CRASH, FORMAT, Fault, FaultSchedule
+from repro.errors import ConfigurationError
 
 SPEC = CampaignSpec(scenarios=6, seed=3)
 
@@ -25,59 +27,51 @@ def _result(index, seed=None):
     )
 
 
-# -- sharded checkpoints -------------------------------------------------------
+# -- checkpoints ---------------------------------------------------------------
 
 
-def test_shard_paths_are_stable_and_sorted(tmp_path):
+def test_load_checkpoint_ignores_old_shard_files(tmp_path):
+    """Per-worker shard files (``campaign.NNNN.jsonl``) are no longer
+    merged on resume: their scenarios just run again."""
     base = str(tmp_path / "campaign.jsonl")
     with CheckpointStore(base) as store:
         store.write(_result(0))
-        store.write(_result(1), shard=2)
-        store.write(_result(2), shard=0)
-    paths = checkpoint_shard_paths(base)
-    assert paths == [
-        base,
-        str(tmp_path / "campaign.0000.jsonl"),
-        str(tmp_path / "campaign.0002.jsonl"),
-    ]
+    (tmp_path / "campaign.0000.jsonl").write_text(
+        json.dumps(_result(1).to_dict()) + "\n"
+    )
+    assert sorted(load_checkpoint(base, SPEC)) == [0]
 
 
-def test_load_checkpoint_merges_all_shards(tmp_path):
+def test_resume_tolerates_truncated_final_line(tmp_path):
+    """A campaign killed mid-write leaves a cut-off last line; resume must
+    keep every complete line and just rerun the victim."""
     base = str(tmp_path / "campaign.jsonl")
     with CheckpointStore(base) as store:
-        for index in range(4):
-            store.write(_result(index), shard=index % 2)
-        store.write(_result(4))  # shardless writes land in the base file
+        store.write(_result(0))
+        store.write(_result(1))
+    text = (tmp_path / "campaign.jsonl").read_text()
+    cut = len(text) - len(text.splitlines()[-1]) // 2 - 1
+    (tmp_path / "campaign.jsonl").write_text(text[:cut])  # kill mid-line
     completed = load_checkpoint(base, SPEC)
-    assert sorted(completed) == [0, 1, 2, 3, 4]
-
-
-def test_resume_tolerates_truncated_final_shard_line(tmp_path):
-    """A worker killed mid-write leaves a cut-off last line in its shard;
-    resume must keep every complete line and just rerun the victim."""
-    base = str(tmp_path / "campaign.jsonl")
-    with CheckpointStore(base) as store:
-        store.write(_result(0), shard=0)
-        store.write(_result(1), shard=0)
-        store.write(_result(2), shard=1)
-    shard0 = tmp_path / "campaign.0000.jsonl"
-    text = shard0.read_text()
-    shard0.write_text(text[: len(text) // 2])  # kill mid-line
-    completed = load_checkpoint(base, SPEC)
-    assert 2 in completed  # the untouched shard survives whole
     assert 0 in completed  # the complete first line survives
     assert 1 not in completed  # only the torn line is lost
 
 
-def test_store_without_resume_truncates_base_and_shards(tmp_path):
+def test_store_without_resume_truncates(tmp_path):
     base = str(tmp_path / "campaign.jsonl")
     with CheckpointStore(base) as store:
         store.write(_result(0))
-        store.write(_result(1), shard=0)
     with CheckpointStore(base, resume=False):
         pass  # opening for a fresh run wipes the previous one
     assert (tmp_path / "campaign.jsonl").read_text() == ""
-    assert not (tmp_path / "campaign.0000.jsonl").exists()
+
+
+def test_stores_refuse_an_unopenable_path(tmp_path):
+    missing = str(tmp_path / "missing" / "store.jsonl")
+    with pytest.raises(ConfigurationError, match="cannot open checkpoint"):
+        CheckpointStore(missing)
+    with pytest.raises(ConfigurationError, match="cannot open fingerprint"):
+        FingerprintStore(missing)
 
 
 def test_store_with_resume_appends(tmp_path):
@@ -92,7 +86,6 @@ def test_store_with_resume_appends(tmp_path):
 def test_store_with_no_path_is_a_no_op(tmp_path):
     with CheckpointStore(None) as store:
         store.write(_result(0))
-        store.write(_result(1), shard=3)
     assert list(tmp_path.iterdir()) == []
 
 

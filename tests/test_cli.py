@@ -171,6 +171,42 @@ def test_campaign_checkpoint_resume(capsys, tmp_path):
     assert "completed ok" in out
 
 
+def _without_elapsed(value):
+    """``value`` with every ``elapsed_s`` entry dropped, at any depth."""
+    if isinstance(value, dict):
+        return {
+            key: _without_elapsed(item)
+            for key, item in value.items()
+            if key != "elapsed_s"
+        }
+    if isinstance(value, list):
+        return [_without_elapsed(item) for item in value]
+    return value
+
+
+def test_campaign_in_process_and_pooled_agree(capsys, tmp_path):
+    """``--workers 0`` and ``--workers 2`` write the same report and the
+    same checkpoint, once wall-clock times are dropped and the
+    checkpoint's completion order is sorted away."""
+    outputs = {}
+    for workers in ("0", "2"):
+        report = tmp_path / f"report-{workers}.json"
+        checkpoint = tmp_path / f"campaign-{workers}.jsonl"
+        main(
+            ["campaign", "--scenarios", "6", "--seed", "1", "--workers", workers,
+             "--format", "json", "--report", str(report),
+             "--checkpoint", str(checkpoint)]
+        )
+        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        outputs[workers] = (
+            _without_elapsed(json.loads(report.read_text())),
+            _without_elapsed(sorted(lines, key=lambda line: line["index"])),
+        )
+    capsys.readouterr()
+    assert len(outputs["0"][1]) == 6
+    assert outputs["0"] == outputs["2"]
+
+
 # -- repro check --------------------------------------------------------------------
 
 
@@ -525,19 +561,38 @@ def test_compare_format_json_is_the_report(capsys):
     )
 
 
+CHECK_ARGS = ["check", "--depth", "0", "--nodes", "4", "--members", "3"]
+
+
 @pytest.mark.parametrize(
-    "args, value",
+    "args, complaint",
     [
-        (["campaign", "--executor", "remote", "--listen", "host:abc"], "host:abc"),
-        (["campaign", "--executor", "remote", "--listen", ":65536"], ":65536"),
-        (["campaign-worker", "--connect", "nohost"], "nohost"),
-        (["campaign-worker", "--connect", "host:-1"], "host:-1"),
+        (CAMPAIGN_ARGS + ["--timeout", "0"], "timeout must be positive"),
+        (CAMPAIGN_ARGS + ["--retries", "-1"], "retries must be >= 0"),
+        (CAMPAIGN_ARGS + ["--workers", "-1"], "workers must be >= 0"),
+        (CAMPAIGN_ARGS + ["--resume"], "resume requires a checkpoint path"),
+        (CAMPAIGN_ARGS + ["--checkpoint", "{missing}/c.jsonl"],
+         "cannot open checkpoint"),
+        (CHECK_ARGS + ["--timeout", "0"], "timeout must be positive"),
+        (CHECK_ARGS + ["--workers", "-1"], "workers must be >= 0"),
+        (CHECK_ARGS + ["--resume"], "resume requires a checkpoint path"),
+        (CHECK_ARGS + ["--checkpoint", "{missing}/c.jsonl"],
+         "cannot open checkpoint"),
+        (CHECK_ARGS + ["--fingerprints", "{missing}/fp.jsonl"],
+         "cannot open fingerprint store"),
+        (["check", "--depth", "-1"], "depth must be >= 0"),
+        (["check", "--samples", "-1"], "samples must be >= 0"),
     ],
-    ids=["listen-port-not-a-number", "listen-port-too-big", "connect-no-port",
-         "connect-negative-port"],
+    ids=["campaign-timeout-0", "campaign-retries-negative",
+         "campaign-workers-negative", "campaign-resume-without-checkpoint",
+         "campaign-checkpoint-in-missing-dir", "check-timeout-0",
+         "check-workers-negative", "check-resume-without-checkpoint",
+         "check-checkpoint-in-missing-dir", "check-fingerprints-in-missing-dir",
+         "check-depth-negative", "check-samples-negative"],
 )
-def test_malformed_address_exits_2_with_one_line(capsys, args, value):
-    assert main(args) == 2
+def test_bad_run_options_exit_2_with_one_line(capsys, tmp_path, args, complaint):
+    missing = str(tmp_path / "missing")
+    assert main([arg.format(missing=missing) for arg in args]) == 2
     out = capsys.readouterr().out
-    assert out.startswith(f"error: invalid address {value!r}")
+    assert out.startswith("error: ") and complaint in out
     assert len(out.splitlines()) == 1

@@ -26,9 +26,10 @@ def test_version_bumped_for_the_new_surface():
     # 4.0.0 removed the backend adapter classes, the node being the
     # contract; 5.0.0 removed a CLI command and flags and two
     # ScenarioBuilder methods; 5.1.0 took the batch keyword off the deep
-    # JsonlSink (docs/api.md).
+    # JsonlSink; 6.0.0 removed the remote campaign executor, the
+    # Executor classes and the executor= keywords (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (5, 1)
+    assert (int(major), int(minor)) >= (6, 0)
 
 
 def test_core_names_are_eager():

@@ -14,11 +14,12 @@ Runs, in this one process and under :mod:`cProfile`:
 then the tier-1 suite (``pytest tests``), and prints every function defined
 under ``src/repro`` that none of the shipped runs reaches, marked
 ``[tier-1]`` when the test suite reaches it. Abstract declarations
-(``abc.abstractmethod``) are not counted: their bodies never run. Code that
-only runs in remote-executor threads or subprocess workers is out of an
-in-process profile's sight: it is listed apart, as not profiled, not as
-unreached. The report is evidence for deleting code; CI also fails when the
-count reached by nothing at all (not even tier-1) rises::
+(``abc.abstractmethod``) are not counted: their bodies never run. The
+campaign executors module, whose process pool runs in subprocess workers,
+is out of an in-process profile's sight: it is listed apart, as not
+profiled, not as unreached. The report is evidence for deleting code; CI
+also fails when the count reached by nothing at all (not even tier-1)
+rises::
 
     python tools/traffic.py > traffic-report.txt
 
@@ -43,16 +44,9 @@ from typing import Callable, Dict, List, Set, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPRO_DIR = os.path.join(ROOT, "src", "repro")
 
-#: ``(module, qualified-name prefix)`` of the code that runs in
-#: remote-executor threads (coordinator, worker agents), in the local pool's
-#: subprocess workers and in the ``campaign-worker`` CLI agents: reported as
-#: not profiled when unreached.
-NOT_PROFILED = (
-    ("campaign/remote.py", ""),
-    ("campaign/executors.py", ""),
-    ("__main__.py", "_cmd_campaign_worker"),
-    ("__main__.py", "_parse_address"),
-)
+#: ``(module, qualified-name prefix)`` of the code that runs in the process
+#: pool's subprocess workers: reported as not profiled when unreached.
+NOT_PROFILED = (("campaign/executors.py", ""),)
 
 #: The CLI commands of the CI workflow (``{tmp}`` is a temporary directory),
 #: each distinct command once, ``--workers`` set to 0.
@@ -276,7 +270,7 @@ def main() -> int:
         print(f"  repro/{key[0]}:{key[1]}  {functions[key]}{mark}")
     print()
     print(
-        f"== {len(apart)} not profiled: remote-executor threads and subprocess "
+        f"== {len(apart)} not profiled: the process pool's subprocess "
         "workers =="
     )
     for key in apart:
