@@ -47,7 +47,6 @@ import sys
 from collections import Counter
 
 from repro.analysis.latency import latency_bounds
-from repro.core.backend import monitors_supported
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import CheckError, ConfigurationError, ScenarioError
@@ -218,17 +217,14 @@ def _cmd_run(args) -> int:
 
 
 def _observed_network(args):
-    """Run ``--scenario FILE`` under the standard invariant monitors —
-    where the backend has them — or else the demo scenario, and return the
-    finished network."""
+    """Run ``--scenario FILE`` under its backend's invariant monitors, or
+    else the demo scenario, and return the finished network."""
     if not args.scenario:
         return _demo_network()[0]
     from repro.workloads.script import run_scenario_detailed
 
     spec = _load_scenario(args.scenario)
-    _report, net = run_scenario_detailed(
-        spec, monitors=monitors_supported(spec.backend)
-    )
+    _report, net = run_scenario_detailed(spec, monitors=True)
     return net
 
 
@@ -475,8 +471,6 @@ def _cmd_campaign(args) -> int:
         crash_max=args.crash_max,
         backend=args.backend,
         segments=args.segments,
-        # Rival backends are judged by the final-state check alone.
-        monitors=monitors_supported(args.backend),
     )
 
     def progress(result):

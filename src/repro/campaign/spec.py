@@ -65,7 +65,6 @@ class CampaignSpec:
         crash_window_ms: crashes are scheduled uniformly inside this window
             after bootstrap.
         run_ms: how long the scenario runs after the crashes are scheduled.
-        monitors: attach the online invariant monitors (PR-1) to every run.
         backend: membership backend every scenario runs
             (:func:`repro.core.backend.backend_names`).
         segments: bus segments per scenario, bridged by a store-and-forward
@@ -86,7 +85,6 @@ class CampaignSpec:
     capacity: int = 16
     crash_window_ms: float = 100.0
     run_ms: float = 400.0
-    monitors: bool = True
     backend: str = "canely"
     segments: int = 1
 
@@ -112,7 +110,7 @@ class CampaignSpec:
             raise ConfigurationError("bad fault probability ceilings")
         if self.run_ms <= 0 or self.crash_window_ms < 0:
             raise ConfigurationError("bad scenario durations")
-        from repro.core.backend import require_monitors, resolve_backend
+        from repro.core.backend import resolve_backend
 
         resolve_backend(self.backend)
         if not isinstance(self.segments, int) or not (
@@ -121,8 +119,6 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"segments must be in 1..node_min: {self.segments!r}"
             )
-        if self.monitors:
-            require_monitors(self.backend)
 
     def scenario_seed(self, index: int) -> int:
         """The private seed of scenario ``index``."""

@@ -134,8 +134,7 @@ def _simulate(spec: CampaignSpec, result: ScenarioResult) -> ScenarioBuilder:
         backend=spec.backend,
         segments=spec.segments,
     )
-    if spec.monitors:
-        net.attach_monitors()
+    net.attach_monitors()
     try:
         scenario = net.scenario().bootstrap()
 

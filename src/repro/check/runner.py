@@ -2,7 +2,7 @@
 
 :func:`run_schedule` turns a plain-data
 :class:`~repro.check.schedule.FaultSchedule` into a simulator run: build
-the network, attach the online invariant monitors
+the network, attach the backend's online invariant monitors
 (:mod:`repro.obs.monitors`), drive the scenario through the fluent
 :class:`~repro.workloads.builder.ScenarioBuilder`, and let the shared
 verdict ladder (:func:`repro.campaign.worker.judge`) classify it. A run
@@ -47,7 +47,7 @@ from repro.check.schedule import (
 )
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
-from repro.errors import CheckError, ConfigurationError
+from repro.errors import CheckError
 from repro.sim.clock import ms
 from repro.workloads.builder import (
     FrameMatch,
@@ -122,10 +122,12 @@ def expected_members(schedule: FaultSchedule) -> Set[int]:
 
     :func:`~repro.workloads.builder.expected_survivors` over the schedule
     alone: timed actions fold in ``at_ms`` order; ``crash_sender``
-    omissions count as a crash of the targeted sender (whether the fault
-    fires or not, the subject ends up outside the view: un-fired
-    sender-crash faults target nodes that already crashed or left, so the
-    set is unchanged).
+    omissions count as a crash of the targeted sender. That is the
+    prediction for a run where every sender-crash fault fires; a run is
+    judged against the nodes actually found down instead
+    (:meth:`~repro.workloads.builder.ScenarioBuilder.final_state`). On
+    SWIM, which sends no ELS, CANELy-frame faults never fire and their
+    senders stay in the view.
     """
     return expected_survivors(
         range(schedule.members),
@@ -175,7 +177,6 @@ def trace_fingerprint(net: CanelyNetwork) -> str:
 
 def run_schedule(
     schedule: FaultSchedule,
-    monitors: bool = True,
     backend: str = "canely",
     segments: int = 1,
 ) -> CheckResult:
@@ -190,7 +191,8 @@ def run_schedule(
     topology the schedule executes on. They are runtime parameters, not
     part of the schedule — the same schedule can be checked against rival
     backends — so they do not enter ``schedule_key`` fingerprints. The
-    online monitors encode CANELy's guarantees and refuse other backends.
+    run is judged online by the backend's own monitors
+    (:meth:`~repro.core.stack.MembershipNode.monitors`).
     """
     started = time.perf_counter()
     result = CheckResult(schedule=schedule)
@@ -207,11 +209,7 @@ def run_schedule(
         backend=backend,
         segments=segments,
     )
-    if monitors:
-        try:
-            net.attach_monitors()
-        except ConfigurationError as error:
-            raise CheckError(str(error)) from None
+    net.attach_monitors()
 
     def script() -> ScenarioBuilder:
         builder = net.scenario(seed=schedule.seed)

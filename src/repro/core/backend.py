@@ -13,6 +13,9 @@ layers can build a population without naming a concrete stack:
   heartbeat/suspicion detector over the same CAN controller and standard
   layer.
 
+Everything a backend is — configuration, protocol suite, the online
+monitors that judge it (:meth:`~repro.core.stack.MembershipNode.monitors`)
+— lives on its node class; this module decides nothing about it.
 Register additional backends with :func:`register_backend`; resolve a
 name (or pass a node class through) with :func:`resolve_backend`. The
 built-ins load on first use, so importing the registry drags in neither
@@ -97,27 +100,3 @@ def resolve_backend(spec) -> Type[MembershipNode]:
             ) from None
     raise ConfigurationError(f"not a membership backend: {spec!r}")
 
-
-def monitors_supported(backend) -> bool:
-    """True when the online invariant monitors can judge ``backend``.
-
-    :mod:`repro.obs.monitors` encodes *CANELy's* guarantees (bounded
-    detection, no duplicate failure-sign, round-synchronous agreement); a
-    rival stack with different semantics would trip them on correct
-    behaviour, so it is judged by the final-state check alone.
-    """
-    from repro.core.stack import CanelyNode
-
-    return issubclass(resolve_backend(backend), CanelyNode)
-
-
-def require_monitors(backend) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError` unless
-    :func:`monitors_supported` — the one refusal every layer that can
-    attach monitors goes through."""
-    if not monitors_supported(backend):
-        raise ConfigurationError(
-            "the online invariant monitors encode CANELy's guarantees; "
-            f"they cannot judge the {resolve_backend(backend).name!r} "
-            "backend (run it with monitors off)"
-        )

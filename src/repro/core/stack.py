@@ -21,7 +21,7 @@ from repro.can.driver import CanStandardLayer
 from repro.can.errormodel import FaultInjector
 from repro.can.identifiers import MessageId, MessageType
 from repro.can.phy import BitTiming
-from repro.core.backend import require_monitors, resolve_backend
+from repro.core.backend import resolve_backend
 from repro.core.config import CanelyConfig
 from repro.core.failure_detector import FailureDetector
 from repro.core.fda import FdaProtocol
@@ -45,14 +45,17 @@ class MembershipNode(abc.ABC):
     layer), a timer service, application traffic and crash/recover
     scripting. A backend is a subclass: it names itself (:attr:`name`, the
     registry key and report label), supplies its configuration
-    (:meth:`default_config`/:meth:`coerce_config`) and its protocol suite
-    (:meth:`_build_protocols`), and serves the ``msh-can`` request/notify
-    primitives plus the lifecycle (:meth:`halt`/:meth:`reset`) and
-    observability (:meth:`metrics`) hooks. The constructor is the factory.
+    (:meth:`default_config`/:meth:`coerce_config`), its protocol suite
+    (:meth:`_build_protocols`) and its judges (:meth:`monitors`), and
+    serves the ``msh-can`` request/notify primitives plus the lifecycle
+    (:meth:`halt`/:meth:`reset`) and observability (:meth:`metrics`)
+    hooks. The constructor is the factory.
     """
 
     #: Registry key and report label ("canely", "swim", ...).
     name: ClassVar[str] = ""
+    #: The ``(node, failed)`` trace row a detection at one node shows as.
+    detection_row: ClassVar[str] = "fda.nty"
 
     def __init__(
         self,
@@ -106,6 +109,24 @@ class MembershipNode(abc.ABC):
     @abc.abstractmethod
     def _build_protocols(self) -> None:
         """Construct the protocol entities over ``layer`` and ``timers``."""
+
+    @classmethod
+    def monitors(cls, trace, config, metrics) -> list:
+        """Attach the online invariant monitors that judge this backend to
+        ``trace``; return them in attachment order. The base set is
+        membership-level: no phantom removal, and detection latency on
+        :attr:`detection_row` within ``config.detection_latency_bound``."""
+        from repro.obs.monitors import (
+            DetectionLatencyMonitor,
+            PhantomRemovalMonitor,
+        )
+
+        return [
+            PhantomRemovalMonitor().attach(trace),
+            DetectionLatencyMonitor(
+                config.detection_latency_bound, metrics, row=cls.detection_row
+            ).attach(trace),
+        ]
 
     # -- membership API (Fig. 5: msh-can.req / msh-can.nty) --------------------------
 
@@ -221,6 +242,17 @@ class CanelyNode(MembershipNode):
     @classmethod
     def default_config(cls) -> CanelyConfig:
         return CanelyConfig()
+
+    @classmethod
+    def monitors(cls, trace, config, metrics) -> list:
+        """:func:`~repro.obs.monitors.standard_monitors`: the base set plus
+        the CANELy-only duplicate failure-sign and view agreement."""
+        from repro.analysis.latency import latency_bounds
+        from repro.obs.monitors import standard_monitors
+
+        return standard_monitors(
+            trace, latency_bounds(config).notification, metrics
+        )
 
     def _build_protocols(self) -> None:
         config, sim = self.config, self._sim
@@ -398,21 +430,11 @@ class CanelyNetwork:
         return ScenarioBuilder(self, seed=seed)
 
     def attach_monitors(self):
-        """Attach the standard online invariant monitors to this run.
-
-        The one attachment point: it refuses a backend the monitors cannot
-        judge (:func:`~repro.core.backend.require_monitors`) and bounds
-        detection by :func:`~repro.analysis.latency.latency_bounds`.
-        Returns the monitors, in attachment order.
-        """
-        from repro.analysis.latency import latency_bounds
-        from repro.obs.monitors import standard_monitors
-
-        require_monitors(self.node_cls)
-        return standard_monitors(
-            self.sim.trace,
-            detection_bound=latency_bounds(self.config).notification,
-            metrics=self.sim.metrics,
+        """Attach the backend's online invariant monitors
+        (:meth:`MembershipNode.monitors`) to this run and return them, in
+        attachment order."""
+        return self.node_cls.monitors(
+            self.sim.trace, self.config, self.sim.metrics
         )
 
     # -- network-wide assertions -----------------------------------------------------------

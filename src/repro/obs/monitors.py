@@ -11,11 +11,14 @@ usually the whole diagnosis.
 Monitors watch these record categories (emitted by the instrumented
 protocol layers):
 
-* ``fda.nty`` — failure-sign delivered upward at a node (``node`` is the
-  receiver, ``data["failed"]`` the failed identifier).
+* ``fda.nty`` / ``swim.confirm`` — a node learnt that ``data["failed"]``
+  failed (CANELy's failure-sign delivered upward, SWIM's confirmation).
 * ``fda.reset`` — FDA counters retired for one failed identifier.
-* ``msh.view`` — a node installed a membership view.
+* ``msh.view`` / ``msh.change`` — a node installed a view / was notified.
 * ``node.crash`` / ``node.recover`` — fault scripting events.
+
+Each backend picks the monitors that judge it
+(:meth:`repro.core.stack.MembershipNode.monitors`).
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ class DuplicateFailureSignMonitor(InvariantMonitor):
     upward delivery per failed node until the membership layer retires the
     counters (``fda.reset``) or the receiver reboots. A second ``fda.nty``
     in between means the dedup state was lost or corrupted.
+
+    CANELy-only: it reads ``fda.*`` rows, which no other backend emits.
     """
 
     name = "no-duplicate-failure-sign"
@@ -151,6 +156,10 @@ class ViewAgreementMonitor(InvariantMonitor):
     view, and compares the two logs position by position. The pair is
     retired whenever either node installs a view excluding the other (or
     reboots), so a later reintegration re-anchors cleanly.
+
+    CANELy-only: virtual synchrony is stronger than SWIM's eventual
+    convergence; correct SWIM trips it on 3/60 depth-1 schedules on one
+    bus and on 60/60 on two segments.
     """
 
     name = "view-agreement"
@@ -221,10 +230,10 @@ class ViewAgreementMonitor(InvariantMonitor):
 class PhantomRemovalMonitor(InvariantMonitor):
     """No correct node is ever notified as *failed*.
 
-    The failure-notification path (FDA failure-sign -> ``msh.change`` with a
-    non-empty ``failed`` set) must only ever name nodes that actually
-    crashed: a failure notification for a live node means a surveillance
-    timer fired early, a failure-sign was forged or corrupted, or the FDA
+    The failure-notification path (failure-sign or confirmation ->
+    ``msh.change`` with a non-empty ``failed`` set) must only ever name
+    nodes that actually crashed: a failure notification for a live node
+    means a surveillance timer fired early, a failure-sign was forged or corrupted, or the FDA
     dedup state leaked across identifiers — the membership *validity*
     property of the paper's Fig. 9.
 
@@ -261,23 +270,28 @@ class PhantomRemovalMonitor(InvariantMonitor):
 
 
 class DetectionLatencyMonitor(InvariantMonitor):
-    """A member crash is signalled within the analytical latency bound.
+    """A member crash is signalled within the backend's latency bound.
 
-    ``bound`` is the worst-case crash-to-failure-sign-delivery latency:
-    ``Thb + Ttd`` silence detection (MCAN4) plus the FDA dissemination
-    slack. Every observed latency also lands in the
-    ``fd.detection_latency_ticks`` histogram of ``metrics``, making the
-    detector's timing behavior a queryable signal.
+    ``row`` is the ``(node, failed)`` detection row: CANELy's ``fda.nty``
+    (the default), whose ``bound`` is the worst-case crash-to-failure-sign
+    latency — ``Thb + Ttd`` silence detection (MCAN4) plus the FDA
+    dissemination slack — or SWIM's ``swim.confirm``. Every observed
+    latency also lands in the ``fd.detection_latency_ticks`` histogram of
+    ``metrics``, making the detector's timing behavior a queryable signal.
     """
 
     name = "detection-latency"
 
     def __init__(
-        self, bound: int, metrics: Optional[MetricsRegistry] = None
+        self,
+        bound: int,
+        metrics: Optional[MetricsRegistry] = None,
+        row: str = "fda.nty",
     ) -> None:
         super().__init__()
         self.bound = bound
         self._metrics = metrics
+        self._row = row
         self._crash_times: Dict[int, int] = {}
         self._members_ever: Set[int] = set()
 
@@ -289,7 +303,7 @@ class DetectionLatencyMonitor(InvariantMonitor):
             self._crash_times.setdefault(record.node, record.time)
         elif record.category == "node.recover":
             self._crash_times.pop(record.node, None)
-        elif record.category == "fda.nty":
+        elif record.category == self._row:
             failed = record.data["failed"]
             crashed_at = self._crash_times.get(failed)
             if crashed_at is None or failed not in self._members_ever:
@@ -314,11 +328,11 @@ def standard_monitors(
     detection_bound: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[InvariantMonitor]:
-    """Attach the standard monitor set to ``trace`` and return it.
+    """Attach CANELy's monitor set to ``trace`` and return it.
 
     ``detection_bound`` enables the latency monitor; without it only the
     structural invariants (duplicate failure-signs, view agreement, no
-    phantom removals) run.
+    phantom removals) run. ``CanelyNode.monitors`` returns this set.
     """
     monitors: List[InvariantMonitor] = [
         DuplicateFailureSignMonitor().attach(trace),

@@ -23,6 +23,7 @@ class SwimNode(MembershipNode):
     """One SWIM node: the shell plus the SWIM protocol."""
 
     name = "swim"
+    detection_row = "swim.confirm"
 
     @classmethod
     def default_config(cls) -> SwimConfig:

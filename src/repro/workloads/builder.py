@@ -103,9 +103,9 @@ def expected_survivors(
 
     ``events`` fold over ``initial`` in instant order (ties as given): a
     join adds its node, a crash or leave removes it. ``doomed`` nodes are
-    out by the end whatever the fold says: the targets of a sender-crash
-    omission (it fires at no scripted instant) and, after a run, every
-    node found down.
+    out by the end whatever the fold says: after a run, every node found
+    down (a sender-crash omission crashes its sender at no scripted
+    instant); predicting from a schedule, its sender-crash targets.
     """
     members = set(initial)
     for _instant, action, node in sorted(events, key=lambda event: event[0]):
@@ -187,12 +187,11 @@ class ScenarioBuilder:
         self._last_action_at = network.sim.now
         #: Ground truth, recorded as it is scripted: the full members at
         #: the observation-window ``start`` (both reset by
-        #: :meth:`bootstrap`), every scheduled crash/leave/join in call
-        #: order, and the nodes a sender-crash omission is armed against.
+        #: :meth:`bootstrap`) and every scheduled crash/leave/join in call
+        #: order.
         self.members: List[int] = sorted(network.member_views())
         self.start: int = network.sim.now
         self.intent: List[MembershipEvent] = []
-        self._doomed: Set[int] = set()
 
     @property
     def network(self):
@@ -289,12 +288,10 @@ class ScenarioBuilder:
         ``accepting`` subset of nodes accept the frame while everyone else
         (sender included) sees an error — the paper's last-two-bits
         scenario; combined with ``crash_sender=True`` the sender dies
-        before the automatic retransmission (a :class:`FrameMatch` naming
-        a node then enters the expected-survivor fold as a crash of that
-        node; any other victim is found down at the end). ``segment``
-        picks the bus — segment or replicated channel — whose injector is
-        armed (default: the first, the one a single-bus network's scripted
-        faults drive).
+        before the automatic retransmission, if the fault ever fires (the
+        final state then finds it down). ``segment`` picks the bus —
+        segment or replicated channel — whose injector is armed (default:
+        the first, the one a single-bus network's scripted faults drive).
         """
         if (frame is None) == (tx_index is None):
             raise ScenarioError("omit() needs exactly one of frame/tx_index")
@@ -309,12 +306,6 @@ class ScenarioBuilder:
                 "omissions"
             )
         injector = self._segment_bus(segment).injector
-        if (
-            crash_sender
-            and isinstance(frame, FrameMatch)
-            and frame.node is not None
-        ):
-            self._doomed.add(frame.node)
         if tx_index is not None:
             injector.fault_on_transmission(
                 tx_index, kind, accepting=accepting, crash_sender=crash_sender
@@ -449,8 +440,6 @@ class ScenarioBuilder:
             agree=agree,
             members=sorted(net.agreed_view()) if agree else [],
             expected=sorted(
-                expected_survivors(
-                    self.members, self.intent, self._doomed | down
-                )
+                expected_survivors(self.members, self.intent, down)
             ),
         )

@@ -234,7 +234,7 @@ class ScenarioReport:
 def run_scenario(spec: ScenarioSpec, monitors: bool = False) -> ScenarioReport:
     """Execute a scenario and collect its report.
 
-    With ``monitors=True`` the standard online invariant monitors (see
+    With ``monitors=True`` the backend's online invariant monitors (see
     :mod:`repro.obs.monitors`) run during the scenario and raise
     :class:`~repro.obs.monitors.InvariantViolation` the moment a protocol
     property breaks, instead of the report merely noting disagreement.

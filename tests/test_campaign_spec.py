@@ -58,11 +58,9 @@ def test_spec_roundtrips_through_dict():
         {"scenarios": 1, "consistent_probability": 0.8, "inconsistent_probability": 0.5},
         {"scenarios": 1, "inconsistent_probability": -0.1},
         {"scenarios": 1, "run_ms": 0},
-        {"scenarios": 1, "backend": "raft", "monitors": False},
+        {"scenarios": 1, "backend": "raft"},
         {"scenarios": 1, "segments": 0},
         {"scenarios": 1, "segments": 7},  # > node_min
-        # the online monitors encode CANELy's guarantees
-        {"scenarios": 1, "backend": "swim"},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
@@ -71,9 +69,7 @@ def test_invalid_specs_rejected(kwargs):
 
 
 def test_backend_and_segments_roundtrip_through_dict():
-    spec = CampaignSpec(
-        scenarios=2, backend="swim", segments=2, monitors=False
-    )
+    spec = CampaignSpec(scenarios=2, backend="swim", segments=2)
     assert spec.backend == "swim"
     assert spec.segments == 2
     assert CampaignSpec.from_dict(spec.to_dict()) == spec

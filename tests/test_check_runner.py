@@ -315,11 +315,6 @@ def test_summary_missing_fingerprint_rejected():
 
 
 def test_run_schedule_on_the_swim_backend_across_segments():
-    result = run_schedule(CRASH, monitors=False, backend="swim", segments=2)
+    result = run_schedule(CRASH, backend="swim", segments=2)
     assert result.ok
     assert result.final_members == [0, 1, 3]
-
-
-def test_run_schedule_monitors_require_the_canely_backend():
-    with pytest.raises(CheckError):
-        run_schedule(CRASH, backend="swim")

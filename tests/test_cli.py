@@ -480,11 +480,11 @@ SWIM_SCENARIO = """{"nodes": 5, "backend": "swim",
 
 
 @pytest.mark.parametrize("command", ["trace", "metrics"])
-def test_observed_commands_run_a_swim_scenario_without_monitors(
+def test_observed_commands_run_a_swim_scenario_under_its_monitors(
     capsys, tmp_path, command
 ):
-    """The monitors attach where the backend has them (the rule ``repro
-    campaign`` applies); a SWIM scenario once died in ConfigurationError."""
+    """A scenario runs under its backend's own monitors, as ``repro
+    campaign`` does; a SWIM scenario once died in ConfigurationError."""
     scenario = tmp_path / "swim.json"
     scenario.write_text(SWIM_SCENARIO)
     assert main([command, "--scenario", str(scenario)]) == 0

@@ -141,6 +141,16 @@ def test_latency_beyond_bound_fails():
     assert excinfo.value.monitor == "detection-latency"
 
 
+def test_latency_reads_only_its_detection_row():
+    trace = TraceRecorder()
+    DetectionLatencyMonitor(bound=100, row="swim.confirm").attach(trace)
+    _member_view(trace, 0, [0, 1])
+    trace.record(50, "node.crash", node=1)
+    trace.record(500, "fda.nty", node=0, failed=1)  # not this backend's row
+    with pytest.raises(InvariantViolation):
+        trace.record(500, "swim.confirm", node=0, failed=1)
+
+
 def test_non_member_failure_sign_ignored():
     trace = TraceRecorder()
     DetectionLatencyMonitor(bound=100).attach(trace)

@@ -177,8 +177,10 @@ def test_a_scripted_crash_that_never_fired_is_a_violation():
     net.run_for(ms(100))  # ends before the crash; no DATA frame ever flows
     final = scenario.final_state()
     assert final.agree and final.members == [0, 1, 2, 3]
-    assert final.expected == [0, 3]
-    assert not final.ok and "expected survivors [0, 3]" in final.detail
+    # Node 2's scripted crash stays in the fold; node 1's sender-crash
+    # fault never fired, so node 1 is still expected.
+    assert final.expected == [0, 1, 3]
+    assert not final.ok and "expected survivors [0, 1, 3]" in final.detail
 
 
 def test_final_state_reports_disagreement():

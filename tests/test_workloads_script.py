@@ -198,8 +198,8 @@ def test_backend_and_segments_validation():
         ScenarioSpec.from_dict({"nodes": 4, "channels": 2, "segments": 2})
 
 
-def test_monitors_reject_non_canely_backends():
+def test_monitors_judge_a_swim_scenario():
     raw = dict(BASIC)
     raw["backend"] = "swim"
-    with pytest.raises(ConfigurationError):
-        run_scenario(ScenarioSpec.from_dict(raw), monitors=True)
+    report = run_scenario(ScenarioSpec.from_dict(raw), monitors=True)
+    assert report.views_agree
