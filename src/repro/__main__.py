@@ -547,6 +547,16 @@ def _cmd_check(args) -> int:
                 failed += 1
         return 1 if failed else 0
 
+    if args.coverage:
+        # Coverage exploration keeps no checkpoint and draws no samples.
+        for flag, value in (
+            ("--checkpoint", args.checkpoint),
+            ("--resume", args.resume),
+            ("--samples", args.samples),
+        ):
+            if value:
+                raise CheckError(f"--coverage does not take {flag}")
+
     from repro.campaign import FingerprintStore, default_workers
     from repro.check import explore_coverage
 

@@ -214,11 +214,9 @@ class CanBus:
         self._current: Optional[_Transmission] = None
         self._tx_index = 0
         self.stats = BusStats()
-        #: The recorder, aliased once — completion guards every record call
-        #: on ``wants(...)`` so disabled traces skip payload construction.
         self._trace = sim.trace
-        #: The causal span tracer, aliased once for the same reason; every
-        #: span site below guards on ``self._spans.enabled``.
+        #: The causal span tracer, aliased once; every span site below
+        #: guards on ``self._spans.enabled``.
         self._spans = sim.spans
         # Bound metric methods resolved once: the completion path runs per
         # frame, and ``registry.counter(...)`` plus attribute dispatch per
@@ -495,18 +493,17 @@ class CanBus:
         self.stats.charge(type_name, frame_bits + overhead_bits)
         self._m_busy_bits_inc(frame_bits + overhead_bits)
         self._m_utilization_set(self.utilization())
-        if self._trace.wants("bus.tx"):
-            self._trace.record(
-                self._sim.now,
-                "bus.tx",
-                node=sender_ids[0] if sender_ids else -1,
-                mid=tx.frame.mid,
-                remote=tx.frame.remote,
-                senders=tuple(sender_ids),
-                bits=frame_bits + overhead_bits,
-                kind=verdict.kind.value,
-                attempt=tx.requests[0].attempts,
-            )
+        self._trace.record(
+            self._sim.now,
+            "bus.tx",
+            node=sender_ids[0] if sender_ids else -1,
+            mid=tx.frame.mid,
+            remote=tx.frame.remote,
+            senders=tuple(sender_ids),
+            bits=frame_bits + overhead_bits,
+            kind=verdict.kind.value,
+            attempt=tx.requests[0].attempts,
+        )
 
         # Bus stays busy through the interframe space / error frame.
         self._sim.schedule(
@@ -542,7 +539,7 @@ class CanBus:
                 # Set at the end: a receiver taken down mid-delivery is out
                 # of the span as it is out of the ``bus.deliver`` row.
                 spans.end(rx_span, receivers=receivers)
-        if receivers and self._trace.wants("bus.deliver"):
+        if receivers:
             payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
             payload.update(inconsistent)
             self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)

@@ -179,14 +179,13 @@ class CanGateway:
                 by_port = self.stats.dropped_by_port
                 by_port[target.index] = by_port.get(target.index, 0) + 1
                 self._inc_dropped()
-                if self._sim.trace.wants("gw.drop"):
-                    self._sim.trace.record(
-                        self._sim.now,
-                        "gw.drop",
-                        gateway=self.name,
-                        port=target.index,
-                        identifier=frame.identifier,
-                    )
+                self._sim.trace.record(
+                    self._sim.now,
+                    "gw.drop",
+                    gateway=self.name,
+                    port=target.index,
+                    identifier=frame.identifier,
+                )
                 continue
             target.scheduled += 1
             if self.latency:
@@ -213,11 +212,10 @@ class CanGateway:
         by_port = self.stats.forwarded_by_port
         by_port[target.index] = by_port.get(target.index, 0) + 1
         self._inc_forwarded()
-        if self._sim.trace.wants("gw.forward"):
-            self._sim.trace.record(
-                self._sim.now,
-                "gw.forward",
-                gateway=self.name,
-                port=target.index,
-                identifier=frame.identifier,
-            )
+        self._sim.trace.record(
+            self._sim.now,
+            "gw.forward",
+            gateway=self.name,
+            port=target.index,
+            identifier=frame.identifier,
+        )

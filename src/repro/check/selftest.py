@@ -70,13 +70,12 @@ def _plant_fda_duplicate_delivery() -> Iterator[None]:
         sim = self._sim
         if sim is not None:
             self._inc_delivered()
-            if sim.trace.wants("fda.nty"):
-                sim.trace.record(
-                    sim.now,
-                    "fda.nty",
-                    node=self._layer.node_id,
-                    failed=mid.node,
-                )
+            sim.trace.record(
+                sim.now,
+                "fda.nty",
+                node=self._layer.node_id,
+                failed=mid.node,
+            )
         for listener in list(self._listeners):
             listener(mid.node)
         self._fs_nreq[mid] = self._fs_nreq.get(mid, 0) + 1  # r04

@@ -152,13 +152,12 @@ class FailureDetector:
         else:
             # f10: a remote node stayed silent beyond Thb + Ttd — it failed.
             self._inc_detections()
-            if self._sim.trace.wants("fd.detect"):
-                self._sim.trace.record(
-                    self._sim.now,
-                    "fd.detect",
-                    node=self._layer.node_id,
-                    failed=node_id,
-                )
+            self._sim.trace.record(
+                self._sim.now,
+                "fd.detect",
+                node=self._layer.node_id,
+                failed=node_id,
+            )
             detect_span = None
             if self._spans.enabled:
                 detect_span = self._spans.instant(

@@ -118,13 +118,12 @@ class FdaProtocol:
         sim = self._sim
         if sim is not None:
             self._inc_delivered()
-            if sim.trace.wants("fda.nty"):
-                sim.trace.record(
-                    sim.now,
-                    "fda.nty",
-                    node=self._layer.node_id,
-                    failed=mid.node,
-                )
+            sim.trace.record(
+                sim.now,
+                "fda.nty",
+                node=self._layer.node_id,
+                failed=mid.node,
+            )
         nty_span = None
         if self._spans.enabled:
             # Everything downstream — the fd/membership notification chain

@@ -273,14 +273,13 @@ class MembershipProtocol:
         if self._last_view_time is not None:
             self._observe_cycle_ticks(self._sim.now - self._last_view_time)
         self._last_view_time = self._sim.now
-        if self._sim.trace.wants("msh.view"):
-            self._sim.trace.record(
-                self._sim.now,
-                "msh.view",
-                node=self._layer.node_id,
-                members=state.view,
-                round_index=self._round_index,
-            )
+        self._sim.trace.record(
+            self._sim.now,
+            "msh.view",
+            node=self._layer.node_id,
+            members=state.view,
+            round_index=self._round_index,
+        )
         if self._spans.enabled:
             self._spans.instant(
                 "msh.view",

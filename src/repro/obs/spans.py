@@ -18,8 +18,8 @@ a deadline, ``watchers`` = who it was armed for. Per-node spans are the
 rare ones, so a frame costs a handful of spans whatever the population.
 
 Tracing is **off by default** and costs one attribute load and branch per
-site when off (every site guards on :attr:`SpanTracer.enabled`, as with
-``trace.wants(...)``); ``docs/observability.md`` states the cost when on.
+site when off (every site guards on :attr:`SpanTracer.enabled`);
+``docs/observability.md`` states the cost when on.
 Enable it per run::
 
     net = CanelyNetwork(node_count=8, spans=True)   # or:

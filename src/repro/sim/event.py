@@ -77,11 +77,16 @@ class Event:
 
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """A binary-heap priority queue of :class:`Event` objects.
+
+    The queue only files events; :meth:`Simulator._drain
+    <repro.sim.kernel.Simulator._drain>` is the one loop that takes them
+    off, skipping cancelled entries and re-filing stale ones.
+    """
 
     def __init__(self) -> None:
-        #: ``(time, priority, seq, event)`` tuples; the kernel's run loop
-        #: relies on this layout to pop/fire without indirection.
+        #: ``(time, priority, seq, event)`` tuples; the kernel's drain loop
+        #: pops and fires straight off this layout.
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0
@@ -89,9 +94,6 @@ class EventQueue:
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) pending events."""
         return len(self._heap) - self._cancelled
-
-    def __bool__(self) -> bool:
-        return len(self._heap) > self._cancelled
 
     def push(
         self,
@@ -141,60 +143,3 @@ class EventQueue:
             ]
             heapq.heapify(heap)
             self._cancelled = 0
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or ``None`` if empty.
-
-        Cancelled events are discarded and stale (rescheduled) entries are
-        re-filed at their new position, both transparently.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if event.seq != entry[2]:
-                # Stale entry: the event was rescheduled later; re-file it.
-                heapq.heappush(
-                    heap, (event.time, event.priority, event.seq, event)
-                )
-                continue
-            # A late cancel() on a fired event must not skew the count.
-            event._queue = None
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the firing time of the earliest live event, if any."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            if event.seq != entry[2]:
-                heapq.heappop(heap)
-                heapq.heappush(
-                    heap, (event.time, event.priority, event.seq, event)
-                )
-                continue
-            return entry[0]
-        return None
-
-    def clear(self) -> None:
-        """Drop every pending event.
-
-        Dropped events read as cancelled afterwards — they will never fire
-        — and are detached, so a late ``cancel()`` on a handle that was
-        pending at clear time neither raises nor skews the live count.
-        """
-        for entry in self._heap:
-            event = entry[3]
-            event.cancelled = True
-            event._queue = None
-        self._heap.clear()
-        self._cancelled = 0

@@ -204,10 +204,11 @@ class Simulator:
         given — and return the count. The caller owns the reentrancy guard
         and, for bounded runs, the final clock adjustment.
 
-        :meth:`EventQueue.pop` inlined over the tuple heap: the head is
-        normalised first (dead entries leave, stale ones re-file at their
+        The queue's one consumer, reading its tuple heap directly: the head
+        is normalised first (dead entries leave, stale ones re-file at their
         rescheduled position), so its time can be compared with ``bound``
-        before anything is taken off.
+        before anything is taken off. A fired event is detached from the
+        queue, so a late ``cancel()`` on it does not skew the live count.
         """
         queue = self._queue
         heap = queue._heap

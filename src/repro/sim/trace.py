@@ -14,10 +14,9 @@ are built lazily on the first query and extended incrementally, so
 :meth:`TraceRecorder.select` costs O(matches) instead of a scan over the
 whole trace, and a run that never queries its trace pays nothing for them.
 
-Long campaigns that only need live monitoring can cap memory with
-``TraceRecorder(capacity=...)``: the same store becomes a ring buffer that
-evicts the oldest records (index entries included) while sinks still
-observe every record as it happens. Finished traces stream to disk with
+The recorder keeps every row: the monitors, the trace fingerprint
+(:func:`repro.check.trace_fingerprint`) and the QoS analysis all judge a
+run from the whole trace. Finished traces stream to disk with
 :meth:`TraceRecorder.export_jsonl` or live through a :class:`JsonlSink`.
 """
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import heapq
 import json
 from array import array
-from bisect import bisect_left
 from itertools import islice
 from typing import (
     Any,
@@ -44,11 +42,6 @@ from typing import (
 from repro.util.sets import NodeSet
 
 TraceSink = Callable[["TraceRecord"], None]
-
-#: Trim the evicted rows off the front of the columns once this much dead
-#: space accumulates in ring mode (and the dead space dominates), keeping
-#: eviction amortized O(1).
-_COMPACT_THRESHOLD = 1024
 
 #: A row's text around its values, per key order (``%%d``: node, time).
 _ROW = '{"time": %%d, "category": %s, "node": %%d, "data": {%s}}'
@@ -208,11 +201,9 @@ class RowEncoder:
 class JsonlSink:
     """A streaming sink writing each record as one JSON line.
 
-    Register with :meth:`TraceRecorder.add_sink`; pairs with ring-buffer
-    mode for long campaigns: the in-memory trace stays bounded while the
-    full history lands on disk. Each line is written as its record arrives
-    (:class:`RowEncoder`, record key order); a path is opened as UTF-8 with
-    ``\\n`` line ends, whatever the platform.
+    Register with :meth:`TraceRecorder.add_sink`. Each line is written as
+    its record arrives (:class:`RowEncoder`, record key order); a path is
+    opened as UTF-8 with ``\\n`` line ends, whatever the platform.
     """
 
     def __init__(self, target: Union[str, IO[str]]) -> None:
@@ -242,38 +233,30 @@ class JsonlSink:
 
 
 class _LazyIndex:
-    """Column value -> ``array`` of live sequence numbers, built on demand.
+    """Column value -> ``array`` of row numbers, built on demand.
 
-    Complete for sequence numbers ``< indexed_to``. A query brings it up
-    to date with :meth:`refresh`, which also purges what the ring evicted
-    since the last one; an index no query asks for costs nothing.
+    Complete for rows ``< indexed_to``. A query brings it up to date with
+    :meth:`refresh`; an index no query asks for costs nothing.
     """
 
-    __slots__ = ("column", "buckets", "indexed_to", "floor")
+    __slots__ = ("column", "buckets", "indexed_to")
 
     def __init__(self, column: "array") -> None:
         self.column = column
         self.buckets: Dict[int, "array"] = {}
         self.indexed_to = 0
-        self.floor = 0
 
-    def refresh(self, first: int, offset: int) -> Dict[int, "array"]:
-        """Index the live rows ``column[offset:]``, whose first sequence
-        number is ``first``; returns the buckets."""
+    def refresh(self) -> Dict[int, "array"]:
+        """Index the rows recorded since the last refresh; returns the
+        buckets."""
         buckets = self.buckets
-        if self.floor != first:
-            # Dead sequence numbers sit at the front of each sorted bucket.
-            for bucket in buckets.values():
-                del bucket[: bisect_left(bucket, first)]
-            self.floor = first
-        # Records evicted before any query saw them are never indexed.
-        start = max(self.indexed_to, first)
-        fresh = self.column[start - first + offset :]
-        for seq, key in enumerate(fresh, start):
+        start = self.indexed_to
+        fresh = self.column[start:]
+        for row, key in enumerate(fresh, start):
             bucket = buckets.get(key)
             if bucket is None:
                 bucket = buckets[key] = array("q")
-            bucket.append(seq)
+            bucket.append(row)
         self.indexed_to = start + len(fresh)
         return buckets
 
@@ -283,53 +266,34 @@ class TraceRecorder:
 
     Recording is four C-level appends plus one dict lookup — no
     :class:`TraceRecord` allocation; records materialize only when
-    observed. Every record carries an absolute, ever-increasing sequence
-    number (never stored: it follows from the row), so the lazily built
-    category/node indexes stay valid across ring-buffer evictions and
-    column compactions.
+    observed. Every record is kept; its row number is its sequence number.
     """
 
-    def __init__(
-        self, enabled: bool = True, capacity: Optional[int] = None
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        self.enabled = enabled
-        self._capacity = capacity
-        self._disabled: set = set()
+    def __init__(self) -> None:
         self._sinks: List[TraceSink] = []
         self._max_time = 0
         self._times = array("q")
         self._cats = array("i")
         self._nodes = array("i")
         self._payloads: List[Dict[str, Any]] = []
-        self._columns = (self._times, self._cats, self._nodes, self._payloads)
         #: Category interning: name -> small int and back.
         self._cat_of: Dict[str, int] = {}
         self._cat_names: List[str] = []
         # Bound appends: record_row() below runs once per trace record.
-        # The columns are only ever trimmed in place, so the bindings stay
-        # valid.
         self._t_append = self._times.append
         self._c_append = self._cats.append
         self._n_append = self._nodes.append
         self._p_append = self._payloads.append
-        # Live records are the column rows ``[_offset:]``; the ring evicts
-        # by advancing ``_first_seq`` (the oldest live sequence number,
-        # which is also the eviction count) together with ``_offset``.
-        # Sequence number -> row is ``seq - _first_seq + _offset``.
-        self._offset = 0
-        self._first_seq = 0
         self._by_cat = _LazyIndex(self._cats)
         self._by_node = _LazyIndex(self._nodes)
 
     # -- container protocol -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._times) - self._offset
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for row in range(self._offset, len(self._times)):
+        for row in range(len(self._times)):
             yield self._materialize(row)
 
     def _materialize(self, row: int) -> TraceRecord:
@@ -342,11 +306,6 @@ class TraceRecorder:
         entry.node = self._nodes[row]
         entry.data = self._payloads[row]
         return entry
-
-    @property
-    def evicted(self) -> int:
-        """Records dropped so far by the ring buffer."""
-        return self._first_seq
 
     @property
     def last_time(self) -> int:
@@ -367,19 +326,6 @@ class TraceRecorder:
         except ValueError:
             pass
 
-    def wants(self, category: str) -> bool:
-        """Cheap pre-check: would a record of ``category`` be retained?
-
-        Hot paths guard their ``record(...)`` calls with this so a disabled
-        recorder (or a disabled category) skips building the payload dict
-        entirely — the kwargs dict is the dominant cost of a dropped record.
-        """
-        return self.enabled and category not in self._disabled
-
-    def disable_categories(self, *categories: str) -> None:
-        """Drop future records of the given exact categories."""
-        self._disabled.update(categories)
-
     def record(
         self,
         time: int,
@@ -387,7 +333,7 @@ class TraceRecorder:
         node: int = -1,
         **data: Any,
     ) -> None:
-        """Append a record (no-op while the recorder or category is off)."""
+        """Append a record."""
         self.record_row(time, category, node, data)
 
     def record_row(
@@ -400,8 +346,6 @@ class TraceRecorder:
         repack. Recorded payloads are treated as immutable, exactly as
         :meth:`record`'s kwargs dicts already are.
         """
-        if not self.enabled or category in self._disabled:
-            return
         cat_id = self._cat_of.get(category)
         if cat_id is None:
             cat_id = self._cat_of[category] = len(self._cat_names)
@@ -412,11 +356,6 @@ class TraceRecorder:
         self._p_append(data)
         if time > self._max_time:
             self._max_time = time
-        if (
-            self._capacity is not None
-            and len(self._times) - self._offset > self._capacity
-        ):
-            self._evict_oldest()
         if self._sinks:
             # Sinks observe real records: materialize once for all of them.
             entry = TraceRecord.__new__(TraceRecord)
@@ -427,48 +366,34 @@ class TraceRecorder:
             for sink in self._sinks:
                 sink(entry)
 
-    def _evict_oldest(self) -> None:
-        self._offset += 1
-        self._first_seq += 1
-        if (
-            self._offset > _COMPACT_THRESHOLD
-            and self._offset * 2 > len(self._times)
-        ):
-            for column in self._columns:
-                del column[: self._offset]
-            self._offset = 0
-
     # -- queries -----------------------------------------------------------------
 
-    def _seqs(self, index: _LazyIndex) -> Dict[int, "array"]:
-        return index.refresh(self._first_seq, self._offset)
-
-    def _candidate_seqs(
+    def _candidate_rows(
         self, category: Optional[str], node: Optional[int]
     ) -> Iterator[int]:
-        """Sequence numbers to inspect, narrowed by the cheapest index."""
+        """Rows to inspect, narrowed by the cheapest index."""
         if category is None and node is None:
-            return iter(range(self._first_seq, self._first_seq + len(self)))
+            return iter(range(len(self)))
         if category is not None and not category.endswith("."):
             cid = self._cat_of.get(category)
-            exact = self._seqs(self._by_cat).get(cid)
+            exact = self._by_cat.refresh().get(cid)
             if exact is None:
                 return iter(())
             if node is not None:
-                by_node = self._seqs(self._by_node).get(node, ())
+                by_node = self._by_node.refresh().get(node, ())
                 return iter(min(exact, by_node, key=len))
             return iter(exact)
         if category is not None:
             # Prefix query: merge the per-category runs back into insertion
             # order. Distinct categories are few, so this stays O(matches).
-            by_cat = self._seqs(self._by_cat)
+            by_cat = self._by_cat.refresh()
             runs = [
                 by_cat[cid]
                 for name, cid in self._cat_of.items()
                 if name.startswith(category) and cid in by_cat
             ]
             return iter(runs[0]) if len(runs) == 1 else heapq.merge(*runs)
-        return iter(self._seqs(self._by_node).get(node, ()))
+        return iter(self._by_node.refresh().get(node, ()))
 
     def select(
         self,
@@ -494,14 +419,12 @@ class TraceRecorder:
             want_cid = self._cat_of.get(category)
             if want_cid is None:
                 return []
-        shift = self._offset - self._first_seq
         times = self._times
         cats = self._cats
         nodes = self._nodes
         names = self._cat_names
         result = []
-        for seq in self._candidate_seqs(category, node):
-            row = seq + shift
+        for row in self._candidate_rows(category, node):
             if want_cid is not None and cats[row] != want_cid:
                 continue
             if prefix and not names[cats[row]].startswith(category):
@@ -519,34 +442,29 @@ class TraceRecorder:
             result.append(record)
         return result
 
-    def _count_id(self, cid: int) -> int:
-        # C-speed column scan, no index required; the evicted rows still
-        # awaiting compaction are counted back out.
-        cats = self._cats
-        return cats.count(cid) - cats[: self._offset].count(cid)
-
     def count(self, category: str) -> int:
         """Number of records with the given category.
 
         A trailing ``"."`` counts the whole prefix, summing over the
-        distinct matching categories.
+        distinct matching categories. A C-speed column scan: no index is
+        built.
         """
         if category.endswith("."):
             return sum(
-                self._count_id(cid)
+                self._cats.count(cid)
                 for name, cid in self._cat_of.items()
                 if name.startswith(category)
             )
         cid = self._cat_of.get(category)
-        return 0 if cid is None else self._count_id(cid)
+        return 0 if cid is None else self._cats.count(cid)
 
     def categories(self) -> Dict[str, int]:
         """Record count per category, sorted by category name."""
-        counts = {
-            name: self._count_id(cid)
+        # A category is interned with its first row, so every count is >= 1.
+        return {
+            name: self._cats.count(cid)
             for name, cid in sorted(self._cat_of.items())
         }
-        return {name: count for name, count in counts.items() if count}
 
     def window(self, start: int, end: int) -> List[TraceRecord]:
         """All records with ``start <= time <= end``, in insertion order.
@@ -565,27 +483,26 @@ class TraceRecorder:
         dicts, all in insertion order, gathered straight off the backing
         columns without materializing a single :class:`TraceRecord`.
         """
-        seqs = self._seqs(self._by_cat).get(self._cat_of.get(category))
-        if not seqs:
+        rows = self._by_cat.refresh().get(self._cat_of.get(category))
+        if not rows:
             return array("q"), array("i"), []
-        shift = self._offset - self._first_seq
         times = self._times
         nodes = self._nodes
         payloads = self._payloads
         return (
-            array("q", (times[seq + shift] for seq in seqs)),
-            array("i", (nodes[seq + shift] for seq in seqs)),
-            [payloads[seq + shift] for seq in seqs],
+            array("q", (times[row] for row in rows)),
+            array("i", (nodes[row] for row in rows)),
+            [payloads[row] for row in rows],
         )
 
     # -- export ------------------------------------------------------------------
 
     def encode_rows(self, sort_keys: bool = False) -> Iterator[List[str]]:
-        """The retained records' JSON texts (:class:`RowEncoder`), read off
-        the columns in lists of at most 64 rows."""
+        """The records' JSON texts (:class:`RowEncoder`), read off the
+        columns in lists of at most 64 rows."""
         encode = RowEncoder(sort_keys).encode
         names = self._cat_names
-        rows = zip(*(islice(column, self._offset, None) for column in self._columns))
+        rows = zip(self._times, self._cats, self._nodes, self._payloads)
         while True:
             chunk = [encode(t, names[c], n, d) for t, c, n, d in islice(rows, 64)]
             if not chunk:
@@ -593,22 +510,8 @@ class TraceRecorder:
             yield chunk
 
     def export_jsonl(self, target: Union[str, IO[str]]) -> int:
-        """Write the retained records as JSON lines; returns the count."""
+        """Write the records as JSON lines; returns the count."""
         with JsonlSink(target) as sink:
             for rows in self.encode_rows():
                 sink._handle.write("\n".join(rows) + "\n")
         return len(self)
-
-    def clear(self) -> None:
-        """Drop all records and indexes (sinks and interning stay).
-
-        Clearing is not eviction: :attr:`evicted` is untouched, and the
-        cleared sequence numbers are handed out again.
-        """
-        for column in self._columns:
-            del column[:]
-        self._offset = 0
-        for index in (self._by_cat, self._by_node):
-            index.buckets.clear()
-            index.indexed_to = self._first_seq
-        self._max_time = 0

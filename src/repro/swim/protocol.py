@@ -202,7 +202,6 @@ class SwimProtocol:
         self._listeners: Tuple[ChangeCallback, ...] = ()
         self._no_failure = NodeSet.empty(config.capacity)
         self._trace_record = sim.trace.record
-        self._trace_wants = sim.trace.wants
         self._spans = sim.spans
         metrics = sim.metrics
         self._inc_heartbeats = metrics.counter("swim.heartbeats").inc
@@ -421,11 +420,10 @@ class SwimProtocol:
             self._incarnation = max(self._incarnation, incarnation) + 1
             self.refutes += 1
             self._inc_refutes()
-            if self._trace_wants("swim.refute"):
-                self._trace_record(
-                    self._sim.now, "swim.refute", node=self._local,
-                    incarnation=self._incarnation,
-                )
+            self._trace_record(
+                self._sim.now, "swim.refute", node=self._local,
+                incarnation=self._incarnation,
+            )
             self._broadcast(REFUTE, self._local, self._incarnation)
             return
         member = self._members.get(subject)
@@ -479,8 +477,7 @@ class SwimProtocol:
 
     def _note(self, name: str, **attrs: int) -> None:
         """A protocol step of this node, as a trace row and a span instant."""
-        if self._trace_wants(name):
-            self._trace_record(self._sim.now, name, node=self._local, **attrs)
+        self._trace_record(self._sim.now, name, node=self._local, **attrs)
         if self._spans.enabled:
             self._spans.instant(name, "swim", node=self._local, **attrs)
 
@@ -495,11 +492,10 @@ class SwimProtocol:
         now = self._sim.now
         view = self._view
         spans = self._spans
-        if self._trace_wants("msh.view"):
-            self._trace_record(
-                now, "msh.view", node=self._local, members=view,
-                round_index=self._round_index,
-            )
+        self._trace_record(
+            now, "msh.view", node=self._local, members=view,
+            round_index=self._round_index,
+        )
         if spans.enabled:
             spans.instant(
                 "msh.view", "msh", node=self._local, members=len(view),

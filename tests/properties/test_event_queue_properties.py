@@ -1,18 +1,21 @@
-"""Property-based tests for the tuple-heap :class:`EventQueue`.
+"""Property-based tests for the tuple-heap :class:`EventQueue`, drained by
+the kernel.
 
 The queue trades simplicity for speed everywhere — lazy cancellation with a
 live-count, heap compaction once dead entries dominate, in-place reschedule
-leaving stale entries to be repaired when they surface. Hypothesis drives
-arbitrary interleavings of ``push`` / ``cancel`` / ``reschedule`` /
-``pop`` / ``peek_time`` / ``clear`` against a naive model (a plain list of
-live entries, fully sorted on every pop) and the two must agree on the
-live count, the peeked time and the exact ``(time, priority, seq)`` pop
-order at every step.
+leaving stale entries to be repaired when they surface — and the one loop
+that takes events off it is :meth:`Simulator._drain
+<repro.sim.kernel.Simulator._drain>`. Hypothesis drives arbitrary
+interleavings of ``schedule`` / ``cancel`` / ``try_reschedule`` / ``step``
+/ ``run_until`` on a :class:`Simulator` against a naive model (a plain list
+of live entries, fully sorted on every step) and the two must agree on the
+live count and the exact ``(time, priority, seq)`` firing order at every
+step.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.event import EventQueue
+from repro.sim.kernel import Simulator
 
 
 class ModelEntry:
@@ -40,37 +43,42 @@ ops = st.lists(
             st.integers(min_value=0, max_value=10_000),
             st.integers(min_value=0, max_value=500),
         ),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("peek")),
-        st.tuples(st.just("clear")),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("until"), st.integers(min_value=0, max_value=200)),
     ),
     max_size=200,
 )
 
 
+def fired_key(event):
+    return (event.time, event.priority, event.seq)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops)
 def test_queue_agrees_with_naive_model(plan):
-    queue = EventQueue()
+    sim = Simulator()
+    queue = sim._queue
     seq = 0
-    handles = []  # every Event ever pushed, in push order
+    handles = []  # every Event ever scheduled, in schedule order
+    fired = []  # the handles the drain fired, in firing order
     model = {}  # id(event) -> ModelEntry, live entries only
 
-    def check_sync():
-        assert len(queue) == len(model)
-        assert bool(queue) == bool(model)
-        expected_peek = (
-            min(entry.key() for entry in model.values())[0] if model else None
-        )
-        assert queue.peek_time() == expected_peek
+    def take(count):
+        """The ``count`` earliest model entries, removed from the model."""
+        best = sorted(model.items(), key=lambda item: item[1].key())[:count]
+        for key, _ in best:
+            del model[key]
+        return [entry.key() for _, entry in best]
 
     for op in plan:
         kind = op[0]
         if kind == "push":
-            _, time, priority = op
-            event = queue.push(time, lambda: None, priority)
+            _, delay, priority = op
+            record = lambda index=len(handles): fired.append(handles[index])
+            event = sim.schedule(delay, record, priority)
             assert event.seq == seq
-            model[id(event)] = ModelEntry(time, priority, seq)
+            model[id(event)] = ModelEntry(sim.now + delay, priority, seq)
             seq += 1
             handles.append(event)
         elif kind == "cancel":
@@ -82,49 +90,41 @@ def test_queue_agrees_with_naive_model(plan):
         elif kind == "reschedule":
             if not handles:
                 continue
-            _, pick, time = op
+            _, pick, delay = op
             event = handles[pick % len(handles)]
-            # The preconditions Simulator.try_reschedule enforces: live,
-            # still owned by the queue, deferred (never advanced).
-            if (
-                event.cancelled
-                or event._queue is not queue
-                or time < event.time
-            ):
-                continue
-            queue.reschedule(event, time)
-            # Reschedule is specified as cancel + fresh push, collapsed.
-            model[id(event)] = ModelEntry(time, event.priority, seq)
-            assert event.seq == seq
-            seq += 1
-        elif kind == "pop":
-            popped = queue.pop()
-            if not model:
-                assert popped is None
-            else:
-                best = min(model.values(), key=ModelEntry.key)
-                assert popped is not None
-                assert (popped.time, popped.priority, popped.seq) == best.key()
-                del model[id(popped)]
-        elif kind == "peek":
-            pass  # check_sync below peeks every step anyway
-        elif kind == "clear":
-            queue.clear()
-            model.clear()
-            # Every handle that was pending reads as cancelled now, and a
-            # late cancel() on it must not skew the live count.
-            for event in handles:
-                if event._queue is None:
-                    assert event.cancelled or True
-            for event in handles:
-                event.cancel()
-        check_sync()
+            time = sim.now + delay
+            # Live, still owned by the queue, deferred (never advanced).
+            allowed = (
+                not event.cancelled
+                and event._queue is queue
+                and time >= event.time
+            )
+            assert sim.try_reschedule(event, time) == allowed
+            if allowed:
+                # Reschedule is specified as cancel + fresh push, collapsed.
+                model[id(event)] = ModelEntry(time, event.priority, seq)
+                assert event.seq == seq
+                seq += 1
+        elif kind == "step":
+            expected = take(1)
+            assert sim.step() == bool(expected)
+            assert [fired_key(event) for event in fired] == expected
+            if expected:
+                assert sim.now == expected[0][0]
+        else:  # "until": a bounded drain
+            bound = sim.now + op[1]
+            due = sum(1 for entry in model.values() if entry.time <= bound)
+            expected = take(due)
+            assert sim.run_until(bound) == due
+            assert [fired_key(event) for event in fired] == expected
+            assert sim.now == bound
+        fired.clear()
+        assert sim.pending_events == len(model)
 
     # Drain whatever is left and verify the full residual order.
-    drained = []
-    while (event := queue.pop()) is not None:
-        drained.append((event.time, event.priority, event.seq))
-    assert drained == sorted(entry.key() for entry in model.values())
+    expected = take(len(model))
+    sim.run()
+    assert [fired_key(event) for event in fired] == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,19 +133,21 @@ def test_queue_agrees_with_naive_model(plan):
 )
 def test_heavy_cancel_purge_keeps_live_count_exact(times):
     """Force the lazy-purge path: cancel most of a large heap and the live
-    count and pop order must stay exact."""
-    queue = EventQueue()
-    events = [queue.push(time, lambda: None) for time in times]
+    count and firing order must stay exact."""
+    sim = Simulator()
+    fired = []
+    events = [
+        sim.schedule_at(time, lambda i=index: fired.append(events[i]))
+        for index, time in enumerate(times)
+    ]
     survivors = []
     for index, event in enumerate(events):
         if index % 5 == 0:
             survivors.append(event)
         else:
             event.cancel()
-    assert len(queue) == len(survivors)
-    popped = []
-    while (event := queue.pop()) is not None:
-        popped.append((event.time, event.seq))
-    assert popped == sorted(
-        ((event.time, event.seq) for event in survivors)
+    assert sim.pending_events == len(survivors)
+    sim.run()
+    assert [(event.time, event.seq) for event in fired] == sorted(
+        (event.time, event.seq) for event in survivors
     )

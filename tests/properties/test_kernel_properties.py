@@ -2,7 +2,6 @@
 
 from hypothesis import given, strategies as st
 
-from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
 schedules = st.lists(st.integers(min_value=0, max_value=10_000), max_size=60)
@@ -21,12 +20,12 @@ def test_events_fire_in_nondecreasing_time_order(delays):
 
 @given(schedules)
 def test_queue_pop_order_matches_sorted_times(times):
-    queue = EventQueue()
+    sim = Simulator()
     for time in times:
-        queue.push(time, lambda: None)
+        sim.schedule_at(time, lambda: None)
     popped = []
-    while (event := queue.pop()) is not None:
-        popped.append(event.time)
+    while sim.step():
+        popped.append(sim.now)
     assert popped == sorted(times)
 
 

@@ -2,16 +2,12 @@
 
 The recorder's per-category/per-node indexes are an optimization; the
 observable behavior of ``select``/``count`` must be exactly that of a
-linear scan over the retained records, for every filter combination —
-and, unbounded or in ring-buffer mode, that of a plain list trimmed to
-the capacity.
+linear scan over the records, for every filter combination — and that of
+a plain list of every row recorded.
 """
-
-from unittest import mock
 
 from hypothesis import given, strategies as st
 
-import repro.sim.trace as trace_mod
 from repro.sim.trace import TraceRecorder
 
 CATEGORIES = ("bus.tx", "bus.deliver", "msh.view", "fda.nty", "node.crash")
@@ -125,30 +121,18 @@ def assert_matches_model(trace, model):
         )
 
 
-@given(
-    record_specs,
-    record_specs,
-    st.none() | st.integers(min_value=1, max_value=40),
-)
-def test_ring_buffer_queries_match_scan_over_retained(first, second, capacity):
-    """Record, query, record (and evict) more, query again — the second
-    round extends indexes the first one built, so it exercises the pruning
-    of evicted entries. The compaction threshold is lowered so the column
-    trim runs inside these short sequences too."""
-    with mock.patch.object(trace_mod, "_COMPACT_THRESHOLD", 4):
-        trace = TraceRecorder(capacity=capacity)
-        model = []
-        recorded = 0
-        for specs in (first, second):
-            for time, category, node in specs:
-                payload = {"n": recorded}
-                trace.record_row(time, category, node, payload)
-                model.append((time, category, node, payload))
-                recorded += 1
-            if capacity is not None:
-                del model[:-capacity]
-            assert_matches_model(trace, model)
-            assert trace.evicted == recorded - len(model)
+@given(record_specs, record_specs)
+def test_queries_match_the_list_across_record_rounds(first, second):
+    """Record, query, record more, query again — the second round extends
+    the indexes the first one built, one batch of rows at a time."""
+    trace = TraceRecorder()
+    model = []
+    for specs in (first, second):
+        for time, category, node in specs:
+            payload = {"n": len(model)}
+            trace.record_row(time, category, node, payload)
+            model.append((time, category, node, payload))
+        assert_matches_model(trace, model)
 
 
 @given(record_specs)

@@ -562,6 +562,7 @@ def test_compare_format_json_is_the_report(capsys):
 
 
 CHECK_ARGS = ["check", "--depth", "0", "--nodes", "4", "--members", "3"]
+COVERAGE_ARGS = CHECK_ARGS + ["--coverage", "--budget", "2", "--workers", "0"]
 
 
 @pytest.mark.parametrize(
@@ -582,13 +583,19 @@ CHECK_ARGS = ["check", "--depth", "0", "--nodes", "4", "--members", "3"]
          "cannot open fingerprint store"),
         (["check", "--depth", "-1"], "depth must be >= 0"),
         (["check", "--samples", "-1"], "samples must be >= 0"),
+        (COVERAGE_ARGS + ["--checkpoint", "{missing}/c.jsonl"],
+         "--coverage does not take --checkpoint"),
+        (COVERAGE_ARGS + ["--resume"], "--coverage does not take --resume"),
+        (COVERAGE_ARGS + ["--samples", "7"], "--coverage does not take --samples"),
     ],
     ids=["campaign-timeout-0", "campaign-retries-negative",
          "campaign-workers-negative", "campaign-resume-without-checkpoint",
          "campaign-checkpoint-in-missing-dir", "check-timeout-0",
          "check-workers-negative", "check-resume-without-checkpoint",
          "check-checkpoint-in-missing-dir", "check-fingerprints-in-missing-dir",
-         "check-depth-negative", "check-samples-negative"],
+         "check-depth-negative", "check-samples-negative",
+         "check-coverage-with-checkpoint", "check-coverage-with-resume",
+         "check-coverage-with-samples"],
 )
 def test_bad_run_options_exit_2_with_one_line(capsys, tmp_path, args, complaint):
     missing = str(tmp_path / "missing")

@@ -28,9 +28,11 @@ def test_version_bumped_for_the_new_surface():
     # ScenarioBuilder methods; 5.1.0 took the batch keyword off the deep
     # JsonlSink; 6.0.0 removed the remote campaign executor, the
     # Executor classes and the executor= keywords; 7.0.0 removed
-    # CampaignSpec.monitors and run_schedule's monitors= (docs/api.md).
+    # CampaignSpec.monitors and run_schedule's monitors=; 8.0.0 removed
+    # TraceRecorder's enabled/capacity modes and EventQueue's pop/peek_time/
+    # clear (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (7, 0)
+    assert (int(major), int(minor)) >= (8, 0)
 
 
 def test_core_names_are_eager():

@@ -1,169 +1,124 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue, drained by the kernel's one drain loop."""
 
-from repro.sim.event import Event, EventQueue
+from repro.sim.kernel import Simulator
+
+
+def fire_all(sim):
+    """Step ``sim`` until its queue is empty; returns the firing times."""
+    times = []
+    while sim.step():
+        times.append(sim.now)
+    return times
 
 
 def test_push_pop_single():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
-    queue.push(10, lambda: fired.append(1))
-    event = queue.pop()
-    assert event.time == 10
-    event.action()
+    event = sim.schedule_at(10, lambda: fired.append(1))
+    assert sim.step()
+    assert sim.now == 10
     assert fired == [1]
+    assert event._queue is None
 
 
 def test_pop_empty_returns_none():
-    assert EventQueue().pop() is None
+    assert Simulator().step() is False
 
 
 def test_time_ordering():
-    queue = EventQueue()
-    queue.push(30, lambda: None)
-    queue.push(10, lambda: None)
-    queue.push(20, lambda: None)
-    times = [queue.pop().time for _ in range(3)]
-    assert times == [10, 20, 30]
+    sim = Simulator()
+    for time in (30, 10, 20):
+        sim.schedule_at(time, lambda: None)
+    assert fire_all(sim) == [10, 20, 30]
 
 
 def test_fifo_tie_break_at_same_time():
-    queue = EventQueue()
+    sim = Simulator()
     order = []
-    queue.push(5, lambda: order.append("first"))
-    queue.push(5, lambda: order.append("second"))
-    queue.push(5, lambda: order.append("third"))
-    while (event := queue.pop()) is not None:
-        event.action()
+    sim.schedule_at(5, lambda: order.append("first"))
+    sim.schedule_at(5, lambda: order.append("second"))
+    sim.schedule_at(5, lambda: order.append("third"))
+    sim.run()
     assert order == ["first", "second", "third"]
 
 
 def test_priority_beats_insertion_order():
-    queue = EventQueue()
+    sim = Simulator()
     order = []
-    queue.push(5, lambda: order.append("low"), priority=1)
-    queue.push(5, lambda: order.append("high"), priority=0)
-    while (event := queue.pop()) is not None:
-        event.action()
+    sim.schedule_at(5, lambda: order.append("low"), priority=1)
+    sim.schedule_at(5, lambda: order.append("high"), priority=0)
+    sim.run()
     assert order == ["high", "low"]
 
 
 def test_cancelled_event_is_skipped():
-    queue = EventQueue()
-    event = queue.push(1, lambda: None)
-    queue.push(2, lambda: None)
+    sim = Simulator()
+    event = sim.schedule_at(1, lambda: None)
+    sim.schedule_at(2, lambda: None)
     event.cancel()
-    assert queue.pop().time == 2
+    assert sim.step()
+    assert sim.now == 2
 
 
-def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    first = queue.push(1, lambda: None)
-    queue.push(7, lambda: None)
-    assert queue.peek_time() == 1
+def test_bounded_drain_skips_cancelled_head():
+    """A cancelled head leaves before its time is compared with the bound:
+    the live event behind it decides whether the bounded run fires."""
+    sim = Simulator()
+    first = sim.schedule_at(1, lambda: None)
+    sim.schedule_at(7, lambda: None)
     first.cancel()
-    assert queue.peek_time() == 7
-
-
-def test_peek_time_empty():
-    assert EventQueue().peek_time() is None
-
-
-def test_len_and_bool():
-    queue = EventQueue()
-    assert not queue
-    assert len(queue) == 0
-    queue.push(1, lambda: None)
-    assert queue
-    assert len(queue) == 1
-
-
-def test_clear():
-    queue = EventQueue()
-    queue.push(1, lambda: None)
-    queue.clear()
-    assert queue.pop() is None
+    assert sim.run_until(5) == 0
+    assert sim.pending_events == 1
+    assert sim.run_until(7) == 1
+    assert sim.pending_events == 0
 
 
 def test_len_excludes_cancelled():
-    queue = EventQueue()
-    keep = queue.push(1, lambda: None)
-    drop = queue.push(2, lambda: None)
+    sim = Simulator()
+    keep = sim.schedule_at(1, lambda: None)
+    drop = sim.schedule_at(2, lambda: None)
     drop.cancel()
-    assert len(queue) == 1
-    assert bool(queue)
+    assert sim.pending_events == 1
     keep.cancel()
-    assert len(queue) == 0
-    assert not queue
+    assert sim.pending_events == 0
 
 
 def test_cancel_is_idempotent_for_the_count():
-    queue = EventQueue()
-    queue.push(1, lambda: None)
-    event = queue.push(2, lambda: None)
+    sim = Simulator()
+    sim.schedule_at(1, lambda: None)
+    event = sim.schedule_at(2, lambda: None)
     event.cancel()
     event.cancel()  # double cancel must not double-count
-    assert len(queue) == 1
+    assert sim.pending_events == 1
 
 
 def test_cancel_after_pop_does_not_skew_count():
-    queue = EventQueue()
-    event = queue.push(1, lambda: None)
-    queue.push(2, lambda: None)
-    popped = queue.pop()
-    assert popped is event
+    sim = Simulator()
+    fired = []
+    event = sim.schedule_at(1, lambda: fired.append(event))
+    sim.schedule_at(2, lambda: None)
+    assert sim.step()
+    assert fired == [event]
     event.cancel()  # the event already left the queue
-    assert len(queue) == 1
+    assert sim.pending_events == 1
 
 
 def test_lazy_purge_compacts_dominating_dead_entries():
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in range(200)]
+    sim = Simulator()
+    events = [sim.schedule_at(t, lambda: None) for t in range(200)]
     for event in events[:150]:
         event.cancel()
     # The purge rebuilt the heap: far fewer entries than were pushed.
-    assert len(queue._heap) < 100
-    assert len(queue) == 50
-    times = []
-    while (event := queue.pop()) is not None:
-        times.append(event.time)
-    assert times == list(range(150, 200))
-
-
-def test_cancel_after_clear_is_safe():
-    """clear() orphans its events; cancelling one later must neither raise
-    nor corrupt the live count of events pushed afterwards."""
-    queue = EventQueue()
-    orphan = queue.push(1, lambda: None)
-    queue.push(2, lambda: None)
-    queue.clear()
-    assert len(queue) == 0
-    survivor = queue.push(3, lambda: None)
-    orphan.cancel()  # already detached by clear(): a no-op
-    assert len(queue) == 1
-    assert queue.pop() is survivor
-    assert queue.pop() is None
-
-
-def test_clear_resets_cancelled_bookkeeping():
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in range(10)]
-    for event in events[:4]:
-        event.cancel()
-    queue.clear()
-    assert len(queue) == 0
-    assert queue._cancelled == 0
-    queue.push(1, lambda: None)
-    assert len(queue) == 1
+    assert len(sim._queue._heap) < 100
+    assert sim.pending_events == 50
+    assert fire_all(sim) == list(range(150, 200))
 
 
 def test_pop_all_after_mixed_cancellations():
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in range(20)]
+    sim = Simulator()
+    events = [sim.schedule_at(t, lambda: None) for t in range(20)]
     for event in events[::2]:
         event.cancel()
-    assert len(queue) == 10
-    remaining = []
-    while (event := queue.pop()) is not None:
-        remaining.append(event.time)
-    assert remaining == list(range(1, 20, 2))
-    assert len(queue) == 0
+    assert sim.pending_events == 10
+    assert fire_all(sim) == list(range(1, 20, 2))
+    assert sim.pending_events == 0

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-import repro.sim.trace as trace_mod
 from repro.sim.trace import JsonlSink, TraceRecord, TraceRecorder, record_to_dict
 
 
@@ -13,12 +12,6 @@ def test_record_and_len():
     trace = TraceRecorder()
     trace.record(1, "bus.tx", node=0, bits=100)
     assert len(trace) == 1
-
-
-def test_disabled_recorder_drops_records():
-    trace = TraceRecorder(enabled=False)
-    trace.record(1, "bus.tx")
-    assert len(trace) == 0
 
 
 def test_select_exact_category():
@@ -56,13 +49,6 @@ def test_count():
     for _ in range(3):
         trace.record(1, "node.crash")
     assert trace.count("node.crash") == 3
-
-
-def test_clear():
-    trace = TraceRecorder()
-    trace.record(1, "x")
-    trace.clear()
-    assert len(trace) == 0
 
 
 def test_iteration_preserves_order():
@@ -139,61 +125,7 @@ def test_prefix_select_preserves_insertion_order():
     assert [r.time for r in trace.select(category="bus.")] == [1, 2, 3]
 
 
-# -- ring-buffer mode ---------------------------------------------------------
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        TraceRecorder(capacity=0)
-
-
-def test_ring_buffer_evicts_oldest():
-    trace = TraceRecorder(capacity=3)
-    for t in range(5):
-        trace.record(t, "a", node=t)
-    assert len(trace) == 3
-    assert trace.evicted == 2
-    assert [r.time for r in trace] == [2, 3, 4]
-
-
-def test_ring_buffer_indexes_stay_consistent():
-    trace = TraceRecorder(capacity=4)
-    for t in range(10):
-        trace.record(t, "even" if t % 2 == 0 else "odd", node=t % 3)
-    assert trace.count("even") + trace.count("odd") == 4
-    for category in ("even", "odd"):
-        for record in trace.select(category=category):
-            assert record.category == category
-    for node in (0, 1, 2):
-        for record in trace.select(node=node):
-            assert record.node == node
-
-
-def test_ring_buffer_compaction_keeps_queries_correct():
-    # Push far past the compaction threshold so the backing list shifts.
-    trace = TraceRecorder(capacity=10)
-    total = 5000
-    for t in range(total):
-        trace.record(t, f"c{t % 4}", node=t % 2)
-    assert len(trace) == 10
-    assert trace.evicted == total - 10
-    expected = list(range(total - 10, total))
-    assert [r.time for r in trace] == expected
-    got = sorted(r.time for c in range(4) for r in trace.select(category=f"c{c}"))
-    assert got == expected
-
-
 # -- sinks and export ---------------------------------------------------------
-
-
-def test_sink_sees_every_record_even_past_capacity():
-    trace = TraceRecorder(capacity=2)
-    seen = []
-    trace.add_sink(lambda record: seen.append(record.time))
-    for t in range(5):
-        trace.record(t, "a")
-    assert seen == [0, 1, 2, 3, 4]
-    assert len(trace) == 2
 
 
 def test_remove_sink_stops_streaming():
@@ -204,17 +136,6 @@ def test_remove_sink_stops_streaming():
     trace.remove_sink(sink)
     trace.record(2, "a")
     assert seen == [1]
-
-
-def test_clear_keeps_sinks_registered():
-    trace = TraceRecorder()
-    seen = []
-    trace.add_sink(lambda record: seen.append(record.time))
-    trace.record(1, "a")
-    trace.clear()
-    assert len(trace) == 0
-    trace.record(2, "a")
-    assert seen == [1, 2]
 
 
 def test_record_to_dict_projects_payload():
@@ -238,12 +159,12 @@ def test_export_jsonl_round_trips():
 
 def test_jsonl_sink_streams_live(tmp_path):
     path = tmp_path / "trace.jsonl"
-    trace = TraceRecorder(capacity=1)
+    trace = TraceRecorder()
     with JsonlSink(str(path)) as sink:
         trace.add_sink(sink)
         for t in range(4):
             trace.record(t, "a")
-    assert sink.records_written == 4
+            assert sink.records_written == t + 1
     assert len(path.read_text().splitlines()) == 4
 
 
@@ -282,28 +203,6 @@ def test_failing_sink_does_not_corrupt_recorder():
     assert len(trace.select(category="bus.tx")) == 1
     assert len(trace.select(node=1)) == 1
     assert trace.last_time == 2
-
-
-def test_ring_buffer_eviction_with_jsonl_sink_attached():
-    """Ring-buffer eviction and a streaming JsonlSink compose: memory
-    stays bounded at ``capacity`` while the sink receives the full
-    history, and the surviving indexes answer queries correctly."""
-    buffer = io.StringIO()
-    trace = TraceRecorder(capacity=2)
-    sink = JsonlSink(buffer)
-    trace.add_sink(sink)
-    for t in range(5):
-        trace.record(t, "a" if t % 2 else "b", node=t)
-    assert len(trace) == 2
-    assert trace.evicted == 3
-    assert sink.records_written == 5
-    streamed = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    assert [entry["time"] for entry in streamed] == [0, 1, 2, 3, 4]
-    # Only the retained tail is queryable, with consistent indexes.
-    assert [r.time for r in trace.select(category="a")] == [3]
-    assert [r.time for r in trace.select(node=4)] == [4]
-    sink.close()
-    assert not buffer.closed  # the sink does not own a caller's handle
 
 
 # -- the store against a plain-list oracle ------------------------------------
@@ -417,52 +316,6 @@ def test_sinks_observe_real_records():
     assert seen == [record_to_dict(r) for r in trace]
 
 
-def test_disabled_categories_and_enabled_flag():
-    trace = TraceRecorder()
-    trace.disable_categories("bus.deliver")
-    trace.record(1, "bus.deliver", node=0)
-    trace.record_row(1, "bus.deliver", 0, {})
-    trace.record(2, "bus.tx", node=0)
-    assert [r.category for r in trace] == ["bus.tx"]
-    off = TraceRecorder(enabled=False)
-    off.record(1, "bus.tx")
-    off.record_row(1, "bus.tx", 0, {})
-    assert len(off) == 0
-
-
-def test_clear_resets_queries():
-    trace = _mixed_workload(TraceRecorder())
-    assert len(trace.select(category="bus.tx")) == 2  # build the lazy indexes
-    trace.clear()
-    assert len(trace) == 0
-    assert trace.count("bus.tx") == 0
-    assert trace.select(category="bus.") == []
-    assert trace.last_time == 0
-    trace.record(9, "bus.tx", node=1)
-    assert [r.time for r in trace] == [9]
-    assert [r.time for r in trace.select(node=1)] == [9]
-
-
-def test_evicted_counts_ring_evictions_only():
-    """clear() drops records without evicting them: ``evicted`` keeps
-    counting what the ring buffer pushed out, before and after."""
-    unbounded = TraceRecorder()
-    for t in range(5):
-        unbounded.record(t, "a")
-    unbounded.clear()
-    assert unbounded.evicted == 0
-    ring = TraceRecorder(capacity=2)
-    for t in range(5):
-        ring.record(t, "a", node=t)
-    assert ring.evicted == 3
-    ring.clear()
-    assert ring.evicted == 3
-    for t in range(5, 8):
-        ring.record(t, "a", node=t)
-    assert ring.evicted == 4
-    assert [r.time for r in ring.select(category="a")] == [6, 7]
-
-
 def test_index_extends_incrementally():
     """Queries interleaved with recording: the lazy index must pick up
     rows appended after the first query."""
@@ -475,34 +328,3 @@ def test_index_extends_incrementally():
     assert [r.time for r in trace.select(category="a")] == [1, 2]
     assert [r.time for r in trace.select(node=0)] == [1, 3]
     assert trace.categories() == {"a": 2, "b": 1}
-
-
-def test_ring_prunes_lazy_indexes_between_queries():
-    """A query, more evictions, a second query: the index buckets built by
-    the first must shed the evicted sequence numbers, not grow with the
-    run."""
-    trace = TraceRecorder(capacity=8)
-    for t in range(20):
-        trace.record(t, f"c{t % 2}", node=t % 3)
-    assert [r.time for r in trace.select(category="c0")] == [12, 14, 16, 18]
-    for t in range(20, 5000):
-        trace.record(t, f"c{t % 2}", node=t % 3)
-    assert [r.time for r in trace.select(node=0)] == [4992, 4995, 4998]
-    assert [r.time for r in trace.select(category="c1")] == [4993, 4995, 4997, 4999]
-    for index in (trace._by_cat, trace._by_node):
-        assert sum(map(len, index.buckets.values())) == len(trace) == 8
-
-
-def test_long_ring_keeps_every_column_bounded():
-    capacity = 1000
-    trace = TraceRecorder(capacity=capacity)
-    longest = 0
-    for t in range(200_000):
-        trace.record_row(t, "a", t % 48, {})
-        longest = max(longest, len(trace._times))
-    assert longest <= capacity + trace_mod._COMPACT_THRESHOLD + 2
-    for column in trace._columns:
-        assert len(column) == len(trace._times)
-    assert len(trace) == capacity
-    assert trace.evicted == 200_000 - capacity
-    assert [r.time for r in trace.select(node=47)][-1] == 199_967
