@@ -3,17 +3,20 @@
 Post-hoc assertions (``tests/``, :mod:`repro.llc.properties`) only tell you
 a week-long campaign went wrong *after* it finished. These monitors
 subscribe to the :class:`~repro.sim.trace.TraceRecorder` as streaming
-sinks and check MCAN/LCAN-style protocol properties on every record, so a
-violation stops the run at the offending instant — and the raised
-:class:`InvariantViolation` carries the trace slice around it, which is
-usually the whole diagnosis.
+sinks and check MCAN/LCAN-style protocol properties on every record of
+the categories they read, so a violation stops the run at the offending
+instant — and the raised :class:`InvariantViolation` carries the trace
+slice around it, which is usually the whole diagnosis.
 
-Monitors watch these record categories (emitted by the instrumented
-protocol layers):
+Each monitor declares the categories it reads in its ``categories``
+attribute, and the recorder routes only those rows to it: a bus row
+costs the monitors nothing. These are the categories (emitted by the
+instrumented protocol layers):
 
 * ``fda.nty`` / ``swim.confirm`` — a node learnt that ``data["failed"]``
   failed (CANELy's failure-sign delivered upward, SWIM's confirmation).
-* ``fda.reset`` — FDA counters retired for one failed identifier.
+* ``fda.reset`` / ``fda.evict`` — FDA counters retired for one failed
+  identifier.
 * ``msh.view`` / ``msh.change`` — a node installed a view / was notified.
 * ``node.crash`` / ``node.recover`` — fault scripting events.
 
@@ -24,7 +27,7 @@ Each backend picks the monitors that judge it
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import format_time
@@ -63,18 +66,26 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantMonitor(abc.ABC):
-    """Base class: a named trace sink that can fail fast."""
+    """Base class: a named trace sink that can fail fast.
+
+    A new monitor declares the rows it reads in :attr:`categories`;
+    ``None`` (the default) reads every row. ``records_seen`` counts the
+    rows delivered to :meth:`observe`.
+    """
 
     name = "invariant"
+    #: The trace categories :meth:`observe` reads, or ``None`` for all.
+    categories: Optional[FrozenSet[str]] = None
 
     def __init__(self) -> None:
         self._trace: Optional[TraceRecorder] = None
         self.records_seen = 0
 
     def attach(self, trace: TraceRecorder) -> "InvariantMonitor":
-        """Subscribe to ``trace``; returns self for chaining."""
+        """Subscribe to ``trace``'s rows of :attr:`categories`; returns
+        self for chaining."""
         self._trace = trace
-        trace.add_sink(self.observe)
+        trace.add_sink(self.observe, self.categories)
         return self
 
     def detach(self) -> None:
@@ -85,8 +96,8 @@ class InvariantMonitor(abc.ABC):
 
     @abc.abstractmethod
     def observe(self, record: TraceRecord) -> None:
-        """Inspect one record; must raise :class:`InvariantViolation` on
-        a property violation."""
+        """Inspect one record of :attr:`categories`; must raise
+        :class:`InvariantViolation` on a property violation."""
 
     def fail(self, message: str, start: int, end: int) -> None:
         """Raise a violation carrying the trace slice ``[start, end]``."""
@@ -110,6 +121,7 @@ class DuplicateFailureSignMonitor(InvariantMonitor):
     """
 
     name = "no-duplicate-failure-sign"
+    categories = frozenset(("fda.nty", "fda.reset", "fda.evict", "node.recover"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -131,11 +143,11 @@ class DuplicateFailureSignMonitor(InvariantMonitor):
                     record.time,
                 )
             self._delivered[key] = record.time
-        elif record.category in ("fda.reset", "fda.evict"):
-            self._delivered.pop((record.node, record.data["failed"]), None)
         elif record.category == "node.recover":
             for key in [k for k in self._delivered if k[0] == record.node]:
                 del self._delivered[key]
+        else:  # fda.reset, fda.evict
+            self._delivered.pop((record.node, record.data["failed"]), None)
 
 
 class ViewAgreementMonitor(InvariantMonitor):
@@ -163,6 +175,7 @@ class ViewAgreementMonitor(InvariantMonitor):
     """
 
     name = "view-agreement"
+    categories = frozenset(("msh.view", "node.recover"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -170,22 +183,26 @@ class ViewAgreementMonitor(InvariantMonitor):
         # ``dropped`` counts horizon-pruned entries so positions stay
         # comparable as absolute indices into the change sequence.
         self._pairs: Dict[Tuple[int, int], Dict[int, list]] = {}
+        # node -> the peers it has a pair with: retiring costs O(degree).
+        self._peers: Dict[int, Set[int]] = {}
 
     @staticmethod
     def _key(a: int, b: int) -> Tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
+    def _retire(self, node: int, peer: int) -> None:
+        del self._pairs[self._key(node, peer)]
+        self._peers[peer].discard(node)
+
     def observe(self, record: TraceRecord) -> None:
         self.records_seen += 1
+        node = record.node
         if record.category == "node.recover":
             # A rebooted node restarts its protocol state; everything it
             # installed before the reboot is history. Re-anchor its pairs.
-            for key in [k for k in self._pairs if record.node in k]:
-                del self._pairs[key]
+            for peer in self._peers.pop(node, ()):
+                self._retire(node, peer)
             return
-        if record.category != "msh.view":
-            return
-        node = record.node
         members = frozenset(record.data["members"])
         if node not in members:
             # A passive tracker's view is not authoritative; nothing to
@@ -193,14 +210,20 @@ class ViewAgreementMonitor(InvariantMonitor):
             return
         # Views that drop a peer retire the pair: a reintegrated peer is
         # a fresh pair, anchored at its new introducing view.
-        for key in [k for k in self._pairs if node in k]:
-            peer = key[0] if key[1] == node else key[1]
-            if peer not in members:
-                del self._pairs[key]
+        peers = self._peers.setdefault(node, set())
+        dropped = peers - members
+        for peer in dropped:
+            self._retire(node, peer)
+        peers -= dropped
         for peer in members:
             if peer == node:
                 continue
-            logs = self._pairs.setdefault(self._key(node, peer), {})
+            key = self._key(node, peer)
+            logs = self._pairs.get(key)
+            if logs is None:
+                logs = self._pairs[key] = {}
+                peers.add(peer)
+                self._peers.setdefault(peer, set()).add(node)
             mine = logs.setdefault(node, [0, []])
             entries = mine[1]
             if entries and entries[-1][1] == members:
@@ -243,6 +266,7 @@ class PhantomRemovalMonitor(InvariantMonitor):
     """
 
     name = "no-phantom-removal"
+    categories = frozenset(("node.crash", "node.recover", "msh.change"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -255,7 +279,7 @@ class PhantomRemovalMonitor(InvariantMonitor):
             self._crashed.add(record.node)
         elif category == "node.recover":
             self._crashed.discard(record.node)
-        elif category == "msh.change":
+        else:  # msh.change
             for failed in record.data["failed"]:
                 if failed == record.node:
                     continue  # a13-a15: voluntary-leave self-notification
@@ -292,6 +316,7 @@ class DetectionLatencyMonitor(InvariantMonitor):
         self.bound = bound
         self._metrics = metrics
         self._row = row
+        self.categories = frozenset(("msh.view", "node.crash", "node.recover", row))
         self._crash_times: Dict[int, int] = {}
         self._members_ever: Set[int] = set()
 
@@ -303,7 +328,7 @@ class DetectionLatencyMonitor(InvariantMonitor):
             self._crash_times.setdefault(record.node, record.time)
         elif record.category == "node.recover":
             self._crash_times.pop(record.node, None)
-        elif record.category == self._row:
+        else:  # the detection row
             failed = record.data["failed"]
             crashed_at = self._crash_times.get(failed)
             if crashed_at is None or failed not in self._members_ever:

@@ -6,6 +6,14 @@ trace after a run; benchmarks use it to account bandwidth; the online
 invariant monitors of :mod:`repro.obs.monitors` subscribe as streaming
 sinks and check properties *while* the run is in progress.
 
+A sink subscribes to every row or to a set of categories. The recorder
+keeps one immutable sink tuple per interned category (its route), built
+when the category is interned and rebuilt on every ``add_sink`` /
+``remove_sink``, so a row reaches only the sinks that read its category,
+in attachment order, and a row nobody reads materializes nothing. A row
+reads its route once: a sink added or removed while a row is being
+delivered takes effect with the next row.
+
 The recorder stores columns, not objects: times, interned category ids and
 node ids live in packed ``array`` columns beside a list of payload dicts,
 and a :class:`TraceRecord` only materializes when something looks at it — a
@@ -29,7 +37,9 @@ from itertools import islice
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
+    FrozenSet,
     IO,
     Iterable,
     Iterator,
@@ -264,13 +274,17 @@ class _LazyIndex:
 class TraceRecorder:
     """Sequence of :class:`TraceRecord` held as columns, with indexed queries.
 
-    Recording is four C-level appends plus one dict lookup — no
-    :class:`TraceRecord` allocation; records materialize only when
-    observed. Every record is kept; its row number is its sequence number.
+    Recording is four C-level appends plus one dict lookup and one list
+    index — no :class:`TraceRecord` allocation; records materialize only
+    when a sink reads their category or a query looks at them. Every
+    record is kept; its row number is its sequence number.
     """
 
     def __init__(self) -> None:
-        self._sinks: List[TraceSink] = []
+        #: Subscriptions in attachment order: (sink, categories or None).
+        self._sinks: List[Tuple[TraceSink, Optional[FrozenSet[str]]]] = []
+        #: Category id -> the sinks its rows go to (the route table).
+        self._routes: List[Tuple[TraceSink, ...]] = []
         self._max_time = 0
         self._times = array("q")
         self._cats = array("i")
@@ -314,17 +328,41 @@ class TraceRecorder:
 
     # -- recording ---------------------------------------------------------------
 
-    def add_sink(self, sink: TraceSink) -> TraceSink:
-        """Stream every future record to ``sink`` (returns it for removal)."""
-        self._sinks.append(sink)
+    def add_sink(
+        self, sink: TraceSink, categories: Optional[Collection[str]] = None
+    ) -> TraceSink:
+        """Stream future records to ``sink`` (returns it for removal).
+
+        ``categories=None`` subscribes to every row; a collection of
+        category names to those rows only. Sinks receive a row in
+        attachment order, starting with the next row recorded.
+        """
+        wanted = None if categories is None else frozenset(categories)
+        self._sinks.append((sink, wanted))
+        self._reroute()
         return sink
 
     def remove_sink(self, sink: TraceSink) -> None:
-        """Stop streaming to ``sink`` (missing sinks are ignored)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
+        """Stop streaming to ``sink`` from the next row on (missing sinks
+        are ignored; a sink added twice is removed once)."""
+        for index, (attached, _wanted) in enumerate(self._sinks):
+            if attached == sink:
+                del self._sinks[index]
+                self._reroute()
+                return
+
+    def _route(self, category: str) -> Tuple[TraceSink, ...]:
+        """The sinks that read ``category``'s rows, in attachment order."""
+        route = []
+        for sink, wanted in self._sinks:
+            if wanted is None or category in wanted:
+                route.append(sink)
+        return tuple(route)
+
+    def _reroute(self) -> None:
+        # Fresh tuples, never mutated in place: a row being delivered keeps
+        # iterating the route it read.
+        self._routes = [self._route(name) for name in self._cat_names]
 
     def record(
         self,
@@ -350,20 +388,22 @@ class TraceRecorder:
         if cat_id is None:
             cat_id = self._cat_of[category] = len(self._cat_names)
             self._cat_names.append(category)
+            self._routes.append(self._route(category))
         self._t_append(time)
         self._c_append(cat_id)
         self._n_append(node)
         self._p_append(data)
         if time > self._max_time:
             self._max_time = time
-        if self._sinks:
+        sinks = self._routes[cat_id]
+        if sinks:
             # Sinks observe real records: materialize once for all of them.
             entry = TraceRecord.__new__(TraceRecord)
             entry.time = time
             entry.category = category
             entry.node = node
             entry.data = data
-            for sink in self._sinks:
+            for sink in sinks:
                 sink(entry)
 
     # -- queries -----------------------------------------------------------------

@@ -194,6 +194,24 @@ def test_clean_crash_run_satisfies_all_monitors():
     assert hist.maximum <= latency_bounds(net.config).notification
 
 
+def test_monitors_see_only_the_rows_they_read():
+    """Monitor observations per row, an exact simulator count: each monitor
+    is handed the rows of its declared categories and nothing else, and the
+    whole set costs at most 1.2 observations per recorded row (every
+    monitor saw every row, 4 per row, before rows were routed)."""
+    net, monitors = _observed_net()
+    assert len(net.sim.trace) == 0
+    net.join_all()
+    net.run_for(ms(400))
+    net.node(3).crash()
+    net.run_for(ms(150))
+    trace = net.sim.trace
+    for monitor in monitors:
+        assert monitor.records_seen == sum(map(trace.count, monitor.categories))
+    observations = sum(monitor.records_seen for monitor in monitors)
+    assert observations / len(trace) <= 1.2
+
+
 def test_injected_duplicate_failure_sign_is_caught_with_slice():
     """Acceptance scenario: corrupt the FDA dedup state mid-run (modelled
     by replaying a failure-sign delivery record) and the monitor must stop

@@ -30,9 +30,10 @@ def test_version_bumped_for_the_new_surface():
     # Executor classes and the executor= keywords; 7.0.0 removed
     # CampaignSpec.monitors and run_schedule's monitors=; 8.0.0 removed
     # TraceRecorder's enabled/capacity modes and EventQueue's pop/peek_time/
-    # clear (docs/api.md).
+    # clear; 8.1.0 added add_sink's categories= and
+    # InvariantMonitor.categories (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (8, 0)
+    assert (int(major), int(minor)) >= (8, 1)
 
 
 def test_core_names_are_eager():

@@ -138,6 +138,74 @@ def test_remove_sink_stops_streaming():
     assert seen == [1]
 
 
+def test_a_category_sink_gets_only_its_rows():
+    trace = TraceRecorder()
+    trace.record(1, "a")  # interned before the sink: rerouted on attach
+    seen = []
+    trace.add_sink(lambda record: seen.append(record.time), categories=("a", "c"))
+    trace.record(2, "a")
+    trace.record(3, "b")
+    trace.record(4, "c")  # interned after the sink: routed on intern
+    assert seen == [2, 4]
+
+
+def test_sinks_get_a_row_in_attachment_order():
+    trace = TraceRecorder()
+    order = []
+    trace.add_sink(lambda record: order.append("all"))
+    trace.add_sink(lambda record: order.append("b"), categories={"b"})
+    trace.add_sink(lambda record: order.append("all-2"))
+    trace.record(1, "a")
+    trace.record(2, "b")
+    assert order == ["all", "all-2", "all", "b", "all-2"]
+
+
+def test_a_sink_detached_mid_row_does_not_hide_the_row_from_later_sinks():
+    trace = TraceRecorder()
+    seen = []
+
+    def a(record):
+        seen.append(("a", record.time))
+        trace.remove_sink(a)
+
+    trace.add_sink(a)
+    trace.add_sink(lambda record: seen.append(("b", record.time)))
+    trace.record(1, "x")
+    trace.record(2, "x")
+    assert seen == [("a", 1), ("b", 1), ("b", 2)]
+
+
+def test_a_sink_added_mid_row_starts_with_the_next_row():
+    trace = TraceRecorder()
+    seen = []
+
+    def late(record):
+        seen.append(("late", record.time))
+
+    def adder(record):
+        if record.time == 1:
+            trace.add_sink(late, categories=("x",))
+
+    trace.add_sink(adder)
+    trace.record(1, "x")
+    trace.record(2, "x")
+    trace.record(3, "y")
+    assert seen == [("late", 2)]
+
+
+def test_remove_sink_takes_out_one_subscription():
+    trace = TraceRecorder()
+    seen = []
+    sink = seen.append
+    trace.add_sink(sink, categories=("a",))
+    trace.add_sink(sink)
+    trace.remove_sink(sink)
+    trace.remove_sink(lambda record: None)  # never added: ignored
+    trace.record(1, "a")
+    trace.record(2, "b")
+    assert [r.time for r in seen] == [1, 2]
+
+
 def test_record_to_dict_projects_payload():
     trace = TraceRecorder()
     trace.record(5, "msh.view", node=1, members={3, 1, 2})
