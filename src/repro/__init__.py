@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "8.1.0"
+__version__ = "9.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -49,9 +49,15 @@ _LAZY_EXPORTS = {
     "BackendQoS": "repro.analysis.comparison",
     "compare_backends": "repro.analysis.comparison",
     "probe_backend": "repro.analysis.comparison",
-    # scenario builder (repro.workloads) — the fluent scripting API
+    # scenarios (repro.workloads) — one plain-data scenario, one run, and
+    # the fluent scripting API beneath them
+    "Action": "repro.workloads",
     "FrameMatch": "repro.workloads",
+    "Result": "repro.workloads",
+    "Scenario": "repro.workloads",
     "ScenarioBuilder": "repro.workloads",
+    "load_script": "repro.workloads",
+    "run": "repro.workloads",
     # campaigns (repro.campaign)
     "CampaignReport": "repro.campaign",
     "CampaignSpec": "repro.campaign",
@@ -63,11 +69,8 @@ _LAZY_EXPORTS = {
     "run_campaign": "repro.campaign",
     "schedule_key": "repro.campaign",
     # systematic checking (repro.check)
-    "CheckResult": "repro.check",
     "CheckSweep": "repro.check",
     "CoverageReport": "repro.check",
-    "Fault": "repro.check",
-    "FaultSchedule": "repro.check",
     "ScheduleBatch": "repro.check",
     "ScheduleSpace": "repro.check",
     "enumerate_schedules": "repro.check",
@@ -76,7 +79,6 @@ _LAZY_EXPORTS = {
     "minimize_schedule": "repro.check",
     "mutate_schedule": "repro.check",
     "replay_artifact": "repro.check",
-    "run_schedule": "repro.check",
     "run_selftest": "repro.check",
     "sample_schedules": "repro.check",
     "write_artifact": "repro.check",

@@ -195,37 +195,39 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _load_scenario(path):
-    """The :class:`ScenarioSpec` in the JSON file at ``path``; an
-    unreadable file is a :class:`ConfigurationError` like a malformed one."""
-    from repro.workloads.script import ScenarioSpec
+def _run_script(path):
+    """Run the JSON script at ``path`` (:func:`repro.workloads.scenario.run`,
+    judged by its backend's invariant monitors). An unreadable or malformed
+    file is a :class:`ConfigurationError`; a network that never formed, or
+    a run that broke, a :class:`ScenarioError`."""
+    from repro.workloads.scenario import VERDICT_VIOLATION, load_script, run
 
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as error:
         raise ConfigurationError(f"cannot read scenario: {error}") from None
-    return ScenarioSpec.from_json(text)
+    result = run(load_script(text))
+    if not result.ok and result.verdict != VERDICT_VIOLATION:
+        raise ScenarioError(result.detail)
+    return result
 
 
 def _cmd_run(args) -> int:
-    from repro.workloads.script import run_scenario
-
-    report = run_scenario(_load_scenario(args.scenario), monitors=args.monitors)
-    _emit(args, report.to_dict())
-    return 0 if report.views_agree else 1
+    result = _run_script(args.scenario)
+    _emit(args, result.report())
+    return 0 if result.ok else 1
 
 
 def _observed_network(args):
-    """Run ``--scenario FILE`` under its backend's invariant monitors, or
-    else the demo scenario, and return the finished network."""
+    """Run ``--scenario FILE``, or else the demo scenario, and return the
+    finished network."""
     if not args.scenario:
         return _demo_network()[0]
-    from repro.workloads.script import run_scenario_detailed
-
-    spec = _load_scenario(args.scenario)
-    _report, net = run_scenario_detailed(spec, monitors=True)
-    return net
+    result = _run_script(args.scenario)
+    if not result.ok:
+        print(f"{result.verdict}: {result.detail.splitlines()[0]}", file=sys.stderr)
+    return result.network
 
 
 def _cmd_trace(args) -> int:
@@ -672,11 +674,6 @@ def main(argv=None) -> int:
     bounds.set_defaults(func=_cmd_bounds)
     run = sub.add_parser("run", help="execute a JSON scenario script")
     run.add_argument("scenario", help="path to the scenario JSON file")
-    run.add_argument(
-        "--monitors",
-        action="store_true",
-        help="fail fast on online invariant violations during the run",
-    )
     run.set_defaults(func=_cmd_run)
     trace = sub.add_parser(
         "trace", help="run a scenario and query/export its trace"

@@ -22,6 +22,7 @@ from repro.campaign.spec import (
     CampaignSpec,
     ScenarioResult,
 )
+from repro.core.config import CanelyConfig
 from repro.obs.qos import quantile
 from repro.sim.clock import ms
 from repro.util.tables import render_table, to_json
@@ -70,7 +71,13 @@ class CampaignReport:
         (:func:`~repro.analysis.latency.latency_bounds`); rival backends
         supply their own via ``detection_latency_bound`` on their config.
         """
-        config = self.spec.config()
+        spec = self.spec
+        config = CanelyConfig(
+            capacity=spec.capacity,
+            tm=ms(spec.tm_ms),
+            thb=ms(spec.thb_ms),
+            tjoin_wait=ms(spec.tjoin_wait_ms),
+        )
         if self.spec.backend != "canely":
             from repro.core.backend import resolve_backend
 

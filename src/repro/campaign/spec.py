@@ -4,9 +4,11 @@ A :class:`CampaignSpec` describes a *population* of randomized fault
 scenarios: how many, the node/crash-count ranges, the stochastic bus-fault
 probability ceilings and the measurement window. Every scenario owns a
 private seed derived from the campaign root seed and the scenario index via
-:func:`repro.sim.rng.derive_seed`, so a scenario is reproducible in
-isolation — same seed, same verdict and latencies, regardless of execution
-order or worker count.
+:func:`repro.sim.rng.derive_seed`, and :meth:`CampaignSpec.scenario` draws
+it as a plain-data :class:`~repro.workloads.scenario.Scenario`, so a
+scenario is reproducible in isolation — same seed, same verdict and
+latencies, regardless of execution order or worker count — and a
+violating one can be minimized and replayed like any checker schedule.
 
 A :class:`ScenarioResult` is the structured outcome one worker returns:
 a verdict, the detection latencies, the injected omission counts (the
@@ -20,24 +22,25 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.config import CanelyConfig
 from repro.errors import ConfigurationError
-from repro.sim.clock import ms
-from repro.sim.rng import derive_seed
+from repro.sim.rng import RngStreams, derive_seed
+from repro.workloads.scenario import (
+    ACTION_CRASH,
+    VERDICT_BOOTSTRAP_FAILED,
+    VERDICT_ERROR,
+    VERDICT_OK,
+    VERDICT_VIOLATION,
+    Action,
+    Scenario,
+)
 
-#: Scenario verdicts, from best to worst.
-VERDICT_OK = "ok"
-#: The network never converged to full membership before fault injection.
-VERDICT_BOOTSTRAP_FAILED = "bootstrap_failed"
-#: An invariant monitor fired, or the final views/survivors disagreed.
-VERDICT_VIOLATION = "violation"
-#: The scenario raised an unexpected exception inside the worker.
-VERDICT_ERROR = "error"
 #: The scenario exceeded the per-scenario wall-clock budget (after retries).
 VERDICT_TIMEOUT = "timeout"
 #: The worker process died without reporting a result (after retries).
 VERDICT_WORKER_CRASH = "worker_crash"
 
+#: Campaign verdicts, from best to worst: a run's four
+#: (:mod:`repro.workloads.scenario`), then the two of the process that ran it.
 VERDICTS = (
     VERDICT_OK,
     VERDICT_BOOTSTRAP_FAILED,
@@ -98,7 +101,7 @@ class CampaignSpec:
                 f"bad node range {self.node_min}..{self.node_max} "
                 f"(capacity {self.capacity})"
             )
-        if not 0 <= self.crash_min <= self.crash_max:
+        if not 0 <= self.crash_min <= min(self.crash_max, self.node_min):
             raise ConfigurationError(
                 f"bad crash range {self.crash_min}..{self.crash_max}"
             )
@@ -124,23 +127,49 @@ class CampaignSpec:
         """The private seed of scenario ``index``."""
         return derive_seed(self.seed, f"scenario/{index}")
 
-    def config(self) -> CanelyConfig:
-        """The protocol configuration every scenario runs under."""
-        return CanelyConfig(
+    def scenario(self, index: int) -> Scenario:
+        """Scenario ``index``: population, crash count and omission rates
+        drawn from the ``topology`` stream of its private seed, the
+        talkers (half the nodes, 4-9 ms periods) from its ``traffic``
+        stream, and crashes at whole milliseconds of the crash window.
+        A stream depends on the seed and its name only, so these draws
+        and the run's ``faults`` stream never perturb each other."""
+        seed = self.scenario_seed(index)
+        streams = RngStreams(seed)
+        topology = streams.stream("topology")
+        nodes = topology.randint(self.node_min, self.node_max)
+        crash_hi = max(self.crash_min, min(self.crash_max, nodes - 2))
+        crashes = topology.randint(self.crash_min, crash_hi)
+        consistent = topology.uniform(0.0, self.consistent_probability)
+        inconsistent = topology.uniform(0.0, self.inconsistent_probability)
+        traffic = streams.stream("traffic")
+        talkers = []
+        for node in traffic.sample(range(nodes), nodes // 2):
+            talkers.append((node, float(traffic.randint(4, 9))))
+        actions = []
+        for victim in topology.sample(range(nodes), crashes):
+            at_ms = float(topology.randint(0, int(self.crash_window_ms)))
+            actions.append(Action(ACTION_CRASH, node=victim, at_ms=at_ms))
+        return Scenario(
+            nodes=nodes,
+            members=nodes,
+            actions=actions,
+            run_ms=self.run_ms,
+            tm_ms=self.tm_ms,
+            thb_ms=self.thb_ms,
+            tjoin_wait_ms=self.tjoin_wait_ms,
             capacity=self.capacity,
-            tm=ms(self.tm_ms),
-            thb=ms(self.thb_ms),
-            tjoin_wait=ms(self.tjoin_wait_ms),
+            seed=seed,
+            backend=self.backend,
+            segments=self.segments,
+            traffic=talkers,
+            consistent_probability=consistent,
+            inconsistent_probability=inconsistent,
         )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (for reports and checkpoint headers)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**raw)
 
 
 @dataclass

@@ -12,7 +12,8 @@ Entry points:
 
 * :func:`~repro.check.sweep.explore` / :class:`~repro.check.sweep.CheckSweep`
   — run a whole population (parallel via the campaign engine).
-* :func:`~repro.check.runner.run_schedule` — one schedule, one verdict.
+* :func:`~repro.workloads.scenario.run` — one schedule, one verdict
+  (schedules are :class:`~repro.workloads.scenario.Scenario` s).
 * :func:`~repro.check.minimize.minimize_schedule` — ddmin a violation.
 * :func:`~repro.check.artifact.replay_artifact` — bit-for-bit replay.
 * :func:`~repro.check.selftest.run_selftest` — prove the checker catches
@@ -33,26 +34,6 @@ from repro.check.explorer import (
     schedule_population,
 )
 from repro.check.minimize import MinimizationOutcome, minimize_schedule
-from repro.check.runner import (
-    CHECK_BOOTSTRAP_FAILED,
-    CHECK_ERROR,
-    CHECK_OK,
-    CHECK_VIOLATION,
-    CheckResult,
-    expected_members,
-    run_schedule,
-    trace_fingerprint,
-)
-from repro.check.schedule import (
-    ACTION_CRASH,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    ACTION_OMIT,
-    OMISSION_CONSISTENT,
-    OMISSION_INCONSISTENT,
-    Fault,
-    FaultSchedule,
-)
 from repro.check.selftest import (
     MUTATIONS,
     Mutation,
@@ -72,6 +53,18 @@ from repro.check.sweep import (
     run_batch_scenario,
     run_check_scenario,
 )
+from repro.workloads.scenario import (
+    ACTION_CRASH,
+    ACTION_JOIN,
+    ACTION_LEAVE,
+    ACTION_OMIT,
+    OMISSION_CONSISTENT,
+    OMISSION_INCONSISTENT,
+    VERDICT_BOOTSTRAP_FAILED as CHECK_BOOTSTRAP_FAILED,
+    VERDICT_ERROR as CHECK_ERROR,
+    VERDICT_OK as CHECK_OK,
+    VERDICT_VIOLATION as CHECK_VIOLATION,
+)
 
 __all__ = [
     "ACTION_CRASH",
@@ -82,15 +75,12 @@ __all__ = [
     "CHECK_ERROR",
     "CHECK_OK",
     "CHECK_VIOLATION",
-    "CheckResult",
     "CheckSweep",
     "Counterexample",
     "CoverageReport",
     "DEFAULT_FRAME_TYPES",
     "ExplorationReport",
     "FORMAT",
-    "Fault",
-    "FaultSchedule",
     "MUTATIONS",
     "MinimizationOutcome",
     "Mutation",
@@ -100,7 +90,6 @@ __all__ = [
     "ScheduleSpace",
     "SelftestReport",
     "enumerate_schedules",
-    "expected_members",
     "explore",
     "explore_coverage",
     "minimize_schedule",
@@ -109,11 +98,9 @@ __all__ = [
     "replay_artifact",
     "run_batch_scenario",
     "run_check_scenario",
-    "run_schedule",
     "run_selftest",
     "sample_schedules",
     "schedule_population",
     "selftest_sweep",
-    "trace_fingerprint",
     "write_artifact",
 ]

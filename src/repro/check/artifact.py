@@ -2,17 +2,17 @@
 
 When the checker finds a violation it emits one JSONL artifact that is the
 whole story: a header line identifying the format and code version, the
-minimal (post-ddmin) schedule, the violated invariant, the trace
-fingerprint the schedule must reproduce, and the offending trace slice for
+minimal (post-ddmin) scenario, the violated invariant, the trace
+fingerprint the scenario must reproduce, and the offending trace slice for
 human eyes. ``repro check --replay artifact.jsonl`` re-executes the
-schedule and verifies **bit-for-bit reproduction**: same verdict, same
+scenario and verifies **bit-for-bit reproduction**: same verdict, same
 violated monitor, same complete-trace fingerprint.
 
 The format is line-oriented so artifacts stream into the same tooling as
 trace exports and campaign checkpoints:
 
 * line 1 — header: ``{"format": "repro.check/2", "seed": ..., ...}``
-* line 2 — the schedule (``FaultSchedule.to_dict()``)
+* line 2 — the scenario (``Scenario.to_dict()``)
 * line 3 — the result summary (verdict, monitor, detail, fingerprint)
 * remaining lines — the violation's trace slice, one record per line
 """
@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Dict, Iterator, Optional, Tuple, Union
 
-from repro.check.runner import CheckResult, run_schedule
-from repro.check.schedule import FaultSchedule
-from repro.errors import CheckError
+from repro.errors import CheckError, ConfigurationError
+from repro.workloads.scenario import Result, Scenario, run
 
 #: Stamped on every artifact header and every
 #: :class:`~repro.campaign.store.FingerprintStore` line. The complete-trace
@@ -36,7 +35,7 @@ FORMAT = "repro.check/2"
 
 def write_artifact(
     target: Union[str, IO[str]],
-    result: CheckResult,
+    result: Result,
     extra: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Write ``result`` (typically a minimized violation) as an artifact.
@@ -52,13 +51,13 @@ def write_artifact(
             "format": FORMAT,
             "verdict": result.verdict,
             "monitor": result.monitor,
-            "seed": result.schedule.seed,
-            "faults": result.schedule.depth,
+            "seed": result.scenario.seed,
+            "faults": result.scenario.depth,
         }
         if extra:
             header.update(extra)
         handle.write(json.dumps(header) + "\n")
-        handle.write(json.dumps(result.schedule.to_dict()) + "\n")
+        handle.write(json.dumps(result.scenario.to_dict()) + "\n")
         summary = {
             "verdict": result.verdict,
             "monitor": result.monitor,
@@ -78,12 +77,12 @@ def write_artifact(
 
 def read_artifact(
     source: Union[str, IO[str]],
-) -> Tuple[FaultSchedule, Dict[str, Any], Dict[str, Any]]:
-    """Load an artifact; returns ``(schedule, expected summary, header)``.
+) -> Tuple[Scenario, Dict[str, Any], Dict[str, Any]]:
+    """Load an artifact; returns ``(scenario, expected summary, header)``.
 
     Raises :class:`~repro.errors.CheckError` on a malformed or
-    wrong-format file — a truncated artifact must fail loudly, not replay
-    the wrong schedule.
+    wrong-format file — a truncated or hand-broken artifact must fail
+    loudly, naming what is wrong, not replay the wrong scenario.
     """
     own = isinstance(source, str)
     handle: IO[str] = open(source) if own else source
@@ -94,12 +93,15 @@ def read_artifact(
             raise CheckError(
                 f"not a {FORMAT} artifact: format={header.get('format')!r}"
             )
-        schedule = FaultSchedule.from_dict(_parse(lines[1], "schedule"))
+        try:
+            scenario = Scenario.from_dict(_parse(lines[1], "scenario"))
+        except (ConfigurationError, TypeError) as error:
+            raise CheckError(f"malformed artifact scenario: {error}") from None
         expected = _parse(lines[2], "result summary")
         for key in ("verdict", "fingerprint"):
             if key not in expected:
                 raise CheckError(f"artifact result summary lacks {key!r}")
-        return schedule, expected, header
+        return scenario, expected, header
     finally:
         if own:
             handle.close()
@@ -107,8 +109,8 @@ def read_artifact(
 
 def replay_artifact(
     source: Union[str, IO[str]],
-) -> Tuple[CheckResult, Dict[str, Any]]:
-    """Re-execute an artifact's schedule and verify bit-for-bit reproduction.
+) -> Tuple[Result, Dict[str, Any]]:
+    """Re-execute an artifact's scenario and verify bit-for-bit reproduction.
 
     Returns ``(fresh result, expected summary)`` when the replay matches;
     raises :class:`~repro.errors.CheckError` when the verdict, violated
@@ -120,8 +122,8 @@ def replay_artifact(
     header) only reproduce with that mutation re-planted; the ``repro
     check --replay`` CLI does that automatically.
     """
-    schedule, expected, _header = read_artifact(source)
-    result = run_schedule(schedule)
+    scenario, expected, _header = read_artifact(source)
+    result = run(scenario)
     mismatches = []
     if result.verdict != expected["verdict"]:
         mismatches.append(

@@ -32,18 +32,18 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.check.schedule import (
+from repro.errors import CheckError
+from repro.sim.rng import derive_seed
+from repro.workloads.scenario import (
     ACTION_CRASH,
     ACTION_JOIN,
     ACTION_LEAVE,
     ACTION_OMIT,
     OMISSION_CONSISTENT,
     OMISSION_INCONSISTENT,
-    Fault,
-    FaultSchedule,
+    Action,
+    Scenario,
 )
-from repro.errors import CheckError
-from repro.sim.rng import derive_seed
 
 #: Frame types worth attacking: the protocol control traffic. (DATA only
 #: flows when a traffic source is scripted, so it is not in the default
@@ -69,7 +69,7 @@ class ScheduleSpace:
             omissions per schedule.
         max_omissions: MCAN3's ``k`` — at most this many omissions total.
         run_ms / tm_ms / thb_ms / tjoin_wait_ms / capacity: forwarded to
-            every generated :class:`FaultSchedule`.
+            every generated :class:`~repro.workloads.scenario.Scenario`.
     """
 
     nodes: int = 5
@@ -96,25 +96,25 @@ class ScheduleSpace:
 
     # -- the action alphabet ---------------------------------------------------
 
-    def alphabet(self) -> List[Fault]:
+    def alphabet(self) -> List[Action]:
         """Every atomic fault action the space admits, in a stable order."""
-        actions: List[Fault] = []
+        actions: List[Action] = []
         members = range(self.members)
         late = range(self.members, self.nodes)
         for offset in self.crash_offsets_ms:
             for node in members:
                 actions.append(
-                    Fault(ACTION_CRASH, node=node, at_ms=offset)
+                    Action(ACTION_CRASH, node=node, at_ms=offset)
                 )
                 actions.append(
-                    Fault(ACTION_LEAVE, node=node, at_ms=offset)
+                    Action(ACTION_LEAVE, node=node, at_ms=offset)
                 )
             for node in late:
-                actions.append(Fault(ACTION_JOIN, node=node, at_ms=offset))
+                actions.append(Action(ACTION_JOIN, node=node, at_ms=offset))
         for frame_type in self.frame_types:
             for nth in self.nth_frames:
                 actions.append(
-                    Fault(
+                    Action(
                         ACTION_OMIT,
                         frame_type=frame_type,
                         nth=nth,
@@ -126,7 +126,7 @@ class ScheduleSpace:
                 # last-two-bits scenario at a single node.
                 for accepting in range(min(2, self.members)):
                     actions.append(
-                        Fault(
+                        Action(
                             ACTION_OMIT,
                             frame_type=frame_type,
                             nth=nth,
@@ -141,7 +141,7 @@ class ScheduleSpace:
                 continue
             for node in range(min(2, self.members)):
                 actions.append(
-                    Fault(
+                    Action(
                         ACTION_OMIT,
                         node=node,
                         frame_type=frame_type,
@@ -155,7 +155,7 @@ class ScheduleSpace:
 
     # -- model-bound admissibility ------------------------------------------------
 
-    def admits(self, faults: Sequence[Fault]) -> bool:
+    def admits(self, faults: Sequence[Action]) -> bool:
         """True when ``faults`` respects the space's fault-model bounds."""
         omissions = [f for f in faults if f.action == ACTION_OMIT]
         if len(omissions) > self.max_omissions:
@@ -184,12 +184,12 @@ class ScheduleSpace:
             return False
         return True
 
-    def schedule(self, faults: Sequence[Fault], seed: int) -> FaultSchedule:
+    def schedule(self, faults: Sequence[Action], seed: int) -> Scenario:
         """Wrap ``faults`` into an executable schedule."""
-        return FaultSchedule(
+        return Scenario(
             nodes=self.nodes,
             members=self.members,
-            faults=tuple(faults),
+            actions=tuple(faults),
             run_ms=self.run_ms,
             tm_ms=self.tm_ms,
             thb_ms=self.thb_ms,
@@ -201,7 +201,7 @@ class ScheduleSpace:
 
 def enumerate_schedules(
     space: ScheduleSpace, depth: int
-) -> Iterator[FaultSchedule]:
+) -> Iterator[Scenario]:
     """Exhaustive BFS: every admissible schedule of up to ``depth`` actions.
 
     Breadth-first order (all depth-0 schedules, then depth-1, ...) so a
@@ -226,7 +226,7 @@ def sample_schedules(
     seed: int = 0,
     min_depth: int = 2,
     max_depth: int = 5,
-) -> Iterator[FaultSchedule]:
+) -> Iterator[Scenario]:
     """Seeded guided-random sampling beyond the exhaustive bound.
 
     Draws ``count`` admissible schedules of ``min_depth..max_depth``
@@ -249,7 +249,7 @@ def sample_schedules(
         rng = random.Random(derive_seed(seed, f"check/sample/{draw}"))
         draw += 1
         size = rng.randint(min_depth, max_depth)
-        faults: List[Fault]
+        faults: List[Action]
         if crashes and omissions and rng.random() < 0.5:
             # Focused draw: one crash plus omissions clustered on the
             # failure-dissemination traffic.
@@ -276,7 +276,7 @@ def schedule_population(
     samples: int = 0,
     seed: int = 0,
     sample_max_depth: int = 5,
-) -> List[FaultSchedule]:
+) -> List[Scenario]:
     """The checker's standard population: the exhaustive sweep up to
     ``depth`` followed by ``samples`` guided-random deeper schedules.
 

@@ -7,9 +7,11 @@ tuple: repeatedly re-execute candidate sub-schedules, keep any that still
 violate, and stop at 1-minimality — removing *any single remaining fault*
 makes the violation disappear.
 
-The oracle is deterministic (:func:`repro.check.runner.run_schedule`), so
-no retries or flakiness handling are needed; a cache keyed on the fault
-tuple avoids re-running sub-schedules ddmin proposes twice.
+The oracle is deterministic (:func:`repro.workloads.scenario.run`), so
+no retries or flakiness handling are needed; a cache keyed on the action
+tuple avoids re-running sub-schedules ddmin proposes twice. Any
+:class:`~repro.workloads.scenario.Scenario` minimizes — a checker
+schedule, a campaign draw or a ``repro run`` script.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.check.runner import CheckResult, run_schedule
-from repro.check.schedule import Fault, FaultSchedule
+from repro.workloads.scenario import Action, Result, Scenario, run
 
-Oracle = Callable[[FaultSchedule], CheckResult]
+Oracle = Callable[[Scenario], Result]
 
 
 @dataclass
@@ -31,14 +32,14 @@ class MinimizationOutcome:
     run; ``runs`` counts oracle executions (cache misses only).
     """
 
-    schedule: FaultSchedule
-    result: CheckResult
+    schedule: Scenario
+    result: Result
     runs: int
 
 
 def minimize_schedule(
-    schedule: FaultSchedule,
-    oracle: Oracle = run_schedule,
+    schedule: Scenario,
+    oracle: Oracle = run,
     max_runs: int = 200,
 ) -> MinimizationOutcome:
     """Shrink ``schedule`` to a 1-minimal violating sub-schedule.
@@ -48,26 +49,25 @@ def minimize_schedule(
     the oracle budget; when exhausted the best schedule found so far is
     returned — still violating, possibly not yet 1-minimal.
     """
-    cache: Dict[Tuple[Fault, ...], CheckResult] = {}
-    runs = [0]
-
-    def probe(candidate: FaultSchedule) -> CheckResult:
-        key = candidate.faults
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        runs[0] += 1
-        result = oracle(candidate)
-        cache[key] = result
-        return result
-
     current = schedule
-    result = probe(current)
+    result = oracle(current)
     if not result.violating:
         raise ValueError(
             "minimize_schedule needs a violating schedule; got verdict "
             f"{result.verdict!r}"
         )
+    # Only violating runs are kept whole: a result holds its network.
+    cache: Dict[Tuple[Action, ...], Optional[Result]] = {current.actions: result}
+    runs = [1]
+
+    def probe(candidate: Scenario) -> Optional[Result]:
+        """The candidate's run when it violates, else None."""
+        key = candidate.actions
+        if key not in cache:
+            runs[0] += 1
+            outcome = oracle(candidate)
+            cache[key] = outcome if outcome.violating else None
+        return cache[key]
 
     granularity = 2
     while current.depth >= 2 and runs[0] < max_runs:
@@ -80,13 +80,13 @@ def minimize_schedule(
             complement = current.without(
                 i for i in range(current.depth) if i not in chunk
             )
-            if complement.depth and probe(complement).violating:
+            if complement.depth and probe(complement) is not None:
                 current, result = complement, probe(complement)
                 granularity = 2
                 reduced = True
                 break
             subset = current.without(chunk)
-            if subset.depth and probe(subset).violating:
+            if subset.depth and probe(subset) is not None:
                 current, result = subset, probe(subset)
                 granularity = max(granularity - 1, 2)
                 reduced = True

@@ -29,12 +29,11 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 from repro.check.artifact import replay_artifact, write_artifact
 from repro.check.explorer import ScheduleSpace
 from repro.check.minimize import minimize_schedule
-from repro.check.runner import CheckResult, run_schedule
-from repro.check.schedule import FaultSchedule
 from repro.check.sweep import CheckSweep, explore
 from repro.core.fda import FdaProtocol
 from repro.core.failure_detector import FailureDetector
 from repro.errors import CheckError
+from repro.workloads.scenario import Result, Scenario, run
 
 #: The minimal counterexample a passing selftest may report — planted
 #: mutations are triggerable by a lone crash, so anything bigger means the
@@ -219,7 +218,7 @@ def run_selftest(
         expected_monitor=registered.expected_monitor,
     )
     sweep = selftest_sweep(seed=seed)
-    minimal: Optional[FaultSchedule] = None
+    minimal: Optional[Scenario] = None
 
     with registered.plant():
         # 1-2. explore in-process (workers=0: the patch must stay applied).
@@ -268,7 +267,7 @@ def run_selftest(
         )
 
     # 5. un-planted, the minimal schedule must pass clean.
-    clean = run_schedule(minimal)
+    clean = run(minimal)
     report.clean_after_unplant = clean.ok
     if not clean.ok:
         report.failures.append(
@@ -280,7 +279,7 @@ def run_selftest(
 
 
 def _replay_roundtrip(
-    result: CheckResult,
+    result: Result,
     artifact_path: Optional[str],
     report: SelftestReport,
     extra: Optional[Dict[str, str]] = None,
@@ -303,7 +302,7 @@ def _replay_roundtrip(
 
 
 def minimize_planted(
-    mutation: str, schedule: FaultSchedule, max_runs: int = 200
+    mutation: str, schedule: Scenario, max_runs: int = 200
 ):
     """Minimize ``schedule`` with ``mutation`` planted (test helper)."""
     registered = MUTATIONS.get(mutation)

@@ -46,20 +46,21 @@ from repro.check.explorer import (
     schedule_population,
 )
 from repro.check.minimize import minimize_schedule
-from repro.check.runner import (
-    CHECK_VIOLATION,
-    CheckResult,
-    run_schedule,
-)
-from repro.check.schedule import ACTION_CRASH, FaultSchedule
 from repro.errors import CheckError
 from repro.sim.rng import derive_seed
+from repro.workloads.scenario import (
+    ACTION_CRASH,
+    VERDICT_VIOLATION,
+    Result,
+    Scenario,
+    run,
+)
 
 ProgressFn = Callable[[ScenarioResult], None]
 
 #: Populations are deterministic in the sweep, so regenerating one per
 #: process is pure overhead after the first time — memoize per sweep.
-_POPULATION_CACHE: Dict["CheckSweep", List[FaultSchedule]] = {}
+_POPULATION_CACHE: Dict["CheckSweep", List[Scenario]] = {}
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class CheckSweep:
         if self.samples < 0:
             raise CheckError(f"samples must be >= 0: {self.samples}")
 
-    def population(self) -> List[FaultSchedule]:
+    def population(self) -> List[Scenario]:
         """Every schedule this sweep runs, in execution order (memoized)."""
         cached = _POPULATION_CACHE.get(self)
         if cached is None:
@@ -98,7 +99,7 @@ class CheckSweep:
             _POPULATION_CACHE[self] = cached
         return cached
 
-    def schedule(self, index: int) -> FaultSchedule:
+    def schedule(self, index: int) -> Scenario:
         """Schedule ``index`` of the population."""
         population = self.population()
         if not 0 <= index < len(population):
@@ -131,7 +132,7 @@ class ScheduleBatch:
     across process boundaries unchanged.
     """
 
-    schedules: Tuple[FaultSchedule, ...]
+    schedules: Tuple[Scenario, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedules", tuple(self.schedules))
@@ -146,14 +147,14 @@ class ScheduleBatch:
         return self.schedules[index].seed
 
 
-def _schedule_result(schedule: FaultSchedule, index: int) -> ScenarioResult:
+def _schedule_result(schedule: Scenario, index: int) -> ScenarioResult:
     """Execute one schedule and fold the check payload into a campaign
     result (the shared body of the two campaign ``scenario_fn`` shapes)."""
-    check = run_schedule(schedule)
+    check = run(schedule)
     crashes = sum(
         1
-        for fault in schedule.faults
-        if fault.action == ACTION_CRASH or fault.crash_sender
+        for action in schedule.actions
+        if action.action == ACTION_CRASH or action.crash_sender
     )
     return ScenarioResult(
         index=index,
@@ -194,7 +195,7 @@ def run_batch_scenario(batch: ScheduleBatch, index: int) -> ScenarioResult:
 
 
 def _cached_result(
-    index: int, schedule: FaultSchedule, record: Dict
+    index: int, schedule: Scenario, record: Dict
 ) -> ScenarioResult:
     """A result synthesized from the fingerprint store instead of a run."""
     return ScenarioResult(
@@ -217,9 +218,9 @@ class Counterexample:
     """One violation, minimized and (optionally) written to disk."""
 
     index: int
-    schedule: FaultSchedule
-    minimized: FaultSchedule
-    result: CheckResult
+    schedule: Scenario
+    minimized: Scenario
+    result: Result
     minimize_runs: int
     artifact_path: Optional[str] = None
 
@@ -232,15 +233,15 @@ class Counterexample:
             f"  [{self.result.monitor}] "
             + self.result.detail.splitlines()[0],
         ]
-        for fault in self.minimized.faults:
-            lines.append(f"  - {fault.describe()}")
+        for action in self.minimized.actions:
+            lines.append(f"  - {action.describe()}")
         if self.artifact_path:
             lines.append(f"  artifact: {self.artifact_path}")
         return "\n".join(lines)
 
 
 def _minimize_violations(
-    violations: List[Tuple[int, FaultSchedule]],
+    violations: List[Tuple[int, Scenario]],
     minimize: bool,
     max_minimize_runs: int,
     artifact_dir: Optional[str],
@@ -260,7 +261,7 @@ def _minimize_violations(
                 outcome.runs,
             )
         else:
-            minimized, check, runs = schedule, run_schedule(schedule), 1
+            minimized, check, runs = schedule, run(schedule), 1
         counterexample = Counterexample(
             index=index,
             schedule=schedule,
@@ -351,9 +352,13 @@ def explore(
     prior: Optional[Dict[int, ScenarioResult]] = None
     if fingerprint_store is not None:
         prior = {}
+        # One structural key per schedule, for the lookup and the record.
+        keys = []
         for index in range(sweep.scenarios):
             schedule = sweep.schedule(index)
-            record = fingerprint_store.lookup(schedule_key(schedule))
+            key = schedule_key(schedule)
+            keys.append(key)
+            record = fingerprint_store.lookup(key)
             if record is not None:
                 prior[index] = _cached_result(index, schedule, record)
     results = run_campaign(
@@ -373,7 +378,7 @@ def explore(
             fingerprint = check.get("fingerprint")
             if fingerprint and not check.get("cached"):
                 fingerprint_store.record(
-                    schedule_key(sweep.schedule(result.index)),
+                    keys[result.index],
                     fingerprint,
                     result.verdict,
                     seed=result.seed,
@@ -381,7 +386,7 @@ def explore(
     violations = [
         (result.index, sweep.schedule(result.index))
         for result in results
-        if result.verdict == CHECK_VIOLATION
+        if result.verdict == VERDICT_VIOLATION
     ]
     counterexamples = _minimize_violations(
         violations, minimize, max_minimize_runs, artifact_dir
@@ -396,11 +401,11 @@ def explore(
 
 def mutate_schedule(
     space: ScheduleSpace,
-    schedule: FaultSchedule,
+    schedule: Scenario,
     rng: random.Random,
     seed: int,
     max_tries: int = 12,
-) -> Optional[FaultSchedule]:
+) -> Optional[Scenario]:
     """One admissible structural mutation of ``schedule``.
 
     Operators, all drawn from the space's own alphabet so mutants stay
@@ -413,7 +418,7 @@ def mutate_schedule(
     if not alphabet:
         return None
     for _ in range(max_tries):
-        faults = list(schedule.faults)
+        faults = list(schedule.actions)
         operators = ["add"]
         if faults:
             operators += ["remove", "replace"]
@@ -426,7 +431,7 @@ def mutate_schedule(
             del faults[rng.randrange(len(faults))]
         else:
             faults[rng.randrange(len(faults))] = rng.choice(alphabet)
-        if tuple(faults) == schedule.faults:
+        if tuple(faults) == schedule.actions:
             continue
         if not space.admits(faults):
             continue
@@ -517,16 +522,16 @@ def explore_coverage(
         raise CheckError(f"batch_size must be >= 1: {batch_size}")
     store = store if store is not None else FingerprintStore(None)
 
-    corpus: List[FaultSchedule] = []
+    corpus: List[Scenario] = []
     results: List[ScenarioResult] = []
-    ran: List[FaultSchedule] = []
+    ran: List[Scenario] = []
     proposed_keys: set = set()
     executed = deduplicated = new_fingerprints = rounds = 0
     frontier = iter(enumerate_schedules(space, init_depth))
     proposal = 0
     stale = 0
 
-    def next_candidate() -> Optional[FaultSchedule]:
+    def next_candidate() -> Optional[Scenario]:
         """The next schedule worth proposing: frontier first, then
         corpus mutations, then (corpus still empty) guided samples."""
         nonlocal proposal
@@ -554,7 +559,8 @@ def explore_coverage(
         )
 
     while executed < budget and stale < max_stale_proposals:
-        batch: List[FaultSchedule] = []
+        batch: List[Scenario] = []
+        batch_keys: List[str] = []
         while (
             len(batch) < min(batch_size, budget - executed)
             and stale < max_stale_proposals
@@ -574,6 +580,7 @@ def explore_coverage(
                 continue
             stale = 0
             batch.append(candidate)
+            batch_keys.append(key)
         if not batch:
             break
         rounds += 1
@@ -585,13 +592,13 @@ def explore_coverage(
             scenario_fn=scenario_fn,
             progress=progress,
         )
-        for schedule, result in zip(batch, batch_results):
+        for schedule, key, result in zip(batch, batch_keys, batch_results):
             check = result.metrics.get("check") or {}
             fingerprint = check.get("fingerprint", "")
             novel = False
             if fingerprint:
                 novel = store.record(
-                    schedule_key(schedule),
+                    key,
                     fingerprint,
                     result.verdict,
                     seed=schedule.seed,
@@ -613,7 +620,7 @@ def explore_coverage(
     violations = [
         (result.index, ran[result.index])
         for result in results
-        if result.verdict == CHECK_VIOLATION
+        if result.verdict == VERDICT_VIOLATION
     ]
     counterexamples = _minimize_violations(
         violations, minimize, max_minimize_runs, artifact_dir

@@ -23,9 +23,10 @@ are built lazily on the first query and extended incrementally, so
 whole trace, and a run that never queries its trace pays nothing for them.
 
 The recorder keeps every row: the monitors, the trace fingerprint
-(:func:`repro.check.trace_fingerprint`) and the QoS analysis all judge a
-run from the whole trace. Finished traces stream to disk with
-:meth:`TraceRecorder.export_jsonl` or live through a :class:`JsonlSink`.
+(:attr:`repro.workloads.scenario.Result.fingerprint`) and the QoS
+analysis all judge a run from the whole trace. Finished traces stream to
+disk with :meth:`TraceRecorder.export_jsonl` or live through a
+:class:`JsonlSink`.
 """
 
 from __future__ import annotations

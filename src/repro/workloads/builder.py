@@ -20,8 +20,10 @@ The builder is also the run's one *harness*: as it schedules it records the
 scripted intent the trace cannot carry (initial members, window start,
 crash/leave/join instants), and it offers each readout of the finished run
 once, on demand — ``qos()``, ``detection_latencies()``, ``final_state()``.
-The JSON scripts, the campaign worker, the systematic checker, the catalog
-recipes and ``repro compare`` are scenario generators over it.
+:func:`repro.workloads.scenario.run` interprets every plain-data
+:class:`~repro.workloads.scenario.Scenario` through it — the checker's
+schedules, the campaign's draws and ``repro run``'s JSON scripts — and
+the catalog recipes and ``repro compare`` script it directly.
 """
 
 from __future__ import annotations

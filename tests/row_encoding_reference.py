@@ -3,7 +3,7 @@
 A row's JSON text was ``json.dumps(record_to_dict(record),
 sort_keys=...)``: materialize a ``TraceRecord``, project every payload value
 through ``_jsonable``, encode the whole dict. Sorted keys are what
-``trace_fingerprint`` hashes, record key order is what ``export_jsonl`` and
+``Result.fingerprint`` hashes, record key order is what ``export_jsonl`` and
 ``JsonlSink`` write. ``repro.sim.trace.RowEncoder`` must produce exactly these
 bytes for every row (``tests/properties/test_row_encoding_properties.py``).
 """

@@ -8,26 +8,13 @@ dropped CONFIRM fails the final state.
 """
 
 import contextlib
-import functools
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import VERDICT_OK, CampaignSpec, run_campaign
-from repro.check import (
-    CheckSweep,
-    Fault,
-    FaultSchedule,
-    minimize_schedule,
-    run_schedule,
-)
+from repro.check import CheckSweep, minimize_schedule
 from repro.check.explorer import ScheduleSpace
-from repro.check.runner import expected_members
-from repro.check.schedule import (
-    ACTION_CRASH,
-    ACTION_JOIN,
-    ACTION_OMIT,
-    OMISSION_INCONSISTENT,
-)
 from repro.core.stack import CanelyNetwork
 from repro.obs.monitors import (
     DetectionLatencyMonitor,
@@ -36,12 +23,30 @@ from repro.obs.monitors import (
     ViewAgreementMonitor,
 )
 from repro.swim.protocol import ALIVE, CONFIRM, SwimProtocol
+from repro.workloads.scenario import (
+    ACTION_CRASH,
+    ACTION_JOIN,
+    ACTION_OMIT,
+    OMISSION_INCONSISTENT,
+    Action,
+    Scenario,
+    run,
+)
 
 #: The default alphabet omits CANELy frame types only, which SWIM never
 #: sends; this space aims its omissions at SWIM's own frames.
 SWIM_FRAMES = ScheduleSpace(frame_types=("SWIM",))
 
-swim_schedule = functools.partial(run_schedule, backend="swim")
+
+
+def on(backend, segments=1):
+    """The run of a checker schedule moved onto ``backend``/``segments``."""
+    return lambda schedule: run(
+        replace(schedule, backend=backend, segments=segments)
+    )
+
+
+swim_schedule = on("swim")
 
 
 def _population(space):
@@ -62,11 +67,8 @@ def test_every_depth_one_schedule_is_ok_under_the_backends_monitors(
     backend, space, segments
 ):
     failures = [
-        (result.schedule, result.monitor, result.detail)
-        for result in (
-            run_schedule(schedule, backend=backend, segments=segments)
-            for schedule in _population(space)
-        )
+        (result.scenario, result.monitor, result.detail)
+        for result in map(on(backend, segments), _population(space))
         if not result.ok
     ]
     assert failures == []
@@ -74,11 +76,11 @@ def test_every_depth_one_schedule_is_ok_under_the_backends_monitors(
 
 def test_a_sender_crash_fault_that_never_fires_dooms_nobody():
     """SWIM sends no ELS: the fault stays armed, node 0 stays up and in."""
-    schedule = FaultSchedule(
+    schedule = Scenario(
         nodes=4,
         members=4,
-        faults=(
-            Fault(
+        actions=(
+            Action(
                 ACTION_OMIT,
                 node=0,
                 frame_type="ELS",
@@ -91,7 +93,6 @@ def test_a_sender_crash_fault_that_never_fires_dooms_nobody():
     result = swim_schedule(schedule)
     assert result.ok
     assert result.final_members == result.expected_members == [0, 1, 2, 3]
-    assert expected_members(schedule) == {1, 2, 3}  # the firing prediction
 
 
 def test_each_backend_attaches_its_own_monitors():
@@ -167,23 +168,23 @@ def test_a_forged_confirm_is_a_phantom_removal_that_minimizes_to_one_fault():
     assert {r.monitor for r in violations} == {"no-phantom-removal"}
 
     crash = next(
-        r.schedule.faults[0]
+        r.scenario.actions[0]
         for r in violations
-        if r.schedule.faults[0].action == ACTION_CRASH
+        if r.scenario.actions[0].action == ACTION_CRASH
     )
-    padded = FaultSchedule(
+    padded = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_OMIT, frame_type="SWIM", nth=1),
+        actions=(
+            Action(ACTION_OMIT, frame_type="SWIM", nth=1),
             crash,
-            Fault(ACTION_JOIN, node=4, at_ms=60.0),
+            Action(ACTION_JOIN, node=4, at_ms=60.0),
         ),
     )
     with forged_confirm():
         outcome = minimize_schedule(padded, oracle=swim_schedule)
     assert outcome.result.monitor == "no-phantom-removal"
-    assert outcome.schedule.faults == (crash,)
+    assert outcome.schedule.actions == (crash,)
     assert swim_schedule(outcome.schedule).ok  # un-planted: quiet
 
 

@@ -10,7 +10,6 @@ from repro.campaign import (
     ScenarioResult,
 )
 from repro.errors import ConfigurationError
-from repro.sim.clock import ms
 from repro.sim.rng import derive_seed
 
 
@@ -35,16 +34,17 @@ def test_different_root_seeds_give_different_scenarios():
 
 def test_config_reflects_spec_parameters():
     spec = CampaignSpec(scenarios=1, tm_ms=40.0, thb_ms=8.0, tjoin_wait_ms=120.0)
-    config = spec.config()
-    assert config.tm == ms(40)
-    assert config.thb == ms(8)
-    assert config.tjoin_wait == ms(120)
-    assert config.capacity == 16
+    scenario = spec.scenario(0)
+    assert scenario.tm_ms == 40.0
+    assert scenario.thb_ms == 8.0
+    assert scenario.tjoin_wait_ms == 120.0
+    assert scenario.capacity == 16
+    assert scenario.seed == spec.scenario_seed(0)
 
 
 def test_spec_roundtrips_through_dict():
     spec = CampaignSpec(scenarios=7, seed=3, node_min=4, node_max=6)
-    assert CampaignSpec.from_dict(spec.to_dict()) == spec
+    assert CampaignSpec(**spec.to_dict()) == spec
 
 
 @pytest.mark.parametrize(
@@ -61,6 +61,8 @@ def test_spec_roundtrips_through_dict():
         {"scenarios": 1, "backend": "raft"},
         {"scenarios": 1, "segments": 0},
         {"scenarios": 1, "segments": 7},  # > node_min
+        # More crashes than the smallest population has nodes.
+        {"scenarios": 1, "node_min": 2, "node_max": 4, "crash_min": 3, "crash_max": 3},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
@@ -72,7 +74,9 @@ def test_backend_and_segments_roundtrip_through_dict():
     spec = CampaignSpec(scenarios=2, backend="swim", segments=2)
     assert spec.backend == "swim"
     assert spec.segments == 2
-    assert CampaignSpec.from_dict(spec.to_dict()) == spec
+    assert CampaignSpec(**spec.to_dict()) == spec
+    scenario = spec.scenario(1)
+    assert (scenario.backend, scenario.segments) == ("swim", 2)
 
 
 def test_result_roundtrips_through_dict():

@@ -13,7 +13,8 @@ from repro.campaign import (
     load_checkpoint,
     schedule_key,
 )
-from repro.check import ACTION_CRASH, FORMAT, Fault, FaultSchedule
+from repro.check import ACTION_CRASH, FORMAT
+from repro.workloads.scenario import Action, Scenario
 from repro.errors import ConfigurationError
 
 SPEC = CampaignSpec(scenarios=6, seed=3)
@@ -105,11 +106,11 @@ def test_load_checkpoint_last_duplicate_wins(tmp_path):
 
 
 def _schedule(seed=0, faults=()):
-    return FaultSchedule(nodes=4, members=3, faults=tuple(faults), seed=seed)
+    return Scenario(nodes=4, members=3, actions=tuple(faults), seed=seed)
 
 
 def test_schedule_key_ignores_seed_label():
-    crash = Fault(action=ACTION_CRASH, node=2, at_ms=1.0)
+    crash = Action(action=ACTION_CRASH, node=2, at_ms=1.0)
     assert schedule_key(_schedule(seed=0, faults=[crash])) == schedule_key(
         _schedule(seed=99, faults=[crash])
     )
@@ -139,13 +140,13 @@ def test_fingerprint_store_roundtrips(tmp_path):
 
 def test_fingerprint_store_novelty_is_per_trace(tmp_path):
     store = FingerprintStore(str(tmp_path / "fp.jsonl"))
-    crash = Fault(action=ACTION_CRASH, node=2, at_ms=1.0)
+    crash = Action(action=ACTION_CRASH, node=2, at_ms=1.0)
     first = store.record(schedule_key(_schedule()), "trace-a", VERDICT_OK)
     same_trace = store.record(
         schedule_key(_schedule(faults=[crash])), "trace-a", VERDICT_OK
     )
     new_trace = store.record(
-        schedule_key(_schedule(faults=[crash, Fault(action=ACTION_CRASH, node=3, at_ms=2.0)])),
+        schedule_key(_schedule(faults=[crash, Action(action=ACTION_CRASH, node=3, at_ms=2.0)])),
         "trace-b",
         VERDICT_OK,
     )
@@ -182,12 +183,12 @@ def test_fingerprint_store_ignores_lines_of_another_format(tmp_path, capsys):
     """A store outlives the trace shape its fingerprints were hashed over:
     lines stamped with another format, or with none, must not dedup a
     schedule, vouch for a verdict or count as a known trace."""
-    crash = Fault(action=ACTION_CRASH, node=2, at_ms=1.0)
+    crash = Action(action=ACTION_CRASH, node=2, at_ms=1.0)
     current, previous, unstamped = (
         schedule_key(_schedule()),
         schedule_key(_schedule(faults=[crash])),
         schedule_key(
-            _schedule(faults=[Fault(action=ACTION_CRASH, node=1, at_ms=2.0)])
+            _schedule(faults=[Action(action=ACTION_CRASH, node=1, at_ms=2.0)])
         ),
     )
     path = tmp_path / "fp.jsonl"

@@ -135,8 +135,8 @@ def test_mutations_stay_admissible_and_structurally_new():
         )
         if mutant is None:
             continue
-        assert SPACE.admits(mutant.faults)
-        assert mutant.faults != parent.faults
+        assert SPACE.admits(mutant.actions)
+        assert mutant.actions != parent.actions
         parent = mutant
 
 

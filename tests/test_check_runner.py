@@ -1,66 +1,84 @@
-"""Deterministic schedule execution, minimization and artifacts.
+"""Deterministic scenario execution, minimization and artifacts.
 
-The replay contract lives here: the same schedule always produces the same
+The replay contract lives here: the same scenario always produces the same
 trace fingerprint, planted mutations produce violations the minimizer
-shrinks, and counterexample artifacts round-trip bit-for-bit.
+shrinks, and counterexample artifacts round-trip bit-for-bit — whether
+the scenario came from the checker, a campaign draw or an older artifact.
 """
 
 import io
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
+from repro.campaign import CampaignSpec
 from repro.check import (
-    Fault,
-    FaultSchedule,
     minimize_schedule,
     read_artifact,
     replay_artifact,
-    run_schedule,
     write_artifact,
 )
 from repro.check.artifact import FORMAT, iter_slice
-from repro.check.runner import expected_members
-from repro.check.schedule import (
+from repro.check.selftest import MUTATIONS, minimize_planted
+from repro.errors import CheckError, ConfigurationError
+from repro.workloads.builder import expected_survivors
+from repro.workloads.scenario import (
     ACTION_CRASH,
     ACTION_JOIN,
     ACTION_LEAVE,
     ACTION_OMIT,
     OMISSION_INCONSISTENT,
+    Action,
+    Scenario,
+    run,
 )
-from repro.check.selftest import MUTATIONS, minimize_planted
-from repro.errors import CheckError
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 # The duplicate-delivery mutation only manifests when some node learns a
 # failure from the FDA frame alone (and so requests a retransmission,
 # producing the second physical copy): keep a non-member on the bus.
-CRASH = FaultSchedule(
-    nodes=5, members=4, faults=(Fault(ACTION_CRASH, node=2, at_ms=25.0),)
+CRASH = Scenario(
+    nodes=5, members=4, actions=(Action(ACTION_CRASH, node=2, at_ms=25.0),)
 )
+
+
+def expected_members(schedule):
+    """The survivor set predicted from ``schedule`` alone: timed actions
+    fold in ``at_ms`` order, sender-crash omissions count as a crash of
+    their sender."""
+    return expected_survivors(
+        range(schedule.members),
+        [(a.at_ms, a.action, a.node) for a in schedule.actions if a.action != ACTION_OMIT],
+        doomed=[a.node for a in schedule.actions if a.crash_sender],
+    )
 
 
 # -- expected survivor set ----------------------------------------------------------
 
 
 def test_expected_members_folds_timed_actions():
-    schedule = FaultSchedule(
+    schedule = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_CRASH, node=1),
-            Fault(ACTION_JOIN, node=4, at_ms=25.0),
-            Fault(ACTION_LEAVE, node=0, at_ms=60.0),
+        actions=(
+            Action(ACTION_CRASH, node=1),
+            Action(ACTION_JOIN, node=4, at_ms=25.0),
+            Action(ACTION_LEAVE, node=0, at_ms=60.0),
         ),
     )
     assert expected_members(schedule) == {2, 3, 4}
+    assert run(schedule).expected_members == [2, 3, 4]
 
 
 def test_expected_members_counts_crash_sender():
-    schedule = FaultSchedule(
+    schedule = Scenario(
         nodes=4,
         members=4,
-        faults=(
-            Fault(
+        actions=(
+            Action(
                 ACTION_OMIT,
                 node=1,
                 frame_type="ELS",
@@ -71,6 +89,7 @@ def test_expected_members_counts_crash_sender():
         ),
     )
     assert expected_members(schedule) == {0, 2, 3}
+    assert run(schedule).expected_members == [0, 2, 3]
 
 
 def _parent_expected_members(schedule):
@@ -78,7 +97,7 @@ def _parent_expected_members(schedule):
     builder (PR 16), kept verbatim as the oracle."""
     members = set(range(schedule.members))
     timed = sorted(
-        (f for f in schedule.faults if f.action != ACTION_OMIT),
+        (f for f in schedule.actions if f.action != ACTION_OMIT),
         key=lambda f: f.at_ms,
     )
     for fault in timed:
@@ -88,7 +107,7 @@ def _parent_expected_members(schedule):
             members.discard(fault.node)
         elif fault.action == ACTION_JOIN:
             members.add(fault.node)
-    for fault in schedule.faults:
+    for fault in schedule.actions:
         if fault.action == ACTION_OMIT and fault.crash_sender:
             members.discard(fault.node)
     return members
@@ -111,12 +130,12 @@ def test_the_one_survivor_fold_matches_the_parent_on_whole_populations():
 def test_run_schedule_expectation_is_the_schedule_fold():
     """The builder folds recorded intent, minus the nodes found down; on a
     run whose sender-crash fault fires that is ``expected_members(schedule)``."""
-    schedule = FaultSchedule(
+    schedule = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_JOIN, node=4, at_ms=25.0),
-            Fault(
+        actions=(
+            Action(ACTION_JOIN, node=4, at_ms=25.0),
+            Action(
                 ACTION_OMIT,
                 node=1,
                 frame_type="ELS",
@@ -126,17 +145,17 @@ def test_run_schedule_expectation_is_the_schedule_fold():
             ),
         ),
     )
-    result = run_schedule(schedule)
+    result = run(schedule)
     assert result.ok
     assert result.expected_members == sorted(expected_members(schedule))
     assert result.final_members == [0, 2, 3, 4]
 
 
-# -- run_schedule -------------------------------------------------------------------
+# -- run -------------------------------------------------------------------------
 
 
 def test_fault_free_schedule_is_ok():
-    result = run_schedule(FaultSchedule(nodes=4, members=4))
+    result = run(Scenario(nodes=4, members=4))
     assert result.ok
     assert result.final_members == [0, 1, 2, 3]
     assert result.expected_members == [0, 1, 2, 3]
@@ -145,36 +164,34 @@ def test_fault_free_schedule_is_ok():
 
 
 def test_crash_schedule_detects_and_agrees():
-    result = run_schedule(CRASH)
+    result = run(CRASH)
     assert result.ok
     assert result.final_members == [0, 1, 3]
 
 
 def test_fingerprint_is_deterministic():
-    assert run_schedule(CRASH).fingerprint == run_schedule(CRASH).fingerprint
+    assert run(CRASH).fingerprint == run(CRASH).fingerprint
 
 
 def test_fingerprint_separates_behaviours():
-    other = FaultSchedule(
-        nodes=5, members=4, faults=(Fault(ACTION_LEAVE, node=2, at_ms=25.0),)
+    other = Scenario(
+        nodes=5, members=4, actions=(Action(ACTION_LEAVE, node=2, at_ms=25.0),)
     )
-    assert run_schedule(CRASH).fingerprint != run_schedule(other).fingerprint
+    assert run(CRASH).fingerprint != run(other).fingerprint
 
 
 def test_planted_mutation_yields_violation():
     with MUTATIONS["fda-duplicate-delivery"].plant():
-        result = run_schedule(CRASH)
+        result = run(CRASH)
     assert result.violating
     assert result.monitor == "no-duplicate-failure-sign"
     assert result.violation_slice  # the offending trace window rides along
-    round_tripped = type(result).from_dict(result.to_dict())
-    assert round_tripped.schedule == CRASH
-    assert round_tripped.fingerprint == result.fingerprint
+    assert Scenario.from_dict(result.scenario.to_dict()) == CRASH
 
 
 def test_missed_detection_mutation_fails_final_state():
     with MUTATIONS["fd-missed-detection"].plant():
-        result = run_schedule(CRASH)
+        result = run(CRASH)
     assert result.violating
     assert result.monitor == "final-state"
     assert 2 in set(result.final_members)  # the crashed node never left
@@ -189,29 +206,29 @@ def test_minimize_rejects_passing_schedule():
 
 
 def test_minimize_shrinks_to_single_relevant_fault():
-    padded = FaultSchedule(
+    padded = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_OMIT, frame_type="ELS", nth=1),
-            Fault(ACTION_CRASH, node=2, at_ms=25.0),
-            Fault(ACTION_JOIN, node=4, at_ms=60.0),
+        actions=(
+            Action(ACTION_OMIT, frame_type="ELS", nth=1),
+            Action(ACTION_CRASH, node=2, at_ms=25.0),
+            Action(ACTION_JOIN, node=4, at_ms=60.0),
         ),
     )
     outcome = minimize_planted("fda-duplicate-delivery", padded)
     assert outcome.result.violating
     assert outcome.schedule.depth == 1
-    assert outcome.schedule.faults[0].action == ACTION_CRASH
+    assert outcome.schedule.actions[0].action == ACTION_CRASH
     assert outcome.runs <= 10  # ddmin + cache keeps the oracle budget tiny
 
 
 def test_minimize_respects_run_budget():
-    padded = FaultSchedule(
+    padded = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_CRASH, node=2, at_ms=25.0),
-            Fault(ACTION_OMIT, frame_type="FDA"),
+        actions=(
+            Action(ACTION_CRASH, node=2, at_ms=25.0),
+            Action(ACTION_OMIT, frame_type="FDA"),
         ),
     )
     outcome = minimize_planted("fda-duplicate-delivery", padded, max_runs=1)
@@ -227,7 +244,7 @@ def test_minimize_respects_run_budget():
 
 def _violating_result():
     with MUTATIONS["fda-duplicate-delivery"].plant():
-        return run_schedule(CRASH)
+        return run(CRASH)
 
 
 def test_artifact_roundtrip_file(tmp_path):
@@ -289,7 +306,7 @@ def test_previous_format_artifact_rejected():
     this code no longer writes: it must fail as another format, not replay
     to a misleading "did not reproduce the recorded run"."""
     assert FORMAT == "repro.check/2"
-    result = run_schedule(CRASH)
+    result = run(CRASH)
     buffer = io.StringIO()
     write_artifact(buffer, result)
     old = buffer.getvalue().replace(FORMAT, "repro.check/1", 1)
@@ -307,7 +324,7 @@ def test_malformed_json_rejected():
 def test_summary_missing_fingerprint_rejected():
     lines = [
         json.dumps({"format": FORMAT}),
-        json.dumps(FaultSchedule().to_dict()),
+        json.dumps(Scenario().to_dict()),
         json.dumps({"verdict": "violation"}),  # no fingerprint
     ]
     with pytest.raises(CheckError, match="lacks 'fingerprint'"):
@@ -315,6 +332,83 @@ def test_summary_missing_fingerprint_rejected():
 
 
 def test_run_schedule_on_the_swim_backend_across_segments():
-    result = run_schedule(CRASH, backend="swim", segments=2)
+    result = run(replace(CRASH, backend="swim", segments=2))
     assert result.ok
     assert result.final_members == [0, 1, 3]
+
+
+# -- one validator -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "action, field",
+    [
+        (Action(ACTION_CRASH, node=1, at_ms=-5.0), "at_ms"),
+        (Action(ACTION_OMIT, frame_type="FDA", nth=-1), "nth"),
+        (Action(ACTION_OMIT, frame_type="BOGUS"), "frame_type"),
+        (
+            Action(
+                ACTION_OMIT,
+                frame_type="FDA",
+                omission=OMISSION_INCONSISTENT,
+                accepting=(9,),
+            ),
+            "accepting",
+        ),
+        (Action(ACTION_OMIT, frame_type="ELS", node=42), "node 42"),
+    ],
+)
+def test_malformed_actions_are_rejected_on_construction(action, field):
+    """Each of these used to run, to a ``bootstrap_failed`` verdict or a
+    silent ``ok``; the validator refuses the scenario instead."""
+    with pytest.raises(ConfigurationError, match=field):
+        Scenario(actions=(action,))
+
+
+def test_hand_edited_artifact_names_the_bad_field(tmp_path):
+    path = str(tmp_path / "cex.jsonl")
+    write_artifact(path, _violating_result())
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    scenario = json.loads(lines[1])
+    scenario["faults"][0]["at_ms"] = -25.0
+    lines[1] = json.dumps(scenario)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    with pytest.raises(CheckError, match="malformed artifact scenario: .*at_ms"):
+        read_artifact(path)
+
+
+# -- any scenario is a counterexample ------------------------------------------------
+
+
+def test_campaign_violation_minimizes_to_a_replayable_artifact(tmp_path):
+    """A campaign draw is a scenario like any checker schedule: under a
+    planted bug its violation shrinks to one crash, is written as an
+    artifact and replays bit-for-bit; unplanted, the minimal run is ok."""
+    scenario = CampaignSpec(scenarios=4, seed=1).scenario(1)
+    assert [a.action for a in scenario.actions] == [ACTION_CRASH] * 3
+    path = str(tmp_path / "campaign-1.jsonl")
+    with MUTATIONS["fd-missed-detection"].plant():
+        outcome = minimize_schedule(scenario)
+        assert outcome.result.monitor == "final-state"
+        assert outcome.schedule.depth == 1
+        assert outcome.schedule.actions[0].action == ACTION_CRASH
+        write_artifact(path, outcome.result)
+        fresh, expected = replay_artifact(path)
+    assert fresh.fingerprint == outcome.result.fingerprint == expected["fingerprint"]
+    assert read_artifact(path)[0] == outcome.schedule
+    assert run(outcome.schedule).ok
+
+
+def test_previous_release_artifact_still_replays():
+    """``selftest_fd_missed_detection.jsonl`` was written by the release
+    before scenarios were one type; re-planting its mutation reproduces it."""
+    path = os.path.join(GOLDEN, "selftest_fd_missed_detection.jsonl")
+    scenario, expected, header = read_artifact(path)
+    assert header["mutation"] == "fd-missed-detection"
+    assert scenario.depth == header["faults"] == 1
+    with MUTATIONS[header["mutation"]].plant():
+        fresh, _ = replay_artifact(path)
+    assert fresh.fingerprint == expected["fingerprint"]
+    assert fresh.events == expected["events"]

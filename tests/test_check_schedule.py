@@ -1,7 +1,7 @@
-"""Fault-schedule data model and systematic generation.
+"""The scenario data model, as the checker uses it, and systematic generation.
 
-These pin the checker's search space: schedules are pure data that
-round-trip through JSON, the explorer enumerates deterministically in
+These pin the checker's search space: schedules are plain-data
+:class:`~repro.workloads.scenario.Scenario` s that round-trip through JSON, the explorer enumerates deterministically in
 breadth-first order, the admissibility filter enforces the paper's fault-
 model degree bounds (MCAN3/LCAN4), and the guided sampler is a pure
 function of its seed.
@@ -10,21 +10,21 @@ function of its seed.
 import pytest
 
 from repro.check import (
-    Fault,
-    FaultSchedule,
     ScheduleSpace,
     enumerate_schedules,
     sample_schedules,
 )
 from repro.check.explorer import schedule_population
-from repro.check.schedule import (
+from repro.errors import CheckError, ConfigurationError
+from repro.workloads.scenario import (
     ACTION_CRASH,
     ACTION_JOIN,
     ACTION_LEAVE,
     ACTION_OMIT,
     OMISSION_INCONSISTENT,
+    Action,
+    Scenario,
 )
-from repro.errors import CheckError
 
 #: A deliberately tiny space for tests that iterate populations.
 SMALL = ScheduleSpace(
@@ -36,43 +36,47 @@ SMALL = ScheduleSpace(
 )
 
 
-# -- Fault / FaultSchedule validation ----------------------------------------------
+# -- Action / Scenario validation ----------------------------------------------------
+
+
+def _scenario(*actions):
+    return Scenario(actions=actions)
 
 
 def test_fault_rejects_unknown_action():
-    with pytest.raises(CheckError, match="unknown fault action"):
-        Fault("explode", node=1)
+    with pytest.raises(ConfigurationError, match="unknown action"):
+        _scenario(Action("explode", node=1))
 
 
 def test_omit_fault_needs_frame_type():
-    with pytest.raises(CheckError, match="frame_type"):
-        Fault(ACTION_OMIT)
+    with pytest.raises(ConfigurationError, match="frame_type"):
+        _scenario(Action(ACTION_OMIT))
 
 
 def test_accepting_subset_requires_inconsistent_flavour():
-    with pytest.raises(CheckError, match="inconsistent"):
-        Fault(ACTION_OMIT, frame_type="FDA", accepting=(1,))
+    with pytest.raises(ConfigurationError, match="inconsistent"):
+        _scenario(Action(ACTION_OMIT, frame_type="FDA", accepting=(1,)))
 
 
 def test_timed_fault_needs_node():
-    with pytest.raises(CheckError, match="need a node"):
-        Fault(ACTION_CRASH)
+    with pytest.raises(ConfigurationError, match="names node -1 outside"):
+        _scenario(Action(ACTION_CRASH))
 
 
 def test_schedule_rejects_fault_outside_population():
-    with pytest.raises(CheckError, match="outside"):
-        FaultSchedule(nodes=3, members=3, faults=(Fault(ACTION_CRASH, node=7),))
+    with pytest.raises(ConfigurationError, match="outside"):
+        Scenario(nodes=3, members=3, actions=(Action(ACTION_CRASH, node=7),))
 
 
 def test_schedule_rejects_bad_population():
-    with pytest.raises(CheckError, match="bad population"):
-        FaultSchedule(nodes=4, members=1)
-    with pytest.raises(CheckError, match="bad population"):
-        FaultSchedule(nodes=4, members=5)
+    with pytest.raises(ConfigurationError, match="bad population"):
+        Scenario(nodes=4, members=1)
+    with pytest.raises(ConfigurationError, match="bad population"):
+        Scenario(nodes=4, members=5)
 
 
 def test_fault_is_hashable_plain_data():
-    fault = Fault(
+    fault = Action(
         ACTION_OMIT,
         frame_type="ELS",
         node=1,
@@ -82,7 +86,7 @@ def test_fault_is_hashable_plain_data():
     )
     assert fault.accepting == (2,)
     assert hash(fault) == hash(
-        Fault(
+        Action(
             ACTION_OMIT,
             frame_type="ELS",
             node=1,
@@ -94,13 +98,13 @@ def test_fault_is_hashable_plain_data():
 
 
 def test_schedule_json_roundtrip():
-    schedule = FaultSchedule(
+    schedule = Scenario(
         nodes=5,
         members=4,
-        faults=(
-            Fault(ACTION_CRASH, node=2, at_ms=25.0),
-            Fault(ACTION_JOIN, node=4, at_ms=60.0),
-            Fault(
+        actions=(
+            Action(ACTION_CRASH, node=2, at_ms=25.0),
+            Action(ACTION_JOIN, node=4, at_ms=60.0),
+            Action(
                 ACTION_OMIT,
                 frame_type="RHA",
                 nth=1,
@@ -111,36 +115,36 @@ def test_schedule_json_roundtrip():
         run_ms=300.0,
         seed=17,
     )
-    assert FaultSchedule.from_dict(schedule.to_dict()) == schedule
+    assert Scenario.from_dict(schedule.to_dict()) == schedule
 
 
 def test_schedule_from_dict_rejects_unknown_fields():
-    raw = FaultSchedule().to_dict()
+    raw = Scenario().to_dict()
     raw["bogus"] = 1
-    with pytest.raises(CheckError, match="unknown schedule fields"):
-        FaultSchedule.from_dict(raw)
-    with pytest.raises(CheckError, match="unknown fault fields"):
-        Fault.from_dict({"action": ACTION_CRASH, "node": 0, "bogus": 1})
+    with pytest.raises(ConfigurationError, match="unknown scenario fields"):
+        Scenario.from_dict(raw)
+    with pytest.raises(ConfigurationError, match="bad action fields"):
+        Action.from_dict({"action": ACTION_CRASH, "node": 0, "bogus": 1})
 
 
 def test_without_drops_faults_by_index():
     faults = (
-        Fault(ACTION_CRASH, node=0),
-        Fault(ACTION_LEAVE, node=1, at_ms=25.0),
-        Fault(ACTION_CRASH, node=2, at_ms=60.0),
+        Action(ACTION_CRASH, node=0),
+        Action(ACTION_LEAVE, node=1, at_ms=25.0),
+        Action(ACTION_CRASH, node=2, at_ms=60.0),
     )
-    schedule = FaultSchedule(nodes=5, members=5, faults=faults)
+    schedule = Scenario(nodes=5, members=5, actions=faults)
     reduced = schedule.without([0, 2])
-    assert reduced.faults == (faults[1],)
+    assert reduced.actions == (faults[1],)
     assert reduced.nodes == schedule.nodes
     assert schedule.depth == 3 and reduced.depth == 1
 
 
 def test_describe_mentions_every_fault():
-    schedule = FaultSchedule(
-        faults=(
-            Fault(ACTION_CRASH, node=1, at_ms=25.0),
-            Fault(
+    schedule = Scenario(
+        actions=(
+            Action(ACTION_CRASH, node=1, at_ms=25.0),
+            Action(
                 ACTION_OMIT,
                 frame_type="FDA",
                 omission=OMISSION_INCONSISTENT,
@@ -172,8 +176,8 @@ def test_default_alphabet_covers_all_action_kinds():
 
 def test_admits_enforces_omission_degree_bounds():
     space = ScheduleSpace(max_omissions=2, max_inconsistent=1)
-    consistent = Fault(ACTION_OMIT, frame_type="FDA")
-    inconsistent = Fault(
+    consistent = Action(ACTION_OMIT, frame_type="FDA")
+    inconsistent = Action(
         ACTION_OMIT,
         frame_type="FDA",
         nth=1,
@@ -181,9 +185,9 @@ def test_admits_enforces_omission_degree_bounds():
         accepting=(0,),
     )
     assert space.admits([consistent, inconsistent])
-    third = Fault(ACTION_OMIT, frame_type="ELS")
+    third = Action(ACTION_OMIT, frame_type="ELS")
     assert not space.admits([consistent, inconsistent, third])  # > k
-    second_inconsistent = Fault(
+    second_inconsistent = Action(
         ACTION_OMIT,
         frame_type="RHA",
         omission=OMISSION_INCONSISTENT,
@@ -194,7 +198,7 @@ def test_admits_enforces_omission_degree_bounds():
 
 def test_admits_keeps_two_correct_members():
     space = ScheduleSpace(nodes=4, members=4)
-    crashes = [Fault(ACTION_CRASH, node=n) for n in range(3)]
+    crashes = [Action(ACTION_CRASH, node=n) for n in range(3)]
     assert space.admits(crashes[:2])
     assert not space.admits(crashes)  # only one member left
 
@@ -203,8 +207,8 @@ def test_admits_one_timed_action_per_node():
     space = ScheduleSpace()
     assert not space.admits(
         [
-            Fault(ACTION_CRASH, node=0),
-            Fault(ACTION_LEAVE, node=0, at_ms=25.0),
+            Action(ACTION_CRASH, node=0),
+            Action(ACTION_LEAVE, node=0, at_ms=25.0),
         ]
     )
 
@@ -224,14 +228,14 @@ def test_enumerate_is_breadth_first_and_deterministic():
 
 def test_enumerate_yields_only_admissible_schedules():
     for schedule in enumerate_schedules(SMALL, 2):
-        assert SMALL.admits(schedule.faults)
+        assert SMALL.admits(schedule.actions)
 
 
 def test_default_depth2_population_meets_sweep_budget():
     """The acceptance criterion's bounded sweep is >= 500 schedules."""
     population = schedule_population(ScheduleSpace(), depth=2)
     assert len(population) >= 500
-    assert len({s.faults for s in population}) == len(population)
+    assert len({s.actions for s in population}) == len(population)
 
 
 def test_sample_schedules_deterministic_in_seed():
@@ -240,7 +244,7 @@ def test_sample_schedules_deterministic_in_seed():
     c = list(sample_schedules(SMALL, 10, seed=4))
     assert a == b
     assert a != c
-    assert all(SMALL.admits(s.faults) for s in a)
+    assert all(SMALL.admits(s.actions) for s in a)
     assert all(2 <= s.depth <= 5 for s in a)
 
 

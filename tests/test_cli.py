@@ -118,9 +118,14 @@ def test_metrics_report(capsys, scenario_file):
 
 
 def test_run_with_monitors(capsys, scenario_file):
-    assert main(["run", scenario_file, "--monitors"]) == 0
+    """Every run is judged by its backend's monitors; there is no
+    ``--monitors`` switch to forget."""
+    assert main(["run", scenario_file]) == 0
     out = capsys.readouterr().out
     assert '"views_agree": true' in out
+    assert '"verdict"' not in out  # rendered only when a run is not ok
+    with pytest.raises(SystemExit):
+        main(["run", scenario_file, "--monitors"])
 
 
 CAMPAIGN_ARGS = [
@@ -520,13 +525,27 @@ def test_malformed_scenario_exits_2_with_one_line(
 def test_scenario_that_never_forms_exits_1_with_one_line(capsys, tmp_path):
     scenario = tmp_path / "rushed.json"
     scenario.write_text(
-        '{"nodes": 40, "duration_ms": 50, "config": {"tm_ms": 5, '
-        '"thb_ms": 2, "trha_ms": 1, "tjoin_wait_ms": 6}}'
+        '{"nodes": 40, "duration_ms": 50, "config": {"tm_ms": 1, '
+        '"thb_ms": 50, "trha_ms": 1, "tjoin_wait_ms": 2}}'
     )
     assert main(["run", str(scenario)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("error: bootstrap did not converge")
     assert len(out.splitlines()) == 1
+
+
+def test_a_monitor_trip_during_bootstrap_is_a_reported_violation(capsys, tmp_path):
+    """Runs are judged from the first row: a bootstrap rushed enough to
+    remove a live node is a phantom removal, reported with its verdict."""
+    scenario = tmp_path / "rushed.json"
+    scenario.write_text(
+        '{"nodes": 40, "duration_ms": 50, "config": {"tm_ms": 5, '
+        '"thb_ms": 2, "trha_ms": 1, "tjoin_wait_ms": 6}}'
+    )
+    assert main(["run", str(scenario)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "violation"
+    assert report["monitor"] == "no-phantom-removal"
 
 
 @pytest.mark.parametrize(
@@ -600,6 +619,34 @@ COVERAGE_ARGS = CHECK_ARGS + ["--coverage", "--budget", "2", "--workers", "0"]
 def test_bad_run_options_exit_2_with_one_line(capsys, tmp_path, args, complaint):
     missing = str(tmp_path / "missing")
     assert main([arg.format(missing=missing) for arg in args]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and complaint in out
+    assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ('{"nodes": 8, "config": {"capacity": 8.5}}', "invalid config entry 'capacity'"),
+        ('{"nodes": true}', "invalid node count"),
+        (
+            '{"nodes": 4, "events": [{"at_ms": 10, "action": "crash", "node": true}]}',
+            "crash names node True",
+        ),
+        (
+            '{"nodes": 4, "events": [{"at_ms": 10, "action": "inaccessibility", '
+            '"bits": -5}]}',
+            "bits must be > 0",
+        ),
+    ],
+    ids=["fractional-capacity", "boolean-node-count", "boolean-node", "negative-bits"],
+)
+def test_malformed_script_values_exit_2_with_one_line(capsys, tmp_path, text, complaint):
+    """Values of the right JSON shape but the wrong type or sign once ran
+    (a 1-node network, node 1 crashed) or died in a traceback."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    assert main(["run", str(scenario)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and complaint in out
     assert len(out.splitlines()) == 1

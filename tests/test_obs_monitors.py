@@ -238,14 +238,17 @@ def test_injected_duplicate_failure_sign_is_caught_with_slice():
 
 
 def test_scenario_runner_attaches_monitors():
-    from repro.workloads.script import ScenarioSpec, run_scenario
+    from repro.workloads.scenario import load_script, run
 
-    spec = ScenarioSpec.from_dict(
+    scenario = load_script(
         {
             "nodes": 4,
             "events": [{"at_ms": 100, "action": "crash", "node": 2}],
             "duration_ms": 400,
         }
     )
-    report = run_scenario(spec, monitors=True)  # must not raise
-    assert report.views_agree
+    result = run(scenario)
+    assert result.ok
+    # The detection-latency monitor observed the crash.
+    assert "fd.detection_latency_ticks{node=2}" in result.network.sim.metrics.snapshot()
+    assert result.report()["views_agree"]

@@ -31,9 +31,12 @@ def test_version_bumped_for_the_new_surface():
     # CampaignSpec.monitors and run_schedule's monitors=; 8.0.0 removed
     # TraceRecorder's enabled/capacity modes and EventQueue's pop/peek_time/
     # clear; 8.1.0 added add_sink's categories= and
-    # InvariantMonitor.categories (docs/api.md).
+    # InvariantMonitor.categories; 9.0.0 folded Fault/FaultSchedule,
+    # ScenarioSpec and the campaign's in-code draw into one Scenario run
+    # by one run(), removing run_schedule, CheckResult, run_scenario and
+    # `repro run --monitors` (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (8, 1)
+    assert (int(major), int(minor)) >= (9, 0)
 
 
 def test_core_names_are_eager():
@@ -48,6 +51,9 @@ def test_core_names_are_eager():
     [
         ("ScenarioBuilder", "repro.workloads"),
         ("FrameMatch", "repro.workloads"),
+        ("Scenario", "repro.workloads"),
+        ("Result", "repro.workloads"),
+        ("run", "repro.workloads"),
         ("run_campaign", "repro.campaign"),
         ("CampaignSpec", "repro.campaign"),
         ("default_workers", "repro.campaign"),

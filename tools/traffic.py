@@ -68,6 +68,7 @@ CLI_COMMANDS = (
     "compare --nodes 12 --segments 2 --seed 0 --format json",
     "compare --nodes 12 --segments 2 --seed 0",
     "run examples/scenarios/crash_and_rejoin.json",
+    "run {tmp}/swim-scenario.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
     "qos --catalog --backend canely --backend swim --quick --seed 0"
     " --report {tmp}/qos-smoke.json --format csv",
