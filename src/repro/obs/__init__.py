@@ -28,7 +28,6 @@ from repro.obs.critical_path import (
 )
 from repro.obs.export import (
     CHROME_CATEGORIES,
-    chrome_trace_events,
     export_chrome_trace,
     render_msc,
     validate_chrome_trace,
@@ -85,7 +84,6 @@ __all__ = [
     "InvariantViolation",
     "PhantomRemovalMonitor",
     "ViewAgreementMonitor",
-    "chrome_trace_events",
     "compute_qos",
     "detection_path",
     "export_chrome_trace",

@@ -113,13 +113,10 @@ class Span:
         return None if self.end is None else self.end - self.start
 
 
-def plain_attrs(span: Span) -> Dict[str, Any]:
-    """``span.attrs`` in key order with node sets as ascending id lists
-    (and tuples as lists) — the form every exporter writes."""
-    return {
-        key: list(value) if isinstance(value, (NodeSet, tuple)) else value
-        for key, value in sorted(span.attrs.items())
-    }
+def plain_value(value: Any) -> Any:
+    """A node set as its ascending id list, a tuple as a list, anything
+    else as it is — the form every exporter writes an attr in."""
+    return list(value) if isinstance(value, (NodeSet, tuple)) else value
 
 
 def span_to_dict(span: Span) -> Dict[str, Any]:
@@ -132,7 +129,9 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
         "start": span.start,
         "end": span.end,
         "parent": span.parent,
-        "attrs": plain_attrs(span),
+        "attrs": {
+            key: plain_value(value) for key, value in sorted(span.attrs.items())
+        },
         "events": list(span.events),
     }
 
@@ -315,7 +314,12 @@ class SpanTracer:
         """Largest timestamp recorded on any span edge or event."""
         latest = 0
         for span in self._spans:
-            latest = max(latest, span.start if span.end is None else span.end)
+            edge = span.start if span.end is None else span.end
+            if edge > latest:
+                latest = edge
+            for time, _label in span.events:
+                if time > latest:
+                    latest = time
         return latest
 
     def summary(self) -> Dict[Tuple[str, str], int]:
@@ -360,7 +364,8 @@ def render_span_tree(
             return
         duration = "open" if span.end is None else fmt(span.duration)
         label = ", ".join(
-            f"{key}={value}" for key, value in plain_attrs(span).items()
+            f"{key}={plain_value(value)}"
+            for key, value in sorted(span.attrs.items())
         )
         lines.append(
             f"{'  ' * depth}{fmt(span.start):>12}  {span.name} "

@@ -1,13 +1,15 @@
 """Chrome trace-event export, validator and MSC renderer tests."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.stack import CanelyNetwork
 from repro.obs.export import (
     CHROME_CATEGORIES,
-    chrome_trace_events,
     export_chrome_trace,
     render_msc,
     validate_chrome_trace,
@@ -15,11 +17,20 @@ from repro.obs.export import (
 from repro.obs.spans import SpanTracer
 from repro.sim.clock import ms
 
+#: SHA-256 of ``repro spans --seed 0 --chrome`` output, without and with
+#: ``--flows`` (``sha256sum -c`` format, as CI checks it).
+PINS = pathlib.Path(__file__).parent / "golden" / "spans_seed0_chrome.sha256"
+
 
 def _crash_run(seed=0):
     net = CanelyNetwork(node_count=4, spans=True)
     net.scenario(seed=seed).bootstrap().crash(2, at=ms(2)).run_until_settled()
     return net
+
+
+def chrome_events(tracer, flows=False):
+    """The exported payload's event list, read back."""
+    return json.loads(export_chrome_trace(tracer, flows=flows))["traceEvents"]
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +63,7 @@ def test_export_validates_and_is_well_formed_json(net):
 
 
 def test_events_map_nodes_to_processes_and_layers_to_threads(net):
-    events = chrome_trace_events(net.sim.spans)
+    events = chrome_events(net.sim.spans)
     metadata = [e for e in events if e["ph"] == "M"]
     process_names = {
         e["pid"]: e["args"]["name"]
@@ -103,7 +114,7 @@ def test_events_come_in_the_documented_total_order(net):
     """Track, then time, then span id, then phase — the key each event is
     built with must order the list exactly as reading it back would."""
     events = [
-        e for e in chrome_trace_events(net.sim.spans, flows=True) if e["ph"] != "M"
+        e for e in chrome_events(net.sim.spans, flows=True) if e["ph"] != "M"
     ]
     assert events == sorted(
         events,
@@ -119,7 +130,7 @@ def test_events_come_in_the_documented_total_order(net):
 
 def test_timestamps_are_microseconds(net):
     crash_span = net.sim.spans.select(name="node.crash", node=2)[0]
-    events = chrome_trace_events(net.sim.spans)
+    events = chrome_events(net.sim.spans)
     crash_events = [e for e in events if e.get("name") == "node.crash"]
     assert crash_events[0]["ts"] == crash_span.start / 1000.0
 
@@ -128,7 +139,7 @@ def test_open_spans_are_closed_at_trace_end_and_tagged(net):
     spans = net.sim.spans
     assert spans.open_spans(), "the crashed node leaves open spans"
     close_at = spans.max_time() / 1000.0
-    events = chrome_trace_events(spans)
+    events = chrome_events(spans)
     open_events = [
         e for e in events if e["ph"] == "X" and e["args"].get("open")
     ]
@@ -138,7 +149,7 @@ def test_open_spans_are_closed_at_trace_end_and_tagged(net):
 
 
 def test_flow_events_pair_up_and_validate(net):
-    events = chrome_trace_events(net.sim.spans, flows=True)
+    events = chrome_events(net.sim.spans, flows=True)
     starts = [e for e in events if e["ph"] == "s"]
     finishes = [e for e in events if e["ph"] == "f"]
     assert starts and len(starts) == len(finishes)
@@ -236,6 +247,15 @@ def test_validator_flags_an_event_that_is_not_an_object():
     assert validate_chrome_trace("[3]") == ["event #0: not an object"]
 
 
+@pytest.mark.parametrize(
+    "text", ["not json", '{"traceEvents": [', b"\xff"],
+    ids=["garbage", "torn", "not-utf8"],
+)
+def test_validator_reports_text_that_is_not_json(text):
+    [problem] = validate_chrome_trace(text)
+    assert problem.startswith("not JSON: ")
+
+
 def test_empty_tracer_exports_empty_but_valid():
     tracer = SpanTracer(clock=lambda: 0)
     text = export_chrome_trace(tracer)
@@ -247,11 +267,37 @@ def test_bus_global_spans_land_on_pid_zero():
     tracer = SpanTracer(clock=lambda: 0)
     span_id = tracer.begin("can.tx", "bus", at=0)  # node defaults to -1
     tracer.end(span_id, at=5)
-    events = chrome_trace_events(tracer)
+    events = chrome_events(tracer)
     process = [e for e in events if e.get("name") == "process_name"]
     assert process[0]["pid"] == 0
     assert process[0]["args"]["name"] == "bus"
     assert [e["pid"] for e in events if e["ph"] == "X"] == [0]
+
+
+def test_an_open_span_lasts_until_its_last_point_event():
+    """An open span is closed at the trace's end, which its own point
+    events count towards: the event may not lie past the span."""
+    tracer = SpanTracer(clock=lambda: 0)
+    frame = tracer.begin("can.tx", "can", node=0, at=0)
+    tracer.event(frame, "arb-loss", at=5000)
+    assert tracer.max_time() == 5000
+    [event] = [e for e in chrome_events(tracer) if e["ph"] == "X"]
+    assert (event["ts"], event["dur"]) == (0.0, 5.0)
+    assert event["args"]["events"] == [[5000, "arb-loss"]]
+    assert event["args"]["open"] is True
+
+
+@pytest.mark.parametrize("flows", [False, True], ids=["plain", "flows"])
+def test_repro_spans_chrome_output_matches_its_pin(tmp_path, capsys, flows):
+    name = "spans-smoke-flows.json" if flows else "spans-smoke.json"
+    pins = dict(
+        reversed(line.split()) for line in PINS.read_text().splitlines()
+    )
+    target = tmp_path / name
+    args = ["spans", "--seed", "0", "--chrome", str(target)]
+    assert main(args + (["--flows"] if flows else [])) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == pins[name]
 
 
 # -- message sequence chart -----------------------------------------------------------

@@ -34,9 +34,11 @@ def test_version_bumped_for_the_new_surface():
     # InvariantMonitor.categories; 9.0.0 folded Fault/FaultSchedule,
     # ScenarioSpec and the campaign's in-code draw into one Scenario run
     # by one run(), removing run_schedule, CheckResult, run_scenario and
-    # `repro run --monitors` (docs/api.md).
+    # `repro run --monitors`; 10.0.0 removed repro.obs.chrome_trace_events,
+    # export_chrome_trace writing each event straight from its span
+    # (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (9, 0)
+    assert (int(major), int(minor)) >= (10, 0)
 
 
 def test_core_names_are_eager():

@@ -76,6 +76,7 @@ CLI_COMMANDS = (
     " --report {tmp}/qos-smoke-b.json",
     "qos --scenario quiet-baseline --backend canely --backend swim --quick --chart",
     "spans --seed 0 --chrome {tmp}/spans-smoke.json --validate",
+    "spans --seed 0 --chrome {tmp}/spans-smoke-flows.json --flows --validate",
     "spans --seed 0 --critical-path",
 )
 
