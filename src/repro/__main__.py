@@ -293,6 +293,12 @@ def _cmd_spans(args) -> int:
     from repro.obs.metrics import Histogram
     from repro.obs.spans import render_span_tree
 
+    if args.nodes < 2:
+        raise ConfigurationError(f"--nodes must be at least 2: {args.nodes}")
+    if args.crash_after < 0:
+        raise ConfigurationError(
+            f"--crash-after must not be negative: {args.crash_after:g}"
+        )
     if not 0 <= args.crash < args.nodes:
         raise ConfigurationError(
             f"--crash {args.crash} outside 0..{args.nodes - 1}"

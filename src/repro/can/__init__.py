@@ -14,14 +14,12 @@ from repro.can.channels import DualChannelLayer
 from repro.can.controller import CanController, ControllerState
 from repro.can.driver import CanStandardLayer
 from repro.can.errormodel import FaultInjector, FaultKind, FaultVerdict
-from repro.can.filters import AcceptanceFilter, FilterBank
 from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageId, MessageType
 from repro.can.phy import BitTiming, max_bus_length_m
 from repro.can.redundancy import MediaSet
 
 __all__ = [
-    "AcceptanceFilter",
     "BitTiming",
     "CanBus",
     "CanController",
@@ -32,7 +30,6 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultVerdict",
-    "FilterBank",
     "MediaSet",
     "MessageId",
     "MessageType",

@@ -21,7 +21,7 @@ the frame; everyone else sees the error and the senders retransmit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Collection, Dict, List, Optional
 
 from repro.can.bitstream import (
@@ -47,12 +47,8 @@ from repro.errors import BusError
 from repro.sim.kernel import Simulator
 from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
-#: On a bus where some controller filters, delivery plans are kept per
-#: identifier and dropped wholesale past this many (application refs roll,
-#: so the identifier space is not bounded by the node count).
-_ACCEPT_TABLE_LIMIT = 4096
-
-#: Likewise the per-plan views "this plan minus those down controllers".
+#: A plan's views "this plan minus those left-out controllers" are dropped
+#: wholesale past this many.
 _PLAN_VIEW_LIMIT = 64
 
 
@@ -98,22 +94,19 @@ class _Transmission:
 
 
 class _DeliveryPlan:
-    """Who takes one kind of frame, and what each delivery has to call.
+    """What each delivery of one kind of frame has to call.
 
-    Built once per kind (:meth:`CanBus._build_plan`), valid until the next
-    :meth:`CanBus.invalidate_delivery_tables`. Aliveness is *not* baked in:
-    ``views`` caches, per set of planned controllers left out (down, or
-    skipped by an inconsistent omission), what the plan reduces to without
-    them.
+    Every attached controller takes every frame, so a plan bakes in the
+    upcalls only. Built once per kind (:meth:`CanBus._build_plan`), valid
+    until the next :meth:`CanBus.invalidate_delivery_tables`. Aliveness is
+    *not* baked in: ``views`` caches, per set of controllers left out
+    (down, or skipped by an inconsistent omission), what the plan reduces
+    to without them.
     """
 
-    __slots__ = ("controllers", "slot", "entries", "visited", "collectives", "views")
+    __slots__ = ("entries", "visited", "collectives", "views")
 
-    def __init__(self, controllers, entries, collectives) -> None:
-        #: Every accepting controller, in attach order — the delivery order.
-        self.controllers = controllers
-        #: node id -> position in ``controllers``.
-        self.slot = {c.node_id: i for i, c in enumerate(controllers)}
+    def __init__(self, entries, collectives) -> None:
         #: ``(controller, first, second)`` for the controllers a delivery
         #: must visit one by one: ``first``/``second`` are the baked
         #: listener tuples of a standard layer (nty or rtr-ind, then
@@ -131,11 +124,12 @@ class _DeliveryPlan:
         #: left-out node ids -> :meth:`view`, cached.
         self.views: Dict[tuple, tuple] = {}
 
-    def view(self, out: tuple) -> tuple:
-        """``(calls, receivers)`` with the controllers in ``out`` left out:
-        the collective calls ``((collective, takes_data, listeners), ...)``
-        to make, forms with no listener left dropped, and the set of
-        controllers taking the frame."""
+    def view(self, out: tuple, node_ids) -> tuple:
+        """``(calls, receivers)`` with the node ids in ``out`` left out of
+        ``node_ids`` (the bus's, in attach order): the collective calls
+        ``((collective, takes_data, listeners), ...)`` to make, forms with no
+        listener left dropped, and the set of controllers taking the
+        frame."""
         found = self.views.get(out)
         if found is None:
             calls = []
@@ -144,7 +138,7 @@ class _DeliveryPlan:
                 if listeners:
                     calls.append((collective, takes_data, listeners))
             receivers = NodeSet(
-                (c.node_id for c in self.controllers if c.node_id not in out),
+                (node_id for node_id in node_ids if node_id not in out),
                 WIDE_MAX_CAPACITY,
             )
             if len(self.views) >= _PLAN_VIEW_LIMIT:
@@ -173,20 +167,18 @@ class CanBus:
         #: staying silent. Off by default: permanent bus-off is what
         #: enforces the system model's weak-fail-silent assumption.
         self.bus_off_recovery = bus_off_recovery
+        #: node id -> controller, in attach order — the delivery order. A
+        #: bus only grows.
         self._controllers: Dict[int, CanController] = {}
-        #: kind of frame -> :class:`_DeliveryPlan`. Data and remote frames
-        #: plan separately — the RTR bit selects a different upcall. While
-        #: no attached controller filters, who accepts a frame and what
-        #: they upcall depends on the message type only, so that is the
-        #: key; a bus with a filter bank anywhere keys by identifier.
-        #: Attach, filter changes, listener registration and a rebound
-        #: ``on_rx`` drop the plans (:meth:`invalidate_delivery_tables`);
-        #: crashes and bus-off do not.
+        #: node id -> position in ``_controllers``.
+        self._slot: Dict[int, int] = {}
+        #: message type -> :class:`_DeliveryPlan`. Data and remote frames
+        #: plan separately — the RTR bit selects a different upcall. What a
+        #: receiver upcalls depends on the message type only. Attach,
+        #: listener registration and a rebound ``on_rx`` drop the plans
+        #: (:meth:`invalidate_delivery_tables`); crashes and bus-off do not.
         self._plan_data: Dict[int, _DeliveryPlan] = {}
         self._plan_rtr: Dict[int, _DeliveryPlan] = {}
-        #: Does any attached controller filter? ``None``: not looked yet
-        #: since the plans were last dropped.
-        self._filtering: Optional[bool] = None
         #: node id -> controller, for controllers that *may* be down
         #: (crashed, bus-off) or hold a non-zero REC — the ones a planned
         #: delivery cannot take for granted. A conservative superset:
@@ -234,6 +226,7 @@ class CanBus:
         """Connect ``controller`` to the bus."""
         if controller.node_id in self._controllers:
             raise BusError(f"node id {controller.node_id} already attached")
+        self._slot[controller.node_id] = len(self._controllers)
         self._controllers[controller.node_id] = controller
         controller._bus = self
         controller._spans = self._spans
@@ -242,42 +235,16 @@ class CanBus:
         controller._offer_head()
         self.invalidate_delivery_tables()
 
-    def detach(self, controller: CanController) -> None:
-        """Disconnect ``controller`` from the bus.
-
-        The inverse of :meth:`attach`, used by gateways whose ports come
-        and go. The cached delivery plans bake the accepting-controller
-        set per identifier, so a detach *must* drop them — otherwise a
-        stale plan keeps delivering to (or skipping) the departed port.
-        """
-        attached = self._controllers.get(controller.node_id)
-        if attached is not controller:
-            raise BusError(
-                f"node id {controller.node_id} is not attached to this bus"
-            )
-        del self._controllers[controller.node_id]
-        self._unfit.pop(controller.node_id, None)
-        self._dormant.pop(controller.node_id, None)
-        # Its entries go now: a later controller under the same node id
-        # must not tie with them on ``(priority_key, node_id)``.
-        self._ready = [entry for entry in self._ready if entry[3] is not controller]
-        heapify(self._ready)
-        controller._bus = None
-        controller._offer = None
-        self.invalidate_delivery_tables()
-
     def invalidate_delivery_tables(self) -> None:
         """Drop the cached delivery plans.
 
-        Called whenever the accepting set for any frame — or the upcall a
-        delivery must make — may have changed: a controller attached or
-        left, a filter bank was installed, replaced or cleared, a standard
-        layer gained a listener, an ``on_rx`` was rebound. Plans (and the
-        choice of their key) rebuild lazily on the next delivery.
+        Called whenever the receivers of a frame — or the upcall a delivery
+        must make — may have changed: a controller attached, a standard
+        layer gained a listener, an ``on_rx`` was rebound. Plans rebuild
+        lazily on the next delivery.
         """
         self._plan_data.clear()
         self._plan_rtr.clear()
-        self._filtering = None
 
     def alive_controllers(self) -> List[CanController]:
         """Controllers currently participating in bus traffic."""
@@ -550,14 +517,13 @@ class CanBus:
         """Deliver through the frame kind's plan, leaving out the node ids
         in ``skip``; returns who took it.
 
-        The filter match and the upcall resolution were paid once, when
-        the plan was built. Per frame, the plan's collective forms are
-        called once each, at the turn of the first controller with a
-        collected listener (:mod:`repro.can.driver`), and only the planned
-        controllers with something else to hear are visited, their baked
-        listener tuples upcalled directly (transcribing ``deliver``'s REC
-        heal and ``_handle_rx``'s nty-before-ind order without the call
-        frames). Controllers that may be down or hold a REC are looked at
+        The upcall resolution was paid once, when the plan was built. Per
+        frame, the plan's collective forms are called once each, at the turn
+        of the first controller with a collected listener
+        (:mod:`repro.can.driver`), and only the controllers with something
+        else to hear are visited, their baked listener tuples upcalled
+        directly (transcribing ``deliver``'s REC heal and ``_handle_rx``'s
+        nty-before-ind order without the call frames). Controllers that may be down or hold a REC are looked at
         through the ``_unfit`` register, not by scanning the membership.
         Deliveries, REC bookkeeping and the trace are exactly those of the
         broadcast reference the tests keep (``tests/broadcast_reference.py``).
@@ -565,19 +531,13 @@ class CanBus:
         frame = tx.frame
         mid = frame.mid
         plans = self._plan_rtr if frame.remote else self._plan_data
-        filtering = self._filtering
-        if filtering is None:
-            filtering = self._filtering = any(
-                c._filters is not None for c in self._controllers.values()
-            )
-        key = frame.identifier if filtering else mid.mtype
-        plan = plans.get(key)
+        plan = plans.get(mid.mtype)
         if plan is None:
-            plan = self._build_plan(frame, plans, key)
+            plan = plans[mid.mtype] = self._build_plan(frame)
         out = self._sift_unfit(plan, skip) if self._unfit else ()
         if skip:
             out += tuple(sorted(skip))
-        calls, receivers = plan.view(out)
+        calls, receivers = plan.view(out, self._controllers)
         data = frame.data
         marks = self._unfit_marks
         for controller, first, second in plan.entries:
@@ -610,13 +570,13 @@ class CanBus:
                 # the frame when its place in the delivery order was still
                 # to come.
                 marks = self._unfit_marks
-                slot = plan.slot
+                slot = self._slot
                 here = slot[controller.node_id]
                 for node_id, other in self._unfit.items():
                     if (
                         not other.alive
                         and node_id not in plan.visited
-                        and slot.get(node_id, -1) > here
+                        and slot[node_id] > here
                     ):
                         receivers = receivers.remove(node_id)
         return receivers
@@ -624,34 +584,26 @@ class CanBus:
     def _sift_unfit(self, plan: _DeliveryPlan, skip: Collection[int]) -> tuple:
         """Look at the controllers the ``_unfit`` register names.
 
-        Returns the planned ones that are down (node ids, in register
-        order), heals the REC of the planned ones the delivery loop will
-        neither visit nor skip (``CanController.deliver``'s heal) and drops
-        the ones found fit again.
+        Returns the ones that are down (node ids, in register order), heals
+        the REC of the ones the delivery loop will neither visit nor skip
+        (``CanController.deliver``'s heal) and drops the ones found fit
+        again.
         """
         down = ()
         unfit = self._unfit
-        slot = plan.slot
         for node_id, controller in list(unfit.items()):
             if controller.crashed or controller.tec > BUS_OFF_THRESHOLD:
-                if node_id in slot:
-                    down += (node_id,)
+                down += (node_id,)
             elif not controller.rec:
                 del unfit[node_id]
-            elif (
-                node_id in slot
-                and node_id not in plan.visited
-                and node_id not in skip
-            ):
+            elif node_id not in plan.visited and node_id not in skip:
                 controller.rec -= 1
         return down
 
-    def _build_plan(
-        self, frame: CanFrame, plans: Dict[int, _DeliveryPlan], key: int
-    ) -> _DeliveryPlan:
+    def _build_plan(self, frame: CanFrame) -> _DeliveryPlan:
         """Compile the delivery plan for ``frame``'s kind.
 
-        Every accepting controller, in attach order. One driven by the
+        Every attached controller, in attach order. One driven by the
         standard layer contributes what that layer resolves for the kind
         (:meth:`CanStandardLayer._plan_delivery`): listeners that named a
         collective form are gathered under it — the forms are called where
@@ -669,15 +621,10 @@ class CanBus:
         handle_rx = CanStandardLayer._handle_rx
         mtype = frame.mid.mtype
         remote = frame.remote
-        ident = frame.identifier
-        controllers = []
         entries = []
         #: ``(collective, takes_data)`` -> ``[(node id, listener), ...]``
         members: Dict[tuple, list] = {}
         for controller in self._controllers.values():
-            if not controller.accepts(ident):
-                continue
-            controllers.append(controller)
             handler = controller.on_rx
             if handler is None:
                 continue
@@ -695,17 +642,12 @@ class CanBus:
                 )
             if first or second:
                 entries.append((controller, first, second))
-        if len(plans) >= _ACCEPT_TABLE_LIMIT:
-            plans.clear()
         # nty/rtr-ind forms first (a stable sort on ``takes_data``).
         collectives = sorted(
             (form + (tuple(pairs),) for form, pairs in members.items()),
             key=lambda collective: collective[1],
         )
-        plan = plans[key] = _DeliveryPlan(
-            tuple(controllers), tuple(entries), tuple(collectives)
-        )
-        return plan
+        return _DeliveryPlan(tuple(entries), tuple(collectives))
 
     def _resolve_fault(
         self,
@@ -719,7 +661,6 @@ class CanBus:
         and the sender's crash when the verdict asks for it."""
         sender_ids = {c.node_id for c in tx.senders}
         accepting = verdict.accepting
-        ident = tx.frame.identifier
         skip = set(sender_ids)
         taken = False
         for controller in alive:
@@ -727,10 +668,7 @@ class CanBus:
             if node_id in sender_ids:
                 continue
             if node_id in accepting:
-                # Error signalling happens at the bit level, *before*
-                # acceptance filtering: this node saw a valid frame (no REC
-                # bump) even if its filter then drops it.
-                taken = taken or controller.accepts(ident)
+                taken = True
             else:
                 controller.rx_error()
                 skip.add(node_id)

@@ -84,15 +84,10 @@ class CanController:
         self._bus = None  # set by CanBus.attach
         #: The bus's ready-heap entry standing for the queue head,
         #: ``(priority_key, node_id, request, self)``; ``None`` while the
-        #: queue is empty or the controller is detached. Any other entry of
-        #: this controller still in the heap is stale.
+        #: queue is empty or the controller is not attached yet. Any other
+        #: entry of this controller still in the heap is stale.
         self._offer: Optional[tuple] = None
         self._spans = NULL_TRACER  # rebound to the sim's tracer by attach
-        #: Hardware acceptance filters; ``None`` means accept-all (the
-        #: seed behaviour, and the only correct configuration for a full
-        #: CANELy node — see :mod:`repro.can.filters`). Install via
-        #: :meth:`set_filters` so the bus drops its delivery tables.
-        self._filters = None
         # Delivery hooks, wired by the standard-layer driver.
         self._on_rx: Optional[Callable[[CanFrame], None]] = None
         self.on_tx_success: Optional[Callable[[CanFrame], None]] = None
@@ -140,24 +135,6 @@ class CanController:
         chaining through the :attr:`state` property.
         """
         return not self.crashed and self.tec <= BUS_OFF_THRESHOLD
-
-    # -- acceptance filtering ---------------------------------------------------
-
-    def set_filters(self, bank) -> None:
-        """Install (or clear, with ``None``/empty) acceptance filters.
-
-        Mutating a bank after installation must go through this method
-        again: the bus caches per-identifier delivery tables keyed on the
-        installed filter configuration and invalidates them here.
-        """
-        self._filters = bank if bank is not None and len(bank) else None
-        if self._bus is not None:
-            self._bus.invalidate_delivery_tables()
-
-    def accepts(self, identifier: int) -> bool:
-        """True when this controller's receiver passes ``identifier`` up."""
-        bank = self._filters
-        return bank is None or bank.accepts(identifier)
 
     def crash(self) -> None:
         """Fail silent: stop transmitting and receiving, drop the queue.

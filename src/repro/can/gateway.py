@@ -13,10 +13,6 @@ The model is deliberately faithful to a real CAN gateway:
   the source segment, plus a configurable relay ``latency``; the copy
   then contends in normal arbitration on the target segment, so bridging
   adds real, observable delay that surveillance timeouts must cover;
-* **identifier filters** — an optional :class:`~repro.can.filters.FilterBank`
-  per port limits what crosses the bridge (installed as the port
-  controller's acceptance filters, so filtered traffic is not even
-  delivered to the gateway);
 * **bounded queues** — at most ``queue_limit`` frames may be outstanding
   (relay-scheduled or queued in the port controller) per target port;
   beyond that the gateway drops, counts the drop and traces it
@@ -33,7 +29,7 @@ responsibility to keep acyclic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
@@ -108,53 +104,23 @@ class CanGateway:
 
     # -- topology -----------------------------------------------------------
 
-    @property
-    def ports(self) -> List[CanController]:
-        """The port controllers, in attach order."""
-        return [port.controller for port in self._ports]
-
-    @property
-    def segments(self) -> List[CanBus]:
-        """The bridged segments, in attach order."""
-        return [port.bus for port in self._ports]
-
-    def attach(self, bus: CanBus, filters=None) -> CanController:
+    def attach(self, bus: CanBus) -> CanController:
         """Open a port on ``bus``; returns the port controller.
 
-        ``filters`` optionally installs a
-        :class:`~repro.can.filters.FilterBank` as the port's acceptance
-        filters: only passing identifiers cross the bridge *from* this
-        segment. Attaching invalidates the segment's delivery plans (via
-        :meth:`CanBus.attach`), so matching traffic is routed to the new
-        port immediately.
+        The port hears every frame the segment carries. Attaching
+        invalidates the segment's delivery plans (via
+        :meth:`CanBus.attach`), so traffic is routed to the new port
+        immediately. A port stays open for the gateway's lifetime.
         """
         for port in self._ports:
             if port.bus is bus:
                 raise BusError(f"gateway {self.name} already bridges this bus")
         controller = CanController(self.node_id)
         bus.attach(controller)
-        if filters is not None:
-            controller.set_filters(filters)
         port = _Port(len(self._ports), bus, controller)
         controller.on_rx = lambda frame, _port=port: self._on_rx(_port, frame)
         self._ports.append(port)
         return controller
-
-    def detach(self, bus: CanBus) -> None:
-        """Close the port on ``bus``.
-
-        Detaching goes through :meth:`CanBus.detach`, which drops the
-        segment's cached delivery plans — mandatory, or stale plans would
-        keep routing frames to the departed port.
-        """
-        for i, port in enumerate(self._ports):
-            if port.bus is bus:
-                bus.detach(port.controller)
-                del self._ports[i]
-                for later in self._ports[i:]:
-                    later.index -= 1
-                return
-        raise BusError(f"gateway {self.name} has no port on this bus")
 
     # -- forwarding ---------------------------------------------------------
 

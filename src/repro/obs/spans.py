@@ -301,11 +301,6 @@ class SpanTracer:
             parent = span.parent
         return chain
 
-    def root(self, span_id: int) -> Span:
-        """The root of the tree containing ``span_id``."""
-        chain = self.ancestors(span_id)
-        return chain[-1] if chain else self._spans[span_id]
-
     def open_spans(self) -> List[Span]:
         """Spans not closed so far (at the end of a run: timers still armed)."""
         return [span for span in self._spans if span.end is None]
@@ -329,13 +324,6 @@ class SpanTracer:
             key = (span.category, span.name)
             counts[key] = counts.get(key, 0) + 1
         return dict(sorted(counts.items()))
-
-    def clear(self) -> None:
-        """Drop every span and the context stack (keeps ``enabled``)."""
-        self._spans.clear()
-        self._stack.clear()
-        self._children.clear()
-        self._indexed = 0
 
 
 #: Shared disabled tracer: the default for components constructed without a

@@ -5,25 +5,20 @@ profile, detects node crashes with a master-slave scheme: one master
 cyclically inquires each slave with a CAN remote frame
 (:class:`CalNodeGuarding`); the slave answers with its current state. A
 slave that misses its answers for a *node life time* (guard time x life
-time factor) is declared failed.
-
-The paper also mentions the alternative producer-consumer model
-(:class:`CalHeartbeat`, CANopen's heartbeat protocol): every node
-broadcasts a periodic status message; consumers time out producers
-individually. It removes the remote-frame polling but keeps the core
-weaknesses the paper criticises and the related-work benchmark quantifies:
+time factor) is declared failed. The scheme has the core weaknesses the
+paper criticises and the related-work benchmark quantifies:
 
 * node guarding is **centralized** — a master crash disables detection
-  entirely; heartbeat consumers are configured statically instead;
+  entirely;
 * detection latency is governed by configuration-table periods, not by
   the traffic already on the bus (no implicit life-signs);
-* there is **no agreement**: consumers time out producers independently,
-  with no mechanism making the failure notification consistent.
+* there is **no agreement**: the master times slaves out on its own, with
+  no mechanism making the failure notification consistent.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
@@ -34,7 +29,6 @@ from repro.sim.timers import TimerService
 #: ``ref`` subtype codes within the NM message type.
 _POLL_REF = 0x100
 _STATUS_REF = 0x200
-_HEARTBEAT_REF = 0x500
 
 FailureCallback = Callable[[int], None]
 
@@ -141,88 +135,3 @@ class CalNodeGuarding:
             MessageId(MessageType.NM, node=self._layer.node_id, ref=_STATUS_REF),
             bytes([0x05]),  # CANopen "operational" state
         )
-
-
-class CalHeartbeat:
-    """CANopen heartbeat (producer-consumer) node monitoring.
-
-    Every node *produces* a periodic heartbeat status message; each node
-    *consumes* the heartbeats of a configured producer set and declares a
-    producer failed when nothing arrived for ``consumer_time`` (CANopen
-    requires ``consumer_time > producer_time``).
-
-    Args:
-        layer: the node's CAN standard layer.
-        timers: the node's timer service.
-        sim: the simulator.
-        producer_time: interval between own heartbeats.
-        consumer_time: silence tolerated before a producer is declared
-            failed.
-        watched: producer node ids this node consumes (default: none).
-    """
-
-    def __init__(
-        self,
-        layer: CanStandardLayer,
-        timers: TimerService,
-        sim: Simulator,
-        producer_time: int,
-        consumer_time: int,
-        watched: Optional[List[int]] = None,
-    ) -> None:
-        if producer_time <= 0:
-            raise ConfigurationError(
-                f"producer time must be positive: {producer_time}"
-            )
-        if consumer_time <= producer_time:
-            raise ConfigurationError(
-                "the consumer time must exceed the producer time "
-                f"({consumer_time} <= {producer_time})"
-            )
-        self._layer = layer
-        self._timers = timers
-        self._sim = sim
-        self.producer_time = producer_time
-        self.consumer_time = consumer_time
-        self._watched = list(watched or [])
-        self._consumer_alarms: Dict[int, object] = {}
-        self.detected: Dict[int, int] = {}
-        self.heartbeats_sent = 0
-        self._running = False
-        layer.add_data_ind(self._on_heartbeat, mtype=MessageType.NM)
-
-    def start(self) -> None:
-        """Start producing heartbeats and consuming the watched set."""
-        if self._running:
-            return
-        self._running = True
-        self._timers.start_alarm(self.producer_time, self._produce)
-        for producer in self._watched:
-            self._arm(producer)
-
-    def _produce(self) -> None:
-        self.heartbeats_sent += 1
-        self._layer.data_req(
-            MessageId(
-                MessageType.NM, node=self._layer.node_id, ref=_HEARTBEAT_REF
-            ),
-            bytes([0x05]),  # operational
-        )
-        self._timers.start_alarm(self.producer_time, self._produce)
-
-    def _arm(self, producer: int) -> None:
-        self._timers.cancel_alarm(self._consumer_alarms.get(producer))
-        self._consumer_alarms[producer] = self._timers.start_alarm(
-            self.consumer_time, lambda p=producer: self._on_timeout(p)
-        )
-
-    def _on_heartbeat(self, mid: MessageId, data: bytes) -> None:
-        if not self._running or mid.ref != _HEARTBEAT_REF:
-            return
-        if mid.node in self._consumer_alarms:
-            self.detected.pop(mid.node, None)
-            self._arm(mid.node)
-
-    def _on_timeout(self, producer: int) -> None:
-        if producer not in self.detected:
-            self.detected[producer] = self._sim.now

@@ -2,9 +2,9 @@
 
 ``CanBus`` delivers every frame through a cached plan per kind of frame.
 The oracle the plan is checked against is delivery the way the paper
-describes it: offer the frame to every alive controller in attach order,
-ask its filter bank, hand it over, one receiver at a time — an error
-frame's accepting subset too, the nodes the bus skips left out. It lives
+describes it: hand the frame to every alive controller in attach order,
+one receiver at a time — an error frame's accepting subset too, the nodes
+the bus skips left out. It lives
 here, not in the bus — one implementation runs, the other judges it.
 """
 
@@ -25,7 +25,7 @@ def deliver_broadcast(bus, tx, skip=()):
         # by an earlier recipient's upcall.
         if controller.node_id in skip:
             continue
-        if controller.alive and controller.accepts(frame.identifier):
+        if controller.alive:
             controller.deliver(frame)
             took.append(controller.node_id)
     return NodeSet(took, WIDE_MAX_CAPACITY)

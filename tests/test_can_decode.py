@@ -1,8 +1,8 @@
 """Unit tests for bit-level frame decoding."""
 
 import pytest
+from bitstream_reference import decode_frame_bits, frame_body_bits, stuff
 
-from repro.can.bitstream import decode_frame_bits, frame_body_bits, stuff
 from repro.errors import FrameError
 
 

@@ -386,6 +386,21 @@ def test_spans_rejects_bad_crash_node(capsys):
     assert capsys.readouterr().out == "error: --crash 9 outside 0..3\n"
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--crash-after", "-5"], "--crash-after must not be negative: -5"),
+        (["--crash-after", "-0.5"], "--crash-after must not be negative: -0.5"),
+        (["--nodes", "0"], "--nodes must be at least 2: 0"),
+        (["--nodes", "1", "--crash", "0"], "--nodes must be at least 2: 1"),
+    ],
+)
+def test_spans_rejects_bad_run_options(capsys, options, message):
+    # Checked before the crash node and before any run: one usage line.
+    assert main(["spans"] + options) == 2
+    assert capsys.readouterr().out == f"error: {message}\n"
+
+
 def test_metrics_format_json(capsys, scenario_file):
     assert main(
         ["metrics", "--scenario", scenario_file, "--format", "json"]

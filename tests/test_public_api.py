@@ -35,10 +35,12 @@ def test_version_bumped_for_the_new_surface():
     # ScenarioSpec and the campaign's in-code draw into one Scenario run
     # by one run(), removing run_schedule, CheckResult, run_scenario and
     # `repro run --monitors`; 10.0.0 removed repro.obs.chrome_trace_events,
-    # export_chrome_trace writing each event straight from its span
+    # export_chrome_trace writing each event straight from its span;
+    # 11.0.0 removed acceptance filtering (repro.can's AcceptanceFilter and
+    # FilterBank) and port detach, every node hearing every frame
     # (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (10, 0)
+    assert (int(major), int(minor)) >= (11, 0)
 
 
 def test_core_names_are_eager():

@@ -70,6 +70,7 @@ CLI_COMMANDS = (
     "run examples/scenarios/crash_and_rejoin.json",
     "run {tmp}/swim-scenario.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
+    "trace --scenario {tmp}/swim-scenario.json --export {tmp}/trace.jsonl",
     "qos --catalog --backend canely --backend swim --quick --seed 0"
     " --report {tmp}/qos-smoke.json --format csv",
     "qos --catalog --backend canely --backend swim --quick --seed 0"
@@ -78,6 +79,9 @@ CLI_COMMANDS = (
     "spans --seed 0 --chrome {tmp}/spans-smoke.json --validate",
     "spans --seed 0 --chrome {tmp}/spans-smoke-flows.json --flows --validate",
     "spans --seed 0 --critical-path",
+    "spans --seed 0",
+    "spans --seed 0 --tree",
+    "spans --seed 0 --msc",
 )
 
 SWIM_SCENARIO = (
