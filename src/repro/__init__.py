@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -71,7 +71,6 @@ _LAZY_EXPORTS = {
     # systematic checking (repro.check)
     "CheckSweep": "repro.check",
     "CoverageReport": "repro.check",
-    "ScheduleBatch": "repro.check",
     "ScheduleSpace": "repro.check",
     "enumerate_schedules": "repro.check",
     "explore": "repro.check",

@@ -219,6 +219,17 @@ def _cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
+@contextlib.contextmanager
+def _writing(what: str):
+    """Turn an :class:`OSError` opening or writing an output file (a
+    missing directory, say) into a :class:`ConfigurationError` naming
+    ``what`` the file is."""
+    try:
+        yield
+    except OSError as error:
+        raise ConfigurationError(f"cannot write {what}: {error}") from None
+
+
 def _observed_network(args):
     """Run ``--scenario FILE``, or else the demo scenario, and return the
     finished network."""
@@ -252,7 +263,7 @@ def _cmd_trace(args) -> int:
         or any(delivery[1] == node for delivery in deliveries((record,))),
     )
     if args.export:
-        with JsonlSink(args.export) as sink:
+        with _writing("trace export"), JsonlSink(args.export) as sink:
             for record in selected:
                 sink(record)
         print(f"exported {len(selected)} records to {args.export}")
@@ -313,7 +324,10 @@ def _cmd_spans(args) -> int:
     spans = net.sim.spans
 
     if args.chrome or args.validate:
-        text = export_chrome_trace(spans, path=args.chrome, flows=args.flows)
+        with _writing("chrome trace"):
+            text = export_chrome_trace(
+                spans, path=args.chrome, flows=args.flows
+            )
         if args.chrome:
             print(f"chrome trace written to {args.chrome} ({len(text)} bytes)")
         if args.validate:

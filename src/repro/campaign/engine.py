@@ -1,8 +1,9 @@
-"""The campaign driver: spec in, complete ordered results out.
+"""The campaign driver: a population in, complete ordered results out.
 
-:func:`run_campaign` fans a :class:`~repro.campaign.spec.CampaignSpec`
-(or anything satisfying the spec protocol — ``scenarios`` plus
-``scenario_seed(index)``) out through
+:func:`run_campaign` fans a *population* — anything with ``len()`` whose
+``population[i]`` is a :class:`~repro.workloads.scenario.Scenario`: a
+:class:`~repro.campaign.spec.CampaignSpec`, the checker's
+:class:`~repro.check.sweep.CheckSweep`, a plain tuple — out through
 :func:`~repro.campaign.executors.execute`, where ``workers`` picks the
 mode:
 
@@ -17,10 +18,9 @@ Either way the engine owns the invariants: completed results are appended
 the seeds the checkpoint already holds, ignoring torn, malformed or stale
 lines; ``resume=False`` truncates the checkpoint so reruns never
 accumulate stale lines a later resume would trust; and the returned list
-is asserted to cover exactly ``range(spec.scenarios)`` — a campaign can
+is asserted to cover exactly ``range(len(population))`` — a campaign can
 fail loudly, but it cannot silently lose scenarios. Results depend only
-on each scenario's derived seed — never on the worker count or
-completion order.
+on each scenario — never on the worker count or completion order.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 
 
 def run_campaign(
-    spec,
+    population,
     workers: int = 1,
     timeout: float = 120.0,
     retries: int = 1,
@@ -52,7 +52,8 @@ def run_campaign(
     progress=None,
     prior_results: Optional[Dict[int, ScenarioResult]] = None,
 ) -> List[ScenarioResult]:
-    """Run every scenario of ``spec``; return results ordered by index.
+    """Run every scenario of ``population``; return results ordered by
+    index.
 
     ``workers`` picks the mode: ``0`` in-process, ``>= 1`` a process
     pool. ``resume=True`` (requires ``checkpoint``) first loads completed
@@ -66,6 +67,8 @@ def run_campaign(
     checkpoint path that cannot be opened, raise
     :class:`~repro.errors.ConfigurationError`; a scenario index that ends
     the run without a result raises :class:`CampaignError`.
+    ``scenario_fn(scenario, index)`` folds one run into its
+    :class:`ScenarioResult` (default: the campaign's :func:`run_scenario`).
     """
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0: {workers}")
@@ -78,14 +81,13 @@ def run_campaign(
 
     completed: Dict[int, ScenarioResult] = {}
     if resume:
-        completed = load_checkpoint(checkpoint, spec)
+        completed = load_checkpoint(checkpoint, population)
     checkpointed = frozenset(completed)
     if prior_results:
         for index, result in prior_results.items():
             completed.setdefault(index, result)
-    pending = deque(
-        index for index in range(spec.scenarios) if index not in completed
-    )
+    size = len(population)
+    pending = deque([index for index in range(size) if index not in completed])
 
     sink = CheckpointStore(checkpoint, resume=resume)
     try:
@@ -102,7 +104,7 @@ def run_campaign(
                 progress(result)
 
         execute(
-            spec,
+            population,
             pending,
             workers=workers,
             timeout=timeout,
@@ -113,9 +115,7 @@ def run_campaign(
     finally:
         sink.close()
 
-    missing = [
-        index for index in range(spec.scenarios) if index not in completed
-    ]
+    missing = [index for index in range(size) if index not in completed]
     if missing:
         shown = ", ".join(str(index) for index in missing[:20])
         if len(missing) > 20:
@@ -124,4 +124,4 @@ def run_campaign(
             f"campaign incomplete (workers={workers}): no result for "
             f"scenario index(es) {shown}"
         )
-    return [completed[index] for index in range(spec.scenarios)]
+    return [completed[index] for index in range(size)]

@@ -1,8 +1,8 @@
 """How a campaign's pending scenarios run: in-process or in a process pool.
 
-:func:`~repro.campaign.engine.run_campaign` owns *what* runs (the spec,
-the pending indexes, checkpoint bookkeeping); :func:`execute` owns *how*,
-and ``workers`` alone picks it:
+:func:`~repro.campaign.engine.run_campaign` owns *what* runs (the
+population, the pending indexes, checkpoint bookkeeping); :func:`execute`
+owns *how*, and ``workers`` alone picks it:
 
 * ``workers=0`` — in-process and sequential, with no isolation and no
   timeouts: the deterministic baseline benchmarks and coverage tools see
@@ -11,8 +11,10 @@ and ``workers`` alone picks it:
   per scenario, at most ``workers`` alive at once, with per-scenario
   wall-clock timeouts, worker-crash detection and bounded retry.
 
-Either way, results remain a function of (scenario, seed) only — never of
-worker count or completion order.
+Either way the parent indexes ``population[i]`` and hands that one
+:class:`~repro.workloads.scenario.Scenario` to ``scenario_fn(scenario,
+i)``, so results remain a function of the scenario only — never of worker
+count or completion order.
 """
 
 from __future__ import annotations
@@ -54,25 +56,25 @@ def _context():
     return multiprocessing.get_context()
 
 
-def _attempt(spec, index: int, scenario_fn) -> ScenarioResult:
+def _attempt(scenario, index: int, scenario_fn) -> ScenarioResult:
     """Run one scenario, mapping stray exceptions to an ``error`` verdict."""
     try:
-        result = scenario_fn(spec, index)
+        result = scenario_fn(scenario, index)
     except Exception as error:
         import traceback
 
         result = ScenarioResult(
             index=index,
-            seed=spec.scenario_seed(index),
+            seed=scenario.seed,
             verdict=VERDICT_ERROR,
             detail=f"{type(error).__name__}: {error}\n{traceback.format_exc()}",
         )
     return result
 
 
-def _child_main(spec, index, scenario_fn, queue) -> None:
+def _child_main(scenario, index, scenario_fn, queue) -> None:
     """Worker-process entry point: one scenario, one result, exit."""
-    queue.put(_attempt(spec, index, scenario_fn).to_dict())
+    queue.put(_attempt(scenario, index, scenario_fn).to_dict())
 
 
 def _drain_queue(queue, grace_s: float) -> Optional[Dict[str, Any]]:
@@ -98,7 +100,7 @@ class _Job:
 
 
 def execute(
-    spec,
+    population,
     pending: Deque[int],
     *,
     workers: int,
@@ -113,13 +115,16 @@ def execute(
     (``timeout`` and ``retries`` apply to the pool only)."""
     if workers == 0:
         while pending:
-            finish(_attempt(spec, pending.popleft(), scenario_fn))
+            index = pending.popleft()
+            finish(_attempt(population[index], index, scenario_fn))
         return
-    _run_pool(spec, pending, workers, timeout, retries, scenario_fn, finish)
+    _run_pool(
+        population, pending, workers, timeout, retries, scenario_fn, finish
+    )
 
 
 def _run_pool(
-    spec,
+    population,
     pending: Deque[int],
     workers: int,
     timeout: float,
@@ -148,7 +153,7 @@ def _run_pool(
         finish(
             ScenarioResult(
                 index=job.index,
-                seed=spec.scenario_seed(job.index),
+                seed=population[job.index].seed,
                 verdict=verdict,
                 detail=detail,
                 attempts=job.attempt,
@@ -168,7 +173,7 @@ def _run_pool(
                 queue = ctx.SimpleQueue()
                 process = ctx.Process(
                     target=_child_main,
-                    args=(spec, index, scenario_fn, queue),
+                    args=(population[index], index, scenario_fn, queue),
                 )
                 process.start()
                 running[index] = _Job(

@@ -1,11 +1,11 @@
 """Campaign descriptions and per-scenario results.
 
-A :class:`CampaignSpec` describes a *population* of randomized fault
-scenarios: how many, the node/crash-count ranges, the stochastic bus-fault
+A :class:`CampaignSpec` is a *population* of randomized fault scenarios:
+how many, the node/crash-count ranges, the stochastic bus-fault
 probability ceilings and the measurement window. Every scenario owns a
 private seed derived from the campaign root seed and the scenario index via
-:func:`repro.sim.rng.derive_seed`, and :meth:`CampaignSpec.scenario` draws
-it as a plain-data :class:`~repro.workloads.scenario.Scenario`, so a
+:func:`repro.sim.rng.derive_seed`, and ``spec[i]`` draws scenario ``i``
+as a plain-data :class:`~repro.workloads.scenario.Scenario`, so a
 scenario is reproducible in isolation — same seed, same verdict and
 latencies, regardless of execution order or worker count — and a
 violating one can be minimized and replayed like any checker schedule.
@@ -53,11 +53,13 @@ VERDICTS = (
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A population of randomized crash-and-omission scenarios.
+    """A population of randomized crash-and-omission scenarios:
+    ``len(spec)`` is ``scenarios`` and ``spec[i]`` draws scenario ``i``.
 
     Attributes:
         scenarios: how many scenarios the campaign runs.
-        seed: root seed; scenario ``i`` uses ``scenario_seed(i)``.
+        seed: root seed; scenario ``i`` runs on the private seed
+            ``derive_seed(seed, f"scenario/{i}")``.
         node_min / node_max: population range, drawn per scenario.
         crash_min / crash_max: crash-count range, drawn per scenario
             (clamped so at least two nodes survive).
@@ -123,18 +125,23 @@ class CampaignSpec:
                 f"segments must be in 1..node_min: {self.segments!r}"
             )
 
-    def scenario_seed(self, index: int) -> int:
-        """The private seed of scenario ``index``."""
-        return derive_seed(self.seed, f"scenario/{index}")
+    def __len__(self) -> int:
+        return self.scenarios
 
-    def scenario(self, index: int) -> Scenario:
+    def __getitem__(self, index: int) -> Scenario:
         """Scenario ``index``: population, crash count and omission rates
         drawn from the ``topology`` stream of its private seed, the
         talkers (half the nodes, 4-9 ms periods) from its ``traffic``
         stream, and crashes at whole milliseconds of the crash window.
         A stream depends on the seed and its name only, so these draws
-        and the run's ``faults`` stream never perturb each other."""
-        seed = self.scenario_seed(index)
+        and the run's ``faults`` stream never perturb each other. An
+        index outside ``0..scenarios-1``, negatives included, raises
+        :class:`IndexError`."""
+        if not 0 <= index < self.scenarios:
+            raise IndexError(
+                f"scenario index {index} outside 0..{self.scenarios - 1}"
+            )
+        seed = derive_seed(self.seed, f"scenario/{index}")
         streams = RngStreams(seed)
         topology = streams.stream("topology")
         nodes = topology.randint(self.node_min, self.node_max)

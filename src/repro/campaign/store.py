@@ -114,11 +114,12 @@ def _well_typed(name: str, value: Any) -> bool:
     return isinstance(value, expected)
 
 
-def _checkpointed(line: bytes, spec) -> Optional[ScenarioResult]:
+def _checkpointed(line: bytes, population) -> Optional[ScenarioResult]:
     """The result one checkpoint line records, or ``None`` for a line
     resume must not trust: torn, not a JSON object, missing a required
     field or holding one of the wrong type, naming an index outside the
-    campaign, or carrying a seed ``spec`` no longer derives."""
+    campaign, or carrying a seed other than that of ``population``'s
+    scenario at its index."""
     try:
         raw = json.loads(line)
     except ValueError:  # UnicodeDecodeError included: lines are read as bytes
@@ -131,19 +132,19 @@ def _checkpointed(line: bytes, spec) -> Optional[ScenarioResult]:
         result = ScenarioResult.from_dict(raw)
     except TypeError:
         return None
-    if not 0 <= result.index < spec.scenarios:
+    if not 0 <= result.index < len(population):
         return None
-    if result.seed != spec.scenario_seed(result.index):
+    if result.seed != population[result.index].seed:
         return None
     return result
 
 
-def load_checkpoint(path: str, spec) -> Dict[int, ScenarioResult]:
+def load_checkpoint(path: str, population) -> Dict[int, ScenarioResult]:
     """Completed results from a (possibly truncated) checkpoint file.
 
     Torn, non-object, wrongly typed, out-of-range and stale lines are
     skipped, not trusted; a missing file holds nothing. Duplicate indexes
-    resolve to the last line — results are a function of (scenario, seed)
+    resolve to the last line — results are a function of the scenario
     only, so any copy is the same result.
     """
     completed: Dict[int, ScenarioResult] = {}
@@ -151,7 +152,7 @@ def load_checkpoint(path: str, spec) -> Dict[int, ScenarioResult]:
         return completed
     with _open(path, "rb", "checkpoint") as handle:
         for line in handle:
-            result = _checkpointed(line, spec)
+            result = _checkpointed(line, population)
             if result is not None:
                 completed[result.index] = result
     return completed

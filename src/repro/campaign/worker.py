@@ -1,23 +1,24 @@
 """One campaign scenario, end to end, inside one worker.
 
-:func:`run_scenario` is the unit of work the engine fans out: draw the
-scenario (:meth:`~repro.campaign.spec.CampaignSpec.scenario`), execute it
-with :func:`repro.workloads.scenario.run`, and fold the readouts the
-campaign reports — detection latencies, QoS, injected omissions, the
-metrics snapshot — into a :class:`~repro.campaign.spec.ScenarioResult`.
-A run never raises for what the simulated network does, so the engine
-only has to handle the process-level failures (hangs, killed workers).
+:func:`run_scenario` is the campaign's fold, the unit of work the engine
+fans out: execute one drawn scenario (``spec[i]``,
+:class:`~repro.campaign.spec.CampaignSpec`) with
+:func:`repro.workloads.scenario.run`, and fold the readouts the campaign
+reports — detection latencies, QoS, injected omissions, the metrics
+snapshot — into a :class:`~repro.campaign.spec.ScenarioResult`. A run
+never raises for what the simulated network does, so the engine only has
+to handle the process-level failures (hangs, killed workers).
 """
 
 from __future__ import annotations
 
-from repro.campaign.spec import VERDICT_VIOLATION, CampaignSpec, ScenarioResult
-from repro.workloads.scenario import run
+from repro.campaign.spec import VERDICT_VIOLATION, ScenarioResult
+from repro.workloads.scenario import Scenario, run
 
 
-def run_scenario(spec: CampaignSpec, index: int) -> ScenarioResult:
-    """Run scenario ``index`` of ``spec`` and classify the outcome."""
-    scenario = spec.scenario(index)
+def run_scenario(scenario: Scenario, index: int) -> ScenarioResult:
+    """Run ``scenario``, the population's ``index``-th, and classify the
+    outcome."""
     outcome = run(scenario)
     net = outcome.network
     result = ScenarioResult(
@@ -39,7 +40,7 @@ def run_scenario(spec: CampaignSpec, index: int) -> ScenarioResult:
         # The run finished: its latencies and QoS are worth reading.
         latencies = outcome.builder.detection_latencies().values()
         result.latencies = sorted(v for v in latencies if v is not None)
-        result.missed = sum(1 for v in latencies if v is None)
+        result.missed = len(latencies) - len(result.latencies)
         result.qos = outcome.builder.qos().summary()
     if result.ok and result.missed:
         result.verdict = VERDICT_VIOLATION

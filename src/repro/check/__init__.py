@@ -46,12 +46,9 @@ from repro.check.sweep import (
     Counterexample,
     CoverageReport,
     ExplorationReport,
-    ScheduleBatch,
     explore,
     explore_coverage,
     mutate_schedule,
-    run_batch_scenario,
-    run_check_scenario,
 )
 from repro.workloads.scenario import (
     ACTION_CRASH,
@@ -86,7 +83,6 @@ __all__ = [
     "Mutation",
     "OMISSION_CONSISTENT",
     "OMISSION_INCONSISTENT",
-    "ScheduleBatch",
     "ScheduleSpace",
     "SelftestReport",
     "enumerate_schedules",
@@ -96,8 +92,6 @@ __all__ = [
     "mutate_schedule",
     "read_artifact",
     "replay_artifact",
-    "run_batch_scenario",
-    "run_check_scenario",
     "run_selftest",
     "sample_schedules",
     "schedule_population",

@@ -17,8 +17,8 @@ it. Two generators walk it:
   accepting subsets, sender crashes timed before retransmission).
 
 Both are fully deterministic functions of their arguments, which is what
-lets the campaign engine regenerate schedule *i* inside any worker process
-and lets ``repro check --replay`` find the same schedule years later.
+lets a checkpointed sweep resume against the same population and lets
+``repro check --replay`` find the same schedule years later.
 
 The alphabet deliberately respects the fault model's degree bounds
 (MCAN3/LCAN4): schedules with more omissions than the configured ``k``/``j``
@@ -52,6 +52,10 @@ DEFAULT_FRAME_TYPES = ("FDA", "ELS", "RHA", "JOIN", "LEAVE")
 
 #: Frame types whose identifier names the *sender* (crash_sender targets).
 SENDER_NAMED_TYPES = ("ELS", "DATA")
+
+#: The deepest schedule :func:`sample_schedules` draws by default, and the
+#: one :func:`schedule_population` samples up to.
+SAMPLE_MAX_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -157,32 +161,31 @@ class ScheduleSpace:
 
     def admits(self, faults: Sequence[Action]) -> bool:
         """True when ``faults`` respects the space's fault-model bounds."""
-        omissions = [f for f in faults if f.action == ACTION_OMIT]
-        if len(omissions) > self.max_omissions:
-            return False
-        inconsistent = [
-            f for f in omissions if f.omission == OMISSION_INCONSISTENT
-        ]
-        if len(inconsistent) > self.max_inconsistent:
-            return False
+        omissions = inconsistent = 0
+        gone = set()  # members crashed or left
+        timed = set()  # nodes with a crash, leave or join
+        for fault in faults:
+            if fault.action == ACTION_OMIT:
+                omissions += 1
+                inconsistent += fault.omission == OMISSION_INCONSISTENT
+                if fault.crash_sender:
+                    gone.add(fault.node)
+            elif fault.action in (ACTION_CRASH, ACTION_LEAVE, ACTION_JOIN):
+                # At most one timed action per node: a second crash of a
+                # crashed node (or leave-after-crash) is a no-op
+                # permutation of a shallower schedule.
+                if fault.node in timed:
+                    return False
+                timed.add(fault.node)
+                if fault.action != ACTION_JOIN:
+                    gone.add(fault.node)
         # Keep at least two correct members alive: an emptied network has
         # no view to check agreement on.
-        crashed = {f.node for f in faults if f.action == ACTION_CRASH}
-        crashed |= {f.node for f in omissions if f.crash_sender}
-        left = {f.node for f in faults if f.action == ACTION_LEAVE}
-        if self.members - len(crashed | left) < 2:
-            return False
-        # At most one timed action per node: a second crash of a crashed
-        # node (or leave-after-crash) is a no-op permutation of a shallower
-        # schedule.
-        timed = [
-            f.node
-            for f in faults
-            if f.action in (ACTION_CRASH, ACTION_LEAVE, ACTION_JOIN)
-        ]
-        if len(timed) != len(set(timed)):
-            return False
-        return True
+        return (
+            omissions <= self.max_omissions
+            and inconsistent <= self.max_inconsistent
+            and self.members - len(gone) >= 2
+        )
 
     def schedule(self, faults: Sequence[Action], seed: int) -> Scenario:
         """Wrap ``faults`` into an executable schedule."""
@@ -225,7 +228,7 @@ def sample_schedules(
     count: int,
     seed: int = 0,
     min_depth: int = 2,
-    max_depth: int = 5,
+    max_depth: int = SAMPLE_MAX_DEPTH,
 ) -> Iterator[Scenario]:
     """Seeded guided-random sampling beyond the exhaustive bound.
 
@@ -275,23 +278,22 @@ def schedule_population(
     depth: int,
     samples: int = 0,
     seed: int = 0,
-    sample_max_depth: int = 5,
 ) -> List[Scenario]:
     """The checker's standard population: the exhaustive sweep up to
-    ``depth`` followed by ``samples`` guided-random deeper schedules.
+    ``depth`` followed by ``samples`` guided-random schedules of
+    ``depth + 1`` to :data:`SAMPLE_MAX_DEPTH` actions.
 
-    Deterministic in its arguments; schedule ``i`` of the returned list is
-    what a campaign worker regenerates from ``(space, depth, samples,
-    seed, i)``.
+    Deterministic in its arguments: schedule ``i`` of the returned list is
+    the same for the same ``(space, depth, samples, seed)``.
     """
     population = list(enumerate_schedules(space, depth))
-    population.extend(
-        sample_schedules(
-            space,
-            samples,
-            seed=seed,
-            min_depth=min(depth + 1, sample_max_depth),
-            max_depth=sample_max_depth,
+    if samples:
+        population.extend(
+            sample_schedules(
+                space,
+                samples,
+                seed=seed,
+                min_depth=min(depth + 1, SAMPLE_MAX_DEPTH),
+            )
         )
-    )
     return population

@@ -28,7 +28,6 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro.check.artifact import replay_artifact, write_artifact
 from repro.check.explorer import ScheduleSpace
-from repro.check.minimize import minimize_schedule
 from repro.check.sweep import CheckSweep, explore
 from repro.core.fda import FdaProtocol
 from repro.core.failure_detector import FailureDetector
@@ -199,7 +198,6 @@ def run_selftest(
     mutation: str = DEFAULT_MUTATION,
     seed: int = 0,
     artifact_path: Optional[str] = None,
-    max_minimize_runs: int = 200,
 ) -> SelftestReport:
     """Plant ``mutation``, prove the checker finds/minimizes/replays it.
 
@@ -222,12 +220,7 @@ def run_selftest(
 
     with registered.plant():
         # 1-2. explore in-process (workers=0: the patch must stay applied).
-        exploration = explore(
-            sweep,
-            workers=0,
-            minimize=True,
-            max_minimize_runs=max_minimize_runs,
-        )
+        exploration = explore(sweep, workers=0)
         report.schedules_run = len(exploration.results)
         report.violations_found = sum(
             1 for r in exploration.results if r.verdict == "violation"
@@ -299,14 +292,3 @@ def _replay_roundtrip(
     except CheckError as error:
         report.failures.append(f"replay mismatch: {error}")
         return False
-
-
-def minimize_planted(
-    mutation: str, schedule: Scenario, max_runs: int = 200
-):
-    """Minimize ``schedule`` with ``mutation`` planted (test helper)."""
-    registered = MUTATIONS.get(mutation)
-    if registered is None:
-        raise CheckError(f"unknown mutation {mutation!r}")
-    with registered.plant():
-        return minimize_schedule(schedule, max_runs=max_runs)

@@ -1,15 +1,14 @@
 """Parallel exploration: the checker riding the campaign engine.
 
-A :class:`CheckSweep` adapts a schedule population (exhaustive BFS plus
-guided samples, :func:`repro.check.explorer.schedule_population`) to the
-interface :func:`repro.campaign.engine.run_campaign` drives — ``scenarios``
-and ``scenario_seed(index)`` — so schedule execution inherits the engine's
-process isolation, per-schedule timeouts, crash retries and JSONL
-checkpoint/resume for free. Workers regenerate schedule *i* from the
-sweep parameters (the population is a deterministic function of them), so
-nothing but the sweep itself crosses the process boundary; dynamically
-generated populations (coverage-guided mutation batches) travel as an
-explicit :class:`ScheduleBatch` instead.
+A :class:`CheckSweep` is a schedule population (exhaustive BFS plus
+guided samples, :func:`repro.check.explorer.schedule_population`):
+``len(sweep)`` schedules, ``sweep[i]`` the ``i``-th. That is all
+:func:`repro.campaign.engine.run_campaign` asks of a population, so
+schedule execution inherits the engine's process isolation, per-schedule
+timeouts, crash retries and JSONL checkpoint/resume for free. The engine
+ships each worker its one schedule; :func:`_schedule_result` folds the
+run into a campaign result. Coverage-guided mutation batches, which are
+not a function of a few scalars, go to the engine as plain tuples.
 
 Two exploration strategies sit on top:
 
@@ -31,10 +30,13 @@ replayable artifact per violation.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ScenarioResult
@@ -58,26 +60,27 @@ from repro.workloads.scenario import (
 
 ProgressFn = Callable[[ScenarioResult], None]
 
-#: Populations are deterministic in the sweep, so regenerating one per
-#: process is pure overhead after the first time — memoize per sweep.
-_POPULATION_CACHE: Dict["CheckSweep", List[Scenario]] = {}
+#: How many draws :func:`mutate_schedule` makes before giving up.
+_MUTATION_TRIES = 12
+
+#: Coverage exploration stops once this many consecutive proposals were
+#: all duplicates or inadmissible (the space is exhausted near the corpus).
+_MAX_STALE_PROPOSALS = 400
 
 
 @dataclass(frozen=True)
 class CheckSweep:
     """One exploration run: a space, an exhaustive depth, a sample budget.
 
-    Satisfies the campaign engine's spec protocol: ``scenarios`` is the
-    population size and ``scenario_seed(i)`` is schedule ``i``'s own seed,
-    which makes checkpoint resume validation (seed must match) carry over
-    unchanged.
+    A population for the campaign engine: ``len(sweep)`` schedules,
+    ``sweep[i]`` the ``i``-th in execution order. The population is built
+    on first use and kept on the instance.
     """
 
     space: ScheduleSpace = field(default_factory=ScheduleSpace)
     depth: int = 1
     samples: int = 0
     seed: int = 0
-    sample_max_depth: int = 5
 
     def __post_init__(self) -> None:
         if self.depth < 0:
@@ -85,77 +88,36 @@ class CheckSweep:
         if self.samples < 0:
             raise CheckError(f"samples must be >= 0: {self.samples}")
 
-    def population(self) -> List[Scenario]:
-        """Every schedule this sweep runs, in execution order (memoized)."""
-        cached = _POPULATION_CACHE.get(self)
-        if cached is None:
-            cached = schedule_population(
-                self.space,
-                depth=self.depth,
-                samples=self.samples,
-                seed=self.seed,
-                sample_max_depth=self.sample_max_depth,
-            )
-            _POPULATION_CACHE[self] = cached
-        return cached
+    @cached_property
+    def _population(self) -> List[Scenario]:
+        return schedule_population(
+            self.space, depth=self.depth, samples=self.samples, seed=self.seed
+        )
 
-    def schedule(self, index: int) -> Scenario:
-        """Schedule ``index`` of the population."""
-        population = self.population()
-        if not 0 <= index < len(population):
-            raise CheckError(
-                f"schedule index {index} outside population of "
-                f"{len(population)}"
-            )
-        return population[index]
+    def __len__(self) -> int:
+        return len(self._population)
 
-    # -- campaign-engine spec protocol --------------------------------------------
+    def __getitem__(self, index: int) -> Scenario:
+        return self._population[index]
 
-    @property
-    def scenarios(self) -> int:
-        """Population size (campaign-engine spec protocol)."""
-        return len(self.population())
-
-    def scenario_seed(self, index: int) -> int:
-        """Schedule ``index``'s own seed (campaign-engine spec protocol)."""
-        return self.schedule(index).seed
-
-
-@dataclass(frozen=True)
-class ScheduleBatch:
-    """An explicit schedule list behind the campaign-engine spec protocol.
-
-    Where :class:`CheckSweep` lets workers *regenerate* schedule ``i``
-    from sweep parameters, a batch carries its schedules outright — the
-    shape coverage-guided exploration needs, since a mutated population
-    is not a function of a few scalars. Plain frozen data, so it pickles
-    across process boundaries unchanged.
-    """
-
-    schedules: Tuple[Scenario, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "schedules", tuple(self.schedules))
-
-    @property
-    def scenarios(self) -> int:
-        """Batch size (campaign-engine spec protocol)."""
-        return len(self.schedules)
-
-    def scenario_seed(self, index: int) -> int:
-        """Schedule ``index``'s own seed (campaign-engine spec protocol)."""
-        return self.schedules[index].seed
+    def __iter__(self) -> Iterator[Scenario]:
+        return iter(self._population)
 
 
 def _schedule_result(schedule: Scenario, index: int) -> ScenarioResult:
-    """Execute one schedule and fold the check payload into a campaign
-    result (the shared body of the two campaign ``scenario_fn`` shapes)."""
+    """The check fold, and the campaign ``scenario_fn`` of both
+    explorations: execute ``schedule`` and fold it into a campaign result.
+
+    The check verdicts are a subset of the campaign verdicts by
+    construction, so they pass through unchanged; the check-specific
+    payload (fingerprint, violated monitor, the schedule itself) rides in
+    the result's ``metrics`` dict and survives JSONL checkpointing.
+    """
     check = run(schedule)
-    crashes = sum(
-        1
-        for action in schedule.actions
-        if action.action == ACTION_CRASH or action.crash_sender
-    )
+    crashes = 0
+    for action in schedule.actions:
+        if action.action == ACTION_CRASH or action.crash_sender:
+            crashes += 1
     return ScenarioResult(
         index=index,
         seed=schedule.seed,
@@ -176,22 +138,6 @@ def _schedule_result(schedule: Scenario, index: int) -> ScenarioResult:
         violation_slice=check.violation_slice,
         elapsed_s=check.elapsed_s,
     )
-
-
-def run_check_scenario(sweep: CheckSweep, index: int) -> ScenarioResult:
-    """Campaign ``scenario_fn``: execute schedule ``index`` of ``sweep``.
-
-    The check verdicts are a subset of the campaign verdicts by
-    construction, so they pass through unchanged; the check-specific
-    payload (fingerprint, violated monitor, the schedule itself) rides in
-    the result's ``metrics`` dict and survives JSONL checkpointing.
-    """
-    return _schedule_result(sweep.schedule(index), index)
-
-
-def run_batch_scenario(batch: ScheduleBatch, index: int) -> ScenarioResult:
-    """Campaign ``scenario_fn``: execute schedule ``index`` of ``batch``."""
-    return _schedule_result(batch.schedules[index], index)
 
 
 def _cached_result(
@@ -242,8 +188,6 @@ class Counterexample:
 
 def _minimize_violations(
     violations: List[Tuple[int, Scenario]],
-    minimize: bool,
-    max_minimize_runs: int,
     artifact_dir: Optional[str],
 ) -> List[Counterexample]:
     """Delta-debug each violating schedule and (optionally) persist it.
@@ -253,29 +197,33 @@ def _minimize_violations(
     """
     counterexamples: List[Counterexample] = []
     for index, schedule in violations:
-        if minimize:
-            outcome = minimize_schedule(schedule, max_runs=max_minimize_runs)
-            minimized, check, runs = (
-                outcome.schedule,
-                outcome.result,
-                outcome.runs,
-            )
-        else:
-            minimized, check, runs = schedule, run(schedule), 1
+        outcome = minimize_schedule(schedule)
         counterexample = Counterexample(
             index=index,
             schedule=schedule,
-            minimized=minimized,
-            result=check,
-            minimize_runs=runs,
+            minimized=outcome.schedule,
+            result=outcome.result,
+            minimize_runs=outcome.runs,
         )
         if artifact_dir is not None:
             os.makedirs(artifact_dir, exist_ok=True)
             path = os.path.join(artifact_dir, f"counterexample-{index}.jsonl")
-            write_artifact(path, check)
+            write_artifact(path, outcome.result)
             counterexample.artifact_path = path
         counterexamples.append(counterexample)
     return counterexamples
+
+
+def _verdict_counts(results: List[ScenarioResult]) -> Dict[str, int]:
+    """The verdict histogram both exploration reports count."""
+    return dict(Counter(result.verdict for result in results))
+
+
+def _counts_text(counts: Dict[str, int]) -> str:
+    """``verdict=count`` pairs in verdict order, comma-separated."""
+    return ", ".join(
+        f"{verdict}={count}" for verdict, count in sorted(counts.items())
+    )
 
 
 @dataclass
@@ -302,16 +250,11 @@ class ExplorationReport:
 
     def counts(self) -> Dict[str, int]:
         """Verdict histogram over the population."""
-        histogram: Dict[str, int] = {}
-        for result in self.results:
-            histogram[result.verdict] = histogram.get(result.verdict, 0) + 1
-        return histogram
+        return _verdict_counts(self.results)
 
     def summary(self) -> str:
         """One line for logs: population size and verdict counts."""
-        counts = ", ".join(
-            f"{verdict}={count}" for verdict, count in sorted(self.counts().items())
-        )
+        counts = _counts_text(self.counts())
         cached = self.deduplicated
         dedup = f", {cached} deduplicated" if cached else ""
         return (
@@ -325,19 +268,16 @@ def explore(
     sweep: CheckSweep,
     workers: int = 0,
     timeout: float = 120.0,
-    retries: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    minimize: bool = True,
-    max_minimize_runs: int = 200,
     artifact_dir: Optional[str] = None,
     fingerprint_store: Optional[FingerprintStore] = None,
-    scenario_fn=run_check_scenario,
+    scenario_fn=_schedule_result,
 ) -> ExplorationReport:
     """Run the sweep's whole population and minimize every violation.
 
-    ``workers``/``timeout``/``retries``/``checkpoint``/``resume`` forward
+    ``workers``/``timeout``/``checkpoint``/``resume`` forward
     to :func:`~repro.campaign.engine.run_campaign`
     (``workers=0`` runs in-process — required when the code under test is
     monkeypatched, as in the planted-bug selftest, since a patch does not
@@ -353,19 +293,15 @@ def explore(
     if fingerprint_store is not None:
         prior = {}
         # One structural key per schedule, for the lookup and the record.
-        keys = []
-        for index in range(sweep.scenarios):
-            schedule = sweep.schedule(index)
-            key = schedule_key(schedule)
-            keys.append(key)
+        keys = [schedule_key(schedule) for schedule in sweep]
+        for index, key in enumerate(keys):
             record = fingerprint_store.lookup(key)
             if record is not None:
-                prior[index] = _cached_result(index, schedule, record)
+                prior[index] = _cached_result(index, sweep[index], record)
     results = run_campaign(
         sweep,
         workers=workers,
         timeout=timeout,
-        retries=retries,
         checkpoint=checkpoint,
         resume=resume,
         scenario_fn=scenario_fn,
@@ -384,13 +320,11 @@ def explore(
                     seed=result.seed,
                 )
     violations = [
-        (result.index, sweep.schedule(result.index))
+        (result.index, sweep[result.index])
         for result in results
         if result.verdict == VERDICT_VIOLATION
     ]
-    counterexamples = _minimize_violations(
-        violations, minimize, max_minimize_runs, artifact_dir
-    )
+    counterexamples = _minimize_violations(violations, artifact_dir)
     return ExplorationReport(
         sweep=sweep, results=results, counterexamples=counterexamples
     )
@@ -404,20 +338,19 @@ def mutate_schedule(
     schedule: Scenario,
     rng: random.Random,
     seed: int,
-    max_tries: int = 12,
 ) -> Optional[Scenario]:
     """One admissible structural mutation of ``schedule``.
 
     Operators, all drawn from the space's own alphabet so mutants stay
     inside the fault model: *add* an alphabet action, *remove* a
     scheduled action, *replace* one with a fresh alphabet draw. Returns
-    None when ``max_tries`` draws produce nothing admissible and
-    structurally new. Deterministic in (schedule, rng state).
+    None when 12 draws produce nothing admissible and structurally new.
+    Deterministic in (schedule, rng state).
     """
     alphabet = space.alphabet()
     if not alphabet:
         return None
-    for _ in range(max_tries):
+    for _ in range(_MUTATION_TRIES):
         faults = list(schedule.actions)
         operators = ["add"]
         if faults:
@@ -460,17 +393,11 @@ class CoverageReport:
 
     def counts(self) -> Dict[str, int]:
         """Verdict histogram over the executed schedules."""
-        histogram: Dict[str, int] = {}
-        for result in self.results:
-            histogram[result.verdict] = histogram.get(result.verdict, 0) + 1
-        return histogram
+        return _verdict_counts(self.results)
 
     def summary(self) -> str:
         """One line for logs: budget use, novelty yield, verdicts."""
-        counts = ", ".join(
-            f"{verdict}={count}"
-            for verdict, count in sorted(self.counts().items())
-        )
+        counts = _counts_text(self.counts())
         return (
             f"coverage sweep: {self.executed}/{self.budget} schedules "
             f"executed in {self.rounds} round(s), "
@@ -489,13 +416,9 @@ def explore_coverage(
     init_depth: int = 1,
     workers: int = 0,
     timeout: float = 120.0,
-    retries: int = 1,
     progress: Optional[ProgressFn] = None,
-    minimize: bool = True,
-    max_minimize_runs: int = 200,
     artifact_dir: Optional[str] = None,
-    scenario_fn=run_batch_scenario,
-    max_stale_proposals: int = 400,
+    scenario_fn=_schedule_result,
 ) -> CoverageReport:
     """Coverage-guided exploration: mutate what produced new behaviour.
 
@@ -511,10 +434,11 @@ def explore_coverage(
     too, since the store persists: rerunning a sweep against the same
     store executes nothing.
 
-    Stops at ``budget`` executed schedules, or earlier when
-    ``max_stale_proposals`` consecutive proposals were all duplicates or
-    inadmissible (the space is exhausted near the corpus). Fully
-    deterministic in (space, budget, seed, store contents).
+    Stops at ``budget`` executed schedules, or earlier when 400
+    consecutive proposals were all duplicates or inadmissible (the space
+    is exhausted near the corpus). Fully deterministic in (space, budget,
+    seed, store contents). Results, ``progress`` and counterexamples
+    carry each schedule's index in the global execution order.
     """
     if budget < 0:
         raise CheckError(f"budget must be >= 0: {budget}")
@@ -558,12 +482,16 @@ def explore_coverage(
             space, space.schedule((), seed=0), rng, seed=mutant_seed
         )
 
-    while executed < budget and stale < max_stale_proposals:
+    def global_progress(result: ScenarioResult) -> None:
+        """``progress`` with the batch-local index made global."""
+        progress(dataclasses.replace(result, index=executed + result.index))
+
+    while executed < budget and stale < _MAX_STALE_PROPOSALS:
         batch: List[Scenario] = []
         batch_keys: List[str] = []
         while (
             len(batch) < min(batch_size, budget - executed)
-            and stale < max_stale_proposals
+            and stale < _MAX_STALE_PROPOSALS
         ):
             candidate = next_candidate()
             if candidate is None:
@@ -585,12 +513,11 @@ def explore_coverage(
             break
         rounds += 1
         batch_results = run_campaign(
-            ScheduleBatch(tuple(batch)),
+            tuple(batch),
             workers=workers,
             timeout=timeout,
-            retries=retries,
             scenario_fn=scenario_fn,
-            progress=progress,
+            progress=None if progress is None else global_progress,
         )
         for schedule, key, result in zip(batch, batch_keys, batch_results):
             check = result.metrics.get("check") or {}
@@ -622,9 +549,7 @@ def explore_coverage(
         for result in results
         if result.verdict == VERDICT_VIOLATION
     ]
-    counterexamples = _minimize_violations(
-        violations, minimize, max_minimize_runs, artifact_dir
-    )
+    counterexamples = _minimize_violations(violations, artifact_dir)
     return CoverageReport(
         space=space,
         budget=budget,

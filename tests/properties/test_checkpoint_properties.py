@@ -28,10 +28,10 @@ from repro.campaign import (
 SPEC = CampaignSpec(scenarios=5, seed=11)
 
 
-def scripted(spec, index):
+def scripted(scenario, index):
     """A fast stand-in for ``run_scenario``: every field follows from the
     scenario's seed."""
-    seed = spec.scenario_seed(index)
+    seed = scenario.seed
     return ScenarioResult(
         index=index,
         seed=seed,

@@ -224,7 +224,7 @@ def test_view_agreement_pairs_match_the_scan(stream):
 
 
 def _spot_check(space, backend, segments=1, stride=7):
-    population = CheckSweep(space=space, depth=1).population()
+    population = list(CheckSweep(space=space, depth=1))
     results = [
         run(replace(schedule, backend=backend, segments=segments))
         for schedule in population[::stride]

@@ -50,7 +50,7 @@ swim_schedule = on("swim")
 
 
 def _population(space):
-    return CheckSweep(space=space, depth=1).population()
+    return list(CheckSweep(space=space, depth=1))
 
 
 @pytest.mark.parametrize("segments", [1, 2])

@@ -46,42 +46,42 @@ def _fingerprint(results):
     ]
 
 
-def quick(spec, index):
+def quick(scenario, index):
     """A fast fake scenario whose result encodes its index."""
     return ScenarioResult(
         index=index,
-        seed=spec.scenario_seed(index),
+        seed=scenario.seed,
         verdict=VERDICT_OK,
         latencies=[index + 1],
     )
 
 
-def sleepy_first(spec, index):
+def sleepy_first(scenario, index):
     if index == 0:
         time.sleep(30)
-    return quick(spec, index)
+    return quick(scenario, index)
 
 
-def always_crash(spec, index):
+def always_crash(scenario, index):
     os._exit(3)
 
 
-def crash_until_flag(spec, index):
+def crash_until_flag(scenario, index):
     flag = os.environ["CAMPAIGN_TEST_FLAG"]
     if not os.path.exists(flag):
         with open(flag, "w"):
             pass
         os._exit(1)
-    return quick(spec, index)
+    return quick(scenario, index)
 
 
-def recording(spec, index):
+def recording(scenario, index):
     with open(os.environ["CAMPAIGN_TEST_LOG"], "a") as handle:
         handle.write(f"{index}\n")
-    return quick(spec, index)
+    return quick(scenario, index)
 
 
-def raising(spec, index):
+def raising(scenario, index):
     raise ValueError("scripted failure")
 
 
@@ -89,8 +89,8 @@ def raising(spec, index):
 
 
 def test_scenario_is_deterministic_per_seed():
-    first = run_scenario(TINY, 1)
-    second = run_scenario(TINY, 1)
+    first = run_scenario(TINY[1], 1)
+    second = run_scenario(TINY[1], 1)
     assert _fingerprint([first]) == _fingerprint([second])
     assert first.verdict == VERDICT_OK
     assert first.metrics == second.metrics
@@ -160,9 +160,9 @@ def test_resume_never_reruns_finished_seeds(tmp_path):
 
 def test_checkpoint_tolerates_truncated_and_stale_lines(tmp_path):
     spec = CampaignSpec(scenarios=4, seed=5)
-    good = ScenarioResult(index=1, seed=spec.scenario_seed(1), verdict=VERDICT_OK)
+    good = ScenarioResult(index=1, seed=spec[1].seed, verdict=VERDICT_OK)
     stale = ScenarioResult(index=2, seed=999, verdict=VERDICT_OK)
-    out_of_range = ScenarioResult(index=9, seed=spec.scenario_seed(3), verdict=VERDICT_OK)
+    out_of_range = ScenarioResult(index=9, seed=spec[3].seed, verdict=VERDICT_OK)
     path = tmp_path / "campaign.jsonl"
     path.write_bytes(
         (
@@ -262,13 +262,13 @@ def test_run_campaign_validates_arguments(kwargs):
 # -- result-loss races and checkpoint hygiene ----------------------------------
 
 
-def post_then_hang(spec, index):
+def post_then_hang(scenario, index):
     """Return a result but leave a non-daemon thread keeping the worker
     process alive well past its put() — the lingering-child shape."""
     import threading
 
     threading.Thread(target=time.sleep, args=(20,)).start()
-    return quick(spec, index)
+    return quick(scenario, index)
 
 
 def test_result_posted_then_timeout_is_kept():
@@ -283,7 +283,7 @@ def test_result_posted_then_timeout_is_kept():
 
     ctx = _context()
     queue = ctx.SimpleQueue()
-    queue.put(quick(TINY, 0).to_dict())
+    queue.put(quick(TINY[0], 0).to_dict())
     process = ctx.Process(target=time.sleep, args=(30,))
     process.start()
     job = _Job(
@@ -378,8 +378,11 @@ def test_incomplete_executor_raises_with_missing_indexes(monkeypatch):
     short result list — the engine names every missing index."""
     from repro.campaign import engine
 
-    def finishes_only_the_first(spec, pending, *, scenario_fn, finish, **_):
-        finish(scenario_fn(spec, pending.popleft()))
+    def finishes_only_the_first(
+        population, pending, *, scenario_fn, finish, **_
+    ):
+        index = pending.popleft()
+        finish(scenario_fn(population[index], index))
 
     monkeypatch.setattr(engine, "execute", finishes_only_the_first)
     with pytest.raises(CampaignError) as excinfo:
@@ -392,12 +395,12 @@ def test_incomplete_executor_raises_with_missing_indexes(monkeypatch):
 def test_prior_results_skip_execution_and_are_checkpointed(tmp_path):
     checkpoint = str(tmp_path / "campaign.jsonl")
     spec = CampaignSpec(scenarios=3, seed=9)
-    known = quick(spec, 1)
+    known = quick(spec[1], 1)
     seen = []
 
-    def observing(inner_spec, index):
+    def observing(scenario, index):
         seen.append(index)
-        return quick(inner_spec, index)
+        return quick(scenario, index)
 
     results = run_campaign(
         spec,

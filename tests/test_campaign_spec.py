@@ -16,30 +16,39 @@ from repro.sim.rng import derive_seed
 def test_scenario_seeds_derive_from_root_seed():
     spec = CampaignSpec(scenarios=5, seed=42)
     for index in range(5):
-        assert spec.scenario_seed(index) == derive_seed(42, f"scenario/{index}")
+        assert spec[index].seed == derive_seed(42, f"scenario/{index}")
 
 
 def test_scenario_seeds_are_distinct_and_stable():
     spec = CampaignSpec(scenarios=50, seed=9)
-    seeds = [spec.scenario_seed(i) for i in range(50)]
+    seeds = [scenario.seed for scenario in spec]
     assert len(set(seeds)) == 50
-    assert seeds == [CampaignSpec(scenarios=50, seed=9).scenario_seed(i) for i in range(50)]
+    assert seeds == [s.seed for s in CampaignSpec(scenarios=50, seed=9)]
 
 
 def test_different_root_seeds_give_different_scenarios():
-    assert CampaignSpec(scenarios=1, seed=1).scenario_seed(0) != CampaignSpec(
+    assert CampaignSpec(scenarios=1, seed=1)[0] != CampaignSpec(
         scenarios=1, seed=2
-    ).scenario_seed(0)
+    )[0]
+
+
+def test_spec_is_a_sequence_of_its_scenarios():
+    spec = CampaignSpec(scenarios=3, seed=4)
+    assert len(spec) == 3
+    assert list(spec) == [spec[0], spec[1], spec[2]]  # iteration ends
+    for index in (3, -1, -3):
+        with pytest.raises(IndexError):
+            spec[index]
 
 
 def test_config_reflects_spec_parameters():
     spec = CampaignSpec(scenarios=1, tm_ms=40.0, thb_ms=8.0, tjoin_wait_ms=120.0)
-    scenario = spec.scenario(0)
+    scenario = spec[0]
     assert scenario.tm_ms == 40.0
     assert scenario.thb_ms == 8.0
     assert scenario.tjoin_wait_ms == 120.0
     assert scenario.capacity == 16
-    assert scenario.seed == spec.scenario_seed(0)
+    assert scenario.seed == derive_seed(0, "scenario/0")
 
 
 def test_spec_roundtrips_through_dict():
@@ -75,7 +84,7 @@ def test_backend_and_segments_roundtrip_through_dict():
     assert spec.backend == "swim"
     assert spec.segments == 2
     assert CampaignSpec(**spec.to_dict()) == spec
-    scenario = spec.scenario(1)
+    scenario = spec[1]
     assert (scenario.backend, scenario.segments) == ("swim", 2)
 
 

@@ -23,7 +23,7 @@ SPEC = CampaignSpec(scenarios=6, seed=3)
 def _result(index, seed=None):
     return ScenarioResult(
         index=index,
-        seed=SPEC.scenario_seed(index) if seed is None else seed,
+        seed=SPEC[index].seed if seed is None else seed,
         verdict=VERDICT_OK,
     )
 

@@ -4,16 +4,15 @@ import random
 
 import pytest
 
-from repro.campaign import FingerprintStore, schedule_key
+from repro.campaign import FingerprintStore, run_campaign, schedule_key
 from repro.check import (
     CheckSweep,
-    ScheduleBatch,
     ScheduleSpace,
     explore,
     explore_coverage,
     mutate_schedule,
-    run_batch_scenario,
 )
+from repro.check.sweep import _schedule_result
 from repro.errors import CheckError
 from repro.sim.rng import derive_seed
 
@@ -27,20 +26,13 @@ SPACE = ScheduleSpace(
 )
 SWEEP = CheckSweep(space=SPACE, depth=1)
 
-#: Executions observed by ``counting`` scenario functions, keyed by test.
+#: Schedules the ``counting`` scenario function executed, in order.
 _EXECUTED = []
 
 
-def counting_check_scenario(sweep, index):
-    from repro.check.sweep import run_check_scenario
-
-    _EXECUTED.append(index)
-    return run_check_scenario(sweep, index)
-
-
-def counting_batch_scenario(batch, index):
-    _EXECUTED.append(batch.schedules[index])
-    return run_batch_scenario(batch, index)
+def counting(schedule, index):
+    _EXECUTED.append(schedule)
+    return _schedule_result(schedule, index)
 
 
 # -- fingerprint dedup in explore() --------------------------------------------
@@ -55,10 +47,10 @@ def test_sweep_rerun_against_same_store_executes_nothing(tmp_path):
         first = explore(
             SWEEP,
             fingerprint_store=store,
-            scenario_fn=counting_check_scenario,
+            scenario_fn=counting,
         )
     first_executions = len(_EXECUTED)
-    assert first_executions == SWEEP.scenarios
+    assert first_executions == len(SWEEP)
     assert first.deduplicated == 0
 
     del _EXECUTED[:]
@@ -66,10 +58,10 @@ def test_sweep_rerun_against_same_store_executes_nothing(tmp_path):
         second = explore(
             SWEEP,
             fingerprint_store=store,
-            scenario_fn=counting_check_scenario,
+            scenario_fn=counting,
         )
     assert _EXECUTED == []  # zero re-executions
-    assert second.deduplicated == SWEEP.scenarios
+    assert second.deduplicated == len(SWEEP)
     assert [r.verdict for r in second.results] == [
         r.verdict for r in first.results
     ]
@@ -81,15 +73,15 @@ def test_sweep_rerun_against_same_store_executes_nothing(tmp_path):
 
 def test_explore_without_store_always_executes():
     del _EXECUTED[:]
-    explore(SWEEP, scenario_fn=counting_check_scenario)
-    explore(SWEEP, scenario_fn=counting_check_scenario)
-    assert len(_EXECUTED) == 2 * SWEEP.scenarios
+    explore(SWEEP, scenario_fn=counting)
+    explore(SWEEP, scenario_fn=counting)
+    assert len(_EXECUTED) == 2 * len(SWEEP)
 
 
 def test_partial_store_runs_only_missing_schedules(tmp_path):
     path = str(tmp_path / "fp.jsonl")
     # Pre-record half the population as already explored.
-    known = [SWEEP.schedule(i) for i in range(0, SWEEP.scenarios, 2)]
+    known = [SWEEP[i] for i in range(0, len(SWEEP), 2)]
     with FingerprintStore(path) as store:
         for schedule in known:
             store.record(schedule_key(schedule), "stub-trace", "ok")
@@ -98,29 +90,22 @@ def test_partial_store_runs_only_missing_schedules(tmp_path):
         report = explore(
             SWEEP,
             fingerprint_store=store,
-            scenario_fn=counting_check_scenario,
+            scenario_fn=counting,
         )
-    assert sorted(_EXECUTED) == [
-        i for i in range(SWEEP.scenarios) if i % 2 == 1
-    ]
+    assert _EXECUTED == [SWEEP[i] for i in range(1, len(SWEEP), 2)]
     assert report.deduplicated == len(known)
-    assert len(report.results) == SWEEP.scenarios
+    assert len(report.results) == len(SWEEP)
 
 
-# -- schedule batches ----------------------------------------------------------
+# -- plain populations ---------------------------------------------------------
 
 
-def test_schedule_batch_satisfies_spec_protocol():
-    schedules = tuple(SWEEP.schedule(i) for i in range(3))
-    batch = ScheduleBatch(schedules)
-    assert batch.scenarios == 3
-    assert [batch.scenario_seed(i) for i in range(3)] == [
-        s.seed for s in schedules
-    ]
-    result = run_batch_scenario(batch, 1)
-    assert result.index == 1
-    assert result.seed == schedules[1].seed
-    assert result.metrics["check"]["schedule"] == schedules[1].to_dict()
+def test_run_campaign_runs_a_plain_tuple_of_scenarios():
+    schedules = tuple(SWEEP[i] for i in range(3))
+    results = run_campaign(schedules, workers=0, scenario_fn=_schedule_result)
+    assert [r.index for r in results] == [0, 1, 2]
+    assert [r.seed for r in results] == [s.seed for s in schedules]
+    assert results[1].metrics["check"]["schedule"] == schedules[1].to_dict()
 
 
 # -- mutation ------------------------------------------------------------------
@@ -183,7 +168,7 @@ def test_coverage_rerun_never_reexecutes_explored_schedules(tmp_path):
             budget=10,
             store=store,
             seed=7,
-            scenario_fn=counting_batch_scenario,
+            scenario_fn=counting,
         )
     assert len(_EXECUTED) == first.executed > 0
     explored = {schedule_key(schedule) for schedule in _EXECUTED}
@@ -194,7 +179,7 @@ def test_coverage_rerun_never_reexecutes_explored_schedules(tmp_path):
             budget=10,
             store=store,
             seed=7,
-            scenario_fn=counting_batch_scenario,
+            scenario_fn=counting,
         )
     rerun = [s for s in _EXECUTED if schedule_key(s) in explored]
     assert rerun == []  # zero re-executions across runs

@@ -21,7 +21,7 @@ from repro.check import (
     write_artifact,
 )
 from repro.check.artifact import FORMAT, iter_slice
-from repro.check.selftest import MUTATIONS, minimize_planted
+from repro.check.selftest import MUTATIONS
 from repro.errors import CheckError, ConfigurationError
 from repro.workloads.builder import expected_survivors
 from repro.workloads.scenario import (
@@ -36,6 +36,12 @@ from repro.workloads.scenario import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def minimize_planted(mutation, schedule, max_runs=200):
+    """Minimize ``schedule`` with ``mutation`` planted."""
+    with MUTATIONS[mutation].plant():
+        return minimize_schedule(schedule, max_runs=max_runs)
 
 # The duplicate-delivery mutation only manifests when some node learns a
 # failure from the FDA frame alone (and so requests a retransmission,
@@ -118,8 +124,8 @@ def test_the_one_survivor_fold_matches_the_parent_on_whole_populations():
 
     from repro.check import CheckSweep
 
-    depth_two = CheckSweep(depth=2).population()
-    population = CheckSweep(depth=1).population() + random.Random(0).sample(
+    depth_two = list(CheckSweep(depth=2))
+    population = list(CheckSweep(depth=1)) + random.Random(0).sample(
         depth_two, 400
     )
     assert len(population) == 460
@@ -386,7 +392,7 @@ def test_campaign_violation_minimizes_to_a_replayable_artifact(tmp_path):
     """A campaign draw is a scenario like any checker schedule: under a
     planted bug its violation shrinks to one crash, is written as an
     artifact and replays bit-for-bit; unplanted, the minimal run is ok."""
-    scenario = CampaignSpec(scenarios=4, seed=1).scenario(1)
+    scenario = CampaignSpec(scenarios=4, seed=1)[1]
     assert [a.action for a in scenario.actions] == [ACTION_CRASH] * 3
     path = str(tmp_path / "campaign-1.jsonl")
     with MUTATIONS["fd-missed-detection"].plant():

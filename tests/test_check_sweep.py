@@ -1,7 +1,8 @@
 """Parallel exploration and the mutation-style selftest.
 
-``CheckSweep`` must satisfy the campaign engine's spec protocol so the
-checker inherits process isolation and checkpoint/resume; ``explore`` must
+``CheckSweep`` must be a population the campaign engine runs (``len`` and
+``sweep[i]``) so the checker inherits process isolation and
+checkpoint/resume; ``explore`` must
 minimize every violation and emit replayable artifacts; ``run_selftest``
 must prove the whole pipeline catches a planted protocol bug.
 """
@@ -21,7 +22,7 @@ from repro.check.selftest import (
     MUTATIONS,
     selftest_sweep,
 )
-from repro.check.sweep import run_check_scenario
+from repro.check.sweep import _schedule_result
 from repro.errors import CheckError
 
 #: Small space so whole-population tests stay in smoke territory. One
@@ -39,21 +40,23 @@ SMALL_SWEEP = CheckSweep(
 )
 
 
-# -- CheckSweep: campaign spec protocol ---------------------------------------------
+# -- CheckSweep: a population -------------------------------------------------------
 
 
 def test_sweep_population_is_memoized_and_indexed():
-    population = SMALL_SWEEP.population()
-    assert population is SMALL_SWEEP.population()  # memoized
-    assert SMALL_SWEEP.scenarios == len(population)
+    population = list(SMALL_SWEEP)
+    assert SMALL_SWEEP[0] is SMALL_SWEEP[0]  # built once, kept on the sweep
+    assert len(SMALL_SWEEP) == len(population)
+    assert population == list(
+        CheckSweep(space=SMALL_SWEEP.space, depth=1)
+    )
     for index, schedule in enumerate(population):
-        assert SMALL_SWEEP.schedule(index) == schedule
-        assert SMALL_SWEEP.scenario_seed(index) == schedule.seed
+        assert SMALL_SWEEP[index] == schedule
 
 
 def test_sweep_index_out_of_range():
-    with pytest.raises(CheckError, match="outside population"):
-        SMALL_SWEEP.schedule(SMALL_SWEEP.scenarios)
+    with pytest.raises(IndexError):
+        SMALL_SWEEP[len(SMALL_SWEEP)]
 
 
 def test_sweep_validates_bounds():
@@ -63,13 +66,13 @@ def test_sweep_validates_bounds():
         CheckSweep(samples=-1)
 
 
-def test_run_check_scenario_carries_check_payload():
-    result = run_check_scenario(SMALL_SWEEP, 0)
+def test_schedule_result_carries_check_payload():
+    result = _schedule_result(SMALL_SWEEP[0], 0)
     assert result.index == 0
     assert result.verdict == "ok"
     check = result.metrics["check"]
     assert len(check["fingerprint"]) == 64
-    assert check["schedule"] == SMALL_SWEEP.schedule(0).to_dict()
+    assert check["schedule"] == SMALL_SWEEP[0].to_dict()
     assert check["final_members"] == check["expected_members"]
 
 
@@ -79,9 +82,9 @@ def test_run_check_scenario_carries_check_payload():
 def test_explore_clean_code_reports_all_ok():
     report = explore(SMALL_SWEEP, workers=0)
     assert report.ok
-    assert len(report.results) == SMALL_SWEEP.scenarios
+    assert len(report.results) == len(SMALL_SWEEP)
     assert report.counterexamples == []
-    assert report.counts() == {"ok": SMALL_SWEEP.scenarios}
+    assert report.counts() == {"ok": len(SMALL_SWEEP)}
     assert "ok=" in report.summary()
 
 
@@ -122,7 +125,7 @@ def test_selftest_unknown_mutation_raises():
 
 def test_selftest_sweep_is_small_but_real():
     sweep = selftest_sweep()
-    assert 10 <= sweep.scenarios <= 200
+    assert 10 <= len(sweep) <= 200
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

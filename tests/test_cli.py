@@ -225,6 +225,23 @@ def test_check_small_sweep_all_ok(capsys):
     assert "ok=" in out
 
 
+def test_check_coverage_verbose_labels_schedules_by_global_index(capsys):
+    """Two batches of six print twelve distinct schedule indexes, the same
+    global indexes counterexamples carry."""
+    assert main(
+        ["check", "--coverage", "--budget", "12", "--batch", "6",
+         "--workers", "0", "--nodes", "4", "--members", "3", "--verbose"]
+    ) == 0
+    out = capsys.readouterr().out
+    labels = [
+        int(line.split()[1])
+        for line in out.splitlines()
+        if line.startswith("schedule ")
+    ]
+    assert labels == list(range(12))
+    assert "in 2 round(s)" in out
+
+
 def test_check_selftest_and_replay(capsys, tmp_path):
     artifact = str(tmp_path / "cex.jsonl")
     assert main(
@@ -621,6 +638,8 @@ COVERAGE_ARGS = CHECK_ARGS + ["--coverage", "--budget", "2", "--workers", "0"]
          "--coverage does not take --checkpoint"),
         (COVERAGE_ARGS + ["--resume"], "--coverage does not take --resume"),
         (COVERAGE_ARGS + ["--samples", "7"], "--coverage does not take --samples"),
+        (["trace", "--export", "{missing}/x.jsonl"], "cannot write trace export"),
+        (["spans", "--chrome", "{missing}/x.json"], "cannot write chrome trace"),
     ],
     ids=["campaign-timeout-0", "campaign-retries-negative",
          "campaign-workers-negative", "campaign-resume-without-checkpoint",
@@ -629,7 +648,8 @@ COVERAGE_ARGS = CHECK_ARGS + ["--coverage", "--budget", "2", "--workers", "0"]
          "check-checkpoint-in-missing-dir", "check-fingerprints-in-missing-dir",
          "check-depth-negative", "check-samples-negative",
          "check-coverage-with-checkpoint", "check-coverage-with-resume",
-         "check-coverage-with-samples"],
+         "check-coverage-with-samples", "trace-export-in-missing-dir",
+         "spans-chrome-in-missing-dir"],
 )
 def test_bad_run_options_exit_2_with_one_line(capsys, tmp_path, args, complaint):
     missing = str(tmp_path / "missing")

@@ -190,7 +190,7 @@ def test_depth1_sweep_matches_committed_fingerprints():
     actual = {}
     moved = []
     for result in report.results:
-        schedule = sweep.schedule(result.index)
+        schedule = sweep[result.index]
         key = schedule_key(schedule)
         actual[key] = (result.metrics["check"]["fingerprint"], result.verdict)
         if actual[key] != golden.get(key):

@@ -37,10 +37,13 @@ def test_version_bumped_for_the_new_surface():
     # `repro run --monitors`; 10.0.0 removed repro.obs.chrome_trace_events,
     # export_chrome_trace writing each event straight from its span;
     # 11.0.0 removed acceptance filtering (repro.can's AcceptanceFilter and
-    # FilterBank) and port detach, every node hearing every frame
-    # (docs/api.md).
+    # FilterBank) and port detach, every node hearing every frame;
+    # 12.0.0 made a campaign's input any sequence of Scenarios, removing
+    # ScheduleBatch, run_check_scenario, run_batch_scenario, the spec
+    # protocol (scenario_seed, CampaignSpec.scenario, CheckSweep.schedule/
+    # population) and knobs nothing set (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (11, 0)
+    assert (int(major), int(minor)) >= (12, 0)
 
 
 def test_core_names_are_eager():

@@ -64,6 +64,8 @@ CLI_COMMANDS = (
     "check --depth 1 --seed 0 --workers 0 --fingerprints {tmp}/check-fp.jsonl",
     "check --coverage --budget 12 --batch 6 --workers 0 --nodes 4 --members 3"
     " --verbose",
+    "check --coverage --depth 0 --budget 12 --batch 6 --workers 0 --nodes 4"
+    " --members 3 --verbose",
     "check --selftest",
     "compare --nodes 12 --segments 2 --seed 0 --format json",
     "compare --nodes 12 --segments 2 --seed 0",
