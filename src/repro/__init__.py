@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute
@@ -49,14 +49,15 @@ _LAZY_EXPORTS = {
     "BackendQoS": "repro.analysis.comparison",
     "compare_backends": "repro.analysis.comparison",
     "probe_backend": "repro.analysis.comparison",
-    # scenarios (repro.workloads) — one plain-data scenario, one run, and
-    # the fluent scripting API beneath them
+    # scenarios (repro.workloads) — one plain-data scenario, one
+    # interpreter (judged or not), and the fluent scripting API beneath them
     "Action": "repro.workloads",
     "FrameMatch": "repro.workloads",
     "Result": "repro.workloads",
     "Scenario": "repro.workloads",
     "ScenarioBuilder": "repro.workloads",
     "load_script": "repro.workloads",
+    "play": "repro.workloads",
     "run": "repro.workloads",
     # campaigns (repro.campaign)
     "CampaignReport": "repro.campaign",
@@ -108,11 +109,7 @@ _LAZY_EXPORTS = {
     # named scenario catalog + QoS reports (repro.scenarios)
     "QoSReport": "repro.scenarios",
     "ScenarioOutcome": "repro.scenarios",
-    "ScenarioRecipe": "repro.scenarios",
-    "register_recipe": "repro.scenarios",
-    "resolve_recipe": "repro.scenarios",
     "run_catalog": "repro.scenarios",
-    "run_recipe": "repro.scenarios",
     "scenario_names": "repro.scenarios",
 }
 

@@ -9,16 +9,15 @@ measured/derived by this reproduction, which is what the Fig. 11 benchmark
 does.
 
 The second half is quantitative and runs live simulations:
-:func:`probe_backend` executes one seeded crash scenario on one membership
-backend (:mod:`repro.core.backend`) and distils it into a
-:class:`BackendQoS` record — detection latency, view-stability mistakes
-and flaps, bandwidth per node — and :func:`compare_backends` runs the
-*same* scenario under rival backends so ``repro compare`` can print them
-side by side. The probe is a scenario generator over the
-:class:`~repro.workloads.builder.ScenarioBuilder`; its headline figures
-are reads of the builder's one QoS result and one final-state verdict.
-Both are fully deterministic: the same seed yields a byte-identical
-report.
+:func:`probe_backend` plays one seeded crash
+:class:`~repro.workloads.scenario.Scenario` on one membership backend
+(:mod:`repro.core.backend`) and distils it into a :class:`BackendQoS`
+record — detection latency, view-stability mistakes and flaps, bandwidth
+per node — and :func:`compare_backends` runs the *same* crash under rival
+backends so ``repro compare`` can print them side by side. The headline
+figures are reads of the run's one QoS result and one final-state
+verdict. Both are fully deterministic: the same seed yields a
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -182,7 +181,6 @@ def probe_backend(
     nodes: int = 12,
     segments: int = 1,
     seed: int = 0,
-    config=None,
     crash_window_ms: float = 40.0,
     run_ms: float = 500.0,
 ) -> BackendQoS:
@@ -190,15 +188,15 @@ def probe_backend(
 
     The scenario — victim and crash offset drawn from ``seed`` — depends
     only on the seed, never on the backend, so rival backends face exactly
-    the same fault and the comparison is fair. The whole run is
-    deterministic: same arguments, same :class:`BackendQoS`. Every figure
-    is a read of the run's one QoS result and one final-state verdict
-    (:class:`~repro.workloads.builder.ScenarioBuilder`).
+    the same fault and the comparison is fair; each backend runs on its
+    own default configuration. The whole run is deterministic: same
+    arguments, same :class:`BackendQoS`. A network that never forms raises
+    :class:`~repro.errors.ScenarioError`.
     """
-    from repro.core.stack import CanelyNetwork
-    from repro.errors import ConfigurationError, ScenarioError
+    from repro.errors import ConfigurationError
     from repro.sim.clock import ms
     from repro.sim.rng import RngStreams
+    from repro.workloads.scenario import Action, on_defaults, play
 
     if nodes < 2:
         raise ConfigurationError(
@@ -206,20 +204,15 @@ def probe_backend(
         )
     rng = RngStreams(seed).stream("compare")
     victim = rng.randint(0, nodes - 1)
-    crash_offset = ms(rng.randint(0, max(0, int(crash_window_ms))))
+    crash_offset = rng.randint(0, max(0, int(crash_window_ms)))
+    builder = play(on_defaults(
+        backend, nodes=nodes, members=nodes, segments=segments,
+        seed=seed, run_ms=crash_offset + run_ms,
+        actions=[Action("crash", node=victim, at_ms=crash_offset)],
+    ))
+    net = builder.network
 
-    net = CanelyNetwork(
-        node_count=nodes, config=config, backend=backend, segments=segments
-    )
-    scenario = net.scenario(seed=seed)
-    converged = True
-    try:
-        scenario.bootstrap()
-    except ScenarioError:
-        converged = False
-    scenario.run_for(crash_offset).crash(victim).run_for(ms(run_ms))
-
-    qos = scenario.qos()
+    qos = builder.qos()
     detection = next(crash for crash in qos.crashes if crash.node == victim)
     elapsed_ms = net.sim.now / ms(1)
     busy_bits = sum(bus.stats.busy_bits for bus in net.buses)
@@ -232,7 +225,7 @@ def probe_backend(
         nodes=nodes,
         segments=segments,
         seed=seed,
-        converged=converged,
+        converged=True,
         victim=victim,
         crash_at_ms=detection.crash_time / ms(1),
         detection_first_ms=(
@@ -245,7 +238,7 @@ def probe_backend(
         survivors=detection.expected,
         mistakes=len(qos.mistakes),
         flaps=qos.flaps,
-        final_view_ok=scenario.final_state().ok,
+        final_view_ok=builder.final_state().ok,
         bus_utilization=utilization,
         bandwidth_bits_per_node_ms=(
             busy_bits / nodes / elapsed_ms if elapsed_ms else 0.0
@@ -264,7 +257,6 @@ def compare_backends(
     nodes: int = 12,
     segments: int = 1,
     seed: int = 0,
-    config=None,
     crash_window_ms: float = 40.0,
     run_ms: float = 500.0,
 ) -> Dict[str, Any]:
@@ -285,7 +277,6 @@ def compare_backends(
             nodes=nodes,
             segments=segments,
             seed=seed,
-            config=config,
             crash_window_ms=crash_window_ms,
             run_ms=run_ms,
         )

@@ -13,8 +13,11 @@ mode:
   worker-crash detection and bounded retry.
 
 Either way the engine owns the invariants: completed results are appended
-(and flushed) to the JSONL checkpoint as they arrive
-(:class:`~repro.campaign.store.CheckpointStore`); ``resume=True`` skips
+(and flushed) to the JSONL checkpoint in index order
+(:class:`~repro.campaign.store.CheckpointStore`) — a result that finishes
+before a lower index is held until that index is written, and whatever is
+held when the run ends, even by an exception, is written then — so one
+seed writes one file whatever the worker count; ``resume=True`` skips
 the seeds the checkpoint already holds, ignoring torn, malformed or stale
 lines; ``resume=False`` truncates the checkpoint so reruns never
 accumulate stale lines a later resume would trust; and the returned list
@@ -90,19 +93,20 @@ def run_campaign(
     pending = deque([index for index in range(size) if index not in completed])
 
     sink = CheckpointStore(checkpoint, resume=resume)
+    # Every result the checkpoint lacks is written in index order: it is
+    # held until each lower index is written. Injected prior results are
+    # held from the start, so the file stays a complete record.
+    unwritten = deque(index for index in range(size) if index not in checkpointed)
+    held = {index: completed[index] for index in completed.keys() - checkpointed}
+
+    def finish(result: ScenarioResult) -> None:
+        completed[result.index] = held[result.index] = result
+        while unwritten and unwritten[0] in held:
+            sink.write(held.pop(unwritten.popleft()))
+        if progress is not None:
+            progress(result)
+
     try:
-        # Persist injected prior results the checkpoint does not already
-        # hold, so the file stays a complete record of the campaign.
-        for index in sorted(completed):
-            if index not in checkpointed:
-                sink.write(completed[index])
-
-        def finish(result: ScenarioResult) -> None:
-            completed[result.index] = result
-            sink.write(result)
-            if progress is not None:
-                progress(result)
-
         execute(
             population,
             pending,
@@ -113,6 +117,8 @@ def run_campaign(
             finish=finish,
         )
     finally:
+        for index in sorted(held):
+            sink.write(held[index])
         sink.close()
 
     missing = [index for index in range(size) if index not in completed]

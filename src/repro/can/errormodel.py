@@ -148,42 +148,18 @@ class FaultInjector:
             )
         )
 
-    def configure_stochastic(
-        self,
-        consistent_probability: Optional[float] = None,
-        inconsistent_probability: Optional[float] = None,
-        rng=None,
-    ) -> None:
-        """Re-arm the stochastic fault rates mid-run.
-
-        A bounded noise window — the bus-off-storm catalog scenario
-        raises the rates for an interval and restores them after —
-        cannot be expressed by the constructor alone. ``None`` keeps the
-        current value; validation matches the constructor. Counters and
-        scripted faults are untouched.
-        """
-        if rng is not None:
-            self._rng = rng
-        consistent = (
-            self._p_consistent
-            if consistent_probability is None
-            else consistent_probability
-        )
-        inconsistent = (
-            self._p_inconsistent
-            if inconsistent_probability is None
-            else inconsistent_probability
-        )
-        if consistent < 0 or inconsistent < 0:
+    def configure_stochastic(self, consistent_probability: float) -> None:
+        """Re-arm the stochastic consistent-omission rate mid-run: a storm
+        (:class:`~repro.workloads.scenario.Action` ``storm``) raises it for
+        an interval and restores it after. Validation matches the
+        constructor; counters and scripted faults are untouched."""
+        if consistent_probability < 0:
             raise ConfigurationError("fault probabilities must be non-negative")
-        if consistent + inconsistent > 1:
-            raise ConfigurationError(
-                "fault probabilities must sum to at most 1"
-            )
-        if (consistent or inconsistent) and self._rng is None:
+        if consistent_probability + self._p_inconsistent > 1:
+            raise ConfigurationError("fault probabilities must sum to at most 1")
+        if consistent_probability and self._rng is None:
             raise ConfigurationError("stochastic faults require an rng")
-        self._p_consistent = consistent
-        self._p_inconsistent = inconsistent
+        self._p_consistent = consistent_probability
 
     # -- verdict --------------------------------------------------------------
 

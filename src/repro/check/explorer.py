@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import CheckError
@@ -100,8 +101,10 @@ class ScheduleSpace:
 
     # -- the action alphabet ---------------------------------------------------
 
-    def alphabet(self) -> List[Action]:
-        """Every atomic fault action the space admits, in a stable order."""
+    @cached_property
+    def alphabet(self) -> Tuple[Action, ...]:
+        """Every atomic fault action the space admits, in a stable order;
+        built once per space."""
         actions: List[Action] = []
         members = range(self.members)
         late = range(self.members, self.nodes)
@@ -155,7 +158,7 @@ class ScheduleSpace:
                         crash_sender=True,
                     )
                 )
-        return actions
+        return tuple(actions)
 
     # -- model-bound admissibility ------------------------------------------------
 
@@ -213,7 +216,7 @@ def enumerate_schedules(
     """
     if depth < 0:
         raise CheckError(f"depth must be >= 0: {depth}")
-    alphabet = space.alphabet()
+    alphabet = space.alphabet
     index = 0
     for size in range(depth + 1):
         for combo in itertools.combinations(alphabet, size):
@@ -243,7 +246,7 @@ def sample_schedules(
         raise CheckError(f"count must be >= 0: {count}")
     if not 0 <= min_depth <= max_depth:
         raise CheckError(f"bad depth range {min_depth}..{max_depth}")
-    alphabet = space.alphabet()
+    alphabet = space.alphabet
     omissions = [f for f in alphabet if f.action == ACTION_OMIT]
     crashes = [f for f in alphabet if f.action == ACTION_CRASH]
     produced = 0

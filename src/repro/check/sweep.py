@@ -347,7 +347,7 @@ def mutate_schedule(
     None when 12 draws produce nothing admissible and structurally new.
     Deterministic in (schedule, rng state).
     """
-    alphabet = space.alphabet()
+    alphabet = space.alphabet
     if not alphabet:
         return None
     for _ in range(_MUTATION_TRIES):

@@ -1,40 +1,23 @@
-"""Named scenario catalog: registered fault-and-load recipes.
+"""Named scenario catalog: fault-and-load recipes as plain data.
 
-Every recipe is a :class:`~repro.scenarios.catalog.ScenarioRecipe` — a
-named, seeded, backend-neutral script over
-:class:`~repro.workloads.builder.ScenarioBuilder` — runnable by name from
-the library (:func:`~repro.scenarios.runner.run_recipe` /
-:func:`~repro.scenarios.runner.run_catalog`) and from the ``repro qos``
-CLI. The built-in catalog covers the paper's fault menagerie: babbling
-idiot (Fig. 11's admitted limitation), bus-off storms, error-passive
-flapping, inaccessibility bursts, join/leave churn, bus-load sweeps,
-gateway partition stress, and a quiet baseline.
+:data:`~repro.scenarios.recipes.CATALOG` maps every name to a recipe — a
+pure function ``(backend, seed, quick) -> (Scenario, detail)`` returning a
+plain-data :class:`~repro.workloads.scenario.Scenario` — and
+:func:`~repro.scenarios.runner.run_catalog` plays them against one or
+more backends into a :class:`QoSReport`, as the ``repro qos`` CLI does.
+The built-in catalog covers the paper's fault menagerie: babbling idiot
+(Fig. 11's admitted limitation), bus-off storms, error-passive flapping,
+inaccessibility bursts, join/leave churn, bus-load sweeps, gateway
+partition stress, and a quiet baseline.
 """
 
-from repro.scenarios.catalog import (
-    ScenarioRecipe,
-    ScenarioRun,
-    recipe,
-    register_recipe,
-    resolve_recipe,
-    scenario_names,
-)
-from repro.scenarios.runner import (
-    QoSReport,
-    ScenarioOutcome,
-    run_catalog,
-    run_recipe,
-)
+from repro.scenarios.recipes import CATALOG, scenario_names
+from repro.scenarios.runner import QoSReport, ScenarioOutcome, run_catalog
 
 __all__ = [
+    "CATALOG",
     "QoSReport",
     "ScenarioOutcome",
-    "ScenarioRecipe",
-    "ScenarioRun",
-    "recipe",
-    "register_recipe",
-    "resolve_recipe",
     "run_catalog",
-    "run_recipe",
     "scenario_names",
 ]

@@ -1,21 +1,25 @@
 """Run catalog recipes and fold their QoS readouts into one report.
 
-:func:`run_recipe` executes one named recipe against one backend and
-returns its :class:`ScenarioOutcome` (the QoS readout plus recipe
-detail); :func:`run_catalog` sweeps scenarios x backends into a
-:class:`QoSReport`, the cross-backend quality comparison the ``repro
-qos`` CLI renders and the CI smoke job byte-compares across double runs.
+:func:`run_catalog` sweeps scenarios x backends into a :class:`QoSReport`,
+the cross-backend quality comparison the ``repro qos`` CLI renders: each
+cell is one recipe's :class:`~repro.workloads.scenario.Scenario`, played
+unjudged by the one interpreter (:func:`~repro.workloads.scenario.play`),
+and its :class:`ScenarioOutcome` carries the QoS readout plus the recipe's
+detail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.backend import resolve_backend
+from repro.errors import ConfigurationError
 from repro.obs.qos import QoSMetrics
-from repro.scenarios.catalog import resolve_recipe, scenario_names
+from repro.scenarios.recipes import CATALOG, scenario_names
 from repro.util.tables import render_table, to_json
+from repro.workloads.scenario import ACTION_BABBLE, ACTION_OMIT, play
 
 
 @dataclass
@@ -38,25 +42,6 @@ class ScenarioOutcome:
             "detail": dict(sorted(self.detail.items())),
             "qos": self.qos.to_dict(),
         }
-
-
-def run_recipe(
-    name: str,
-    backend: str = "canely",
-    seed: int = 0,
-    quick: bool = False,
-) -> ScenarioOutcome:
-    """Execute one catalog recipe and compute its QoS readout."""
-    entry = resolve_recipe(name)
-    run = entry.build(backend=backend, seed=seed, quick=quick)
-    return ScenarioOutcome(
-        scenario=name,
-        backend=run.scenario.network.backend_name,
-        seed=seed,
-        quick=quick,
-        qos=run.scenario.qos(),
-        detail=dict(run.detail),
-    )
 
 
 @dataclass
@@ -187,11 +172,14 @@ def run_catalog(
     """
     names = list(scenarios) if scenarios else scenario_names()
     for name in names:
-        resolve_recipe(name)
+        if name not in CATALOG:
+            raise ConfigurationError(
+                f"unknown scenario {name!r}; catalog: {scenario_names()}"
+            )
     for backend in backends:
         resolve_backend(backend)
     outcomes = [
-        run_recipe(name, backend=backend, seed=seed, quick=quick)
+        _outcome(name, backend, seed, quick)
         for name in names
         for backend in backends
     ]
@@ -201,4 +189,28 @@ def run_catalog(
         scenarios=names,
         backends=list(backends),
         outcomes=outcomes,
+    )
+
+
+def _outcome(name: str, backend: str, seed: int, quick: bool) -> ScenarioOutcome:
+    """Play one catalog cell and read its QoS; the run's fault counters
+    join the recipe's detail. The finished network dies on return, so
+    only one cell's trace is alive at a time."""
+    scenario, detail = CATALOG[name](backend, seed, quick)
+    builder = play(scenario)
+    kinds = set(map(attrgetter("action"), scenario.actions))
+    if ACTION_BABBLE in kinds:
+        detail["babble_frames"] = sum(
+            map(attrgetter("frames_submitted"), builder.babblers)
+        )
+    if ACTION_OMIT in kinds:
+        injector = builder.network.bus.injector
+        detail["omissions_injected"] = injector.omissions_injected
+    return ScenarioOutcome(
+        scenario=name,
+        backend=backend,
+        seed=seed,
+        quick=quick,
+        qos=builder.qos(),
+        detail=detail,
     )

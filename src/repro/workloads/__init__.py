@@ -1,8 +1,9 @@
 """Workload generation: traffic sources, scenario scripting and the one
-plain-data :class:`Scenario` with its interpreter :func:`run`."""
+plain-data :class:`Scenario` with its interpreter: :func:`run` judges a
+run, :func:`play` only executes it."""
 
 from repro.workloads.builder import FrameMatch, ScenarioBuilder
-from repro.workloads.scenario import Action, Result, Scenario, load_script, run
+from repro.workloads.scenario import Action, Result, Scenario, load_script, play, run
 from repro.workloads.traffic import PeriodicSource, SporadicSource, TrafficSet
 
 __all__ = [
@@ -15,5 +16,6 @@ __all__ = [
     "SporadicSource",
     "TrafficSet",
     "load_script",
+    "play",
     "run",
 ]

@@ -20,16 +20,17 @@ The builder is also the run's one *harness*: as it schedules it records the
 scripted intent the trace cannot carry (initial members, window start,
 crash/leave/join instants), and it offers each readout of the finished run
 once, on demand — ``qos()``, ``detection_latencies()``, ``final_state()``.
-:func:`repro.workloads.scenario.run` interprets every plain-data
-:class:`~repro.workloads.scenario.Scenario` through it — the checker's
-schedules, the campaign's draws and ``repro run``'s JSON scripts — and
-the catalog recipes and ``repro compare`` script it directly.
+The one scenario interpreter (:mod:`repro.workloads.scenario`) scripts
+every plain-data :class:`~repro.workloads.scenario.Scenario` through it:
+the checker's schedules, the campaign's draws, ``repro run``'s JSON
+scripts, the QoS catalog's recipes and ``repro compare``'s crash.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -40,6 +41,7 @@ from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageType
 from repro.errors import ScenarioError
 from repro.obs.qos import QoSMetrics, compute_qos
+from repro.workloads.adversary import BabblingIdiot
 
 #: Default number of membership cycles a cold-start settles for.
 DEFAULT_SETTLE_CYCLES = 6.0
@@ -194,6 +196,8 @@ class ScenarioBuilder:
         self.members: List[int] = sorted(network.member_views())
         self.start: int = network.sim.now
         self.intent: List[MembershipEvent] = []
+        #: The babbling idiots :meth:`babble` added, in call order.
+        self.babblers: List[BabblingIdiot] = []
 
     @property
     def network(self):
@@ -345,6 +349,20 @@ class ScenarioBuilder:
         self._schedule(at, lambda: bus.inject_inaccessibility(bits))
         return self
 
+    def babble(self, bits: int, at: int = 0) -> "ScenarioBuilder":
+        """Attach a saturating top-priority :class:`BabblingIdiot` to the
+        first bus now, under the first node id no node or earlier babbler
+        holds, and let it babble for ``bits`` bit times from ``at`` ticks
+        from now."""
+        net = self._net
+        babbler = BabblingIdiot(
+            net.sim, net.bus, node_id=len(net.nodes) + len(self.babblers)
+        )
+        self.babblers.append(babbler)
+        self._schedule(at, babbler.start)
+        self._schedule(at + net.bus.timing.bits_to_ticks(bits), babbler.stop)
+        return self
+
     # -- advancing the clock -----------------------------------------------------
 
     def run_for(self, duration: int) -> "ScenarioBuilder":
@@ -397,10 +415,13 @@ class ScenarioBuilder:
     def scripted(self, action: str) -> Dict[int, int]:
         """node -> earliest scripted instant of ``action`` (``"crash"``,
         ``"leave"`` or ``"join"``), in instant order."""
-        times: Dict[int, int] = {}
-        for when, kind, node in sorted(self.intent, key=lambda e: e[0]):
-            if kind == action:
-                times.setdefault(node, when)
+        return self._first_instants().get(action, {})
+
+    def _first_instants(self) -> Dict[str, Dict[int, int]]:
+        """action -> :meth:`scripted` ``(action)``, in one pass."""
+        times: Dict[str, Dict[int, int]] = {}
+        for when, kind, node in sorted(self.intent, key=itemgetter(0)):
+            times.setdefault(kind, {}).setdefault(node, when)
         return times
 
     def qos(self) -> QoSMetrics:
@@ -410,13 +431,14 @@ class ScenarioBuilder:
         is there, and so are the ones nobody scheduled (sender-crash
         omissions)."""
         net = self._net
+        scripted = self._first_instants()
         return compute_qos(
             net.sim.trace,
             nodes=self.members,
             start=self.start,
             end=net.sim.now,
-            leave_times=self.scripted("leave"),
-            join_times=self.scripted("join"),
+            leave_times=scripted.get("leave", {}),
+            join_times=scripted.get("join", {}),
             segment_of=net.segment_map,
         )
 

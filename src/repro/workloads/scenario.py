@@ -5,18 +5,21 @@ fault scenario: a population, its protocol timing, the bus topology,
 background traffic, stochastic omission rates and an ordered tuple of
 actions (:class:`Action`) — the paper's fault alphabet: crashes, joins and
 leaves, consistent and inconsistent omissions on chosen frames,
-inaccessibility spells, a failed channel. It holds primitives and tuples only, so it
-hashes, pickles and round-trips through JSON; its one validator,
-:func:`_validate`, runs on construction and raises
-:class:`~repro.errors.ConfigurationError`.
+inaccessibility spells, a failed channel — plus the faults outside the
+fault model the QoS catalog measures: a babbling idiot and a stochastic
+error storm. It holds primitives and tuples only, so it hashes, pickles
+and round-trips through JSON; its one validator, :func:`_validate`, runs
+on construction and raises :class:`~repro.errors.ConfigurationError`.
 
-:func:`run` is its one interpreter: build the network, attach the
-backend's online invariant monitors, bootstrap, start the traffic, apply
-the actions in order, run, and judge. The systematic checker's schedules
-(:mod:`repro.check`), the campaign's draws
-(:meth:`~repro.campaign.spec.CampaignSpec.scenario`) and ``repro run``'s
-JSON scripts (:func:`load_script`) are all scenarios, so any of their
-violations can be minimized and replayed.
+One interpreter executes it: :func:`_network` builds the network and
+:func:`_script` bootstraps it, starts the traffic, applies the actions in
+order and runs. :func:`run` attaches the backend's online invariant
+monitors first and judges the outcome; :func:`play` runs the same two
+steps unjudged, for workloads that break the fault model on purpose. The
+systematic checker's schedules (:mod:`repro.check`), the campaign's draws
+(:class:`~repro.campaign.spec.CampaignSpec`), ``repro run``'s JSON
+scripts (:func:`load_script`), the QoS catalog's recipes
+(:mod:`repro.scenarios`) and ``repro compare``'s crash are all scenarios.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.can.errormodel import FaultInjector
@@ -63,6 +67,8 @@ ACTION_LEAVE = "leave"
 ACTION_OMIT = "omit"
 ACTION_INACCESSIBILITY = "inaccessibility"
 ACTION_FAIL_CHANNEL = "fail_channel"
+ACTION_BABBLE = "babble"
+ACTION_STORM = "storm"
 
 ACTIONS = (
     ACTION_CRASH,
@@ -71,9 +77,13 @@ ACTIONS = (
     ACTION_OMIT,
     ACTION_INACCESSIBILITY,
     ACTION_FAIL_CHANNEL,
+    ACTION_BABBLE,
+    ACTION_STORM,
 )
 #: The membership actions: each names its subject node.
 TIMED_ACTIONS = (ACTION_CRASH, ACTION_JOIN, ACTION_LEAVE)
+#: The actions that last ``bits`` bit times on the first bus.
+SPELL_ACTIONS = (ACTION_INACCESSIBILITY, ACTION_BABBLE, ACTION_STORM)
 
 #: Omission flavours for ``ACTION_OMIT``.
 OMISSION_CONSISTENT = "consistent"
@@ -94,10 +104,17 @@ class Action:
     it is down by then. ``inaccessibility`` makes the first bus
     inaccessible for ``bits`` bit times at ``at_ms``; ``fail_channel``
     silences channel ``channel`` of a dual-channel network for good.
+    ``babble`` starts a top-priority babbling idiot on the first bus at
+    ``at_ms`` and silences it ``bits`` bit times later; ``storm`` sets the
+    first bus's stochastic consistent-omission rate to ``probability`` for
+    ``bits`` bit times, then back to the scenario's own rate (storms do not
+    nest).
 
-    ``omit`` hits the ``nth`` (0-based, counted from the end of bootstrap)
-    frame of message type ``frame_type`` — restricted to frames whose
-    identifier names ``node`` when ``node >= 0``. ``omission`` selects the
+    ``omit`` hits the ``nth`` (0-based, counted from the moment it is
+    armed) frame of message type ``frame_type`` and the ``count - 1``
+    matching frames after it — restricted to frames whose identifier names
+    ``node`` when ``node >= 0``. It is armed at the end of bootstrap when
+    ``at_ms`` is 0, else ``at_ms`` later. ``omission`` selects the
     flavour: an inconsistent omission is accepted by the ``accepting``
     subset while everyone else (sender included) sees an error, so the
     sender's automatic retransmission generates duplicates at the subset.
@@ -117,6 +134,8 @@ class Action:
     recover: bool = False
     bits: int = 0
     channel: int = 0
+    count: int = 1
+    probability: float = 0.0
 
     def __post_init__(self) -> None:
         # Tuples, not lists, so actions hash (the minimizer caches on them).
@@ -133,9 +152,12 @@ class Action:
                 flavour += f" accepted-by={list(self.accepting)}"
             if self.crash_sender:
                 flavour += " +crash-sender"
-            return f"omit {target}#{self.nth} ({flavour})"
-        if self.action == ACTION_INACCESSIBILITY:
-            return f"inaccessibility {self.bits} bits at +{self.at_ms:g}ms"
+            burst = f" x{self.count}" if self.count != 1 else ""
+            when = f" at +{self.at_ms:g}ms" if self.at_ms else ""
+            return f"omit {target}#{self.nth}{burst} ({flavour}){when}"
+        if self.action in SPELL_ACTIONS:
+            rate = f" p={self.probability:g}" if self.probability else ""
+            return f"{self.action}{rate} {self.bits} bits at +{self.at_ms:g}ms"
         if self.action == ACTION_FAIL_CHANNEL:
             return f"fail channel {self.channel} at +{self.at_ms:g}ms"
         recover = " (recover)" if self.recover else ""
@@ -164,6 +186,10 @@ class Action:
             raw["bits"] = self.bits
         if self.channel:
             raw["channel"] = self.channel
+        if self.count != 1:
+            raw["count"] = self.count
+        if self.probability:
+            raw["probability"] = self.probability
         return raw
 
     @classmethod
@@ -193,12 +219,21 @@ class Scenario:
             keeps the configuration's default.
         backend / segments / channels: the membership stack and topology
             (``channels=2``: CANELy over two replicated buses).
-        traffic: ``(node, period_ms)`` periodic data sources, started
-            after bootstrap.
+        traffic: ``(node, period_ms)`` or ``(node, period_ms,
+            offset_ms)`` periodic data sources, started after bootstrap
+            (the first frame ``offset_ms`` later, default 0).
         consistent_probability / inconsistent_probability: per-frame
             stochastic omission rates on the first bus.
         settle_cycles: bootstrap settle, in cycles of ``tm_ms``; ``None``
             is the builder's default of six of the backend's own cycles.
+        bus_off_recovery: a controller driven bus-off rejoins after the
+            ISO 11898 recovery sequence instead of staying silent.
+        gateway_latency_ms / gateway_queue_limit: the relay latency and
+            per-port queue bound of the gateway bridging ``segments > 1``.
+        fail_after_ms / suspicion_timeout_ms: SWIM's silence and
+            suspicion bounds (``backend="swim"`` only); ``None`` derives
+            them from the CANELy timing
+            (:meth:`~repro.swim.config.SwimConfig.from_canely`).
     """
 
     nodes: int = 4
@@ -220,10 +255,15 @@ class Scenario:
     backend: str = "canely"
     segments: int = 1
     channels: int = 1
-    traffic: Tuple[Tuple[int, float], ...] = ()
+    traffic: Tuple[Tuple[float, ...], ...] = ()
     consistent_probability: float = 0.0
     inconsistent_probability: float = 0.0
     settle_cycles: Optional[float] = None
+    bus_off_recovery: bool = False
+    gateway_latency_ms: float = 0.0
+    gateway_queue_limit: int = 64
+    fail_after_ms: Optional[float] = None
+    suspicion_timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -290,6 +330,24 @@ class Scenario:
         return cls(**data)
 
 
+def on_defaults(backend: str, **settings: Any) -> Scenario:
+    """A :class:`Scenario` (``settings`` as given) that runs ``backend`` on
+    its own default configuration: ``CanelyConfig()`` for CANELy,
+    ``SwimConfig()`` for SWIM — what the QoS catalog and ``repro compare``
+    measure."""
+    from repro.swim.config import SwimConfig
+
+    swim = {}
+    if backend == "swim":
+        swim = {
+            "fail_after_ms": SwimConfig.fail_after / MS,
+            "suspicion_timeout_ms": SwimConfig.suspicion_timeout / MS,
+        }
+    return Scenario(
+        backend=backend, capacity=CanelyConfig.capacity, **swim, **settings
+    )
+
+
 #: The nine fields every :meth:`Scenario.to_dict` writes come first.
 _FIELDS = fields(Scenario)
 _KEYS = ("faults",) + tuple(spec.name for spec in _FIELDS if spec.name != "actions")
@@ -307,13 +365,16 @@ _CONFIG_OVERRIDES = (
     "inconsistent_degree",
     "max_crash_failures",
 )
+#: The :class:`~repro.swim.config.SwimConfig` overrides.
+_SWIM_OVERRIDES = ("fail_after_ms", "suspicion_timeout_ms")
 
 
 def _validate(scenario: Scenario) -> None:
     """The one validator: raise :class:`ConfigurationError` unless
     ``scenario`` is a run the simulator executes as written."""
     s = scenario
-    for name in ("nodes", "members", "capacity", "seed", "segments", "channels"):
+    for name in ("nodes", "members", "capacity", "seed", "segments", "channels",
+                 "gateway_queue_limit"):
         if type(getattr(s, name)) is not int:
             raise ConfigurationError(
                 f"{name} must be an integer: {getattr(s, name)!r}"
@@ -327,11 +388,19 @@ def _validate(scenario: Scenario) -> None:
         value = getattr(s, name)
         if type(value) not in _NUMBER or value <= 0:
             raise ConfigurationError(f"{name} must be positive: {value!r}")
-    for name in _CONFIG_OVERRIDES:
+    for name in _CONFIG_OVERRIDES + _SWIM_OVERRIDES + ("gateway_latency_ms",):
         value = getattr(s, name)
         kinds = _NUMBER if name.endswith("_ms") else (int,)
         if value is not None and (type(value) not in kinds or value < 0):
             raise ConfigurationError(f"invalid {name}: {value!r}")
+    swim = (s.fail_after_ms, s.suspicion_timeout_ms)
+    if s.backend != "swim" and swim != (None, None):
+        raise ConfigurationError(f"only the swim backend takes {_SWIM_OVERRIDES}")
+    if s.gateway_queue_limit < 1 or type(s.bus_off_recovery) is not bool:
+        raise ConfigurationError(
+            f"bad gateway_queue_limit={s.gateway_queue_limit!r} or "
+            f"bus_off_recovery={s.bus_off_recovery!r}"
+        )
     if s.backend != "canely":  # the default is always registered
         from repro.core.backend import resolve_backend
 
@@ -345,20 +414,27 @@ def _validate(scenario: Scenario) -> None:
         min(rates) >= 0 and sum(rates) <= 1
     ):
         raise ConfigurationError(f"bad omission rates: {rates!r}")
-    if s.channels == 2 and (s.backend != "canely" or s.segments != 1 or any(rates)):
+    if s.channels == 2 and (
+        s.backend != "canely" or s.segments != 1 or any(rates) or s.bus_off_recovery
+    ):
         raise ConfigurationError(
             "dual-channel scenarios support only the canely backend on a "
-            "single segment, without stochastic omissions"
+            "single segment, without stochastic omissions or bus-off recovery"
         )
     if s.settle_cycles is not None and (
         type(s.settle_cycles) not in _NUMBER or s.settle_cycles <= 0
     ):
         raise ConfigurationError(f"invalid settle_cycles: {s.settle_cycles!r}")
     for entry in s.traffic:
-        if len(entry) != 2 or type(entry[0]) is not int or not (
-            0 <= entry[0] < s.nodes
-        ) or type(entry[1]) not in _NUMBER or entry[1] <= 0:
-            raise ConfigurationError(f"bad traffic entry (node, period_ms): {entry!r}")
+        node, period_ms, offset_ms = (*entry, 0, 0, 0)[:3]
+        if len(entry) not in (2, 3) or type(node) is not int or not (
+            0 <= node < s.nodes
+        ) or type(period_ms) not in _NUMBER or type(offset_ms) not in _NUMBER or (
+            period_ms <= 0 or offset_ms < 0
+        ):
+            raise ConfigurationError(
+                f"bad traffic entry (node, period_ms[, offset_ms]): {entry!r}"
+            )
     for action in s.actions:
         _validate_action(action, s)
 
@@ -403,10 +479,28 @@ def _validate_action(action: Action, s: Scenario) -> None:
     ):
         raise ConfigurationError(f"nth must be an omit's ordinal >= 0: {action.nth!r}")
     if type(action.bits) is not int or (
-        action.bits < 1 if kind == ACTION_INACCESSIBILITY else action.bits
+        action.bits < 1 if kind in SPELL_ACTIONS else action.bits
     ):
         raise ConfigurationError(
-            f"bits must be > 0, and only on inaccessibility: {action.bits!r}"
+            f"bits must be > 0, and only on {', '.join(SPELL_ACTIONS)}: "
+            f"{action.bits!r}"
+        )
+    if kind in (ACTION_BABBLE, ACTION_STORM) and s.channels != 1:
+        raise ConfigurationError(f"{kind} needs a single-channel scenario")
+    if type(action.count) is not int or (
+        action.count < 1 if kind == ACTION_OMIT else action.count != 1
+    ):
+        raise ConfigurationError(
+            f"count must be an omit's burst length >= 1: {action.count!r}"
+        )
+    if type(action.probability) not in _NUMBER or (
+        not 0 < action.probability <= 1 - s.inconsistent_probability
+        if kind == ACTION_STORM
+        else action.probability
+    ):
+        raise ConfigurationError(
+            f"probability must be a storm's rate in (0, 1 - "
+            f"inconsistent_probability]: {action.probability!r}"
         )
     if type(action.channel) is not int or (
         (s.channels != 2 or action.channel not in (0, 1))
@@ -544,17 +638,32 @@ def run(scenario: Scenario) -> Result:
     return result
 
 
+def play(scenario: Scenario) -> ScenarioBuilder:
+    """Execute ``scenario`` unjudged and return its finished builder.
+
+    The same two steps as :func:`run` without the invariant monitors, for
+    workloads measured rather than judged — the QoS catalog's recipes
+    break the fault model on purpose. A bootstrap that does not converge
+    raises :class:`~repro.errors.ScenarioError`.
+    """
+    net = _network(scenario)
+    builder = net.scenario(seed=scenario.seed)
+    _script(scenario, builder, net)
+    return builder
+
+
 def _network(s: Scenario):
     """The network ``s`` runs on, its first bus faulted at ``s``'s rates
-    from the ``faults`` stream of its seed."""
+    (and storms) from the ``faults`` stream of its seed."""
     from repro.core.stack import CanelyNetwork, DualChannelNetwork
 
-    overrides = {}
-    for name in _CONFIG_OVERRIDES:
+    overrides, swim = {}, {}
+    for name in _CONFIG_OVERRIDES + _SWIM_OVERRIDES:
         value = getattr(s, name)
         if value is not None:
             in_ms = name.endswith("_ms")
-            overrides[name[:-3] if in_ms else name] = ms(value) if in_ms else value
+            target = swim if name in _SWIM_OVERRIDES else overrides
+            target[name[:-3] if in_ms else name] = ms(value) if in_ms else value
     config = CanelyConfig(
         capacity=s.capacity,
         tm=ms(s.tm_ms),
@@ -564,19 +673,29 @@ def _network(s: Scenario):
     )
     if s.channels == 2:
         return DualChannelNetwork(node_count=s.nodes, config=config)
+    if s.backend == "swim":
+        from repro.swim.config import SwimConfig
+
+        config = SwimConfig.from_canely(config, **swim)
     rates = (s.consistent_probability, s.inconsistent_probability)
+    stormy = any(rates) or ACTION_STORM in map(attrgetter("action"), s.actions)
     injector = FaultInjector(
-        rng=RngStreams(s.seed).stream("faults") if any(rates) else None,
+        rng=RngStreams(s.seed).stream("faults") if stormy else None,
         consistent_probability=rates[0],
         inconsistent_probability=rates[1],
     )
-    return CanelyNetwork(
+    net = CanelyNetwork(
         node_count=s.nodes,
         config=config,
         injector=injector,
         backend=s.backend,
         segments=s.segments,
+        gateway_latency=ms(s.gateway_latency_ms),
+        gateway_queue_limit=s.gateway_queue_limit,
     )
+    for bus in net.buses:
+        bus.bus_off_recovery = s.bus_off_recovery
+    return net
 
 
 def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
@@ -587,12 +706,16 @@ def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
         else s.settle_cycles * ms(s.tm_ms) / net.config.tm,
         nodes=None if s.members == s.nodes else range(s.members),
     )
-    for node_id, period_ms in s.traffic:
-        PeriodicSource(net.sim, net.node(node_id), period=ms(period_ms))
+    for node_id, period_ms, *offset_ms in s.traffic:
+        PeriodicSource(
+            net.sim, net.node(node_id), period=ms(period_ms),
+            offset=ms(offset_ms[0]) if offset_ms else 0,
+        )
     for action in s.actions:
         kind = action.action
         if kind == ACTION_OMIT:
-            builder.omit(
+            omit = partial(
+                builder.omit,
                 frame=FrameMatch(
                     mtype=action.frame_type,
                     node=action.node if action.node >= 0 else None,
@@ -600,12 +723,26 @@ def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
                 ),
                 inconsistent=action.omission == OMISSION_INCONSISTENT,
                 accepting=action.accepting,
+                count=action.count,
                 crash_sender=action.crash_sender,
             )
+            if action.at_ms:
+                builder.at(ms(action.at_ms), omit)
+            else:  # armed at bootstrap end, without an event
+                omit()
             continue
         at = ms(action.at_ms)
         if kind == ACTION_INACCESSIBILITY:
             builder.inaccessibility(action.bits, at=at)
+        elif kind == ACTION_BABBLE:
+            builder.babble(action.bits, at=at)
+        elif kind == ACTION_STORM:
+            set_rate = net.bus.injector.configure_stochastic
+            builder.at(at, partial(set_rate, action.probability))
+            builder.at(
+                at + net.bus.timing.bits_to_ticks(action.bits),
+                partial(set_rate, s.consistent_probability),
+            )
         elif kind == ACTION_FAIL_CHANNEL:
             builder.at(at, partial(net.fail_channel, action.channel))
         else:

@@ -11,11 +11,9 @@ from repro.analysis.comparison import (
     fig11_rows,
     probe_backend,
 )
-from repro.can.errormodel import FaultInjector, FaultKind
-from repro.can.identifiers import MessageType
-from repro.core import stack
 from repro.errors import ConfigurationError
-from repro.sim.clock import ms
+from repro.workloads import Action, play
+from repro.workloads.scenario import on_defaults
 
 
 def test_fig1_structure():
@@ -102,35 +100,31 @@ def test_two_segment_probe_reports_gateway_counters():
     assert single.gateway_forwarded == single.gateway_dropped == 0
 
 
-def test_probe_mistakes_are_the_qos_mistakes(monkeypatch):
-    """The flapping recipe's fault pattern — an omission burst on one live
-    node's top-priority life-signs — starves the bus until the membership
-    collapses onto node 1: ``mistakes`` is the QoS engine's count over all
-    correct observers, not the one-observer tally it used to be (4)."""
-    real = stack.CanelyNetwork
-
-    def flapping_network(**kwargs):
-        injector = FaultInjector()
-        net = real(injector=injector, **kwargs)
-        net.bus.bus_off_recovery = True
-        injector.fault_on_frame(
-            lambda frame: net.sim.now > ms(500)
-            and frame.mid.mtype is MessageType.ELS
-            and frame.mid.node == 2,
-            FaultKind.CONSISTENT_OMISSION,
-            count=150,
-        )
-        return net
-
-    monkeypatch.setattr(stack, "CanelyNetwork", flapping_network)
+def test_probe_mistakes_are_the_qos_mistakes():
+    """The probe's seed-0 crash on 6 nodes (node 0 at +2 ms), plus the
+    flapping recipe's fault pattern — a 150-frame omission burst on one
+    live node's top-priority life-signs, with bus-off recovery — starves
+    the bus until the membership collapses onto node 1: ``mistakes`` is
+    the QoS engine's count over all correct observers, not the
+    one-observer tally it used to be (4)."""
     probe = probe_backend("canely", nodes=6, seed=0, run_ms=400)
-    assert probe.victim != 2
+    assert (probe.victim, probe.crash_at_ms) == (0, 452.0)
+    builder = play(on_defaults(
+        "canely", nodes=6, members=6, seed=0, run_ms=402.0,
+        bus_off_recovery=True,
+        actions=[
+            Action("crash", node=0, at_ms=2.0),
+            Action("omit", node=2, frame_type="ELS", at_ms=50.0, count=150),
+        ],
+    ))
+    qos = builder.qos()
     # Five observers each wrongly removed the four live nodes 2..5.
-    assert probe.mistakes == probe.qos["mistakes"] == 20
-    assert probe.flaps == probe.qos["flaps"] == 0
-    assert not probe.final_view_ok  # node 2 is alive and expected
+    assert len(qos.mistakes) == qos.summary()["mistakes"] == 20
+    assert qos.flaps == qos.summary()["flaps"] == 0
+    assert not builder.final_state().ok  # node 2 is alive and expected
 
 
 def test_probe_rejects_a_population_without_a_survivor():
     with pytest.raises(ConfigurationError, match="survivor"):
         probe_backend("canely", nodes=1)
+

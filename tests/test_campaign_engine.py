@@ -62,6 +62,12 @@ def sleepy_first(scenario, index):
     return quick(scenario, index)
 
 
+def slow_first(scenario, index):
+    if index == 0:
+        time.sleep(1.0)
+    return quick(scenario, index)
+
+
 def always_crash(scenario, index):
     os._exit(3)
 
@@ -371,6 +377,45 @@ def test_non_resume_rerun_truncates_stale_checkpoint(tmp_path):
     assert _fingerprint(results) == _fingerprint(
         run_campaign(spec, workers=0, scenario_fn=quick)
     )
+
+
+def test_pool_checkpoint_lists_results_in_index_order(tmp_path):
+    """Index 0 finishes last, yet its line comes first: a finished result
+    is held until every lower index is written, so one seed writes one
+    checkpoint whatever the completion order."""
+    checkpoint = tmp_path / "campaign.jsonl"
+    finished = []
+    run_campaign(
+        CampaignSpec(scenarios=4, seed=2),
+        workers=2,
+        checkpoint=str(checkpoint),
+        scenario_fn=slow_first,
+        progress=lambda result: finished.append(result.index),
+    )
+    assert finished[-1] == 0
+    lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    assert [line["index"] for line in lines] == [0, 1, 2, 3]
+
+
+def test_held_results_are_written_when_the_run_breaks_off(tmp_path):
+    """A run that ends in an exception still writes the results it held
+    back for a lower index, so resume loses no finished scenario."""
+    checkpoint = str(tmp_path / "campaign.jsonl")
+    spec = CampaignSpec(scenarios=4, seed=2)
+
+    def interrupt(result):
+        if result.index == 2:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(
+            spec,
+            workers=2,
+            checkpoint=checkpoint,
+            scenario_fn=slow_first,
+            progress=interrupt,
+        )
+    assert sorted(load_checkpoint(checkpoint, spec)) == [1, 2]
 
 
 def test_incomplete_executor_raises_with_missing_indexes(monkeypatch):

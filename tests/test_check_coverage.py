@@ -126,7 +126,7 @@ def test_mutations_stay_admissible_and_structurally_new():
 
 
 def test_mutation_is_deterministic_in_rng_state():
-    parent = SPACE.schedule((SPACE.alphabet()[0],), seed=0)
+    parent = SPACE.schedule((SPACE.alphabet[0],), seed=0)
     first = mutate_schedule(SPACE, parent, random.Random(11), seed=5)
     second = mutate_schedule(SPACE, parent, random.Random(11), seed=5)
     assert first == second

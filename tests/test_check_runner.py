@@ -24,14 +24,19 @@ from repro.check.artifact import FORMAT, iter_slice
 from repro.check.selftest import MUTATIONS
 from repro.errors import CheckError, ConfigurationError
 from repro.workloads.builder import expected_survivors
+from repro.sim.clock import ms
+from repro.sim.trace import record_to_dict
 from repro.workloads.scenario import (
+    ACTION_BABBLE,
     ACTION_CRASH,
     ACTION_JOIN,
     ACTION_LEAVE,
     ACTION_OMIT,
+    ACTION_STORM,
     OMISSION_INCONSISTENT,
     Action,
     Scenario,
+    play,
     run,
 )
 
@@ -369,6 +374,59 @@ def test_malformed_actions_are_rejected_on_construction(action, field):
     silent ``ok``; the validator refuses the scenario instead."""
     with pytest.raises(ConfigurationError, match=field):
         Scenario(actions=(action,))
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        ({"actions": [Action(ACTION_BABBLE)]}, "bits"),
+        ({"actions": [Action(ACTION_STORM, probability=0.5)]}, "bits"),
+        ({"actions": [Action(ACTION_BABBLE, bits=10)], "channels": 2},
+         "single-channel"),
+        ({"actions": [Action(ACTION_STORM, bits=10, probability=0.5)],
+          "channels": 2}, "single-channel"),
+        ({"actions": [Action(ACTION_BABBLE, node=1, bits=10)]}, "node 1"),
+        ({"actions": [Action(ACTION_STORM, bits=10)]}, "probability"),
+        ({"actions": [Action(ACTION_STORM, bits=10, probability=1.5)]},
+         "probability"),
+        ({"actions": [Action(ACTION_STORM, bits=10, probability=0.9)],
+          "inconsistent_probability": 0.2}, "probability"),
+        ({"actions": [Action(ACTION_CRASH, node=1, probability=0.5)]},
+         "probability"),
+        ({"actions": [Action(ACTION_OMIT, frame_type="ELS", count=0)]}, "count"),
+        ({"actions": [Action(ACTION_CRASH, node=1, count=2)]}, "count"),
+        ({"traffic": [(0, 10.0, -1.0)]}, "traffic"),
+        ({"traffic": [(0, 10.0, 1.0, 2.0)]}, "traffic"),
+        ({"gateway_latency_ms": -1.0}, "gateway"),
+        ({"gateway_queue_limit": 0}, "gateway"),
+        ({"bus_off_recovery": 1}, "bus_off_recovery"),
+        ({"fail_after_ms": 30.0}, "fail_after_ms"),
+        ({"backend": "swim", "suspicion_timeout_ms": -1.0}, "suspicion_timeout_ms"),
+    ],
+)
+def test_the_catalog_hooks_are_validated(settings, field):
+    """Babbles, storms, omission bursts, traffic offsets, the gateway, bus-off
+    recovery and SWIM's bounds are data the one validator checks."""
+    with pytest.raises(ConfigurationError, match=field):
+        Scenario(**settings)
+
+
+def test_omit_is_armed_at_its_instant_and_hits_count_frames():
+    """An ``omit`` at ``at_ms > 0`` is armed then, not at bootstrap end, and
+    faults ``count`` matching frames."""
+    burst = Action(ACTION_OMIT, node=1, frame_type="ELS", count=2)
+    faulted = {}
+    for at_ms in (0.0, 100.0):
+        builder = play(Scenario(run_ms=200.0, actions=[replace(burst, at_ms=at_ms)]))
+        trace = builder.network.sim.trace
+        faulted[at_ms] = [
+            row.time - builder.start
+            for row in trace.select(category="bus.tx")
+            if record_to_dict(row)["data"]["kind"] != "none"
+        ]
+        assert builder.network.bus.injector.omissions_injected == 2
+    assert len(faulted[0.0]) == len(faulted[100.0]) == 2
+    assert max(faulted[0.0]) < ms(100) <= min(faulted[100.0])
 
 
 def test_hand_edited_artifact_names_the_bad_field(tmp_path):

@@ -165,7 +165,7 @@ def test_default_alphabet_covers_all_action_kinds():
     """The default space must exercise crashes, leaves, joins (late
     joiners), consistent and inconsistent omissions, and duplicate-
     generation timing (crash_sender) — the tentpole's whole fault menu."""
-    alphabet = ScheduleSpace().alphabet()
+    alphabet = ScheduleSpace().alphabet
     actions = {fault.action for fault in alphabet}
     assert actions == {ACTION_CRASH, ACTION_JOIN, ACTION_LEAVE, ACTION_OMIT}
     omissions = [f for f in alphabet if f.action == ACTION_OMIT]

@@ -41,9 +41,12 @@ def test_version_bumped_for_the_new_surface():
     # 12.0.0 made a campaign's input any sequence of Scenarios, removing
     # ScheduleBatch, run_check_scenario, run_batch_scenario, the spec
     # protocol (scenario_seed, CampaignSpec.scenario, CheckSweep.schedule/
-    # population) and knobs nothing set (docs/api.md).
+    # population) and knobs nothing set; 13.0.0 made the QoS catalog and
+    # `repro compare` plain Scenarios, removing the recipe registry
+    # (ScenarioRecipe, register_recipe, resolve_recipe), run_recipe and
+    # the config= keyword of probe_backend/compare_backends (docs/api.md).
     major, minor, _patch = repro.__version__.split(".")
-    assert (int(major), int(minor)) >= (12, 0)
+    assert (int(major), int(minor)) >= (13, 0)
 
 
 def test_core_names_are_eager():
@@ -61,6 +64,7 @@ def test_core_names_are_eager():
         ("Scenario", "repro.workloads"),
         ("Result", "repro.workloads"),
         ("run", "repro.workloads"),
+        ("play", "repro.workloads"),
         ("run_campaign", "repro.campaign"),
         ("CampaignSpec", "repro.campaign"),
         ("default_workers", "repro.campaign"),

@@ -1,9 +1,9 @@
 """The named scenario catalog and its QoS reports.
 
-The catalog contract: every recipe is runnable by name against every
-registered backend, same-seed runs are byte-identical, and the pinned
-quality ordering on the quiet baseline — CANELy detects faster than the
-SWIM rival at the defaults — holds exactly.
+The catalog contract: every recipe is plain data, runnable by name
+against every registered backend, same-seed runs are byte-identical, and
+the pinned quality ordering on the quiet baseline — CANELy detects faster
+than the SWIM rival at the defaults — holds exactly.
 """
 
 import json
@@ -11,16 +11,17 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.scenarios import (
-    QoSReport,
-    ScenarioRecipe,
-    recipe,
-    register_recipe,
-    resolve_recipe,
-    run_catalog,
-    run_recipe,
-    scenario_names,
-)
+from repro.scenarios import CATALOG as RECIPES
+from repro.scenarios import QoSReport, run_catalog, scenario_names
+from repro.workloads import Scenario
+
+
+def one_cell(name, backend="canely", seed=0, quick=False):
+    """The one outcome of a one-cell catalog run."""
+    [outcome] = run_catalog([name], backends=[backend], seed=seed,
+                            quick=quick).outcomes
+    return outcome
+
 
 CATALOG = [
     "babbling-idiot",
@@ -34,42 +35,31 @@ CATALOG = [
 ]
 
 
-# -- registry ----------------------------------------------------------------
+# -- the catalog is data ----------------------------------------------------
 
 
 def test_catalog_names_are_sorted_and_complete():
-    assert scenario_names() == CATALOG
+    assert scenario_names() == CATALOG == sorted(RECIPES)
 
 
-def test_resolve_unknown_recipe_raises():
-    with pytest.raises(ConfigurationError):
-        resolve_recipe("nonsense")
+@pytest.mark.parametrize("backend", ["canely", "swim"])
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+@pytest.mark.parametrize("name", CATALOG)
+def test_every_recipe_round_trips_through_json(name, quick, backend):
+    scenario, detail = RECIPES[name](backend, 3, quick)
+    assert scenario.backend == backend
+    text = json.dumps(scenario.to_dict(), sort_keys=True)
+    assert Scenario.from_dict(json.loads(text)) == scenario
+    json.dumps(detail)
 
 
-def test_register_collision_raises_and_reregister_is_noop():
-    existing = resolve_recipe("quiet-baseline")
-    register_recipe(existing)  # same object: no-op
-    clone = ScenarioRecipe(
-        name="quiet-baseline",
-        summary="an impostor",
-        factory=existing.factory,
-    )
-    with pytest.raises(ConfigurationError):
-        register_recipe(clone)
+def test_an_unknown_name_fails_before_any_cell_runs(monkeypatch):
+    def play(scenario):
+        raise AssertionError("a cell ran before every name resolved")
 
-
-def test_recipe_decorator_registers_and_returns_the_factory():
-    @recipe("x-test-recipe", "throwaway registration")
-    def build(backend, seed, quick):  # pragma: no cover - never run
-        raise AssertionError
-
-    try:
-        assert resolve_recipe("x-test-recipe").factory is build
-        assert "x-test-recipe" in scenario_names()
-    finally:
-        from repro.scenarios.catalog import _REGISTRY
-
-        del _REGISTRY["x-test-recipe"]
+    monkeypatch.setattr("repro.scenarios.runner.play", play)
+    with pytest.raises(ConfigurationError, match="unknown scenario 'nonsense'"):
+        run_catalog(["quiet-baseline", "nonsense"])
 
 
 # -- running recipes ---------------------------------------------------------
@@ -77,7 +67,7 @@ def test_recipe_decorator_registers_and_returns_the_factory():
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_every_recipe_runs_quick_on_canely(name):
-    outcome = run_recipe(name, backend="canely", seed=0, quick=True)
+    outcome = one_cell(name, backend="canely", seed=0, quick=True)
     assert outcome.scenario == name
     assert outcome.backend == "canely"
     readout = outcome.qos.to_dict()
@@ -103,18 +93,18 @@ def test_full_size_gateway_stress_says_which_bootstrap_condition_failed(
     CANELy the lowest-priority node of each segment never joins, on SWIM
     everybody is a member and the two segments hold different views."""
     with pytest.raises(ScenarioError) as excinfo:
-        run_recipe("gateway-partition-stress", backend=backend, seed=0)
+        one_cell("gateway-partition-stress", backend=backend, seed=0)
     assert complaint in str(excinfo.value)
 
 
 def test_unknown_backend_raises():
     with pytest.raises(ConfigurationError):
-        run_recipe("quiet-baseline", backend="nonsense", quick=True)
+        one_cell("quiet-baseline", backend="nonsense", quick=True)
 
 
 def test_run_recipe_same_seed_is_byte_identical():
-    first = run_recipe("quiet-baseline", seed=7, quick=True)
-    second = run_recipe("quiet-baseline", seed=7, quick=True)
+    first = one_cell("quiet-baseline", seed=7, quick=True)
+    second = one_cell("quiet-baseline", seed=7, quick=True)
     assert first.qos.to_json() == second.qos.to_json()
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
@@ -122,8 +112,8 @@ def test_run_recipe_same_seed_is_byte_identical():
 
 
 def test_run_recipe_seed_changes_the_run():
-    first = run_recipe("quiet-baseline", seed=0, quick=True)
-    second = run_recipe("quiet-baseline", seed=1, quick=True)
+    first = one_cell("quiet-baseline", seed=0, quick=True)
+    second = one_cell("quiet-baseline", seed=1, quick=True)
     # The victim and crash instant are seed-derived; the readouts differ.
     assert first.to_dict() != second.to_dict()
 
@@ -202,10 +192,10 @@ def test_flapping_scenario_differentiates_the_backends():
     """Error-passive flapping is where the designs part ways: SWIM's
     probe/ack cycle refutes its wrongful removals (flaps), CANELy's
     membership removes permanently and never readmits."""
-    canely = run_recipe(
+    canely = one_cell(
         "error-passive-flapping", backend="canely", seed=0, quick=True
     ).qos
-    swim = run_recipe(
+    swim = one_cell(
         "error-passive-flapping", backend="swim", seed=0, quick=True
     ).qos
     assert len(canely.mistakes) > 0

@@ -60,6 +60,7 @@ CLI_COMMANDS = (
     "campaign --scenarios 3 --workers 0 --seed 1 --checkpoint {tmp}/campaign.jsonl",
     "campaign --scenarios 6 --workers 0 --seed 1 --checkpoint {tmp}/campaign.jsonl"
     " --resume --verbose",
+    "campaign --scenarios 6 --seed 1 --workers 0 --checkpoint {tmp}/checkpoint.jsonl",
     "check --depth 1 --seed 0 --workers 0 --fingerprints {tmp}/check-fp.jsonl",
     "check --depth 1 --seed 0 --workers 0 --fingerprints {tmp}/check-fp.jsonl",
     "check --coverage --budget 12 --batch 6 --workers 0 --nodes 4 --members 3"
@@ -69,6 +70,7 @@ CLI_COMMANDS = (
     "check --selftest",
     "compare --nodes 12 --segments 2 --seed 0 --format json",
     "compare --nodes 12 --segments 2 --seed 0",
+    "compare --seed 0 --format json",
     "run examples/scenarios/crash_and_rejoin.json",
     "run {tmp}/swim-scenario.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
@@ -77,6 +79,7 @@ CLI_COMMANDS = (
     " --report {tmp}/qos-smoke.json --format csv",
     "qos --catalog --backend canely --backend swim --quick --seed 0"
     " --report {tmp}/qos-smoke-b.json",
+    "qos --catalog --backend canely --backend swim --quick --seed 0 --format json",
     "qos --scenario quiet-baseline --backend canely --backend swim --quick --chart",
     "spans --seed 0 --chrome {tmp}/spans-smoke.json --validate",
     "spans --seed 0 --chrome {tmp}/spans-smoke-flows.json --flows --validate",
