@@ -1,6 +1,6 @@
 """The CAN bus: arbitration, clustering, transmission and fault resolution.
 
-The bus is a single broadcast channel. Whenever it goes idle, every attached
+The bus is a single broadcast channel. At every start of frame, every attached
 controller offers its highest-priority pending request; the frame with the
 lowest identifier wins (carrier sense multi-access with deterministic
 collision resolution). The offers wait in a ready heap the controllers keep
@@ -16,6 +16,12 @@ The fault injector decides the outcome of every physical transmission:
 error-free, consistent omission (globalized error frame, automatic
 retransmission) or inconsistent omission (a subset of recipients accepts
 the frame; everyone else sees the error and the senders retransmit).
+
+A frame costs two kernel events: ``_arbitrate`` at its start of frame and
+``_complete`` at its end. The completion fixes the next start of frame (after
+the interframe space, error frame and suspend penalty) and, when a request
+is queued, schedules the next arbitration there; only a bus with nothing
+to send waits for :meth:`CanBus.kick`.
 """
 
 from __future__ import annotations
@@ -42,14 +48,19 @@ from repro.can.errormodel import (
     FaultVerdict,
 )
 from repro.can.frame import CanFrame
+from repro.can.identifiers import MessageType
 from repro.can.phy import BitTiming
 from repro.errors import BusError
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import START_OF_FRAME, Simulator
 from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
 #: A plan's views "this plan minus those left-out controllers" are dropped
 #: wholesale past this many.
 _PLAN_VIEW_LIMIT = 64
+
+#: Names and trace strings looked up per frame, without an enum descriptor.
+_TYPE_NAME = {mtype: mtype.name for mtype in MessageType}
+_KIND_VALUE = {kind: kind.value for kind in FaultKind}
 
 
 @dataclass
@@ -73,24 +84,30 @@ class BusStats:
     bus_off_recoveries: int = 0
     bits_by_type: Dict[str, int] = field(default_factory=dict)
 
-    def charge(self, type_name: str, bits: int) -> None:
-        self.busy_bits += bits
-        self.bits_by_type[type_name] = self.bits_by_type.get(type_name, 0) + bits
 
 
-@dataclass
 class _Transmission:
-    frame: CanFrame
-    senders: List[CanController]
-    requests: List[TxRequest]
-    started_at: int
-    #: Exact stuffed frame length (no interframe), computed once when
-    #: arbitration resolves and reused by the completion path — each
-    #: physical frame is encoded at most once.
-    wire_bits: int = 0
-    #: Causal span covering the wire occupancy of this physical frame
-    #: (``None`` while span tracing is disabled).
-    span_id: Optional[int] = None
+    """The physical frame on the wire."""
+
+    __slots__ = ("frame", "senders", "requests", "wire_bits", "span_id")
+
+    def __init__(
+        self,
+        frame: CanFrame,
+        senders: List[CanController],
+        requests: List[TxRequest],
+        wire_bits: int,
+    ) -> None:
+        self.frame = frame
+        self.senders = senders
+        self.requests = requests
+        #: Exact stuffed frame length (no interframe), computed once when
+        #: arbitration resolves and reused by the completion path — each
+        #: physical frame is encoded at most once.
+        self.wire_bits = wire_bits
+        #: Causal span covering the wire occupancy of this physical frame
+        #: (``None`` while span tracing is disabled).
+        self.span_id: Optional[int] = None
 
 
 class _DeliveryPlan:
@@ -200,25 +217,31 @@ class CanBus:
         #: while they were down with requests still queued. Every
         #: arbitration looks at them again: one back up offers again.
         self._dormant: Dict[int, CanController] = {}
-        self._busy = False
+        #: An ``_arbitrate`` event is scheduled.
         self._arbitration_pending = False
         self._inaccessible_until = 0
+        #: The earliest start of the next frame: the end of the last
+        #: frame's interframe space, error frame and suspend penalty.
+        self._next_sof = 0
+        #: The frame on the wire, from its arbitration to the end of its
+        #: completion (delivery upcalls included).
         self._current: Optional[_Transmission] = None
         self._tx_index = 0
+        #: Kernel ticks per bit-time; ``timing`` is fixed for a bus's life.
+        self._bit_ticks = self.timing.bit_time
         self.stats = BusStats()
         self._trace = sim.trace
         #: The causal span tracer, aliased once; every span site below
         #: guards on ``self._spans.enabled``.
         self._spans = sim.spans
-        # Bound metric methods resolved once: the completion path runs per
-        # frame, and ``registry.counter(...)`` plus attribute dispatch per
-        # frame is measurable at campaign scale.
+        # The metric objects resolved once: the completion path updates
+        # their ``value`` per frame.
         metrics = sim.metrics
-        self._m_frames_inc = metrics.counter("bus.frames").inc
+        self._m_frames = metrics.counter("bus.frames")
         self._m_errors_inc = metrics.counter("bus.error_frames").inc
         self._m_clustered_inc = metrics.counter("bus.clustered_requests").inc
-        self._m_busy_bits_inc = metrics.counter("bus.busy_bits").inc
-        self._m_utilization_set = metrics.gauge("bus.utilization").set
+        self._m_busy_bits = metrics.counter("bus.busy_bits")
+        self._m_utilization = metrics.gauge("bus.utilization")
 
     # -- topology -----------------------------------------------------------
 
@@ -261,26 +284,34 @@ class CanBus:
     def kick(self) -> None:
         """A controller queued a request: start arbitration if idle.
 
-        Arbitration is deferred by a zero-delay event so every request
-        submitted at the same instant (e.g. the echo requests an FDA
-        delivery triggers at all recipients) contends in the same start-of-
-        frame window — which is what lets identical remote frames cluster.
+        Only a bus with no frame on the wire and no arbitration pending
+        schedules one, at the next start of frame (now, or the end of the
+        last frame's interframe space). Arbitration is a
+        :data:`~repro.sim.kernel.START_OF_FRAME` event, which fires after
+        every other event of its instant, so every request submitted at the
+        same instant (e.g. the echo requests an FDA delivery triggers at
+        all recipients) contends in the same start-of-frame window — which
+        is what lets identical remote frames cluster. A frame's completion
+        schedules the next arbitration itself (:meth:`_complete`).
         """
-        if self._busy or self._arbitration_pending:
+        if self._current is not None or self._arbitration_pending:
             return
         self._arbitration_pending = True
-        self._sim.schedule(0, self._arbitrate)
+        sim = self._sim
+        sim.schedule_at(
+            max(sim.now, self._next_sof, self._inaccessible_until),
+            self._arbitrate,
+            START_OF_FRAME,
+        )
 
     def _arbitrate(self) -> None:
+        sim = self._sim
+        if sim.now < self._inaccessible_until:
+            # An inaccessibility window opened since this arbitration was
+            # scheduled: service resumes when it closes.
+            sim.schedule_at(self._inaccessible_until, self._arbitrate, START_OF_FRAME)
+            return
         self._arbitration_pending = False
-        if self._busy:
-            return
-        if self._sim.now < self._inaccessible_until:
-            # The network is in an inaccessibility window: service resumes
-            # when it closes.
-            self._arbitration_pending = True
-            self._sim.schedule_at(self._inaccessible_until, self._arbitrate)
-            return
         taken = self._contend()
         if not taken:
             return
@@ -291,30 +322,23 @@ class CanBus:
             owner.take(request)
             requests.append(request)
             senders.append(owner)
-        frame_bits = winner.frame.wire_bits(with_interframe=False)
-        self._busy = True
-        self._current = _Transmission(
-            frame=winner.frame,
-            senders=senders,
-            requests=requests,
-            started_at=self._sim.now,
-            wire_bits=frame_bits,
-        )
+        frame = winner.frame
+        frame_bits = frame.wire_bits(with_interframe=False)
+        tx = self._current = _Transmission(frame, senders, requests, frame_bits)
         if self._spans.enabled:
-            self._current.span_id = self._spans.begin(
+            tx.span_id = self._spans.begin(
                 "can.tx",
                 "bus",
                 node=senders[0].node_id,
                 parent=winner.span_id,
-                mid=str(winner.frame.mid),
-                remote=winner.frame.remote,
+                mid=str(frame.mid),
+                remote=frame.remote,
                 cluster=len(requests),
             )
-        self.stats.clustered_requests += len(requests) - 1
         if len(requests) > 1:
+            self.stats.clustered_requests += len(requests) - 1
             self._m_clustered_inc(len(requests) - 1)
-        duration = self.timing.bits_to_ticks(frame_bits)
-        self._sim.schedule(duration, self._complete)
+        sim.schedule(frame_bits * self._bit_ticks, self._complete)
 
     def inject_inaccessibility(self, bits: int) -> None:
         """Open an inaccessibility window of ``bits`` bit-times from now.
@@ -324,7 +348,7 @@ class CanBus:
         ongoing transmission completes normally (its fate is governed by
         the fault injector); queued requests wait the window out.
         """
-        until = self._sim.now + self.timing.bits_to_ticks(bits)
+        until = self._sim.now + bits * self._bit_ticks
         if until <= self._inaccessible_until:
             return
         self._inaccessible_until = until
@@ -333,6 +357,40 @@ class CanBus:
             self._sim.now, "bus.inaccessible", bits=bits, until=until
         )
         self.kick()
+
+    def _has_offer(self) -> bool:
+        """True when a controller has a request queued.
+
+        Brings the ready heap's top up to date first: dormant controllers
+        back up offer again, dormant ones with an empty queue leave, and
+        stale entries and the entries of controllers that are down come off
+        (the latter into ``_dormant``). Afterwards the top, if any, is the
+        live offer of a controller that is up. A dormant controller counts:
+        it may be back up by the next start of frame, and arbitration is
+        what looks at it again. The scan this must equal is
+        ``tests/arbitration_reference.py``.
+        """
+        ready = self._ready
+        dormant = self._dormant
+        if dormant:
+            for node_id, controller in list(dormant.items()):
+                if not controller._queue:
+                    del dormant[node_id]
+                elif not controller.crashed and controller.tec <= BUS_OFF_THRESHOLD:
+                    del dormant[node_id]
+                    controller._offer = None
+                    controller._offer_head()
+        while ready:
+            entry = ready[0]
+            owner = entry[3]
+            if entry is not owner._offer:
+                heappop(ready)
+            elif owner.crashed or owner.tec > BUS_OFF_THRESHOLD:
+                heappop(ready)
+                dormant[entry[1]] = owner
+            else:
+                return True
+        return bool(dormant)
 
     def _contend(self) -> List[tuple]:
         """One arbitration: pop the winner and the requests that go out with
@@ -349,26 +407,12 @@ class CanBus:
         controllers this must equal is ``tests/arbitration_reference.py``.
         """
         ready = self._ready
-        dormant = self._dormant
-        if dormant:
-            for node_id, controller in list(dormant.items()):
-                if not controller._queue:
-                    del dormant[node_id]
-                elif not controller.crashed and controller.tec <= BUS_OFF_THRESHOLD:
-                    del dormant[node_id]
-                    controller._offer = None
-                    controller._offer_head()
-        while ready:
-            entry = heappop(ready)
-            owner = entry[3]
-            if entry is not owner._offer:
-                continue
-            if owner.crashed or owner.tec > BUS_OFF_THRESHOLD:
-                dormant[entry[1]] = owner
-                continue
-            break
-        else:
+        # Leaves the live offer of a controller that is up on top, if any.
+        self._has_offer()
+        if not ready:
             return []
+        entry = heappop(ready)
+        dormant = self._dormant
         ident, remote = entry[0][0], entry[0][1]
         data = entry[2].frame.data
         taken = [entry]
@@ -411,14 +455,23 @@ class CanBus:
     # -- completion --------------------------------------------------------------
 
     def _complete(self) -> None:
-        tx = self._current
-        assert tx is not None
-        self._current = None
-        self._tx_index += 1
-        self.stats.physical_frames += 1
-        self._m_frames_inc()
+        """The end of the frame on the wire: its verdict, delivery or
+        error handling, accounting and ``bus.tx`` row; then the next start
+        of frame, with its arbitration when a request is queued.
 
-        sender_ids = [c.node_id for c in tx.senders]
+        ``_current`` stays set until the end, so the requests the delivery
+        upcalls submit schedule nothing of their own.
+        """
+        tx = self._current
+        sim = self._sim
+        self._tx_index += 1
+        stats = self.stats
+        stats.physical_frames += 1
+        self._m_frames.value += 1
+
+        frame = tx.frame
+        senders = tx.senders
+        sender_ids = [c.node_id for c in senders]
         # The alive list is O(membership) to build; it is built only where
         # it is read: an armed injector and fault resolution (reached only
         # through an armed injector's verdict).
@@ -426,56 +479,67 @@ class CanBus:
         if self.injector.armed:
             alive = self.alive_controllers()
             verdict = self.injector.verdict(
-                tx.frame,
+                frame,
                 sender_ids,
                 [c.node_id for c in alive],
                 self._tx_index - 1,
             )
         else:
             verdict = OK_VERDICT
+        kind = _KIND_VALUE[verdict.kind]
         if tx.span_id is not None:
-            self._spans.end(tx.span_id, kind=verdict.kind.value)
+            self._spans.end(tx.span_id, kind=kind)
 
-        frame_bits = tx.wire_bits
         overhead_bits = INTERFRAME_BITS
-        type_name = tx.frame.mid.mtype.name
-
         if verdict.kind is FaultKind.NONE:
-            for sender, request in zip(tx.senders, tx.requests):
+            for sender, request in zip(senders, tx.requests):
                 # ``alive`` inlined, as everywhere on the completion path.
                 if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
                     sender.finish_success(request)
             self._deliver(tx)
         else:
-            self.stats.error_frames += 1
+            stats.error_frames += 1
             self._m_errors_inc()
             overhead_bits += ERROR_FRAME_BITS
             if any(
                 s.state is ControllerState.ERROR_PASSIVE and s.alive
-                for s in tx.senders
+                for s in senders
             ):
                 overhead_bits += SUSPEND_TRANSMISSION_BITS
             self._resolve_fault(tx, alive, verdict)
 
-        self.stats.charge(type_name, frame_bits + overhead_bits)
-        self._m_busy_bits_inc(frame_bits + overhead_bits)
-        self._m_utilization_set(self.utilization())
-        self._trace.record(
-            self._sim.now,
+        bits = tx.wire_bits + overhead_bits
+        stats.busy_bits += bits
+        by_type = stats.bits_by_type
+        type_name = _TYPE_NAME[frame.mid.mtype]
+        by_type[type_name] = by_type.get(type_name, 0) + bits
+        self._m_busy_bits.value += bits
+        now = sim.now
+        self._m_utilization.value = stats.busy_bits * self._bit_ticks / now
+        self._trace.record_row(
+            now,
             "bus.tx",
-            node=sender_ids[0] if sender_ids else -1,
-            mid=tx.frame.mid,
-            remote=tx.frame.remote,
-            senders=tuple(sender_ids),
-            bits=frame_bits + overhead_bits,
-            kind=verdict.kind.value,
-            attempt=tx.requests[0].attempts,
+            sender_ids[0] if sender_ids else -1,
+            {
+                "mid": frame.mid,
+                "remote": frame.remote,
+                "senders": tuple(sender_ids),
+                "bits": bits,
+                "kind": kind,
+                "attempt": tx.requests[0].attempts,
+            },
         )
 
-        # Bus stays busy through the interframe space / error frame.
-        self._sim.schedule(
-            self.timing.bits_to_ticks(overhead_bits), self._go_idle
-        )
+        # The bus stays busy through the interframe space / error frame.
+        self._next_sof = now + overhead_bits * self._bit_ticks
+        self._current = None
+        if self._has_offer():
+            self._arbitration_pending = True
+            sim.schedule_at(
+                max(self._next_sof, self._inaccessible_until),
+                self._arbitrate,
+                START_OF_FRAME,
+            )
 
     def _deliver(self, tx: _Transmission, skip: Collection[int] = ()) -> None:
         """Hand ``tx``'s frame to every controller that takes it but the
@@ -490,25 +554,30 @@ class CanBus:
         paper's failure mode in one row: the mask minus the victims). Read
         it back per receiver with :func:`repro.sim.trace.deliveries`.
         """
-        frame = tx.frame
-        inconsistent = {"inconsistent": True} if skip else {}
         spans = self._spans
-        rx_span = None
         if spans.enabled:
-            rx_span = spans.begin("can.rx", "bus", parent=tx.span_id, **inconsistent)
+            if skip:
+                rx_span = spans.begin(
+                    "can.rx", "bus", parent=tx.span_id, inconsistent=True
+                )
+            else:
+                rx_span = spans.begin("can.rx", "bus", parent=tx.span_id)
             spans.push(rx_span)
-        receivers = None
-        try:
-            receivers = self._deliver_planned(tx, skip)
-        finally:
-            if rx_span is not None:
+            receivers = None
+            try:
+                receivers = self._deliver_planned(tx, skip)
+            finally:
                 spans.pop()
                 # Set at the end: a receiver taken down mid-delivery is out
                 # of the span as it is out of the ``bus.deliver`` row.
                 spans.end(rx_span, receivers=receivers)
+        else:
+            receivers = self._deliver_planned(tx, skip)
         if receivers:
+            frame = tx.frame
             payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
-            payload.update(inconsistent)
+            if skip:
+                payload["inconsistent"] = True
             self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
 
     def _deliver_planned(
@@ -699,12 +768,8 @@ class CanBus:
                     self._sim.now, "node.crash", node=sender.node_id
                 )
 
-    def _go_idle(self) -> None:
-        self._busy = False
-        self.kick()
-
     def _schedule_bus_off_recovery(self, controller: CanController) -> None:
-        recovery_ticks = self.timing.bits_to_ticks(128 * 11)
+        recovery_ticks = 128 * 11 * self._bit_ticks
 
         def recover() -> None:
             if controller.crashed:
@@ -726,4 +791,4 @@ class CanBus:
         elapsed = window_ticks if window_ticks is not None else self._sim.now
         if elapsed <= 0:
             return 0.0
-        return self.timing.bits_to_ticks(self.stats.busy_bits) / elapsed
+        return self.stats.busy_bits * self._bit_ticks / elapsed

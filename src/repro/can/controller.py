@@ -17,6 +17,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappush
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from repro.can.frame import CanFrame
@@ -69,6 +70,10 @@ class TxRequest:
             1 if self.frame.remote else 0,
             self.seq,
         )
+
+
+#: The transmit queue's sort key: arbitration order.
+_PRIORITY_KEY = attrgetter("priority_key")
 
 
 class CanController:
@@ -159,9 +164,9 @@ class CanController:
         Submissions from a crashed or bus-off controller are silently
         discarded (fail-silent behaviour) and return ``None``.
         """
-        if not self.alive:
+        if self.crashed or self.tec > BUS_OFF_THRESHOLD:
             return None
-        request = TxRequest(frame=frame, seq=next(self._seq))
+        request = TxRequest(frame, next(self._seq))
         if self._spans.enabled:
             request.span_id = self._spans.begin(
                 "can.frame",
@@ -170,9 +175,10 @@ class CanController:
                 mid=str(frame.mid),
                 remote=frame.remote,
             )
-        self._queue.append(request)
-        if len(self._queue) > 1:
-            self._queue.sort(key=lambda r: r.priority_key)
+        queue = self._queue
+        queue.append(request)
+        if len(queue) > 1:
+            queue.sort(key=_PRIORITY_KEY)
         bus = self._bus
         if bus is not None:
             self._offer_head()
@@ -267,7 +273,7 @@ class CanController:
         request.attempts += 1
         self._queue.append(request)
         if len(self._queue) > 1:
-            self._queue.sort(key=lambda r: r.priority_key)
+            self._queue.sort(key=_PRIORITY_KEY)
         self._offer_head()
 
     def deliver(self, frame: CanFrame) -> None:

@@ -6,8 +6,11 @@ schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 queue in :meth:`run` / :meth:`run_until` / :meth:`step`.
 
 All three drain through one loop that pops and fires one event at a time,
-in exact ``(time, priority, seq)`` order: a frame costs O(1) events, so an
-instant holds 1.5-2 of them on average on the benchmark workloads.
+in exact ``(time, priority, seq)`` order. Priority 0 is every protocol
+event's; :data:`START_OF_FRAME` is the CAN bus's arbitration, which fires
+after every other event of its instant. A CAN frame costs two events (its
+arbitration and its completion), so an instant holds 1.5-2 events on
+average on the benchmark workloads.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.sim.event import Event, EventQueue
 from repro.sim.trace import TraceRecorder
+
+
+#: The priority class of a CAN bus's arbitration (``CanBus._arbitrate``):
+#: it fires after every priority-0 event of its instant, so every request
+#: submitted at one instant contends in that instant's start-of-frame window.
+START_OF_FRAME = 1
 
 
 class SimulationError(Exception):

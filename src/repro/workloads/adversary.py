@@ -48,11 +48,15 @@ class BabblingIdiot:
         if gap < 0:
             raise ConfigurationError(f"gap must be non-negative: {gap}")
         self._sim = sim
-        self._bus = bus
         self.controller = CanController(node_id)
         bus.attach(self.controller)
         self._mid = mid if mid is not None else MessageId(MessageType.FDA, node=255)
-        self._gap = gap
+        self._frame = remote_frame(self._mid)
+        #: Ticks between polls: ``gap``, or half a babbled frame so that a
+        #: request is pending again before the bus next goes idle.
+        self._period = max(
+            1, gap or bus.timing.bits_to_ticks(self._frame.wire_bits()) // 2
+        )
         self._babbling = False
         self.frames_submitted = 0
 
@@ -74,9 +78,6 @@ class BabblingIdiot:
         # Keep exactly one request pending so the babbler re-wins
         # arbitration the instant the bus goes idle.
         if not self.controller.has_pending(self._mid):
-            self.controller.submit(remote_frame(self._mid))
+            self.controller.submit(self._frame)
             self.frames_submitted += 1
-        frame_ticks = self._bus.timing.bits_to_ticks(
-            remote_frame(self._mid).wire_bits()
-        )
-        self._sim.schedule(max(1, self._gap or frame_ticks // 2), self._submit)
+        self._sim.schedule(self._period, self._submit)

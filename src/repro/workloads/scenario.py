@@ -217,8 +217,9 @@ class Scenario:
         ttd_ms ... max_crash_failures: the other
             :class:`~repro.core.config.CanelyConfig` overrides; ``None``
             keeps the configuration's default.
-        backend / segments / channels: the membership stack and topology
-            (``channels=2``: CANELy over two replicated buses).
+        backend / segments / channels: the membership stack (a registered
+            backend name, :func:`~repro.core.backend.backend_names`) and
+            topology (``channels=2``: CANELy over two replicated buses).
         traffic: ``(node, period_ms)`` or ``(node, period_ms,
             offset_ms)`` periodic data sources, started after bootstrap
             (the first frame ``offset_ms`` later, default 0).
@@ -393,6 +394,16 @@ def _validate(scenario: Scenario) -> None:
         kinds = _NUMBER if name.endswith("_ms") else (int,)
         if value is not None and (type(value) not in kinds or value < 0):
             raise ConfigurationError(f"invalid {name}: {value!r}")
+    if s.backend != "canely":  # the default is always registered
+        from repro.core.backend import backend_names
+
+        # A name, not a node class: a scenario is plain data and is
+        # written out (``to_dict``), and its defaults key on the name.
+        if type(s.backend) is not str or s.backend not in backend_names():
+            raise ConfigurationError(
+                f"unknown membership backend {s.backend!r}; "
+                f"registered: {backend_names()}"
+            )
     swim = (s.fail_after_ms, s.suspicion_timeout_ms)
     if s.backend != "swim" and swim != (None, None):
         raise ConfigurationError(f"only the swim backend takes {_SWIM_OVERRIDES}")
@@ -401,10 +412,6 @@ def _validate(scenario: Scenario) -> None:
             f"bad gateway_queue_limit={s.gateway_queue_limit!r} or "
             f"bus_off_recovery={s.bus_off_recovery!r}"
         )
-    if s.backend != "canely":  # the default is always registered
-        from repro.core.backend import resolve_backend
-
-        resolve_backend(s.backend)
     if not 1 <= s.segments <= s.nodes:
         raise ConfigurationError(f"invalid segment count: {s.segments!r}")
     if s.channels not in (1, 2):

@@ -1,7 +1,9 @@
 """The arbitration reference: what popping the ready heap has to equal.
 
 ``CanBus._contend`` pops the winner of an arbitration, and the requests that
-go out with it, off a heap the controllers keep up to date. The oracle it
+go out with it, off a heap the controllers keep up to date, and
+``CanBus._has_offer`` reads that heap to decide whether a frame's completion
+schedules the next arbitration. The oracle it
 is checked against is arbitration the way the paper describes it: every
 attached controller that is up offers its queue head, the offers are
 ordered by ``(priority_key, node_id)``, and the lowest identifier wins,
@@ -53,12 +55,21 @@ def contend_by_scan(bus):
     return taken
 
 
+def has_offer_by_scan(bus):
+    """``CanBus._has_offer`` by polling every controller: a request is
+    queued somewhere. One that is down counts, as a dormant controller does
+    on the heap: it may be back up by the next start of frame."""
+    return any(controller._queue for controller in bus._controllers.values())
+
+
 @contextmanager
 def scan_arbitration():
-    """Every bus arbitrates by :func:`contend_by_scan` inside the block."""
-    heap = CanBus._contend
+    """Every bus arbitrates by :func:`contend_by_scan` inside the block and
+    decides whether a next arbitration is due by :func:`has_offer_by_scan`."""
+    heap = CanBus._contend, CanBus._has_offer
     CanBus._contend = contend_by_scan
+    CanBus._has_offer = has_offer_by_scan
     try:
         yield
     finally:
-        CanBus._contend = heap
+        CanBus._contend, CanBus._has_offer = heap

@@ -8,9 +8,11 @@ the babbler (what a bus guardian would do) lets the system recover through
 rejoins.
 """
 
+from repro.can.frame import CanFrame
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
+from repro.workloads import adversary
 from repro.workloads.adversary import BabblingIdiot
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
@@ -41,6 +43,43 @@ def test_babbler_consumes_most_of_the_bus():
     fda_bits = net.bus.stats.bits_by_type.get("FDA", 0) - start_fda_bits
     window_bits = (net.sim.now - start_time) // 1000  # ticks -> bit-times
     assert fda_bits / window_bits > 0.8  # the babbler owns the bus
+
+
+def test_a_poll_rebuilds_nothing(monkeypatch):
+    """The babbled frame and the poll period are built once: a poll neither
+    constructs the frame nor encodes it."""
+    net = CanelyNetwork(node_count=4, config=CONFIG)
+    net.scenario().bootstrap()
+    babbler = BabblingIdiot(net.sim, net.bus, node_id=15)
+    polling = []
+    seen = []
+    remote_frame = adversary.remote_frame
+    wire_bits = CanFrame.wire_bits
+
+    def build(mid):
+        seen.extend(("remote_frame",) * len(polling))
+        return remote_frame(mid)
+
+    def encode(frame, *args, **kwargs):
+        seen.extend(("wire_bits",) * len(polling))
+        return wire_bits(frame, *args, **kwargs)
+
+    submit = babbler._submit
+
+    def poll():
+        polling.append(1)
+        try:
+            submit()
+        finally:
+            polling.pop()
+
+    monkeypatch.setattr(adversary, "remote_frame", build)
+    monkeypatch.setattr(CanFrame, "wire_bits", encode)
+    monkeypatch.setattr(babbler, "_submit", poll)
+    babbler.start()
+    net.run_for(ms(20))
+    assert babbler.frames_submitted > 10
+    assert seen == []
 
 
 def test_guardian_intervention_allows_recovery():

@@ -20,8 +20,14 @@ population either.
 Arbitration under saturating load: every controller keeps frames queued, so
 polling each queue per frame would cost n looks. Popping the ready heap
 looks at the winner and the run of its identifier, whatever n is.
+
+The bus cycle: a frame costs two kernel events, its arbitration and its
+completion. Without errors every arbitration starts a frame; error frames,
+inaccessibility windows and a crash add a handful of arbitrations that
+find nothing to send.
 """
 
+import collections
 import heapq
 import inspect
 import itertools
@@ -31,6 +37,7 @@ import pytest
 from repro.can import bus as bus_module
 from repro.can.bus import CanBus
 from repro.can.controller import CanController
+from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.frame import data_frame, remote_frame
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
@@ -244,3 +251,68 @@ def test_arbitration_looks_at_the_winner_not_at_every_queue(
     assert arbitration_rounds[0][1] == node_count  # the beacon's cluster
     extra = max(looks - cluster for looks, cluster in arbitration_rounds)
     assert extra <= 2, arbitration_rounds
+
+
+# -- the bus cycle -------------------------------------------------------------------
+
+
+@pytest.fixture
+def bus_events(monkeypatch):
+    """Fired kernel events per bus action: ``_arbitrate`` and ``_complete``
+    run only as kernel events."""
+    fired = collections.Counter()
+    for name in ("_arbitrate", "_complete"):
+
+        def counted(bus, _action=getattr(CanBus, name), _name=name):
+            fired[_name] += 1
+            _action(bus)
+
+        monkeypatch.setattr(CanBus, name, counted)
+    return fired
+
+
+def bus_cycle_run(injector=None, windows=0):
+    """Eight nodes, two talkers, a crash, 300 ms; ``windows``
+    inaccessibility windows of 150 bit-times on the way."""
+    net = CanelyNetwork(8, config=CONFIG, injector=injector)
+    scenario = net.scenario().bootstrap()
+    for node_id in range(2):
+        PeriodicSource(
+            net.sim, net.node(node_id), period=ms(10), offset=node_id * ms(1)
+        )
+    start = net.sim.now
+    net.sim.schedule_at(start + ms(100), net.node(5).crash)
+    for index in range(windows):
+        net.sim.schedule_at(
+            start + ms(30) + index * ms(37),
+            lambda: net.bus.inject_inaccessibility(150),
+        )
+    scenario.run_for(ms(300))
+    assert net.views_agree()
+    return net.bus
+
+
+def test_a_frame_costs_two_bus_events(bus_events):
+    bus = bus_cycle_run()
+    assert bus.stats.error_frames == 0
+    on_wire = bus._current is not None
+    assert bus_events["_complete"] == bus.stats.physical_frames
+    # One arbitration per frame: none finds an empty bus.
+    assert bus_events["_arbitrate"] == bus.stats.physical_frames + on_wire
+    bus_events.clear()
+    injector = FaultInjector()
+    injector.fault_on_frame(
+        lambda frame: frame.mid.mtype is MessageType.FDA,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[1],
+    )
+    injector.fault_on_frame(
+        lambda frame: frame.mid.mtype is MessageType.ELS,
+        FaultKind.CONSISTENT_OMISSION,
+        count=5,
+    )
+    bus = bus_cycle_run(injector, windows=5)
+    assert bus.stats.error_frames == 6
+    assert bus.stats.inaccessibility_bits == 5 * 150
+    events = bus_events["_arbitrate"] + bus_events["_complete"]
+    assert events <= 2.1 * bus.stats.physical_frames, bus_events

@@ -207,6 +207,22 @@ def test_backend_and_segments_validation():
         load_script({"nodes": 4, "channels": 2, "segments": 2})
 
 
+def test_backend_must_be_a_registered_name():
+    """A node class is not a backend name: a scenario holding one could not
+    be written out, and ``on_defaults`` would give SWIM CANELy timing."""
+    from repro.core.backend import backend_names
+    from repro.swim import SwimNode
+    from repro.workloads.scenario import on_defaults
+
+    for make in (lambda: Scenario(backend=SwimNode), lambda: on_defaults(SwimNode)):
+        with pytest.raises(ConfigurationError) as caught:
+            make()
+        assert str(backend_names()) in str(caught.value)
+    with pytest.raises(ConfigurationError, match="registered"):
+        load_script({"nodes": 3, "backend": "raft"})
+    assert json.loads(json.dumps(on_defaults("swim").to_dict()))["backend"] == "swim"
+
+
 def test_monitors_judge_a_swim_scenario():
     raw = dict(BASIC)
     raw["backend"] = "swim"
