@@ -228,6 +228,8 @@ class CanBus:
         self._current: Optional[_Transmission] = None
         self._tx_index = 0
         #: Kernel ticks per bit-time; ``timing`` is fixed for a bus's life.
+        #: The per-frame paths read the clock as ``sim._now`` too, without
+        #: the property call, as the surveillance table does.
         self._bit_ticks = self.timing.bit_time
         self.stats = BusStats()
         self._trace = sim.trace
@@ -299,14 +301,14 @@ class CanBus:
         self._arbitration_pending = True
         sim = self._sim
         sim.schedule_at(
-            max(sim.now, self._next_sof, self._inaccessible_until),
+            max(sim._now, self._next_sof, self._inaccessible_until),
             self._arbitrate,
             START_OF_FRAME,
         )
 
     def _arbitrate(self) -> None:
         sim = self._sim
-        if sim.now < self._inaccessible_until:
+        if sim._now < self._inaccessible_until:
             # An inaccessibility window opened since this arbitration was
             # scheduled: service resumes when it closes.
             sim.schedule_at(self._inaccessible_until, self._arbitrate, START_OF_FRAME)
@@ -514,7 +516,7 @@ class CanBus:
         type_name = _TYPE_NAME[frame.mid.mtype]
         by_type[type_name] = by_type.get(type_name, 0) + bits
         self._m_busy_bits.value += bits
-        now = sim.now
+        now = sim._now
         self._m_utilization.value = stats.busy_bits * self._bit_ticks / now
         self._trace.record_row(
             now,
@@ -578,7 +580,7 @@ class CanBus:
             payload = {"mid": frame.mid, "remote": frame.remote, "receivers": receivers}
             if skip:
                 payload["inconsistent"] = True
-            self._trace.record_row(self._sim.now, "bus.deliver", -1, payload)
+            self._trace.record_row(self._sim._now, "bus.deliver", -1, payload)
 
     def _deliver_planned(
         self, tx: _Transmission, skip: Collection[int] = ()
