@@ -18,10 +18,13 @@ retransmission) or inconsistent omission (a subset of recipients accepts
 the frame; everyone else sees the error and the senders retransmit).
 
 A frame costs two kernel events: ``_arbitrate`` at its start of frame and
-``_complete`` at its end. The completion fixes the next start of frame (after
-the interframe space, error frame and suspend penalty) and, when a request
-is queued, schedules the next arbitration there; only a bus with nothing
-to send waits for :meth:`CanBus.kick`.
+``_complete`` at its end. The completion files the next start of frame
+(after the interframe space, error frame and suspend penalty) in a kernel
+slot (:meth:`repro.sim.kernel.Simulator.slot`) and puts the next
+arbitration in it when a request is queued; otherwise :meth:`CanBus.kick`
+does, when a request comes. Either way it fires where an arbitration
+scheduled by an event ending the interframe space would, so the tie order
+of every instant is that of a cycle with such a third event per frame.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageType
 from repro.can.phy import BitTiming
 from repro.errors import BusError
-from repro.sim.kernel import START_OF_FRAME, Simulator
+from repro.sim.event import Event
+from repro.sim.kernel import Simulator
 from repro.util.sets import WIDE_MAX_CAPACITY, NodeSet
 
 #: A plan's views "this plan minus those left-out controllers" are dropped
@@ -220,9 +224,9 @@ class CanBus:
         #: An ``_arbitrate`` event is scheduled.
         self._arbitration_pending = False
         self._inaccessible_until = 0
-        #: The earliest start of the next frame: the end of the last
-        #: frame's interframe space, error frame and suspend penalty.
-        self._next_sof = 0
+        #: The last frame's start-of-frame slot: the end of its interframe
+        #: space, error frame and suspend penalty.
+        self._sof: Optional[Event] = None
         #: The frame on the wire, from its arbitration to the end of its
         #: completion (delivery upcalls included).
         self._current: Optional[_Transmission] = None
@@ -286,34 +290,32 @@ class CanBus:
     def kick(self) -> None:
         """A controller queued a request: start arbitration if idle.
 
-        Only a bus with no frame on the wire and no arbitration pending
-        schedules one, at the next start of frame (now, or the end of the
-        last frame's interframe space). Arbitration is a
-        :data:`~repro.sim.kernel.START_OF_FRAME` event, which fires after
-        every other event of its instant, so every request submitted at the
-        same instant (e.g. the echo requests an FDA delivery triggers at
-        all recipients) contends in the same start-of-frame window — which
-        is what lets identical remote frames cluster. A frame's completion
-        schedules the next arbitration itself (:meth:`_complete`).
+        With a frame on the wire or an arbitration pending there is nothing
+        to do (a completion looks at the queues itself). Otherwise the
+        arbitration goes into the last frame's start-of-frame slot while
+        that is still queued, and into a zero-delay event on an idle bus.
+        Either way it fires after every event already queued for its
+        instant, so every request submitted at the same instant (e.g. the
+        echo requests an FDA delivery triggers at all recipients) contends
+        in the same start-of-frame window — which is what lets identical
+        remote frames cluster.
         """
         if self._current is not None or self._arbitration_pending:
             return
         self._arbitration_pending = True
-        sim = self._sim
-        sim.schedule_at(
-            max(sim._now, self._next_sof, self._inaccessible_until),
-            self._arbitrate,
-            START_OF_FRAME,
-        )
+        sof = self._sof
+        if sof is None or not self._sim.fill(sof, self._arbitrate):
+            self._sim.schedule(0, self._arbitrate)
 
     def _arbitrate(self) -> None:
+        self._arbitration_pending = False
         sim = self._sim
         if sim._now < self._inaccessible_until:
-            # An inaccessibility window opened since this arbitration was
-            # scheduled: service resumes when it closes.
-            sim.schedule_at(self._inaccessible_until, self._arbitrate, START_OF_FRAME)
+            # The network is in an inaccessibility window: service resumes
+            # when it closes.
+            self._arbitration_pending = True
+            sim.schedule_at(self._inaccessible_until, self._arbitrate)
             return
-        self._arbitration_pending = False
         taken = self._contend()
         if not taken:
             return
@@ -459,7 +461,7 @@ class CanBus:
     def _complete(self) -> None:
         """The end of the frame on the wire: its verdict, delivery or
         error handling, accounting and ``bus.tx`` row; then the next start
-        of frame, with its arbitration when a request is queued.
+        of frame's slot, with its arbitration when a request is queued.
 
         ``_current`` stays set until the end, so the requests the delivery
         upcalls submit schedule nothing of their own.
@@ -533,15 +535,15 @@ class CanBus:
         )
 
         # The bus stays busy through the interframe space / error frame.
-        self._next_sof = now + overhead_bits * self._bit_ticks
+        # The next start of frame takes its place among the events of its
+        # instant only when its turn comes; the arbitration goes in it now
+        # when a request is queued (or must wait out an inaccessibility
+        # window), else when one is submitted (``kick``).
+        sof = self._sof = sim.slot(now + overhead_bits * self._bit_ticks)
         self._current = None
-        if self._has_offer():
+        if sof.time < self._inaccessible_until or self._has_offer():
             self._arbitration_pending = True
-            sim.schedule_at(
-                max(self._next_sof, self._inaccessible_until),
-                self._arbitrate,
-                START_OF_FRAME,
-            )
+            sof.action = self._arbitrate
 
     def _deliver(self, tx: _Transmission, skip: Collection[int] = ()) -> None:
         """Hand ``tx``'s frame to every controller that takes it but the

@@ -182,10 +182,7 @@ class CanController:
         bus = self._bus
         if bus is not None:
             self._offer_head()
-            # ``kick``'s own test, saving the call on a busy bus: most
-            # requests are submitted while a frame is on the wire.
-            if bus._current is None and not bus._arbitration_pending:
-                bus.kick()
+            bus.kick()
         return request
 
     def abort(self, mid: MessageId) -> bool:

@@ -160,11 +160,9 @@ class CanGateway:
                     lambda t=target, f=frame, k=key: self._relay(t, f, k),
                 )
             else:
-                # Zero-latency relay is still a kernel event of its own,
-                # at this instant: the copy contends in the target's next
-                # start-of-frame window, this instant's if the target
-                # arbitrates now (arbitration fires after every other
-                # event of its instant).
+                # Zero-latency relay still defers by one kernel event so
+                # the copy contends in the target's next start-of-frame
+                # window (the same reason CanBus.kick defers arbitration).
                 self._sim.schedule(
                     0, lambda t=target, f=frame, k=key: self._relay(t, f, k)
                 )

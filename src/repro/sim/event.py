@@ -24,6 +24,14 @@ attribute writes instead of a cancel, an :class:`Event` allocation and a
 ``heappush``. A fresh sequence number is allocated on every reschedule, so
 the resulting ``(time, priority, seq)`` order is *identical* to the
 cancel-and-push idiom it replaces: traces stay bit-for-bit equal.
+
+A *slot* (:meth:`EventQueue.push_slot`) holds the place an event pushed
+now would take, but takes its own place among its instant's events only
+when that turn comes: the kernel then re-files it behind every event
+queued for its instant, with a fresh sequence number. So it fires where
+an event scheduled with zero delay by an event in its place would, without
+that event. Its action may be set until it fires; a slot still without one
+leaves the queue silently. The CAN bus files each start of frame in one.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ from typing import Callable, Optional
 #: Compact the heap only past this size (small heaps aren't worth it).
 _PURGE_MIN_HEAP = 64
 
+#: ``Event.seq`` of a slot whose turn has not come yet.
+SLOT = -1
+
 
 class Event:
     """A scheduled callback.
@@ -42,7 +53,8 @@ class Event:
         time: absolute simulation time (kernel ticks) at which to fire.
         priority: lower fires first among events at the same time.
         seq: insertion sequence number, the final tie-breaker.
-        action: the zero-argument callable invoked when the event fires.
+        action: the zero-argument callable invoked when the event fires;
+            ``None`` on a slot left empty, which leaves without firing.
         cancelled: cancelled events stay in the heap but are skipped.
 
     ``time`` and ``seq`` are rewritten by :meth:`EventQueue.reschedule`;
@@ -57,7 +69,7 @@ class Event:
         time: int,
         priority: int,
         seq: int,
-        action: Callable[[], None],
+        action: Optional[Callable[[], None]],
     ) -> None:
         self.time = time
         self.priority = priority
@@ -109,6 +121,21 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
+    def push_slot(self, time: int) -> Event:
+        """File an empty slot at ``time`` in the place an event pushed now
+        would take, and return it.
+
+        When its turn comes the kernel re-files it behind every event then
+        queued for its instant (a fresh sequence number); it fires there
+        if it has been given an action by then, and leaves silently if not.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, 0, SLOT, None)
+        event._queue = self
+        heapq.heappush(self._heap, (time, 0, seq, event))
+        return event
+
     def reschedule(self, event: Event, time: int) -> None:
         """Defer pending ``event`` to fire at ``time`` instead, in place.
 
@@ -133,11 +160,14 @@ class EventQueue:
         # live ones, so dead entries never occupy more than half the heap.
         # In place — the kernel's inlined run loop aliases the heap list.
         # Entries are rebuilt from their events' current fields, which also
-        # repairs any entry left stale by reschedule().
+        # repairs any entry left stale by reschedule(); a slot whose turn
+        # has not come keeps its place.
         heap = self._heap
         if len(heap) > _PURGE_MIN_HEAP and self._cancelled * 2 > len(heap):
             heap[:] = [
-                (event.time, event.priority, event.seq, event)
+                entry
+                if event.seq == SLOT
+                else (event.time, event.priority, event.seq, event)
                 for entry in heap
                 if not (event := entry[3]).cancelled
             ]

@@ -6,11 +6,11 @@ schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 queue in :meth:`run` / :meth:`run_until` / :meth:`step`.
 
 All three drain through one loop that pops and fires one event at a time,
-in exact ``(time, priority, seq)`` order. Priority 0 is every protocol
-event's; :data:`START_OF_FRAME` is the CAN bus's arbitration, which fires
-after every other event of its instant. A CAN frame costs two events (its
-arbitration and its completion), so an instant holds 1.5-2 events on
-average on the benchmark workloads.
+in exact ``(time, priority, seq)`` order. A *slot* (:meth:`Simulator.slot`)
+is an event that takes its place among its instant's events only when its
+turn comes: the CAN bus files each start of frame in one, so a frame costs
+two events (its arbitration and its completion) and an instant holds 1.5-2
+events on average on the benchmark workloads.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import SLOT, Event, EventQueue
 from repro.sim.trace import TraceRecorder
-
-
-#: The priority class of a CAN bus's arbitration (``CanBus._arbitrate``):
-#: it fires after every priority-0 event of its instant, so every request
-#: submitted at one instant contends in that instant's start-of-frame window.
-START_OF_FRAME = 1
 
 
 class SimulationError(Exception):
@@ -118,6 +112,31 @@ class Simulator:
                 f"cannot schedule at {time}, current time is {self._now}"
             )
         return self._queue.push(time, action, priority)
+
+    def slot(self, time: int) -> Event:
+        """File an empty slot at absolute ``time`` and return it.
+
+        The slot holds the place an event scheduled now would take. When
+        its turn comes it moves behind every event then queued for its
+        instant, and fires there: where an event scheduled with zero delay
+        by an event in its place would fire, without that event. Give it
+        an action with :meth:`fill`; a slot left empty leaves the queue
+        without firing.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time}, current time is {self._now}"
+            )
+        return self._queue.push_slot(time)
+
+    @staticmethod
+    def fill(slot: Event, action: Callable[[], None]) -> bool:
+        """Give ``slot`` the action it fires; False once it has left the
+        queue (fired, left empty or cancelled)."""
+        if slot._queue is None:
+            return False
+        slot.action = action
+        return True
 
     def try_reschedule(self, event: Event, time: int) -> bool:
         """Defer pending ``event`` to absolute ``time`` in place, if possible.
@@ -215,8 +234,9 @@ class Simulator:
 
         The queue's one consumer, reading its tuple heap directly: the head
         is normalised first (dead entries leave, stale ones re-file at their
-        rescheduled position), so its time can be compared with ``bound``
-        before anything is taken off. A fired event is detached from the
+        rescheduled position, a slot whose turn came behind its instant's
+        queued events), its time compared with ``bound`` before a slot
+        takes its place. A fired event is detached from the
         queue, so a late ``cancel()`` on it does not skew the live count.
         """
         queue = self._queue
@@ -231,16 +251,24 @@ class Simulator:
                 heappop(heap)
                 queue._cancelled -= 1
                 continue
-            if event.seq != entry[2]:
-                heapreplace(heap, (event.time, event.priority, event.seq, event))
-                continue
             if bound is not None and entry[0] > bound:
                 break
+            seq = event.seq
+            if seq != entry[2]:
+                if seq == SLOT:
+                    # A slot's turn: behind every event queued for its instant.
+                    seq = event.seq = queue._seq
+                    queue._seq = seq + 1
+                heapreplace(heap, (event.time, event.priority, seq, event))
+                continue
             heappop(heap)
             event._queue = None
+            action = event.action
+            if action is None:  # a slot left empty
+                continue
             self._now = entry[0]
             self._events_processed += 1
-            event.action()
+            action()
             fired += 1
         return fired
 

@@ -1,15 +1,16 @@
 """The bus-cycle reference: three kernel events per frame.
 
 ``CanBus`` spends two kernel events on a frame: ``_arbitrate`` at its
-start of frame, a :data:`~repro.sim.kernel.START_OF_FRAME` event, and
-``_complete`` at its end, which schedules the next arbitration itself when
-a request is queued. The oracle it is checked against is the cycle the bus
-ran before: an idle bus arbitrates in a zero-delay event of the ordinary
-priority, a completion keeps the bus busy through a third event at the end
-of the interframe space (``_go_idle``), and that event arbitrates anew
+start of frame and ``_complete`` at its end, which files the next start of
+frame in a kernel slot and puts the arbitration in it when a request is
+queued. The oracle it is checked against is the cycle the bus ran before:
+an idle bus arbitrates in a zero-delay event, a completion keeps the bus
+busy through a third event at the end of the interframe space
+(``_go_idle``), and that event arbitrates anew in a zero-delay event
 whether or not anything is queued. It lives here, not in the bus — one
-implementation runs, the other judges it. Both leave the same trace rows,
-bus accounting and metrics; the oracle just fires more events.
+implementation runs, the other judges it. Both leave the same trace rows
+in the same order, bus accounting and metrics; the oracle just fires more
+events.
 """
 
 from contextlib import contextmanager

@@ -1,29 +1,27 @@
 """Property: the two-event frame cycle is observation-identical to the
 three-event one, and never fires more events.
 
-A frame costs the bus two kernel events: its arbitration, a
-``START_OF_FRAME`` event, and its completion, which schedules the next
-arbitration at the end of the interframe space when a request is queued.
-The oracle is ``tests/bus_cycle_reference.py``: the cycle with a third
-event per frame at the end of the interframe space, and an arbitration in
-a zero-delay event of the ordinary priority. Whatever the traffic — bursts
-of requests submitted at one instant, identical remote frames clustering,
-inaccessibility windows, consistent and inconsistent omissions, bus-off
-with requests still queued, a receiver crashing another node during a
-delivery, two bridged segments — both must leave identical trace rows,
-bus accounting and metrics, and the two-event cycle must fire no more
-kernel events than the three-event one. Bridged segments are the one
-place the tie rules differ (``docs/protocols.md``, "Start of frame"):
-there each instant's rows are compared as a set, and a zero-latency relay
-has a test of its own.
+A frame costs the bus two kernel events: its arbitration and its
+completion, which files the next start of frame in a kernel slot and puts
+the arbitration there when a request is queued. The oracle is
+``tests/bus_cycle_reference.py``: the cycle with a third event per frame
+at the end of the interframe space, which schedules the arbitration in a
+zero-delay event. Whatever the traffic — bursts of requests submitted at
+one instant, identical remote frames clustering, inaccessibility windows,
+consistent and inconsistent omissions, bus-off with requests still queued,
+a receiver crashing another node during a delivery, two bridged segments
+(zero-latency relays included), two replicated channels — both must leave
+the same trace rows in the same order, the same bus accounting and the
+same metrics snapshot, and the two-event cycle must fire no more kernel
+events than the three-event one.
 """
 
-import json
 from dataclasses import asdict
 
 from bus_cycle_reference import three_event_cycle
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.can.bitstream import INTERFRAME_BITS
 from repro.can.bus import CanBus
 from repro.can.controller import BUS_OFF_THRESHOLD, CanController
 from repro.can.driver import CanStandardLayer
@@ -32,7 +30,7 @@ from repro.can.frame import remote_frame
 from repro.can.gateway import GATEWAY_NODE_ID, CanGateway
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
-from repro.core.stack import CanelyNetwork
+from repro.core.stack import CanelyNetwork, DualChannelNetwork
 from repro.errors import BusError
 from repro.sim.clock import ms, us
 from repro.sim.kernel import Simulator
@@ -253,11 +251,11 @@ CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
 @st.composite
 def network_scenarios(draw):
     node_count = draw(st.integers(min_value=3, max_value=6))
-    segments = draw(st.sampled_from([1, 2]))
-    # A relay made at the instant a segment arbitrates joins that contest
-    # on the two-event cycle only (see the zero-latency test below), so
-    # the comparison bridges segments through a gateway with a latency.
-    latency = draw(st.integers(min_value=us(1), max_value=us(100)))
+    # One bus, two segments bridged by a gateway, or two replicated channels.
+    topology = draw(st.sampled_from(["bus", "segments", "channels"]))
+    # A zero-latency relay is submitted at the instant its frame completed
+    # on the source segment, possibly the instant the target arbitrates.
+    latency = draw(st.just(0) | st.integers(min_value=us(1), max_value=us(100)))
     crash_node = draw(st.integers(min_value=0, max_value=node_count - 1))
     crash_at = draw(st.integers(min_value=ms(150), max_value=ms(250)))
     fault = draw(
@@ -267,11 +265,11 @@ def network_scenarios(draw):
             st.none() | st.integers(min_value=0, max_value=node_count - 1),
         )
     )
-    return node_count, segments, latency, crash_node, crash_at, fault
+    return node_count, topology, latency, crash_node, crash_at, fault
 
 
 def _run_network_scenario(scenario):
-    node_count, segments, latency, crash_node, crash_at, fault = scenario
+    node_count, topology, latency, crash_node, crash_at, fault = scenario
     injector = FaultInjector()
     if fault is not None:
         mtype, accepting = fault
@@ -285,51 +283,44 @@ def _run_network_scenario(scenario):
                 FaultKind.INCONSISTENT_OMISSION,
                 accepting=[accepting],
             )
-    net = CanelyNetwork(
-        node_count=node_count,
-        config=CONFIG,
-        injector=injector,
-        segments=segments,
-        gateway_latency=latency,
-    )
+    if topology == "channels":
+        net = DualChannelNetwork(node_count=node_count, config=CONFIG)
+        # The faults strike the first channel only, so the two channels'
+        # frames drift apart and their copies race.
+        net.bus.injector = injector
+    else:
+        net = CanelyNetwork(
+            node_count=node_count,
+            config=CONFIG,
+            injector=injector,
+            segments=2 if topology == "segments" else 1,
+            gateway_latency=latency,
+        )
     net.join_all()
     net.run_for(ms(150))
     net.sim.schedule_at(crash_at, net.node(crash_node).crash)
     net.run_for(ms(250))
     observed = _observables(net.sim, net.buses)
-    if segments > 1:
-        # Segments are separate buses: two of them starting or ending a
-        # frame at one instant do so in the order their arbitrations were
-        # scheduled, which need not be the three-event cycle's. Each
-        # instant's rows are compared as a set, and the utilization gauge
-        # every segment writes (the last completion's) is left out.
-        observed["trace"] = sorted(observed["trace"], key=_row_order)
-        del observed["metrics"]["bus.utilization"]
     observed["views"] = {
         node.node_id: sorted(node.view().members) for node in net.correct_nodes()
     }
     return observed
 
 
-def _row_order(row):
-    return row["time"], json.dumps(row, sort_keys=True)
-
-
 @SLOW
 @given(network_scenarios())
-@example((5, 1, us(1), 1, ms(200), (MessageType.FDA, 0)))
-@example((5, 2, us(50), 1, ms(200), (MessageType.FDA, 0)))
+@example((5, "bus", 0, 1, ms(200), (MessageType.FDA, 0)))
+@example((5, "segments", 0, 1, ms(200), (MessageType.FDA, 0)))
+@example((5, "segments", us(50), 1, ms(200), (MessageType.FDA, 0)))
+@example((5, "channels", 0, 1, ms(200), (MessageType.FDA, 0)))
 def test_two_event_cycle_matches_three_on_protocol_stacks(scenario):
     _assert_cycles_agree(lambda: _run_network_scenario(scenario))
 
 
-def test_a_zero_latency_relay_contends_at_its_instant():
-    """A gateway relay with no latency is submitted at the instant its frame
-    completed on the source segment. If the target segment arbitrates at
-    that instant, the relay contends there, since arbitration fires after
-    every other event of its instant: here it clusters with node 1's
-    identical remote frame. (The three-event cycle sent them as two frames:
-    the target's arbitration had been scheduled before the relay.)"""
+def _run_zero_latency_relay():
+    """Node 0 sends a remote frame on the source segment; node 1 submits the
+    same frame on the target at the instant node 0's frame completes, which
+    is also the instant the gateway relays it there with no latency."""
     sim = Simulator()
     source, target = CanBus(sim), CanBus(sim)
     gateway = CanGateway(sim)
@@ -342,12 +333,62 @@ def test_a_zero_latency_relay_contends_at_its_instant():
         layers.append(CanStandardLayer(controller))
     mid = MessageId(MessageType.FDA, node=5)
     layers[0].rtr_req(mid)
-    # Node 1 submits the same frame on the target at the instant node 0's
-    # frame completes on the source.
     frame_bits = remote_frame(mid).wire_bits(with_interframe=False)
     sim.schedule_at(
         frame_bits * source.timing.bit_time, lambda: layers[1].rtr_req(mid)
     )
     sim.run()
-    senders = [row.data["senders"] for row in sim.trace if row.category == "bus.tx"]
-    assert senders == [(0,), (1, GATEWAY_NODE_ID)]
+    return _observables(sim, [source, target])
+
+
+def test_a_zero_latency_relay_misses_an_arbitration_scheduled_at_its_instant():
+    """The relay is an event of its own at the instant its frame completed.
+    The target's arbitration at that instant was scheduled first, by node
+    1's request, so it fires before the relay: node 1's frame goes out
+    alone and the relayed copy follows, on both cycles."""
+    run = _run_zero_latency_relay()
+    senders = [
+        row["data"]["senders"] for row in run["trace"] if row["category"] == "bus.tx"
+    ]
+    assert senders[:2] == [[0], [1]]
+    assert [GATEWAY_NODE_ID] in senders
+    _assert_cycles_agree(_run_zero_latency_relay)
+
+
+def _run_request_after_the_slots_turn():
+    """A request submitted at the end of an interframe space by an event
+    scheduled after the frame's completion: the start-of-frame slot's turn
+    has come, but its arbitration has not fired yet. That event also
+    schedules, with zero delay, an identical remote frame from another
+    node, which comes after the arbitration and so cannot cluster."""
+    sim = Simulator()
+    bus = CanBus(sim)
+    layers = []
+    for node_id in range(3):
+        controller = CanController(node_id)
+        bus.attach(controller)
+        layers.append(CanStandardLayer(controller))
+    mid = MessageId(MessageType.FDA, node=5)
+    sof_ticks = INTERFRAME_BITS * bus.timing.bit_time
+
+    def request():
+        sim.schedule(0, lambda: layers[2].rtr_req(mid))
+        layers[1].rtr_req(mid)
+
+    def on_data(_mid, _data):
+        # After the completion: this event's request follows the slot.
+        sim.schedule(0, lambda: sim.schedule_at(sim.now + sof_ticks, request))
+
+    layers[1].add_data_ind(on_data)
+    layers[0].data_req(MessageId(MessageType.DATA, node=0), b"")
+    sim.run()
+    return _observables(sim, [bus])
+
+
+def test_a_request_after_the_slots_turn_takes_its_arbitration():
+    run = _run_request_after_the_slots_turn()
+    senders = [
+        row["data"]["senders"] for row in run["trace"] if row["category"] == "bus.tx"
+    ]
+    assert senders == [[0], [1], [2]]
+    _assert_cycles_agree(_run_request_after_the_slots_turn)

@@ -438,3 +438,110 @@ def test_try_reschedule_refuses_detached_event():
     box["event"] = sim.schedule(10, action)
     sim.run()
     assert box["result"] is False
+
+
+# -- slots --------------------------------------------------------------------
+
+
+def _marker_or_slot(sim, time, use_slot, action):
+    """A slot at ``time``, or the event it stands for: an event in the
+    slot's place that schedules ``action`` with zero delay."""
+    if use_slot:
+        slot = sim.slot(time)
+        assert sim.fill(slot, action)
+    else:
+        sim.schedule_at(time, lambda: sim.schedule(0, action))
+
+
+@pytest.mark.parametrize("unbudgeted", entry_points())
+def test_a_slot_fires_where_a_zero_delay_event_from_its_place_would(unbudgeted):
+    """Every event queued for the slot's instant when its turn comes fires
+    before it (``early-chain`` too, scheduled at that instant before the
+    turn); one scheduled at that instant after the turn fires after it."""
+
+    def scenario(use_slot):
+        sim = Simulator()
+        order = []
+
+        def early():
+            order.append("early")
+            sim.schedule(0, lambda: order.append("early-chain"))
+
+        def late():
+            order.append("late")
+            sim.schedule(0, lambda: order.append("late-chain"))
+
+        sim.schedule_at(10, early)
+        _marker_or_slot(sim, 10, use_slot, lambda: order.append("slot"))
+        sim.schedule_at(10, late)
+        drain(sim, unbudgeted)
+        return order, sim.events_processed
+
+    order, events = scenario(True)
+    assert order == ["early", "late", "early-chain", "slot", "late-chain"]
+    assert (order, events + 1) == scenario(False)
+
+
+def test_a_slot_takes_its_place_only_within_the_run_bound():
+    """A slot past ``run_until``'s bound keeps its place: an event scheduled
+    for its instant afterwards still fires before it."""
+
+    def scenario(use_slot):
+        sim = Simulator()
+        order = []
+        _marker_or_slot(sim, 10, use_slot, lambda: order.append("slot"))
+        sim.run_until(5)
+        sim.schedule_at(10, lambda: order.append("later"))
+        sim.run()
+        return order
+
+    assert scenario(True) == scenario(False) == ["later", "slot"]
+
+
+def test_an_empty_slot_leaves_without_firing():
+    sim = Simulator()
+    slot = sim.slot(10)
+    sim.schedule_at(10, lambda: None)
+    assert sim.run() == 1
+    assert sim.events_processed == 1
+    assert not sim.fill(slot, lambda: None)
+
+
+def test_a_slot_filled_after_its_turn_fires_in_its_place():
+    """Filled by an event that fires after the slot's turn, the slot still
+    fires before the events scheduled after that turn."""
+    sim = Simulator()
+    order = []
+    slot = sim.slot(10)
+
+    def filler():
+        order.append("filler")
+        sim.schedule(0, lambda: order.append("chain"))
+        assert sim.fill(slot, lambda: order.append("slot"))
+
+    sim.schedule_at(10, filler)
+    sim.run()
+    assert order == ["filler", "slot", "chain"]
+    assert not sim.fill(slot, lambda: None)
+
+
+def test_a_slot_keeps_its_place_through_a_heap_purge():
+    sim = Simulator()
+    order = []
+    slot = sim.slot(10)
+    sim.schedule_at(10, lambda: order.append("peer"))
+    # Enough cancellations to compact the heap while the slot waits.
+    for event in [sim.schedule_at(20, lambda: None) for _ in range(200)]:
+        event.cancel()
+    assert len(sim._queue._heap) < 200
+    sim.fill(slot, lambda: order.append("slot"))
+    sim.run()
+    assert order == ["peer", "slot"]
+
+
+def test_slot_in_the_past_rejected():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.slot(5)
