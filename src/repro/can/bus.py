@@ -539,7 +539,7 @@ class CanBus:
         # instant only when its turn comes; the arbitration goes in it now
         # when a request is queued (or must wait out an inaccessibility
         # window), else when one is submitted (``kick``).
-        sof = self._sof = sim.slot(now + overhead_bits * self._bit_ticks)
+        sof = self._sof = sim.slot(now + overhead_bits * self._bit_ticks, self._sof)
         self._current = None
         if sof.time < self._inaccessible_until or self._has_offer():
             self._arbitration_pending = True

@@ -25,8 +25,8 @@ attribute writes instead of a cancel, an :class:`Event` allocation and a
 the resulting ``(time, priority, seq)`` order is *identical* to the
 cancel-and-push idiom it replaces: traces stay bit-for-bit equal.
 
-A *slot* (:meth:`EventQueue.push_slot`) holds the place an event pushed
-now would take, but takes its own place among its instant's events only
+A *slot* (:meth:`Simulator.slot <repro.sim.kernel.Simulator.slot>`)
+holds the place an event pushed now would take, but takes its own place among its instant's events only
 when that turn comes: the kernel then re-files it behind every event
 queued for its instant, with a fresh sequence number. So it fires where
 an event scheduled with zero delay by an event in its place would, without
@@ -119,21 +119,6 @@ class EventQueue:
         event = Event(time, priority, seq, action)
         event._queue = self
         heapq.heappush(self._heap, (time, priority, seq, event))
-        return event
-
-    def push_slot(self, time: int) -> Event:
-        """File an empty slot at ``time`` in the place an event pushed now
-        would take, and return it.
-
-        When its turn comes the kernel re-files it behind every event then
-        queued for its instant (a fresh sequence number); it fires there
-        if it has been given an action by then, and leaves silently if not.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, 0, SLOT, None)
-        event._queue = self
-        heapq.heappush(self._heap, (time, 0, seq, event))
         return event
 
     def reschedule(self, event: Event, time: int) -> None:

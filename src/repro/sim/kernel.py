@@ -113,7 +113,7 @@ class Simulator:
             )
         return self._queue.push(time, action, priority)
 
-    def slot(self, time: int) -> Event:
+    def slot(self, time: int, spent: Optional[Event] = None) -> Event:
         """File an empty slot at absolute ``time`` and return it.
 
         The slot holds the place an event scheduled now would take. When
@@ -121,13 +121,27 @@ class Simulator:
         instant, and fires there: where an event scheduled with zero delay
         by an event in its place would fire, without that event. Give it
         an action with :meth:`fill`; a slot left empty leaves the queue
-        without firing.
+        without firing. A ``spent`` slot, one that has left the queue, is
+        filed again instead of a new one (a CAN bus files one per frame).
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        return self._queue.push_slot(time)
+        queue = self._queue
+        if spent is None or spent._queue is not None:
+            slot = Event(time, 0, SLOT, None)
+        else:
+            slot = spent
+            slot.time = time
+            slot.seq = SLOT
+            slot.action = None
+            slot.cancelled = False
+        slot._queue = queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heapq.heappush(queue._heap, (time, 0, seq, slot))
+        return slot
 
     @staticmethod
     def fill(slot: Event, action: Callable[[], None]) -> bool:
@@ -255,12 +269,20 @@ class Simulator:
                 break
             seq = event.seq
             if seq != entry[2]:
-                if seq == SLOT:
-                    # A slot's turn: behind every event queued for its instant.
-                    seq = event.seq = queue._seq
-                    queue._seq = seq + 1
-                heapreplace(heap, (event.time, event.priority, seq, event))
-                continue
+                if seq != SLOT:
+                    heapreplace(heap, (event.time, event.priority, seq, event))
+                    continue
+                # A slot's turn: it moves behind every event queued for its
+                # instant, and with none queued it is next where it stands.
+                seq = event.seq = queue._seq
+                queue._seq = seq + 1
+                time = entry[0]
+                size = len(heap)
+                if (size > 1 and heap[1][0] == time) or (
+                    size > 2 and heap[2][0] == time
+                ):
+                    heapreplace(heap, (time, 0, seq, event))
+                    continue
             heappop(heap)
             event._queue = None
             action = event.action

@@ -545,3 +545,19 @@ def test_slot_in_the_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.slot(5)
+
+
+def test_a_spent_slot_is_filed_again():
+    sim = Simulator()
+    order = []
+    first = sim.slot(10)
+    sim.fill(first, lambda: order.append("first"))
+    # Still queued: a new slot is filed.
+    other = sim.slot(10, first)
+    assert other is not first
+    sim.run()
+    again = sim.slot(20, first)
+    assert again is first and not sim.fill(other, lambda: None)
+    sim.fill(again, lambda: order.append(("again", sim.now)))
+    sim.run()
+    assert order == ["first", ("again", 20)]
