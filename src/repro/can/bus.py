@@ -227,6 +227,8 @@ class CanBus:
         #: The last frame's start-of-frame slot: the end of its interframe
         #: space, error frame and suspend penalty.
         self._sof: Optional[Event] = None
+        #: The completion event, filed again for every frame.
+        self._completion = Event(0, 0, 0, self._complete)
         #: The frame on the wire, from its arbitration to the end of its
         #: completion (delivery upcalls included).
         self._current: Optional[_Transmission] = None
@@ -342,7 +344,7 @@ class CanBus:
         if len(requests) > 1:
             self.stats.clustered_requests += len(requests) - 1
             self._m_clustered_inc(len(requests) - 1)
-        sim.schedule(frame_bits * self._bit_ticks, self._complete)
+        self._completion = sim.repeat(self._completion, frame_bits * self._bit_ticks)
 
     def inject_inaccessibility(self, bits: int) -> None:
         """Open an inaccessibility window of ``bits`` bit-times from now.

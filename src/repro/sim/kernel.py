@@ -122,14 +122,15 @@ class Simulator:
         by an event in its place would fire, without that event. Give it
         an action with :meth:`fill`; a slot left empty leaves the queue
         without firing. A ``spent`` slot, one that has left the queue, is
-        filed again instead of a new one (a CAN bus files one per frame).
+        filed again instead of a new one (a CAN bus files one per frame);
+        a cancelled one may still sit in the heap and is not reused.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
         queue = self._queue
-        if spent is None or spent._queue is not None:
+        if spent is None or spent._queue is not None or spent.cancelled:
             slot = Event(time, 0, SLOT, None)
         else:
             slot = spent
@@ -142,6 +143,27 @@ class Simulator:
         queue._seq = seq + 1
         heapq.heappush(queue._heap, (time, 0, seq, slot))
         return slot
+
+    def repeat(self, event: Event, delay: int) -> Event:
+        """Schedule ``event``'s action again ``delay`` ticks from now, and
+        return the event filed: ``event`` itself once it has left the
+        queue by firing (or was never filed), a new event while it is
+        still queued or after it was cancelled. The CAN bus files its
+        frame completions this way, one handle for a bus's life.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        queue = self._queue
+        time = self._now + delay
+        if event._queue is not None or event.cancelled:
+            return queue.push(time, event.action, event.priority)
+        seq = queue._seq
+        queue._seq = seq + 1
+        event.time = time
+        event.seq = seq
+        event._queue = queue
+        heapq.heappush(queue._heap, (time, event.priority, seq, event))
+        return event
 
     @staticmethod
     def fill(slot: Event, action: Callable[[], None]) -> bool:

@@ -561,3 +561,19 @@ def test_a_spent_slot_is_filed_again():
     sim.fill(again, lambda: order.append(("again", sim.now)))
     sim.run()
     assert order == ["first", ("again", 20)]
+
+
+def test_repeat_files_a_fired_event_again():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(10, lambda: fired.append(sim.now))
+    # Still queued: a second event with the same action.
+    twin = sim.repeat(event, 5)
+    assert twin is not event
+    sim.run()
+    assert sim.repeat(event, 7) is event
+    sim.run()
+    assert fired == [5, 10, 17]
+    event = sim.repeat(event, 1)
+    event.cancel()
+    assert sim.repeat(event, 1) is not event
