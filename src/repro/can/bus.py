@@ -227,8 +227,6 @@ class CanBus:
         #: The last frame's start-of-frame slot: the end of its interframe
         #: space, error frame and suspend penalty.
         self._sof: Optional[Event] = None
-        #: The completion event, filed again for every frame.
-        self._completion = Event(0, 0, 0, self._complete)
         #: The frame on the wire, from its arbitration to the end of its
         #: completion (delivery upcalls included).
         self._current: Optional[_Transmission] = None
@@ -344,7 +342,7 @@ class CanBus:
         if len(requests) > 1:
             self.stats.clustered_requests += len(requests) - 1
             self._m_clustered_inc(len(requests) - 1)
-        self._completion = sim.repeat(self._completion, frame_bits * self._bit_ticks)
+        sim.schedule(frame_bits * self._bit_ticks, self._complete)
 
     def inject_inaccessibility(self, bits: int) -> None:
         """Open an inaccessibility window of ``bits`` bit-times from now.
@@ -541,7 +539,7 @@ class CanBus:
         # instant only when its turn comes; the arbitration goes in it now
         # when a request is queued (or must wait out an inaccessibility
         # window), else when one is submitted (``kick``).
-        sof = self._sof = sim.slot(now + overhead_bits * self._bit_ticks, self._sof)
+        sof = self._sof = sim.slot(now + overhead_bits * self._bit_ticks)
         self._current = None
         if sof.time < self._inaccessible_until or self._has_offer():
             self._arbitration_pending = True

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from dataclasses import dataclass, field
 from heapq import heappush
 from operator import attrgetter
 from typing import Callable, List, Optional
@@ -42,6 +43,7 @@ class ControllerState(enum.Enum):
     BUS_OFF = "bus-off"
 
 
+@dataclass
 class TxRequest:
     """A queued transmission request.
 
@@ -49,22 +51,25 @@ class TxRequest:
         frame: the frame to transmit.
         seq: submission order, the FIFO tie-breaker within one priority.
         attempts: physical transmission attempts made so far.
-        span_id: causal span opened at submission, closed when the request
-            leaves the controller for good (delivered / aborted / dropped);
-            ``None`` while span tracing is disabled.
-        priority_key: arbitration order — identifier, then data before
-            remote, then FIFO. Precomputed: it is immutable and every
-            arbitration round sorts on it.
     """
 
-    __slots__ = ("frame", "seq", "attempts", "span_id", "priority_key")
+    frame: CanFrame
+    seq: int
+    attempts: int = 0
+    #: Causal span opened at submission, closed when the request leaves the
+    #: controller for good (delivered / aborted / dropped). ``None`` while
+    #: span tracing is disabled.
+    span_id: Optional[int] = None
 
-    def __init__(self, frame: CanFrame, seq: int) -> None:
-        self.frame = frame
-        self.seq = seq
-        self.attempts = 0
-        self.span_id: Optional[int] = None
-        self.priority_key = (frame.identifier, 1 if frame.remote else 0, seq)
+    def __post_init__(self) -> None:
+        # Arbitration order: identifier, then data-before-remote, then
+        # FIFO. Precomputed — the key is immutable and every arbitration
+        # round sorts on it.
+        self.priority_key = (
+            self.frame.identifier,
+            1 if self.frame.remote else 0,
+            self.seq,
+        )
 
 
 #: The transmit queue's sort key: arbitration order.

@@ -113,7 +113,7 @@ class Simulator:
             )
         return self._queue.push(time, action, priority)
 
-    def slot(self, time: int, spent: Optional[Event] = None) -> Event:
+    def slot(self, time: int) -> Event:
         """File an empty slot at absolute ``time`` and return it.
 
         The slot holds the place an event scheduled now would take. When
@@ -121,49 +121,20 @@ class Simulator:
         instant, and fires there: where an event scheduled with zero delay
         by an event in its place would fire, without that event. Give it
         an action with :meth:`fill`; a slot left empty leaves the queue
-        without firing. A ``spent`` slot, one that has left the queue, is
-        filed again instead of a new one (a CAN bus files one per frame);
-        a cancelled one may still sit in the heap and is not reused.
+        without firing.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
+        # The queue's push, inlined: a CAN bus files one slot per frame.
         queue = self._queue
-        if spent is None or spent._queue is not None or spent.cancelled:
-            slot = Event(time, 0, SLOT, None)
-        else:
-            slot = spent
-            slot.time = time
-            slot.seq = SLOT
-            slot.action = None
-            slot.cancelled = False
+        slot = Event(time, 0, SLOT, None)
         slot._queue = queue
         seq = queue._seq
         queue._seq = seq + 1
         heapq.heappush(queue._heap, (time, 0, seq, slot))
         return slot
-
-    def repeat(self, event: Event, delay: int) -> Event:
-        """Schedule ``event``'s action again ``delay`` ticks from now, and
-        return the event filed: ``event`` itself once it has left the
-        queue by firing (or was never filed), a new event while it is
-        still queued or after it was cancelled. The CAN bus files its
-        frame completions this way, one handle for a bus's life.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        queue = self._queue
-        time = self._now + delay
-        if event._queue is not None or event.cancelled:
-            return queue.push(time, event.action, event.priority)
-        seq = queue._seq
-        queue._seq = seq + 1
-        event.time = time
-        event.seq = seq
-        event._queue = queue
-        heapq.heappush(queue._heap, (time, event.priority, seq, event))
-        return event
 
     @staticmethod
     def fill(slot: Event, action: Callable[[], None]) -> bool:

@@ -545,35 +545,3 @@ def test_slot_in_the_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.slot(5)
-
-
-def test_a_spent_slot_is_filed_again():
-    sim = Simulator()
-    order = []
-    first = sim.slot(10)
-    sim.fill(first, lambda: order.append("first"))
-    # Still queued: a new slot is filed.
-    other = sim.slot(10, first)
-    assert other is not first
-    sim.run()
-    again = sim.slot(20, first)
-    assert again is first and not sim.fill(other, lambda: None)
-    sim.fill(again, lambda: order.append(("again", sim.now)))
-    sim.run()
-    assert order == ["first", ("again", 20)]
-
-
-def test_repeat_files_a_fired_event_again():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, lambda: fired.append(sim.now))
-    # Still queued: a second event with the same action.
-    twin = sim.repeat(event, 5)
-    assert twin is not event
-    sim.run()
-    assert sim.repeat(event, 7) is event
-    sim.run()
-    assert fired == [5, 10, 17]
-    event = sim.repeat(event, 1)
-    event.cancel()
-    assert sim.repeat(event, 1) is not event
