@@ -26,12 +26,13 @@ the resulting ``(time, priority, seq)`` order is *identical* to the
 cancel-and-push idiom it replaces: traces stay bit-for-bit equal.
 
 A *slot* (:meth:`Simulator.slot <repro.sim.kernel.Simulator.slot>`)
-holds the place an event pushed now would take, but takes its own place among its instant's events only
-when that turn comes: the kernel then re-files it behind every event
-queued for its instant, with a fresh sequence number. So it fires where
-an event scheduled with zero delay by an event in its place would, without
-that event. Its action may be set until it fires; a slot still without one
-leaves the queue silently. The CAN bus files each start of frame in one.
+holds the place an event pushed now would take, but takes its own place
+among its instant's events only when that turn comes: the kernel then
+re-files it behind every event queued for its instant, with a fresh
+sequence number. So it fires where an event scheduled with zero delay by
+an event in its place would, without that event. Its action may be set
+until it fires; a slot still without one leaves the queue silently. The
+CAN bus files each start of frame in one.
 """
 
 from __future__ import annotations

@@ -127,7 +127,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        # The queue's push, inlined: a CAN bus files one slot per frame.
+        # Filed as ``EventQueue.push`` files, but its ``seq`` stays ``SLOT``
+        # until its turn.
         queue = self._queue
         slot = Event(time, 0, SLOT, None)
         slot._queue = queue
@@ -239,11 +240,11 @@ class Simulator:
         given — and return the count. The caller owns the reentrancy guard
         and, for bounded runs, the final clock adjustment.
 
-        The queue's one consumer, reading its tuple heap directly: the head
-        is normalised first (dead entries leave, stale ones re-file at their
-        rescheduled position, a slot whose turn came behind its instant's
-        queued events), its time compared with ``bound`` before a slot
-        takes its place. A fired event is detached from the
+        The queue's one consumer, reading its tuple heap directly: dead
+        entries at the head leave, its time is compared with ``bound``, and
+        only then does a stale entry re-file at its rescheduled position or
+        a slot take its place behind its instant's queued events, so a slot
+        past the bound keeps its place. A fired event is detached from the
         queue, so a late ``cancel()`` on it does not skew the live count.
         """
         queue = self._queue
