@@ -17,18 +17,15 @@ The *view update* additionally waits for the next membership cycle
 boundary (at most ``Tm``), which is the figure to compare against TTP's
 slot-synchronous membership.
 
-Alongside the analytic bounds, the ``measured_*`` queries read the same
-latencies out of a finished run's trace. They go through
-:meth:`~repro.sim.trace.TraceRecorder.category_columns`, the bulk column
-accessor, so they scan the recorder's packed arrays without materializing
-one record object per entry — the difference between a post-processing
-blip and a second full pass on a 200-node campaign trace.
+Alongside the analytic bounds, :func:`measured_detection_latencies` reads
+the same latencies out of a finished run's trace, through the per-spell
+crash ledger (:mod:`repro.obs.episodes`) every other crash readout uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.can.bitstream import (
     ERROR_DELIMITER_BITS,
@@ -37,6 +34,7 @@ from repro.can.bitstream import (
 )
 from repro.analysis.inaccessibility import SUPERPOSED_FLAG_BITS
 from repro.core.config import CanelyConfig
+from repro.obs.episodes import Episodes, one_or_all
 from repro.sim.clock import SEC
 from repro.sim.trace import TraceRecorder
 
@@ -97,80 +95,20 @@ def latency_bounds(
     )
 
 
-# -- measured latencies (trace queries) ---------------------------------------
-
-
-def measured_crash_times(trace: TraceRecorder) -> Dict[int, int]:
-    """First crash instant per node, from the ``node.crash`` records."""
-    times, nodes, _payloads = trace.category_columns("node.crash")
-    crash_times: Dict[int, int] = {}
-    for index in range(len(times)):
-        node = nodes[index]
-        if node not in crash_times:
-            crash_times[node] = times[index]
-    return crash_times
-
-
-def crash_notification_times(
-    trace: TraceRecorder,
-    crash_times: Optional[Dict[int, int]] = None,
-) -> Dict[int, Dict[int, int]]:
-    """First ``msh.change`` naming each crash, per observing node.
-
-    Maps crashed node -> {observer -> time that observer's view first
-    reported the crash}, in one pass over the ``msh.change`` columns
-    (:meth:`~repro.sim.trace.TraceRecorder.category_columns`, so the
-    trace answers from its backing arrays). A single change record
-    whose ``failed`` set names several crashed nodes feeds every one of
-    them — two crashes folded into the same membership cycle are both
-    attributed to that one view change.
-
-    This is the one crash-event extraction shared by
-    :func:`measured_detection_latencies` and the QoS engine
-    (:mod:`repro.obs.qos`); notifications predating the crash (a stale
-    view change about an earlier incarnation) are ignored.
-    """
-    if crash_times is None:
-        crash_times = measured_crash_times(trace)
-    if not crash_times:
-        return {}
-    notifications: Dict[int, Dict[int, int]] = {
-        node: {} for node in crash_times
-    }
-    times, observers, payloads = trace.category_columns("msh.change")
-    crashed = list(crash_times.items())
-    for index in range(len(times)):
-        failed = payloads[index]["failed"]
-        time = times[index]
-        observer = observers[index]
-        for node, crashed_at in crashed:
-            if node in failed and time >= crashed_at:
-                seen = notifications[node]
-                if observer not in seen:
-                    seen[observer] = time
-    return notifications
+# -- measured latencies ------------------------------------------------------
 
 
 def measured_detection_latencies(
     trace: TraceRecorder,
     crash_times: Optional[Dict[int, int]] = None,
-) -> Dict[int, Optional[int]]:
+) -> Dict[int, Union[None, int, List[Optional[int]]]]:
     """Measured crash-to-view-change latency per crashed node, in ticks.
 
-    ``crash_times`` maps node id -> crash instant; when omitted it is
-    read from the trace's ``node.crash`` records. The result maps node
-    id -> time from the crash to the first ``msh.change`` reporting the
-    node failed, or ``None`` when the run ended unnotified. Built on
-    :func:`crash_notification_times`, the shared one-pass extraction.
+    ``crash_times`` maps node id -> crash instant; when omitted the
+    crashes are the trace's ``node.crash`` records. Each crash's latency
+    runs to the first ``msh.change`` reporting the node failed
+    (:class:`~repro.obs.episodes.Episodes`), ``None`` when the run ended
+    unnotified. A node that crashed once maps to its latency, one that
+    crashed several times to the list of them, in order.
     """
-    if crash_times is None:
-        crash_times = measured_crash_times(trace)
-    notifications = crash_notification_times(trace, crash_times)
-    return {
-        node: (
-            min(notifications[node].values()) - crash_times[node]
-            if notifications[node]
-            else None
-        )
-        for node in crash_times
-    }
+    return one_or_all(Episodes.of(trace, crashes=crash_times).latencies())

@@ -38,7 +38,7 @@ def run_scenario(scenario: Scenario, index: int) -> ScenarioResult:
     )
     if outcome.final is not None:
         # The run finished: its latencies and QoS are worth reading.
-        latencies = outcome.builder.detection_latencies().values()
+        latencies = sum(outcome.builder.detection_latencies().values(), [])
         result.latencies = sorted(v for v in latencies if v is not None)
         result.missed = len(latencies) - len(result.latencies)
         result.qos = outcome.builder.qos().summary()

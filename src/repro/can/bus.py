@@ -178,6 +178,7 @@ class CanBus:
         injector: Optional[FaultInjector] = None,
         clustering: bool = True,
         bus_off_recovery: bool = False,
+        label: Optional[int] = None,
     ) -> None:
         self._sim = sim
         self.timing = timing if timing is not None else BitTiming()
@@ -247,7 +248,9 @@ class CanBus:
         self._m_errors_inc = metrics.counter("bus.error_frames").inc
         self._m_clustered_inc = metrics.counter("bus.clustered_requests").inc
         self._m_busy_bits = metrics.counter("bus.busy_bits")
-        self._m_utilization = metrics.gauge("bus.utilization")
+        # One gauge per bus: a network of several buses labels each one.
+        labels = {} if label is None else {"bus": label}
+        self._m_utilization = metrics.gauge("bus.utilization", **labels)
 
     # -- topology -----------------------------------------------------------
 

@@ -368,6 +368,7 @@ class CanelyNetwork:
                     timing=timing,
                     injector=injector if index == 0 else None,
                     clustering=clustering,
+                    label=index,
                 )
                 for index in range(segments)
             ]
@@ -503,7 +504,7 @@ class DualChannelNetwork(CanelyNetwork):
             )
         self.sim = Simulator()
         self.sim.spans.enabled = spans
-        self.segments = [CanBus(self.sim), CanBus(self.sim)]
+        self.segments = [CanBus(self.sim, label=0), CanBus(self.sim, label=1)]
         self.bus = self.segments[0]
         self.gateway = None
         #: Every node sits on both channels; queries file it under the first.

@@ -31,8 +31,9 @@ measured queue-to-wire latencies rather than from the trace alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.episodes import Episodes
 from repro.sim.trace import TraceRecord, TraceRecorder, deliveries
 
 
@@ -49,10 +50,6 @@ class PropertyReport:
 
     def extend(self, other: "PropertyReport") -> None:
         self.violations.extend(other.violations)
-
-
-def _crashed_nodes(trace: TraceRecorder) -> Set[int]:
-    return {record.node for record in trace.select(category="node.crash")}
 
 
 def _deliveries(trace: TraceRecorder):
@@ -185,7 +182,7 @@ def check_lcan2_agreement(
     """Delivery at one correct node + correct sender => delivery at all."""
     report = PropertyReport()
     correct = set(correct_nodes)
-    crashed = _crashed_nodes(trace)
+    crashed = set(Episodes.of(trace).crashes)
     for mid, per_node in _deliveries_by_mid(trace).items():
         sender = getattr(mid, "node", None)
         if sender is None or sender in crashed:

@@ -16,7 +16,9 @@ renders text message sequence charts.
 :mod:`repro.obs.qos` computes the classic failure-detector QoS metrics
 (detection-time distribution, mistake rate λ_M, mistake duration T_M,
 query accuracy P_A, completeness/accuracy under churn) from a finished
-trace, deterministically.
+trace, deterministically, per membership spell of the crash ledger
+:mod:`repro.obs.episodes` — the one record of who went down when and who
+noticed when, which the monitors also read.
 """
 
 from repro.obs.critical_path import (
@@ -26,6 +28,7 @@ from repro.obs.critical_path import (
     notification_path,
     view_update_path,
 )
+from repro.obs.episodes import Crash, Episodes
 from repro.obs.export import (
     CHROME_CATEGORIES,
     export_chrome_trace,
@@ -67,6 +70,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "CHROME_CATEGORIES",
     "Counter",
+    "Crash",
     "CrashDetection",
     "CriticalPath",
     "Gauge",
@@ -80,6 +84,7 @@ __all__ = [
     "SpanTracer",
     "DetectionLatencyMonitor",
     "DuplicateFailureSignMonitor",
+    "Episodes",
     "InvariantMonitor",
     "InvariantViolation",
     "PhantomRemovalMonitor",

@@ -18,7 +18,9 @@ instrumented protocol layers):
 * ``fda.reset`` / ``fda.evict`` — FDA counters retired for one failed
   identifier.
 * ``msh.view`` / ``msh.change`` — a node installed a view / was notified.
-* ``node.crash`` / ``node.recover`` — fault scripting events.
+* ``node.crash`` / ``node.recover`` — fault scripting events, folded by
+  a crash ledger (:class:`repro.obs.episodes.Episodes`) that phantom
+  removal and detection latency read who is down off.
 
 Each backend picks the monitors that judge it
 (:meth:`repro.core.stack.MembershipNode.monitors`).
@@ -29,6 +31,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.obs.episodes import Episodes
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import format_time
 from repro.sim.trace import TraceRecord, TraceRecorder
@@ -250,7 +253,22 @@ class ViewAgreementMonitor(InvariantMonitor):
                 )
 
 
-class PhantomRemovalMonitor(InvariantMonitor):
+class _LedgerMonitor(InvariantMonitor):
+    """A monitor that reads who is down off its own crash ledger, attached
+    ahead of it and detached with it."""
+
+    def attach(self, trace: TraceRecorder) -> "InvariantMonitor":
+        self.episodes = Episodes()
+        self._ledger = self.episodes.attach(trace)
+        return super().attach(trace)
+
+    def detach(self) -> None:
+        if self._trace is not None:
+            self._trace.remove_sink(self._ledger)
+        super().detach()
+
+
+class PhantomRemovalMonitor(_LedgerMonitor):
     """No correct node is ever notified as *failed*.
 
     The failure-notification path (failure-sign or confirmation ->
@@ -258,7 +276,8 @@ class PhantomRemovalMonitor(InvariantMonitor):
     nodes that actually crashed: a failure notification for a live node
     means a surveillance timer fired early, a failure-sign was forged or corrupted, or the FDA
     dedup state leaked across identifiers — the membership *validity*
-    property of the paper's Fig. 9.
+    property of the paper's Fig. 9. A node is down from its crash to its
+    reboot.
 
     A node that leaves voluntarily learns of its own withdrawal through a
     change notification whose ``failed`` set names itself (Fig. 9,
@@ -266,41 +285,32 @@ class PhantomRemovalMonitor(InvariantMonitor):
     """
 
     name = "no-phantom-removal"
-    categories = frozenset(("node.crash", "node.recover", "msh.change"))
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._crashed: Set[int] = set()
+    categories = frozenset(("msh.change",))
 
     def observe(self, record: TraceRecord) -> None:
         self.records_seen += 1
-        category = record.category
-        if category == "node.crash":
-            self._crashed.add(record.node)
-        elif category == "node.recover":
-            self._crashed.discard(record.node)
-        else:  # msh.change
-            for failed in record.data["failed"]:
-                if failed == record.node:
-                    continue  # a13-a15: voluntary-leave self-notification
-                if failed not in self._crashed:
-                    self.fail(
-                        f"node {record.node} was notified at "
-                        f"{format_time(record.time)} that node {failed} "
-                        f"failed, but node {failed} never crashed",
-                        record.time,
-                        record.time,
-                    )
+        for failed in record.data["failed"]:
+            if failed == record.node:
+                continue  # a13-a15: voluntary-leave self-notification
+            if failed not in self.episodes.down:
+                self.fail(
+                    f"node {record.node} was notified at "
+                    f"{format_time(record.time)} that node {failed} "
+                    f"failed, but node {failed} never crashed",
+                    record.time,
+                    record.time,
+                )
 
 
-class DetectionLatencyMonitor(InvariantMonitor):
+class DetectionLatencyMonitor(_LedgerMonitor):
     """A member crash is signalled within the backend's latency bound.
 
     ``row`` is the ``(node, failed)`` detection row: CANELy's ``fda.nty``
     (the default), whose ``bound`` is the worst-case crash-to-failure-sign
     latency — ``Thb + Ttd`` silence detection (MCAN4) plus the FDA
-    dissemination slack — or SWIM's ``swim.confirm``. Every observed
-    latency also lands in the ``fd.detection_latency_ticks`` histogram of
+    dissemination slack — or SWIM's ``swim.confirm``, timed from the crash
+    of a node still down (not after its reboot). Every observed latency
+    also lands in the ``fd.detection_latency_ticks`` histogram of
     ``metrics``, making the detector's timing behavior a queryable signal.
     """
 
@@ -316,36 +326,31 @@ class DetectionLatencyMonitor(InvariantMonitor):
         self.bound = bound
         self._metrics = metrics
         self._row = row
-        self.categories = frozenset(("msh.view", "node.crash", "node.recover", row))
-        self._crash_times: Dict[int, int] = {}
+        self.categories = frozenset(("msh.view", row))
         self._members_ever: Set[int] = set()
 
     def observe(self, record: TraceRecord) -> None:
         self.records_seen += 1
         if record.category == "msh.view":
             self._members_ever.update(record.data["members"])
-        elif record.category == "node.crash":
-            self._crash_times.setdefault(record.node, record.time)
-        elif record.category == "node.recover":
-            self._crash_times.pop(record.node, None)
-        else:  # the detection row
-            failed = record.data["failed"]
-            crashed_at = self._crash_times.get(failed)
-            if crashed_at is None or failed not in self._members_ever:
-                return
-            latency = record.time - crashed_at
-            if self._metrics is not None:
-                self._metrics.histogram(
-                    "fd.detection_latency_ticks", node=failed
-                ).observe(latency)
-            if latency > self.bound:
-                self.fail(
-                    f"failure-sign for node {failed} reached node "
-                    f"{record.node} {format_time(latency)} after the crash "
-                    f"(bound {format_time(self.bound)})",
-                    crashed_at,
-                    record.time,
-                )
+            return
+        failed = record.data["failed"]
+        crashed_at = self.episodes.down.get(failed)
+        if crashed_at is None or failed not in self._members_ever:
+            return
+        latency = record.time - crashed_at
+        if self._metrics is not None:
+            self._metrics.histogram(
+                "fd.detection_latency_ticks", node=failed
+            ).observe(latency)
+        if latency > self.bound:
+            self.fail(
+                f"failure-sign for node {failed} reached node "
+                f"{record.node} {format_time(latency)} after the crash "
+                f"(bound {format_time(self.bound)})",
+                crashed_at,
+                record.time,
+            )
 
 
 def standard_monitors(

@@ -5,9 +5,9 @@ time* and *membership consistency*; the related work (Duarte's
 unreliable-FD diagnosis model, Sens' partial-connectivity detectors, and
 the Chen/Toueg/Aguilera QoS framework they build on) frames detector
 quality as a small set of measurable figures. This module computes those
-figures from a finished run's trace — via the bulk
-:meth:`~repro.sim.trace.TraceRecorder.category_columns` accessor — so
-every backend comparison in the repo can quote them:
+figures from a finished run's trace — one replay of its crash, recover
+and membership-change rows — so every backend comparison in the repo can
+quote them:
 
 * **detection time** — per crash, the distribution of crash-to-
   notification latencies across the surviving observers (first, last,
@@ -25,13 +25,15 @@ every backend comparison in the repo can quote them:
   expected observer, and genuine removals over total removals, under
   join/leave churn.
 
-Ground truth comes from the trace's ``node.crash`` records plus the
-scripted ``leave_times`` / ``join_times`` the caller passes (the trace
-has no join/leave category — intent lives in the scenario script). The
-model is one membership spell per node: initial members are in from
-``start``; a late joiner enters at its join time; a node exits at its
-first crash or scripted leave. That covers the whole scenario catalog;
-crash-recover-rejoin cycles are out of scope and documented as such.
+Ground truth is per *spell* (:mod:`repro.obs.episodes`): the trace's
+``node.crash`` records (or an explicit ``crash_times`` map) plus the
+scripted ``leave_times`` / ``join_times`` the caller passes (the trace has
+no join/leave category — intent lives in the scenario script). Initial
+members are in from the outset; a node that is out enters at a join; a
+crash or leave puts it out. So a node that crashes, is rebooted and
+rejoins is expected during each of its spells, and each of its crashes
+gets its own detection record. Observers are the initial members, each
+until its first exit.
 
 Everything serializes deterministically: :meth:`QoSMetrics.to_dict`
 emits plain data with stable key order and :meth:`QoSMetrics.to_json`
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.episodes import Episodes, Intent
 from repro.sim.clock import ms
 from repro.sim.trace import TraceRecorder
 from repro.util.tables import to_json
@@ -329,9 +332,9 @@ def compute_qos(
     nodes: Sequence[int],
     start: int = 0,
     end: Optional[int] = None,
-    crash_times: Optional[Dict[int, int]] = None,
-    leave_times: Optional[Mapping[int, int]] = None,
-    join_times: Optional[Mapping[int, int]] = None,
+    crash_times: Intent = None,
+    leave_times: Intent = None,
+    join_times: Intent = None,
     segment_of: Optional[Mapping[int, int]] = None,
 ) -> QoSMetrics:
     """Compute the FD QoS figures for one run's observation window.
@@ -340,17 +343,17 @@ def compute_qos(
         trace: the run's trace.
         nodes: the initial full members — the agreed view at ``start``
             (callers pass the bootstrapped membership and a ``start`` at
-            or after convergence).
+            or after convergence). They are the observers.
         start: window start, ticks. Views are assumed to agree on
             ``nodes`` here; membership changes before ``start`` are
             outside the window.
         end: window end, ticks; defaults to the last trace event.
-        crash_times: node -> crash instant; read from the trace's
-            ``node.crash`` records when omitted.
-        leave_times: node -> scripted voluntary-leave instant (ground
+        crash_times: node -> crash instant (or instants, in order); read
+            from the trace's ``node.crash`` records when omitted.
+        leave_times: node -> scripted voluntary-leave instant(s) (ground
             truth the trace cannot carry).
-        join_times: node -> scripted late-join instant; the node becomes
-            an *expected* member from that instant (its admission lag
+        join_times: node -> scripted join instant(s); a node that is out
+            becomes an *expected* member from its join (its admission lag
             counts against ``P_A``, exactly like detection lag does).
         segment_of: node -> segment index, for per-segment detection
             aggregation on bridged topologies.
@@ -358,212 +361,149 @@ def compute_qos(
     Returns:
         The :class:`QoSMetrics` readout.
     """
-    # Imported here: repro.analysis pulls in the CAN layer, whose modules
-    # import the simulator kernel, which imports repro.obs — importing at
-    # module scope would make ``import repro.obs`` circular.
-    from repro.analysis.latency import (
-        crash_notification_times,
-        measured_crash_times,
-    )
-
-    if crash_times is None:
-        crash_times = measured_crash_times(trace)
-    leave_times = dict(leave_times or {})
-    join_times = dict(join_times or {})
-
     initial = sorted(set(nodes))
-    population = sorted(set(initial) | set(join_times))
+    # One replay builds the ledger and each observer's view changes.
+    changes: Dict[int, List[Tuple[int, int, frozenset]]] = {}
 
-    # One membership spell per node: [in_time, out_time).
-    in_time: Dict[int, int] = {node: start for node in initial}
-    in_time.update(join_times)
-    out_time: Dict[int, int] = {}
-    for node, when in crash_times.items():
-        out_time[node] = min(out_time.get(node, when), when)
-    for node, when in leave_times.items():
-        out_time[node] = min(out_time.get(node, when), when)
+    def view_change(time, category, node, data) -> None:
+        if category == "msh.change" and time > start:
+            changes.setdefault(node, []).append(
+                (time, 1, frozenset(data["active"]))
+            )
 
-    # Pull every in-window membership change once, grouped per observer.
-    times, record_nodes, payloads = trace.category_columns("msh.change")
-    if end is None:
-        end = max(
-            [start]
-            + [times[-1]] * (1 if len(times) else 0)
-            + list(crash_times.values())
-        )
-    changes: Dict[int, List[Tuple[int, frozenset]]] = {}
-    for index in range(len(times)):
-        time = times[index]
-        if time <= start or time > end:
-            continue
-        observer = record_nodes[index]
-        active = payloads[index]["active"]
-        changes.setdefault(observer, []).append((time, frozenset(active)))
-
-    observers = list(initial)
-    horizon: Dict[int, int] = {
-        node: min(end, out_time.get(node, end)) for node in observers
-    }
-
-    def expected_at(subject: int, time: int) -> bool:
-        entered = in_time.get(subject)
-        if entered is None or time < entered:
-            return False
-        exited = out_time.get(subject)
-        return exited is None or time < exited
-
-    # Ground-truth transition instants inside the window, for the P_A sweep.
-    truth_events = sorted(
-        {
-            when
-            for when in list(in_time.values()) + list(out_time.values())
-            if start < when < end
-        }
+    episodes = Episodes.of(
+        trace, view_change, members=initial, joins=join_times,
+        leaves=leave_times, crashes=crash_times,
     )
+    if end is None:
+        end = max(start, trace.last_time)
 
-    agreement_ticks = 0
-    total_ticks = 0
-    observer_ticks = 0
-    removals = 0
-    flaps = 0
-    mistakes: List[Mistake] = []
-    mistake_horizons: List[int] = []
+    spells = episodes.spells()
+    population = sorted(spells)
 
-    population_size = len(population)
-    initial_view = frozenset(initial)
+    def spell_at(subject: int, time: int) -> Optional[List[Optional[int]]]:
+        """The subject's spell covering ``time``: it is expected then."""
+        for spell in spells.get(subject, ()):
+            if (spell[0] is None or spell[0] <= time) and (
+                spell[1] is None or time < spell[1]
+            ):
+                return spell
+        return None
 
-    for observer in observers:
+    def truth_at(time: int) -> frozenset:
+        return frozenset(node for node in population if spell_at(node, time))
+
+    # The observers are the initial members, each until its first exit.
+    horizon = {
+        node: end if spells[node][0][1] is None else min(end, spells[node][0][1])
+        for node in initial
+    }
+    # The ground truth at the window start and after each transition in it.
+    first_truth = truth_at(start)
+    truths = [
+        (when, 0, truth_at(when))
+        for when in sorted(
+            {
+                when
+                for node_spells in spells.values()
+                for spell in node_spells
+                for when in spell
+                if when is not None and start < when < end
+            }
+        )
+    ]
+
+    agreement_ticks = total_ticks = observer_ticks = removals = flaps = 0
+    found: List[Tuple[Mistake, int]] = []  # each mistake and its horizon
+    size = len(population)
+    for observer in initial:
         stop = horizon[observer]
         if stop <= start:
             continue
         observer_ticks += stop - start
-        total_ticks += (stop - start) * population_size
-
-        view_changes = changes.get(observer, [])
+        total_ticks += (stop - start) * size
         # Merge view changes and truth transitions into one time-ordered
         # sweep; between events both the view and the truth are constant,
         # so the disagreement integral is exact integer arithmetic.
-        view = initial_view
-        truth = frozenset(
-            node for node in population if expected_at(node, start)
-        )
+        events = [truth for truth in truths if truth[0] < stop] + [
+            change for change in changes.get(observer, ()) if change[0] <= stop
+        ]
+        events.sort(key=lambda event: event[:2])
+        view = frozenset(initial)
+        truth = first_truth
         previous = start
         wrong = len(view ^ truth)
         open_mistakes: Dict[int, Mistake] = {}
         removed_ever: set = set()
-        events: List[Tuple[int, int, object]] = [
-            (time, 0, None) for time in truth_events if time < stop
-        ] + [
-            (time, 1, new_view)
-            for time, new_view in view_changes
-            if time <= stop
-        ]
-        events.sort(key=lambda event: (event[0], event[1]))
         for time, kind, new_view in events:
-            agreement_ticks += (time - previous) * (population_size - wrong)
+            agreement_ticks += (time - previous) * (size - wrong)
             previous = time
             if kind == 0:
-                truth = frozenset(
-                    node for node in population if expected_at(node, time)
-                )
+                truth = new_view
             else:
-                removed = view - new_view
-                added = new_view - view
-                for subject in sorted(removed):
+                for subject in sorted(view - new_view):
                     removals += 1
                     removed_ever.add(subject)
-                    if expected_at(subject, time) and subject not in (
-                        open_mistakes
-                    ):
-                        open_mistakes[subject] = Mistake(
-                            observer=observer,
-                            subject=subject,
-                            start=time,
-                            end=None,
-                        )
-                for subject in sorted(added):
-                    if subject in removed_ever:
-                        flaps += 1
+                    if spell_at(subject, time) and subject not in open_mistakes:
+                        open_mistakes[subject] = Mistake(observer, subject, time, None)
+                for subject in sorted(new_view - view):
+                    flaps += subject in removed_ever
                     opened = open_mistakes.pop(subject, None)
                     if opened is not None:
-                        mistakes.append(
-                            Mistake(
-                                observer=opened.observer,
-                                subject=opened.subject,
-                                start=opened.start,
-                                end=time,
-                            )
-                        )
-                        mistake_horizons.append(stop)
+                        refuted = Mistake(observer, subject, opened.start, time)
+                        found.append((refuted, stop))
                 view = new_view
             wrong = len(view ^ truth)
-        agreement_ticks += (stop - previous) * (population_size - wrong)
+        agreement_ticks += (stop - previous) * (size - wrong)
         for subject in sorted(open_mistakes):
             opened = open_mistakes[subject]
-            mistakes.append(opened)
-            # An unrefuted mistake stops standing when the subject
-            # genuinely exits, or at the observer's horizon.
-            mistake_horizons.append(min(stop, out_time.get(subject, stop)))
+            # An unrefuted mistake stops standing when the subject's spell
+            # genuinely ends, or at the observer's horizon.
+            exited = spell_at(subject, opened.start)[1]
+            found.append((opened, stop if exited is None else min(stop, exited)))
 
-    # Detection distributions, via the shared crash-event extraction.
-    window_crashes = {
-        node: when
-        for node, when in crash_times.items()
-        if start <= when <= end
-    }
-    notifications = crash_notification_times(trace, window_crashes)
+    # One detection record per crash in the window. Completeness quantifies
+    # over *correct* observers: one that itself crashes or leaves before
+    # the window ends need not have learned of anyone.
+    correct = [observer for observer in initial if horizon[observer] == end]
     crashes: List[CrashDetection] = []
     segment_latencies: Dict[int, List[int]] = {}
-    for node in sorted(window_crashes):
-        crashed_at = window_crashes[node]
-        # Completeness quantifies over *correct* observers: a node that
-        # itself crashes or leaves before the window ends is not required
-        # to have learned of anyone (it may have had no time to).
-        expected = [
-            observer
-            for observer in observers
-            if observer != node
-            and horizon[observer] > crashed_at
-            and out_time.get(observer, end) >= end
-        ]
+    in_window = [
+        crash
+        for node in sorted(episodes.crashes)
+        for crash in episodes.crashes[node]
+        if start <= crash.time <= end
+    ]
+    for crash in in_window:
+        expected = [o for o in correct if o != crash.node and crash.time < end]
         latencies = []
         for observer in expected:
-            notified_at = notifications.get(node, {}).get(observer)
-            if notified_at is None or notified_at > horizon[observer]:
+            notified_at = crash.notified.get(observer)
+            if notified_at is None or notified_at > end:
                 continue
-            latency = notified_at - crashed_at
-            latencies.append(latency)
-            if segment_of is not None:
-                segment = segment_of.get(observer)
-                if segment is not None:
-                    segment_latencies.setdefault(segment, []).append(latency)
-        crashes.append(
-            CrashDetection(
-                node=node,
-                crash_time=crashed_at,
-                expected=len(expected),
-                latencies=tuple(sorted(latencies)),
-            )
-        )
+            latencies.append(notified_at - crash.time)
+            if segment_of is not None and observer in segment_of:
+                segment_latencies.setdefault(segment_of[observer], []).append(
+                    latencies[-1]
+                )
+        crashes.append(CrashDetection(
+            crash.node, crash.time, len(expected), tuple(sorted(latencies))
+        ))
 
-    order = sorted(
-        range(len(mistakes)),
-        key=lambda i: (mistakes[i].start, mistakes[i].observer,
-                       mistakes[i].subject),
-    )
+    found.sort(key=lambda pair: (pair[0].start, pair[0].observer, pair[0].subject))
     return QoSMetrics(
         start=start,
         end=end,
         population=tuple(population),
-        observers=tuple(observers),
+        observers=tuple(initial),
         crashes=tuple(crashes),
-        mistakes=tuple(mistakes[i] for i in order),
+        mistakes=tuple(mistake for mistake, _ in found),
         removals=removals,
         flaps=flaps,
         agreement_ticks=agreement_ticks,
         total_ticks=total_ticks,
         observer_ticks=observer_ticks,
-        mistake_horizons=tuple(mistake_horizons[i] for i in order),
+        mistake_horizons=tuple(horizon for _, horizon in found),
         segment_latencies={
             segment: tuple(sorted(values))
             for segment, values in segment_latencies.items()

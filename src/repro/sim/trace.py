@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import json
 from array import array
-from itertools import islice
+from itertools import chain, islice
 from typing import (
     Any,
     Callable,
@@ -535,6 +535,19 @@ class TraceRecorder:
             array("i", (nodes[row] for row in rows)),
             [payloads[row] for row in rows],
         )
+
+    def rows(
+        self, categories: Collection[str]
+    ) -> Iterator[Tuple[int, str, int, Dict[str, Any]]]:
+        """``(time, category, node, data)`` of every row of ``categories``,
+        in insertion order, read off the columns like
+        :meth:`category_columns`: no :class:`TraceRecord` materializes."""
+        by_cat = self._by_cat.refresh()
+        runs = [by_cat.get(self._cat_of.get(name), ()) for name in categories]
+        names, times, cats = self._cat_names, self._times, self._cats
+        nodes, payloads = self._nodes, self._payloads
+        for row in sorted(chain.from_iterable(runs)):
+            yield times[row], names[cats[row]], nodes[row], payloads[row]
 
     # -- export ------------------------------------------------------------------
 

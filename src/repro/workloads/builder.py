@@ -35,11 +35,11 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from repro.analysis.latency import measured_detection_latencies
 from repro.can.errormodel import FaultKind
 from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageType
 from repro.errors import ScenarioError
+from repro.obs.episodes import Episodes
 from repro.obs.qos import QoSMetrics, compute_qos
 from repro.workloads.adversary import BabblingIdiot
 
@@ -412,42 +412,39 @@ class ScenarioBuilder:
 
     # -- readouts: every figure and verdict of the run, on demand --------------
 
-    def scripted(self, action: str) -> Dict[int, int]:
-        """node -> earliest scripted instant of ``action`` (``"crash"``,
+    def scripted(self, action: str) -> Dict[int, List[int]]:
+        """node -> every scripted instant of ``action`` (``"crash"``,
         ``"leave"`` or ``"join"``), in instant order."""
-        return self._first_instants().get(action, {})
-
-    def _first_instants(self) -> Dict[str, Dict[int, int]]:
-        """action -> :meth:`scripted` ``(action)``, in one pass."""
-        times: Dict[str, Dict[int, int]] = {}
+        times: Dict[int, List[int]] = {}
         for when, kind, node in sorted(self.intent, key=itemgetter(0)):
-            times.setdefault(kind, {}).setdefault(node, when)
+            if kind == action:
+                times.setdefault(node, []).append(when)
         return times
 
     def qos(self) -> QoSMetrics:
         """The FD-QoS readout of the window from :attr:`start` to now,
-        judged against the recorded truth. Crashes are read from the
-        trace's ``node.crash`` records: every scripted crash that fired
+        judged per spell against the recorded truth. Crashes are read from
+        the trace's ``node.crash`` records: every scripted crash that fired
         is there, and so are the ones nobody scheduled (sender-crash
         omissions)."""
         net = self._net
-        scripted = self._first_instants()
         return compute_qos(
             net.sim.trace,
             nodes=self.members,
             start=self.start,
             end=net.sim.now,
-            leave_times=scripted.get("leave", {}),
-            join_times=scripted.get("join", {}),
+            leave_times=self.scripted("leave"),
+            join_times=self.scripted("join"),
             segment_of=net.segment_map,
         )
 
-    def detection_latencies(self) -> Dict[int, Optional[int]]:
+    def detection_latencies(self) -> Dict[int, List[Optional[int]]]:
         """Crash-to-first-notification latency of every scripted crash, in
-        ticks; ``None`` for a crash no view change ever reported."""
-        return measured_detection_latencies(
-            self._net.sim.trace, self.scripted("crash")
-        )
+        ticks, per node in crash order; ``None`` for a crash no view change
+        ever reported."""
+        return Episodes.of(
+            self._net.sim.trace, crashes=self.scripted("crash")
+        ).latencies()
 
     def final_state(self) -> FinalState:
         """Judge the finished run: agreement among the correct full members

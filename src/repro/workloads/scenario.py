@@ -37,6 +37,7 @@ from repro.can.errormodel import FaultInjector
 from repro.can.identifiers import MessageType
 from repro.core.config import CanelyConfig
 from repro.errors import ConfigurationError, ScenarioError
+from repro.obs.episodes import one_or_all
 from repro.obs.monitors import InvariantViolation
 from repro.sim.clock import MS, ms
 from repro.sim.rng import RngStreams
@@ -588,10 +589,10 @@ class Result:
         report = {
             "final_view": final.members,
             "views_agree": final.agree,
-            "crash_latencies_ms": {
-                node: None if latency is None else latency / MS
-                for node, latency in self.builder.detection_latencies().items()
-            },
+            "crash_latencies_ms": one_or_all({
+                node: [None if ticks is None else ticks / MS for ticks in spells]
+                for node, spells in self.builder.detection_latencies().items()
+            }),
             "bus_utilization": round(
                 sum(bus.utilization() for bus in buses) / len(buses), 6
             ),
@@ -767,6 +768,11 @@ def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
 _DURATIONS = ("tm", "thb", "ttd", "trha", "tjoin_wait", "reference_window",
               "reintegration_cooldown")
 _SCRIPT_ACTIONS = TIMED_ACTIONS + (ACTION_INACCESSIBILITY, ACTION_FAIL_CHANNEL)
+#: The keys a script, an ``events`` and a ``traffic`` entry may carry.
+_SCRIPT_KEYS = ("nodes", "config", "traffic", "events", "duration_ms",
+                "backend", "segments", "channels")
+_EVENT_KEYS = ("at_ms", "action", "node", "recover", "bits", "channel")
+_TRAFFIC_KEYS = ("node", "period_ms")
 
 
 def load_script(raw: Any) -> Scenario:
@@ -802,6 +808,7 @@ def load_script(raw: Any) -> Scenario:
         raise ConfigurationError(
             f"a scenario is a JSON object, not {type(raw).__name__}"
         )
+    _known(raw, _SCRIPT_KEYS, "scenario")
     nodes = raw.get("nodes")
     if type(nodes) is not int or nodes < 1:
         raise ConfigurationError(f"invalid node count: {nodes!r}")
@@ -825,7 +832,7 @@ def load_script(raw: Any) -> Scenario:
         else:
             extras[name] = getattr(config, name)
     events = []
-    for entry in _entries(raw, "events"):
+    for entry in _entries(raw, "events", _EVENT_KEYS):
         kind = entry.get("action")
         if kind not in _SCRIPT_ACTIONS:
             raise ConfigurationError(
@@ -855,7 +862,7 @@ def load_script(raw: Any) -> Scenario:
         channels=raw.get("channels", 1),
         traffic=[
             (entry.get("node"), entry.get("period_ms"))
-            for entry in _entries(raw, "traffic")
+            for entry in _entries(raw, "traffic", _TRAFFIC_KEYS)
         ],
         settle_cycles=4.0,
         **extras,
@@ -865,11 +872,25 @@ def load_script(raw: Any) -> Scenario:
     )
 
 
-def _entries(raw: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
-    """``raw[key]`` as a list of JSON objects (empty when absent)."""
+def _entries(
+    raw: Dict[str, Any], key: str, known: Tuple[str, ...]
+) -> List[Dict[str, Any]]:
+    """``raw[key]`` as a list of JSON objects of ``known`` keys (empty when
+    absent)."""
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(
         isinstance(entry, dict) for entry in entries
     ):
         raise ConfigurationError(f"{key!r} must be a list of objects: {entries!r}")
+    for entry in entries:
+        _known(entry, known, f"{key!r} entry")
     return entries
+
+
+def _known(raw: Dict[str, Any], known: Tuple[str, ...], what: str) -> None:
+    """Refuse the keys of ``raw`` outside ``known``, naming them."""
+    unknown = sorted(map(str, set(raw) - set(known)))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} key(s) {unknown}; expected some of {list(known)}"
+        )

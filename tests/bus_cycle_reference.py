@@ -111,7 +111,7 @@ def complete(bus):
     bus.stats.busy_bits += bits
     bus.stats.bits_by_type[type_name] = bus.stats.bits_by_type.get(type_name, 0) + bits
     metrics.counter("bus.busy_bits").inc(bits)
-    metrics.gauge("bus.utilization").set(bus.utilization())
+    bus._m_utilization.set(bus.utilization())
     sim.trace.record(
         sim.now,
         "bus.tx",

@@ -8,7 +8,9 @@ its category (``InvariantMonitor.categories``), and view agreement keeps a
 node -> peers index. Routing must change no verdict: inside ``with
 every_row_monitors():`` the recorder's sinks and the monitors run the code
 below, which is the old code, the route table unused
-(``tests/properties/test_monitor_routing_properties.py``).
+(``tests/properties/test_monitor_routing_properties.py``). The phantom
+and latency monitors here keep their own crash state, as they did before
+the crash ledger (``repro.obs.episodes``) took it over.
 """
 
 from contextlib import contextmanager
@@ -135,16 +137,17 @@ def view_agreement(self, record):
 
 def phantom_removal(self, record):
     self.records_seen += 1
+    crashed = self.__dict__.setdefault("_crashed", set())
     category = record.category
     if category == "node.crash":
-        self._crashed.add(record.node)
+        crashed.add(record.node)
     elif category == "node.recover":
-        self._crashed.discard(record.node)
+        crashed.discard(record.node)
     elif category == "msh.change":
         for failed in record.data["failed"]:
             if failed == record.node:
                 continue
-            if failed not in self._crashed:
+            if failed not in crashed:
                 self.fail(
                     f"node {record.node} was notified at "
                     f"{format_time(record.time)} that node {failed} "
@@ -156,15 +159,16 @@ def phantom_removal(self, record):
 
 def detection_latency(self, record):
     self.records_seen += 1
+    crash_times = self.__dict__.setdefault("_crash_times", {})
     if record.category == "msh.view":
         self._members_ever.update(record.data["members"])
     elif record.category == "node.crash":
-        self._crash_times.setdefault(record.node, record.time)
+        crash_times.setdefault(record.node, record.time)
     elif record.category == "node.recover":
-        self._crash_times.pop(record.node, None)
+        crash_times.pop(record.node, None)
     elif record.category == self._row:
         failed = record.data["failed"]
-        crashed_at = self._crash_times.get(failed)
+        crashed_at = crash_times.get(failed)
         if crashed_at is None or failed not in self._members_ever:
             return
         latency = record.time - crashed_at

@@ -114,6 +114,9 @@ def assert_matches_model(trace, model):
             assert list(times) == [row[0] for row in want]
             assert list(nodes) == [row[2] for row in want]
             assert payloads == [row[3] for row in want]
+    for pair in (("node.crash", "msh.view"), ("fda.nty", "missing")):
+        want = [row for row in model if row[1] in pair]
+        assert list(trace.rows(pair)) == want
     for node in range(-1, 5):
         assert as_rows(trace.select(node=node)) == model_select(model, node=node)
         assert as_rows(trace.select(category="bus.", node=node)) == model_select(

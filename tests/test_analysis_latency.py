@@ -60,40 +60,6 @@ def test_bounds_cover_measured_latency():
     assert measured <= bounds.notification
 
 
-def test_crash_notification_times_one_change_feeds_every_victim():
-    """Two crashes folded into one membership cycle: the single
-    ``msh.change`` naming both must be attributed to each of them, per
-    observer, and notifications predating a crash must be ignored."""
-    from repro.analysis.latency import (
-        crash_notification_times,
-        measured_detection_latencies,
-    )
-    from repro.sim.trace import TraceRecorder
-
-    trace = TraceRecorder()
-    # A stale change naming node 1 before it actually crashed.
-    trace.record(
-        50, "msh.change", node=0,
-        active=frozenset({0, 3}), failed=frozenset({1}),
-    )
-    # One cycle removes both victims, seen by two observers.
-    trace.record(
-        140, "msh.change", node=0,
-        active=frozenset({0, 3}), failed=frozenset({1, 2}),
-    )
-    trace.record(
-        160, "msh.change", node=3,
-        active=frozenset({0, 3}), failed=frozenset({1, 2}),
-    )
-    notifications = crash_notification_times(trace, {1: 100, 2: 120})
-    assert notifications == {
-        1: {0: 140, 3: 160},
-        2: {0: 140, 3: 160},
-    }
-    latencies = measured_detection_latencies(trace, {1: 100, 2: 120})
-    assert latencies == {1: 40, 2: 20}
-
-
 def test_measured_detection_latencies_none_when_never_notified():
     from repro.analysis.latency import measured_detection_latencies
     from repro.sim.trace import TraceRecorder

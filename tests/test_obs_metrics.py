@@ -192,3 +192,28 @@ def test_iteration_is_sorted_and_clear_forgets():
     assert [key for key, _ in registry] == ["a", "b"]
     registry.clear()
     assert "a" not in registry
+
+
+def test_each_bus_reports_its_own_utilization():
+    """One gauge per bus: on two segments each is labelled with its
+    segment and divides that bus's busy time by the instant of its own last
+    completion; a single bus keeps the unlabelled key."""
+    from repro.core.stack import CanelyNetwork
+    from repro.sim.clock import ms
+
+    net = CanelyNetwork(node_count=6, segments=2)
+    net.scenario().bootstrap()
+    net.run_for(ms(100))
+    snapshot = net.sim.metrics.snapshot()
+    assert "bus.utilization" not in snapshot
+    for index, bus in enumerate(net.buses):
+        gauge = snapshot[f"bus.utilization{{bus={index}}}"]
+        assert gauge == pytest.approx(bus.utilization(), rel=0.01)
+        last_completion = bus.stats.busy_bits * bus.timing.bit_time / gauge
+        assert net.sim.now - net.config.thb < last_completion <= net.sim.now
+
+    single = CanelyNetwork(node_count=3)
+    single.join_all()
+    single.run_for(ms(10))
+    keys = [key for key in single.sim.metrics.snapshot() if "utilization" in key]
+    assert keys == ["bus.utilization"]

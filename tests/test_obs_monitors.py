@@ -252,3 +252,17 @@ def test_scenario_runner_attaches_monitors():
     # The detection-latency monitor observed the crash.
     assert "fd.detection_latency_ticks{node=2}" in result.network.sim.metrics.snapshot()
     assert result.report()["views_agree"]
+
+
+def test_detach_takes_the_monitors_own_ledger_along():
+    """A phantom-removal monitor attaches its own crash ledger and detaches
+    it with itself: afterwards a crash row changes nothing."""
+    from repro.obs.monitors import PhantomRemovalMonitor
+
+    trace = TraceRecorder()
+    monitor = PhantomRemovalMonitor().attach(trace)
+    trace.record(10, "node.crash", node=1)
+    assert monitor.episodes.down == {1: 10}
+    monitor.detach()
+    trace.record(20, "node.crash", node=2)
+    assert monitor.episodes.down == {1: 10}

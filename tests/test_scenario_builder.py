@@ -154,8 +154,8 @@ def test_builder_records_the_truth_it_scripts():
         (start + ms(20), "leave", 1),
         (start + ms(60), "join", 5),
     ]
-    assert scenario.scripted("crash") == {3: start + ms(40)}
-    assert scenario.scripted("leave") == {1: start + ms(20)}
+    assert scenario.scripted("crash") == {3: [start + ms(40)]}
+    assert scenario.scripted("leave") == {1: [start + ms(20)]}
     assert net.node(0).crashed
     final = scenario.final_state()
     assert final.ok and final.detail == ""

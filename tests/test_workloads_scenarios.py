@@ -1,5 +1,6 @@
 """Unit tests for the trace latency queries of :mod:`repro.analysis.latency`
-on builder-driven networks, and the typed bootstrap failure.
+and the crash ledger (:mod:`repro.obs.episodes`) on builder-driven
+networks, and the typed bootstrap failure.
 """
 
 import pytest
@@ -8,10 +9,8 @@ from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.errors import ReproError, ScenarioError
 from repro.sim.clock import ms
-from repro.analysis.latency import (
-    crash_notification_times,
-    measured_detection_latencies,
-)
+from repro.analysis.latency import measured_detection_latencies
+from repro.obs.episodes import Episodes
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), tjoin_wait=ms(150))
 
@@ -51,15 +50,18 @@ def test_first_change_with_failed():
     crash_at = net.sim.now
     net.node(1).crash()
     net.run_for(ms(200))
-    notified = crash_notification_times(net.sim.trace, {1: crash_at})[1]
-    assert set(notified) == {0, 2}
-    assert min(notified.values()) >= crash_at
+    [crash] = Episodes.of(net.sim.trace, crashes={1: crash_at}).crashes[1]
+    assert set(crash.notified) == {0, 2}
+    assert min(crash.notified.values()) >= crash_at
+    # The recorded crash row gives the same ledger entry.
+    assert Episodes.of(net.sim.trace).crashes[1] == [crash]
 
 
 def test_first_change_with_failed_none_when_absent():
     net = CanelyNetwork(node_count=3, config=CONFIG)
     net.scenario().bootstrap()
-    assert crash_notification_times(net.sim.trace, {2: 0}) == {2: {}}
+    [crash] = Episodes.of(net.sim.trace, crashes={2: 0}).crashes[2]
+    assert crash.notified == {} and crash.latency is None
 
 
 def test_detection_latencies():

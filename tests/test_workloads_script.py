@@ -75,11 +75,27 @@ def test_validation_errors():
         {"nodes": 3, "config": {"tm_ms": "fast"}},
         {"nodes": 3, "events": [
             {"at_ms": 1, "action": "inaccessibility", "bits": "many"}]},
+        # Unknown keys: a misspelt or unsupported one would be dropped.
+        {"nodes": 4, "segments": 2, "gateway_latency_ms": 5, "duration": 50},
+        {"nodes": 3, "traffic": [{"node": 0, "period_ms": 5, "offset_ms": 2}]},
+        {"nodes": 3, "events": [
+            {"at_ms": 1, "action": "crash", "node": 1, "when_ms": 2}]},
     ],
 )
 def test_every_shape_error_is_a_configuration_error(raw):
     with pytest.raises(ConfigurationError):
         load_script(raw)
+
+
+def test_an_unknown_key_is_named():
+    with pytest.raises(ConfigurationError, match="'duration', 'gateway_latency_ms'"):
+        load_script({"nodes": 4, "gateway_latency_ms": 5, "duration": 50})
+    with pytest.raises(ConfigurationError, match="'traffic' entry key.*'offset_ms'"):
+        load_script({"nodes": 3, "traffic": [
+            {"node": 0, "period_ms": 5, "offset_ms": 2}]})
+    with pytest.raises(ConfigurationError, match="'events' entry key.*'when_ms'"):
+        load_script({"nodes": 3, "events": [
+            {"at_ms": 1, "action": "crash", "node": 1, "when_ms": 2}]})
 
 
 def test_torn_json_is_a_configuration_error():

@@ -72,6 +72,7 @@ CLI_COMMANDS = (
     "compare --nodes 12 --segments 2 --seed 0",
     "compare --seed 0 --format json",
     "run examples/scenarios/crash_and_rejoin.json",
+    "run examples/scenarios/crash_rejoin_crash.json",
     "run {tmp}/swim-scenario.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
     "trace --scenario {tmp}/swim-scenario.json --export {tmp}/trace.jsonl",
