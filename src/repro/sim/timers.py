@@ -24,7 +24,10 @@ mechanism:
   a tuple heard the same frame. It *is* "each listener in turn"; when the
   same tuple last formed this subject's groups and nothing touched them
   since, each such group is re-used and its one event deferred in place —
-  every frame of a fault-free run.
+  every frame of a fault-free run. A client whose per-node upcalls do more
+  than re-arm (SWIM's ``_on_swim``) runs them through
+  :meth:`SurveillanceTable.each` and hands the clocks they re-armed to
+  :meth:`SurveillanceTable.settle`, so that pass forms the memo too.
 
 Groups split exactly when observers diverge (an inconsistent omission, a
 watch that started later, a different drift) and re-merge on the next frame
@@ -418,21 +421,50 @@ class SurveillanceTable:
                     )
             else:
                 return
+        self.settle(mid.node, listeners, self.each(listeners, mid))
+
+    def each(self, listeners: tuple, *args) -> Dict[_Group, int]:
+        """``for listener in listeners: listener(*args)`` — a per-listener
+        pass — returning the groups it put watches in, with how many each:
+        what :meth:`settle` reads."""
         self._joined = joined = {}
         try:
             for listener in listeners:
-                listener(mid)
+                listener(*args)
         finally:
             self._joined = None
-        # The memo holds when the groups this pass put watches in hold
-        # nothing else: then they contain exactly the watches the same
-        # tuple reaches, each waiting for the same duration.
-        if all(len(group.members) == count for group, count in joined.items()):
-            now = self._sim._now
-            for group in joined:
-                group.duration = group.deadline - now
-                group.member_ids = None
-            subject.settled = (listeners, list(joined))
+        return joined
+
+    def settle(self, node: int, clocks: tuple, joined: Dict[_Group, int]) -> None:
+        """Memoize the pass ``joined`` recorded (:meth:`each`) as
+        :meth:`heard` of ``node`` by ``clocks``, if it is.
+
+        The caller vouches that each of ``clocks`` re-arms one watch on
+        ``node``, which the pass armed in ``clocks`` order. The memo holds
+        when the groups the pass put watches in are ``node``'s, open (not
+        fenced off, not fired), hold nothing else and no watch twice: then
+        they hold exactly the watches ``clocks`` reach, in that order, each
+        waiting for the same duration."""
+        subject = self._subjects.get(node)
+        if subject is None:
+            return
+        armed = 0
+        for group, count in joined.items():
+            if (
+                group.subject is not subject
+                or len(group.members) != count
+                or group.event is None
+                or subject.groups.get(group.deadline) is not group
+            ):
+                return
+            armed += count
+        if armed > len(clocks):
+            return
+        now = self._sim._now
+        for group in joined:
+            group.duration = group.deadline - now
+            group.member_ids = None
+        subject.settled = (clocks, list(joined))
 
 
 class Watcher:

@@ -39,7 +39,11 @@ members that heard the same frame from *s*. The receive path has the
 detector's two entry widths: :meth:`SwimProtocol._on_swim` is the
 one-receiver entry and the only statement of the protocol;
 :class:`SwimHearing`, its collective form, answers a frame for all receivers
-at once when it can show that they would all do the same.
+at once when it can show that they would all do the same: a heartbeat from
+a member all hold alive, or an echoed SUSPECT or CONFIRM that is moot at
+each. Only a join, the first SUSPECT or CONFIRM about a subject and the
+first heartbeat after the receivers changed are heard node by node, and
+such a pass leaves the table settled on the receivers' clocks.
 
 Trace/metric surface shared with CANELy: ``msh.view`` / ``msh.change``
 records and the ``msh.change_notifications`` counter (analysis reads
@@ -100,52 +104,74 @@ class SwimHearing:
     The collective form of :meth:`SwimProtocol._on_swim` (:mod:`repro.can.driver`):
     called once per SWIM frame with the ``_on_swim`` of every receiver.
     Calling each in turn is always right, and is what a *miss* does. But a
-    heartbeat from a member every receiver holds ALIVE at the incarnation on
-    the wire only restarts the sender's silence clock at each, and that is
-    one :meth:`SurveillanceTable.heard`. A memo says when this is so: per
-    sender and per tuple of listeners (a bridged frame reaches another tuple
-    on each segment), ``(listeners, incarnation, clocks)`` asserts that every
-    listener either hears the sender to no effect (not joined, or the sender
-    itself) or holds it ALIVE at ``incarnation`` under a watch — ``clocks``
-    are those listeners' :meth:`SwimProtocol._heard`.
+    frame that only restarts the sender's silence clock at every receiver is
+    one :meth:`SurveillanceTable.heard`. Per sender and per tuple of
+    listeners (a bridged frame reaches another tuple on each segment), a memo
+    ``(listeners, incarnation, clocks)`` asserts that every listener either
+    hears the sender to no effect (not joined, or the sender itself) or holds
+    it ALIVE at ``incarnation`` under a watch — ``clocks`` are those
+    listeners' :meth:`SwimProtocol._heard`. That answers a heartbeat at
+    ``incarnation``. Per subject and tuple, ``(listeners, kind)`` asserts
+    that a ``kind`` frame about the subject is moot at every listener
+    (:meth:`SwimProtocol._moot`; a moot CONFIRM implies a moot SUSPECT). With
+    the sender's memo that answers the echoes of one crash, unless the
+    payload, the subject's incarnation, exceeds ``incarnation``: ``_on_swim``
+    raises the sender's recorded incarnation to it.
 
     This object decides only *whether* everyone may be answered at once;
     what the answer is stays with ``_on_swim``. A memo is formed by looking,
-    after a miss, and dropped (:meth:`forget`) by whatever takes a listener
-    *out of* the state it asserts: a member suspected, removed or at a new
-    incarnation drops its sender's memos, a node joining or halting all.
+    after a miss, which also settles the table on ``clocks``
+    (:meth:`SurveillanceTable.settle`). It is dropped (:meth:`forget`) by
+    whatever takes a listener *out of* the state it asserts: a member
+    suspected, removed, at a new incarnation, admitted or cleared of a
+    suspicion drops the memos about it, a node joining or halting all.
     """
 
-    #: Memos kept per sender: one per segment, and per recent set of the down.
-    _MEMOS_PER_SENDER = 4
+    #: Memos kept per node: one per segment, and per recent set of the down.
+    _MEMOS_PER_NODE = 4
 
     def __init__(self, sim: Simulator) -> None:
         self._table = SurveillanceTable.of(sim)
         #: sender -> [(listeners, incarnation, clocks), ...]
         self._memos: Dict[int, list] = {}
+        #: subject -> [(listeners, kind), ...]
+        self._moot: Dict[int, list] = {}
 
     def __call__(self, mid: MessageId, data: bytes, listeners: tuple) -> None:
         sender = mid.node
+        kind, subject, incarnation = _decode(mid, data)
         for memo in self._memos.get(sender, ()):
             if memo[0] is listeners:
-                kind, _, incarnation = _decode(mid, data)
-                if kind == HEARTBEAT and incarnation == memo[1]:
+                if kind == HEARTBEAT:
+                    hit = incarnation == memo[1]
+                else:
+                    moot = self._moot.get(subject, ())
+                    hit = (
+                        (listeners, kind) in moot
+                        or kind == SUSPECT and (listeners, CONFIRM) in moot
+                    ) and (memo[1] is None or incarnation <= memo[1])
+                if hit:
                     self._table.heard(mid, memo[2])
                     return
                 break
-        for listener in listeners:
-            listener(mid, data)
-        self._settle(sender, listeners)
+        self._settle(sender, listeners, self._table.each(listeners, mid, data))
+        if (kind == SUSPECT or kind == CONFIRM) and all(
+            listener.__self__._moot(kind, subject) for listener in listeners
+        ):
+            self._remember(self._moot, subject, (listeners, kind))
 
-    def forget(self, sender: Optional[int] = None) -> None:
-        """Drop the memos about ``sender`` (default: about everybody)."""
-        if sender is None:
+    def forget(self, node: Optional[int] = None) -> None:
+        """Drop the memos about ``node`` (default: about everybody)."""
+        if node is None:
             self._memos.clear()
+            self._moot.clear()
         else:
-            self._memos.pop(sender, None)
+            self._memos.pop(node, None)
+            self._moot.pop(node, None)
 
-    def _settle(self, sender: int, listeners: tuple) -> None:
-        """Memoize that ``listeners`` agree on ``sender``, if they do."""
+    def _settle(self, sender: int, listeners: tuple, joined: dict) -> None:
+        """Memoize that ``listeners`` agree on ``sender``, if they do, and
+        settle the table on the pass ``joined`` recorded."""
         clocks = []
         incarnation = None
         for listener in listeners:
@@ -160,11 +186,15 @@ class SwimHearing:
             elif member.incarnation != incarnation:
                 return
             clocks.append(protocol._heard)
-        memos = [
-            memo for memo in self._memos.get(sender, ()) if memo[0] is not listeners
-        ]
-        memos.append((listeners, incarnation, tuple(clocks)))
-        self._memos[sender] = memos[-self._MEMOS_PER_SENDER:]
+        clocks = tuple(clocks)
+        self._remember(self._memos, sender, (listeners, incarnation, clocks))
+        self._table.settle(sender, clocks, joined)
+
+    def _remember(self, memos: dict, node: int, memo: tuple) -> None:
+        """Keep ``memo`` about ``node``, in place of one for its listeners."""
+        kept = [old for old in memos.get(node, ()) if old[0] is not memo[0]]
+        kept.append(memo)
+        memos[node] = kept[-self._MEMOS_PER_NODE:]
 
 
 class SwimProtocol:
@@ -374,6 +404,7 @@ class SwimProtocol:
                 if member.status is SUSPECTED:
                     member.status = ALIVE
                     member.suspected_inc = -1
+                    self._hearing.forget(sender)
                     self._timers.cancel_alarm(member.susp_alarm)
                     member.susp_alarm = None
                 self._watcher.watch(sender, self._config.fail_after)
@@ -396,6 +427,7 @@ class SwimProtocol:
         if dead_inc is not None and incarnation <= dead_inc:
             return  # stale traffic from a confirmed-dead incarnation
         self._dead.pop(node_id, None)
+        self._hearing.forget(node_id)
         member = _Member(incarnation)
         self._members[node_id] = member
         self._view = self._view.add(node_id)
@@ -413,6 +445,20 @@ class SwimProtocol:
         member = self._members.get(subject)
         if member is not None:
             self._remove(subject, member.incarnation, failed=False)
+
+    def _moot(self, kind: int, subject: int) -> bool:
+        """Whether a SUSPECT or CONFIRM (``kind``) frame about ``subject``
+        does nothing here beyond restarting its sender's silence clock:
+        this node has not joined, or ``subject`` is another node that it
+        holds absent — or, for a SUSPECT, already suspected. Only a join, a
+        halt, or ``subject`` admitted or cleared of its suspicion here can
+        end that; each tells the hearing (:meth:`SwimHearing.forget`)."""
+        if not self._joined:
+            return True
+        if subject == self._local:
+            return False
+        member = self._members.get(subject)
+        return member is None or (kind == SUSPECT and member.status is SUSPECTED)
 
     def _on_suspect(self, subject: int, incarnation: int) -> None:
         if subject == self._local:

@@ -15,7 +15,8 @@ The SWIM twin: one heartbeat-dominated run at 16 and at 64 nodes. A heartbeat
 from a member everybody holds alive is heard once (``SwimHearing``) and
 restarts one silence clock per group of receivers, so SWIM calls, kernel
 events and — with span tracing on — spans per frame must not grow with the
-population either.
+population either. A crash is heard node by node exactly once per divergence:
+2n^2 - 1 receptions from bootstrap on, and no per-listener table pass after it.
 
 Arbitration under saturating load: every controller keeps frames queued, so
 polling each queue per frame would cost n looks. Popping the ready heap
@@ -45,6 +46,7 @@ from repro.core.failure_detector import FailureDetector
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms
 from repro.sim.kernel import Simulator
+from repro.sim.timers import Watcher
 from repro.sim.trace import record_to_dict
 from repro.swim import protocol as swim_protocol
 from repro.swim.config import SwimConfig
@@ -180,6 +182,44 @@ def test_watching_a_swim_frame_does_not_either(swim_calls):
     # Same kernel events, same trace rows as with nobody watching.
     assert small_run == swim_per_frame_costs(16, swim_calls)[1]
     assert large_run == swim_per_frame_costs(64, swim_calls)[1]
+
+
+#: ``swim-128``'s configuration (``bench/workloads.py``).
+SWIM_128 = SwimConfig(
+    capacity=256, probe_period=ms(40), fail_after=ms(120),
+    suspicion_timeout=ms(80), join_wait=ms(600),
+)
+
+
+@pytest.mark.parametrize("node_count", [16, 64])
+def test_a_swim_divergence_is_heard_node_by_node_once(monkeypatch, node_count):
+    """Exact counts, bootstrap, one crash and 600 ms: every JOIN is heard by
+    all n nodes, and after the crash the first heartbeat of each of the n - 1
+    survivors (the receivers changed) and the first SUSPECT and the first
+    CONFIRM about the crashed node by the n - 1 survivors: 2n^2 - 1 per-node
+    receptions. The echoes of a suspicion or confirmation are heard
+    collectively, and a per-node pass leaves the table settled, so the
+    table's per-listener path never runs after bootstrap."""
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(swim_protocol.SwimProtocol, "_on_swim")
+    counted(Watcher, "heard")  # only the table's per-listener path calls it
+    net = CanelyNetwork(node_count, config=SWIM_128, backend="swim")
+    scenario = net.scenario().bootstrap()
+    calls["heard"] = 0
+    scenario.crash(node_count - 1, at=ms(100)).run_for(ms(600))
+    assert sorted(net.agreed_view()) == list(range(node_count - 1))
+    assert calls["_on_swim"] == 2 * node_count**2 - 1
+    assert calls["heard"] == 0
 
 
 # -- arbitration ---------------------------------------------------------------------

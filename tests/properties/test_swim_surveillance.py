@@ -1,20 +1,22 @@
 """Property: SWIM on the shared table is SWIM on per-pair alarms.
 
 SWIM's ``fail_after`` silence clocks are rows of the simulation's one
-``SurveillanceTable`` and a heartbeat everybody agrees about is answered
-once per frame (``SwimHearing``, the collective form of ``_on_swim``). The
-oracle is the protocol the way it was written first: every receiver upcalled
-for itself (``tests/broadcast_reference.py``), one private alarm per
-(observer, subject) pair (``tests/per_pair_reference.py``). Whatever the
-configuration — explicit durations or ``SwimConfig.from_canely``, whose
-``fail_after == suspicion_timeout`` puts a suspicion alarm on the very tick
-of the silence clocks restarted around it — the drifts, the crashes, leaves
-and rejoins, the omissions and the inaccessibility, the run on plan + table,
-the same with spans on and the oracle must leave byte-identical trace rows,
-views and bus accounting; the first two also the same number of kernel
-events (the oracle fires expiries per pair, not per group).
+``SurveillanceTable``, and a heartbeat everybody agrees about, like an echoed
+SUSPECT or CONFIRM that is moot at every receiver, is answered once per frame
+(``SwimHearing``, the collective form of ``_on_swim``). The oracle is the
+protocol the way it was written first: every receiver upcalled for itself
+(``tests/broadcast_reference.py``), one private alarm per (observer, subject)
+pair (``tests/per_pair_reference.py``). Whatever the configuration —
+explicit durations or ``SwimConfig.from_canely``, whose ``fail_after ==
+suspicion_timeout`` puts a suspicion alarm on the very tick of the silence
+clocks restarted around it — the drifts, the crashes, leaves and rejoins,
+the omissions, the inaccessibility and the bridged segments, the run on plan
++ table, the same with spans on and the oracle must leave byte-identical
+trace rows, views and bus accounting; the first two also the same number of
+kernel events (the oracle fires expiries per pair, not per group).
 """
 
+import pytest
 from broadcast_reference import broadcast_delivery
 from hypothesis import HealthCheck, given, settings, strategies as st
 from per_pair_reference import per_pair_surveillance
@@ -24,9 +26,12 @@ from repro.can.identifiers import MessageType
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.sim.clock import ms, us
+from repro.sim.timers import SurveillanceTable
 from repro.sim.trace import record_to_dict
 from repro.swim.config import SwimConfig
-from repro.swim.protocol import ALIVE, HEARTBEAT, SUSPECT, SUSPECTED, SwimProtocol
+from repro.swim.protocol import (
+    ALIVE, CONFIRM, HEARTBEAT, SUSPECT, SUSPECTED, SwimProtocol,
+)
 
 SLOW = settings(
     max_examples=20,
@@ -93,7 +98,8 @@ def swim_scenarios(draw):
             st.integers(min_value=2_000, max_value=40_000),
         )
     )
-    return node_count, config, drifts, actions, faults, blackout
+    segments = draw(st.sampled_from((1, 1, 2)))
+    return node_count, config, drifts, actions, faults, blackout, segments
 
 
 def _rejoin(node):
@@ -103,7 +109,7 @@ def _rejoin(node):
 
 
 def _run_swim_scenario(scenario, spans):
-    node_count, config, drifts, actions, faults, blackout = scenario
+    node_count, config, drifts, actions, faults, blackout, segments = scenario
     injector = FaultInjector()
     for sender, skip, inconsistent, accepting, crash_sender in faults:
         seen = [0]
@@ -130,6 +136,7 @@ def _run_swim_scenario(scenario, spans):
         injector=injector,
         timer_drifts=dict(enumerate(drifts)),
         spans=spans,
+        segments=segments,
     )
     net.join_all()
     for at, action, node_id in actions:
@@ -151,9 +158,9 @@ def _run_swim_scenario(scenario, spans):
     return {
         "trace": [record_to_dict(record) for record in net.sim.trace],
         "views": views,
-        "physical_frames": net.bus.stats.physical_frames,
-        "error_frames": net.bus.stats.error_frames,
-        "busy_bits": net.bus.stats.busy_bits,
+        "physical_frames": [bus.stats.physical_frames for bus in net.buses],
+        "error_frames": [bus.stats.error_frames for bus in net.buses],
+        "busy_bits": [bus.stats.busy_bits for bus in net.buses],
         "omissions": injector.omissions_injected,
         "stats": {node_id: node.stats() for node_id, node in net.nodes.items()},
     }, net.sim.events_processed
@@ -176,6 +183,61 @@ def test_swim_on_the_table_matches_per_pair_alarms(scenario):
     _assert_table_is_per_pair(scenario)
 
 
+def _crash(node_count, config, victim, segments=1):
+    return (
+        node_count, config, [0.0] * node_count, [(ms(200), "crash", victim)],
+        [], None, segments,
+    )
+
+
+#: id -> (scenario, whether the echoes of a SUSPECT or CONFIRM are heard
+#: collectively). Node 0's clock runs fast in the omission example: its
+#: SUSPECT about the crashed node 4 (its 32nd SWIM frame) reaches nodes 1
+#: and 2 only, and node 0 dies before retransmitting, so node 3 holds node 4
+#: ALIVE until its own clock runs out. In the lone-survivor example node 0
+#: suspects and confirms nodes 1 and 2 with nobody joined to hear it: its
+#: memo's incarnation is ``None``.
+COLLECTIVE_EXAMPLES = {
+    "four-observers": (_crash(5, 0, 4), True),
+    "four-observers-no-rejoin": (_crash(5, 1, 4), True),
+    "four-observers-tie": (_crash(5, 2, 4), True),
+    "suspect-omitted-at-one": (
+        (
+            5, 0, [-0.3, 0.0, 0.0, 0.0, 0.0], [(ms(200), "crash", 4)],
+            [(0, 31, True, [1, 2], True)], None, 1,
+        ),
+        False,
+    ),
+    "two-segments": (_crash(8, 0, 6, segments=2), True),
+    "two-segments-tie": (_crash(8, 3, 6, segments=2), True),
+    "lone-survivor": (
+        (
+            3, 0, [0.0] * 3, [(ms(200), "crash", 1), (ms(200), "crash", 2)],
+            [], None, 1,
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIVE_EXAMPLES))
+def test_echoed_suspicions_heard_at_once_match_per_pair_alarms(monkeypatch, name):
+    """The collective answer to a SUSPECT or CONFIRM frame every receiver
+    takes to no effect (``SwimProtocol._moot``) is the per-node one."""
+    scenario, collective = COLLECTIVE_EXAMPLES[name]
+    answered = []
+    heard = SurveillanceTable.heard
+
+    def counted(table, mid, listeners):
+        if mid.ref >> 8 in (SUSPECT, CONFIRM):
+            answered.append(mid)
+        return heard(table, mid, listeners)
+
+    monkeypatch.setattr(SurveillanceTable, "heard", counted)
+    _assert_table_is_per_pair(scenario)
+    assert bool(answered) == collective, answered
+
+
 def test_the_coinciding_suspicion_alarm_keeps_its_place():
     """``from_canely``'s tie, constructed. Node 0's heartbeat at 200 ms is
     taken by 2, 3 and 4 but not by node 1, and node 0 dies before it
@@ -190,6 +252,7 @@ def test_the_coinciding_suspicion_alarm_keeps_its_place():
         [(ms(207), "crash", 1)],
         [(0, 20, True, [2, 3, 4], True)],
         None,
+        1,
     )
     reference = _assert_table_is_per_pair(scenario)
     tick = [

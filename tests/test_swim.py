@@ -7,7 +7,8 @@ validation and CANELy mapping, the suspect/refute cycle that keeps a
 slow-but-alive member in the view, the auto-rejoin flap after a false
 confirmation, and the dead-incarnation gate that keeps stale traffic from
 resurrecting a confirmed failure. The flap and gating tests are
-white-box: they inject forged SWIM frames on the bus.
+white-box: they inject forged SWIM frames on the bus. A strict xfail pins a
+known defect: SUSPECT and CONFIRM payloads raise the sender's incarnation.
 """
 
 import pytest
@@ -190,3 +191,35 @@ def test_protocol_metrics_flow_into_the_shared_registry():
     metrics = net.node(0).metrics()
     assert metrics["removals"] >= 1
     assert metrics["heartbeats_sent"] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_on_swim raises the sender's recorded incarnation to a SUSPECT or "
+    "CONFIRM payload, which is the subject's incarnation",
+)
+def test_a_rejoined_suspect_does_not_raise_its_accusers_incarnations():
+    """Node 2 rejoins at incarnation 2 and crashes again; its peers' SUSPECT
+    and CONFIRM frames about it carry 2, and every receiver records the
+    *senders* at 2 although they never left incarnation 1. Node 4 crashes,
+    is confirmed dead at that recorded 2, and rejoins at its own 2: its JOIN
+    is stale for good, and the survivors never readmit it."""
+    config = SwimConfig(
+        capacity=16, probe_period=ms(10), fail_after=ms(30),
+        suspicion_timeout=ms(20), join_wait=ms(150),
+    )
+    net = CanelyNetwork(6, config=config, backend="swim")
+    scenario = net.scenario().bootstrap()
+
+    def rejoin(node_id):
+        net.node(node_id).recover()
+        net.node(node_id).join()
+
+    scenario.crash(2, at=ms(100))
+    scenario.at(ms(200), lambda: rejoin(2))
+    scenario.crash(2, at=ms(300))
+    scenario.crash(4, at=ms(400))
+    scenario.at(ms(500), lambda: rejoin(4))
+    scenario.run_for(ms(800))
+    views = {node.node_id: sorted(node.view().members) for node in net.correct_nodes()}
+    assert views == {node_id: [0, 1, 3, 4, 5] for node_id in (0, 1, 3, 4, 5)}
