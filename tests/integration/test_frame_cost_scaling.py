@@ -15,8 +15,9 @@ The SWIM twin: one heartbeat-dominated run at 16 and at 64 nodes. A heartbeat
 from a member everybody holds alive is heard once (``SwimHearing``) and
 restarts one silence clock per group of receivers, so SWIM calls, kernel
 events and — with span tracing on — spans per frame must not grow with the
-population either. A crash is heard node by node exactly once per divergence:
-2n^2 - 1 receptions from bootstrap on, and no per-listener table pass after it.
+population either. Joins are heard collectively too, and a crash is heard
+node by node only by its first SUSPECT and CONFIRM: 2(n - 1) receptions from
+bootstrap on, and no per-listener table pass after it.
 
 Arbitration under saturating load: every controller keeps frames queued, so
 polling each queue per frame would cost n looks. Popping the ready heap
@@ -193,13 +194,14 @@ SWIM_128 = SwimConfig(
 
 @pytest.mark.parametrize("node_count", [16, 64])
 def test_a_swim_divergence_is_heard_node_by_node_once(monkeypatch, node_count):
-    """Exact counts, bootstrap, one crash and 600 ms: every JOIN is heard by
-    all n nodes, and after the crash the first heartbeat of each of the n - 1
-    survivors (the receivers changed) and the first SUSPECT and the first
-    CONFIRM about the crashed node by the n - 1 survivors: 2n^2 - 1 per-node
-    receptions. The echoes of a suspicion or confirmation are heard
-    collectively, and a per-node pass leaves the table settled, so the
-    table's per-listener path never runs after bootstrap."""
+    """Exact counts, bootstrap, one crash and 600 ms: only the first SUSPECT
+    and the first CONFIRM about the crashed node are heard node by node, by
+    the n - 1 survivors: 2(n - 1) per-node receptions. Every JOIN is an
+    admission at every receiver at once, the memos outlive the crash (the
+    survivors' next heartbeats are heard collectively), the echoes of a
+    suspicion or confirmation are heard collectively, and a per-node pass
+    leaves the table settled, so the table's per-listener path never runs
+    after bootstrap."""
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -218,7 +220,7 @@ def test_a_swim_divergence_is_heard_node_by_node_once(monkeypatch, node_count):
     calls["heard"] = 0
     scenario.crash(node_count - 1, at=ms(100)).run_for(ms(600))
     assert sorted(net.agreed_view()) == list(range(node_count - 1))
-    assert calls["_on_swim"] == 2 * node_count**2 - 1
+    assert calls["_on_swim"] == 2 * (node_count - 1)
     assert calls["heard"] == 0
 
 

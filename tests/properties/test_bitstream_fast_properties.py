@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.can.bitstream import (
     _crc15_int,
-    _frame_body_value,
-    _stuffed_length,
+    _header_value,
+    _stuff_run,
     clear_encoding_cache,
     exact_frame_bits,
 )
@@ -37,6 +37,15 @@ def _bits_to_int(pattern):
     return value
 
 
+def _frame_body_value(identifier, data, remote, extended):
+    """The SOF..CRC stuff region as ``(big-endian value, bit count)``, from
+    the encoder's header layout and its table CRC."""
+    value, nbits = _header_value(identifier, len(data), remote, extended)
+    value = (value << (8 * len(data))) | int.from_bytes(data, "big")
+    nbits += 8 * len(data)
+    return (value << 15) | _crc15_int(value, nbits), nbits + 15
+
+
 @given(bits)
 def test_table_crc_matches_bit_shift_reference(pattern):
     assert _crc15_int(_bits_to_int(pattern), len(pattern)) == crc15(pattern)
@@ -45,7 +54,8 @@ def test_table_crc_matches_bit_shift_reference(pattern):
 @given(bits)
 def test_integer_stuffing_matches_list_stuffing(pattern):
     expected = len(stuff(pattern))
-    assert _stuffed_length(_bits_to_int(pattern), len(pattern)) == expected
+    added, _state = _stuff_run(_bits_to_int(pattern), len(pattern))
+    assert len(pattern) + added == expected
 
 
 @given(ext_identifiers, payloads, st.booleans())
@@ -127,3 +137,26 @@ def test_cache_is_transparent(frames):
         for identifier, data in frames
     ]
     assert fresh == first
+
+
+@given(
+    st.lists(st.tuples(ext_identifiers, st.booleans()), min_size=1, max_size=3),
+    st.lists(payloads, max_size=16),
+)
+@settings(max_examples=200)
+def test_a_miss_on_a_memoized_header_matches_reference(headers, datas):
+    """A heartbeat-like stream: few identifiers, fresh payloads. Every
+    payload misses the wire-length cache, and all but the first of each
+    ``(identifier, dlc, remote, extended)`` start from the memoized header."""
+    clear_encoding_cache()
+    for index, data in enumerate(datas):
+        identifier, extended = headers[index % len(headers)]
+        if not extended:
+            identifier &= (1 << 11) - 1
+        remote = not data and index % 2 == 1
+        assert exact_frame_bits(
+            identifier, data, remote=remote, extended=extended
+        ) == exact_frame_bits_reference(
+            identifier, data, remote=remote, extended=extended
+        )
+    clear_encoding_cache()

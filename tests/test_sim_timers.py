@@ -1,9 +1,15 @@
 """Unit tests for the start_alarm / cancel_alarm timer service."""
 
+import gc
+
 import pytest
 
+from repro.core.config import CanelyConfig
+from repro.core.stack import CanelyNetwork
+from repro.sim.clock import ms
+from repro.sim.event import Event
 from repro.sim.kernel import Simulator
-from repro.sim.timers import TimerService
+from repro.sim.timers import Alarm, TimerService
 
 
 def make():
@@ -274,3 +280,24 @@ def test_rearm_during_fire_batch():
     peer[0] = timers.start_alarm(100, peer_cb)
     sim.run()
     assert fired == [("first", 100), ("peer", 150)]
+
+
+@pytest.mark.parametrize("backend", ["canely", "swim"])
+def test_a_spent_alarm_is_freed_by_its_last_reference(backend):
+    """A fired or cancelled alarm lets go of its kernel event, which holds
+    the alarm's ``_fire``: no alarm or event waits for the cycle collector
+    after a run (bootstrap, a crash, its detection), the network still
+    alive."""
+    config = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        net = CanelyNetwork(6, config=config, backend=backend)
+        net.scenario().bootstrap().crash(5, at=ms(50)).run_for(ms(300))
+        gc.collect()
+        cyclic = [obj for obj in gc.garbage if isinstance(obj, (Alarm, Event))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert net.sim.events_processed > 100
+    assert cyclic == []
