@@ -83,16 +83,12 @@ class Episodes:
             self.crashes.setdefault(node, []).append(Crash(node, time))
 
     @classmethod
-    def of(cls, trace: TraceRecorder, *sinks: TraceSink, **intent) -> "Episodes":
+    def of(cls, trace: TraceRecorder, **intent) -> "Episodes":
         """The ledger of a finished run (``intent`` as for the
-        constructor): the recorded rows replayed through :meth:`observe`,
-        each handed to ``sinks`` after it as ``(time, category, node,
-        data)``."""
+        constructor): the recorded rows replayed through :meth:`observe`."""
         ledger = cls(**intent)
         for row in trace.rows(cls.categories):
             ledger.observe(*row)
-            for sink in sinks:
-                sink(*row)
         return ledger
 
     def attach(self, trace: TraceRecorder) -> TraceSink:
