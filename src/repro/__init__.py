@@ -31,7 +31,7 @@ from repro.core.stack import CanelyNetwork, CanelyNode, MembershipNode
 from repro.core.views import MembershipChange, MembershipView
 from repro.util.sets import NodeSet
 
-__version__ = "14.0.2"
+__version__ = "14.1.0"
 
 #: Lazily re-exported name -> home module (PEP 562). Importing ``repro``
 #: must not drag in multiprocessing (campaign) or the checker; attribute

@@ -23,7 +23,10 @@ lines; ``resume=False`` truncates the checkpoint so reruns never
 accumulate stale lines a later resume would trust; and the returned list
 is asserted to cover exactly ``range(len(population))`` — a campaign can
 fail loudly, but it cannot silently lose scenarios. Results depend only
-on each scenario — never on the worker count or completion order.
+on each scenario — never on the worker count or completion order. One
+call is one population: its runs bootstrap each distinct prefix once
+(:func:`~repro.workloads.scenario.shared_bootstraps`), in-process or in
+each worker.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.campaign.spec import ScenarioResult
 from repro.campaign.store import CheckpointStore, load_checkpoint
 from repro.campaign.worker import run_scenario
 from repro.errors import CampaignError, ConfigurationError
+from repro.workloads.scenario import shared_bootstraps
 
 __all__ = [
     "default_workers",
@@ -107,15 +111,16 @@ def run_campaign(
             progress(result)
 
     try:
-        execute(
-            population,
-            pending,
-            workers=workers,
-            timeout=timeout,
-            retries=retries,
-            scenario_fn=scenario_fn,
-            finish=finish,
-        )
+        with shared_bootstraps():
+            execute(
+                population,
+                pending,
+                workers=workers,
+                timeout=timeout,
+                retries=retries,
+                scenario_fn=scenario_fn,
+                finish=finish,
+            )
     finally:
         for index in sorted(held):
             sink.write(held[index])

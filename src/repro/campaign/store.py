@@ -31,7 +31,11 @@ import sys
 import threading
 from typing import IO, Any, Dict, Optional, get_origin, get_type_hints
 
-from repro.campaign.spec import ScenarioResult
+from repro.campaign.spec import (
+    VERDICT_TIMEOUT,
+    VERDICT_WORKER_CRASH,
+    ScenarioResult,
+)
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -118,8 +122,10 @@ def _checkpointed(line: bytes, population) -> Optional[ScenarioResult]:
     """The result one checkpoint line records, or ``None`` for a line
     resume must not trust: torn, not a JSON object, missing a required
     field or holding one of the wrong type, naming an index outside the
-    campaign, or carrying a seed other than that of ``population``'s
-    scenario at its index."""
+    campaign, carrying a seed other than that of ``population``'s
+    scenario at its index, or a ``timeout`` or ``worker_crash`` verdict —
+    those tell how a worker fared, not what the scenario does, so a
+    resumed campaign runs the scenario again."""
     try:
         raw = json.loads(line)
     except ValueError:  # UnicodeDecodeError included: lines are read as bytes
@@ -136,14 +142,17 @@ def _checkpointed(line: bytes, population) -> Optional[ScenarioResult]:
         return None
     if result.seed != population[result.index].seed:
         return None
+    if result.verdict in (VERDICT_TIMEOUT, VERDICT_WORKER_CRASH):
+        return None
     return result
 
 
 def load_checkpoint(path: str, population) -> Dict[int, ScenarioResult]:
     """Completed results from a (possibly truncated) checkpoint file.
 
-    Torn, non-object, wrongly typed, out-of-range and stale lines are
-    skipped, not trusted; a missing file holds nothing. Duplicate indexes
+    Torn, non-object, wrongly typed, out-of-range and stale lines, and
+    the timeouts and worker crashes, are skipped, not trusted; a missing
+    file holds nothing. Duplicate indexes
     resolve to the last line — results are a function of the scenario
     only, so any copy is the same result.
     """

@@ -115,9 +115,9 @@ class DualChannelLayer:
         self._data_cnf: List[Tuple[Optional[MessageType], CnfListener]] = []
         self._data_nty: List[NtyListener] = []
         for channel in self._channels:
-            channel.add_data_ind(self._make_data_ind(channel))
-            channel.add_rtr_ind(self._make_rtr_ind(channel))
-            channel.add_data_cnf(self._make_data_cnf(channel))
+            channel.add_data_ind(self._on_data_ind)
+            channel.add_rtr_ind(self._on_rtr_ind)
+            channel.add_data_cnf(self._on_data_cnf)
 
     @property
     def node_id(self) -> int:
@@ -184,34 +184,25 @@ class DualChannelLayer:
             }
         return last is not None and now - last <= self._window
 
-    def _make_data_ind(self, channel: CanStandardLayer):
-        def handler(mid: MessageId, data: bytes) -> None:
-            if self._suppressed("data", (mid, data)):
-                return
-            for listener in list(self._data_nty):
+    def _on_data_ind(self, mid: MessageId, data: bytes) -> None:
+        if self._suppressed("data", (mid, data)):
+            return
+        for listener in list(self._data_nty):
+            listener(mid)
+        for mtype, listener in list(self._data_ind):
+            if mtype is None or mid.mtype is mtype:
+                listener(mid, data)
+
+    def _on_rtr_ind(self, mid: MessageId) -> None:
+        if self._suppressed("rtr", mid):
+            return
+        for mtype, listener in list(self._rtr_ind):
+            if mtype is None or mid.mtype is mtype:
                 listener(mid)
-            for mtype, listener in list(self._data_ind):
-                if mtype is None or mid.mtype is mtype:
-                    listener(mid, data)
 
-        return handler
-
-    def _make_rtr_ind(self, channel: CanStandardLayer):
-        def handler(mid: MessageId) -> None:
-            if self._suppressed("rtr", mid):
-                return
-            for mtype, listener in list(self._rtr_ind):
-                if mtype is None or mid.mtype is mtype:
-                    listener(mid)
-
-        return handler
-
-    def _make_data_cnf(self, channel: CanStandardLayer):
-        def handler(mid: MessageId) -> None:
-            if self._suppressed("cnf-data", mid):
-                return
-            for mtype, listener in list(self._data_cnf):
-                if mtype is None or mid.mtype is mtype:
-                    listener(mid)
-
-        return handler
+    def _on_data_cnf(self, mid: MessageId) -> None:
+        if self._suppressed("cnf-data", mid):
+            return
+        for mtype, listener in list(self._data_cnf):
+            if mtype is None or mid.mtype is mtype:
+                listener(mid)

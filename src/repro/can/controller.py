@@ -14,7 +14,6 @@ scheduled for retransmission (ISO 11898), unless aborted or the node crashed.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from heapq import heappush
 from operator import attrgetter
@@ -85,7 +84,7 @@ class CanController:
         self.rec = 0
         self.crashed = False
         self._queue: List[TxRequest] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._bus = None  # set by CanBus.attach
         #: The bus's ready-heap entry standing for the queue head,
         #: ``(priority_key, node_id, request, self)``; ``None`` while the
@@ -166,7 +165,8 @@ class CanController:
         """
         if self.crashed or self.tec > BUS_OFF_THRESHOLD:
             return None
-        request = TxRequest(frame, next(self._seq))
+        request = TxRequest(frame, self._seq)
+        self._seq += 1
         if self._spans.enabled:
             request.span_id = self._spans.begin(
                 "can.frame",

@@ -29,6 +29,7 @@ responsibility to keep acyclic.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.can.bus import CanBus
@@ -118,7 +119,7 @@ class CanGateway:
         controller = CanController(self.node_id)
         bus.attach(controller)
         port = _Port(len(self._ports), bus, controller)
-        controller.on_rx = lambda frame, _port=port: self._on_rx(_port, frame)
+        controller.on_rx = partial(self._on_rx, port)
         self._ports.append(port)
         return controller
 
@@ -156,16 +157,13 @@ class CanGateway:
             target.scheduled += 1
             if self.latency:
                 self._sim.schedule(
-                    self.latency,
-                    lambda t=target, f=frame, k=key: self._relay(t, f, k),
+                    self.latency, partial(self._relay, target, frame, key)
                 )
             else:
                 # Zero-latency relay still defers by one kernel event so
                 # the copy contends in the target's next start-of-frame
                 # window (the same reason CanBus.kick defers arbitration).
-                self._sim.schedule(
-                    0, lambda t=target, f=frame, k=key: self._relay(t, f, k)
-                )
+                self._sim.schedule(0, partial(self._relay, target, frame, key))
 
     def _relay(self, target: _Port, frame: CanFrame, key: _FrameKey) -> None:
         target.scheduled -= 1

@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.workloads.scenario import Action, Result, Scenario, run
+from repro.workloads.scenario import (
+    Action,
+    Result,
+    Scenario,
+    run,
+    shared_bootstraps,
+)
 
 Oracle = Callable[[Scenario], Result]
 
@@ -37,6 +43,7 @@ class MinimizationOutcome:
     runs: int
 
 
+@shared_bootstraps()
 def minimize_schedule(
     schedule: Scenario,
     oracle: Oracle = run,

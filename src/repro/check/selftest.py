@@ -16,12 +16,16 @@ end against one of them:
    checker goes quiet — the violation was the mutation's, not noise.
 
 Each mutation names the monitor expected to catch it, so the selftest
-also pins the *diagnosis*, not just the detection.
+also pins the *diagnosis*, not just the detection. A mutated method keeps
+the name of the one it replaces (``functools.wraps``): a network pickles
+its bound methods by name, and a sweep restores its shared bootstrap
+from such a snapshot (:func:`repro.workloads.scenario.shared_bootstraps`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Dict, Iterator, List, Optional
@@ -61,6 +65,7 @@ def _plant_fda_duplicate_delivery() -> Iterator[None]:
     is delivered upward, not just the first."""
     original = FdaProtocol._on_rtr_ind
 
+    @functools.wraps(original)
     def mutated(self, mid):
         self._last_touch[mid] = self._cycle
         self._fs_ndup[mid] = self._fs_ndup.get(mid, 0) + 1  # r01
@@ -94,6 +99,7 @@ def _plant_fd_missed_detection() -> Iterator[None]:
     dropped, so crashed members are never signalled or removed."""
     original = FailureDetector._on_expire
 
+    @functools.wraps(original)
     def mutated(self, node_id):
         if not self.monitoring(node_id):
             return

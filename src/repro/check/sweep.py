@@ -56,6 +56,7 @@ from repro.workloads.scenario import (
     Result,
     Scenario,
     run,
+    shared_bootstraps,
 )
 
 ProgressFn = Callable[[ScenarioResult], None]
@@ -264,6 +265,7 @@ class ExplorationReport:
         )
 
 
+@shared_bootstraps()
 def explore(
     sweep: CheckSweep,
     workers: int = 0,
@@ -407,6 +409,7 @@ class CoverageReport:
         )
 
 
+@shared_bootstraps()
 def explore_coverage(
     space: ScheduleSpace,
     budget: int,

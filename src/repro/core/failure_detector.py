@@ -65,10 +65,8 @@ class FailureDetector:
         self._duration_local = config.thb  # a02
         self._duration_remote = config.thb + config.ttd  # a04
         # i00: the surveillance timers, kept per monitored node — in the
-        # shared table. Expiry is looked up on the instance when it fires.
-        self._watcher = timers.watcher(
-            lambda node_id: self._on_expire(node_id), name="fd.surveillance"
-        )
+        # shared table.
+        self._watcher = timers.watcher(self._on_expire, name="fd.surveillance")
         self._listeners: List[FailureCallback] = []
         self.els_sent = 0
         # Bound metric methods resolved once — expiries run per heartbeat.

@@ -17,6 +17,7 @@ Failure-free cost: one data frame + one clustered remote frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.can.driver import CanStandardLayer
@@ -86,7 +87,7 @@ class Relcan:
             entry = _PendingMessage(data=data)
             self._pending[mid] = entry
             entry.alarm = self._timers.start_alarm(
-                self._timeout, lambda m=mid: self._on_timeout(m)
+                self._timeout, partial(self._on_timeout, mid)
             )
         else:
             entry.data = data

@@ -21,6 +21,7 @@ delay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.can.driver import CanStandardLayer
@@ -109,7 +110,7 @@ class Totcan:
         if key not in self._buffered:
             entry = _Buffered()
             entry.discard_alarm = self._timers.start_alarm(
-                self._discard_timeout, lambda k=key: self._on_discard(k)
+                self._discard_timeout, partial(self._on_discard, key)
             )
             self._buffered[key] = entry
         return self._buffered[key]

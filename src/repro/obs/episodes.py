@@ -94,11 +94,10 @@ class Episodes:
     def attach(self, trace: TraceRecorder) -> TraceSink:
         """Keep the ledger live on ``trace``'s rows; returns the sink, for
         :meth:`~repro.sim.trace.TraceRecorder.remove_sink`."""
+        return trace.add_sink(self._sink, self.categories)
 
-        def sink(record: TraceRecord) -> None:
-            self.observe(record.time, record.category, record.node, record.data)
-
-        return trace.add_sink(sink, self.categories)
+    def _sink(self, record: TraceRecord) -> None:
+        self.observe(record.time, record.category, record.node, record.data)
 
     def observe(
         self, time: int, category: str, node: int, data: Dict[str, Any]

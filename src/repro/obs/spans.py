@@ -150,7 +150,8 @@ class SpanTracer:
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self.enabled = False
-        self._clock: Callable[[], int] = clock if clock is not None else lambda: 0
+        # ``int()`` is 0: the time of a tracer no simulator has bound.
+        self._clock: Callable[[], int] = clock if clock is not None else int
         self._spans: List[Span] = []
         self._stack: List[int] = []
         #: parent id -> children over the first ``_indexed`` spans; spans

@@ -42,7 +42,7 @@ class Simulator:
         self._trace = trace if trace is not None else TraceRecorder()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans = spans if spans is not None else SpanTracer()
-        self._spans.bind_clock(lambda: self._now)
+        self._spans.bind_clock(self._clock)
         #: Reentrancy guard: set while a drain loop owns the heap. Calling
         #: run()/run_until()/step() from inside an event action would alias
         #: the drain state and silently double-drain, so it raises instead.
@@ -57,6 +57,10 @@ class Simulator:
     @property
     def now(self) -> int:
         """Current simulation time in kernel ticks."""
+        return self._now
+
+    def _clock(self) -> int:
+        """:attr:`now` as a bound method: the span tracer's time source."""
         return self._now
 
     @property

@@ -65,7 +65,6 @@ loses its last member — even if tracing has been switched off meanwhile.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.event import Event
@@ -142,7 +141,7 @@ class TimerService:
             raise ValueError(f"drift must exceed -1: {drift}")
         self._sim = sim
         self._drift = drift
-        self._ids = itertools.count(1)
+        self._ids = 0
         self._pending = 0
         self._node = node
         self._spans = sim.spans
@@ -170,7 +169,8 @@ class TimerService:
         ignored while span tracing is disabled.
         """
         duration = self._stretch(duration)
-        alarm = Alarm(next(self._ids), self._sim.now + duration, on_expire, self)
+        self._ids += 1
+        alarm = Alarm(self._ids, self._sim.now + duration, on_expire, self)
         alarm._event = self._sim.schedule(duration, alarm._fire)
         self._pending += 1
         if self._spans.enabled:

@@ -551,12 +551,16 @@ class TraceRecorder:
 
     # -- export ------------------------------------------------------------------
 
-    def encode_rows(self, sort_keys: bool = False) -> Iterator[List[str]]:
-        """The records' JSON texts (:class:`RowEncoder`), read off the
-        columns in lists of at most 64 rows."""
+    def encode_rows(
+        self, sort_keys: bool = False, start: int = 0
+    ) -> Iterator[List[str]]:
+        """The JSON texts (:class:`RowEncoder`) of the records from number
+        ``start`` on, read off the columns in lists of at most 64 rows."""
         encode = RowEncoder(sort_keys).encode
         names = self._cat_names
-        rows = zip(self._times, self._cats, self._nodes, self._payloads)
+        rows = islice(
+            zip(self._times, self._cats, self._nodes, self._payloads), start, None
+        )
         while True:
             chunk = [encode(t, names[c], n, d) for t, c, n, d in islice(rows, 64)]
             if not chunk:

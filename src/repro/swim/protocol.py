@@ -56,6 +56,7 @@ protocol's own events.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.can.driver import CanStandardLayer
@@ -267,7 +268,7 @@ class SwimHearing:
             if not protocol._joined or protocol._local == sender:
                 continue
             member = protocol._members.get(sender)
-            if member is None or member.status is not ALIVE:
+            if member is None or member.status != ALIVE:
                 return
             if incarnation is None:
                 incarnation = member.incarnation
@@ -435,7 +436,7 @@ class SwimProtocol:
 
     def _on_fail_expire(self, node_id: int) -> None:
         member = self._members.get(node_id)
-        if member is None or member.status is not ALIVE:
+        if member is None or member.status != ALIVE:
             return
         self.suspicions += 1
         self._inc_suspects()
@@ -451,7 +452,7 @@ class SwimProtocol:
         self._hearing.forget(node_id)
         member.susp_alarm = alarm = self._timers.start_alarm(
             self._config.suspicion_timeout,
-            lambda: self._on_suspicion_expire(node_id),
+            partial(self._on_suspicion_expire, node_id),
             name="swim.suspicion",
             tag=node_id,
         )
@@ -462,7 +463,7 @@ class SwimProtocol:
 
     def _on_suspicion_expire(self, node_id: int) -> None:
         member = self._members.get(node_id)
-        if member is None or member.status is not SUSPECTED:
+        if member is None or member.status != SUSPECTED:
             return
         member.susp_alarm = None
         self._broadcast(CONFIRM, node_id, member.suspected_inc)
@@ -488,7 +489,7 @@ class SwimProtocol:
                 if incarnation > member.incarnation:
                     member.incarnation = incarnation
                     self._hearing.forget(sender)
-                if member.status is SUSPECTED:
+                if member.status == SUSPECTED:
                     member.status = ALIVE
                     member.suspected_inc = -1
                     self._hearing.forget(sender)
@@ -554,7 +555,7 @@ class SwimProtocol:
         if subject == self._local:
             return False
         member = self._members.get(subject)
-        return member is None or (kind == SUSPECT and member.status is SUSPECTED)
+        return member is None or (kind == SUSPECT and member.status == SUSPECTED)
 
     def _on_suspect(self, subject: int, incarnation: int) -> None:
         if subject == self._local:
@@ -571,7 +572,7 @@ class SwimProtocol:
         member = self._members.get(subject)
         if (
             member is not None
-            and member.status is ALIVE
+            and member.status == ALIVE
             and incarnation >= member.incarnation
         ):
             self._watcher.unwatch(subject)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -346,7 +347,7 @@ class ScenarioBuilder:
         from now (on ``segment``, for multi-segment and dual-channel
         networks)."""
         bus = self._segment_bus(segment)
-        self._schedule(at, lambda: bus.inject_inaccessibility(bits))
+        self._schedule(at, partial(bus.inject_inaccessibility, bits))
         return self
 
     def babble(self, bits: int, at: int = 0) -> "ScenarioBuilder":

@@ -11,11 +11,13 @@ error storm. It holds primitives and tuples only, so it hashes, pickles
 and round-trips through JSON; its one validator, :func:`_validate`, runs
 on construction and raises :class:`~repro.errors.ConfigurationError`.
 
-One interpreter executes it: :func:`_network` builds the network and
-:func:`_script` bootstraps it, starts the traffic, applies the actions in
-order and runs. :func:`run` attaches the backend's online invariant
-monitors first and judges the outcome; :func:`play` runs the same two
-steps unjudged, for workloads that break the fault model on purpose. The
+One interpreter executes it: :func:`_network` builds the network,
+:func:`_bootstrap` bootstraps it and :func:`_script` starts the traffic,
+applies the actions in order and runs. :func:`run` attaches the backend's
+online invariant monitors first and judges the outcome; :func:`play` runs
+the same steps unjudged, for workloads that break the fault model on
+purpose. Inside :func:`shared_bootstraps` — one population call — the
+runs that share a bootstrap simulate it twice and unpickle it after. The
 systematic checker's schedules (:mod:`repro.check`), the campaign's draws
 (:class:`~repro.campaign.spec.CampaignSpec`), ``repro run``'s JSON
 scripts (:func:`load_script`), the QoS catalog's recipes
@@ -28,10 +30,12 @@ import hashlib
 import json
 import time
 import traceback
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.can.errormodel import FaultInjector
 from repro.can.identifiers import MessageType
@@ -553,6 +557,11 @@ class Result:
     builder: Optional[ScenarioBuilder] = None
     network: Any = None
     elapsed_s: float = 0.0
+    #: ``(rows, digest)``: the SHA-256 state over the trace's first rows,
+    #: when the run started from a bootstrap snapshot that hashed them.
+    _prefix: Optional[Tuple[int, Any]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -574,10 +583,8 @@ class Result:
         """SHA-256 over every trace row's sorted-key JSON text, in order:
         the replay identity — two runs of one scenario on the same code
         produce the same fingerprint."""
-        digest = hashlib.sha256()
-        for rows in self.network.sim.trace.encode_rows(sort_keys=True):
-            digest.update("".join(rows).encode())
-        return digest.hexdigest()
+        start, digest = self._prefix or (0, None)
+        return _trace_digest(self.network.sim.trace, start, digest).hexdigest()
 
     def report(self) -> Dict[str, Any]:
         """The ``repro run`` rendering: final view, crash detection
@@ -615,13 +622,16 @@ def run(scenario: Scenario) -> Result:
     verdicts, and an unexpected exception is the ``error`` verdict with
     its traceback in ``detail``. A configuration no network can be built
     from raises :class:`ConfigurationError` before anything runs.
+
+    Inside :func:`shared_bootstraps` a run whose bootstrap an earlier run
+    of the scope already did twice starts from that network's snapshot,
+    so its ``elapsed_s`` excludes the bootstrap; the result is the same.
     """
     started = time.perf_counter()
-    net = _network(scenario)
-    net.attach_monitors()
-    builder = net.scenario(seed=scenario.seed)
-    result = Result(scenario, builder=builder, network=net)
+    result, bootstrap = _start(scenario)
+    builder, net = result.builder, result.network
     try:
+        bootstrap()
         _script(scenario, builder, net)
         final = builder.final_state()
     except ScenarioError as error:
@@ -649,15 +659,142 @@ def run(scenario: Scenario) -> Result:
 def play(scenario: Scenario) -> ScenarioBuilder:
     """Execute ``scenario`` unjudged and return its finished builder.
 
-    The same two steps as :func:`run` without the invariant monitors, for
+    The same steps as :func:`run` without the invariant monitors, for
     workloads measured rather than judged — the QoS catalog's recipes
     break the fault model on purpose. A bootstrap that does not converge
     raises :class:`~repro.errors.ScenarioError`.
     """
     net = _network(scenario)
     builder = net.scenario(seed=scenario.seed)
+    _bootstrap(scenario, builder, net)
     _script(scenario, builder, net)
     return builder
+
+
+# -- one bootstrap per prefix -------------------------------------------------
+
+#: The fields that act only after the bootstrap; a prefix key blanks them.
+_AFTER_BOOTSTRAP = ("actions", "traffic", "run_ms")
+#: The fields a prefix key reads, the seed first: every other field,
+#: including one added later.
+_PREFIX_FIELDS = attrgetter(
+    "seed",
+    *(
+        spec.name
+        for spec in _FIELDS
+        if spec.name not in _AFTER_BOOTSTRAP + ("seed",)
+    ),
+)
+
+
+class _Bootstraps:
+    """The bootstrap prefixes one :func:`shared_bootstraps` scope ran:
+    each key seen, and for a key seen twice the pickled network and
+    builder right after its bootstrap (:func:`repro.util.snapshot.dumps`).
+    A prefix seen once costs no pickling; a pickled one is restored by
+    ``pickle.loads``, several times faster than its bootstrap (and than
+    ``copy.deepcopy``)."""
+
+    def __init__(self) -> None:
+        self.seen: set = set()
+        self.snapshots: Dict[tuple, Tuple[bytes, Tuple[int, Any]]] = {}
+
+    def keep(self, key: tuple, builder: ScenarioBuilder, net) -> None:
+        """Note ``key`` bootstrapped, snapshotting it the second time with
+        the digest of its trace rows (:attr:`Result.fingerprint`)."""
+        if key in self.seen:
+            from repro.util import snapshot  # only a shared prefix pickles
+
+            trace = net.sim.trace
+            self.snapshots[key] = (
+                snapshot.dumps((net, builder)),
+                (len(trace), _trace_digest(trace)),
+            )
+        else:
+            self.seen.add(key)
+
+
+#: The store of the enclosing :func:`shared_bootstraps` scope, else None;
+#: a context variable, so each thread starts outside any scope.
+_bootstraps: ContextVar[Optional[_Bootstraps]] = ContextVar(
+    "bootstraps", default=None
+)
+
+
+@contextmanager
+def shared_bootstraps() -> Iterator[None]:
+    """Bootstrap each distinct prefix once for the :func:`run` calls
+    inside: the scope of one population call (a campaign, a sweep, a
+    minimization). Runs that agree on every field but the ones acting
+    after the bootstrap (:data:`_AFTER_BOOTSTRAP`, and the seed when the
+    run draws no ``faults`` stream) share one bootstrapped network, which
+    a later run unpickles instead of simulating again. A nested scope
+    joins the enclosing one; the store dies with the outermost, so no
+    snapshot outlives the code it was taken of."""
+    if _bootstraps.get() is not None:
+        yield
+        return
+    scope = _bootstraps.set(_Bootstraps())
+    try:
+        yield
+    finally:
+        _bootstraps.reset(scope)
+
+
+def _stormy(s: Scenario) -> bool:
+    """Whether ``s``'s first bus draws from the ``faults`` random stream."""
+    return bool(
+        s.consistent_probability
+        or s.inconsistent_probability
+        or ACTION_STORM in map(attrgetter("action"), s.actions)
+    )
+
+
+def _prefix_key(s: Scenario) -> tuple:
+    """What ``s``'s bootstrapped network depends on: every field but the
+    ones acting after the bootstrap, the seed only when it roots a
+    ``faults`` stream (so a key with the seed is one field longer than a
+    key without). Every :func:`run` attaches its monitors before the
+    bootstrap, and the store serves :func:`run` alone."""
+    values = _PREFIX_FIELDS(s)
+    return values if _stormy(s) else values[1:]
+
+
+def _start(s: Scenario) -> Tuple[Result, Any]:
+    """``s``'s result-to-be, holding the monitored network and builder it
+    runs on, and the step that bootstraps them: a no-op when the scope's
+    snapshot of ``s``'s prefix restored them bootstrapped already."""
+    store = _bootstraps.get()
+    key = None if store is None else _prefix_key(s)
+    restored = None if store is None else store.snapshots.get(key)
+    if restored is not None:
+        import pickle
+
+        pickled, prefix = restored
+        net, builder = pickle.loads(pickled)
+        builder.seed = s.seed
+        result = Result(s, builder=builder, network=net)
+        result._prefix = prefix
+        return result, _bootstrapped
+    net = _network(s)
+    net.attach_monitors()
+    builder = net.scenario(seed=s.seed)
+    result = Result(s, builder=builder, network=net)
+    return result, partial(_bootstrap, s, builder, net, store, key)
+
+
+def _bootstrapped() -> None:
+    """The bootstrap of a network restored from a snapshot: done."""
+
+
+def _trace_digest(trace, start: int = 0, digest=None):
+    """SHA-256 over ``trace``'s rows from number ``start`` on, in sorted-key
+    JSON text, continuing a copy of ``digest`` (the rows before ``start``)
+    when given."""
+    digest = hashlib.sha256() if digest is None else digest.copy()
+    for rows in trace.encode_rows(sort_keys=True, start=start):
+        digest.update("".join(rows).encode())
+    return digest
 
 
 def _network(s: Scenario):
@@ -685,12 +822,10 @@ def _network(s: Scenario):
         from repro.swim.config import SwimConfig
 
         config = SwimConfig.from_canely(config, **swim)
-    rates = (s.consistent_probability, s.inconsistent_probability)
-    stormy = any(rates) or ACTION_STORM in map(attrgetter("action"), s.actions)
     injector = FaultInjector(
-        rng=RngStreams(s.seed).stream("faults") if stormy else None,
-        consistent_probability=rates[0],
-        inconsistent_probability=rates[1],
+        rng=RngStreams(s.seed).stream("faults") if _stormy(s) else None,
+        consistent_probability=s.consistent_probability,
+        inconsistent_probability=s.inconsistent_probability,
     )
     net = CanelyNetwork(
         node_count=s.nodes,
@@ -706,14 +841,28 @@ def _network(s: Scenario):
     return net
 
 
-def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
-    """Bootstrap, start the traffic, apply the actions in order, run."""
+def _bootstrap(
+    s: Scenario,
+    builder: ScenarioBuilder,
+    net,
+    store: Optional[_Bootstraps] = None,
+    key: tuple = (),
+) -> None:
+    """Bring ``s``'s initial members up and let them settle; then note
+    the prefix ``key`` in ``store``, if given."""
     builder.bootstrap(
         settle_cycles=DEFAULT_SETTLE_CYCLES
         if s.settle_cycles is None
         else s.settle_cycles * ms(s.tm_ms) / net.config.tm,
         nodes=None if s.members == s.nodes else range(s.members),
     )
+    if store is not None:
+        store.keep(key, builder, net)
+
+
+def _script(s: Scenario, builder: ScenarioBuilder, net) -> None:
+    """After the bootstrap: start the traffic, apply the actions in order,
+    run."""
     for node_id, period_ms, *offset_ms in s.traffic:
         PeriodicSource(
             net.sim, net.node(node_id), period=ms(period_ms),

@@ -8,6 +8,7 @@ dropped CONFIRM fails the final state.
 """
 
 import contextlib
+import functools
 from dataclasses import replace
 
 import pytest
@@ -125,7 +126,10 @@ def test_a_monitored_swim_campaign_on_two_segments_is_ok():
 @contextlib.contextmanager
 def _patched(mutated):
     original = SwimProtocol._on_suspicion_expire
-    SwimProtocol._on_suspicion_expire = mutated
+    # Under the method's own name: a network pickles bound methods by name.
+    SwimProtocol._on_suspicion_expire = functools.update_wrapper(
+        mutated, original
+    )
     try:
         yield
     finally:
@@ -138,7 +142,7 @@ def forged_confirm():
 
     def mutated(self, node_id):
         original(self, node_id)
-        live = [n for n, m in self._members.items() if m.status is ALIVE]
+        live = [n for n, m in self._members.items() if m.status == ALIVE]
         if live:
             victim = min(live)
             incarnation = self._members[victim].incarnation

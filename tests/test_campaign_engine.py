@@ -8,6 +8,7 @@ test process itself stays alive.
 
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.campaign import (
     run_scenario,
 )
 from repro.errors import CampaignError, ConfigurationError
+from repro.workloads import scenario as scenario_module
 
 #: A real but tiny campaign: 4-5 node populations, one crash each.
 TINY = CampaignSpec(
@@ -79,6 +81,21 @@ def crash_until_flag(scenario, index):
             pass
         os._exit(1)
     return quick(scenario, index)
+
+
+def killed_once(scenario, index):
+    """``run_scenario``, but the first attempt at index 1 kills its own
+    worker. Every attempt first checks that its worker starts with an
+    empty bootstrap store."""
+    store = scenario_module._bootstraps.get()
+    if store is not None and (store.seen or store.snapshots):
+        raise AssertionError("a worker inherited bootstrap snapshots")
+    flag = os.environ["CAMPAIGN_TEST_FLAG"]
+    if index == 1 and not os.path.exists(flag):
+        with open(flag, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_scenario(scenario, index)
 
 
 def recording(scenario, index):
@@ -226,6 +243,43 @@ def test_worker_crash_then_success_on_retry(tmp_path, monkeypatch):
     )
     assert results[0].verdict == VERDICT_OK
     assert results[0].attempts == 2
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_a_killed_worker_is_retried_or_reported_then_resumed(
+    tmp_path, monkeypatch, retries
+):
+    """A worker killed mid-campaign is retried, or reported as a worker
+    crash; either way a resume completes the checkpoint, which then reads
+    as an in-process run does (a retry aside)."""
+    monkeypatch.setenv("CAMPAIGN_TEST_FLAG", str(tmp_path / "flag"))
+    checkpoint = str(tmp_path / "campaign.jsonl")
+    killed = run_campaign(
+        TINY,
+        workers=2,
+        retries=retries,
+        checkpoint=checkpoint,
+        scenario_fn=killed_once,
+    )
+    if retries:
+        assert (killed[1].verdict, killed[1].attempts) == (VERDICT_OK, 2)
+    else:
+        assert killed[1].verdict == VERDICT_WORKER_CRASH
+        assert "exited with code -9" in killed[1].detail
+    # The resume reruns the crash, which a checkpoint does not trust.
+    resumed = run_campaign(TINY, workers=0, checkpoint=checkpoint, resume=True)
+    baseline = run_campaign(TINY, workers=0)
+
+    def comparable(results):
+        rows = [result.to_dict() for result in results]
+        for row in rows:
+            del row["elapsed_s"], row["attempts"]
+        return rows
+
+    assert comparable(resumed) == comparable(baseline)
+    assert [r.attempts for r in resumed] == [1, 1 + retries, 1]
+    lines = load_checkpoint(checkpoint, TINY)
+    assert comparable(lines[i] for i in sorted(lines)) == comparable(baseline)
 
 
 def test_scenario_exception_reported_not_retried():
