@@ -16,20 +16,14 @@ from repro.analysis.inaccessibility import (
     scenario_catalogue,
 )
 from repro.analysis.latency import LatencyBounds, latency_bounds
-from repro.analysis.reliability import (
-    InconsistencyEstimate,
-    inconsistent_omission_rate,
-)
 from repro.analysis.timing import MessageSpec, response_time, transmission_delay_bound
 
 __all__ = [
     "BandwidthBreakdown",
     "BandwidthModel",
     "InaccessibilityScenario",
-    "InconsistencyEstimate",
     "LatencyBounds",
     "MessageSpec",
-    "inconsistent_omission_rate",
     "can_inaccessibility_range",
     "canely_inaccessibility_range",
     "fig1_rows",

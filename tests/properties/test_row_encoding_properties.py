@@ -16,8 +16,8 @@ import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from pins import SCENARIOS
 from row_encoding_reference import reference_row, reference_rows
-from test_golden_equivalence import SCENARIOS
 
 from repro.can.identifiers import MessageId, MessageType
 from repro.sim.trace import JsonlSink, RowEncoder, TraceRecorder

@@ -1,11 +1,11 @@
 """Smoke tests for the ``python -m repro`` command-line front end."""
 
-import hashlib
 import json
 import pathlib
 
 import pytest
 
+import pins
 from repro.__main__ import main
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
@@ -602,31 +602,17 @@ def test_compare_unknown_backend_exits_2(capsys, monkeypatch):
     assert len(out.splitlines()) == 1
 
 
-#: SHA-256 of the three catalog and comparison JSON outputs CI pins
-#: (``sha256sum -c`` format), keyed by the file name CI writes them to.
-QOS_COMPARE_PINS = pathlib.Path(__file__).parent / "golden" / "qos_compare.sha256"
-
-
 @pytest.mark.parametrize(
-    "name, args",
+    "path",
     [
-        ("qos-catalog-quick-seed0.json",
-         ["qos", "--catalog", "--backend", "canely", "--backend", "swim",
-          "--quick", "--seed", "0", "--format", "json"]),
-        ("compare-seed0.json", ["compare", "--seed", "0", "--format", "json"]),
-        ("compare-12n-2seg-seed0.json",
-         ["compare", "--nodes", "12", "--segments", "2", "--seed", "0",
-          "--format", "json"]),
+        "tests/golden/qos_catalog_quick_seed0.json",
+        "tests/golden/compare_seed0.json",
+        "tests/golden/compare_12n_2seg_seed0.json",
     ],
     ids=["qos-catalog", "compare", "compare-2-segments"],
 )
-def test_qos_and_compare_json_match_their_pins(capsys, name, args):
-    pins = dict(
-        reversed(line.split()) for line in QOS_COMPARE_PINS.read_text().splitlines()
-    )
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == pins[name]
+def test_qos_and_compare_json_match_their_pins(path):
+    pins.assert_hold(path)
 
 
 def test_compare_format_json_is_the_report(capsys):

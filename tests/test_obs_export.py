@@ -1,12 +1,10 @@
 """Chrome trace-event export, validator and MSC renderer tests."""
 
-import hashlib
 import json
-import pathlib
 
 import pytest
 
-from repro.__main__ import main
+import pins
 from repro.core.stack import CanelyNetwork
 from repro.obs.export import (
     CHROME_CATEGORIES,
@@ -16,10 +14,6 @@ from repro.obs.export import (
 )
 from repro.obs.spans import SpanTracer
 from repro.sim.clock import ms
-
-#: SHA-256 of ``repro spans --seed 0 --chrome`` output, without and with
-#: ``--flows`` (``sha256sum -c`` format, as CI checks it).
-PINS = pathlib.Path(__file__).parent / "golden" / "spans_seed0_chrome.sha256"
 
 
 def _crash_run(seed=0):
@@ -288,16 +282,11 @@ def test_an_open_span_lasts_until_its_last_point_event():
 
 
 @pytest.mark.parametrize("flows", [False, True], ids=["plain", "flows"])
-def test_repro_spans_chrome_output_matches_its_pin(tmp_path, capsys, flows):
-    name = "spans-smoke-flows.json" if flows else "spans-smoke.json"
-    pins = dict(
-        reversed(line.split()) for line in PINS.read_text().splitlines()
+def test_repro_spans_chrome_output_matches_its_pin(flows):
+    pins.assert_hold(
+        "tests/golden/spans_seed0_chrome_flows.json" if flows
+        else "tests/golden/spans_seed0_chrome.json"
     )
-    target = tmp_path / name
-    args = ["spans", "--seed", "0", "--chrome", str(target)]
-    assert main(args + (["--flows"] if flows else [])) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == pins[name]
 
 
 # -- message sequence chart -----------------------------------------------------------

@@ -1,28 +1,18 @@
-#!/usr/bin/env python
-"""Snapshot the package's public API surface and detect drift.
+"""The package's public API surface, as ``tools/public_api.json`` pins it.
 
 The public surface is everything ``repro.__all__`` exports — classes with
 their public methods/properties and signatures, functions with their
-signatures. ``--update`` writes the snapshot to ``tools/public_api.json``
-(committed alongside the code); the default mode re-derives the surface
-and diffs it against the committed snapshot, exiting 1 on any drift, so
-CI catches accidental API breaks and forces deliberate ones through a
-reviewed snapshot update::
+signatures. ``tests/pins.py`` renders ``snapshot()`` into the committed
+file, so tier-1 fails on any unreviewed API change and a deliberate one
+is a regenerated pin whose diff names each moved signature::
 
-    PYTHONPATH=src python tools/check_public_api.py            # verify
-    PYTHONPATH=src python tools/check_public_api.py --update   # re-snapshot
+    PYTHONPATH=src python tests/pins.py --write
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
-import json
 import re
-import sys
-from pathlib import Path
-
-SNAPSHOT_PATH = Path(__file__).resolve().parent / "public_api.json"
 
 
 def _signature(obj) -> str:
@@ -65,96 +55,3 @@ def snapshot() -> dict:
         for name in sorted(set(repro.__all__) - {"__version__"})
     }
     return {"package": "repro", "version": repro.__version__, "surface": surface}
-
-
-def _diff(committed: dict, current: dict) -> list:
-    """Human-readable drift lines between two snapshots."""
-    lines = []
-    if committed.get("version") != current.get("version"):
-        lines.append(
-            f"version: {committed.get('version')} -> {current.get('version')}"
-        )
-    old = committed.get("surface", {})
-    new = current.get("surface", {})
-    for name in sorted(set(old) - set(new)):
-        lines.append(f"removed: {name}")
-    for name in sorted(set(new) - set(old)):
-        lines.append(f"added: {name}")
-    for name in sorted(set(old) & set(new)):
-        if old[name] == new[name]:
-            continue
-        if old[name].get("kind") != new[name].get("kind"):
-            lines.append(
-                f"changed kind: {name} "
-                f"({old[name].get('kind')} -> {new[name].get('kind')})"
-            )
-            continue
-        if old[name].get("kind") == "function":
-            lines.append(
-                f"changed signature: {name}{old[name].get('signature')} "
-                f"-> {name}{new[name].get('signature')}"
-            )
-            continue
-        old_members = old[name].get("members", {})
-        new_members = new[name].get("members", {})
-        for member in sorted(set(old_members) - set(new_members)):
-            lines.append(f"removed member: {name}.{member}")
-        for member in sorted(set(new_members) - set(old_members)):
-            lines.append(f"added member: {name}.{member}")
-        for member in sorted(set(old_members) & set(new_members)):
-            if old_members[member] != new_members[member]:
-                lines.append(
-                    f"changed member: {name}.{member} "
-                    f"{old_members[member]} -> {new_members[member]}"
-                )
-    return lines
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="rewrite the committed snapshot from the live package",
-    )
-    parser.add_argument(
-        "--snapshot",
-        type=Path,
-        default=SNAPSHOT_PATH,
-        help=f"snapshot file (default: {SNAPSHOT_PATH})",
-    )
-    args = parser.parse_args(argv)
-
-    current = snapshot()
-    if args.update:
-        args.snapshot.write_text(
-            json.dumps(current, indent=2, sort_keys=True) + "\n"
-        )
-        print(
-            f"snapshot updated: {len(current['surface'])} exported names "
-            f"-> {args.snapshot}"
-        )
-        return 0
-
-    if not args.snapshot.exists():
-        print(f"no snapshot at {args.snapshot}; run with --update first")
-        return 1
-    committed = json.loads(args.snapshot.read_text())
-    drift = _diff(committed, current)
-    if drift:
-        print(f"public API drift vs {args.snapshot}:")
-        for line in drift:
-            print(f"  {line}")
-        print(
-            "intentional? re-run with --update and commit the new snapshot"
-        )
-        return 1
-    print(
-        f"public API matches the snapshot "
-        f"({len(current['surface'])} exported names)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,7 @@ Runs, in this one process and under :mod:`cProfile`:
 * ``pytest benchmarks --benchmark-disable``;
 * every ``examples/*.py``;
 * the CLI commands of the CI workflow (``.github/workflows/ci.yml``), with
-  ``--workers 0``;
+  ``--workers 0``, and the pinned ones (``tests/pins.py``);
 
 then the tier-1 suite (``pytest tests``), and prints every function defined
 under ``src/repro`` that none of the shipped runs reaches, marked
@@ -70,9 +70,6 @@ CLI_COMMANDS = (
     "check --selftest",
     "compare --nodes 12 --segments 2 --seed 0 --format json",
     "compare --nodes 12 --segments 2 --seed 0",
-    "compare --seed 0 --format json",
-    "run examples/scenarios/crash_and_rejoin.json",
-    "run examples/scenarios/crash_rejoin_crash.json",
     "run {tmp}/swim-scenario.json",
     "trace --scenario {tmp}/swim-scenario.json --category msh.change",
     "trace --scenario {tmp}/swim-scenario.json --export {tmp}/trace.jsonl",
@@ -80,7 +77,6 @@ CLI_COMMANDS = (
     " --report {tmp}/qos-smoke.json --format csv",
     "qos --catalog --backend canely --backend swim --quick --seed 0"
     " --report {tmp}/qos-smoke-b.json",
-    "qos --catalog --backend canely --backend swim --quick --seed 0 --format json",
     "qos --scenario quiet-baseline --backend canely --backend swim --quick --chart",
     "spans --seed 0 --chrome {tmp}/spans-smoke.json --validate",
     "spans --seed 0 --chrome {tmp}/spans-smoke-flows.json --flows --validate",
@@ -183,6 +179,7 @@ def quietly(run: Callable[[], object]) -> str:
 def shipped_runs(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
     """``(label, run)`` for everything the repo ships."""
     import pytest
+    from pins import PINS, run_cli
 
     from repro.__main__ import main as cli
     from workloads import workloads
@@ -217,6 +214,12 @@ def shipped_runs(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
     for command in CLI_COMMANDS:
         argv = command.format(tmp=tmp).split()
         runs.append((f"repro {command}", lambda a=argv: cli(a)))
+    for index, argv in enumerate(dict.fromkeys(pin.argv for pin in PINS if pin.argv)):
+        out = os.path.join(tmp, f"pin-{index}.out")
+        runs.append((
+            f"repro {' '.join(argv).replace(ROOT + os.sep, '')} (pinned)",
+            lambda a=argv, o=out: run_cli(a, o),
+        ))
     return runs
 
 
@@ -242,7 +245,9 @@ def profile(run: Callable[[], object]) -> Tuple[Set[Key], str, float]:
 
 def main() -> int:
     os.chdir(ROOT)
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    sys.path[:0] = [
+        os.path.join(ROOT, directory) for directory in ("src", "bench", "tests")
+    ]
     sys.dont_write_bytecode = True
     functions = defined_functions()
     shipped: Set[Key] = set()
